@@ -55,15 +55,7 @@ from .diagrams import (
     subsystem_embedding,
     validate_system,
 )
-from .fplinalg import (
-    F2,
-    FMatrix,
-    PrimeField,
-    kernel_basis,
-    quotient_dim,
-    rank_nullity,
-    solve_linear,
-)
+from .fplinalg import F2, FMatrix, PrimeField, quotient_dim
 from .mv import (
     BinaryMVReport,
     CountReport,

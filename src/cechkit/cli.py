@@ -42,8 +42,8 @@ from .documents import (
     materialise_bundle,
     materialise_refinement,
 )
-from .fplinalg import FMatrix, NotPrime
-from .gallery import GALLERY_NAMES, UnknownGallery, gallery_document
+from .fplinalg import FMatrix, NotPrime, PrimeField
+from .gallery import GALLERY_NAMES, BadGalleryParameter, UnknownGallery, gallery_document
 from .mv import (
     assemble_les,
     count_line_bundles,
@@ -81,6 +81,17 @@ def _table(rows: list[tuple]) -> None:
         _println("  " + "  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
 
 
+def _degree(text: str) -> int:
+    """argparse type of a cohomology degree: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"degree must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cechkit", description=__doc__)
     parser.add_argument("--field", type=int, default=None,
@@ -102,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("path", type=Path)
         if "qmax" in extra:
-            p.add_argument("--qmax", type=int, default=None)
+            p.add_argument("--qmax", type=_degree, default=None)
         if "q" in extra:
-            p.add_argument("--q", type=int, default=None)
+            p.add_argument("--q", type=_degree, default=None)
 
     g = sub.add_parser("gallery")
     g.add_argument("name", type=str)
@@ -401,8 +412,8 @@ def _cmd_gallery(args) -> tuple[dict | None, int, str]:
         listing = "\n".join(GALLERY_NAMES) + "\n"
         sys.stdout.write(listing)
         return None, 0, listing
-    field = args.field if args.field is not None else 2
-    doc = gallery_document(args.name, field=field, n=args.n, seed=args.seed)
+    field = PrimeField(args.field if args.field is not None else 2)
+    doc = gallery_document(args.name, field=field.p, n=args.n, seed=args.seed)
     text = canonical_json(doc)
     sys.stdout.write(text)
     if args.name == "random_admissible":
@@ -453,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"input error: unknown gallery name {exc.args[0]!r}; "
                          f"try: {', '.join(GALLERY_NAMES)}\n")
         return 2
-    except (ParseError, NotPrime, FileNotFoundError) as exc:
+    except (ParseError, NotPrime, BadGalleryParameter, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except InvalidSystem as exc:

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .complexes import Simplex, SimplicialComplex
-from .fplinalg import FMatrix, PrimeField
+from .fplinalg import FMatrix, PrimeField, rref
 
 
 class NotSubcomplex(ValueError):
@@ -104,7 +104,7 @@ def cech_differential(k: SimplicialComplex, q: int, field: PrimeField) -> ChainM
         for i in range(len(sigma)):
             tau = sigma[:i] + sigma[i + 1:]
             m[row, src.index[tau]] += (-1) ** i
-    return ChainMapLevel(src, tgt, FMatrix(m, field, row_labels=tgt.basis, col_labels=src.basis))
+    return ChainMapLevel(src, tgt, FMatrix(m, field))
 
 
 @dataclass(frozen=True)
@@ -122,29 +122,23 @@ class CohomologyBasis:
 
 
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:
+    """Bases read off the pivot columns of one elimination of [d^(q-1) | Z].
+
+    A column is a pivot exactly when it is not in the span of the columns
+    before it, so the d^(q-1) pivots are a basis of the coboundaries and
+    the Z pivots extend it to the cocycles, both in column order.
+    """
     space = CochainSpace(k, q, field)
     z = cech_differential(k, q, field).matrix.kernel_basis()
     if q == 0:
-        b = FMatrix.zeros(space.dim, 0, field)
+        d = np.zeros((space.dim, 0), dtype=np.int64)
     else:
-        b = cech_differential(k, q - 1, field).matrix.column_space_basis()
-    reps = _extend_basis(b, z, field)
+        d = cech_differential(k, q - 1, field).matrix.entries
+    n = d.shape[1]
+    pivots = rref(np.hstack([d, z.entries]), field.p)[1]
+    b = FMatrix(d[:, [c for c in pivots if c < n]], field)
+    reps = FMatrix(z.entries[:, [c - n for c in pivots if c >= n]], field)
     return CohomologyBasis(space, z, b, reps)
-
-
-def _extend_basis(b: FMatrix, z: FMatrix, field: PrimeField) -> FMatrix:
-    """Greedily pick z-columns extending span(b), in column order."""
-    picked: list[np.ndarray] = []
-    current = b.entries
-    rank = b.rank()
-    for j in range(z.cols):
-        candidate = np.column_stack([current, z.entries[:, j]]) if current.size else z.entries[:, [j]]
-        r = FMatrix(candidate, field).rank()
-        if r > rank:
-            picked.append(z.column(j))
-            current = candidate
-            rank = r
-    return FMatrix.from_columns(picked, z.rows, field)
 
 
 def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
@@ -175,7 +169,7 @@ def restriction_map(k: SimplicialComplex, l: SimplicialComplex, q: int, field: P
     m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
     for row, s in enumerate(tgt.basis):
         m[row, src.index[s]] = 1
-    return ChainMapLevel(src, tgt, FMatrix(m, field, row_labels=tgt.basis, col_labels=src.basis))
+    return ChainMapLevel(src, tgt, FMatrix(m, field))
 
 
 def restrict_cochain(f: Cochain, l: SimplicialComplex) -> Cochain:
@@ -222,4 +216,4 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
             continue
         sigma = tuple(sorted(images))
         m[row, src.index[sigma]] = _permutation_sign(images)
-    return ChainMapLevel(src, tgt, FMatrix(m, field, row_labels=tgt.basis, col_labels=src.basis))
+    return ChainMapLevel(src, tgt, FMatrix(m, field))

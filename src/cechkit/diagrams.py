@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .cochains import NotSimplicial
 from .complexes import (
     SimplicialComplex,
     full_subcomplex,
@@ -53,10 +54,6 @@ class BadIndexSet(ValueError):
 
 
 class IncompatibleFamily(ValueError):
-    pass
-
-
-class NotSimplicial(ValueError):
     pass
 
 

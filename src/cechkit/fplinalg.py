@@ -9,7 +9,7 @@ deterministic, so repeated runs give identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,12 +96,10 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class FMatrix:
-    """Dense matrix over a prime field, optionally carrying basis labels."""
+    """Dense matrix over a prime field, entries normalised to [0, p)."""
 
     entries: np.ndarray
     field: PrimeField
-    row_labels: tuple | None = None
-    col_labels: tuple | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _normalise(self.entries, self.field.p))
@@ -130,7 +128,7 @@ class FMatrix:
 
     @property
     def T(self) -> "FMatrix":
-        return FMatrix(self.entries.T, self.field, self.col_labels, self.row_labels)
+        return FMatrix(self.entries.T, self.field)
 
     def column(self, j: int) -> np.ndarray:
         return self.entries[:, j].copy()
@@ -143,17 +141,16 @@ class FMatrix:
             raise DimensionMismatch("field mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return FMatrix((self.entries @ other.entries) % self.field.p, self.field,
-                       self.row_labels, other.col_labels)
+        return FMatrix((self.entries @ other.entries) % self.field.p, self.field)
 
     def __add__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.entries + other.entries, self.field, self.row_labels, self.col_labels)
+        return FMatrix(self.entries + other.entries, self.field)
 
     def __sub__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.entries - other.entries, self.field, self.row_labels, self.col_labels)
+        return FMatrix(self.entries - other.entries, self.field)
 
     def __neg__(self) -> "FMatrix":
-        return FMatrix(-self.entries, self.field, self.row_labels, self.col_labels)
+        return FMatrix(-self.entries, self.field)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         v = np.asarray(vector, dtype=np.int64) % self.field.p
@@ -205,17 +202,9 @@ class FMatrix:
         return x
 
     def column_space_basis(self) -> "FMatrix":
-        """Deterministic independent subset of the columns, in column order."""
-        p = self.field.p
-        picked: list[np.ndarray] = []
-        rank = 0
-        for j in range(self.cols):
-            candidate = picked + [self.entries[:, j]]
-            r = len(rref(np.column_stack(candidate), p)[1])
-            if r > rank:
-                picked.append(self.entries[:, j].copy())
-                rank = r
-        return FMatrix.from_columns(picked, self.rows, self.field)
+        """The pivot columns: each column not in the span of those before it."""
+        pivots = rref(self.entries, self.field.p)[1]
+        return FMatrix(self.entries[:, pivots], self.field)
 
     def inverse(self) -> "FMatrix":
         if self.rows != self.cols:
@@ -228,19 +217,6 @@ class FMatrix:
         return FMatrix(reduced[:, self.rows:], self.field)
 
 
-def rank_nullity(a: FMatrix) -> tuple[int, int]:
-    return a.rank_nullity()
-
-
-def kernel_basis(a: FMatrix) -> FMatrix:
-    return a.kernel_basis()
-
-
-def solve_linear(a: FMatrix, b: np.ndarray) -> np.ndarray | None:
-    """Solve a x = b; None signals an unsolvable (inconsistent) system."""
-    return a.solve(b)
-
-
 def quotient_dim(z: FMatrix, b: FMatrix) -> int:
     """dim span(z) - dim span(b), requiring span(b) <= span(z)."""
     if z.field.p != b.field.p or z.rows != b.rows:
@@ -250,17 +226,3 @@ def quotient_dim(z: FMatrix, b: FMatrix) -> int:
     if joint.rank() > rz:
         raise NotASubspace("second basis is not contained in the span of the first")
     return rz - b.rank()
-
-
-def hstack(mats: Iterable[FMatrix], field: PrimeField, rows: int) -> FMatrix:
-    blocks = [m.entries for m in mats if m.cols]
-    if not blocks:
-        return FMatrix.zeros(rows, 0, field)
-    return FMatrix(np.column_stack(blocks), field)
-
-
-def vstack(mats: Iterable[FMatrix], field: PrimeField, cols: int) -> FMatrix:
-    blocks = [m.entries for m in mats if m.rows]
-    if not blocks:
-        return FMatrix.zeros(0, cols, field)
-    return FMatrix(np.vstack(blocks), field)

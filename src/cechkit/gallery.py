@@ -23,6 +23,10 @@ class UnknownGallery(KeyError):
     pass
 
 
+class BadGalleryParameter(ValueError):
+    pass
+
+
 def two_origin_line(field: int = 2) -> Document:
     """Two copies of a line glued away from their origins; union nerve a 4-cycle."""
     fine_pieces = [
@@ -65,7 +69,7 @@ def two_origin_line(field: int = 2) -> Document:
 def branching_line_n(n: int = 2, field: int = 2) -> Document:
     """n lines glued along a common ray; union nerve a star with n leaves."""
     if n < 2:
-        raise ValueError("branching line needs n >= 2 pieces")
+        raise BadGalleryParameter(f"branching line needs n >= 2 pieces, got n={n}")
     pieces = [{"id": f"p{i}", "simplices": [[f"b{i}", "c"]]} for i in range(1, n + 1)]
     gluings = [{"i": f"p{i}", "j": f"p{j}", "pairs": [["c", "c"]]}
                for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bundles import WrongField
 from .cochains import (
     ChainMapLevel,
     Cochain,
@@ -38,10 +39,6 @@ from .fplinalg import FMatrix
 
 
 class NotBinary(ValueError):
-    pass
-
-
-class WrongField(ValueError):
     pass
 
 

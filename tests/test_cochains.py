@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cechkit import cochains, fplinalg
 from cechkit.cochains import (
     CochainSpace,
     NotSimplicial,
@@ -17,7 +20,10 @@ from cechkit.cochains import (
     restriction_map,
 )
 from cechkit.complexes import EMPTY_COMPLEX, build_complex, components
-from cechkit.fplinalg import F2, PrimeField
+from cechkit.diagrams import canonicalize
+from cechkit.documents import parse_document
+from cechkit.fplinalg import F2, FMatrix, PrimeField, rref
+from cechkit.gallery import random_admissible
 
 
 def cycle4():
@@ -220,3 +226,73 @@ def test_class_coordinates_brute_force_cross_check():
         coords = class_coordinates(coh, np.array(vec))
         trivial = tuple(vec) in coboundaries
         assert (not coords.any()) == trivial
+
+
+def greedy_extend_basis(b: FMatrix, z: FMatrix) -> FMatrix:
+    """Reference: the per-column greedy loop cohomology used to run.
+
+    Extending the empty span of a matrix's rows greedily by its columns
+    is what column_space_basis used to compute, so this one loop gives
+    both the old coboundary basis and the old representatives.
+    """
+    picked: list[np.ndarray] = []
+    current = b.entries
+    rank = b.rank()
+    for j in range(z.cols):
+        candidate = np.column_stack([current, z.entries[:, j]]) if current.size else z.entries[:, [j]]
+        r = FMatrix(candidate, z.field).rank()
+        if r > rank:
+            picked.append(z.column(j))
+            current = candidate
+            rank = r
+    return FMatrix.from_columns(picked, z.rows, z.field)
+
+
+def assert_matches_greedy(k, field):
+    for q in (0, 1, 2):
+        coh = cohomology(k, q, field)
+        dim = coh.space.dim
+        if q == 0:
+            b = FMatrix.zeros(dim, 0, field)
+        else:
+            b = greedy_extend_basis(FMatrix.zeros(dim, 0, field), cech_differential(k, q - 1, field).matrix)
+        reps = greedy_extend_basis(b, coh.cocycles)
+        for got, want in ((coh.coboundaries, b), (coh.representatives, reps)):
+            assert got.entries.shape == want.entries.shape, (k.vertices, q)
+            assert np.array_equal(got.entries, want.entries), (k.vertices, q)
+
+
+def nerves_of(diagram):
+    yield diagram.nerve
+    for size in range(1, diagram.n_pieces + 1):
+        for t in diagram.index_subsets(size):
+            yield diagram.intersection_nerve(t)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_cohomology_bases_match_greedy_loop_on_gallery(gallery_diagram, p):
+    for nerve in nerves_of(gallery_diagram):
+        assert_matches_greedy(nerve, PrimeField(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from((2, 3, 5)))
+def test_cohomology_bases_match_greedy_loop_on_random_nerves(seed, p):
+    diagram = canonicalize(parse_document(random_admissible(seed)).system)
+    for nerve in nerves_of(diagram):
+        assert_matches_greedy(nerve, PrimeField(p))
+
+
+def test_cohomology_runs_two_eliminations(monkeypatch):
+    calls = []
+
+    def counting_rref(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    monkeypatch.setattr(fplinalg, "rref", counting_rref)
+    monkeypatch.setattr(cochains, "rref", counting_rref)
+    for q in (0, 1, 2):
+        calls.clear()
+        cohomology(theta(), q, PrimeField(3))
+        assert len(calls) == 2, (q, calls)

@@ -266,3 +266,31 @@ def test_structured_reports_byte_identical(tmp_path, capsys):
                 body = report_path.read_bytes() if report_path.exists() else b""
                 outputs.append((code, body))
             assert outputs[0] == outputs[1], (doc_name, command)
+
+
+def test_cli_count_wrong_field_is_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, gallery_document("three_circles"))
+    assert main(["--field", "3", "count", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (["cohomology", "--qmax", "-3"], ["fibred", "--q", "-1"],
+                                  ["cohomology", "--qmax", "x"]))
+def test_cli_negative_degree_is_usage_error(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, gallery_document("two_origin_line"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and "degree must be" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", (["--field", "4", "gallery", "two_origin_line"],
+                                  ["gallery", "branching_line_n", "--n", "1"]))
+def test_cli_gallery_bad_arguments_are_input_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1

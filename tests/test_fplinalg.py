@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cechkit import fplinalg
 from cechkit.fplinalg import (
     F2,
     DimensionMismatch,
@@ -10,10 +13,8 @@ from cechkit.fplinalg import (
     NotASubspace,
     NotPrime,
     PrimeField,
-    kernel_basis,
     quotient_dim,
-    rank_nullity,
-    solve_linear,
+    rref,
 )
 
 
@@ -34,8 +35,8 @@ def test_prime_validation():
 
 
 def test_rank_nullity_trivial():
-    assert rank_nullity(FMatrix.zeros(3, 3, F2)) == (0, 3)
-    assert rank_nullity(FMatrix.identity(4, F2)) == (4, 0)
+    assert FMatrix.zeros(3, 3, F2).rank_nullity() == (0, 3)
+    assert FMatrix.identity(4, F2).rank_nullity() == (4, 0)
 
 
 def test_rank_against_brute_force_image():
@@ -57,11 +58,11 @@ def test_rank_equals_transpose_rank():
 
 
 def test_kernel_basis():
-    assert kernel_basis(FMatrix.identity(3, F2)).cols == 0
-    z = kernel_basis(FMatrix.zeros(2, 5, F2))
+    assert FMatrix.identity(3, F2).kernel_basis().cols == 0
+    z = FMatrix.zeros(2, 5, F2).kernel_basis()
     assert z.cols == 5
     a = FMatrix(np.array([[1, 1, 0], [0, 1, 1]]), F2)
-    k = kernel_basis(a)
+    k = a.kernel_basis()
     assert k.cols == 1
     assert not (a @ k).entries.any()
 
@@ -80,7 +81,7 @@ def test_solve_identity_and_unsolvable():
     b = np.array([1, 0, 1])
     assert np.array_equal(FMatrix.identity(3, F2).solve(b), b)
     assert FMatrix.zeros(3, 3, F2).solve(np.array([1, 0, 0])) is None
-    assert solve_linear(FMatrix.zeros(2, 2, F2), np.zeros(2, dtype=int)) is not None
+    assert FMatrix.zeros(2, 2, F2).solve(np.zeros(2, dtype=int)) is not None
 
 
 def test_solve_cross_checked_by_rank():
@@ -128,6 +129,53 @@ def test_column_space_basis_deterministic():
     cb = a.column_space_basis()
     assert cb.cols == 2
     assert np.array_equal(cb.entries[:, 0], [1, 1])
+
+
+def greedy_column_space_basis(m: FMatrix) -> FMatrix:
+    """Reference: the per-column greedy loop column_space_basis replaced."""
+    p = m.field.p
+    picked: list[np.ndarray] = []
+    rank = 0
+    for j in range(m.cols):
+        candidate = picked + [m.entries[:, j]]
+        r = len(rref(np.column_stack(candidate), p)[1])
+        if r > rank:
+            picked.append(m.entries[:, j].copy())
+            rank = r
+    return FMatrix.from_columns(picked, m.rows, m.field)
+
+
+@st.composite
+def matrices(draw) -> FMatrix:
+    p = draw(st.sampled_from((2, 3, 5)))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 8))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return FMatrix(np.array(values, dtype=np.int64).reshape(rows, cols), PrimeField(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_column_space_basis_matches_greedy_loop(m):
+    got = m.column_space_basis()
+    want = greedy_column_space_basis(m)
+    assert got.entries.shape == want.entries.shape
+    assert got.entries.dtype == want.entries.dtype
+    assert np.array_equal(got.entries, want.entries)
+
+
+def test_column_space_basis_runs_one_elimination(monkeypatch):
+    calls = []
+
+    def counting_rref(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    m = FMatrix(np.arange(42).reshape(6, 7), PrimeField(5))
+    rank = m.rank()
+    monkeypatch.setattr(fplinalg, "rref", counting_rref)
+    assert m.column_space_basis().cols == rank
+    assert calls == [(6, 7)]
 
 
 def test_determinism_repeated_runs():
