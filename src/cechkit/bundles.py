@@ -38,6 +38,9 @@ from .fplinalg import FMatrix, PrimeField
 
 Edge = tuple[str, str]
 
+# Exhaustive enumerations refuse to visit more candidates than this.
+ENUMERATION_CAP = 4096
+
 
 class NonAbelianRank(ValueError):
     pass
@@ -45,6 +48,10 @@ class NonAbelianRank(ValueError):
 
 class WrongField(ValueError):
     pass
+
+
+class ResourceLimit(ValueError):
+    """An enumeration would exceed its cap; the cap is in the message."""
 
 
 class IncompatibleData(ValueError):
@@ -200,6 +207,9 @@ def enumerate_line_bundles(diagram: GluedDiagram) -> list[ConstantCocycle]:
     if diagram.field.p != 2:
         raise WrongField("line bundle enumeration requires the field F_2")
     coh = cohomology(diagram.nerve, 1, diagram.field)
+    if 2 ** coh.dimension > ENUMERATION_CAP:
+        raise ResourceLimit(f"line bundle enumeration is capped at {ENUMERATION_CAP} classes; "
+                            f"dim H^1 = {coh.dimension} gives 2^{coh.dimension}")
     edges = diagram.nerve.simplices_of_dim(1)
     reps: list[ConstantCocycle] = []
     for mask in range(2 ** coh.dimension):
@@ -442,6 +452,28 @@ def is_parallel(section: TwistedSection) -> bool:
     return True
 
 
+def _find(parent: dict, pot: dict, node, p: int) -> tuple[object, int]:
+    """Root of node's set and node's potential over it, mod p.
+
+    A node's potential is relative to its parent; the path to the root is
+    compressed, every node on it re-pointed at the root with its summed
+    potential.  Unseen nodes start as roots of potential 0.
+    """
+    if node not in parent:
+        parent[node] = node
+        pot[node] = 0
+    path = []
+    while parent[node] != node:
+        path.append(node)
+        node = parent[node]
+    total = 0
+    for child in reversed(path):
+        total = (total + pot[child]) % p
+        pot[child] = total
+        parent[child] = node
+    return node, total
+
+
 def _phase_constraints(data: PieceBundleData,
                        sections: dict[str, TwistedSection]) -> str | None:
     """Solvability of the rank-1 phase system; returns a failing vertex or None.
@@ -466,18 +498,6 @@ def _phase_constraints(data: PieceBundleData,
 
     parent: dict[tuple[str, int], tuple[str, int]] = {}
     pot: dict[tuple[str, int], int] = {}
-
-    def get(node: tuple[str, int]) -> tuple[tuple[str, int], int]:
-        if node not in parent:
-            parent[node] = node
-            pot[node] = 0
-        if parent[node] == node:
-            return node, 0
-        rep, rep_pot = get(parent[node])
-        pot[node] = (pot[node] + rep_pot) % p
-        parent[node] = rep
-        return rep, pot[node]
-
     for i, j in itertools.combinations(diagram.piece_ids, 2):
         nij = diagram.intersection_nerve((i, j))
         for v in nij.vertices:
@@ -486,8 +506,8 @@ def _phase_constraints(data: PieceBundleData,
                 continue
             # rho_b - rho_a = phase_a(v) + twist(v) - phase_b(v)
             delta = (phases[a] + int(data.ident(i, j, v)) - phases[b]) % p
-            ra, pa = get(comp_of[a])
-            rb, pb = get(comp_of[b])
+            ra, pa = _find(parent, pot, comp_of[a], p)
+            rb, pb = _find(parent, pot, comp_of[b], p)
             if ra != rb:
                 parent[rb] = ra
                 pot[rb] = (pa + delta - pb) % p
@@ -559,7 +579,7 @@ def glue_section_space(data: PieceBundleData) -> int:
     if rank == 1:
         dims = [bases[pid].dimension for pid in diagram.piece_ids]
         total = sum(dims)
-        if p ** total > 4096:
+        if p ** total > ENUMERATION_CAP:
             raise ValueError("coefficient space too large for enumeration")
         compatible: list[np.ndarray] = []
         for coeffs in itertools.product(range(p), repeat=total):

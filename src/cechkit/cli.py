@@ -22,6 +22,7 @@ import numpy as np
 
 from .bundles import (
     IncompatibleData,
+    ResourceLimit,
     WrongField,
     cocycle_class,
     cocycles_equivalent,
@@ -119,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gallery")
     g.add_argument("name", type=str)
-    g.add_argument("--n", type=int, default=2)
+    g.add_argument("--n", type=int, default=None,
+                   help="piece count (branching_line_n: default 2; random_admissible: default from the seed)")
     g.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -161,10 +163,12 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
         for pid in diagram.piece_ids}
     report["intersection_dims"] = {}
     for size in range(2, diagram.n_pieces + 1):
+        nonempty = set(diagram.nonempty_subsets(size))
         for t in diagram.index_subsets(size):
-            nerve = diagram.intersection_nerve(t)
+            # An empty intersection has no cohomology in any degree.
             report["intersection_dims"][_key(t)] = [
-                cohomology(nerve, q, diagram.field).dimension for q in range(q_max + 1)]
+                cohomology(diagram.intersection_nerve(t), q, diagram.field).dimension
+                for q in range(q_max + 1)] if t in nonempty else [0] * (q_max + 1)
     report["verdicts"]["h0_matches_components"] = union[0] == len(components(diagram.nerve))
     _println(f"global labels: {', '.join(diagram.nerve.vertices)}")
     _table([("space", *[f"H^{q}" for q in range(q_max + 1)]),
@@ -472,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.report.violations:
             sys.stderr.write(f"  [{v.condition}] {v.message}  witness={list(v.witness)}\n")
         return 2
-    except (IncompatibleData, WrongField) as exc:
+    except (IncompatibleData, ResourceLimit, WrongField) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     elapsed = time.perf_counter() - started

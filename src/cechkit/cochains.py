@@ -122,23 +122,36 @@ class CohomologyBasis:
 
 
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:
-    """Bases read off the pivot columns of one elimination of [d^(q-1) | Z].
+    """Cocycle, coboundary and representative bases of H^q(k; F_p).
+
+    The elimination runs once per complex, degree and field; its read-only
+    matrices are kept on the complex and shared by every later call.  The
+    memo holds no reference back to the complex, so a complex that goes
+    out of use is freed at once, without waiting for the cycle collector.
+    """
+    key = (q, field.p)
+    if key not in k.cohomology_bases:
+        k.cohomology_bases[key] = _cohomology_basis(k, q, field)
+    return CohomologyBasis(CochainSpace(k, q, field), *k.cohomology_bases[key])
+
+
+def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, FMatrix, FMatrix]:
+    """Cocycles, coboundaries and representatives from one elimination of [d^(q-1) | Z].
 
     A column is a pivot exactly when it is not in the span of the columns
     before it, so the d^(q-1) pivots are a basis of the coboundaries and
     the Z pivots extend it to the cocycles, both in column order.
     """
-    space = CochainSpace(k, q, field)
     z = cech_differential(k, q, field).matrix.kernel_basis()
     if q == 0:
-        d = np.zeros((space.dim, 0), dtype=np.int64)
+        d = np.zeros((z.rows, 0), dtype=np.int64)
     else:
         d = cech_differential(k, q - 1, field).matrix.entries
     n = d.shape[1]
     pivots = rref(np.hstack([d, z.entries]), field.p)[1]
     b = FMatrix(d[:, [c for c in pivots if c < n]], field)
     reps = FMatrix(z.entries[:, [c - n for c in pivots if c >= n]], field)
-    return CohomologyBasis(space, z, b, reps)
+    return z, b, reps
 
 
 def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:

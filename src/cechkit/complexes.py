@@ -5,12 +5,18 @@ simplex is a strictly increasing tuple of labels.  Complexes store their
 full, downward-closed simplex set, which keeps set operations and all
 downstream rank computations direct at desk scale.  The empty complex is
 legal everywhere and models an empty intersection.
+
+Complexes are immutable, so results that depend on one complex alone
+(its vertices, its simplices of each dimension, and the cohomology bases
+that `cochains.cohomology` computes) are memoised on the instance and
+live exactly as long as it does.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 Simplex = tuple[str, ...]
@@ -42,19 +48,29 @@ def faces(simplex: Simplex) -> frozenset[Simplex]:
 class SimplicialComplex:
     simplices: frozenset[Simplex]
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
+        return tuple(s[0] for s in self.simplices_of_dim(0))
 
     @property
     def dim(self) -> int:
         """Top simplex dimension; -1 for the empty complex."""
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return max(self._by_dim, default=-1)
+
+    @cached_property
+    def _by_dim(self) -> dict[int, tuple[Simplex, ...]]:
+        groups: dict[int, list[Simplex]] = {}
+        for s in sorted(self.simplices):
+            groups.setdefault(len(s) - 1, []).append(s)
+        return {q: tuple(g) for q, g in groups.items()}
 
     def simplices_of_dim(self, q: int) -> tuple[Simplex, ...]:
-        return tuple(sorted(s for s in self.simplices if len(s) == q + 1))
+        return self._by_dim.get(q, ())
+
+    @cached_property
+    def cohomology_bases(self) -> dict:
+        """`cochains.cohomology` matrices on this complex, keyed by (q, p)."""
+        return {}
 
     def __contains__(self, simplex: Simplex) -> bool:
         return tuple(simplex) in self.simplices

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .cochains import NotSimplicial
@@ -255,20 +256,67 @@ class GluedDiagram:
     def piece_nerve(self, piece_id: str) -> SimplicialComplex:
         return self.nerves[piece_id]
 
+    @cached_property
+    def _intersections(self) -> dict[tuple[str, ...], SimplicialComplex]:
+        return {}
+
+    @cached_property
+    def _nonempty(self) -> dict[int, tuple[tuple[str, ...], ...]]:
+        return {}
+
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:
-        ids = sorted(set(t))
+        ids = tuple(sorted(set(t)))
         if not ids:
             raise EmptyIndexSet("intersection over an empty index set")
         unknown = [i for i in ids if i not in self.nerves]
         if unknown:
             raise BadIndexSet(f"unknown piece ids {unknown}")
-        out = self.nerves[ids[0]]
-        for i in ids[1:]:
-            out = intersect(out, self.nerves[i])
-        return out
+        return self._intersection(ids)
+
+    def _intersection(self, ids: tuple[str, ...]) -> SimplicialComplex:
+        """N_ids as the memoised N_prefix cut by one more nerve; empty stays empty."""
+        memo = self._intersections
+        if ids not in memo:
+            if len(ids) == 1:
+                memo[ids] = self.nerves[ids[0]]
+            else:
+                prefix = self._intersection(ids[:-1])
+                memo[ids] = intersect(prefix, self.nerves[ids[-1]]) if prefix.simplices else prefix
+        return memo[ids]
 
     def index_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:
+        """Every index set of the given size, in `itertools.combinations` order.
+
+        For report rows, which list each index set whether or not its
+        intersection is empty.
+        """
         return tuple(itertools.combinations(self.piece_ids, size))
+
+    def nonempty_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:
+        """The index sets of the given size whose intersection is nonempty.
+
+        These are the (size-1)-simplices of the nerve of the piece cover,
+        in `itertools.combinations` order, and all that computation needs:
+        an empty intersection contributes nothing.  Built level by level,
+        Apriori-style: a candidate extends a nonempty (size-1)-set by a
+        later piece, and is intersected only when every face is nonempty.
+        """
+        memo = self._nonempty
+        if size not in memo:
+            if size < 1:
+                memo[size] = ()
+            elif size == 1:
+                memo[size] = tuple((i,) for i in self.piece_ids if self.nerves[i].simplices)
+            else:
+                faces = self.nonempty_subsets(size - 1)
+                known = set(faces)
+                memo[size] = tuple(
+                    t + (j,)
+                    for t in faces
+                    for j in self.piece_ids[self.piece_ids.index(t[-1]) + 1:]
+                    if all(t[:a] + t[a + 1:] + (j,) in known for a in range(size - 1))
+                    and self._intersection(t + (j,)).simplices)
+        return memo[size]
 
 
 def glued_from_nerves(piece_nerves: Mapping[str, SimplicialComplex],

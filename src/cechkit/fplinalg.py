@@ -9,6 +9,7 @@ deterministic, so repeated runs give identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -96,13 +97,19 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class FMatrix:
-    """Dense matrix over a prime field, entries normalised to [0, p)."""
+    """Dense matrix over a prime field, entries normalised to [0, p).
+
+    The entries are a read-only copy, so a matrix can be shared freely
+    and its rank is computed at most once.
+    """
 
     entries: np.ndarray
     field: PrimeField
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _normalise(self.entries, self.field.p))
+        entries = _normalise(self.entries, self.field.p)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: PrimeField) -> "FMatrix":
@@ -166,8 +173,12 @@ class FMatrix:
     def is_zero(self) -> bool:
         return not self.entries.any()
 
-    def rank(self) -> int:
+    @cached_property
+    def _rank(self) -> int:
         return len(rref(self.entries, self.field.p)[1])
+
+    def rank(self) -> int:
+        return self._rank
 
     def rank_nullity(self) -> tuple[int, int]:
         r = self.rank()

@@ -119,6 +119,8 @@ def random_admissible(seed: int, field: int = 2, n_pieces: int | None = None) ->
     pairwise induced overlap equals the core and the identity gluings are
     simplicial isomorphisms by construction.
     """
+    if n_pieces is not None and n_pieces < 1:
+        raise BadGalleryParameter(f"random admissible diagram needs n >= 1 pieces, got n={n_pieces}")
     rng = random.Random(seed)
     n = n_pieces if n_pieces is not None else rng.choice((2, 2, 3, 3, 4))
     core_size = rng.choice((2, 3, 4))
@@ -154,15 +156,20 @@ def random_admissible(seed: int, field: int = 2, n_pieces: int | None = None) ->
     return {"field": field, "pieces": pieces, "gluings": gluings}
 
 
-def gallery_document(name: str, field: int = 2, n: int = 2, seed: int = 0) -> Document:
+def gallery_document(name: str, field: int = 2, n: int | None = None, seed: int = 0) -> Document:
+    """The named document; n is the piece count where the family takes one.
+
+    Without n, branching_line_n has 2 pieces and random_admissible draws
+    its piece count from the seed.
+    """
     if name == "two_origin_line":
         return two_origin_line(field)
     if name == "branching_line_n":
-        return branching_line_n(n, field)
+        return branching_line_n(2 if n is None else n, field)
     if name == "bug_eyed_circle":
         return bug_eyed_circle(field)
     if name == "three_circles":
         return three_circles(field)
     if name == "random_admissible":
-        return random_admissible(seed, field)
+        return random_admissible(seed, field, n_pieces=n)
     raise UnknownGallery(name)

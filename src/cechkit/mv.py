@@ -44,7 +44,11 @@ class NotBinary(ValueError):
 
 @dataclass(frozen=True)
 class TupleCochainSpace:
-    """Direct sum of the cochain spaces of all p-fold intersection nerves."""
+    """Direct sum of the cochain spaces of the nonempty p-fold intersection nerves.
+
+    An empty intersection would be a block of dimension 0, so leaving it
+    out changes no matrix.
+    """
 
     level: int
     degree: int
@@ -63,16 +67,17 @@ class TupleCochainSpace:
             pos += space.dim
         return out
 
+    @cached_property
+    def _by_t(self) -> dict[tuple[str, ...], CochainSpace]:
+        return dict(self.blocks)
+
     def block(self, t: tuple[str, ...]) -> CochainSpace:
-        for key, space in self.blocks:
-            if key == t:
-                return space
-        raise KeyError(t)
+        return self._by_t[t]
 
 
 def tuple_space(diagram: GluedDiagram, level: int, degree: int) -> TupleCochainSpace:
     blocks = tuple((t, CochainSpace(diagram.intersection_nerve(t), degree, diagram.field))
-                   for t in diagram.index_subsets(level))
+                   for t in diagram.nonempty_subsets(level))
     return TupleCochainSpace(level, degree, blocks)
 
 
@@ -307,7 +312,7 @@ class FibredProduct:
         if len(src_cols) != 1:
             raise IncompatibleFamily("maps have different source dimensions")
         for i in ids:
-            if rhos[i].rows != self.level1.block((i,)).dim:
+            if rhos[i].rows != len(self.diagram.nerves[i].simplices_of_dim(self.degree)):
                 raise IncompatibleFamily(f"map for piece {i!r} has wrong target dimension")
         for i, j in itertools.combinations(ids, 2):
             nij = self.diagram.intersection_nerve((i, j))
@@ -476,19 +481,15 @@ class TupleCohomology:
 
 def tuple_cohomology(diagram: GluedDiagram, level: int, degree: int) -> TupleCohomology:
     blocks = tuple((t, cohomology(diagram.intersection_nerve(t), degree, diagram.field))
-                   for t in diagram.index_subsets(level))
+                   for t in diagram.nonempty_subsets(level))
     return TupleCohomology(level, degree, blocks)
 
 
-def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int,
-                          src: TupleCohomology | None = None,
-                          tgt: TupleCohomology | None = None) -> FMatrix:
+def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
     """The difference map between levels, descended to cohomology."""
     field = diagram.field
-    if src is None:
-        src = tuple_cohomology(diagram, level, degree)
-    if tgt is None:
-        tgt = tuple_cohomology(diagram, level + 1, degree)
+    src = tuple_cohomology(diagram, level, degree)
+    tgt = tuple_cohomology(diagram, level + 1, degree)
     m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
     src_by_t = dict(src.blocks)
     for t_prime, coh_tgt in tgt.blocks:
@@ -525,8 +526,10 @@ def h1_fibred_check(diagram: GluedDiagram) -> H1FibredVerdict:
     field = diagram.field
     connectivity: dict[tuple[str, ...], int] = {}
     for size in range(1, diagram.n_pieces + 1):
+        nonempty = set(diagram.nonempty_subsets(size))
         for t in diagram.index_subsets(size):
-            connectivity[t] = len(components(diagram.intersection_nerve(t)))
+            # An empty intersection has no components.
+            connectivity[t] = len(components(diagram.intersection_nerve(t))) if t in nonempty else 0
     disconnected = tuple(t for t, c in sorted(connectivity.items()) if c != 1)
     hypothesis = not disconnected
 
@@ -570,17 +573,22 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
     h1_dims: dict[tuple[str, ...], int] = {}
     connectivity_bad: list[tuple[str, ...]] = []
     for size in range(1, n + 1):
+        nonempty = set(diagram.nonempty_subsets(size))
         for t in diagram.index_subsets(size):
+            if t not in nonempty:
+                # An empty intersection: H^1 = 0 (a literal term 2^0), no components.
+                h1_dims[t] = 0
+                connectivity_bad.append(t)
+                continue
             nerve = diagram.intersection_nerve(t)
             h1_dims[t] = cohomology(nerve, 1, diagram.field).dimension
             if len(components(nerve)) != 1:
                 connectivity_bad.append(t)
 
-    cohs = [tuple_cohomology(diagram, level, 1) for level in range(1, n + 1)]
     non_surjective: list[int] = []
     for level in range(1, n):
-        descended = descended_delta_tilde(diagram, level, 1, cohs[level - 1], cohs[level])
-        if descended.rank() != cohs[level].dim:
+        descended = descended_delta_tilde(diagram, level, 1)
+        if descended.rank() != descended.rows:
             non_surjective.append(level)
 
     exponent = 0

@@ -129,14 +129,23 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
     field = r.fine.field
     squares: list[NaturalitySquare] = []
 
-    complexes: list[tuple[str, SimplicialComplex, SimplicialComplex]] = [
+    # An empty fine N_T makes both sides of its square 0 x dim C^q(coarse N_T),
+    # so the square commutes; it is recorded as such, with None complexes.
+    complexes: list[tuple[str, SimplicialComplex | None, SimplicialComplex | None]] = [
         ("union", r.fine.nerve, r.coarse.nerve)]
     for size in range(1, r.fine.n_pieces + 1):
+        nonempty = set(r.fine.nonempty_subsets(size))
         for t in r.fine.index_subsets(size):
-            complexes.append((f"T={','.join(t)}", r.fine.intersection_nerve(t),
-                              r.coarse.intersection_nerve(t)))
+            name = f"T={','.join(t)}"
+            if t in nonempty:
+                complexes.append((name, r.fine.intersection_nerve(t), r.coarse.intersection_nerve(t)))
+            else:
+                complexes.append((name, None, None))
     for q in range(q_max + 1):
         for name, fine_c, coarse_c in complexes:
+            if fine_c is None:
+                squares.append(NaturalitySquare(f"delta[{name}] q={q}", True))
+                continue
             lam_q = pullback_map(r.labels, fine_c, coarse_c, q, field).matrix
             lam_q1 = pullback_map(r.labels, fine_c, coarse_c, q + 1, field).matrix
             d_fine = cech_differential(fine_c, q, field).matrix

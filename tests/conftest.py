@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from cechkit.complexes import build_complex
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
 from cechkit.gallery import gallery_document
@@ -41,3 +44,41 @@ def three_circles():
 def gallery_diagram(request):
     name, kwargs = request.param
     return diagram_for(name, **kwargs)
+
+
+def necklace_nerves(n, ring, ids=None):
+    """n square circles, circle i sharing the vertex a(i+1) with circle i+1.
+
+    A ring closes up (circle n-1 meets circle 0) and has dim H^1 = n + 1;
+    a chain has dim H^1 = n.  Only neighbouring circles meet, so almost
+    every index set is empty.  ids names the pieces (default c00, c01, ...).
+    """
+    ids = ids or [f"c{i:02d}" for i in range(n)]
+    nerves = {}
+    for i in range(n):
+        a, b = f"a{i}", f"a{(i + 1) % n if ring else i + 1}"
+        nerves[ids[i]] = build_complex([sorted(e) for e in
+                                        ((a, f"x{i}"), (f"x{i}", b), (b, f"y{i}"), (a, f"y{i}"))])
+    return nerves
+
+
+@pytest.fixture(scope="session")
+def necklace():
+    return necklace_nerves
+
+
+def shared_label_document(nerves, field=2):
+    """Interchange document whose pieces share cover labels by name."""
+    gluings = []
+    for i, j in itertools.combinations(sorted(nerves), 2):
+        shared = sorted(set(nerves[i].vertices) & set(nerves[j].vertices))
+        if shared:
+            gluings.append({"i": i, "j": j, "pairs": [[v, v] for v in shared]})
+    pieces = [{"id": pid, "simplices": [list(s) for s in sorted(nerve.simplices)]}
+              for pid, nerve in sorted(nerves.items())]
+    return {"field": field, "pieces": pieces, "gluings": gluings}
+
+
+@pytest.fixture(scope="session")
+def necklace_document():
+    return lambda n, ring: shared_label_document(necklace_nerves(n, ring))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechkit.bundles import (
     ConstantCocycle,
@@ -10,6 +12,7 @@ from cechkit.bundles import (
     PieceBundleData,
     TwistedSection,
     WrongField,
+    _find,
     cocycle_class,
     cocycles_equivalent,
     colimit_bundle,
@@ -288,3 +291,41 @@ def test_exhaustive_two_origin_oracle(two_origin):
     reps = enumerate_line_bundles(two_origin)
     for rep in reps:
         assert sum(brute_equivalent(rep, b[0]) for b in classes) == 1
+
+
+def recursive_find(parent, pot, node, p):
+    """The recursive union-find lookup that _find replaced, as a reference."""
+    if node not in parent:
+        parent[node] = node
+        pot[node] = 0
+    if parent[node] == node:
+        return node, 0
+    rep, rep_pot = recursive_find(parent, pot, parent[node], p)
+    pot[node] = (pot[node] + rep_pot) % p
+    parent[node] = rep
+    return rep, pot[node]
+
+
+def test_find_resolves_a_long_parent_chain():
+    n = 5000
+    parent = {i: i + 1 for i in range(n)}
+    parent[n] = n
+    pot = {i: 1 for i in range(n)}
+    pot[n] = 0
+    assert _find(parent, pot, 0, 7) == (n, n % 7)
+    assert parent[0] == n and pot[0] == n % 7
+    assert _find(parent, pot, 2500, 7) == (n, 2500 % 7)
+    assert _find(parent, pot, "new", 7) == ("new", 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(links=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4)), min_size=10, max_size=10),
+       queries=st.lists(st.integers(0, 11), max_size=12), p=st.sampled_from((2, 3, 5)))
+def test_find_matches_the_recursive_lookup(links, queries, p):
+    # node i points at a later node (or itself when the draw is not later)
+    parent = {i: max(i, j) for i, (j, _) in enumerate(links)}
+    pot = {i: (w if parent[i] != i else 0) for i, (_, w) in enumerate(links)}
+    ref_parent, ref_pot = dict(parent), dict(pot)
+    for node in queries:
+        assert _find(parent, pot, node, p) == recursive_find(ref_parent, ref_pot, node, p)
+        assert (parent, pot) == (ref_parent, ref_pot)

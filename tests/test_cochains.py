@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -296,3 +298,40 @@ def test_cohomology_runs_two_eliminations(monkeypatch):
         calls.clear()
         cohomology(theta(), q, PrimeField(3))
         assert len(calls) == 2, (q, calls)
+
+
+def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
+    calls = []
+    real = cochains._cohomology_basis
+
+    def counting(k, q, field):
+        calls.append((q, field.p))
+        return real(k, q, field)
+
+    monkeypatch.setattr(cochains, "_cohomology_basis", counting)
+    k = theta()
+    coh = cohomology(k, 1, F2)
+    again = cohomology(k, 1, F2)
+    assert again.space == coh.space and again.space.complex is k
+    assert again.representatives is coh.representatives
+    assert cohomology(k, 1, PrimeField(3)).representatives is not coh.representatives
+    assert cohomology(theta(), 1, F2).representatives is not coh.representatives
+    assert calls == [(1, 2), (1, 3), (1, 2)]
+    for m in (coh.cocycles, coh.coboundaries, coh.representatives):
+        with pytest.raises(ValueError):
+            m.entries[...] = 0
+    assert cohomology(k, 1, F2).dimension == 2
+
+
+def test_cached_bases_do_not_keep_their_complex_alive():
+    # The memo must hold no reference back to its complex: a cycle would keep
+    # every complex of a finished command until the cycle collector runs.
+    k = theta()
+    cohomology(k, 1, F2)
+    alive = weakref.ref(k)
+    gc.disable()
+    try:
+        del k
+        assert alive() is None
+    finally:
+        gc.enable()

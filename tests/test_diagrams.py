@@ -1,6 +1,11 @@
-import pytest
+import itertools
 
-from cechkit.complexes import build_complex, components
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cechkit import diagrams
+from cechkit.complexes import build_complex, components, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
     BadIndexSet,
@@ -12,13 +17,14 @@ from cechkit.diagrams import (
     NotSimplicial,
     canonicalize,
     collapse,
+    glued_from_nerves,
     induced_map,
     shared_label_system,
     subsystem_embedding,
     validate_system,
 )
 from cechkit.documents import parse_document
-from cechkit.gallery import gallery_document
+from cechkit.gallery import gallery_document, random_admissible
 
 
 def two_origin_system():
@@ -244,3 +250,68 @@ def test_admissibility_after_canonicalize(gallery_diagram):
                 from cechkit.complexes import intersect
                 assert intersect(d.nerves[i], d.nerves[j]).simplices == \
                     d.intersection_nerve((i, j)).simplices
+
+
+def assert_nonempty_subsets_exact(d):
+    """nonempty_subsets, asked first, against intersection_nerve and plain set algebra."""
+    got = {size: d.nonempty_subsets(size) for size in range(1, d.n_pieces + 2)}
+    for size in range(1, d.n_pieces + 2):
+        want = [t for t in d.index_subsets(size) if d.intersection_nerve(t).simplices]
+        assert list(got[size]) == want, size
+        for t in d.index_subsets(size):
+            plain = frozenset.intersection(*(d.nerves[i].simplices for i in t))
+            assert d.intersection_nerve(t).simplices == plain, t
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.one_of(st.none(), st.integers(1, 6)))
+def test_nonempty_subsets_on_random_admissible(seed, n):
+    d = canonicalize(parse_document(random_admissible(seed, n_pieces=n)).system)
+    assert_nonempty_subsets_exact(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 9), ring=st.booleans(), order=st.randoms(use_true_random=False))
+def test_nonempty_subsets_on_necklaces(necklace, n, ring, order):
+    # Shuffled piece names, so ring neighbours need not be neighbours in piece order.
+    ids = [f"c{i:02d}" for i in range(n)]
+    order.shuffle(ids)
+    d = glued_from_nerves(necklace(n, ring, ids))
+    assert_nonempty_subsets_exact(d)
+    assert len(d.nonempty_subsets(2)) == (n if ring else n - 1)
+    assert d.nonempty_subsets(3) == ()
+
+
+def test_intersection_nerve_is_memoised_and_never_cuts_an_empty_prefix(necklace, monkeypatch):
+    cut = []
+
+    def recording(k, l):
+        cut.append(k)
+        return intersect(k, l)
+
+    monkeypatch.setattr(diagrams, "intersect", recording)
+    d = glued_from_nerves(necklace(6, True))
+    for size in range(1, 7):
+        for t in itertools.combinations(d.piece_ids, size):
+            assert d.intersection_nerve(t) is d.intersection_nerve(t)
+    assert d.intersection_nerve(("c00",)) is d.nerves["c00"]
+    assert cut and all(k.simplices for k in cut)
+    # One cut per index set whose prefix is nonempty: all 15 pairs, and the
+    # 4 + 3 + 2 + 1 triples that extend a meeting pair (ci, ci+1) by a later piece.
+    assert len(cut) == 15 + 10
+
+
+def test_nonempty_subsets_cuts_only_candidates_with_nonempty_faces(necklace, monkeypatch):
+    cut = []
+
+    def recording(k, l):
+        cut.append(k)
+        return intersect(k, l)
+
+    monkeypatch.setattr(diagrams, "intersect", recording)
+    d = glued_from_nerves(necklace(6, True))
+    assert len(d.nonempty_subsets(2)) == 6
+    assert len(cut) == 15
+    # no triple of a ring of 6 has three meeting pairs, so no triple is cut
+    assert d.nonempty_subsets(3) == d.nonempty_subsets(4) == ()
+    assert len(cut) == 15

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from cechkit.cli import main
-from cechkit.diagrams import canonicalize
+from cechkit.diagrams import canonicalize, validate_system
 from cechkit.documents import (
     NonPrimeModulus,
     ParseError,
@@ -288,9 +289,42 @@ def test_cli_negative_degree_is_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", (["--field", "4", "gallery", "two_origin_line"],
-                                  ["gallery", "branching_line_n", "--n", "1"]))
+                                  ["gallery", "branching_line_n", "--n", "1"],
+                                  ["gallery", "random_admissible", "--n", "0"]))
 def test_cli_gallery_bad_arguments_are_input_errors(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+# sha256 of `cechkit gallery random_admissible --seed S` before --n reached the generator.
+RANDOM_ADMISSIBLE_DIGESTS = {
+    0: "e60e7055589bb0b199b3e0c0430458ffe8c9a11ae4fc4b46a420b80aa5131d84",
+    3: "4a28a62e5c76934ef15b32ca022dd7e3e78d27131049e28209993ecfdf7dc43d",
+    11: "c47679646b8020c4797345838805706f74b8bf5185539e20177bb514b6c9b5e2",
+}
+
+
+def test_cli_gallery_random_admissible_default_unchanged(capsys):
+    for seed, digest in RANDOM_ADMISSIBLE_DIGESTS.items():
+        assert main(["gallery", "random_admissible", "--seed", str(seed)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_cli_gallery_random_admissible_honours_n(capsys, n):
+    assert main(["gallery", "random_admissible", "--seed", "3", "--n", str(n)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["pieces"]) == n
+    assert validate_system(parse_document(doc).system).valid
+
+
+def test_cli_bundles_refuses_too_many_classes(tmp_path, capsys, necklace_document):
+    # a ring of 13 circles has dim H^1 = 14: 2^14 classes, past the cap of 4096
+    path = write_doc(tmp_path, necklace_document(13, True))
+    assert main(["bundles", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: line bundle enumeration is capped at 4096 classes; "
+                            "dim H^1 = 14 gives 2^14\n")

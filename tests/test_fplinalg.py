@@ -185,3 +185,21 @@ def test_determinism_repeated_runs():
     for _ in range(3):
         again = FMatrix(a, PrimeField(7))
         assert (again.rank_nullity(), again.kernel_basis().entries.tolist()) == first
+
+
+def test_entries_are_read_only_and_rank_runs_one_elimination(monkeypatch):
+    calls = []
+
+    def counting_rref(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    source = np.arange(42).reshape(6, 7)
+    m = FMatrix(source, PrimeField(5))
+    source[0, 0] = 4
+    assert m.entries[0, 0] == 0
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 1
+    monkeypatch.setattr(fplinalg, "rref", counting_rref)
+    assert m.rank() == m.rank() == m.rank_nullity()[0]
+    assert calls == [(6, 7)]

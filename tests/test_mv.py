@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cechkit import cochains, diagrams
+from cechkit.cli import run_command
 from cechkit.cochains import cohomology, restriction_map
-from cechkit.complexes import build_complex
+from cechkit.complexes import build_complex, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
     IncompatibleFamily,
@@ -11,7 +15,7 @@ from cechkit.diagrams import (
     collapse,
     glued_from_nerves,
 )
-from cechkit.documents import parse_document
+from cechkit.documents import canonical_json, parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
 from cechkit.gallery import gallery_document
 from cechkit.mv import (
@@ -312,3 +316,44 @@ def test_empty_intersection_blocks_are_fine():
     assert cohomology(d.nerve, 0, F2).dimension == 2
     les = assemble_les(d, 1)
     assert les.all_ok
+
+
+def test_tuple_space_has_no_empty_block(necklace):
+    d = glued_from_nerves(necklace(6, True), F2)
+    for level in range(1, d.n_pieces + 1):
+        for q in (0, 1, 2):
+            space = tuple_space(d, level, q)
+            assert [t for t, _ in space.blocks] == list(d.nonempty_subsets(level))
+            assert all(block.complex.simplices for _, block in space.blocks)
+            assert space.dim == sum(len(d.intersection_nerve(t).simplices_of_dim(q))
+                                    for t in d.index_subsets(level))
+
+
+def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklace_document,
+                                                                         tmp_path, monkeypatch):
+    eliminated = Counter()
+    alive = []  # complexes stay referenced, so no id is reused by a later one
+    real_basis = cochains._cohomology_basis
+
+    def counting(k, q, field):
+        eliminated[(id(k), q, field.p)] += 1
+        alive.append(k)
+        return real_basis(k, q, field)
+
+    cut = []
+
+    def recording(k, l):
+        cut.append(k)
+        return intersect(k, l)
+
+    monkeypatch.setattr(cochains, "_cohomology_basis", counting)
+    monkeypatch.setattr(diagrams, "intersect", recording)
+    path = tmp_path / "ring8.json"
+    path.write_text(canonical_json(necklace_document(8, True)), encoding="utf-8")
+    count_report, count_code = run_command("count", {"path": path})
+    mv_report, mv_code = run_command("mv", {"path": path})
+    assert (count_code, mv_code) == (0, 0)
+    assert count_report["ground_truth"] == 2 ** 9
+    assert len(count_report["h1_dims"]) == 2 ** 8 - 1
+    assert eliminated and set(eliminated.values()) == {1}
+    assert cut and all(k.simplices for k in cut)
