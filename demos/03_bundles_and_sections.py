@@ -34,7 +34,7 @@ print("H^1 class:", cocycle_class(result.cocycle))
 
 sections = parallel_sections(result.cocycle)
 print("parallel sections of the glued bundle:", sections.dimension)
-print("compatible per-piece section tuples:", glue_section_space(data))
+print("dimension of the compatible per-piece sections:", glue_section_space(data))
 
 # Constant sections on both pieces agree in magnitude everywhere, but the
 # sign flip at r makes them incompatible as a glued section.

@@ -10,7 +10,10 @@ share one interface:
   first cohomology of the base.  Parallel sections are returned in
   component-normalised coordinates: one basis section per connected
   component on which the cocycle untwists, with the twist handled through
-  gauge phases when sections are compared or glued.
+  gauge phases when sections are compared or glued.  Every rank-1 gauge
+  question (untwisting, equivalence, gluing) is a system of difference
+  constraints pot(b) - pot(a) = delta, solved by one union-find with
+  potentials.
 
 * rank k >= 2: transitions are literal invertible k x k matrices over
   F_p; sections and equivalences are computed by matrix arithmetic, with
@@ -31,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cochains import cech_differential, class_coordinates, cohomology
+from .cochains import class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram
 from .fplinalg import FMatrix, PrimeField
@@ -181,12 +184,15 @@ def _all_invertible(rank: int, p: int) -> tuple:
 
 
 def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:
-    """Gauge equivalence; linear for rank 1, brute force for higher rank."""
+    """Gauge equivalence; a union-find for rank 1, brute force for higher rank."""
     if g.base != h.base or g.rank != h.rank or g.field.p != h.field.p:
         raise ValueError("cocycles live on different bases")
     if g.rank == 1:
-        d0 = cech_differential(g.base, 0, g.field).matrix
-        return d0.solve(g.edge_vector() - h.edge_vector()) is not None
+        # h[a,b] = k_a + g[a,b] - k_b: a gauge with k_b - k_a = g[a,b] - h[a,b]
+        parent: dict[str, str] = {}
+        pot: dict[str, int] = {}
+        return all(_union(parent, pot, a, b, int(g.values[(a, b)]) - int(h.values[(a, b)]), g.field.p)
+                   for a, b in g.base.simplices_of_dim(1))
     vertices = g.base.vertices
     units = _all_invertible(g.rank, g.field.p)
     if len(units) ** len(vertices) > 10 ** 6:
@@ -364,12 +370,6 @@ class TwistedSection:
     cocycle: ConstantCocycle
     values: dict[str, int | np.ndarray]
 
-    def vector(self) -> np.ndarray:
-        vs = self.cocycle.base.vertices
-        if self.cocycle.rank == 1:
-            return np.array([int(self.values[v]) for v in vs], dtype=np.int64)
-        return np.concatenate([np.asarray(self.values[v], dtype=np.int64) for v in vs])
-
 
 @dataclass(frozen=True)
 class SectionBasis:
@@ -379,77 +379,6 @@ class SectionBasis:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-
-def _untwisting_gauge(cocycle: ConstantCocycle, comp: tuple[str, ...]) -> dict[str, int] | None:
-    """Vertex phases with phase_b - phase_a = g[a,b] on the component, or None."""
-    field = cocycle.field
-    order = {v: i for i, v in enumerate(comp)}
-    edges = [e for e in cocycle.base.simplices_of_dim(1) if e[0] in order]
-    rows = np.zeros((len(edges), len(comp)), dtype=np.int64)
-    rhs = np.zeros(len(edges), dtype=np.int64)
-    for r, (a, b) in enumerate(edges):
-        rows[r, order[b]] += 1
-        rows[r, order[a]] -= 1
-        rhs[r] = int(cocycle.values[(a, b)])
-    solution = FMatrix(rows, field).solve(rhs)
-    if solution is None:
-        return None
-    return {v: int(solution[order[v]]) for v in comp}
-
-
-def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
-    """Basis of the space of parallel (locally constant) sections.
-
-    Rank 1: one basis section per component on which the cocycle
-    untwists, in component-normalised coordinates.  Rank >= 2: kernel of
-    the edge equations s_a = g[a,b] s_b.
-    """
-    base = cocycle.base
-    if cocycle.rank == 1:
-        sections = []
-        for comp in components(base):
-            if _untwisting_gauge(cocycle, comp) is None:
-                continue
-            values = {v: (1 if v in comp else 0) for v in base.vertices}
-            sections.append(TwistedSection(cocycle, values))
-        return SectionBasis(cocycle, tuple(sections))
-
-    k = cocycle.rank
-    vs = base.vertices
-    offset = {v: i * k for i, v in enumerate(vs)}
-    edges = base.simplices_of_dim(1)
-    m = np.zeros((len(edges) * k, len(vs) * k), dtype=np.int64)
-    for r, (a, b) in enumerate(edges):
-        m[r * k:(r + 1) * k, offset[a]:offset[a] + k] += np.eye(k, dtype=np.int64)
-        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= np.asarray(cocycle.values[(a, b)])
-    kernel = FMatrix(m, cocycle.field).kernel_basis()
-    sections = []
-    for j in range(kernel.cols):
-        col = kernel.column(j)
-        values = {v: col[offset[v]:offset[v] + k].copy() for v in vs}
-        sections.append(TwistedSection(cocycle, values))
-    return SectionBasis(cocycle, tuple(sections))
-
-
-def is_parallel(section: TwistedSection) -> bool:
-    cocycle = section.cocycle
-    base = cocycle.base
-    p = cocycle.field.p
-    if cocycle.rank == 1:
-        for comp in components(base):
-            vals = {int(section.values[v]) % p for v in comp}
-            if len(vals) > 1:
-                return False
-            if vals != {0} and _untwisting_gauge(cocycle, comp) is None:
-                return False
-        return True
-    for a, b in base.simplices_of_dim(1):
-        lhs = np.asarray(section.values[a]) % p
-        rhs = (np.asarray(cocycle.values[(a, b)]) @ np.asarray(section.values[b])) % p
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
 
 
 def _find(parent: dict, pot: dict, node, p: int) -> tuple[object, int]:
@@ -474,46 +403,121 @@ def _find(parent: dict, pot: dict, node, p: int) -> tuple[object, int]:
     return node, total
 
 
-def _phase_constraints(data: PieceBundleData,
-                       sections: dict[str, TwistedSection]) -> str | None:
-    """Solvability of the rank-1 phase system; returns a failing vertex or None.
+def _union(parent: dict, pot: dict, a, b, delta: int, p: int) -> bool:
+    """Impose pot(b) - pot(a) = delta mod p; False when it contradicts earlier constraints.
 
-    Every piece component carrying a nonzero value contributes a free
-    gauge constant; identifications at shared vertices tie the constants
-    together through the untwisting phases and the identification twist.
-    Solved with a union-find carrying potentials.
+    Two sets are merged by hanging b's root under a's; within one set the
+    constraint is only checked, and a clash changes nothing.
+    """
+    ra, pa = _find(parent, pot, a, p)
+    rb, pb = _find(parent, pot, b, p)
+    if ra != rb:
+        parent[rb] = ra
+        pot[rb] = (pa + delta - pb) % p
+        return True
+    return (pb - pa - delta) % p == 0
+
+
+def _untwisting_gauge(cocycle: ConstantCocycle) -> tuple[dict[str, tuple[str, int]], set[str]]:
+    """Each vertex's component root and phase over it, and the twisted roots.
+
+    The phases satisfy phase_b - phase_a = g[a,b] on every edge of a
+    component whose root is not twisted; on a twisted component no phases
+    do, and the cocycle has no nonzero parallel section there.
+    """
+    p = cocycle.field.p
+    parent: dict[str, str] = {}
+    pot: dict[str, int] = {}
+    clashes = [a for a, b in cocycle.base.simplices_of_dim(1)
+               if not _union(parent, pot, a, b, int(cocycle.values[(a, b)]), p)]
+    gauge = {v: _find(parent, pot, v, p) for v in cocycle.base.vertices}
+    return gauge, {gauge[a][0] for a in clashes}
+
+
+def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
+    """Basis of the space of parallel (locally constant) sections.
+
+    Rank 1: one basis section per component on which the cocycle
+    untwists, in component-normalised coordinates.  Rank >= 2: kernel of
+    the edge equations s_a = g[a,b] s_b.
+    """
+    base = cocycle.base
+    if cocycle.rank == 1:
+        gauge, twisted = _untwisting_gauge(cocycle)
+        sections = []
+        for comp in components(base):
+            root = gauge[comp[0]][0]
+            if root not in twisted:
+                values = {v: int(gauge[v][0] == root) for v in base.vertices}
+                sections.append(TwistedSection(cocycle, values))
+        return SectionBasis(cocycle, tuple(sections))
+
+    k = cocycle.rank
+    vs = base.vertices
+    offset = {v: i * k for i, v in enumerate(vs)}
+    edges = base.simplices_of_dim(1)
+    m = np.zeros((len(edges) * k, len(vs) * k), dtype=np.int64)
+    for r, (a, b) in enumerate(edges):
+        m[r * k:(r + 1) * k, offset[a]:offset[a] + k] += np.eye(k, dtype=np.int64)
+        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= np.asarray(cocycle.values[(a, b)])
+    kernel = FMatrix(m, cocycle.field).kernel_basis()
+    sections = []
+    for j in range(kernel.cols):
+        col = kernel.column(j)
+        values = {v: col[offset[v]:offset[v] + k].copy() for v in vs}
+        sections.append(TwistedSection(cocycle, values))
+    return SectionBasis(cocycle, tuple(sections))
+
+
+def is_parallel(section: TwistedSection) -> bool:
+    cocycle = section.cocycle
+    base = cocycle.base
+    p = cocycle.field.p
+    if cocycle.rank == 1:
+        # constant on each component, and zero on a twisted one
+        gauge, twisted = _untwisting_gauge(cocycle)
+        for v, (root, _) in gauge.items():
+            value = int(section.values[v]) % p
+            if value != int(section.values[root]) % p or (value and root in twisted):
+                return False
+        return True
+    for a, b in base.simplices_of_dim(1):
+        lhs = np.asarray(section.values[a]) % p
+        rhs = (np.asarray(cocycle.values[(a, b)]) @ np.asarray(section.values[b])) % p
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def _join_piece_components(data: PieceBundleData) -> tuple[dict, dict, list]:
+    """Join the rank-1 piece components at the vertices their pieces share.
+
+    Every component of every piece nerve is a node (piece, root) with a
+    free gauge constant rho.  A vertex v shared by pieces i < j links the
+    components holding it by rho_j - rho_i = phase_i(v) + twist(v) -
+    phase_j(v).  Returns the union-find (parent, pot) over all nodes and
+    the failures as (node, vertex) in walk order: every twisted component
+    (at its root), then every link that clashes with the links before it.
     """
     diagram = data.diagram
     p = diagram.field.p
-    comp_of: dict[tuple[str, str], tuple[str, int]] = {}
-    phases: dict[tuple[str, str], int] = {}
+    parent: dict[tuple[str, str], tuple[str, str]] = {}
+    pot: dict[tuple[str, str], int] = {}
+    failures: list[tuple[tuple[str, str], str]] = []
+    gauges = {}
     for pid in diagram.piece_ids:
-        for ci, comp in enumerate(components(diagram.nerves[pid])):
-            if int(sections[pid].values[comp[0]]) % p == 0:
-                continue
-            gauge = _untwisting_gauge(data.cocycles[pid], comp)
-            for v in comp:
-                comp_of[(pid, v)] = (pid, ci)
-                phases[(pid, v)] = gauge[v]
-
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-    pot: dict[tuple[str, int], int] = {}
+        gauge, twisted = _untwisting_gauge(data.cocycles[pid])
+        gauges[pid] = gauge
+        for root, _ in gauge.values():
+            _find(parent, pot, (pid, root), p)
+        failures += [((pid, root), root) for root in sorted(twisted)]
     for i, j in itertools.combinations(diagram.piece_ids, 2):
-        nij = diagram.intersection_nerve((i, j))
-        for v in nij.vertices:
-            a, b = (i, v), (j, v)
-            if a not in comp_of or b not in comp_of:
-                continue
-            # rho_b - rho_a = phase_a(v) + twist(v) - phase_b(v)
-            delta = (phases[a] + int(data.ident(i, j, v)) - phases[b]) % p
-            ra, pa = _find(parent, pot, comp_of[a], p)
-            rb, pb = _find(parent, pot, comp_of[b], p)
-            if ra != rb:
-                parent[rb] = ra
-                pot[rb] = (pa + delta - pb) % p
-            elif (pb - pa) % p != delta:
-                return v
-    return None
+        for v in diagram.intersection_nerve((i, j)).vertices:
+            (ri, phase_i), (rj, phase_j) = gauges[i][v], gauges[j][v]
+            delta = phase_i + int(data.ident(i, j, v)) - phase_j
+            if not _union(parent, pot, (i, ri), (j, rj), delta, p):
+                failures.append(((i, ri), v))
+    return parent, pot, failures
 
 
 def glue_sections(data: PieceBundleData,
@@ -550,19 +554,17 @@ def glue_sections(data: PieceBundleData,
                     raise IncompatibleSections(v, f"sections disagree at {v!r}")
 
     if rank == 1:
-        failing = _phase_constraints(data, sections)
-        if failing is not None:
-            raise IncompatibleSections(failing, f"gauge phases are inconsistent at {failing!r}")
-        glued_values: dict[str, int | np.ndarray] = {}
-        for v in diagram.nerve.vertices:
-            holder = next(i for i in diagram.piece_ids if (v,) in diagram.nerves[i])
-            glued_values[v] = int(sections[holder].values[v]) % p
-    else:
-        glued_values = {}
-        for v in diagram.nerve.vertices:
-            holder = next(i for i in diagram.piece_ids if (v,) in diagram.nerves[i])
-            gauge = colimit.gauges[(holder, v)]
-            glued_values[v] = (np.asarray(gauge) @ np.asarray(sections[holder].values[v])) % p
+        # Joined components now carry one value; only nonzero ones constrain the phases.
+        _, _, failures = _join_piece_components(data)
+        for (pid, _), v in failures:
+            if int(sections[pid].values[v]) % p:
+                raise IncompatibleSections(v, f"gauge phases are inconsistent at {v!r}")
+    glued_values: dict[str, int | np.ndarray] = {}
+    for v in diagram.nerve.vertices:
+        holder = next(i for i in diagram.piece_ids if (v,) in diagram.nerves[i])
+        value = sections[holder].values[v]
+        glued_values[v] = (int(value) % p if rank == 1 else
+                           (np.asarray(colimit.gauges[(holder, v)]) @ np.asarray(value)) % p)
     glued = TwistedSection(colimit.cocycle, glued_values)
     if not is_parallel(glued):
         raise AssertionError("glued section is not parallel for the colimit cocycle")
@@ -570,38 +572,20 @@ def glue_sections(data: PieceBundleData,
 
 
 def glue_section_space(data: PieceBundleData) -> int:
-    """Dimension of the space of compatible per-piece parallel sections."""
-    diagram = data.diagram
-    p = diagram.field.p
-    rank = data.rank
-    bases = {pid: parallel_sections(data.cocycles[pid]) for pid in diagram.piece_ids}
+    """Dimension of the space of compatible per-piece parallel sections.
 
+    Rank 1: a compatible tuple takes one value on each class of joined
+    piece components, and that value may be nonzero exactly when no
+    member is twisted and no link in the class clashes; each such class
+    adds one dimension.
+    """
+    diagram = data.diagram
+    rank = data.rank
     if rank == 1:
-        dims = [bases[pid].dimension for pid in diagram.piece_ids]
-        total = sum(dims)
-        if p ** total > ENUMERATION_CAP:
-            raise ValueError("coefficient space too large for enumeration")
-        compatible: list[np.ndarray] = []
-        for coeffs in itertools.product(range(p), repeat=total):
-            sections = {}
-            pos = 0
-            for pid, d in zip(diagram.piece_ids, dims):
-                vec = {v: 0 for v in diagram.nerves[pid].vertices}
-                for t in range(d):
-                    if coeffs[pos + t]:
-                        for v, val in bases[pid].basis[t].values.items():
-                            vec[v] = (vec[v] + coeffs[pos + t] * val) % p
-                pos += d
-                sections[pid] = TwistedSection(data.cocycles[pid], vec)
-            if _tuple_compatible(data, sections):
-                compatible.append(np.concatenate([sections[pid].vector()
-                                                  for pid in diagram.piece_ids]))
-        if not compatible:
-            return 0
-        rank_found = FMatrix(np.column_stack(compatible), diagram.field).rank()
-        if len(compatible) != p ** rank_found:
-            raise AssertionError("compatible tuples do not form a linear subspace")
-        return rank_found
+        p = diagram.field.p
+        parent, pot, failures = _join_piece_components(data)
+        classes = {_find(parent, pot, node, p)[0] for node in list(parent)}
+        return len(classes - {_find(parent, pot, node, p)[0] for node, _ in failures})
 
     # rank >= 2: parallel constraints and identification constraints are linear
     offsets: dict[tuple[str, str], int] = {}
@@ -627,14 +611,3 @@ def glue_section_space(data: PieceBundleData) -> int:
             rows.append(row)
     system = np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64)
     return FMatrix(system, diagram.field).rank_nullity()[1]
-
-
-def _tuple_compatible(data: PieceBundleData, sections: dict[str, TwistedSection]) -> bool:
-    diagram = data.diagram
-    p = diagram.field.p
-    for i, j in itertools.combinations(diagram.piece_ids, 2):
-        nij = diagram.intersection_nerve((i, j))
-        for v in nij.vertices:
-            if int(sections[i].values[v]) % p != int(sections[j].values[v]) % p:
-                return False
-    return _phase_constraints(data, sections) is None

@@ -12,6 +12,7 @@ human-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -43,7 +44,7 @@ from .documents import (
     materialise_bundle,
     materialise_refinement,
 )
-from .fplinalg import FMatrix, NotPrime, PrimeField
+from .fplinalg import FMatrix, ModulusTooLarge, NotPrime, PrimeField
 from .gallery import GALLERY_NAMES, BadGalleryParameter, UnknownGallery, gallery_document
 from .mv import (
     assemble_les,
@@ -93,7 +94,9 @@ def _degree(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="cechkit", description=__doc__)
     parser.add_argument("--field", type=int, default=None,
                         help="prime modulus overriding the document (default: document value)")
@@ -454,8 +457,7 @@ def run_command(command: str, options: dict[str, Any] | None = None) -> tuple[di
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if args.command == "gallery":
@@ -468,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"input error: unknown gallery name {exc.args[0]!r}; "
                          f"try: {', '.join(GALLERY_NAMES)}\n")
         return 2
-    except (ParseError, NotPrime, BadGalleryParameter, FileNotFoundError) as exc:
+    except (ParseError, NotPrime, ModulusTooLarge, BadGalleryParameter, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except InvalidSystem as exc:

@@ -253,9 +253,6 @@ class GluedDiagram:
     def n_pieces(self) -> int:
         return len(self.piece_ids)
 
-    def piece_nerve(self, piece_id: str) -> SimplicialComplex:
-        return self.nerves[piece_id]
-
     @cached_property
     def _intersections(self) -> dict[tuple[str, ...], SimplicialComplex]:
         return {}

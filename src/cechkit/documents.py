@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .bundles import ConstantCocycle, PieceBundleData
+from .bundles import ConstantCocycle, PieceBundleData, _normalise_value
 from .complexes import MalformedSimplex, build_complex
 from .diagrams import (
     AdjunctionSystem,
@@ -37,7 +37,7 @@ from .diagrams import (
     LocalPiece,
     canonicalize,
 )
-from .fplinalg import NotPrime, PrimeField
+from .fplinalg import ModulusTooLarge, NotPrime, PrimeField
 from .refinements import RefinementMap
 
 
@@ -78,6 +78,8 @@ def parse_document(doc: Any, field_override: int | None = None) -> ParsedDocumen
         field = PrimeField(raw_field)
     except NotPrime:
         raise NonPrimeModulus(raw_field) from None
+    except ModulusTooLarge as exc:
+        raise ParseError(str(exc), "$.field") from None
 
     system = _parse_system(doc, field)
     bundle = doc.get("bundle")
@@ -150,6 +152,17 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+# What a malformed value raises on its way to an int or an int64 array.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
+def _entries(raw: dict, key: str, path: str) -> list:
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list", path)
+    return value
+
+
 def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
     """Build piece bundle data from the optional document block.
 
@@ -164,7 +177,7 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
         raise ParseError("bundle rank must be a positive integer", "$.bundle.rank")
     cocycles: dict[str, ConstantCocycle] = {}
     given = {}
-    for entry in raw.get("pieces", []):
+    for entry in _entries(raw, "pieces", "$.bundle.pieces"):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise ParseError("bundle piece entries need a string id", "$.bundle.pieces")
         given[entry["id"]] = entry
@@ -174,24 +187,24 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
     for pid in diagram.piece_ids:
         nerve = diagram.nerves[pid]
         values: dict[tuple[str, str], Any] = {}
-        entry = given.get(pid, {"edges": []})
-        for item in entry.get("edges", []):
-            if len(item) != 3:
-                raise ParseError("edge entries are [a, b, value]", f"$.bundle.pieces[{pid}]")
+        path = f"$.bundle.pieces[{pid}]"
+        for item in _entries(given.get(pid, {}), "edges", path):
+            if not isinstance(item, list) or len(item) != 3:
+                raise ParseError("edge entries are [a, b, value]", path)
             a, b, value = str(item[0]), str(item[1]), item[2]
             key = tuple(sorted((a, b)))
             if key not in nerve.simplices:
-                raise ParseError(f"{key} is not an edge of piece {pid!r}", f"$.bundle.pieces[{pid}]")
+                raise ParseError(f"{key} is not an edge of piece {pid!r}", path)
             values[key] = value
         try:
             cocycles[pid] = ConstantCocycle.build(nerve, rank, diagram.field, values)
-        except ValueError as exc:
-            raise ParseError(str(exc), f"$.bundle.pieces[{pid}]") from None
+        except _BAD_VALUE as exc:
+            raise ParseError(str(exc), path) from None
 
     identifications: dict[tuple[str, str], dict[str, Any]] = {}
-    for k, entry in enumerate(raw.get("identifications", [])):
+    for k, entry in enumerate(_entries(raw, "identifications", "$.bundle.identifications")):
         path = f"$.bundle.identifications[{k}]"
-        if set(entry) != {"i", "j", "vertices"}:
+        if not isinstance(entry, dict) or set(entry) != {"i", "j", "vertices"}:
             raise ParseError("identification must have exactly the keys i, j, vertices", path)
         i, j = entry["i"], entry["j"]
         if i not in diagram.piece_ids or j not in diagram.piece_ids or i == j:
@@ -199,13 +212,16 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
         key = (i, j) if i < j else (j, i)
         table: dict[str, Any] = {}
         overlap = set(diagram.intersection_nerve(key).vertices)
-        for item in entry["vertices"]:
-            if len(item) != 2:
+        for item in _entries(entry, "vertices", path):
+            if not isinstance(item, list) or len(item) != 2:
                 raise ParseError("vertex entries are [label, value]", path)
-            label, value = str(item[0]), item[1]
+            label = str(item[0])
             if label not in overlap:
                 raise ParseError(f"label {label!r} is not in the overlap of {key}", path)
-            table[label] = value
+            try:
+                table[label] = _normalise_value(item[1], rank, diagram.field.p)
+            except _BAD_VALUE as exc:
+                raise ParseError(f"value at {label!r}: {exc}", path) from None
         if (i, j) != key:
             raise ParseError("identifications must be given for i < j", path)
         identifications[key] = table
@@ -216,6 +232,8 @@ def materialise_refinement(coarse: GluedDiagram, raw: dict, field: PrimeField) -
     """Build the refinement map from the optional document block."""
     if set(raw) != {"fine", "map"}:
         raise ParseError("refinement block must have exactly the keys fine, map", "$.refinement")
+    if not isinstance(raw["fine"], dict):
+        raise ParseError("fine must be an object", "$.refinement.fine")
     fine_doc = dict(raw["fine"])
     if set(fine_doc) - {"pieces", "gluings"}:
         raise ParseError("fine document may only carry pieces and gluings", "$.refinement.fine")

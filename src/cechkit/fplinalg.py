@@ -19,6 +19,15 @@ class NotPrime(ValueError):
     pass
 
 
+class ModulusTooLarge(ValueError):
+    pass
+
+
+# The largest prime below 2^16: a product of two entries stays below 2^32,
+# so every int64 sum of such products in rref and @ is exact.
+MAX_PRIME = 65521
+
+
 class DimensionMismatch(ValueError):
     pass
 
@@ -45,6 +54,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if self.p > MAX_PRIME:
+            raise ModulusTooLarge(f"modulus {self.p} exceeds {MAX_PRIME}, the largest supported prime")
         if not _is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
@@ -53,9 +64,6 @@ class PrimeField:
         if x == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(x, self.p - 2, self.p)
-
-    def neg(self, x: int) -> int:
-        return (-int(x)) % self.p
 
 
 F2 = PrimeField(2)

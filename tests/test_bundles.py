@@ -1,11 +1,14 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cechkit import fplinalg
 from cechkit.bundles import (
+    ENUMERATION_CAP,
     ConstantCocycle,
     IncompatibleSections,
     NonAbelianRank,
@@ -25,8 +28,11 @@ from cechkit.bundles import (
     validate_cocycle,
     validate_piece_data,
 )
-from cechkit.complexes import build_complex
-from cechkit.documents import materialise_bundle, parse_document
+from cechkit.cli import main
+from cechkit.cochains import cohomology
+from cechkit.complexes import build_complex, components, full_subcomplex
+from cechkit.diagrams import glued_from_nerves
+from cechkit.documents import canonical_json, materialise_bundle, parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
 from cechkit.gallery import gallery_document
 
@@ -102,12 +108,14 @@ def test_cocycle_class_trivial_and_nontrivial():
 
 def test_cocycle_class_constant_on_gauge_orbits_and_separating():
     base = cycle4()
-    cocycles = list(all_rank1_cocycles(base))
-    for g in cocycles:
-        for h in cocycles:
-            same_class = (cocycle_class(g) == cocycle_class(h)).all()
-            assert same_class == brute_equivalent(g, h)
-            assert same_class == cocycles_equivalent(g, h)
+    for p in (2, 3):
+        cocycles = list(all_rank1_cocycles(base, p))
+        classes = [tuple(cocycle_class(g)) for g in cocycles]
+        for g, g_class in zip(cocycles, classes):
+            for h, h_class in zip(cocycles, classes):
+                same_class = g_class == h_class
+                assert same_class == brute_equivalent(g, h)
+                assert same_class == cocycles_equivalent(g, h)
 
 
 def test_cocycle_class_rejects_higher_rank():
@@ -195,6 +203,14 @@ def test_colimit_two_origin_identifications(two_origin):
     assert not cocycle_class(result2.cocycle).any()
 
 
+def test_identification_values_are_reduced_mod_p(three_circles):
+    # 2 is 0 in F_2: the triple condition at the triple-overlap vertex a holds
+    raw = {"rank": 1, "identifications": [{"i": "p1", "j": "p3", "vertices": [["a", 2]]}]}
+    data = materialise_bundle(three_circles, raw)
+    assert data.identifications == {("p1", "p3"): {"a": 0}}
+    assert validate_piece_data(data).valid
+
+
 def test_colimit_agreeing_pieces_is_union(two_origin):
     g = enumerate_line_bundles(two_origin)[1]
     data = restrict_bundle(g, two_origin)
@@ -270,6 +286,172 @@ def test_glue_space_rank2(two_origin):
     g = ConstantCocycle.build(two_origin.nerve, 2, F2, {("o2", "r"): swap})
     data = restrict_bundle(g, two_origin)
     assert glue_section_space(data) == parallel_sections(g).dimension
+
+
+def solved_untwisting_phases(cocycle, comp):
+    """Phases with phase_b - phase_a = g[a,b] on comp, by one linear solve, or None."""
+    order = {v: i for i, v in enumerate(comp)}
+    edges = [e for e in cocycle.base.simplices_of_dim(1) if e[0] in order]
+    rows = np.zeros((len(edges), len(comp)), dtype=np.int64)
+    rhs = np.zeros(len(edges), dtype=np.int64)
+    for r, (a, b) in enumerate(edges):
+        rows[r, order[b]] += 1
+        rows[r, order[a]] -= 1
+        rhs[r] = int(cocycle.values[(a, b)])
+    solution = FMatrix(rows, cocycle.field).solve(rhs)
+    return None if solution is None else {v: int(solution[order[v]]) for v in comp}
+
+
+def enumerated_glue_section_space(data):
+    """The coefficient enumeration that rank-1 glue_section_space replaced, as a reference.
+
+    One basis section per piece component that untwists (value 1 on the
+    component); every coefficient tuple over them is checked for equal
+    values at shared vertices and a solvable phase system, and the
+    compatible tuples, which must form a subspace, give its rank.
+    """
+    diagram = data.diagram
+    p = diagram.field.p
+    basis = []  # (piece, component, phases), one per basis section
+    for pid in diagram.piece_ids:
+        for comp in components(diagram.nerves[pid]):
+            phases = solved_untwisting_phases(data.cocycles[pid], comp)
+            if phases is not None:
+                basis.append((pid, comp, phases))
+    assert p ** len(basis) <= ENUMERATION_CAP
+    links = [(i, j, v) for i, j in itertools.combinations(diagram.piece_ids, 2)
+             for v in diagram.intersection_nerve((i, j)).vertices]
+    compatible = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        values = {(pid, v): 0 for pid in diagram.piece_ids for v in diagram.nerves[pid].vertices}
+        for c, (pid, comp, _) in zip(coeffs, basis):
+            values.update(((pid, v), c) for v in comp)
+        nonzero = [b for c, b in zip(coeffs, basis) if c]
+        if (all(values[(i, v)] == values[(j, v)] for i, j, v in links)
+                and phases_solvable(data, links, nonzero)):
+            compatible.append(list(values.values()))
+    if not compatible:
+        return 0
+    rank = FMatrix(np.array(compatible).T, diagram.field).rank()
+    assert len(compatible) == p ** rank, "compatible tuples do not form a linear subspace"
+    return rank
+
+
+def phases_solvable(data, links, nonzero):
+    """Gauge constants of the nonzero components meeting every identification."""
+    p = data.diagram.field.p
+    comp_of, phase = {}, {}
+    for pid, comp, phases in nonzero:
+        for v in comp:
+            comp_of[(pid, v)] = (pid, comp)
+            phase[(pid, v)] = phases[v]
+    parent, pot = {}, {}
+    for i, j, v in links:
+        a, b = (i, v), (j, v)
+        if a not in comp_of or b not in comp_of:
+            continue
+        # rho_b - rho_a = phase_a(v) + twist(v) - phase_b(v)
+        delta = (phase[a] + int(data.ident(i, j, v)) - phase[b]) % p
+        ra, pa = recursive_find(parent, pot, comp_of[a], p)
+        rb, pb = recursive_find(parent, pot, comp_of[b], p)
+        if ra != rb:
+            parent[rb] = ra
+            pot[rb] = (pa + delta - pb) % p
+        elif (pb - pa) % p != delta:
+            return False
+    return True
+
+
+LABELS = "abcde"
+SIMPLICES = [list(s) for n in (2, 3) for s in itertools.combinations(LABELS, n)]
+
+
+@st.composite
+def rank1_piece_data(draw):
+    """Valid rank-1 data on 2 or 3 full subcomplexes of a random complex on five labels.
+
+    A global cocycle (random class plus coboundary) is moved into each
+    piece by a random vertex gauge; the identifications undo the gauges
+    and may add a constant twist on each overlap component, kept only
+    when the triple condition still holds.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = build_complex(draw(st.lists(st.sampled_from(SIMPLICES), max_size=7)) + [[v] for v in LABELS])
+    subsets = draw(st.lists(st.sets(st.sampled_from(LABELS), min_size=1), min_size=2, max_size=3))
+    diagram = glued_from_nerves({f"p{n}": full_subcomplex(k, s) for n, s in enumerate(subsets)},
+                                PrimeField(p))
+    field, nerve = diagram.field, diagram.nerve
+    ints = st.integers(0, p - 1)
+    reps = cohomology(nerve, 1, field).representatives.entries
+    cls = reps @ np.array([draw(ints) for _ in range(reps.shape[1])], dtype=np.int64)
+    k0 = {v: draw(ints) for v in nerve.vertices}
+    g = {e: int(c) + k0[e[0]] - k0[e[1]] for e, c in zip(nerve.simplices_of_dim(1), cls)}
+    gauge = {pid: {v: draw(ints) for v in diagram.nerves[pid].vertices} for pid in diagram.piece_ids}
+    cocycles = {pid: ConstantCocycle.build(diagram.nerves[pid], 1, field,
+                                           {(a, b): gauge[pid][a] + g[(a, b)] - gauge[pid][b]
+                                            for a, b in diagram.nerves[pid].simplices_of_dim(1)})
+                for pid in diagram.piece_ids}
+    untwisted, twisted = {}, {}
+    for i, j in itertools.combinations(diagram.piece_ids, 2):
+        for comp in components(diagram.intersection_nerve((i, j))):
+            t = draw(ints)
+            for v in comp:
+                untwisted.setdefault((i, j), {})[v] = (gauge[j][v] - gauge[i][v]) % p
+                twisted.setdefault((i, j), {})[v] = (gauge[j][v] - gauge[i][v] + t) % p
+    data = PieceBundleData(diagram, 1, cocycles, twisted)
+    if not validate_piece_data(data).valid:
+        data = PieceBundleData(diagram, 1, cocycles, untwisted)
+    assert validate_piece_data(data).valid
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=rank1_piece_data())
+def test_glue_space_matches_the_enumeration(data):
+    p = data.diagram.field.p
+    untwisting = sum(parallel_sections(g).dimension for g in data.cocycles.values())
+    assume(p ** untwisting <= ENUMERATION_CAP)
+    assert glue_section_space(data) == enumerated_glue_section_space(data)
+
+
+def test_glue_space_on_seven_disjoint_edges(tmp_path):
+    # 14 piece components: the coefficient enumeration would visit 2^14 tuples
+    edges = [[f"e{k}", f"f{k}"] for k in range(7)]
+    doc = {"field": 2, "pieces": [{"id": pid, "simplices": edges} for pid in ("p1", "p2")],
+           "gluings": [{"i": "p1", "j": "p2", "pairs": [[v, v] for e in edges for v in e]}]}
+    path, report = tmp_path / "seven.json", tmp_path / "report.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    assert main(["--report", str(report), "bundles", str(path)]) == 0
+    classes = json.loads(report.read_text(encoding="utf-8"))["classes"]
+    assert [(c["parallel_dim"], c["glue_space_dim"]) for c in classes] == [(7, 7)]
+
+
+def test_rank1_gauge_questions_make_no_elimination(monkeypatch, three_circles, two_origin):
+    classes = enumerate_line_bundles(three_circles)
+    pieces = [restrict_bundle(g, three_circles) for g in classes]
+    twisted = materialise_bundle(two_origin, parse_document(gallery_document("two_origin_line")).bundle)
+    swap = ConstantCocycle.build(two_origin.nerve, 2, F2, {("o2", "r"): [[0, 1], [1, 0]]})
+    rank2 = restrict_bundle(swap, two_origin)
+    calls = []
+    real = fplinalg.rref
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(fplinalg, "rref", counted)
+    monkeypatch.setattr("cechkit.cochains.rref", counted)
+    for g, data in zip(classes, pieces):
+        parallel_sections(g)
+        for h in classes:
+            cocycles_equivalent(g, h)
+        glue_section_space(data)
+        for cocycle in data.cocycles.values():
+            parallel_sections(cocycle)
+    glue_section_space(twisted)
+    assert calls == []
+    glue_section_space(rank2)  # the rank-2 lane still eliminates
+    assert calls
 
 
 def test_exhaustive_two_origin_oracle(two_origin):

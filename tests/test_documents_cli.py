@@ -328,3 +328,45 @@ def test_cli_bundles_refuses_too_many_classes(tmp_path, capsys, necklace_documen
     assert captured.out == ""
     assert captured.err == ("input error: line bundle enumeration is capped at 4096 classes; "
                             "dim H^1 = 14 gives 2^14\n")
+
+
+def _set(path, value):
+    """A change to gallery_document("two_origin_line"): put value at the key path."""
+    def change(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("command, change", (
+    ("bundles", _set(("bundle", "identifications", 0), 5)),
+    ("bundles", _set(("bundle", "identifications"), {"i": "p1"})),
+    ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": [5]}])),
+    ("bundles", _set(("bundle", "identifications", 0, "vertices", 0, 1), "x")),
+    ("bundles", _set(("bundle", "identifications", 0, "vertices", 0, 1), [1, 2])),
+    ("bundles", _set(("bundle", "rank"), 3)),
+    ("refine-check", _set(("refinement", "fine"), 5)),
+    ("validate", _set(("field",), 65537)),
+), ids=("identification_not_object", "identifications_not_list", "edge_not_list",
+        "rank1_value_x", "rank1_value_list", "rank3_scalar_values", "refinement_fine_5",
+        "document_field_too_large"))
+def test_cli_bad_blocks_are_input_errors(tmp_path, capsys, command, change):
+    doc = gallery_document("two_origin_line")
+    change(doc)
+    assert main([command, str(write_doc(tmp_path, doc))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: $.") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("modulus", ("65537", "2305843009213693951"))
+def test_cli_field_flag_refuses_moduli_above_the_bound(tmp_path, capsys, modulus):
+    path = write_doc(tmp_path, gallery_document("two_origin_line"))
+    for argv in (["--field", modulus, "gallery", "two_origin_line"],
+                 ["--field", modulus, "cohomology", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"modulus {modulus} exceeds 65521" in captured.err

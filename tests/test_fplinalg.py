@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from cechkit import fplinalg
 from cechkit.fplinalg import (
     F2,
+    MAX_PRIME,
     DimensionMismatch,
     FMatrix,
+    ModulusTooLarge,
     NotASubspace,
     NotPrime,
     PrimeField,
@@ -32,6 +34,16 @@ def test_prime_validation():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(NotPrime):
             PrimeField(bad)
+
+
+def test_prime_bound_keeps_int64_arithmetic_exact():
+    p = MAX_PRIME
+    field = PrimeField(p)
+    row = FMatrix([[p - 1] * 3], field)
+    assert (row @ FMatrix([[p - 1]] * 3, field)).entries.tolist() == [[3]]
+    for big in (p + 1, 65537, 2 ** 31 - 1, 2305843009213693951):
+        with pytest.raises(ModulusTooLarge, match="exceeds 65521"):
+            PrimeField(big)
 
 
 def test_rank_nullity_trivial():
