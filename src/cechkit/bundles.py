@@ -29,6 +29,7 @@ this is the usual coboundary shift).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,8 @@ Edge = tuple[str, str]
 
 # Exhaustive enumerations refuse to visit more candidates than this.
 ENUMERATION_CAP = 4096
+# The rank >= 2 gauge search refuses more vertex gauges than this.
+GAUGE_CAP = 10 ** 6
 
 
 class NonAbelianRank(ValueError):
@@ -71,15 +74,31 @@ def _identity(rank: int) -> int | np.ndarray:
     return 0 if rank == 1 else np.eye(rank, dtype=np.int64)
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _normalise_value(value, rank: int, p: int) -> int | np.ndarray:
+    """A transition value mod p: an integer at rank 1, a k x k integer matrix at rank k.
+
+    Floats, booleans and strings are refused, so that 1.5 or true is not
+    read as 1.
+    """
     if rank == 1:
         if isinstance(value, np.ndarray):
-            value = int(value.reshape(()))
+            value = value.reshape(())[()]
+        if not _is_integer(value):
+            raise TypeError(f"rank-1 value {value!r} is not an integer")
         return int(value) % p
-    a = np.asarray(value, dtype=np.int64) % p
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        a = value
+    else:
+        a = np.asarray(value, dtype=object)
     if a.shape != (rank, rank):
         raise ValueError(f"expected a {rank}x{rank} matrix, got shape {a.shape}")
-    return a
+    if a.dtype == object and not all(_is_integer(x) for x in a.flat):
+        raise TypeError(f"rank-{rank} value {value!r} is not a matrix of integers")
+    return a.astype(np.int64) % p
 
 
 def _invert(value, rank: int, field: PrimeField):
@@ -172,6 +191,11 @@ def cocycle_class(cocycle: ConstantCocycle) -> np.ndarray:
     return class_coordinates(coh, cocycle.edge_vector())
 
 
+def _gl_order(rank: int, p: int) -> int:
+    """|GL_k(F_p)|: the product over i < k of p^k - p^i."""
+    return math.prod(p ** rank - p ** i for i in range(rank))
+
+
 @lru_cache(maxsize=None)
 def _all_invertible(rank: int, p: int) -> tuple:
     field = PrimeField(p)
@@ -194,9 +218,11 @@ def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:
         return all(_union(parent, pot, a, b, int(g.values[(a, b)]) - int(h.values[(a, b)]), g.field.p)
                    for a, b in g.base.simplices_of_dim(1))
     vertices = g.base.vertices
+    order = _gl_order(g.rank, g.field.p)
+    if order ** len(vertices) > GAUGE_CAP:
+        raise ResourceLimit(f"rank-{g.rank} gauge search is capped at {GAUGE_CAP} gauges; "
+                            f"|GL_{g.rank}(F_{g.field.p})|^{len(vertices)} = {order}^{len(vertices)}")
     units = _all_invertible(g.rank, g.field.p)
-    if len(units) ** len(vertices) > 10 ** 6:
-        raise ValueError("base too large for brute-force gauge search")
     edges = g.base.simplices_of_dim(1)
     for gauge in itertools.product(units, repeat=len(vertices)):
         table = dict(zip(vertices, gauge))

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .complexes import Simplex, SimplicialComplex
-from .fplinalg import FMatrix, PrimeField, rref
+from .fplinalg import FMatrix, PrimeField, pivot_columns
 
 
 class NotSubcomplex(ValueError):
@@ -148,7 +148,7 @@ def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[
     else:
         d = cech_differential(k, q - 1, field).matrix.entries
     n = d.shape[1]
-    pivots = rref(np.hstack([d, z.entries]), field.p)[1]
+    pivots = pivot_columns(np.hstack([d, z.entries]), field.p)
     b = FMatrix(d[:, [c for c in pivots if c < n]], field)
     reps = FMatrix(z.entries[:, [c - n for c in pivots if c >= n]], field)
     return z, b, reps

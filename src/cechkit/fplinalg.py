@@ -1,9 +1,24 @@
-"""Exact dense linear algebra over prime fields.
+"""Exact linear algebra over prime fields, on one field-specialised kernel.
 
 Every cohomology computation in this package reduces to rank, kernel and
-solve calls on small dense matrices with entries in F_p.  Matrices are
-numpy int64 arrays normalised to the range [0, p); all routines are
+solve calls on small matrices with entries in F_p.  Matrices are numpy
+int64 arrays normalised to the range [0, p); all routines are
 deterministic, so repeated runs give identical output.
+
+Two functions eliminate, and each picks its method from the field.
+`rref` gives the reduced row echelon form, which is unique, so its
+result does not depend on the method; `pivot_columns` stops after
+forward elimination, for callers that read only the pivot columns (rank,
+column spaces, cohomology bases).
+
+* Over F_2 each row is one Python int, column j being bit ncols - 1 - j.
+  A row is reduced by XOR with the echelon row of its leading bit, in the
+  manner of bit-vector persistence reductions (Edelsbrunner, Letscher and
+  Zomorodian 2002); rref then back-substitutes the pivot rows.
+* Over odd p each pivot is one numpy update of every row to clear, on the
+  columns from the pivot on.  This lane is why MAX_PRIME bounds the
+  modulus: it multiplies int64 entries below p, and p^2 < 2^32 keeps every
+  product exact.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ class ModulusTooLarge(ValueError):
 
 
 # The largest prime below 2^16: a product of two entries stays below 2^32,
-# so every int64 sum of such products in rref and @ is exact.
+# so every int64 sum of such products in the odd-p lane of rref and in @ is exact.
 MAX_PRIME = 65521
 
 
@@ -76,31 +91,98 @@ def _normalise(entries, p: int) -> np.ndarray:
     return a % p
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    a = a.copy() % p
+def _f2_rows(a: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as one int: column j is bit ncols - 1 - j."""
+    nrows, ncols = a.shape
+    width = -(-ncols // 8)
+    pad = 8 * width - ncols
+    data = np.packbits(a.astype(np.uint8), axis=1).tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad for i in range(nrows)]
+
+
+def _f2_matrix(rows: list[int], nrows: int, ncols: int) -> np.ndarray:
+    """The int64 matrix of _f2_rows' bit rows, padded with zero rows to nrows."""
+    width = -(-ncols // 8)
+    pad = 8 * width - ncols
+    data = b"".join((x << pad).to_bytes(width, "big") for x in rows) + bytes(width * (nrows - len(rows)))
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(nrows, width)
+    return np.unpackbits(packed, axis=1, count=ncols).astype(np.int64)
+
+
+def _f2_echelon(rows: list[int]) -> dict[int, int]:
+    """Forward elimination by XOR: the echelon rows, keyed by their bit length.
+
+    A row's bit length is ncols minus its leading column; each row is
+    reduced on its leading bit until that bit is new or the row is zero.
+    """
+    table: dict[int, int] = {}
+    for x in rows:
+        while x:
+            lead = x.bit_length()
+            if lead not in table:
+                table[lead] = x
+                break
+            x ^= table[lead]
+    return table
+
+
+def _odd_eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
+    """Elimination mod an odd p with one numpy update of all rows per pivot.
+
+    full=False clears only the rows below each pivot, which already fixes
+    the pivot columns; full=True clears the rows above too, giving rref.
+    """
+    a = a % p
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, nrows):
-            if a[rr, c]:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        for rr in range(nrows):
-            if rr != r and a[rr, c]:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        # row r was zero in column c, so the swap leaves the other nonzeros in place
+        targets = r + below[1:]
+        if full:
+            targets = np.concatenate([np.flatnonzero(a[:r, c]), targets])
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        if targets.size:
+            a[targets, c:] = (a[targets, c:] - np.outer(a[targets, c], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
     return a, pivots
+
+
+def pivot_columns(a: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of rref(a, p), from forward elimination alone."""
+    if p != 2:
+        return _odd_eliminate(a, p, full=False)[1]
+    return sorted(a.shape[1] - lead for lead in _f2_echelon(_f2_rows(a % 2)))
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
+    if p != 2:
+        return _odd_eliminate(a, p, full=True)
+    nrows, ncols = a.shape
+    table = _f2_echelon(_f2_rows(a % 2))
+    # Back-substitution from the last pivot up: a reduced row has no other
+    # pivot bit, so XOR-ing it in clears exactly its own pivot bit.
+    done = 0
+    for lead in sorted(table):
+        x = table[lead]
+        hits = x & done
+        while hits:
+            bit = hits.bit_length()
+            x ^= table[bit]
+            hits ^= 1 << (bit - 1)
+        table[lead] = x
+        done |= 1 << (lead - 1)
+    leads = sorted(table, reverse=True)
+    return _f2_matrix([table[lead] for lead in leads], nrows, ncols), [ncols - lead for lead in leads]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +265,7 @@ class FMatrix:
 
     @cached_property
     def _rank(self) -> int:
-        return len(rref(self.entries, self.field.p)[1])
+        return len(pivot_columns(self.entries, self.field.p))
 
     def rank(self) -> int:
         return self._rank
@@ -193,17 +275,15 @@ class FMatrix:
         return r, self.cols - r
 
     def kernel_basis(self) -> "FMatrix":
-        p = self.field.p
-        reduced, pivots = rref(self.entries, p)
-        free = [c for c in range(self.cols) if c not in pivots]
-        cols = []
-        for f in free:
-            v = np.zeros(self.cols, dtype=np.int64)
-            v[f] = 1
-            for k, pc in enumerate(pivots):
-                v[pc] = (-reduced[k, f]) % p
-            cols.append(v)
-        return FMatrix.from_columns(cols, self.cols, self.field)
+        """One column per free variable: 1 there, 0 at the other free ones."""
+        reduced, pivots = rref(self.entries, self.field.p)
+        free = np.ones(self.cols, dtype=bool)
+        free[pivots] = False
+        free = np.flatnonzero(free)
+        k = np.zeros((self.cols, free.size), dtype=np.int64)
+        k[free, np.arange(free.size)] = 1
+        k[pivots] = -reduced[:len(pivots), free]
+        return FMatrix(k, self.field)
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """One solution of A x = b with free variables set to 0, or None."""
@@ -216,14 +296,12 @@ class FMatrix:
         if self.cols in pivots:
             return None
         x = np.zeros(self.cols, dtype=np.int64)
-        for k, pc in enumerate(pivots):
-            x[pc] = reduced[k, self.cols]
+        x[pivots] = reduced[:len(pivots), self.cols]
         return x
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""
-        pivots = rref(self.entries, self.field.p)[1]
-        return FMatrix(self.entries[:, pivots], self.field)
+        return FMatrix(self.entries[:, pivot_columns(self.entries, self.field.p)], self.field)
 
     def inverse(self) -> "FMatrix":
         if self.rows != self.cols:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cechkit import cochains, fplinalg
 from cechkit.complexes import build_complex
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
@@ -82,3 +83,28 @@ def shared_label_document(nerves, field=2):
 @pytest.fixture(scope="session")
 def necklace_document():
     return lambda n, ring: shared_label_document(necklace_nerves(n, ring))
+
+
+# Every full or pivots-only elimination goes through one of these; cochains
+# imports pivot_columns by name, so it is patched there too.
+ELIMINATIONS = ("rref", "pivot_columns")
+
+
+@pytest.fixture
+def count_eliminations(monkeypatch):
+    """Call to start counting: every elimination entry point, in fplinalg
+    and in cochains, records its matrix shape in the returned list."""
+    def start() -> list:
+        calls = []
+        for name in ELIMINATIONS:
+            real = getattr(fplinalg, name)
+
+            def counted(a, p, real=real):
+                calls.append(a.shape)
+                return real(a, p)
+
+            for module in (fplinalg, cochains):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+    return start

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cechkit import fplinalg
+from cechkit import bundles
 from cechkit.bundles import (
     ENUMERATION_CAP,
     ConstantCocycle,
     IncompatibleSections,
     NonAbelianRank,
     PieceBundleData,
+    ResourceLimit,
     TwistedSection,
     WrongField,
+    _all_invertible,
     _find,
+    _gl_order,
     cocycle_class,
     cocycles_equivalent,
     colimit_bundle,
@@ -426,21 +429,13 @@ def test_glue_space_on_seven_disjoint_edges(tmp_path):
     assert [(c["parallel_dim"], c["glue_space_dim"]) for c in classes] == [(7, 7)]
 
 
-def test_rank1_gauge_questions_make_no_elimination(monkeypatch, three_circles, two_origin):
+def test_rank1_gauge_questions_make_no_elimination(count_eliminations, three_circles, two_origin):
     classes = enumerate_line_bundles(three_circles)
     pieces = [restrict_bundle(g, three_circles) for g in classes]
     twisted = materialise_bundle(two_origin, parse_document(gallery_document("two_origin_line")).bundle)
     swap = ConstantCocycle.build(two_origin.nerve, 2, F2, {("o2", "r"): [[0, 1], [1, 0]]})
     rank2 = restrict_bundle(swap, two_origin)
-    calls = []
-    real = fplinalg.rref
-
-    def counted(a, p):
-        calls.append(a.shape)
-        return real(a, p)
-
-    monkeypatch.setattr(fplinalg, "rref", counted)
-    monkeypatch.setattr("cechkit.cochains.rref", counted)
+    calls = count_eliminations()
     for g, data in zip(classes, pieces):
         parallel_sections(g)
         for h in classes:
@@ -511,3 +506,18 @@ def test_find_matches_the_recursive_lookup(links, queries, p):
     for node in queries:
         assert _find(parent, pot, node, p) == recursive_find(ref_parent, ref_pot, node, p)
         assert (parent, pot) == (ref_parent, ref_pot)
+
+
+@pytest.mark.parametrize("rank, p", ((1, 5), (2, 2), (2, 3), (3, 2)))
+def test_gl_order_counts_the_invertible_matrices(rank, p):
+    assert _gl_order(rank, p) == len(_all_invertible(rank, p))
+
+
+def test_rank3_gauge_search_refuses_before_listing_units(monkeypatch):
+    def listing(rank, p):
+        raise AssertionError("the units were listed")
+
+    monkeypatch.setattr(bundles, "_all_invertible", listing)
+    g = ConstantCocycle.build(build_complex([["a", "b"]]), 3, PrimeField(3))
+    with pytest.raises(ResourceLimit, match=r"\|GL_3\(F_3\)\|\^2 = 11232\^2"):
+        cocycles_equivalent(g, g)

@@ -349,9 +349,19 @@ def _set(path, value):
     ("bundles", _set(("bundle", "rank"), 3)),
     ("refine-check", _set(("refinement", "fine"), 5)),
     ("validate", _set(("field",), 65537)),
+    *(("bundles", _set(("bundle", "identifications", 0, "vertices", 0, 1), value))
+      for value in (1.5, 0.9, True, "1")),
+    ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": [["l", "o1", 1.5]]}])),
+    ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": [["l", "o1", True]]}])),
+    ("bundles", _set(("bundle",), {"rank": 2, "identifications": [
+        {"i": "p1", "j": "p2", "vertices": [["l", [[1, 0], [0, 1.5]]]]}]})),
+    ("bundles", _set(("bundle",), {"rank": 2, "pieces": [
+        {"id": "p1", "edges": [["l", "o1", [[True, 0], [0, 1]]]]}]})),
 ), ids=("identification_not_object", "identifications_not_list", "edge_not_list",
         "rank1_value_x", "rank1_value_list", "rank3_scalar_values", "refinement_fine_5",
-        "document_field_too_large"))
+        "document_field_too_large", "identification_value_1.5", "identification_value_0.9",
+        "identification_value_true", "identification_value_string", "edge_value_1.5",
+        "edge_value_true", "rank2_identification_float_entry", "rank2_edge_bool_entry"))
 def test_cli_bad_blocks_are_input_errors(tmp_path, capsys, command, change):
     doc = gallery_document("two_origin_line")
     change(doc)

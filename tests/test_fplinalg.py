@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechkit import fplinalg
 from cechkit.fplinalg import (
     F2,
     MAX_PRIME,
@@ -15,6 +14,7 @@ from cechkit.fplinalg import (
     NotASubspace,
     NotPrime,
     PrimeField,
+    pivot_columns,
     quotient_dim,
     rref,
 )
@@ -176,16 +176,10 @@ def test_column_space_basis_matches_greedy_loop(m):
     assert np.array_equal(got.entries, want.entries)
 
 
-def test_column_space_basis_runs_one_elimination(monkeypatch):
-    calls = []
-
-    def counting_rref(a, p):
-        calls.append(a.shape)
-        return rref(a, p)
-
+def test_column_space_basis_runs_one_elimination(count_eliminations):
     m = FMatrix(np.arange(42).reshape(6, 7), PrimeField(5))
     rank = m.rank()
-    monkeypatch.setattr(fplinalg, "rref", counting_rref)
+    calls = count_eliminations()
     assert m.column_space_basis().cols == rank
     assert calls == [(6, 7)]
 
@@ -199,19 +193,151 @@ def test_determinism_repeated_runs():
         assert (again.rank_nullity(), again.kernel_basis().entries.tolist()) == first
 
 
-def test_entries_are_read_only_and_rank_runs_one_elimination(monkeypatch):
-    calls = []
-
-    def counting_rref(a, p):
-        calls.append(a.shape)
-        return rref(a, p)
-
+def test_entries_are_read_only_and_rank_runs_one_elimination(count_eliminations):
     source = np.arange(42).reshape(6, 7)
     m = FMatrix(source, PrimeField(5))
     source[0, 0] = 4
     assert m.entries[0, 0] == 0
     with pytest.raises(ValueError):
         m.entries[0, 0] = 1
-    monkeypatch.setattr(fplinalg, "rref", counting_rref)
+    calls = count_eliminations()
     assert m.rank() == m.rank() == m.rank_nullity()[0]
     assert calls == [(6, 7)]
+
+
+def dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reference: the dense row loop the field-specialised kernel replaced."""
+    a = a.copy() % p
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for rr in range(r, nrows):
+            if a[rr, c]:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[[r, pivot_row]] = a[[pivot_row, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        for rr in range(nrows):
+            if rr != r and a[rr, c]:
+                a[rr] = (a[rr] - a[rr, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def dense_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """Reference: the per-free-column kernel loop, on dense_rref."""
+    reduced, pivots = dense_rref(a, p)
+    cols = []
+    for f in [c for c in range(a.shape[1]) if c not in pivots]:
+        v = np.zeros(a.shape[1], dtype=np.int64)
+        v[f] = 1
+        for k, pc in enumerate(pivots):
+            v[pc] = (-reduced[k, f]) % p
+        cols.append(v)
+    return np.column_stack(cols) if cols else np.zeros((a.shape[1], 0), dtype=np.int64)
+
+
+def dense_solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """Reference: one solution with free variables 0, on dense_rref."""
+    reduced, pivots = dense_rref(np.column_stack([a, b]), p)
+    if a.shape[1] in pivots:
+        return None
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    for k, pc in enumerate(pivots):
+        x[pc] = reduced[k, a.shape[1]]
+    return x
+
+
+def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator) -> None:
+    field = PrimeField(p)
+    rows, cols = a.shape
+    want, want_pivots = dense_rref(a, p)
+    got, got_pivots = rref(a, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got_pivots == want_pivots
+    assert pivot_columns(a, p) == want_pivots
+
+    m = FMatrix(a, field)
+    assert m.rank() == len(want_pivots)
+    kernel = m.kernel_basis().entries
+    assert kernel.dtype == np.int64 and np.array_equal(kernel, dense_kernel_basis(a, p))
+    assert np.array_equal(m.column_space_basis().entries, (a % p)[:, want_pivots])
+
+    consistent = (a @ rng.integers(0, p, size=cols)) % p
+    left_kernel = dense_kernel_basis(a.T, p)
+    # b = e_i with y_i != 0 for some y in the left kernel: y.b != 0, so no solution
+    outside = np.zeros(rows, dtype=np.int64)
+    if left_kernel.shape[1]:
+        outside[np.flatnonzero(left_kernel[:, 0])[0]] = 1
+    for b in (consistent, rng.integers(-p, 2 * p, size=rows), outside):
+        x, want_x = m.solve(b), dense_solve(a, b, p)
+        assert (x is None) == (want_x is None)
+        if x is not None:
+            assert x.dtype == np.int64 and np.array_equal(x, want_x)
+    if left_kernel.shape[1]:
+        assert m.solve(outside) is None
+
+    if rows == cols:
+        reduced, pivots = dense_rref(np.column_stack([a, np.eye(rows, dtype=np.int64)]), p)
+        if pivots[:rows] == list(range(rows)):
+            assert np.array_equal(m.inverse().entries, reduced[:, rows:])
+        else:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+
+
+@st.composite
+def kernel_cases(draw) -> tuple[np.ndarray, int, int]:
+    """A matrix over F_2, F_3 or F_5 (entries in [-p, 2p)), p and a seed.
+
+    Kinds: uniform entries, sparse (about 1 in 8 nonzero, like a coboundary
+    matrix), all zero, full rank min(rows, cols), and duplicated or
+    rescaled rows.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("uniform", "sparse", "zero", "full_rank", "duplicate_rows")))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-p, 2 * p, size=(rows, cols))
+    if kind == "sparse":
+        a[rng.random((rows, cols)) < 7 / 8] = 0
+    elif kind == "zero":
+        a[:] = 0
+    elif kind == "full_rank":
+        for i in range(min(rows, cols)):
+            a[i, :i] = 0
+            a[i, i] = 1
+        a = a[rng.permutation(rows)][:, rng.permutation(cols)]
+    elif kind == "duplicate_rows" and rows >= 2:
+        for _ in range(rows // 2):
+            src, dst = rng.integers(0, rows, size=2)
+            a[dst] = a[src] * rng.integers(1, p)
+    return a, p, seed
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_the_dense_loop(case):
+    a, p, seed = case
+    assert_kernel_matches_dense(a, p, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("a", (
+    np.zeros((0, 0), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+    np.zeros((5, 0), dtype=np.int64), np.zeros((4, 4), dtype=np.int64),
+    np.eye(12, dtype=np.int64), np.eye(12, 14, 2, dtype=np.int64),
+    np.ones((12, 14), dtype=np.int64), np.tile(np.arange(14), (12, 1)),
+), ids=("0x0", "0x5", "5x0", "zero4x4", "identity12", "shifted_identity12x14", "ones12x14",
+        "equal_rows12x14"))
+def test_kernel_matches_the_dense_loop_on_edge_shapes(a, p):
+    assert_kernel_matches_dense(a, p, np.random.default_rng(0))
