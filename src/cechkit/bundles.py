@@ -243,15 +243,11 @@ def enumerate_line_bundles(diagram: GluedDiagram) -> list[ConstantCocycle]:
         raise ResourceLimit(f"line bundle enumeration is capped at {ENUMERATION_CAP} classes; "
                             f"dim H^1 = {coh.dimension} gives 2^{coh.dimension}")
     edges = diagram.nerve.simplices_of_dim(1)
-    reps: list[ConstantCocycle] = []
-    for mask in range(2 ** coh.dimension):
-        vec = np.zeros(len(edges), dtype=np.int64)
-        for j in range(coh.dimension):
-            if mask >> j & 1:
-                vec = (vec + coh.representatives.column(j)) % 2
-        reps.append(ConstantCocycle.build(diagram.nerve, 1, diagram.field,
-                                          dict(zip(edges, (int(v) for v in vec)))))
-    return reps
+    masks = np.arange(2 ** coh.dimension)
+    # Column `mask` of `classes` sums the representatives at the set bits of mask.
+    classes = coh.representatives.entries @ (masks >> np.arange(coh.dimension)[:, None] & 1) % 2
+    return [ConstantCocycle.build(diagram.nerve, 1, diagram.field, dict(zip(edges, (int(v) for v in vec))))
+            for vec in classes.T]
 
 
 @dataclass(frozen=True, eq=False)

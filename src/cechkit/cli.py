@@ -40,9 +40,10 @@ from .documents import (
     ParseError,
     ParsedDocument,
     canonical_json,
-    load_diagram,
+    decode_document,
     materialise_bundle,
     materialise_refinement,
+    parse_document,
 )
 from .fplinalg import FMatrix, ModulusTooLarge, NotPrime, PrimeField
 from .gallery import GALLERY_NAMES, BadGalleryParameter, UnknownGallery, gallery_document
@@ -130,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[ParsedDocument, str]:
+    """The parsed document and the digest of the bytes it was parsed from, read once."""
     data = Path(args.path).read_bytes()
-    parsed = load_diagram(args.path, args.field)
-    return parsed, _digest(data)
+    return parse_document(decode_document(data), args.field), _digest(data)
 
 
 def _base_report(command: str, digest: str, field: int) -> dict[str, Any]:
@@ -461,30 +462,26 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         if args.command == "gallery":
-            doc, code, text = _cmd_gallery(args)
-            if args.report is not None and doc is not None:
-                args.report.write_text(canonical_json(doc), encoding="utf-8")
-            return code
-        report, code = _HANDLERS[args.command](args)
+            report, code, _ = _cmd_gallery(args)
+        else:
+            report, code = _HANDLERS[args.command](args)
+            _println(f"elapsed: {time.perf_counter() - started:.3f}s")
+        if args.report is not None and report is not None:
+            args.report.write_text(canonical_json(report), encoding="utf-8")
     except UnknownGallery as exc:
         sys.stderr.write(f"input error: unknown gallery name {exc.args[0]!r}; "
                          f"try: {', '.join(GALLERY_NAMES)}\n")
-        return 2
-    except (ParseError, NotPrime, ModulusTooLarge, BadGalleryParameter, FileNotFoundError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
         return 2
     except InvalidSystem as exc:
         sys.stderr.write("input error: invalid adjunction system\n")
         for v in exc.report.violations:
             sys.stderr.write(f"  [{v.condition}] {v.message}  witness={list(v.witness)}\n")
         return 2
-    except (IncompatibleData, ResourceLimit, WrongField) as exc:
+    # OSError: the document cannot be read or the report cannot be written.
+    except (ParseError, NotPrime, ModulusTooLarge, BadGalleryParameter, IncompatibleData,
+            ResourceLimit, WrongField, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    elapsed = time.perf_counter() - started
-    _println(f"elapsed: {elapsed:.3f}s")
-    if args.report is not None:
-        args.report.write_text(canonical_json(report), encoding="utf-8")
     return code
 
 

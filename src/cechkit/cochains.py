@@ -91,20 +91,24 @@ class ChainMapLevel:
     def __call__(self, f: Cochain) -> Cochain:
         return Cochain(self.target, self.matrix.apply(f.values))
 
-    def compose(self, inner: "ChainMapLevel") -> "ChainMapLevel":
-        return ChainMapLevel(inner.source, self.target, self.matrix @ inner.matrix)
-
 
 def cech_differential(k: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Coboundary from degree q to q+1: alternating sum over vertex removals."""
+    """Coboundary from degree q to q+1, built once per complex, degree and field."""
+    key = ("d", q, field.p)
+    if key not in k.cochain_matrices:
+        k.cochain_matrices[key] = _coboundary(k, q, field)
+    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(k, q + 1, field), k.cochain_matrices[key])
+
+
+def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
+    """The matrix of d^q: alternating sum over vertex removals."""
     src = CochainSpace(k, q, field)
     tgt = CochainSpace(k, q + 1, field)
     m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
     for row, sigma in enumerate(tgt.basis):
         for i in range(len(sigma)):
-            tau = sigma[:i] + sigma[i + 1:]
-            m[row, src.index[tau]] += (-1) ** i
-    return ChainMapLevel(src, tgt, FMatrix(m, field))
+            m[row, src.index[sigma[:i] + sigma[i + 1:]]] += (-1) ** i
+    return FMatrix(m, field)
 
 
 @dataclass(frozen=True)
@@ -129,10 +133,10 @@ def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBas
     memo holds no reference back to the complex, so a complex that goes
     out of use is freed at once, without waiting for the cycle collector.
     """
-    key = (q, field.p)
-    if key not in k.cohomology_bases:
-        k.cohomology_bases[key] = _cohomology_basis(k, q, field)
-    return CohomologyBasis(CochainSpace(k, q, field), *k.cohomology_bases[key])
+    key = ("H", q, field.p)
+    if key not in k.cochain_matrices:
+        k.cochain_matrices[key] = _cohomology_basis(k, q, field)
+    return CohomologyBasis(CochainSpace(k, q, field), *k.cochain_matrices[key])
 
 
 def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, FMatrix, FMatrix]:
@@ -155,22 +159,21 @@ def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[
 
 
 def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
-    """Coordinates of a cocycle's class in the chosen representative basis."""
-    field = coh.space.field
-    nb = coh.coboundaries.cols
-    stacked = np.column_stack([coh.coboundaries.entries, coh.representatives.entries]) \
-        if (nb + coh.representatives.cols) else np.zeros((coh.space.dim, 0), dtype=np.int64)
-    solution = FMatrix(stacked, field).solve(np.asarray(values, dtype=np.int64))
+    """Coordinates of a cocycle's class in the chosen representative basis.
+
+    A 2-d `values` holds one cocycle per column, all solved in one elimination.
+    """
+    stacked = np.hstack([coh.coboundaries.entries, coh.representatives.entries])
+    solution = FMatrix(stacked, coh.space.field).solve(values)
     if solution is None:
         raise ValueError("vector is not a cocycle of this space")
-    return solution[nb:]
+    return solution[coh.coboundaries.cols:]
 
 
 def induced_on_cohomology(chain_map: ChainMapLevel, src: CohomologyBasis, tgt: CohomologyBasis) -> FMatrix:
-    """Descend a chain map to a matrix on cohomology representatives."""
-    cols = [class_coordinates(tgt, chain_map.matrix.apply(src.representatives.column(j)))
-            for j in range(src.dimension)]
-    return FMatrix.from_columns(cols, tgt.dimension, src.space.field)
+    """Descend a chain map to a matrix on cohomology representatives, with one solve."""
+    image = chain_map.matrix @ src.representatives
+    return FMatrix(class_coordinates(tgt, image.entries), src.space.field)
 
 
 def restriction_map(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
@@ -190,15 +193,9 @@ def restrict_cochain(f: Cochain, l: SimplicialComplex) -> Cochain:
 
 
 def extend_by_zero(f: Cochain, k: SimplicialComplex) -> Cochain:
-    """Extension by zero of a cochain on a subcomplex to the whole complex."""
-    small = f.space.complex
-    if not small.is_subcomplex_of(k):
-        raise NotSubcomplex("cochain's complex is not a subcomplex of the target")
-    tgt = CochainSpace(k, f.space.degree, f.space.field)
-    vec = np.zeros(tgt.dim, dtype=np.int64)
-    for s, i in f.space.index.items():
-        vec[tgt.index[s]] = f.values[i]
-    return Cochain(tgt, vec)
+    """Extension by zero of a cochain on a subcomplex: the transpose of restriction."""
+    res = restriction_map(k, f.space.complex, f.space.degree, f.space.field)
+    return Cochain(res.source, res.matrix.T.apply(f.values))
 
 
 def _permutation_sign(seq: tuple[str, ...]) -> int:

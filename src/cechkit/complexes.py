@@ -7,9 +7,10 @@ downstream rank computations direct at desk scale.  The empty complex is
 legal everywhere and models an empty intersection.
 
 Complexes are immutable, so results that depend on one complex alone
-(its vertices, its simplices of each dimension, and the cohomology bases
-that `cochains.cohomology` computes) are memoised on the instance and
-live exactly as long as it does.
+are memoised on the instance and live exactly as long as it does: its
+vertices, its simplices of each dimension, and in `cochain_matrices` the
+read-only matrices of `cochains`, namely each coboundary d^q and each
+cohomology basis per degree and field.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ class SimplicialComplex:
         return self._by_dim.get(q, ())
 
     @cached_property
-    def cohomology_bases(self) -> dict:
-        """`cochains.cohomology` matrices on this complex, keyed by (q, p)."""
+    def cochain_matrices(self) -> dict:
+        """`cochains` matrices on this complex: FMatrix values only, so none points back here."""
         return {}
 
     def __contains__(self, simplex: Simplex) -> bool:

@@ -261,6 +261,11 @@ class GluedDiagram:
     def _nonempty(self) -> dict[int, tuple[tuple[str, ...], ...]]:
         return {}
 
+    @cached_property
+    def tuple_cochains(self) -> dict:
+        """`mv` tuple spaces and difference maps, keyed by (kind, level, q); none points back here."""
+        return {}
+
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:
         ids = tuple(sorted(set(t)))
         if not ids:

@@ -135,12 +135,18 @@ def _parse_system(doc: dict, field: PrimeField) -> AdjunctionSystem:
     return AdjunctionSystem(tuple(pieces), tuple(gluings), field)
 
 
-def load_document(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+def decode_document(data: bytes) -> Any:
+    """The JSON value of a document's bytes, which must be UTF-8."""
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+def load_document(path: str | Path) -> dict:
+    return decode_document(Path(path).read_bytes())
 
 
 def load_diagram(path: str | Path, field_override: int | None = None) -> ParsedDocument:

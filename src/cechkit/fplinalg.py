@@ -85,7 +85,7 @@ F2 = PrimeField(2)
 
 
 def _normalise(entries, p: int) -> np.ndarray:
-    a = np.array(entries, dtype=np.int64)
+    a = np.asarray(entries, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     return a % p
@@ -230,9 +230,6 @@ class FMatrix:
     def column(self, j: int) -> np.ndarray:
         return self.entries[:, j].copy()
 
-    def columns(self) -> list[np.ndarray]:
-        return [self.entries[:, j].copy() for j in range(self.cols)]
-
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         if self.field.p != other.field.p:
             raise DimensionMismatch("field mismatch")
@@ -286,18 +283,24 @@ class FMatrix:
         return FMatrix(k, self.field)
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
-        """One solution of A x = b with free variables set to 0, or None."""
+        """One solution of A x = b with free variables set to 0, or None.
+
+        A 2-d b takes one elimination of [A | b] and gives None if any column
+        is inconsistent; otherwise no pivot lands among b's columns, so each
+        column's solution is that of its own solve.
+        """
         p = self.field.p
         b = np.asarray(b, dtype=np.int64) % p
         if b.shape[0] != self.rows:
             raise DimensionMismatch(f"rhs length {b.shape[0]} != {self.rows} rows")
-        aug = np.column_stack([self.entries, b])
-        reduced, pivots = rref(aug, p)
-        if self.cols in pivots:
-            return None
-        x = np.zeros(self.cols, dtype=np.int64)
-        x[pivots] = reduced[:len(pivots), self.cols]
-        return x
+        rhs = b if b.ndim == 2 else b[:, None]
+        x = np.zeros((self.cols, rhs.shape[1]), dtype=np.int64)
+        if rhs.shape[1]:
+            reduced, pivots = rref(np.hstack([self.entries, rhs]), p)
+            if pivots and pivots[-1] >= self.cols:
+                return None
+            x[pivots] = reduced[:len(pivots), self.cols:]
+        return x if b.ndim == 2 else x[:, 0]
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""
@@ -312,6 +315,17 @@ class FMatrix:
         if pivots[: self.rows] != list(range(self.rows)):
             raise ZeroDivisionError("matrix is singular")
         return FMatrix(reduced[:, self.rows:], self.field)
+
+
+def block_diagonal(blocks: Sequence[np.ndarray], field: PrimeField) -> FMatrix:
+    """The blocks down the diagonal in order, zero elsewhere; a block may be empty."""
+    m = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    r = c = 0
+    for block in blocks:
+        h, w = block.shape
+        m[r:r + h, c:c + w] = block
+        r, c = r + h, c + w
+    return FMatrix(m, field)
 
 
 def quotient_dim(z: FMatrix, b: FMatrix) -> int:

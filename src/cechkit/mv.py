@@ -23,19 +23,17 @@ import numpy as np
 from .bundles import WrongField
 from .cochains import (
     ChainMapLevel,
-    Cochain,
     CochainSpace,
     CohomologyBasis,
     cech_differential,
     class_coordinates,
     cohomology,
-    extend_by_zero,
     induced_on_cohomology,
     restriction_map,
 )
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
-from .fplinalg import FMatrix
+from .fplinalg import FMatrix, block_diagonal
 
 
 class NotBinary(ValueError):
@@ -76,9 +74,13 @@ class TupleCochainSpace:
 
 
 def tuple_space(diagram: GluedDiagram, level: int, degree: int) -> TupleCochainSpace:
-    blocks = tuple((t, CochainSpace(diagram.intersection_nerve(t), degree, diagram.field))
-                   for t in diagram.nonempty_subsets(level))
-    return TupleCochainSpace(level, degree, blocks)
+    """The level-p tuple space in degree q, built once per diagram."""
+    key = ("space", level, degree)
+    if key not in diagram.tuple_cochains:
+        diagram.tuple_cochains[key] = TupleCochainSpace(level, degree, tuple(
+            (t, CochainSpace(diagram.intersection_nerve(t), degree, diagram.field))
+            for t in diagram.nonempty_subsets(level)))
+    return diagram.tuple_cochains[key]
 
 
 def phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
@@ -86,16 +88,14 @@ def phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
     field = diagram.field
     src = CochainSpace(diagram.nerve, degree, field)
     tgt = tuple_space(diagram, 1, degree)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for t, space in tgt.blocks:
-        block = restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries
-        off = tgt.offsets[t]
-        m[off:off + space.dim, :] = block
+    m = np.vstack([np.zeros((0, src.dim), dtype=np.int64)]
+                  + [restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries
+                     for _, space in tgt.blocks])
     return ChainMapLevel(src, tgt, FMatrix(m, field))
 
 
 def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel:
-    """Signed difference map from level p to level p+1 intersections.
+    """Signed difference map from level p to level p+1 intersections, built once per diagram.
 
     The entry feeding target block T' from the source block obtained by
     omitting position a (0-based) carries sign (-1)^(a+1), which makes the
@@ -104,6 +104,13 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel
     n = diagram.n_pieces
     if not 1 <= level < n:
         raise ValueError(f"level must be in [1, {n - 1}], got {level}")
+    key = ("delta_tilde", level, degree)
+    if key not in diagram.tuple_cochains:
+        diagram.tuple_cochains[key] = _delta_tilde(diagram, level, degree)
+    return diagram.tuple_cochains[key]
+
+
+def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel:
     field = diagram.field
     src = tuple_space(diagram, level, degree)
     tgt = tuple_space(diagram, level + 1, degree)
@@ -180,22 +187,16 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
     n12 = diagram.intersection_nerve((i1, i2))
     coh_src = cohomology(n12, degree, field)
     coh_tgt = cohomology(diagram.nerve, degree + 1, field)
-    space_up = CochainSpace(diagram.nerve, degree + 1, field)
     lift_nerve = diagram.nerves[through]
-    d_lift = cech_differential(lift_nerve, degree, field)
-    lift_sign = 1 if through == i1 else -1
-
-    cols = []
-    for j in range(coh_src.dimension):
-        z = Cochain(coh_src.space, coh_src.representatives.column(j))
-        g = extend_by_zero(z, lift_nerve)
-        dg = d_lift(g)
-        vec = np.zeros(space_up.dim, dtype=np.int64)
-        for s, idx in dg.space.index.items():
-            vec[space_up.index[s]] = (lift_sign * int(dg.values[idx])) % field.p
-        cols.append(class_coordinates(coh_tgt, vec))
-    matrix = FMatrix.from_columns(cols, coh_tgt.dimension, field)
-    return ChainMapLevel(coh_src, coh_tgt, matrix)
+    # Extension by zero is the transpose of restriction: into the lift piece,
+    # and from there into the union, where the pair (dg, 0) or (0, -dg) lives.
+    into_lift = restriction_map(lift_nerve, n12, degree, field).matrix.T
+    into_union = restriction_map(diagram.nerve, lift_nerve, degree + 1, field).matrix.T
+    d_lift = cech_differential(lift_nerve, degree, field).matrix
+    lifted = into_union @ (d_lift @ (into_lift @ coh_src.representatives))
+    if through != i1:
+        lifted = -lifted
+    return ChainMapLevel(coh_src, coh_tgt, FMatrix(class_coordinates(coh_tgt, lifted.entries), field))
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,9 @@ def total_cohomology(diagram: GluedDiagram, q_max: int) -> TotalCohomologyReport
                 r = tgt_off[(p + 1, q)]
                 m[r:r + horiz.shape[0], col:col + src_dim] += horiz
             if (p, q + 1) in tgt_off:
-                vert = _blockdiag_differential(diagram, p + 1, q)
+                # d^q on each block; degrees q and q+1 share the level's index sets
+                vert = block_diagonal([cech_differential(s.complex, q, field).matrix.entries
+                                       for _, s in spaces[(p, q)].blocks], field).entries
                 r = tgt_off[(p, q + 1)]
                 m[r:r + vert.shape[0], col:col + src_dim] += ((-1) ** p) * vert
             col += src_dim
@@ -448,17 +451,6 @@ def total_cohomology(diagram: GluedDiagram, q_max: int) -> TotalCohomologyReport
                                  d_square_zero and tuple(total_dims) == union_dims)
 
 
-def _blockdiag_differential(diagram: GluedDiagram, level: int, degree: int) -> np.ndarray:
-    src = tuple_space(diagram, level, degree)
-    tgt = tuple_space(diagram, level, degree + 1)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for t, space in src.blocks:
-        d = cech_differential(space.complex, degree, diagram.field).matrix.entries
-        r, c = tgt.offsets[t], src.offsets[t]
-        m[r:r + d.shape[0], c:c + d.shape[1]] = d
-    return m
-
-
 @dataclass(frozen=True)
 class TupleCohomology:
     level: int
@@ -469,15 +461,6 @@ class TupleCohomology:
     def dim(self) -> int:
         return sum(coh.dimension for _, coh in self.blocks)
 
-    @cached_property
-    def offsets(self) -> dict[tuple[str, ...], int]:
-        out: dict[tuple[str, ...], int] = {}
-        pos = 0
-        for t, coh in self.blocks:
-            out[t] = pos
-            pos += coh.dimension
-        return out
-
 
 def tuple_cohomology(diagram: GluedDiagram, level: int, degree: int) -> TupleCohomology:
     blocks = tuple((t, cohomology(diagram.intersection_nerve(t), degree, diagram.field))
@@ -486,23 +469,21 @@ def tuple_cohomology(diagram: GluedDiagram, level: int, degree: int) -> TupleCoh
 
 
 def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    """The difference map between levels, descended to cohomology."""
+    """The difference map between levels, descended to cohomology.
+
+    The difference map takes the block-diagonal source representatives in
+    one product; each target block's classes then take one solve.  Solving
+    with free variables at 0 is linear, so this equals descending each
+    signed restriction on its own and summing.
+    """
     field = diagram.field
     src = tuple_cohomology(diagram, level, degree)
-    tgt = tuple_cohomology(diagram, level + 1, degree)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    src_by_t = dict(src.blocks)
-    for t_prime, coh_tgt in tgt.blocks:
-        row = tgt.offsets[t_prime]
-        for a in range(len(t_prime)):
-            t = t_prime[:a] + t_prime[a + 1:]
-            coh_src = src_by_t[t]
-            chain = restriction_map(coh_src.space.complex, coh_tgt.space.complex, degree, field)
-            block = induced_on_cohomology(chain, coh_src, coh_tgt).entries
-            sign = (-1) ** (a + 1)
-            col = src.offsets[t]
-            m[row:row + coh_tgt.dimension, col:col + coh_src.dimension] += sign * block
-    return FMatrix(m, field)
+    reps = block_diagonal([coh.representatives.entries for _, coh in src.blocks], field)
+    image = (delta_tilde(diagram, level, degree).matrix @ reps).entries
+    offsets = tuple_space(diagram, level + 1, degree).offsets
+    rows = [class_coordinates(coh, image[offsets[t]:offsets[t] + coh.space.dim])
+            for t, coh in tuple_cohomology(diagram, level + 1, degree).blocks]
+    return FMatrix(np.vstack(rows) if rows else np.zeros((0, src.dim), dtype=np.int64), field)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
+from .bundles import ResourceLimit
 from .cochains import ChainMapLevel, cech_differential, cohomology, induced_on_cohomology, pullback_map
 from .complexes import SimplicialComplex
 from .diagrams import GluedDiagram
-from .fplinalg import FMatrix
+from .fplinalg import FMatrix, block_diagonal
 from .mv import connecting_homomorphism, delta_tilde, phi_star, tuple_space
 
 
@@ -90,17 +89,15 @@ def refine_pullback(r: RefinementMap, degree: int) -> dict[tuple[str, ...] | str
 
 
 def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
-    """Blockwise pullback between the level-p tuple spaces of the two diagrams."""
-    field = r.fine.field
-    src = tuple_space(r.coarse, level, degree)
-    tgt = tuple_space(r.fine, level, degree)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for t, tgt_block in tgt.blocks:
-        block = pullback_map(r.labels, tgt_block.complex, src.block(t).complex,
-                             degree, field).matrix.entries
-        row, col = tgt.offsets[t], src.offsets[t]
-        m[row:row + block.shape[0], col:col + block.shape[1]] = block
-    return FMatrix(m, field)
+    """Blockwise pullback between the level-p tuple spaces of the two diagrams.
+
+    A fine N_T is nonempty only where the coarse one is, since labels map
+    piece by piece; where it is empty, its block has no rows.
+    """
+    return block_diagonal([
+        pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree,
+                     r.fine.field).matrix.entries
+        for t, space in tuple_space(r.coarse, level, degree).blocks], r.fine.field)
 
 
 @dataclass(frozen=True)
@@ -212,14 +209,18 @@ def contiguous(r1: RefinementMap, r2: RefinementMap) -> bool:
     return True
 
 
+# enumerate_valid_label_maps refuses to validate more candidate maps than this.
+LABEL_MAP_CAP = 10 ** 6
+
+
 def enumerate_valid_label_maps(fine: GluedDiagram, coarse: GluedDiagram) -> Iterator[dict[str, str]]:
-    """All label maps passing validation; desk scale only."""
+    """All label maps passing validation; refuses when called, before any candidate is tried."""
     fine_labels = fine.nerve.vertices
     coarse_labels = coarse.nerve.vertices
-    if len(coarse_labels) ** len(fine_labels) > 10 ** 6:
-        raise ValueError("too many candidate maps to enumerate")
-    for image in itertools.product(coarse_labels, repeat=len(fine_labels)):
-        labels = dict(zip(fine_labels, image))
-        candidate = RefinementMap(fine, coarse, labels)
-        if validate_refinement(candidate).valid:
-            yield labels
+    if len(coarse_labels) ** len(fine_labels) > LABEL_MAP_CAP:
+        raise ResourceLimit(f"label map enumeration is capped at {LABEL_MAP_CAP} candidates; "
+                            f"{len(fine_labels)} fine and {len(coarse_labels)} coarse labels "
+                            f"give {len(coarse_labels)}^{len(fine_labels)}")
+    maps = (dict(zip(fine_labels, image))
+            for image in itertools.product(coarse_labels, repeat=len(fine_labels)))
+    return (labels for labels in maps if validate_refinement(RefinementMap(fine, coarse, labels)).valid)

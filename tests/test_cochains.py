@@ -293,6 +293,44 @@ def test_cohomology_runs_two_eliminations(count_eliminations):
         assert len(calls) == 2, (q, calls)
 
 
+def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_eliminations, three_circles):
+    nerve = three_circles.nerve
+    coh = cohomology(nerve, 1, F2)
+    piece = cohomology(three_circles.nerves[three_circles.piece_ids[0]], 1, F2)
+    assert coh.dimension >= 2
+    calls = count_eliminations()
+    assert induced_on_cohomology(restriction_map(nerve, nerve, 1, F2), coh, coh).equals(
+        FMatrix.identity(coh.dimension, F2))
+    assert len(calls) == 1
+    calls.clear()
+    induced = induced_on_cohomology(restriction_map(nerve, piece.space.complex, 1, F2), coh, piece)
+    assert len(calls) == 1
+    # the batched solve equals one class_coordinates solve per class
+    image = restriction_map(nerve, piece.space.complex, 1, F2).matrix @ coh.representatives
+    for j in range(coh.dimension):
+        assert np.array_equal(induced.column(j), class_coordinates(piece, image.column(j)))
+
+
+def test_coboundary_is_built_once_per_complex_degree_and_field(monkeypatch):
+    built = []
+    real = cochains._coboundary
+
+    def counting(k, q, field):
+        built.append((q, field.p))
+        return real(k, q, field)
+
+    monkeypatch.setattr(cochains, "_coboundary", counting)
+    k = theta()
+    for q in (0, 1, 2):
+        cohomology(k, q, F2)
+    d1 = cech_differential(k, 1, F2)
+    assert sorted(built) == [(0, 2), (1, 2), (2, 2)]
+    assert cech_differential(k, 1, F2).matrix is d1.matrix
+    assert d1.source == CochainSpace(k, 1, F2) and d1.target == CochainSpace(k, 2, F2)
+    cech_differential(k, 1, PrimeField(3))
+    assert built[-1] == (1, 3)
+
+
 def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
     calls = []
     real = cochains._cohomology_basis

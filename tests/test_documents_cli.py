@@ -100,6 +100,13 @@ def test_malformed_json_reports_position(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_document_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(canonical_json(gallery_document("two_origin_line")).replace("p1", "p\u00e9").encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_diagram(path)
+
+
 def test_gallery_emission_round_trip_stable(tmp_path, capsys):
     for name in ("two_origin_line", "bug_eyed_circle", "three_circles"):
         assert main(["gallery", name]) == 0
@@ -182,6 +189,21 @@ def test_cli_invalid_system_is_input_error_elsewhere(tmp_path):
 
 def test_cli_missing_file():
     assert main(["cohomology", "/nonexistent/x.json"]) == 2
+
+
+@pytest.mark.parametrize("case", ("document_is_a_directory", "document_not_utf8",
+                                  "report_in_missing_directory", "report_is_a_directory"))
+def test_cli_unreadable_document_or_unwritable_report_is_an_input_error(tmp_path, capsys, case):
+    doc = write_doc(tmp_path, gallery_document("two_origin_line"))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(doc.read_text(encoding="utf-8").replace("p1", "p\u00e9").encode("latin-1"))
+    argv = {"document_is_a_directory": ["cohomology", str(tmp_path)],
+            "document_not_utf8": ["cohomology", str(latin1)],
+            "report_in_missing_directory": ["--report", str(tmp_path / "missing" / "r.json"), "mv", str(doc)],
+            "report_is_a_directory": ["--report", str(tmp_path), "gallery", "two_origin_line"]}[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_run_command_programmatic(tmp_path, capsys):

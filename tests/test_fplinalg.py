@@ -14,6 +14,7 @@ from cechkit.fplinalg import (
     NotASubspace,
     NotPrime,
     PrimeField,
+    block_diagonal,
     pivot_columns,
     quotient_dim,
     rref,
@@ -114,6 +115,18 @@ def test_solve_cross_checked_by_rank():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         FMatrix.identity(3, F2).solve(np.array([1, 0]))
+
+
+def test_block_diagonal_places_blocks_in_order_including_empty_ones():
+    blocks = [np.array([[1, 2]]), np.zeros((0, 3), dtype=np.int64), np.array([[4], [5]]),
+              np.zeros((2, 0), dtype=np.int64)]
+    m = block_diagonal(blocks, PrimeField(3))
+    assert m.entries.tolist() == [[1, 2, 0, 0, 0, 0],
+                                  [0, 0, 0, 0, 0, 1],
+                                  [0, 0, 0, 0, 0, 2],
+                                  [0, 0, 0, 0, 0, 0],
+                                  [0, 0, 0, 0, 0, 0]]
+    assert block_diagonal([], F2).entries.shape == (0, 0)
 
 
 def test_quotient_dim():
@@ -284,6 +297,21 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
             assert x.dtype == np.int64 and np.array_equal(x, want_x)
     if left_kernel.shape[1]:
         assert m.solve(outside) is None
+
+    # A 2-d right-hand side is one elimination of [A | B]; it must agree with
+    # column-by-column solves, and be None when any one column is inconsistent.
+    batches = [np.zeros((rows, 0), dtype=np.int64),
+               (a @ rng.integers(0, p, size=(cols, 3))) % p,
+               rng.integers(-p, 2 * p, size=(rows, 4))]
+    if left_kernel.shape[1]:
+        batches.append(np.column_stack([consistent, outside, consistent]))
+    for batch in batches:
+        x, want = m.solve(batch), [dense_solve(a, b, p) for b in batch.T]
+        assert (x is None) == any(w is None for w in want)
+        if x is not None:
+            assert x.dtype == np.int64 and x.shape == (cols, batch.shape[1])
+            for j, b in enumerate(batch.T):
+                assert np.array_equal(x[:, j], m.solve(b)) and np.array_equal(x[:, j], want[j])
 
     if rows == cols:
         reduced, pivots = dense_rref(np.column_stack([a, np.eye(rows, dtype=np.int64)]), p)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cechkit import cochains, diagrams
+from cechkit import cochains, diagrams, mv
 from cechkit.cli import run_command
 from cechkit.cochains import cohomology, restriction_map
 from cechkit.complexes import build_complex, intersect
@@ -25,11 +25,13 @@ from cechkit.mv import (
     connecting_homomorphism,
     count_line_bundles,
     delta_tilde,
+    descended_delta_tilde,
     fibred_product,
     h1_fibred_check,
     inductive_fibred_dim,
     phi_star,
     total_cohomology,
+    tuple_cohomology,
     tuple_space,
     verify_exact_sequence,
 )
@@ -357,3 +359,57 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
     assert len(count_report["h1_dims"]) == 2 ** 8 - 1
     assert eliminated and set(eliminated.values()) == {1}
     assert cut and all(k.simplices for k in cut)
+
+
+@pytest.mark.parametrize("name, kwargs", (
+    ("two_origin_line", {}), ("branching_line_n", {"n": 3}), ("bug_eyed_circle", {}), ("three_circles", {})))
+def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwargs, tmp_path, monkeypatch):
+    built = Counter()
+    alive = []  # keep every complex and diagram referenced, so no id is reused
+    real_coboundary, real_delta_tilde = cochains._coboundary, mv._delta_tilde
+
+    def coboundary(k, q, field):
+        built[("d", id(k), q, field.p)] += 1
+        alive.append(k)
+        return real_coboundary(k, q, field)
+
+    def difference(diagram, level, q):
+        built[("delta_tilde", id(diagram), level, q)] += 1
+        alive.append(diagram)
+        return real_delta_tilde(diagram, level, q)
+
+    monkeypatch.setattr(cochains, "_coboundary", coboundary)
+    monkeypatch.setattr(mv, "_delta_tilde", difference)
+    doc = gallery_document(name, **kwargs)
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    commands = ["cohomology", "mv", "fibred", "count", "collapse-check"]
+    commands += ["refine-check"] if "refinement" in doc else []
+    for command in commands:
+        built.clear()
+        _, code = run_command(command, {"path": path})
+        assert code in (0, 1)
+        assert built and set(built.values()) == {1}, (command, built)
+        if command in ("mv", "refine-check"):
+            assert any(key[0] == "delta_tilde" for key in built)
+
+
+def test_descended_maps_take_one_solve_per_target_block(count_eliminations, three_circles, two_origin):
+    calls = count_eliminations()
+    solves = 0
+    for level in (1, 2):
+        for q in (0, 1):
+            # bases and difference maps first, so only the descent's solves are counted
+            delta_tilde(three_circles, level, q)
+            src = tuple_cohomology(three_circles, level, q)
+            blocks = tuple_cohomology(three_circles, level + 1, q).blocks
+            calls.clear()
+            descended_delta_tilde(three_circles, level, q)
+            assert len(calls) == (len(blocks) if src.dim else 0)
+            solves += len(calls)
+    assert solves
+    cohomology(two_origin.nerve, 1, two_origin.field)
+    cohomology(two_origin.intersection_nerve(two_origin.piece_ids), 0, two_origin.field)
+    calls.clear()
+    delta = connecting_homomorphism(two_origin, 0).matrix
+    assert delta.cols >= 2 and len(calls) == 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cechkit import refinements
+from cechkit.bundles import ResourceLimit
 from cechkit.cochains import cech_differential, cohomology, induced_on_cohomology, pullback_map
-from cechkit.diagrams import canonicalize
+from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
 from cechkit.fplinalg import FMatrix
 from cechkit.gallery import gallery_document
@@ -134,3 +136,13 @@ def test_noncontiguous_valid_map_exists_and_differs(two_origin_refinement):
     assert validate_refinement(constant).valid
     assert not contiguous(r, constant)
     assert induced_cohomology_map(constant, 1).rank() == 0
+
+
+def test_label_map_enumeration_refuses_before_trying_a_candidate(necklace, monkeypatch):
+    # 12 fine and 12 coarse labels: 12^12 candidate maps, far past the cap
+    d = glued_from_nerves(necklace(4, True))
+    tried = []
+    monkeypatch.setattr(refinements, "validate_refinement", tried.append)
+    with pytest.raises(ResourceLimit, match=r"capped at 1000000 candidates; .* give 12\^12"):
+        enumerate_valid_label_maps(d, d)
+    assert tried == []
