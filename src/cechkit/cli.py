@@ -33,7 +33,7 @@ from .bundles import (
     parallel_sections,
     restrict_bundle,
 )
-from .cochains import cohomology
+from .cochains import class_coordinates, cohomology
 from .complexes import components
 from .diagrams import InvalidSystem, canonicalize, collapse, validate_system
 from .documents import (
@@ -269,12 +269,15 @@ def _cmd_bundles(args) -> tuple[dict, int]:
     diagram = canonicalize(parsed.system)
     report = _base_report("bundles", digest, diagram.field.p)
     reps = enumerate_line_bundles(diagram)
-    h1_dim = cohomology(diagram.nerve, 1, diagram.field).dimension
+    h1 = cohomology(diagram.nerve, 1, diagram.field)
+    h1_dim = h1.dimension
+    # [B | R] has independent columns, so each class's coordinates are unique
+    # and one batched solve gives what one solve per class would.
+    all_coords = class_coordinates(h1, np.column_stack([g.edge_vector() for g in reps]))
     classes = []
     round_trips_ok = True
     glue_ok = True
-    for g in reps:
-        coords = cocycle_class(g)
+    for g, coords in zip(reps, all_coords.T):
         sections = parallel_sections(g)
         data = restrict_bundle(g, diagram)
         back = colimit_bundle(diagram, data)

@@ -177,7 +177,20 @@ def induced_on_cohomology(chain_map: ChainMapLevel, src: CohomologyBasis, tgt: C
 
 
 def restriction_map(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Pullback along the inclusion of a subcomplex: C^q(k) -> C^q(l)."""
+    """Pullback along the inclusion of a subcomplex: C^q(k) -> C^q(l).
+
+    The matrix is built once per source complex, target value, degree and
+    field, and kept on k under the target's simplices, so every complex
+    equal to l shares it.  The key holds a frozenset, not l itself.
+    """
+    key = ("r", l.simplices, q, field.p)
+    if key not in k.cochain_matrices:
+        k.cochain_matrices[key] = _restriction(k, l, q, field)
+    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(l, q, field), k.cochain_matrices[key])
+
+
+def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
+    """The 0/1 matrix picking each q-simplex of l out of the q-simplices of k."""
     if not l.is_subcomplex_of(k):
         raise NotSubcomplex("second complex is not a subcomplex of the first")
     src = CochainSpace(k, q, field)
@@ -185,7 +198,7 @@ def restriction_map(k: SimplicialComplex, l: SimplicialComplex, q: int, field: P
     m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
     for row, s in enumerate(tgt.basis):
         m[row, src.index[s]] = 1
-    return ChainMapLevel(src, tgt, FMatrix(m, field))
+    return FMatrix(m, field)
 
 
 def restrict_cochain(f: Cochain, l: SimplicialComplex) -> Cochain:

@@ -9,8 +9,12 @@ legal everywhere and models an empty intersection.
 Complexes are immutable, so results that depend on one complex alone
 are memoised on the instance and live exactly as long as it does: its
 vertices, its simplices of each dimension, and in `cochain_matrices` the
-read-only matrices of `cochains`, namely each coboundary d^q and each
-cohomology basis per degree and field.
+read-only matrices of `cochains`: each coboundary d^q and each cohomology
+basis per degree and field, and each restriction matrix onto a subcomplex
+keyed by the subcomplex's simplices.  The memo belongs to the object, so
+two equal complexes share it only when they are one object: a glued
+diagram interns its nerves by value for exactly that reason.  Its scope is
+that diagram; nothing is cached per process.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class SimplicialComplex:
 
     @cached_property
     def cochain_matrices(self) -> dict:
-        """`cochains` matrices on this complex: FMatrix values only, so none points back here."""
+        """`cochains` matrices on this complex: FMatrix values and frozenset keys only, so none points back here."""
         return {}
 
     def __contains__(self, simplex: Simplex) -> bool:

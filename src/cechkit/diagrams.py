@@ -241,7 +241,15 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
 
 @dataclass(frozen=True)
 class GluedDiagram:
-    """Per-piece nerves on canonical global labels, plus the union nerve."""
+    """Per-piece nerves on canonical global labels, plus the union nerve.
+
+    A diagram holds one object per distinct complex: the piece nerves, the
+    union nerve and every intersection are interned by value when they are
+    made, so equal nerves share one `cochain_matrices` memo and each value
+    is eliminated once.  The intern table and the memos live exactly as
+    long as the diagram; nothing is shared between diagrams or kept per
+    process.
+    """
 
     field: PrimeField
     piece_ids: tuple[str, ...]
@@ -249,9 +257,21 @@ class GluedDiagram:
     nerve: SimplicialComplex
     label_classes: dict[tuple[str, str], str] | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nerves", {i: self._intern(k) for i, k in self.nerves.items()})
+        object.__setattr__(self, "nerve", self._intern(self.nerve))
+
     @property
     def n_pieces(self) -> int:
         return len(self.piece_ids)
+
+    @cached_property
+    def _complexes(self) -> dict[SimplicialComplex, SimplicialComplex]:
+        return {}
+
+    def _intern(self, k: SimplicialComplex) -> SimplicialComplex:
+        """The diagram's one object equal to k."""
+        return self._complexes.setdefault(k, k)
 
     @cached_property
     def _intersections(self) -> dict[tuple[str, ...], SimplicialComplex]:
@@ -263,7 +283,8 @@ class GluedDiagram:
 
     @cached_property
     def tuple_cochains(self) -> dict:
-        """`mv` tuple spaces and difference maps, keyed by (kind, level, q); none points back here."""
+        """`mv` tuple spaces, phi_star (level 0, the union) and difference maps, keyed by
+        (kind, level, q); none points back here."""
         return {}
 
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:
@@ -276,14 +297,14 @@ class GluedDiagram:
         return self._intersection(ids)
 
     def _intersection(self, ids: tuple[str, ...]) -> SimplicialComplex:
-        """N_ids as the memoised N_prefix cut by one more nerve; empty stays empty."""
+        """N_ids as the memoised N_prefix cut by one more nerve, interned; empty stays empty."""
         memo = self._intersections
         if ids not in memo:
             if len(ids) == 1:
                 memo[ids] = self.nerves[ids[0]]
             else:
                 prefix = self._intersection(ids[:-1])
-                memo[ids] = intersect(prefix, self.nerves[ids[-1]]) if prefix.simplices else prefix
+                memo[ids] = self._intern(intersect(prefix, self.nerves[ids[-1]])) if prefix.simplices else prefix
         return memo[ids]
 
     def index_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:

@@ -84,7 +84,14 @@ def tuple_space(diagram: GluedDiagram, level: int, degree: int) -> TupleCochainS
 
 
 def phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
-    """Concatenated restrictions C^q(union) -> (+)_i C^q(N_i); always injective."""
+    """Concatenated restrictions C^q(union) -> (+)_i C^q(N_i), built once per diagram; always injective."""
+    key = ("phi_star", 0, degree)
+    if key not in diagram.tuple_cochains:
+        diagram.tuple_cochains[key] = _phi_star(diagram, degree)
+    return diagram.tuple_cochains[key]
+
+
+def _phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
     field = diagram.field
     src = CochainSpace(diagram.nerve, degree, field)
     tgt = tuple_space(diagram, 1, degree)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cechkit import bundles
+from cechkit import bundles, cli
 from cechkit.bundles import (
     ENUMERATION_CAP,
     ConstantCocycle,
@@ -34,7 +34,7 @@ from cechkit.bundles import (
 from cechkit.cli import main
 from cechkit.cochains import cohomology
 from cechkit.complexes import build_complex, components, full_subcomplex
-from cechkit.diagrams import glued_from_nerves
+from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import canonical_json, materialise_bundle, parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
 from cechkit.gallery import gallery_document
@@ -427,6 +427,28 @@ def test_glue_space_on_seven_disjoint_edges(tmp_path):
     assert main(["--report", str(report), "bundles", str(path)]) == 0
     classes = json.loads(report.read_text(encoding="utf-8"))["classes"]
     assert [(c["parallel_dim"], c["glue_space_dim"]) for c in classes] == [(7, 7)]
+
+
+def test_bundles_command_solves_every_class_in_one_batch(tmp_path, monkeypatch):
+    solved = []
+    real = cli.class_coordinates
+
+    def counting(coh, values):
+        solved.append(np.shape(values))
+        return real(coh, values)
+
+    monkeypatch.setattr(cli, "class_coordinates", counting)
+    monkeypatch.setattr(bundles, "class_coordinates", counting)
+    doc = gallery_document("three_circles")
+    path, report = tmp_path / "circles.json", tmp_path / "report.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    assert main(["--report", str(report), "bundles", str(path)]) == 0
+    classes = json.loads(report.read_text(encoding="utf-8"))["classes"]
+    assert len(classes) == 8 and len(solved) == 1 and solved[0][1] == 8
+    # the batch gives each class the coordinates of its own solve
+    diagram = canonicalize(parse_document(doc).system)
+    assert [c["class"] for c in classes] == [
+        [int(x) for x in cocycle_class(g)] for g in enumerate_line_bundles(diagram)]
 
 
 def test_rank1_gauge_questions_make_no_elimination(count_eliminations, three_circles, two_origin):

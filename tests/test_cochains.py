@@ -26,6 +26,7 @@ from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
 from cechkit.gallery import random_admissible
+from cechkit.mv import delta_tilde, phi_star
 
 
 def cycle4():
@@ -135,6 +136,32 @@ def test_restrict_to_piece_path():
 def test_restrict_requires_subcomplex():
     with pytest.raises(NotSubcomplex):
         restrict_cochain(CochainSpace(cycle4(), 1, F2).zero(), build_complex([["x", "y"]]))
+
+
+def test_restriction_is_memoised_by_target_value_and_still_checks_each_new_pair(monkeypatch):
+    built = []
+    real = cochains._restriction
+
+    def counting(k, l, q, field):
+        built.append((q, field.p))
+        return real(k, l, q, field)
+
+    monkeypatch.setattr(cochains, "_restriction", counting)
+    k, path = cycle4(), build_complex([["l", "o1"], ["o1", "r"]])
+    first = restriction_map(k, path, 1, F2)
+    restriction_map(k, path, 0, F2)
+    restriction_map(path, path, 1, F2)
+    # an equal target object hits the memo kept on k
+    again = restriction_map(k, build_complex([["l", "o1"], ["o1", "r"]]), 1, F2)
+    assert again.matrix is first.matrix and built == [(1, 2), (0, 2), (1, 2)]
+    # every other pair of the same complexes is a miss, and checked
+    with pytest.raises(NotSubcomplex):
+        restriction_map(path, k, 1, F2)
+    with pytest.raises(NotSubcomplex):
+        restriction_map(path, k, 0, F2)
+    with pytest.raises(NotSubcomplex):
+        restriction_map(k, build_complex([["l", "r"]]), 1, F2)
+    assert restriction_map(k, path, 1, PrimeField(3)).matrix is not first.matrix
 
 
 def test_extend_by_zero_round_trip():
@@ -355,14 +382,29 @@ def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
 
 
 def test_cached_bases_do_not_keep_their_complex_alive():
-    # The memo must hold no reference back to its complex: a cycle would keep
-    # every complex of a finished command until the cycle collector runs.
-    k = theta()
+    # The memos must hold no reference back to their complex or diagram: a
+    # cycle would keep every complex of a finished command until the cycle
+    # collector runs.
+    k, path = cycle4(), build_complex([["l", "o1"], ["o1", "r"]])
     cohomology(k, 1, F2)
-    alive = weakref.ref(k)
+    restriction_map(k, path, 1, F2)
+    diagram = canonicalize(parse_document(random_admissible(3, n_pieces=4)).system)
+    for q in (0, 1):
+        phi_star(diagram, q)
+        delta_tilde(diagram, 1, q)
+        for t in diagram.nonempty_subsets(2):
+            cohomology(diagram.intersection_nerve(t), q, diagram.field)
+    # the pieces share one core, so the intern table maps many index sets to one object
+    assert len({id(diagram.intersection_nerve(t)) for t in diagram.nonempty_subsets(2)}) == 1
+    held = [k, path, diagram, diagram.nerve, *diagram.nerves.values(),
+            *(diagram.intersection_nerve(t) for t in diagram.nonempty_subsets(2))]
+    alive = [weakref.ref(x) for x in held]
     gc.disable()
     try:
-        del k
-        assert alive() is None
+        del held[1], path
+        # k's restriction memo is keyed by the target's simplices, not the target
+        assert alive[1]() is None and alive[0]() is k
+        del k, diagram, held
+        assert [ref() for ref in alive] == [None] * len(alive)
     finally:
         gc.enable()

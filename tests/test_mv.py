@@ -362,24 +362,39 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
 
 
 @pytest.mark.parametrize("name, kwargs", (
-    ("two_origin_line", {}), ("branching_line_n", {"n": 3}), ("bug_eyed_circle", {}), ("three_circles", {})))
+    ("two_origin_line", {}), ("branching_line_n", {"n": 3}), ("bug_eyed_circle", {}), ("three_circles", {}),
+    # six pieces on one shared core: every intersection is the core, by value
+    ("random_admissible", {"seed": 3, "n": 6})))
 def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwargs, tmp_path, monkeypatch):
     built = Counter()
     alive = []  # keep every complex and diagram referenced, so no id is reused
-    real_coboundary, real_delta_tilde = cochains._coboundary, mv._delta_tilde
+    scope = {"by_object": False}
 
-    def coboundary(k, q, field):
-        built[("d", id(k), q, field.p)] += 1
-        alive.append(k)
-        return real_coboundary(k, q, field)
+    def obj(x):
+        alive.append(x)
+        return id(x)
 
-    def difference(diagram, level, q):
-        built[("delta_tilde", id(diagram), level, q)] += 1
-        alive.append(diagram)
-        return real_delta_tilde(diagram, level, q)
+    def value(k):
+        # collapse-check makes a new diagram per step, and a diagram is the
+        # scope its nerves are interned in, so there each object counts
+        return obj(k) if scope["by_object"] else k.simplices
 
-    monkeypatch.setattr(cochains, "_coboundary", coboundary)
-    monkeypatch.setattr(mv, "_delta_tilde", difference)
+    def counting(kind, real, key):
+        def wrapper(*args):
+            built[(kind, *key(*args))] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(cochains, "_coboundary", counting(
+        "d", cochains._coboundary, lambda k, q, field: (value(k), q, field.p)))
+    monkeypatch.setattr(cochains, "_cohomology_basis", counting(
+        "H", cochains._cohomology_basis, lambda k, q, field: (value(k), q, field.p)))
+    monkeypatch.setattr(cochains, "_restriction", counting(
+        "r", cochains._restriction, lambda k, l, q, field: (value(k), l.simplices, q, field.p)))
+    monkeypatch.setattr(mv, "_phi_star", counting(
+        "phi_star", mv._phi_star, lambda d, q: (value(d.nerve), q, d.field.p)))
+    monkeypatch.setattr(mv, "_delta_tilde", counting(
+        "delta_tilde", mv._delta_tilde, lambda d, level, q: (obj(d), level, q)))
     doc = gallery_document(name, **kwargs)
     path = tmp_path / "doc.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
@@ -387,11 +402,14 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
     commands += ["refine-check"] if "refinement" in doc else []
     for command in commands:
         built.clear()
+        scope["by_object"] = command == "collapse-check"
         _, code = run_command(command, {"path": path})
         assert code in (0, 1)
-        assert built and set(built.values()) == {1}, (command, built)
+        assert built and set(built.values()) == {1}, (command, [k for k, v in built.items() if v > 1])
         if command in ("mv", "refine-check"):
             assert any(key[0] == "delta_tilde" for key in built)
+        if command in ("mv", "fibred"):
+            assert any(key[0] == "phi_star" for key in built)
 
 
 def test_descended_maps_take_one_solve_per_target_block(count_eliminations, three_circles, two_origin):
