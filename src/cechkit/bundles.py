@@ -38,12 +38,16 @@ import numpy as np
 from .cochains import class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram
+from .errors import InputError, ResourceLimit
 from .fplinalg import FMatrix, PrimeField
 
 Edge = tuple[str, str]
 
 # Exhaustive enumerations refuse to visit more candidates than this.
 ENUMERATION_CAP = 4096
+# Documents may not ask for a higher bundle rank: a rank-k block builds
+# (edges * k) x (vertices * k) section systems, refused before any allocation.
+MAX_RANK = 16
 # The rank >= 2 gauge search refuses more vertex gauges than this.
 GAUGE_CAP = 10 ** 6
 
@@ -52,15 +56,11 @@ class NonAbelianRank(ValueError):
     pass
 
 
-class WrongField(ValueError):
+class WrongField(InputError):
     pass
 
 
-class ResourceLimit(ValueError):
-    """An enumeration would exceed its cap; the cap is in the message."""
-
-
-class IncompatibleData(ValueError):
+class IncompatibleData(InputError):
     pass
 
 

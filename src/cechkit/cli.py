@@ -5,8 +5,10 @@ collapse-check, refine-check, gallery.  Global flags: --field P renders
 the run over another prime (overriding the document), --report PATH
 writes the structured report as canonical JSON.  Exit codes: 0 when every
 verdict in the report holds, 1 on a verdict failure, 2 on input errors.
-Structured reports are deterministic; wall time only appears in the
-human-readable output.
+An input error is an `errors.InputError` (or an OSError reading the
+document or writing the report) and prints one `input error: <message>`
+on stderr; anything else that escapes is a bug.  Structured reports are
+deterministic; wall time only appears in the human-readable output.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from typing import Any
 import numpy as np
 
 from .bundles import (
-    IncompatibleData,
-    ResourceLimit,
-    WrongField,
     cocycle_class,
     cocycles_equivalent,
     colimit_bundle,
@@ -35,9 +34,8 @@ from .bundles import (
 )
 from .cochains import class_coordinates, cohomology
 from .complexes import components
-from .diagrams import InvalidSystem, canonicalize, collapse, validate_system
+from .diagrams import canonicalize, collapse, validate_system
 from .documents import (
-    ParseError,
     ParsedDocument,
     canonical_json,
     decode_document,
@@ -45,8 +43,9 @@ from .documents import (
     materialise_refinement,
     parse_document,
 )
-from .fplinalg import FMatrix, ModulusTooLarge, NotPrime, PrimeField
-from .gallery import GALLERY_NAMES, BadGalleryParameter, UnknownGallery, gallery_document
+from .errors import InputError
+from .fplinalg import FMatrix, PrimeField
+from .gallery import GALLERY_NAMES, gallery_document
 from .mv import (
     assemble_les,
     count_line_bundles,
@@ -391,8 +390,6 @@ def _cmd_collapse_check(args) -> tuple[dict, int]:
 def _cmd_refine_check(args) -> tuple[dict, int]:
     parsed, digest = _load(args)
     diagram = canonicalize(parsed.system)
-    if parsed.refinement is None:
-        raise ParseError("document has no refinement block", "$.refinement")
     refinement = materialise_refinement(diagram, parsed.refinement, diagram.field)
     report = _base_report("refine-check", digest, diagram.field.p)
     verdict = validate_refinement(refinement)
@@ -471,18 +468,8 @@ def main(argv: list[str] | None = None) -> int:
             _println(f"elapsed: {time.perf_counter() - started:.3f}s")
         if args.report is not None and report is not None:
             args.report.write_text(canonical_json(report), encoding="utf-8")
-    except UnknownGallery as exc:
-        sys.stderr.write(f"input error: unknown gallery name {exc.args[0]!r}; "
-                         f"try: {', '.join(GALLERY_NAMES)}\n")
-        return 2
-    except InvalidSystem as exc:
-        sys.stderr.write("input error: invalid adjunction system\n")
-        for v in exc.report.violations:
-            sys.stderr.write(f"  [{v.condition}] {v.message}  witness={list(v.witness)}\n")
-        return 2
     # OSError: the document cannot be read or the report cannot be written.
-    except (ParseError, NotPrime, ModulusTooLarge, BadGalleryParameter, IncompatibleData,
-            ResourceLimit, WrongField, OSError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     return code

@@ -37,12 +37,20 @@ from .complexes import (
     relabel,
     union_complexes,
 )
+from .errors import InputError, ResourceLimit
 from .fplinalg import F2, PrimeField
 
+# Report rows list every index set, 2^n - 1 of them for n pieces; more than
+# this many are refused before the first row (16 pieces give 65,535).
+REPORT_ROW_CAP = 2 ** 16
 
-class InvalidSystem(ValueError):
+
+class InvalidSystem(InputError):
+    """The gluing data fails validation; the message lists every violation, one per line."""
+
     def __init__(self, report: "ValidationReport"):
-        super().__init__("; ".join(v.message for v in report.violations) or "invalid system")
+        super().__init__("\n".join(["invalid adjunction system"] + [
+            f"  [{v.condition}] {v.message}  witness={list(v.witness)}" for v in report.violations]))
         self.report = report
 
 
@@ -311,8 +319,12 @@ class GluedDiagram:
         """Every index set of the given size, in `itertools.combinations` order.
 
         For report rows, which list each index set whether or not its
-        intersection is empty.
+        intersection is empty.  There are 2^n - 1 of them over all sizes,
+        so past REPORT_ROW_CAP they are refused before any is listed.
         """
+        if 2 ** self.n_pieces - 1 > REPORT_ROW_CAP:
+            raise ResourceLimit(f"report rows are capped at {REPORT_ROW_CAP} index sets; "
+                                f"{self.n_pieces} pieces give 2^{self.n_pieces} - 1 = {2 ** self.n_pieces - 1}")
         return tuple(itertools.combinations(self.piece_ids, size))
 
     def nonempty_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:

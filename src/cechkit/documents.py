@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .bundles import ConstantCocycle, PieceBundleData, _normalise_value
+from .bundles import MAX_RANK, ConstantCocycle, PieceBundleData, _normalise_value
 from .complexes import MalformedSimplex, build_complex
 from .diagrams import (
     AdjunctionSystem,
@@ -37,11 +37,12 @@ from .diagrams import (
     LocalPiece,
     canonicalize,
 )
+from .errors import InputError
 from .fplinalg import ModulusTooLarge, NotPrime, PrimeField
 from .refinements import RefinementMap
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
@@ -50,6 +51,25 @@ class ParseError(ValueError):
 class NonPrimeModulus(ParseError):
     def __init__(self, value: Any):
         super().__init__(f"field modulus {value!r} is not prime", "$.field")
+
+
+def _labels(value: Any, message: str, path: str, n: int | None = None) -> list[str]:
+    """value itself if it is a JSON list of JSON strings (of length n), else ParseError(message, path).
+
+    Labels are never coerced: 5 is not "5", and a string is not a list
+    of its characters.
+    """
+    if (not isinstance(value, list) or (n is not None and len(value) != n)
+            or not all(isinstance(v, str) for v in value)):
+        raise ParseError(message, path)
+    return value
+
+
+def _label_pairs(value: Any, message: str, path: str) -> list[tuple[str, str]]:
+    """A JSON list of [label, label] entries, each checked by _labels."""
+    if not isinstance(value, list):
+        raise ParseError(message, path)
+    return [tuple(_labels(pair, message, path, 2)) for pair in value]
 
 
 @dataclass(frozen=True)
@@ -108,8 +128,10 @@ def _parse_system(doc: dict, field: PrimeField) -> AdjunctionSystem:
         seen.add(pid)
         if not isinstance(entry["simplices"], list):
             raise ParseError("simplices must be a list", path)
+        simplices = [_labels(s, "simplex must be a list of string labels", f"{path}.simplices[{m}]")
+                     for m, s in enumerate(entry["simplices"])]
         try:
-            nerve = build_complex([[str(v) for v in s] for s in entry["simplices"]])
+            nerve = build_complex(simplices)
         except MalformedSimplex as exc:
             raise ParseError(f"bad simplex: {exc}", path) from None
         pieces.append(LocalPiece(pid, nerve))
@@ -124,12 +146,12 @@ def _parse_system(doc: dict, field: PrimeField) -> AdjunctionSystem:
         i, j = entry["i"], entry["j"]
         if i == j:
             raise ParseError("gluing must relate two distinct pieces", path)
-        if i not in seen or j not in seen:
-            raise ParseError(f"gluing references unknown pieces {i!r}, {j!r}", path)
-        try:
-            pairs = tuple(sorted((str(x), str(y)) for x, y in entry["pairs"]))
-        except (TypeError, ValueError):
-            raise ParseError("pairs must be a list of [label, label] entries", path) from None
+        # A piece id is a string, so an end that is not one names no piece.
+        unknown = f"gluing references unknown pieces {i!r}, {j!r}"
+        if not set(_labels([i, j], unknown, path)) <= seen:
+            raise ParseError(unknown, path)
+        pairs = tuple(sorted(_label_pairs(entry["pairs"], "pairs must be a list of [label, label] entries",
+                                          path)))
         gluings.append(GluingBijection(i, j, pairs))
         gluings.append(GluingBijection(j, i, tuple(sorted((y, x) for x, y in pairs))))
     return AdjunctionSystem(tuple(pieces), tuple(gluings), field)
@@ -143,6 +165,9 @@ def decode_document(data: bytes) -> Any:
         raise ParseError(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    # An integer literal past the interpreter's digit limit, or lists nested past its recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def load_document(path: str | Path) -> dict:
@@ -179,8 +204,10 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
         raise ParseError(f"unknown bundle keys {sorted(set(raw) - {'rank', 'pieces', 'identifications'})}",
                          "$.bundle")
     rank = raw.get("rank", 1)
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ParseError("bundle rank must be a positive integer", "$.bundle.rank")
+    if rank > MAX_RANK:
+        raise ParseError(f"bundle rank {rank} exceeds {MAX_RANK}", "$.bundle.rank")
     cocycles: dict[str, ConstantCocycle] = {}
     given = {}
     for entry in _entries(raw, "pieces", "$.bundle.pieces"):
@@ -197,11 +224,10 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
         for item in _entries(given.get(pid, {}), "edges", path):
             if not isinstance(item, list) or len(item) != 3:
                 raise ParseError("edge entries are [a, b, value]", path)
-            a, b, value = str(item[0]), str(item[1]), item[2]
-            key = tuple(sorted((a, b)))
+            key = tuple(sorted(_labels(item[:2], "edge entries are [a, b, value]", path)))
             if key not in nerve.simplices:
                 raise ParseError(f"{key} is not an edge of piece {pid!r}", path)
-            values[key] = value
+            values[key] = item[2]
         try:
             cocycles[pid] = ConstantCocycle.build(nerve, rank, diagram.field, values)
         except _BAD_VALUE as exc:
@@ -221,7 +247,7 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
         for item in _entries(entry, "vertices", path):
             if not isinstance(item, list) or len(item) != 2:
                 raise ParseError("vertex entries are [label, value]", path)
-            label = str(item[0])
+            label, = _labels(item[:1], "vertex entries are [label, value]", path)
             if label not in overlap:
                 raise ParseError(f"label {label!r} is not in the overlap of {key}", path)
             try:
@@ -234,8 +260,10 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
     return PieceBundleData(diagram, rank, cocycles, identifications)
 
 
-def materialise_refinement(coarse: GluedDiagram, raw: dict, field: PrimeField) -> RefinementMap:
-    """Build the refinement map from the optional document block."""
+def materialise_refinement(coarse: GluedDiagram, raw: dict | None, field: PrimeField) -> RefinementMap:
+    """Build the refinement map from the optional document block, which must be there."""
+    if raw is None:
+        raise ParseError("document has no refinement block", "$.refinement")
     if set(raw) != {"fine", "map"}:
         raise ParseError("refinement block must have exactly the keys fine, map", "$.refinement")
     if not isinstance(raw["fine"], dict):
@@ -246,9 +274,6 @@ def materialise_refinement(coarse: GluedDiagram, raw: dict, field: PrimeField) -
     fine_doc["field"] = field.p
     fine_system = parse_document(fine_doc).system
     fine = canonicalize(fine_system)
-    try:
-        labels = {str(a): str(b) for a, b in raw["map"]}
-    except (TypeError, ValueError):
-        raise ParseError("map must be a list of [fine, coarse] label pairs",
-                         "$.refinement.map") from None
+    labels = dict(_label_pairs(raw["map"], "map must be a list of [fine, coarse] label pairs",
+                               "$.refinement.map"))
     return RefinementMap(fine, coarse, labels)

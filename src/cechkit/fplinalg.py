@@ -29,12 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InputError
 
-class NotPrime(ValueError):
+
+class NotPrime(InputError):
     pass
 
 
-class ModulusTooLarge(ValueError):
+class ModulusTooLarge(InputError):
     pass
 
 

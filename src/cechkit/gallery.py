@@ -13,17 +13,21 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from .errors import InputError
+
 Document = dict[str, Any]
 
 GALLERY_NAMES = ("two_origin_line", "branching_line_n", "bug_eyed_circle",
                  "three_circles", "random_admissible")
 
 
-class UnknownGallery(KeyError):
-    pass
+class UnknownGallery(InputError):
+    def __init__(self, name: str):
+        super().__init__(f"unknown gallery name {name!r}; try: {', '.join(GALLERY_NAMES)}")
+        self.name = name
 
 
-class BadGalleryParameter(ValueError):
+class BadGalleryParameter(InputError):
     pass
 
 

@@ -251,19 +251,13 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
         bot_block = induced_on_cohomology(restriction_map(n, n2, q, field), coh_n[q], coh_2[q])
         return FMatrix(np.vstack([top_block.entries, bot_block.entries]), field)
 
-    def alpha(q: int) -> FMatrix:
-        a1 = induced_on_cohomology(restriction_map(n1, n12, q, field), coh_1[q], coh_12[q])
-        a2 = induced_on_cohomology(restriction_map(n2, n12, q, field), coh_2[q], coh_12[q])
-        return FMatrix(np.hstack([a1.entries, -a2.entries]), field)
-
     phis = [phi_h(q) for q in range(top + 1)]
-    alphas = [alpha(q) for q in range(top + 1)]
+    alphas = [descended_delta_tilde(diagram, 1, q) for q in range(top + 1)]
     deltas = [connecting_homomorphism(diagram, q).matrix for q in range(top)]
 
     positions: list[LESPosition] = []
     identity_ok: list[bool] = []
     for q in range(q_max + 1):
-        duo_dim = coh_1[q].dimension + coh_2[q].dimension
         rank_delta_prev = deltas[q - 1].rank() if q >= 1 else 0
         positions.append(LESPosition(q, "union", rank_delta_prev,
                                      phis[q].rank_nullity()[1],

@@ -20,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bundles import ResourceLimit
 from .cochains import ChainMapLevel, cech_differential, cohomology, induced_on_cohomology, pullback_map
 from .complexes import SimplicialComplex
 from .diagrams import GluedDiagram
+from .errors import ResourceLimit
 from .fplinalg import FMatrix, block_diagonal
 from .mv import connecting_homomorphism, delta_tilde, phi_star, tuple_space
 

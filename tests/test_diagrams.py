@@ -24,6 +24,7 @@ from cechkit.diagrams import (
     validate_system,
 )
 from cechkit.documents import parse_document
+from cechkit.errors import ResourceLimit
 from cechkit.gallery import gallery_document, random_admissible
 
 
@@ -162,6 +163,16 @@ def test_intersection_errors(three_circles):
         three_circles.intersection_nerve(())
     with pytest.raises(BadIndexSet):
         three_circles.intersection_nerve(("p1", "nope"))
+
+
+def test_index_subsets_are_refused_past_the_report_row_cap(necklace):
+    # 16 pieces give 2^16 - 1 = 65,535 index sets, within the cap; 17 give 131,071.
+    sixteen = glued_from_nerves(necklace(16, False))
+    assert len(sixteen.index_subsets(1)) == 16 and len(sixteen.index_subsets(16)) == 1
+    seventeen = glued_from_nerves(necklace(17, False))
+    with pytest.raises(ResourceLimit, match="capped at 65536 index sets; 17 pieces"):
+        seventeen.index_subsets(1)
+    assert len(seventeen.nonempty_subsets(2)) == 16  # computation needs no report rows
 
 
 def test_collapse_preserves_union(three_circles):

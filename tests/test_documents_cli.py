@@ -136,6 +136,9 @@ def test_gallery_list_and_params(capsys):
 
 def test_gallery_unknown_name(capsys):
     assert main(["gallery", "nope"]) == 2
+    assert capsys.readouterr().err == ("input error: unknown gallery name 'nope'; try: two_origin_line, "
+                                       "branching_line_n, bug_eyed_circle, three_circles, "
+                                       "random_admissible\n")
 
 
 def test_cli_cohomology_two_origin(tmp_path, capsys):
@@ -175,7 +178,7 @@ def test_cli_validate_bad_a3(tmp_path, capsys):
     assert "A3" in out
 
 
-def test_cli_invalid_system_is_input_error_elsewhere(tmp_path):
+def test_cli_invalid_system_is_input_error_elsewhere(tmp_path, capsys):
     doc = {
         "field": 2,
         "pieces": [{"id": "p1", "simplices": [["a", "b"]]},
@@ -184,7 +187,12 @@ def test_cli_invalid_system_is_input_error_elsewhere(tmp_path):
     }
     path = write_doc(tmp_path, doc)
     assert main(["validate", str(path)]) == 1
+    capsys.readouterr()
     assert main(["cohomology", str(path)]) == 2
+    iso = "is not a simplicial isomorphism between induced subcomplexes  witness=[('a', 'b')]"
+    assert capsys.readouterr().err == ("input error: invalid adjunction system\n"
+                                       f"  [SIMPLICIAL] gluing p1->p2 {iso}\n"
+                                       f"  [SIMPLICIAL] gluing p2->p1 {iso}\n")
 
 
 def test_cli_missing_file():
@@ -379,11 +387,19 @@ def _set(path, value):
         {"i": "p1", "j": "p2", "vertices": [["l", [[1, 0], [0, 1.5]]]]}]})),
     ("bundles", _set(("bundle",), {"rank": 2, "pieces": [
         {"id": "p1", "edges": [["l", "o1", [[True, 0], [0, 1]]]]}]})),
+    ("cohomology", _set(("pieces", 0, "simplices"), [5])),
+    ("cohomology", _set(("gluings", 0, "i"), ["p1"])),
+    ("cohomology", _set(("gluings", 0, "pairs"), ["ll", "rr"])),
+    ("bundles", _set(("bundle", "rank"), True)),
+    ("bundles", _set(("bundle", "rank"), 10 ** 9)),
+    ("refine-check", _set(("refinement", "map"), {"ll": 1})),
 ), ids=("identification_not_object", "identifications_not_list", "edge_not_list",
         "rank1_value_x", "rank1_value_list", "rank3_scalar_values", "refinement_fine_5",
         "document_field_too_large", "identification_value_1.5", "identification_value_0.9",
         "identification_value_true", "identification_value_string", "edge_value_1.5",
-        "edge_value_true", "rank2_identification_float_entry", "rank2_edge_bool_entry"))
+        "edge_value_true", "rank2_identification_float_entry", "rank2_edge_bool_entry",
+        "simplex_not_a_list", "gluing_end_a_list", "pairs_as_strings", "rank_true", "rank_1e9",
+        "refinement_map_an_object"))
 def test_cli_bad_blocks_are_input_errors(tmp_path, capsys, command, change):
     doc = gallery_document("two_origin_line")
     change(doc)
@@ -391,6 +407,31 @@ def test_cli_bad_blocks_are_input_errors(tmp_path, capsys, command, change):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: $.") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", (b'{"field": ' + b"7" * 5000 + b"}", b"[" * 100000 + b"]" * 100000),
+                         ids=("integer_past_the_digit_limit", "nested_past_the_recursion_limit"))
+def test_cli_json_the_decoder_refuses_is_an_input_error(tmp_path, capsys, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: $: invalid JSON") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ("cohomology", "count", "mv", "refine-check"))
+def test_cli_refuses_report_rows_past_the_cap_before_the_first_row(tmp_path, capsys, necklace_document,
+                                                                  command):
+    doc = necklace_document(17, False)  # a chain of 17 circles: 2^17 - 1 index sets
+    coarse = canonicalize(parse_document(doc).system)
+    doc["refinement"] = {"fine": {"pieces": doc["pieces"], "gluings": doc["gluings"]},
+                         "map": [[v, v] for v in coarse.nerve.vertices]}
+    assert main([command, str(write_doc(tmp_path, doc))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: report rows are capped at 65536 index sets; "
+                            "17 pieces give 2^17 - 1 = 131071\n")
 
 
 @pytest.mark.parametrize("modulus", ("65537", "2305843009213693951"))

@@ -1,0 +1,128 @@
+"""The command line's input contract, fuzzed.
+
+Every document gets a verdict (exit 0 or 1) or is refused (exit 2 with
+`input error: ` on stderr); nothing escapes `main`, and a report is the
+same bytes on every run.  The documents are gallery documents, bundle and
+refinement blocks included, over F_2 and F_3, each hit by a mutation:
+a key deleted, a value replaced, a list entry duplicated or dropped.
+"""
+
+import contextlib
+import copy
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cechkit.bundles import IncompatibleData, IncompatibleSections, NonAbelianRank, WrongField
+from cechkit.cli import main
+from cechkit.cochains import NotSimplicial, NotSubcomplex
+from cechkit.complexes import MalformedSimplex
+from cechkit.diagrams import BadIndexSet, EmptyIndexSet, IncompatibleFamily, InvalidSystem
+from cechkit.documents import NonPrimeModulus, ParseError, canonical_json
+from cechkit.errors import InputError, ResourceLimit
+from cechkit.fplinalg import DimensionMismatch, ModulusTooLarge, NotASubspace, NotPrime
+from cechkit.gallery import BadGalleryParameter, UnknownGallery, gallery_document
+from cechkit.mv import NotBinary
+from cechkit.refinements import InvalidRefinement
+
+FILE_COMMANDS = ("validate", "cohomology", "mv", "fibred", "bundles", "count",
+                 "collapse-check", "refine-check")
+BASES = [gallery_document(name, field=p, **kwargs)
+         for name, kwargs in (("two_origin_line", {}), ("branching_line_n", {"n": 3}),
+                              ("bug_eyed_circle", {}), ("three_circles", {}))
+         for p in (2, 3)]
+REPLACEMENTS = (0, -1, 1.5, True, None, "x", [], {}, 10 ** 9)
+
+
+def test_refusals_are_input_errors_and_api_misuse_is_not():
+    refusals = (ParseError, NonPrimeModulus, NotPrime, ModulusTooLarge, BadGalleryParameter,
+                UnknownGallery, IncompatibleData, WrongField, InvalidSystem, ResourceLimit)
+    misuse = (DimensionMismatch, NotASubspace, NotSubcomplex, NotSimplicial, MalformedSimplex,
+              BadIndexSet, EmptyIndexSet, IncompatibleFamily, NotBinary, NonAbelianRank,
+              IncompatibleSections, InvalidRefinement)
+    assert all(issubclass(c, InputError) for c in refusals)
+    assert not any(issubclass(c, InputError) for c in misuse)
+    assert all(issubclass(c, ValueError) for c in refusals + misuse)
+
+
+def _paths(value, path=()):
+    """The path of every value inside a document, the document itself excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        *head, key = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        kind = draw(st.sampled_from(("delete", "replace", "duplicate")))
+        if kind == "delete":
+            del parent[key]  # a key of an object, or an entry of a list
+        elif kind == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = draw(st.sampled_from(REPLACEMENTS))
+    return doc
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_documents())
+def test_every_mutated_document_gets_a_verdict_or_an_input_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        for command in FILE_COMMANDS:
+            runs = []
+            for k in range(2):
+                report = Path(tmp) / f"{command}.{k}.json"
+                code, _, err = _run(["--report", str(report), command, str(path)])
+                assert code in (0, 1, 2), (command, code)
+                if code == 2:
+                    assert err.startswith("input error: "), (command, err)
+                else:
+                    assert err == "", (command, err)
+                runs.append((code, err, report.read_bytes() if report.exists() else None))
+            assert runs[0] == runs[1], command
+
+
+def test_the_module_entry_point_exits_0_1_or_2_without_a_traceback(tmp_path):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(canonical_json({
+        "field": 2,
+        "pieces": [{"id": "p1", "simplices": [["a", "b"]]},
+                   {"id": "p2", "simplices": [["a"], ["b"]]}],
+        "gluings": [{"i": "p1", "j": "p2", "pairs": [["a", "a"], ["b", "b"]]}]}), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv, want in ((["gallery", "two_origin_line"], 0),
+                       (["validate", str(invalid)], 1),
+                       (["cohomology", str(tmp_path / "missing.json")], 2)):
+        done = subprocess.run([sys.executable, "-m", "cechkit", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == want, (argv, done.stderr)
+        assert "Traceback" not in done.stderr
+        if want == 2:
+            assert done.stderr.startswith("input error: ") and done.stderr.count("\n") == 1

@@ -5,7 +5,7 @@ import pytest
 
 from cechkit import cochains, diagrams, mv
 from cechkit.cli import run_command
-from cechkit.cochains import cohomology, restriction_map
+from cechkit.cochains import cohomology, induced_on_cohomology, restriction_map
 from cechkit.complexes import build_complex, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
@@ -143,6 +143,28 @@ def test_assemble_les_two_origin(two_origin):
     assert les.alpha_ranks[0] == 1
     coker0 = les.intersection_dims[0] - les.alpha_ranks[0]
     assert coker0 == 1
+
+
+def _alpha_by_hand(diagram, q):
+    """(a1 | -a2): each piece's restriction to N_12, descended to cohomology on its own."""
+    field = diagram.field
+    n12 = diagram.intersection_nerve(diagram.piece_ids)
+    blocks = [induced_on_cohomology(restriction_map(diagram.nerves[i], n12, q, field),
+                                    cohomology(diagram.nerves[i], q, field),
+                                    cohomology(n12, q, field)).entries
+              for i in diagram.piece_ids]
+    return FMatrix(np.hstack([blocks[0], -blocks[1]]), field)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_descended_difference_map_is_alpha_of_the_long_exact_sequence(p):
+    docs = [gallery_document(name, field=p, **kwargs) for name, kwargs in
+            (("two_origin_line", {}), ("branching_line_n", {"n": 2}), ("bug_eyed_circle", {}))]
+    docs += [gallery_document("random_admissible", field=p, n=2, seed=seed) for seed in range(12)]
+    for doc in docs:
+        diagram = canonicalize(parse_document(doc).system)
+        for q in range(diagram.nerve.dim + 2):
+            assert descended_delta_tilde(diagram, 1, q).equals(_alpha_by_hand(diagram, q))
 
 
 def test_assemble_les_bug_eyed(bug_eyed):
