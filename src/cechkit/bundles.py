@@ -4,16 +4,22 @@ A cocycle assigns an invertible transition to every edge of a base
 complex, subject to the triangle identity on 2-simplices.  Two lanes
 share one interface:
 
-* rank 1: the structure group is carried additively, one F_p value per
-  edge (0 is the identity transition).  Over F_2 this is the sign group
-  of a real line bundle written additively, and classification reduces to
+* rank 1: the structure group is carried additively, one value per edge
+  (0 is the identity transition).  Over F_2 this is the sign group of a
+  real line bundle written additively, and classification reduces to
   first cohomology of the base.  Parallel sections are returned in
   component-normalised coordinates: one basis section per connected
   component on which the cocycle untwists, with the twist handled through
   gauge phases when sections are compared or glued.  Every rank-1 gauge
   question (untwisting, equivalence, gluing) is a system of difference
   constraints pot(b) - pot(a) = delta, solved by one union-find with
-  potentials.
+  potentials.  Over odd p the values and potentials are F_p scalars.
+  Over F_2 they are class bitsets: bit c is the value for class c,
+  addition is XOR, and a single cocycle is the one-class case (values 0
+  and 1).  The union-find's shape depends only on the graph, so one pass
+  with bitset potentials answers a question for every class of
+  `enumerate_line_bundles` at once (`class_table`); a check that fails
+  reports the classes it fails as a class mask.
 
 * rank k >= 2: transitions are literal invertible k x k matrices over
   F_p; sections and equivalences are computed by matrix arithmetic, with
@@ -30,16 +36,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cochains import class_coordinates, cohomology
+from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram
 from .errors import InputError, ResourceLimit
-from .fplinalg import FMatrix, PrimeField
+from .fplinalg import FMatrix, PrimeField, _f2_rows
 
 Edge = tuple[str, str]
 
@@ -50,6 +57,14 @@ ENUMERATION_CAP = 4096
 MAX_RANK = 16
 # The rank >= 2 gauge search refuses more vertex gauges than this.
 GAUGE_CAP = 10 ** 6
+# The modulus the rank-1 union-find takes over F_2: values, potentials and
+# residuals are class bitsets, bit c for class c, added by XOR.  A prime p
+# (2 included) gives F_p scalars.
+BITSETS = 0
+# A class mask says which classes fail a check, bit c for class c.  A check
+# that fails every class, such as a structural one or any failure where the
+# values are not bitsets, has every bit set.
+EVERY_CLASS = -1
 
 
 class NonAbelianRank(ValueError):
@@ -101,22 +116,57 @@ def _normalise_value(value, rank: int, p: int) -> int | np.ndarray:
     return a.astype(np.int64) % p
 
 
+def _modulus(p: int) -> int:
+    """What the rank-1 arithmetic over F_p works mod: p, or BITSETS over F_2."""
+    return BITSETS if p == 2 else p
+
+
+def _mask(residual: int, m: int) -> int:
+    """The class mask of a rank-1 residual mod m: the bitset itself; a nonzero scalar fails every class."""
+    if m == BITSETS:
+        return residual
+    return EVERY_CLASS if residual else 0
+
+
 def _invert(value, rank: int, field: PrimeField):
     if rank == 1:
-        return (-int(value)) % field.p
+        return int(value) if field.p == 2 else -int(value) % field.p
     return FMatrix(value, field).inverse().entries
 
 
 def _compose(a, b, rank: int, p: int):
     if rank == 1:
-        return (int(a) + int(b)) % p
+        return int(a) ^ int(b) if p == 2 else (int(a) + int(b)) % p
     return (np.asarray(a) @ np.asarray(b)) % p
 
 
-def _values_equal(a, b, rank: int) -> bool:
+def _mismatch(a, b, rank: int, p: int) -> int:
+    """The class mask of the classes on which two values differ."""
     if rank == 1:
-        return int(a) == int(b)
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
+        return _mask(int(a) ^ int(b), _modulus(p))
+    return 0 if np.array_equal(np.asarray(a), np.asarray(b)) else EVERY_CLASS
+
+
+def _failing(found: list[tuple[tuple, int]]) -> int:
+    """The class mask of the classes that fail any of the checks found."""
+    mask = 0
+    for _, m in found:
+        mask |= m
+    return mask
+
+
+def _violations(found: list[tuple[tuple, int]], c: int = 0) -> list[tuple]:
+    """The violations whose class mask holds class c (the one class of a single cocycle)."""
+    return [v for v, mask in found if mask >> c & 1]
+
+
+def _class_counts(masks, n: int) -> np.ndarray:
+    """For each class c < n, how many of the class masks hold it."""
+    total = np.zeros(n, dtype=np.int64)
+    for mask in masks:
+        data = (mask & ((1 << n) - 1)).to_bytes(-(-n // 8), "little")
+        total += np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +206,8 @@ class ConstantCocycle:
 
     def same_values(self, other: "ConstantCocycle") -> bool:
         return (self.base == other.base and self.rank == other.rank
-                and all(_values_equal(self.values[e], other.values[e], self.rank)
-                        for e in self.base.simplices_of_dim(1)))
+                and not any(_mismatch(self.values[e], other.values[e], self.rank, self.field.p)
+                            for e in self.base.simplices_of_dim(1)))
 
 
 @dataclass(frozen=True)
@@ -166,20 +216,27 @@ class CocycleVerdict:
     violations: tuple[tuple, ...]
 
 
-def validate_cocycle(cocycle: ConstantCocycle) -> CocycleVerdict:
-    """Invertibility of every value plus the triangle identity."""
-    bad: list[tuple] = []
+def _cocycle_violations(cocycle: ConstantCocycle) -> list[tuple[tuple, int]]:
+    """Non-invertible values and failed triangle identities, each with its class mask."""
+    found: list[tuple[tuple, int]] = []
     if cocycle.rank > 1:
         for edge in cocycle.base.simplices_of_dim(1):
             if FMatrix(cocycle.values[edge], cocycle.field).rank() != cocycle.rank:
-                bad.append((edge, "transition is not invertible"))
+                found.append(((edge, "transition is not invertible"), EVERY_CLASS))
     p = cocycle.field.p
     for tri in cocycle.base.simplices_of_dim(2):
         a, b, c = tri
         prod = _compose(_compose(cocycle.value(a, b), cocycle.value(b, c), cocycle.rank, p),
                         cocycle.value(c, a), cocycle.rank, p)
-        if not _values_equal(prod, _identity(cocycle.rank), cocycle.rank):
-            bad.append((tri, "triangle identity fails"))
+        mask = _mismatch(prod, _identity(cocycle.rank), cocycle.rank, p)
+        if mask:
+            found.append(((tri, "triangle identity fails"), mask))
+    return found
+
+
+def validate_cocycle(cocycle: ConstantCocycle) -> CocycleVerdict:
+    """Invertibility of every value plus the triangle identity."""
+    bad = _violations(_cocycle_violations(cocycle))
     return CocycleVerdict(not bad, tuple(bad))
 
 
@@ -207,16 +264,25 @@ def _all_invertible(rank: int, p: int) -> tuple:
     return tuple(out)
 
 
+def _inequivalent_classes(g: ConstantCocycle, h: ConstantCocycle) -> int:
+    """The class mask of the classes on which two rank-1 cocycles are not gauge-equivalent."""
+    m = _modulus(g.field.p)
+    parent: dict[str, str] = {}
+    pot: dict[str, int] = {}
+    mask = 0
+    # h[a,b] = k_a + g[a,b] - k_b: a gauge with k_b - k_a = g[a,b] - h[a,b]
+    for a, b in g.base.simplices_of_dim(1):
+        delta = _compose(g.values[(a, b)], _invert(h.values[(a, b)], 1, h.field), 1, g.field.p)
+        mask |= _mask(_union(parent, pot, a, b, delta, m), m)
+    return mask
+
+
 def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:
     """Gauge equivalence; a union-find for rank 1, brute force for higher rank."""
     if g.base != h.base or g.rank != h.rank or g.field.p != h.field.p:
         raise ValueError("cocycles live on different bases")
     if g.rank == 1:
-        # h[a,b] = k_a + g[a,b] - k_b: a gauge with k_b - k_a = g[a,b] - h[a,b]
-        parent: dict[str, str] = {}
-        pot: dict[str, int] = {}
-        return all(_union(parent, pot, a, b, int(g.values[(a, b)]) - int(h.values[(a, b)]), g.field.p)
-                   for a, b in g.base.simplices_of_dim(1))
+        return not _inequivalent_classes(g, h)
     vertices = g.base.vertices
     order = _gl_order(g.rank, g.field.p)
     if order ** len(vertices) > GAUGE_CAP:
@@ -226,15 +292,46 @@ def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:
     edges = g.base.simplices_of_dim(1)
     for gauge in itertools.product(units, repeat=len(vertices)):
         table = dict(zip(vertices, gauge))
-        if all(_values_equal(
+        if not any(_mismatch(
                 _compose(_compose(table[a], g.values[(a, b)], g.rank, g.field.p),
                          _invert(table[b], g.rank, g.field), g.rank, g.field.p),
-                h.values[(a, b)], g.rank) for a, b in edges):
+                h.values[(a, b)], g.rank, g.field.p) for a, b in edges):
             return True
     return False
 
 
-def enumerate_line_bundles(diagram: GluedDiagram) -> list[ConstantCocycle]:
+@dataclass(frozen=True, eq=False)
+class LineBundles(Sequence):
+    """One rank-1 representative per H^1 class of a diagram's union nerve over F_2.
+
+    Column c of `classes` is class c's edge vector in the C^1 order of the
+    nerve: the sum of the H^1 representatives at the set bits of c.
+    Indexing builds class c's cocycle; `class_table` reads every column
+    at once as class bitsets and builds none.
+    """
+
+    diagram: GluedDiagram
+    h1: CohomologyBasis
+    classes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.classes.shape[1]
+
+    def __getitem__(self, c: int) -> ConstantCocycle:
+        column = self.classes[:, range(len(self))[c]]
+        edges = self.diagram.nerve.simplices_of_dim(1)
+        return ConstantCocycle.build(self.diagram.nerve, 1, self.diagram.field,
+                                     dict(zip(edges, (int(v) for v in column))))
+
+    def bitsets(self) -> ConstantCocycle:
+        """Every class at once: the value on each edge is the bitset of the classes that are 1 there."""
+        edges = self.diagram.nerve.simplices_of_dim(1)
+        # _f2_rows puts column j at bit ncols - 1 - j, so reversing the columns puts class c at bit c.
+        return ConstantCocycle(self.diagram.nerve, 1, self.diagram.field,
+                               dict(zip(edges, _f2_rows(self.classes[:, ::-1]))))
+
+
+def enumerate_line_bundles(diagram: GluedDiagram) -> LineBundles:
     """One rank-1 representative per H^1 class of the union nerve over F_2."""
     if diagram.field.p != 2:
         raise WrongField("line bundle enumeration requires the field F_2")
@@ -242,12 +339,10 @@ def enumerate_line_bundles(diagram: GluedDiagram) -> list[ConstantCocycle]:
     if 2 ** coh.dimension > ENUMERATION_CAP:
         raise ResourceLimit(f"line bundle enumeration is capped at {ENUMERATION_CAP} classes; "
                             f"dim H^1 = {coh.dimension} gives 2^{coh.dimension}")
-    edges = diagram.nerve.simplices_of_dim(1)
     masks = np.arange(2 ** coh.dimension)
     # Column `mask` of `classes` sums the representatives at the set bits of mask.
     classes = coh.representatives.entries @ (masks >> np.arange(coh.dimension)[:, None] & 1) % 2
-    return [ConstantCocycle.build(diagram.nerve, 1, diagram.field, dict(zip(edges, (int(v) for v in vec))))
-            for vec in classes.T]
+    return LineBundles(diagram, coh, classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,34 +363,44 @@ class PieceBundleData:
         return _identity(self.rank)
 
 
-def validate_piece_data(data: PieceBundleData) -> CocycleVerdict:
-    bad: list[tuple] = []
+def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
+    """Every violation of the piece data with its class mask, in check order.
+
+    The overlap checks need a cocycle of the right base and rank on every
+    piece and valid identifications, and they do not count for a
+    class whose piece cocycles fail: a single cocycle's data is checked
+    on the overlaps only when its pieces pass.
+    """
+    found: list[tuple[tuple, int]] = []
     diagram = data.diagram
     p = diagram.field.p
     for pid in diagram.piece_ids:
         if pid not in data.cocycles:
-            bad.append((pid, "no cocycle for piece"))
+            found.append(((pid, "no cocycle for piece"), EVERY_CLASS))
             continue
         g = data.cocycles[pid]
         if g.base != diagram.nerves[pid] or g.rank != data.rank:
-            bad.append((pid, "cocycle base or rank does not match the piece"))
+            found.append(((pid, "cocycle base or rank does not match the piece"), EVERY_CLASS))
             continue
-        verdict = validate_cocycle(g)
-        bad.extend((pid,) + v for v in verdict.violations)
-    if bad:
-        return CocycleVerdict(False, tuple(bad))
+        found += [((pid,) + v, mask) for v, mask in _cocycle_violations(g)]
+    if _failing(found) == EVERY_CLASS:
+        return found
 
     for (i, j) in sorted(data.identifications):
         nij = diagram.intersection_nerve((i, j))
         extra = sorted(set(data.identifications[(i, j)]) - set(nij.vertices))
         if extra:
-            bad.append(((i, j), f"identification on labels outside the overlap: {extra}"))
+            found.append((((i, j), f"identification on labels outside the overlap: {extra}"), EVERY_CLASS))
         if data.rank > 1:
             for v in sorted(data.identifications[(i, j)]):
                 m = _normalise_value(data.identifications[(i, j)][v], data.rank, p)
                 if FMatrix(m, diagram.field).rank() != data.rank:
-                    bad.append(((i, j), f"identification at {v!r} is not invertible"))
+                    found.append((((i, j), f"identification at {v!r} is not invertible"), EVERY_CLASS))
+    failed = _failing(found)
+    if failed == EVERY_CLASS:
+        return found
 
+    overlaps: list[tuple[tuple, int]] = []
     # compatibility: g^j[a,b] = k_a g^i[a,b] k_b^(-1) on every overlap edge
     for i, j in itertools.combinations(diagram.piece_ids, 2):
         nij = diagram.intersection_nerve((i, j))
@@ -304,8 +409,8 @@ def validate_piece_data(data: PieceBundleData) -> CocycleVerdict:
             lhs = gj.value(a, b)
             rhs = _compose(_compose(data.ident(i, j, a), gi.value(a, b), data.rank, p),
                            _invert(data.ident(i, j, b), data.rank, diagram.field), data.rank, p)
-            if not _values_equal(lhs, rhs, data.rank):
-                bad.append(((i, j), (a, b), "piece cocycles incompatible on overlap edge"))
+            overlaps.append((((i, j), (a, b), "piece cocycles incompatible on overlap edge"),
+                             _mismatch(lhs, rhs, data.rank, p)))
 
     # triple condition on vertices of triple overlaps
     for i, j, k in itertools.combinations(diagram.piece_ids, 3):
@@ -313,8 +418,13 @@ def validate_piece_data(data: PieceBundleData) -> CocycleVerdict:
         for v in nijk.vertices:
             lhs = data.ident(i, k, v)
             rhs = _compose(data.ident(j, k, v), data.ident(i, j, v), data.rank, p)
-            if not _values_equal(lhs, rhs, data.rank):
-                bad.append(((i, j, k), v, "identification triple condition fails"))
+            overlaps.append((((i, j, k), v, "identification triple condition fails"),
+                             _mismatch(lhs, rhs, data.rank, p)))
+    return found + [(v, mask & ~failed) for v, mask in overlaps if mask & ~failed]
+
+
+def validate_piece_data(data: PieceBundleData) -> CocycleVerdict:
+    bad = _violations(_piece_data_violations(data))
     return CocycleVerdict(not bad, tuple(bad))
 
 
@@ -330,21 +440,24 @@ class ColimitResult:
         return self.status == "ok"
 
 
-def colimit_bundle(diagram: GluedDiagram, data: PieceBundleData) -> ColimitResult:
-    """Glue per-piece cocycles into one cocycle on the union nerve.
+def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, dict, list[tuple[tuple, int]]]:
+    """The colimit's vertex gauges and edge values, and its obstructions with their class masks.
 
-    Solves for a vertex gauge on every piece with c^i = c^j k^(ij) at each
-    shared vertex, then transports the piece cocycles; an inconsistent
-    gauge system yields an obstructed outcome naming the label and piece
-    cycle, meaning no constant cocycle on this cover glues the data.
+    Raises IncompatibleData naming the first violation of the first class
+    whose piece data is invalid.  A class glues when no obstruction's
+    mask holds it, and then its values are its colimit cocycle's; the
+    obstructions are in walk order, so a class's first one is its witness.
     """
-    verdict = validate_piece_data(data)
-    if not verdict.valid:
-        raise IncompatibleData(f"piece data invalid: {verdict.violations[0]}")
+    found = _piece_data_violations(data)
+    invalid = _failing(found)
+    if invalid:
+        first = (invalid & -invalid).bit_length() - 1
+        raise IncompatibleData(f"piece data invalid: {_violations(found, first)[0]}")
     field = diagram.field
     rank = data.rank
     p = field.p
 
+    obstructions: list[tuple[tuple, int]] = []
     gauges: dict[tuple[str, str], int | np.ndarray] = {}
     for v in diagram.nerve.vertices:
         holders = [i for i in diagram.piece_ids if (v,) in diagram.nerves[i]]
@@ -353,10 +466,10 @@ def colimit_bundle(diagram: GluedDiagram, data: PieceBundleData) -> ColimitResul
         for j in holders[1:]:
             gauges[(j, v)] = _invert(data.ident(root, j, v), rank, field)
         for i, j in itertools.combinations(holders, 2):
-            lhs = gauges[(i, v)]
-            rhs = _compose(gauges[(j, v)], data.ident(i, j, v), rank, p)
-            if not _values_equal(lhs, rhs, rank):
-                return ColimitResult("obstructed", witness=(v, root, i, j))
+            mask = _mismatch(gauges[(i, v)], _compose(gauges[(j, v)], data.ident(i, j, v), rank, p),
+                             rank, p)
+            if mask:
+                obstructions.append(((v, root, i, j), mask))
 
     values: dict[Edge, int | np.ndarray] = {}
     for a, b in diagram.nerve.simplices_of_dim(1):
@@ -368,10 +481,26 @@ def colimit_bundle(diagram: GluedDiagram, data: PieceBundleData) -> ColimitResul
                                  _invert(gauges[(i, b)], rank, field), rank, p)
             if glued is None:
                 glued = candidate
-            elif not _values_equal(glued, candidate, rank):
-                return ColimitResult("obstructed", witness=((a, b), i))
+                continue
+            mask = _mismatch(glued, candidate, rank, p)
+            if mask:
+                obstructions.append((((a, b), i), mask))
         values[(a, b)] = glued
-    cocycle = ConstantCocycle(diagram.nerve, rank, field, values)
+    return gauges, values, obstructions
+
+
+def colimit_bundle(diagram: GluedDiagram, data: PieceBundleData) -> ColimitResult:
+    """Glue per-piece cocycles into one cocycle on the union nerve.
+
+    Solves for a vertex gauge on every piece with c^i = c^j k^(ij) at each
+    shared vertex, then transports the piece cocycles; an inconsistent
+    gauge system yields an obstructed outcome naming the label and piece
+    cycle, meaning no constant cocycle on this cover glues the data.
+    """
+    gauges, values, obstructions = _colimit(diagram, data)
+    if obstructions:
+        return ColimitResult("obstructed", witness=obstructions[0][0])
+    cocycle = ConstantCocycle(diagram.nerve, data.rank, diagram.field, values)
     return ColimitResult("ok", cocycle=cocycle, gauges=gauges)
 
 
@@ -382,8 +511,9 @@ def restrict_bundle(cocycle: ConstantCocycle, diagram: GluedDiagram) -> PieceBun
     pieces = {}
     for pid in diagram.piece_ids:
         nerve = diagram.nerves[pid]
+        # The values are already reduced; copying them keeps class bitsets whole.
         values = {e: cocycle.values[e] for e in nerve.simplices_of_dim(1)}
-        pieces[pid] = ConstantCocycle.build(nerve, cocycle.rank, cocycle.field, values)
+        pieces[pid] = ConstantCocycle(nerve, cocycle.rank, cocycle.field, values)
     return PieceBundleData(diagram, cocycle.rank, pieces, {})
 
 
@@ -404,7 +534,7 @@ class SectionBasis:
 
 
 def _find(parent: dict, pot: dict, node, p: int) -> tuple[object, int]:
-    """Root of node's set and node's potential over it, mod p.
+    """Root of node's set and node's potential over it, mod p (by XOR when p is BITSETS).
 
     A node's potential is relative to its parent; the path to the root is
     compressed, every node on it re-pointed at the root with its summed
@@ -419,41 +549,58 @@ def _find(parent: dict, pot: dict, node, p: int) -> tuple[object, int]:
         node = parent[node]
     total = 0
     for child in reversed(path):
-        total = (total + pot[child]) % p
+        total = total ^ pot[child] if p == BITSETS else (total + pot[child]) % p
         pot[child] = total
         parent[child] = node
     return node, total
 
 
-def _union(parent: dict, pot: dict, a, b, delta: int, p: int) -> bool:
-    """Impose pot(b) - pot(a) = delta mod p; False when it contradicts earlier constraints.
+def _union(parent: dict, pot: dict, a, b, delta: int, p: int) -> int:
+    """Impose pot(b) - pot(a) = delta mod p (by XOR when p is BITSETS); return the residual.
 
-    Two sets are merged by hanging b's root under a's; within one set the
-    constraint is only checked, and a clash changes nothing.
+    Two sets are merged by hanging b's root under a's, and the residual
+    is 0.  Within one set the constraint is only checked: the residual
+    is pot(b) - pot(a) - delta, zero when consistent, and a clash changes
+    nothing.  Over class bitsets, bit c of the residual is class c's.
     """
     ra, pa = _find(parent, pot, a, p)
     rb, pb = _find(parent, pot, b, p)
+    residual = pb ^ pa ^ delta if p == BITSETS else (pb - pa - delta) % p
     if ra != rb:
         parent[rb] = ra
-        pot[rb] = (pa + delta - pb) % p
-        return True
-    return (pb - pa - delta) % p == 0
+        pot[rb] = residual if p == BITSETS else -residual % p
+        return 0
+    return residual
 
 
-def _untwisting_gauge(cocycle: ConstantCocycle) -> tuple[dict[str, tuple[str, int]], set[str]]:
-    """Each vertex's component root and phase over it, and the twisted roots.
+def _untwisting_gauge(cocycle: ConstantCocycle) -> tuple[dict[str, tuple[str, int]], dict[str, int]]:
+    """Each vertex's component root and phase over it, and the twist mask of each twisted root.
 
-    The phases satisfy phase_b - phase_a = g[a,b] on every edge of a
-    component whose root is not twisted; on a twisted component no phases
-    do, and the cocycle has no nonzero parallel section there.
+    For a class the root's twist mask leaves clear, the phases satisfy
+    phase_b - phase_a = g[a,b] on every edge of the component; for a
+    class the mask holds, the component is twisted: no phases do, and
+    the cocycle has no nonzero parallel section there.
     """
-    p = cocycle.field.p
+    m = _modulus(cocycle.field.p)
     parent: dict[str, str] = {}
     pot: dict[str, int] = {}
-    clashes = [a for a, b in cocycle.base.simplices_of_dim(1)
-               if not _union(parent, pot, a, b, int(cocycle.values[(a, b)]), p)]
-    gauge = {v: _find(parent, pot, v, p) for v in cocycle.base.vertices}
-    return gauge, {gauge[a][0] for a in clashes}
+    clashes = []
+    for a, b in cocycle.base.simplices_of_dim(1):
+        residual = _union(parent, pot, a, b, int(cocycle.values[(a, b)]), m)
+        if residual:
+            clashes.append((a, _mask(residual, m)))
+    gauge = {v: _find(parent, pot, v, m) for v in cocycle.base.vertices}
+    twist: dict[str, int] = {}
+    for a, mask in clashes:
+        root = gauge[a][0]
+        twist[root] = twist.get(root, 0) | mask
+    return gauge, twist
+
+
+def _parallel_dims(cocycle: ConstantCocycle, n: int) -> np.ndarray:
+    """For each of n classes, the number of components on which the cocycle untwists."""
+    gauge, twist = _untwisting_gauge(cocycle)
+    return len({root for root, _ in gauge.values()}) - _class_counts(twist.values(), n)
 
 
 def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
@@ -465,11 +612,11 @@ def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
     """
     base = cocycle.base
     if cocycle.rank == 1:
-        gauge, twisted = _untwisting_gauge(cocycle)
+        gauge, twist = _untwisting_gauge(cocycle)
         sections = []
         for comp in components(base):
             root = gauge[comp[0]][0]
-            if root not in twisted:
+            if not twist.get(root):
                 values = {v: int(gauge[v][0] == root) for v in base.vertices}
                 sections.append(TwistedSection(cocycle, values))
         return SectionBasis(cocycle, tuple(sections))
@@ -497,10 +644,10 @@ def is_parallel(section: TwistedSection) -> bool:
     p = cocycle.field.p
     if cocycle.rank == 1:
         # constant on each component, and zero on a twisted one
-        gauge, twisted = _untwisting_gauge(cocycle)
+        gauge, twist = _untwisting_gauge(cocycle)
         for v, (root, _) in gauge.items():
             value = int(section.values[v]) % p
-            if value != int(section.values[root]) % p or (value and root in twisted):
+            if value != int(section.values[root]) % p or (value and twist.get(root)):
                 return False
         return True
     for a, b in base.simplices_of_dim(1):
@@ -518,28 +665,50 @@ def _join_piece_components(data: PieceBundleData) -> tuple[dict, dict, list]:
     free gauge constant rho.  A vertex v shared by pieces i < j links the
     components holding it by rho_j - rho_i = phase_i(v) + twist(v) -
     phase_j(v).  Returns the union-find (parent, pot) over all nodes and
-    the failures as (node, vertex) in walk order: every twisted component
-    (at its root), then every link that clashes with the links before it.
+    the failures as (node, vertex, class mask) in walk order: every
+    twisted component (at its root), then every link that clashes with
+    the links before it.
     """
     diagram = data.diagram
-    p = diagram.field.p
+    field = diagram.field
+    m = _modulus(field.p)
     parent: dict[tuple[str, str], tuple[str, str]] = {}
     pot: dict[tuple[str, str], int] = {}
-    failures: list[tuple[tuple[str, str], str]] = []
+    failures: list[tuple[tuple[str, str], str, int]] = []
     gauges = {}
     for pid in diagram.piece_ids:
-        gauge, twisted = _untwisting_gauge(data.cocycles[pid])
+        gauge, twist = _untwisting_gauge(data.cocycles[pid])
         gauges[pid] = gauge
         for root, _ in gauge.values():
-            _find(parent, pot, (pid, root), p)
-        failures += [((pid, root), root) for root in sorted(twisted)]
+            _find(parent, pot, (pid, root), m)
+        failures += [((pid, root), root, twist[root]) for root in sorted(twist)]
     for i, j in itertools.combinations(diagram.piece_ids, 2):
         for v in diagram.intersection_nerve((i, j)).vertices:
             (ri, phase_i), (rj, phase_j) = gauges[i][v], gauges[j][v]
-            delta = phase_i + int(data.ident(i, j, v)) - phase_j
-            if not _union(parent, pot, (i, ri), (j, rj), delta, p):
-                failures.append(((i, ri), v))
+            delta = _compose(_compose(phase_i, data.ident(i, j, v), 1, field.p), _invert(phase_j, 1, field),
+                             1, field.p)
+            residual = _union(parent, pot, (i, ri), (j, rj), delta, m)
+            if residual:
+                failures.append(((i, ri), v, _mask(residual, m)))
     return parent, pot, failures
+
+
+def _glue_space_dims(data: PieceBundleData, n: int) -> np.ndarray:
+    """For each of n classes, the rank-1 glue_section_space.
+
+    A compatible tuple takes one value on each set of joined piece
+    components, and that value may be nonzero exactly when no member is
+    twisted and no link in the set clashes; each such set adds one
+    dimension.
+    """
+    m = _modulus(data.diagram.field.p)
+    parent, pot, failures = _join_piece_components(data)
+    roots = {_find(parent, pot, node, m)[0] for node in list(parent)}
+    failing: dict = {}
+    for node, _, mask in failures:
+        root = _find(parent, pot, node, m)[0]
+        failing[root] = failing.get(root, 0) | mask
+    return len(roots) - _class_counts(failing.values(), n)
 
 
 def glue_sections(data: PieceBundleData,
@@ -578,7 +747,7 @@ def glue_sections(data: PieceBundleData,
     if rank == 1:
         # Joined components now carry one value; only nonzero ones constrain the phases.
         _, _, failures = _join_piece_components(data)
-        for (pid, _), v in failures:
+        for (pid, _), v, _ in failures:
             if int(sections[pid].values[v]) % p:
                 raise IncompatibleSections(v, f"gauge phases are inconsistent at {v!r}")
     glued_values: dict[str, int | np.ndarray] = {}
@@ -596,18 +765,12 @@ def glue_sections(data: PieceBundleData,
 def glue_section_space(data: PieceBundleData) -> int:
     """Dimension of the space of compatible per-piece parallel sections.
 
-    Rank 1: a compatible tuple takes one value on each class of joined
-    piece components, and that value may be nonzero exactly when no
-    member is twisted and no link in the class clashes; each such class
-    adds one dimension.
+    Rank 1: counted on the joined piece components (`_glue_space_dims`).
     """
     diagram = data.diagram
     rank = data.rank
     if rank == 1:
-        p = diagram.field.p
-        parent, pot, failures = _join_piece_components(data)
-        classes = {_find(parent, pot, node, p)[0] for node in list(parent)}
-        return len(classes - {_find(parent, pot, node, p)[0] for node, _ in failures})
+        return int(_glue_space_dims(data, 1)[0])
 
     # rank >= 2: parallel constraints and identification constraints are linear
     offsets: dict[tuple[str, str], int] = {}
@@ -633,3 +796,35 @@ def glue_section_space(data: PieceBundleData) -> int:
             rows.append(row)
     system = np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64)
     return FMatrix(system, diagram.field).rank_nullity()[1]
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """The answers for every class of a LineBundles; entry c is class c's."""
+
+    parallel_dims: tuple[int, ...]
+    round_trips_preserved: tuple[bool, ...]
+    glue_space_dims: tuple[int, ...]
+
+
+def class_table(bundles: LineBundles) -> ClassTable:
+    """Every class's parallel sections, round trip and glued sections, in one pass.
+
+    Entry c is what class c's cocycle g = bundles[c] gives for
+    parallel_sections(g).dimension, for whether
+    colimit_bundle(diagram, restrict_bundle(g, diagram)) is ok and
+    gauge-equivalent to g, and for glue_section_space of the restricted
+    data: the same code runs once, on class bitsets.  Raises
+    IncompatibleData as colimit_bundle does for the first class whose
+    restricted data is invalid.
+    """
+    diagram = bundles.diagram
+    n = len(bundles)
+    g = bundles.bitsets()
+    data = restrict_bundle(g, diagram)
+    _, values, obstructions = _colimit(diagram, data)
+    back = ConstantCocycle(diagram.nerve, 1, diagram.field, values)
+    lost = _inequivalent_classes(back, g) | _failing(obstructions)
+    return ClassTable(tuple(int(d) for d in _parallel_dims(g, n)),
+                      tuple(not x for x in _class_counts([lost], n)),
+                      tuple(int(d) for d in _glue_space_dims(data, n)))

@@ -24,13 +24,12 @@ from typing import Any
 import numpy as np
 
 from .bundles import (
+    class_table,
     cocycle_class,
-    cocycles_equivalent,
     colimit_bundle,
     enumerate_line_bundles,
     glue_section_space,
     parallel_sections,
-    restrict_bundle,
 )
 from .cochains import class_coordinates, cohomology
 from .complexes import components
@@ -43,7 +42,7 @@ from .documents import (
     materialise_refinement,
     parse_document,
 )
-from .errors import InputError
+from .errors import InputError, ResourceLimit
 from .fplinalg import FMatrix, PrimeField
 from .gallery import GALLERY_NAMES, gallery_document
 from .mv import (
@@ -57,6 +56,11 @@ from .mv import (
     verify_exact_sequence,
 )
 from .refinements import induced_cohomology_map, naturality_check, validate_refinement
+
+
+# `cohomology --qmax` refuses degrees above this: each row lists qmax + 1
+# dimensions, and no document's nerve comes near this dimension.
+QMAX_CAP = 64
 
 
 class UnknownCommand(ValueError):
@@ -154,6 +158,8 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_cohomology(args) -> tuple[dict, int]:
+    if args.qmax is not None and args.qmax > QMAX_CAP:
+        raise ResourceLimit(f"cohomology degrees are capped at --qmax {QMAX_CAP}; got --qmax {args.qmax}")
     parsed, digest = _load(args)
     diagram = canonicalize(parsed.system)
     q_max = args.qmax if args.qmax is not None else max(diagram.nerve.dim, 0)
@@ -268,30 +274,24 @@ def _cmd_bundles(args) -> tuple[dict, int]:
     diagram = canonicalize(parsed.system)
     report = _base_report("bundles", digest, diagram.field.p)
     reps = enumerate_line_bundles(diagram)
-    h1 = cohomology(diagram.nerve, 1, diagram.field)
-    h1_dim = h1.dimension
+    h1_dim = reps.h1.dimension
     # [B | R] has independent columns, so each class's coordinates are unique
     # and one batched solve gives what one solve per class would.
-    all_coords = class_coordinates(h1, np.column_stack([g.edge_vector() for g in reps]))
-    classes = []
-    round_trips_ok = True
-    glue_ok = True
-    for g, coords in zip(reps, all_coords.T):
-        sections = parallel_sections(g)
-        data = restrict_bundle(g, diagram)
-        back = colimit_bundle(diagram, data)
-        preserved = back.ok and cocycles_equivalent(back.cocycle, g)
-        round_trips_ok = round_trips_ok and preserved
-        glue_dim = glue_section_space(data)
-        glue_match = glue_dim == sections.dimension
-        glue_ok = glue_ok and glue_match
-        classes.append({
-            "class": [int(c) for c in coords],
-            "nonzero_edges": [list(e) for e in sorted(k for k, v in g.values.items() if int(v))],
-            "parallel_dim": sections.dimension,
-            "round_trip_class_preserved": preserved,
-            "glue_space_dim": glue_dim,
-            "glue_matches_parallel": glue_match})
+    all_coords = class_coordinates(reps.h1, reps.classes)
+    table = class_table(reps)
+    round_trips_ok = all(table.round_trips_preserved)
+    glue_ok = table.glue_space_dims == table.parallel_dims
+    edges = diagram.nerve.simplices_of_dim(1)
+    classes = [{
+        "class": [int(x) for x in coords],
+        "nonzero_edges": [list(e) for e, v in zip(edges, vec) if v],
+        "parallel_dim": parallel,
+        "round_trip_class_preserved": preserved,
+        "glue_space_dim": glue,
+        "glue_matches_parallel": glue == parallel}
+        for coords, vec, parallel, preserved, glue in zip(
+            all_coords.T, reps.classes.T, table.parallel_dims, table.round_trips_preserved,
+            table.glue_space_dims)]
     report["classes"] = classes
     report["verdicts"]["count_is_two_to_h1"] = len(reps) == 2 ** h1_dim
     report["verdicts"]["round_trips_preserve_class"] = round_trips_ok

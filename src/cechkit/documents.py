@@ -82,42 +82,43 @@ class ParsedDocument:
 _TOP_KEYS = {"field", "pieces", "gluings", "bundle", "refinement"}
 
 
-def parse_document(doc: Any, field_override: int | None = None) -> ParsedDocument:
+def parse_document(doc: Any, field_override: int | None = None, root: str = "$") -> ParsedDocument:
+    """The document's system and optional blocks; errors name their place under the path root."""
     if not isinstance(doc, dict):
-        raise ParseError("document must be a JSON object")
+        raise ParseError("document must be a JSON object", root)
     unknown = sorted(set(doc) - _TOP_KEYS)
     if unknown:
-        raise ParseError(f"unknown keys {unknown}")
+        raise ParseError(f"unknown keys {unknown}", root)
     for key in ("field", "pieces", "gluings"):
         if key not in doc:
-            raise ParseError(f"missing required key {key!r}")
+            raise ParseError(f"missing required key {key!r}", root)
     raw_field = field_override if field_override is not None else doc["field"]
     if not isinstance(raw_field, int) or isinstance(raw_field, bool):
-        raise ParseError("field modulus must be an integer", "$.field")
+        raise ParseError("field modulus must be an integer", f"{root}.field")
     try:
         field = PrimeField(raw_field)
     except NotPrime:
         raise NonPrimeModulus(raw_field) from None
     except ModulusTooLarge as exc:
-        raise ParseError(str(exc), "$.field") from None
+        raise ParseError(str(exc), f"{root}.field") from None
 
-    system = _parse_system(doc, field)
+    system = _parse_system(doc, field, root)
     bundle = doc.get("bundle")
     refinement = doc.get("refinement")
     if bundle is not None and not isinstance(bundle, dict):
-        raise ParseError("bundle block must be an object", "$.bundle")
+        raise ParseError("bundle block must be an object", f"{root}.bundle")
     if refinement is not None and not isinstance(refinement, dict):
-        raise ParseError("refinement block must be an object", "$.refinement")
+        raise ParseError("refinement block must be an object", f"{root}.refinement")
     return ParsedDocument(system, bundle, refinement)
 
 
-def _parse_system(doc: dict, field: PrimeField) -> AdjunctionSystem:
+def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
     if not isinstance(doc["pieces"], list) or not doc["pieces"]:
-        raise ParseError("pieces must be a nonempty list", "$.pieces")
+        raise ParseError("pieces must be a nonempty list", f"{root}.pieces")
     pieces: list[LocalPiece] = []
     seen: set[str] = set()
     for k, entry in enumerate(doc["pieces"]):
-        path = f"$.pieces[{k}]"
+        path = f"{root}.pieces[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"id", "simplices"}:
             raise ParseError("piece must have exactly the keys id, simplices", path)
         pid = entry["id"]
@@ -137,10 +138,10 @@ def _parse_system(doc: dict, field: PrimeField) -> AdjunctionSystem:
         pieces.append(LocalPiece(pid, nerve))
 
     if not isinstance(doc["gluings"], list):
-        raise ParseError("gluings must be a list", "$.gluings")
+        raise ParseError("gluings must be a list", f"{root}.gluings")
     gluings: list[GluingBijection] = []
     for k, entry in enumerate(doc["gluings"]):
-        path = f"$.gluings[{k}]"
+        path = f"{root}.gluings[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "pairs"}:
             raise ParseError("gluing must have exactly the keys i, j, pairs", path)
         i, j = entry["i"], entry["j"]
@@ -272,7 +273,7 @@ def materialise_refinement(coarse: GluedDiagram, raw: dict | None, field: PrimeF
     if set(fine_doc) - {"pieces", "gluings"}:
         raise ParseError("fine document may only carry pieces and gluings", "$.refinement.fine")
     fine_doc["field"] = field.p
-    fine_system = parse_document(fine_doc).system
+    fine_system = parse_document(fine_doc, root="$.refinement.fine").system
     fine = canonicalize(fine_system)
     labels = dict(_label_pairs(raw["map"], "map must be a list of [fine, coarse] label pairs",
                                "$.refinement.map"))

@@ -13,9 +13,14 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from .diagrams import REPORT_ROW_CAP
 from .errors import InputError
 
 Document = dict[str, Any]
+
+# The most pieces a generated family may have: the largest n whose 2^n - 1
+# index sets `cohomology`, `count`, `mv` and `refine-check` still report.
+MAX_PIECES = (REPORT_ROW_CAP + 1).bit_length() - 1
 
 GALLERY_NAMES = ("two_origin_line", "branching_line_n", "bug_eyed_circle",
                  "three_circles", "random_admissible")
@@ -74,6 +79,8 @@ def branching_line_n(n: int = 2, field: int = 2) -> Document:
     """n lines glued along a common ray; union nerve a star with n leaves."""
     if n < 2:
         raise BadGalleryParameter(f"branching line needs n >= 2 pieces, got n={n}")
+    if n > MAX_PIECES:
+        raise BadGalleryParameter(f"branching line takes at most {MAX_PIECES} pieces, got n={n}")
     pieces = [{"id": f"p{i}", "simplices": [[f"b{i}", "c"]]} for i in range(1, n + 1)]
     gluings = [{"i": f"p{i}", "j": f"p{j}", "pairs": [["c", "c"]]}
                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -125,6 +132,9 @@ def random_admissible(seed: int, field: int = 2, n_pieces: int | None = None) ->
     """
     if n_pieces is not None and n_pieces < 1:
         raise BadGalleryParameter(f"random admissible diagram needs n >= 1 pieces, got n={n_pieces}")
+    if n_pieces is not None and n_pieces > MAX_PIECES:
+        raise BadGalleryParameter(f"random admissible diagram takes at most {MAX_PIECES} pieces, "
+                                  f"got n={n_pieces}")
     rng = random.Random(seed)
     n = n_pieces if n_pieces is not None else rng.choice((2, 2, 3, 3, 4))
     core_size = rng.choice((2, 3, 4))

@@ -1,12 +1,19 @@
 import itertools
+import os
 
 import pytest
+from hypothesis import settings
 
 from cechkit import cochains, fplinalg
 from cechkit.complexes import build_complex
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
 from cechkit.gallery import gallery_document
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
+# example database, so a failure on a CI runner reproduces locally.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 GALLERY_CASES = [
     ("two_origin_line", {}),
@@ -47,19 +54,21 @@ def gallery_diagram(request):
     return diagram_for(name, **kwargs)
 
 
-def necklace_nerves(n, ring, ids=None):
+def necklace_nerves(n, ring, ids=None, tri=False):
     """n square circles, circle i sharing the vertex a(i+1) with circle i+1.
 
     A ring closes up (circle n-1 meets circle 0) and has dim H^1 = n + 1;
     a chain has dim H^1 = n.  Only neighbouring circles meet, so almost
     every index set is empty.  ids names the pieces (default c00, c01, ...).
+    With tri, each circle is the hollow triangle a(i) - x(i) - a(i+1).
     """
     ids = ids or [f"c{i:02d}" for i in range(n)]
     nerves = {}
     for i in range(n):
         a, b = f"a{i}", f"a{(i + 1) % n if ring else i + 1}"
-        nerves[ids[i]] = build_complex([sorted(e) for e in
-                                        ((a, f"x{i}"), (f"x{i}", b), (b, f"y{i}"), (a, f"y{i}"))])
+        edges = ((a, f"x{i}"), (f"x{i}", b), (a, b)) if tri else \
+            ((a, f"x{i}"), (f"x{i}", b), (b, f"y{i}"), (a, f"y{i}"))
+        nerves[ids[i]] = build_complex([sorted(e) for e in edges])
     return nerves
 
 
@@ -82,7 +91,7 @@ def shared_label_document(nerves, field=2):
 
 @pytest.fixture(scope="session")
 def necklace_document():
-    return lambda n, ring: shared_label_document(necklace_nerves(n, ring))
+    return lambda n, ring, tri=False: shared_label_document(necklace_nerves(n, ring, tri=tri))
 
 
 # Every full or pivots-only elimination goes through one of these; cochains

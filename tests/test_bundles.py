@@ -10,7 +10,9 @@ from cechkit import bundles, cli
 from cechkit.bundles import (
     ENUMERATION_CAP,
     ConstantCocycle,
+    IncompatibleData,
     IncompatibleSections,
+    LineBundles,
     NonAbelianRank,
     PieceBundleData,
     ResourceLimit,
@@ -19,6 +21,7 @@ from cechkit.bundles import (
     _all_invertible,
     _find,
     _gl_order,
+    class_table,
     cocycle_class,
     cocycles_equivalent,
     colimit_bundle,
@@ -37,7 +40,7 @@ from cechkit.complexes import build_complex, components, full_subcomplex
 from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import canonical_json, materialise_bundle, parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
-from cechkit.gallery import gallery_document
+from cechkit.gallery import gallery_document, random_admissible
 
 
 def cycle4():
@@ -189,6 +192,32 @@ def test_piece_data_validation_and_triple(three_circles):
     # breaking one identification violates the compatibility on an overlap edge
     broken = PieceBundleData(three_circles, 1, data.cocycles, {("p1", "p2"): {"a": 1}})
     assert not validate_piece_data(broken).valid
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_overlap_checks_do_not_count_when_a_piece_fails(p):
+    tri = build_complex([["a", "b", "c"]])
+    field = PrimeField(p)
+    diagram = glued_from_nerves({"p1": tri, "p2": tri}, field)
+    bad = ConstantCocycle.build(tri, 1, field, {("a", "b"): 1})
+    good = ConstantCocycle.build(tri, 1, field)
+    # p2's identity cocycle does not match p1's on the overlap edge (a, b) either
+    data = PieceBundleData(diagram, 1, {"p1": bad, "p2": good}, {})
+    assert validate_piece_data(data).violations == (("p1", ("a", "b", "c"), "triangle identity fails"),)
+    fixed = PieceBundleData(diagram, 1, {"p1": good, "p2": ConstantCocycle.build(tri, 1, field, {})},
+                            {("p1", "p2"): {"a": 1}})
+    assert validate_piece_data(fixed).violations[0] == (("p1", "p2"), ("a", "b"),
+                                                        "piece cocycles incompatible on overlap edge")
+
+
+def test_singular_identification_is_a_violation(three_circles):
+    # the overlap checks would invert the identification at b
+    singular = {("p1", "p2"): {"b": np.array([[1, 1], [1, 1]])}}
+    identity = restrict_bundle(ConstantCocycle.build(three_circles.nerve, 2, F2), three_circles)
+    data = PieceBundleData(three_circles, 2, identity.cocycles, singular)
+    assert validate_piece_data(data).violations == ((("p1", "p2"), "identification at 'b' is not invertible"),)
+    with pytest.raises(IncompatibleData, match="is not invertible"):
+        colimit_bundle(three_circles, data)
 
 
 def test_colimit_two_origin_identifications(two_origin):
@@ -458,6 +487,7 @@ def test_rank1_gauge_questions_make_no_elimination(count_eliminations, three_cir
     swap = ConstantCocycle.build(two_origin.nerve, 2, F2, {("o2", "r"): [[0, 1], [1, 0]]})
     rank2 = restrict_bundle(swap, two_origin)
     calls = count_eliminations()
+    class_table(classes)
     for g, data in zip(classes, pieces):
         parallel_sections(g)
         for h in classes:
@@ -469,6 +499,108 @@ def test_rank1_gauge_questions_make_no_elimination(count_eliminations, three_cir
     assert calls == []
     glue_section_space(rank2)  # the rank-2 lane still eliminates
     assert calls
+
+
+def test_bundles_command_unions_once_per_constraint_not_per_class(tmp_path, monkeypatch,
+                                                                  necklace_document):
+    unions = []
+    real = bundles._union
+
+    def counting(*args):
+        unions.append(args[2:4])
+        return real(*args)
+
+    monkeypatch.setattr(bundles, "_union", counting)
+    doc = necklace_document(6, True, tri=True)  # a ring of 6 hollow triangles: dim H^1 = 7
+    path, report = tmp_path / "ring.json", tmp_path / "report.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    assert main(["--report", str(report), "bundles", str(path)]) == 0
+    assert len(json.loads(report.read_text(encoding="utf-8"))["classes"]) == 128
+    diagram = canonicalize(parse_document(doc).system)
+    constraints = (len(diagram.nerve.simplices_of_dim(1))
+                   + sum(len(diagram.nerves[pid].simplices_of_dim(1)) for pid in diagram.piece_ids)
+                   + sum(len(diagram.intersection_nerve(t).vertices)
+                         for t in itertools.combinations(diagram.piece_ids, 2)))
+    assert 0 < len(unions) <= 3 * constraints
+
+
+def fan_nerves(m, loops):
+    """The benchmark's bundle fan: pieces P and Q of m paths l-o-r and l-u-r, and a spine S.
+
+    S is a path through every l plus `loops` squares at s0, so the union
+    is connected with dim H^1 = m + loops, and P and Q have m components.
+    """
+    spine = [(f"l{k}", f"s{k}") for k in range(m)] + [(f"s{k}", f"l{k + 1}") for k in range(m - 1)]
+    for j in range(loops):
+        spine += [("s0", f"w{j}"), (f"w{j}", f"z{j}"), (f"z{j}", f"t{j}"), ("s0", f"t{j}")]
+    paths = {pid: [(f"l{k}", f"{mid}{k}") for k in range(m)] + [(f"{mid}{k}", f"r{k}") for k in range(m)]
+             for pid, mid in (("P", "o"), ("Q", "u"))}
+    return {pid: build_complex([sorted(e) for e in edges]) for pid, edges in {**paths, "S": spine}.items()}
+
+
+def per_class_answers(diagram, g):
+    """parallel_dim, round trip preserved and glue_space_dim of one cocycle, by the one-class API."""
+    data = restrict_bundle(g, diagram)
+    back = colimit_bundle(diagram, data)
+    return (parallel_sections(g).dimension, back.ok and cocycles_equivalent(back.cocycle, g),
+            glue_section_space(data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_table_matches_the_per_class_answers(necklace, data):
+    kind = data.draw(st.sampled_from(("subcomplexes", "random_admissible", "necklace", "fan")))
+    if kind == "subcomplexes":
+        # full subcomplexes of a random complex on five labels, often with several triangles
+        k = build_complex(data.draw(st.lists(st.sampled_from(SIMPLICES), max_size=8)) + [[v] for v in LABELS])
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(LABELS), min_size=1), min_size=1, max_size=3))
+        diagram = glued_from_nerves({f"p{n}": full_subcomplex(k, s) for n, s in enumerate(subsets)})
+    elif kind == "random_admissible":
+        doc = random_admissible(data.draw(st.integers(0, 10 ** 6)), n_pieces=data.draw(st.integers(1, 4)))
+        diagram = canonicalize(parse_document(doc).system)
+    elif kind == "necklace":
+        diagram = glued_from_nerves(necklace(data.draw(st.integers(2, 5)), data.draw(st.booleans()),
+                                             tri=data.draw(st.booleans())))
+    else:
+        nerves = fan_nerves(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2)))
+        if data.draw(st.booleans()):
+            del nerves["S"]  # P and Q alone: one circle l-o-r-u per path, all disjoint
+        diagram = glued_from_nerves(nerves)
+    reps = enumerate_line_bundles(diagram)
+    if data.draw(st.booleans()):
+        # Edge vectors that need not be cocycles, so some classes may fail validation.
+        n_edges = len(diagram.nerve.simplices_of_dim(1))
+        columns = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_edges, max_size=n_edges),
+                                     min_size=1, max_size=8))
+        reps = LineBundles(diagram, reps.h1, np.array(columns, dtype=np.int64).reshape(len(columns), n_edges).T)
+    answers = []
+    for g in reps:
+        try:
+            answers.append(per_class_answers(diagram, g))
+        except IncompatibleData as exc:
+            # the batch refuses with the message of the first class that fails
+            with pytest.raises(IncompatibleData) as batch:
+                class_table(reps)
+            assert str(batch.value) == str(exc)
+            return
+    table = class_table(reps)
+    assert list(zip(table.parallel_dims, table.round_trips_preserved, table.glue_space_dims)) == answers
+    # every column is a cocycle here: glued sections are the parallel ones, counted independently
+    assert table.glue_space_dims == table.parallel_dims == tuple(signed_kernel_dim(g) for g in reps)
+
+
+def test_class_table_refuses_with_the_first_invalid_class():
+    diagram = glued_from_nerves({"p1": build_complex([["a", "b", "c"]]), "p2": build_complex([["b", "c", "d"]])})
+    edges = diagram.nerve.simplices_of_dim(1)
+    # class 0 is a cocycle; class 1 breaks the triangle of p2, class 2 the triangle of p1
+    columns = [[int(e in twisted) for e in edges] for twisted in ((), (("c", "d"),), (("a", "b"),))]
+    reps = LineBundles(diagram, enumerate_line_bundles(diagram).h1, np.array(columns, dtype=np.int64).T)
+    with pytest.raises(IncompatibleData) as scalar:
+        colimit_bundle(diagram, restrict_bundle(reps[1], diagram))
+    with pytest.raises(IncompatibleData) as batch:
+        class_table(reps)
+    assert str(batch.value) == str(scalar.value) == \
+        "piece data invalid: ('p2', ('b', 'c', 'd'), 'triangle identity fails')"
 
 
 def test_exhaustive_two_origin_oracle(two_origin):

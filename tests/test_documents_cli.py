@@ -1,9 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from cechkit.cli import main
+from cechkit.cli import QMAX_CAP, main
 from cechkit.diagrams import canonicalize, validate_system
 from cechkit.documents import (
     NonPrimeModulus,
@@ -12,7 +13,7 @@ from cechkit.documents import (
     load_diagram,
     parse_document,
 )
-from cechkit.gallery import GALLERY_NAMES, gallery_document
+from cechkit.gallery import GALLERY_NAMES, MAX_PIECES, BadGalleryParameter, gallery_document
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -320,12 +321,48 @@ def test_cli_negative_degree_is_usage_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", (["--field", "4", "gallery", "two_origin_line"],
                                   ["gallery", "branching_line_n", "--n", "1"],
-                                  ["gallery", "random_admissible", "--n", "0"]))
+                                  ["gallery", "random_admissible", "--n", "0"],
+                                  ["gallery", "branching_line_n", "--n", "17"],
+                                  ["gallery", "random_admissible", "--n", "3000"]))
 def test_cli_gallery_bad_arguments_are_input_errors(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ("branching_line_n", "random_admissible"))
+def test_gallery_piece_cap_is_the_most_pieces_the_reports_take(name):
+    # 16 pieces give 2^16 - 1 report rows, the most REPORT_ROW_CAP allows; 17 give more.
+    assert MAX_PIECES == 16
+    diagram = canonicalize(parse_document(gallery_document(name, n=MAX_PIECES)).system)
+    assert diagram.n_pieces == MAX_PIECES and len(diagram.index_subsets(MAX_PIECES)) == 1
+    with pytest.raises(BadGalleryParameter, match="at most 16 pieces, got n=17"):
+        gallery_document(name, n=MAX_PIECES + 1)
+
+
+def test_cli_cohomology_refuses_qmax_past_the_cap_at_once(tmp_path, capsys):
+    path = write_doc(tmp_path, gallery_document("two_origin_line"))
+    report = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["--report", str(report), "cohomology", "--qmax", str(10 ** 9), str(path)]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err == (f"input error: cohomology degrees are capped at --qmax {QMAX_CAP}; "
+                            f"got --qmax {10 ** 9}\n")
+    assert main(["--report", str(report), "cohomology", "--qmax", str(QMAX_CAP), str(path)]) == 0
+    assert len(json.loads(report.read_text(encoding="utf-8"))["union_dims"]) == QMAX_CAP + 1
+
+
+def test_cli_refinement_fine_errors_name_their_path(tmp_path, capsys):
+    doc = gallery_document("two_origin_line")
+    doc["refinement"]["fine"]["pieces"][0]["simplices"] = [5]
+    assert main(["refine-check", str(write_doc(tmp_path, doc))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: $.refinement.fine.pieces[0].simplices[0]: "
+                            "simplex must be a list of string labels\n")
 
 
 # sha256 of `cechkit gallery random_admissible --seed S` before --n reached the generator.
