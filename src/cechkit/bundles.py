@@ -46,7 +46,7 @@ from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram
 from .errors import InputError, ResourceLimit
-from .fplinalg import FMatrix, PrimeField, _f2_rows
+from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix
 
 Edge = tuple[str, str]
 
@@ -623,19 +623,29 @@ def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
 
     k = cocycle.rank
     vs = base.vertices
-    offset = {v: i * k for i, v in enumerate(vs)}
-    edges = base.simplices_of_dim(1)
-    m = np.zeros((len(edges) * k, len(vs) * k), dtype=np.int64)
-    for r, (a, b) in enumerate(edges):
-        m[r * k:(r + 1) * k, offset[a]:offset[a] + k] += np.eye(k, dtype=np.int64)
-        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= np.asarray(cocycle.values[(a, b)])
-    kernel = FMatrix(m, cocycle.field).kernel_basis()
-    sections = []
-    for j in range(kernel.cols):
-        col = kernel.column(j)
-        values = {v: col[offset[v]:offset[v] + k].copy() for v in vs}
-        sections.append(TwistedSection(cocycle, values))
-    return SectionBasis(cocycle, tuple(sections))
+    # kernel row i * k + r is entry r of the section at vertex i
+    kernel = _section_system({"": cocycle}, [], k, cocycle.field).kernel_basis()
+    by_vertex = kernel.entries.reshape(len(vs), k, kernel.cols)
+    sections = tuple(TwistedSection(cocycle, {v: by_vertex[i, :, j].copy() for i, v in enumerate(vs)})
+                     for j in range(kernel.cols))
+    return SectionBasis(cocycle, sections)
+
+
+def _section_system(cocycles: dict[str, ConstantCocycle], links: list[tuple[tuple, tuple, np.ndarray]],
+                    rank: int, field: PrimeField) -> FMatrix:
+    """The linear system of rank >= 2 parallel sections on pieces joined by links.
+
+    The unknowns are s_(i, v) in F_p^rank for each piece i and each vertex
+    v of its base, in order.  Each edge (a, b) of piece i asks
+    s_(i, a) = g_i[a, b] s_(i, b), and then each link (x, y, h) asks
+    s_x = h s_y; every condition is `rank` rows.
+    """
+    unknowns = {(i, v): rank for i, g in cocycles.items() for v in g.base.vertices}
+    conditions = [((i, a), (i, b), g.values[(a, b)]) for i, g in cocycles.items()
+                  for a, b in g.base.simplices_of_dim(1)] + links
+    eye = np.eye(rank, dtype=np.int64)
+    blocks = [block for n, (x, y, h) in enumerate(conditions) for block in ((n, x, eye), (n, y, -np.asarray(h)))]
+    return block_matrix(dict.fromkeys(range(len(conditions)), rank), unknowns, blocks, field)
 
 
 def is_parallel(section: TwistedSection) -> bool:
@@ -772,30 +782,11 @@ def glue_section_space(data: PieceBundleData) -> int:
     if rank == 1:
         return int(_glue_space_dims(data, 1)[0])
 
-    # rank >= 2: parallel constraints and identification constraints are linear
-    offsets: dict[tuple[str, str], int] = {}
-    pos = 0
-    for pid in diagram.piece_ids:
-        for v in diagram.nerves[pid].vertices:
-            offsets[(pid, v)] = pos
-            pos += rank
-    rows: list[np.ndarray] = []
-    for pid in diagram.piece_ids:
-        g = data.cocycles[pid]
-        for a, b in diagram.nerves[pid].simplices_of_dim(1):
-            row = np.zeros((rank, pos), dtype=np.int64)
-            row[:, offsets[(pid, a)]:offsets[(pid, a)] + rank] += np.eye(rank, dtype=np.int64)
-            row[:, offsets[(pid, b)]:offsets[(pid, b)] + rank] -= np.asarray(g.values[(a, b)])
-            rows.append(row)
-    for i, j in itertools.combinations(diagram.piece_ids, 2):
-        nij = diagram.intersection_nerve((i, j))
-        for v in nij.vertices:
-            row = np.zeros((rank, pos), dtype=np.int64)
-            row[:, offsets[(j, v)]:offsets[(j, v)] + rank] += np.eye(rank, dtype=np.int64)
-            row[:, offsets[(i, v)]:offsets[(i, v)] + rank] -= np.asarray(data.ident(i, j, v))
-            rows.append(row)
-    system = np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64)
-    return FMatrix(system, diagram.field).rank_nullity()[1]
+    # rank >= 2: each piece's parallel sections, linked by s_j(v) = ident(i, j, v) s_i(v)
+    links = [((j, v), (i, v), data.ident(i, j, v)) for i, j in itertools.combinations(diagram.piece_ids, 2)
+             for v in diagram.intersection_nerve((i, j)).vertices]
+    cocycles = {pid: data.cocycles[pid] for pid in diagram.piece_ids}
+    return _section_system(cocycles, links, rank, diagram.field).rank_nullity()[1]
 
 
 @dataclass(frozen=True)

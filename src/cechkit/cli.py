@@ -172,12 +172,11 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
         for pid in diagram.piece_ids}
     report["intersection_dims"] = {}
     for size in range(2, diagram.n_pieces + 1):
-        nonempty = set(diagram.nonempty_subsets(size))
-        for t in diagram.index_subsets(size):
+        for t, nerve in diagram.index_set_nerves(size):
             # An empty intersection has no cohomology in any degree.
             report["intersection_dims"][_key(t)] = [
-                cohomology(diagram.intersection_nerve(t), q, diagram.field).dimension
-                for q in range(q_max + 1)] if t in nonempty else [0] * (q_max + 1)
+                cohomology(nerve, q, diagram.field).dimension
+                for q in range(q_max + 1)] if nerve is not None else [0] * (q_max + 1)
     report["verdicts"]["h0_matches_components"] = union[0] == len(components(diagram.nerve))
     _println(f"global labels: {', '.join(diagram.nerve.vertices)}")
     _table([("space", *[f"H^{q}" for q in range(q_max + 1)]),
@@ -252,9 +251,7 @@ def _cmd_fibred(args) -> tuple[dict, int]:
         union_dim = cohomology(diagram.nerve, q, diagram.field).space.dim
         rank_phi = phi_star(diagram, q).matrix.rank()
         two_step, basis = inductive_fibred_dim(diagram, q)
-        joint = FMatrix(np.hstack([fp.basis.entries, basis.entries])
-                        if fp.basis.cols + basis.cols else np.zeros((fp.level1.dim, 0), dtype=np.int64),
-                        diagram.field)
+        joint = FMatrix(np.hstack([fp.basis.entries, basis.entries]), diagram.field)
         same_span = joint.rank() == fp.dimension and two_step == fp.dimension
         entry = {"q": q, "cochain_dim_union": union_dim, "fibred_dim": fp.dimension,
                  "rank_phi_star": rank_phi, "inductive_dim": two_step,

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .complexes import Simplex, SimplicialComplex
-from .fplinalg import FMatrix, PrimeField, pivot_columns
+from .fplinalg import FMatrix, PrimeField, entry_matrix, pivot_columns
 
 
 class NotSubcomplex(ValueError):
@@ -104,11 +104,12 @@ def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """The matrix of d^q: alternating sum over vertex removals."""
     src = CochainSpace(k, q, field)
     tgt = CochainSpace(k, q + 1, field)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for row, sigma in enumerate(tgt.basis):
-        for i in range(len(sigma)):
-            m[row, src.index[sigma[:i] + sigma[i + 1:]]] += (-1) ** i
-    return FMatrix(m, field)
+    width = q + 2
+    # row r, column i: face i of simplex r, all distinct; each row of faces takes the signs (-1)^i
+    faces = np.array([src.index[sigma[:i] + sigma[i + 1:]] for sigma in tgt.basis for i in range(width)],
+                     dtype=np.int64).reshape(tgt.dim, width)
+    signs = [(-1) ** i for i in range(width)]
+    return entry_matrix((tgt.dim, src.dim), np.arange(tgt.dim)[:, None], faces, signs, field)
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,7 @@ def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: Prim
         raise NotSubcomplex("second complex is not a subcomplex of the first")
     src = CochainSpace(k, q, field)
     tgt = CochainSpace(l, q, field)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for row, s in enumerate(tgt.basis):
-        m[row, src.index[s]] = 1
-    return FMatrix(m, field)
+    return entry_matrix((tgt.dim, src.dim), np.arange(tgt.dim), [src.index[s] for s in tgt.basis], 1, field)
 
 
 def restrict_cochain(f: Cochain, l: SimplicialComplex) -> Cochain:
@@ -232,11 +230,11 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
             raise NotSimplicial(f"image of {s!r} is not a simplex of the codomain")
     src = CochainSpace(codomain, q, field)
     tgt = CochainSpace(domain, q, field)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+    rows, cols, signs = [], [], []
     for row, tau in enumerate(tgt.basis):
         images = tuple(vertex_map[v] for v in tau)
-        if len(set(images)) < len(images):
-            continue
-        sigma = tuple(sorted(images))
-        m[row, src.index[sigma]] = _permutation_sign(images)
-    return ChainMapLevel(src, tgt, FMatrix(m, field))
+        if len(set(images)) == len(images):
+            rows.append(row)
+            cols.append(src.index[tuple(sorted(images))])
+            signs.append(_permutation_sign(images))
+    return ChainMapLevel(src, tgt, entry_matrix((tgt.dim, src.dim), rows, cols, signs, field))

@@ -327,6 +327,11 @@ class GluedDiagram:
                                 f"{self.n_pieces} pieces give 2^{self.n_pieces} - 1 = {2 ** self.n_pieces - 1}")
         return tuple(itertools.combinations(self.piece_ids, size))
 
+    def index_set_nerves(self, size: int) -> list[tuple[tuple[str, ...], SimplicialComplex | None]]:
+        """Each of `index_subsets(size)` with its intersection nerve, or None where that is empty."""
+        nonempty = set(self.nonempty_subsets(size))
+        return [(t, self.intersection_nerve(t) if t in nonempty else None) for t in self.index_subsets(size)]
+
     def nonempty_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:
         """The index sets of the given size whose intersection is nonempty.
 

@@ -19,13 +19,18 @@ column spaces, cohomology bases).
   columns from the pivot on.  This lane is why MAX_PRIME bounds the
   modulus: it multiplies int64 entries below p, and p^2 < 2^32 keeps every
   product exact.
+
+Two constructors own matrix layout: `block_matrix` places blocks keyed by
+index set, and `entry_matrix` places single entries.  They are the one
+place in the package where a matrix is allocated and written into; every
+cochain, restriction, difference and total differential goes through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,12 +244,6 @@ class FMatrix:
             raise DimensionMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         return FMatrix((self.entries @ other.entries) % self.field.p, self.field)
 
-    def __add__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.entries + other.entries, self.field)
-
-    def __sub__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.entries - other.entries, self.field)
-
     def __neg__(self) -> "FMatrix":
         return FMatrix(-self.entries, self.field)
 
@@ -319,14 +318,44 @@ class FMatrix:
         return FMatrix(reduced[:, self.rows:], self.field)
 
 
-def block_diagonal(blocks: Sequence[np.ndarray], field: PrimeField) -> FMatrix:
-    """The blocks down the diagonal in order, zero elsewhere; a block may be empty."""
-    m = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
-    r = c = 0
-    for block in blocks:
-        h, w = block.shape
-        m[r:r + h, c:c + w] = block
-        r, c = r + h, c + w
+def _ranges(dims: Mapping[Hashable, int]) -> tuple[dict[Hashable, slice], int]:
+    """Each key's range when the sizes are laid out in order, and the total size."""
+    out: dict[Hashable, slice] = {}
+    pos = 0
+    for key, size in dims.items():
+        out[key] = slice(pos, pos + size)
+        pos += size
+    return out, pos
+
+
+def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, int],
+                 blocks: Iterable[tuple[Hashable, Hashable, np.ndarray]], field: PrimeField) -> FMatrix:
+    """The matrix whose row and column ranges are the keyed sizes in order.
+
+    Each (row key, col key, array) block is added at its position, so
+    blocks that share a position are summed; any size may be 0.  A block
+    must have exactly its position's shape.
+    """
+    rows, n_rows = _ranges(row_dims)
+    cols, n_cols = _ranges(col_dims)
+    m = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for r, c, block in blocks:
+        place = m[rows[r], cols[c]]
+        if place.shape != block.shape:
+            raise DimensionMismatch(f"block {r!r}, {c!r} has shape {block.shape}, not {place.shape}")
+        place += block
+    return FMatrix(m, field)
+
+
+def entry_matrix(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values,
+                 field: PrimeField) -> FMatrix:
+    """The matrix with values[i] at (rows[i], cols[i]) and zero elsewhere.
+
+    The three arrays broadcast together, as in numpy indexing, so one
+    value may serve every entry; the places must be distinct.
+    """
+    m = np.zeros(shape, dtype=np.int64)
+    m[rows, cols] = values
     return FMatrix(m, field)
 
 
@@ -335,7 +364,7 @@ def quotient_dim(z: FMatrix, b: FMatrix) -> int:
     if z.field.p != b.field.p or z.rows != b.rows:
         raise DimensionMismatch("bases live in different spaces")
     rz = z.rank()
-    joint = FMatrix(np.column_stack([z.entries, b.entries]) if b.cols else z.entries, z.field)
+    joint = FMatrix(np.column_stack([z.entries, b.entries]), z.field)
     if joint.rank() > rz:
         raise NotASubspace("second basis is not contained in the span of the first")
     return rz - b.rank()

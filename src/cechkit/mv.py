@@ -33,7 +33,7 @@ from .cochains import (
 )
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
-from .fplinalg import FMatrix, block_diagonal
+from .fplinalg import FMatrix, block_matrix
 
 
 class NotBinary(ValueError):
@@ -54,16 +54,15 @@ class TupleCochainSpace:
 
     @cached_property
     def dim(self) -> int:
-        return sum(space.dim for _, space in self.blocks)
+        return sum(self.dims.values())
+
+    @cached_property
+    def dims(self) -> dict[tuple[str, ...], int]:
+        return {t: space.dim for t, space in self.blocks}
 
     @cached_property
     def offsets(self) -> dict[tuple[str, ...], int]:
-        out: dict[tuple[str, ...], int] = {}
-        pos = 0
-        for t, space in self.blocks:
-            out[t] = pos
-            pos += space.dim
-        return out
+        return dict(zip(self.dims, itertools.accumulate(self.dims.values(), initial=0)))
 
     @cached_property
     def _by_t(self) -> dict[tuple[str, ...], CochainSpace]:
@@ -95,10 +94,9 @@ def _phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
     field = diagram.field
     src = CochainSpace(diagram.nerve, degree, field)
     tgt = tuple_space(diagram, 1, degree)
-    m = np.vstack([np.zeros((0, src.dim), dtype=np.int64)]
-                  + [restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries
-                     for _, space in tgt.blocks])
-    return ChainMapLevel(src, tgt, FMatrix(m, field))
+    blocks = ((t, "union", restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries)
+              for t, space in tgt.blocks)
+    return ChainMapLevel(src, tgt, block_matrix(tgt.dims, {"union": src.dim}, blocks, field))
 
 
 def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel:
@@ -118,20 +116,17 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel
 
 
 def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel:
-    field = diagram.field
     src = tuple_space(diagram, level, degree)
     tgt = tuple_space(diagram, level + 1, degree)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for t_prime, tgt_space in tgt.blocks:
-        row = tgt.offsets[t_prime]
-        for a in range(len(t_prime)):
-            t = t_prime[:a] + t_prime[a + 1:]
-            src_space = src.block(t)
-            res = restriction_map(src_space.complex, tgt_space.complex, degree, field).matrix.entries
-            sign = (-1) ** (a + 1)
-            col = src.offsets[t]
-            m[row:row + tgt_space.dim, col:col + src_space.dim] += sign * res
-    return ChainMapLevel(src, tgt, FMatrix(m, field))
+
+    def blocks():
+        for t_prime, tgt_space in tgt.blocks:
+            for a in range(len(t_prime)):
+                t = t_prime[:a] + t_prime[a + 1:]
+                res = restriction_map(src.block(t).complex, tgt_space.complex, degree, diagram.field).matrix.entries
+                yield t_prime, t, res if a % 2 else -res
+
+    return ChainMapLevel(src, tgt, block_matrix(tgt.dims, src.dims, blocks(), diagram.field))
 
 
 @dataclass(frozen=True)
@@ -364,25 +359,21 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
     cols = spaces[ids[0]].dim
     for m in range(1, len(ids)):
         nxt = ids[m]
-        dim_next = spaces[nxt].dim
-        rows: list[np.ndarray] = []
+        # unknowns: coefficients on the basis absorbed so far (0), then a cochain on nxt (1)
+        rows: dict[str, int] = {}
+        constraint: list[tuple[str, int, np.ndarray]] = []
         for prev in ids[:m]:
             nij = diagram.intersection_nerve((prev, nxt))
             r_prev = restriction_map(diagram.nerves[prev], nij, degree, field).matrix.entries
             r_next = restriction_map(diagram.nerves[nxt], nij, degree, field).matrix.entries
-            left = (r_prev @ blocks[prev]) % field.p
-            rows.append(np.hstack([left, (-r_next) % field.p]))
-        if rows:
-            constraint = FMatrix(np.vstack(rows), field)
-            kernel = constraint.kernel_basis().entries
-        else:
-            kernel = np.eye(cols + dim_next, dtype=np.int64)
+            rows[prev] = r_prev.shape[0]
+            constraint += [(prev, 0, r_prev @ blocks[prev]), (prev, 1, -r_next)]
+        kernel = block_matrix(rows, {0: cols, 1: spaces[nxt].dim}, constraint, field).kernel_basis().entries
         top, bottom = kernel[:cols, :], kernel[cols:, :]
         blocks = {i: (blocks[i] @ top) % field.p for i in blocks}
         blocks[nxt] = bottom
         cols = kernel.shape[1]
-    stacked = np.vstack([blocks[i] for i in diagram.piece_ids]) if blocks else np.zeros((0, 0), dtype=np.int64)
-    return cols, FMatrix(stacked, field)
+    return cols, FMatrix(np.vstack([blocks[i] for i in diagram.piece_ids]), field)
 
 
 @dataclass(frozen=True)
@@ -402,44 +393,8 @@ def total_cohomology(diagram: GluedDiagram, q_max: int) -> TotalCohomologyReport
     columnwise coboundary.  The result must match the union nerve.
     """
     field = diagram.field
-    n_cols = diagram.n_pieces
-    q_top = max(diagram.nerve.dim, 0)
-    spaces = {(p, q): tuple_space(diagram, p + 1, q)
-              for p in range(n_cols) for q in range(q_top + 2)}
-
-    def total_blocks(k: int) -> list[tuple[int, int]]:
-        return [(p, k - p) for p in range(n_cols) if 0 <= k - p <= q_top + 1]
-
-    def total_dim(k: int) -> int:
-        return sum(spaces[b].dim for b in total_blocks(k))
-
-    k_max = n_cols - 1 + q_top + 1
-    differentials: list[FMatrix] = []
-    for k in range(k_max + 1):
-        src_blocks = total_blocks(k)
-        tgt_blocks = total_blocks(k + 1)
-        tgt_off: dict[tuple[int, int], int] = {}
-        pos = 0
-        for b in tgt_blocks:
-            tgt_off[b] = pos
-            pos += spaces[b].dim
-        m = np.zeros((total_dim(k + 1), total_dim(k)), dtype=np.int64)
-        col = 0
-        for (p, q) in src_blocks:
-            src_dim = spaces[(p, q)].dim
-            if p + 1 < n_cols and (p + 1, q) in tgt_off:
-                horiz = delta_tilde(diagram, p + 1, q).matrix.entries
-                r = tgt_off[(p + 1, q)]
-                m[r:r + horiz.shape[0], col:col + src_dim] += horiz
-            if (p, q + 1) in tgt_off:
-                # d^q on each block; degrees q and q+1 share the level's index sets
-                vert = block_diagonal([cech_differential(s.complex, q, field).matrix.entries
-                                       for _, s in spaces[(p, q)].blocks], field).entries
-                r = tgt_off[(p, q + 1)]
-                m[r:r + vert.shape[0], col:col + src_dim] += ((-1) ** p) * vert
-            col += src_dim
-        differentials.append(FMatrix(m, field))
-
+    differentials = _total_differentials(diagram)
+    k_max = len(differentials) - 1
     d_square_zero = all((differentials[k + 1] @ differentials[k]).is_zero()
                         for k in range(k_max))
     total_dims = []
@@ -452,6 +407,30 @@ def total_cohomology(diagram: GluedDiagram, q_max: int) -> TotalCohomologyReport
                                  d_square_zero and tuple(total_dims) == union_dims)
 
 
+def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
+    """The total differentials d_k from total degree k to k + 1, for k from 0 to the top degree."""
+    field = diagram.field
+    n_cols = diagram.n_pieces
+    q_top = max(diagram.nerve.dim, 0)
+    k_max = n_cols - 1 + q_top + 1
+    # total degree k: the cochains of bidegree (p, k - p), on the level-(p+1) index sets
+    dims = [{(p, k - p): tuple_space(diagram, p + 1, k - p).dim for p in range(n_cols) if 0 <= k - p <= q_top + 1}
+            for k in range(k_max + 2)]
+
+    def blocks(k: int):
+        for p, q in dims[k]:
+            if p + 1 < n_cols:
+                yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q).matrix.entries
+            if q <= q_top:
+                # d^q on each block; degrees q and q+1 share the level's index sets
+                src, tgt = tuple_space(diagram, p + 1, q), tuple_space(diagram, p + 1, q + 1)
+                d = block_matrix(tgt.dims, src.dims, ((t, t, cech_differential(s.complex, q, field).matrix.entries)
+                                                      for t, s in src.blocks), field).entries
+                yield (p, q + 1), (p, q), -d if p % 2 else d
+
+    return [block_matrix(dims[k + 1], dims[k], blocks(k), field) for k in range(k_max + 1)]
+
+
 @dataclass(frozen=True)
 class TupleCohomology:
     level: int
@@ -459,8 +438,12 @@ class TupleCohomology:
     blocks: tuple[tuple[tuple[str, ...], CohomologyBasis], ...]
 
     @cached_property
+    def dims(self) -> dict[tuple[str, ...], int]:
+        return {t: coh.dimension for t, coh in self.blocks}
+
+    @cached_property
     def dim(self) -> int:
-        return sum(coh.dimension for _, coh in self.blocks)
+        return sum(self.dims.values())
 
 
 def tuple_cohomology(diagram: GluedDiagram, level: int, degree: int) -> TupleCohomology:
@@ -479,12 +462,14 @@ def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMa
     """
     field = diagram.field
     src = tuple_cohomology(diagram, level, degree)
-    reps = block_diagonal([coh.representatives.entries for _, coh in src.blocks], field)
+    tgt = tuple_cohomology(diagram, level + 1, degree)
+    reps = block_matrix(tuple_space(diagram, level, degree).dims, src.dims,
+                        ((t, t, coh.representatives.entries) for t, coh in src.blocks), field)
     image = (delta_tilde(diagram, level, degree).matrix @ reps).entries
     offsets = tuple_space(diagram, level + 1, degree).offsets
-    rows = [class_coordinates(coh, image[offsets[t]:offsets[t] + coh.space.dim])
-            for t, coh in tuple_cohomology(diagram, level + 1, degree).blocks]
-    return FMatrix(np.vstack(rows) if rows else np.zeros((0, src.dim), dtype=np.int64), field)
+    coords = ((t, "src", class_coordinates(coh, image[offsets[t]:offsets[t] + coh.space.dim]))
+              for t, coh in tgt.blocks)
+    return block_matrix(tgt.dims, {"src": src.dim}, coords, field)
 
 
 @dataclass(frozen=True)
@@ -508,10 +493,9 @@ def h1_fibred_check(diagram: GluedDiagram) -> H1FibredVerdict:
     field = diagram.field
     connectivity: dict[tuple[str, ...], int] = {}
     for size in range(1, diagram.n_pieces + 1):
-        nonempty = set(diagram.nonempty_subsets(size))
-        for t in diagram.index_subsets(size):
+        for t, nerve in diagram.index_set_nerves(size):
             # An empty intersection has no components.
-            connectivity[t] = len(components(diagram.intersection_nerve(t))) if t in nonempty else 0
+            connectivity[t] = len(components(nerve)) if nerve is not None else 0
     disconnected = tuple(t for t, c in sorted(connectivity.items()) if c != 1)
     hypothesis = not disconnected
 
@@ -554,18 +538,17 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
     n = diagram.n_pieces
     h1_dims: dict[tuple[str, ...], int] = {}
     connectivity_bad: list[tuple[str, ...]] = []
+    exponent = 0
+    literal = 0
     for size in range(1, n + 1):
-        nonempty = set(diagram.nonempty_subsets(size))
-        for t in diagram.index_subsets(size):
-            if t not in nonempty:
-                # An empty intersection: H^1 = 0 (a literal term 2^0), no components.
-                h1_dims[t] = 0
+        sign = (-1) ** (size + 1)
+        for t, nerve in diagram.index_set_nerves(size):
+            # An empty intersection: H^1 = 0 (a literal term 2^0), no components.
+            h1_dims[t] = cohomology(nerve, 1, diagram.field).dimension if nerve is not None else 0
+            if nerve is None or len(components(nerve)) != 1:
                 connectivity_bad.append(t)
-                continue
-            nerve = diagram.intersection_nerve(t)
-            h1_dims[t] = cohomology(nerve, 1, diagram.field).dimension
-            if len(components(nerve)) != 1:
-                connectivity_bad.append(t)
+            exponent += sign * h1_dims[t]
+            literal += sign * 2 ** h1_dims[t]
 
     non_surjective: list[int] = []
     for level in range(1, n):
@@ -573,13 +556,6 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
         if descended.rank() != descended.rows:
             non_surjective.append(level)
 
-    exponent = 0
-    literal = 0
-    for size in range(1, n + 1):
-        sign = (-1) ** (size + 1)
-        for t in diagram.index_subsets(size):
-            exponent += sign * h1_dims[t]
-            literal += sign * 2 ** h1_dims[t]
     ground = 2 ** cohomology(diagram.nerve, 1, diagram.field).dimension
     dim_count = 2 ** exponent if exponent >= 0 else None
     return CountReport(

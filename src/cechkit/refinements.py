@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cochains import ChainMapLevel, cech_differential, cohomology, induced_on_cohomology, pullback_map
-from .complexes import SimplicialComplex
+from .complexes import EMPTY_COMPLEX, SimplicialComplex
 from .diagrams import GluedDiagram
 from .errors import ResourceLimit
-from .fplinalg import FMatrix, block_diagonal
+from .fplinalg import FMatrix, block_matrix
 from .mv import connecting_homomorphism, delta_tilde, phi_star, tuple_space
 
 
@@ -82,8 +82,8 @@ def refine_pullback(r: RefinementMap, degree: int) -> dict[tuple[str, ...] | str
         "union": pullback_map(r.labels, r.fine.nerve, r.coarse.nerve, degree, field)
     }
     for size in range(1, r.fine.n_pieces + 1):
-        for t in r.fine.index_subsets(size):
-            out[t] = pullback_map(r.labels, r.fine.intersection_nerve(t),
+        for t, fine_nerve in r.fine.index_set_nerves(size):
+            out[t] = pullback_map(r.labels, EMPTY_COMPLEX if fine_nerve is None else fine_nerve,
                                   r.coarse.intersection_nerve(t), degree, field)
     return out
 
@@ -94,10 +94,12 @@ def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
     A fine N_T is nonempty only where the coarse one is, since labels map
     piece by piece; where it is empty, its block has no rows.
     """
-    return block_diagonal([
-        pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree,
-                     r.fine.field).matrix.entries
-        for t, space in tuple_space(r.coarse, level, degree).blocks], r.fine.field)
+    coarse = tuple_space(r.coarse, level, degree)
+    maps = {t: pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree,
+                            r.fine.field).matrix.entries
+            for t, space in coarse.blocks}
+    return block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
+                        ((t, t, m) for t, m in maps.items()), r.fine.field)
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,9 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
     complexes: list[tuple[str, SimplicialComplex | None, SimplicialComplex | None]] = [
         ("union", r.fine.nerve, r.coarse.nerve)]
     for size in range(1, r.fine.n_pieces + 1):
-        nonempty = set(r.fine.nonempty_subsets(size))
-        for t in r.fine.index_subsets(size):
-            name = f"T={','.join(t)}"
-            if t in nonempty:
-                complexes.append((name, r.fine.intersection_nerve(t), r.coarse.intersection_nerve(t)))
-            else:
-                complexes.append((name, None, None))
+        for t, fine_nerve in r.fine.index_set_nerves(size):
+            coarse_nerve = r.coarse.intersection_nerve(t) if fine_nerve is not None else None
+            complexes.append((f"T={','.join(t)}", fine_nerve, coarse_nerve))
     for q in range(q_max + 1):
         for name, fine_c, coarse_c in complexes:
             if fine_c is None:

@@ -14,7 +14,8 @@ from cechkit.fplinalg import (
     NotASubspace,
     NotPrime,
     PrimeField,
-    block_diagonal,
+    block_matrix,
+    entry_matrix,
     pivot_columns,
     quotient_dim,
     rref,
@@ -117,16 +118,63 @@ def test_solve_dimension_mismatch():
         FMatrix.identity(3, F2).solve(np.array([1, 0]))
 
 
+def diagonal(blocks, field):
+    """block_matrix with block i at (i, i)."""
+    return block_matrix({i: b.shape[0] for i, b in enumerate(blocks)}, {i: b.shape[1] for i, b in enumerate(blocks)},
+                        [(i, i, b) for i, b in enumerate(blocks)], field)
+
+
 def test_block_diagonal_places_blocks_in_order_including_empty_ones():
     blocks = [np.array([[1, 2]]), np.zeros((0, 3), dtype=np.int64), np.array([[4], [5]]),
               np.zeros((2, 0), dtype=np.int64)]
-    m = block_diagonal(blocks, PrimeField(3))
+    m = diagonal(blocks, PrimeField(3))
     assert m.entries.tolist() == [[1, 2, 0, 0, 0, 0],
                                   [0, 0, 0, 0, 0, 1],
                                   [0, 0, 0, 0, 0, 2],
                                   [0, 0, 0, 0, 0, 0],
                                   [0, 0, 0, 0, 0, 0]]
-    assert block_diagonal([], F2).entries.shape == (0, 0)
+    assert diagonal([], F2).entries.shape == (0, 0)
+
+
+def test_block_matrix_sums_blocks_that_share_a_position():
+    f5 = PrimeField(5)
+    m = block_matrix({"r": 1}, {"a": 2, "b": 1}, [("r", "a", np.array([[1, 2]])), ("r", "b", np.array([[3]])),
+                                                   ("r", "a", np.array([[4, -2]]))], f5)
+    assert m.entries.tolist() == [[0, 0, 3]]
+    # a repeated key summed with its negative leaves zero
+    eye = np.eye(2, dtype=np.int64)
+    assert block_matrix({0: 2}, {0: 2}, [(0, 0, eye), (0, 0, -eye)], f5).is_zero()
+
+
+def test_block_matrix_lays_out_keys_in_the_order_of_the_maps_not_of_the_blocks():
+    blocks = [("y", "q", np.array([[1]])), ("x", "p", np.array([[2, 2]]))]
+    m = block_matrix({"x": 1, "y": 1}, {"p": 2, "q": 1}, blocks, PrimeField(3))
+    assert m.entries.tolist() == [[2, 2, 0], [0, 0, 1]]
+    swapped = block_matrix({"y": 1, "x": 1}, {"q": 1, "p": 2}, blocks, PrimeField(3))
+    assert swapped.entries.tolist() == [[1, 0, 0], [0, 2, 2]]
+    # keys of size 0 take no rows or columns, and a map may have no blocks at all
+    assert block_matrix({"x": 0, "y": 2}, {"p": 3}, [], F2).entries.tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
+def test_block_matrix_refuses_a_block_of_the_wrong_shape():
+    # (1 x 2) where (2 x 1) belongs: numpy would broadcast a (1 x 1) block silently
+    with pytest.raises(DimensionMismatch):
+        block_matrix({0: 2}, {0: 1}, [(0, 0, np.array([[1, 1]]))], F2)
+    with pytest.raises(DimensionMismatch):
+        block_matrix({0: 2}, {0: 2}, [(0, 0, np.array([[1]]))], F2)
+
+
+def test_entry_matrix_places_entries_and_reduces_them():
+    m = entry_matrix((2, 3), np.array([0, 1, 1]), np.array([2, 0, 1]), np.array([-1, 4, 1]), PrimeField(3))
+    assert m.entries.tolist() == [[0, 0, 2], [1, 1, 0]]
+    assert entry_matrix((2, 2), np.arange(2), np.array([1, 0]), 1, F2).entries.tolist() == [[0, 1], [1, 0]]
+
+
+def test_entry_matrix_with_no_entries_is_zero_of_its_shape():
+    empty = np.zeros(0, dtype=np.int64)
+    for shape in ((0, 0), (0, 4), (3, 0), (2, 5)):
+        m = entry_matrix(shape, empty, empty, empty, PrimeField(5))
+        assert m.entries.shape == shape and m.is_zero()
 
 
 def test_quotient_dim():

@@ -1,0 +1,237 @@
+"""The block and entry layouts that fplinalg.block_matrix replaced, as references.
+
+Each reference below is the hand-written offset loop that built the
+matrix before `block_matrix` and `entry_matrix` owned layout: the
+concatenated restriction phi*, the difference maps, the bicomplex total
+differentials, the blockwise refinement pullbacks and the rank-k section
+systems.  The package's matrices must equal them entry for entry.
+"""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cechkit import bundles, mv, refinements
+from cechkit.bundles import ConstantCocycle, PieceBundleData, glue_section_space, parallel_sections
+from cechkit.cochains import cech_differential, pullback_map, restriction_map
+from cechkit.complexes import build_complex, full_subcomplex
+from cechkit.diagrams import canonicalize, glued_from_nerves
+from cechkit.documents import materialise_refinement, parse_document
+from cechkit.fplinalg import FMatrix, PrimeField
+from cechkit.gallery import gallery_document, random_admissible
+from cechkit.refinements import RefinementMap, validate_refinement
+
+GALLERY = (("two_origin_line", {}), ("branching_line_n", {"n": 2}), ("branching_line_n", {"n": 3}),
+           ("bug_eyed_circle", {}), ("three_circles", {}))
+
+
+def block_diagonal(blocks, field):
+    m = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    r = c = 0
+    for block in blocks:
+        h, w = block.shape
+        m[r:r + h, c:c + w] = block
+        r, c = r + h, c + w
+    return FMatrix(m, field)
+
+
+def reference_phi_star(diagram, degree):
+    field = diagram.field
+    src_dim = len(diagram.nerve.simplices_of_dim(degree))
+    tgt = mv.tuple_space(diagram, 1, degree)
+    m = np.vstack([np.zeros((0, src_dim), dtype=np.int64)]
+                  + [restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries
+                     for _, space in tgt.blocks])
+    return FMatrix(m, field)
+
+
+def reference_delta_tilde(diagram, level, degree):
+    field = diagram.field
+    src = mv.tuple_space(diagram, level, degree)
+    tgt = mv.tuple_space(diagram, level + 1, degree)
+    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+    for t_prime, tgt_space in tgt.blocks:
+        row = tgt.offsets[t_prime]
+        for a in range(len(t_prime)):
+            t = t_prime[:a] + t_prime[a + 1:]
+            src_space = src.block(t)
+            res = restriction_map(src_space.complex, tgt_space.complex, degree, field).matrix.entries
+            col = src.offsets[t]
+            m[row:row + tgt_space.dim, col:col + src_space.dim] += (-1) ** (a + 1) * res
+    return FMatrix(m, field)
+
+
+def reference_total_differentials(diagram):
+    field = diagram.field
+    n_cols = diagram.n_pieces
+    q_top = max(diagram.nerve.dim, 0)
+    spaces = {(p, q): mv.tuple_space(diagram, p + 1, q) for p in range(n_cols) for q in range(q_top + 2)}
+
+    def total_blocks(k):
+        return [(p, k - p) for p in range(n_cols) if 0 <= k - p <= q_top + 1]
+
+    def total_dim(k):
+        return sum(spaces[b].dim for b in total_blocks(k))
+
+    k_max = n_cols - 1 + q_top + 1
+    differentials = []
+    for k in range(k_max + 1):
+        tgt_off = {}
+        pos = 0
+        for b in total_blocks(k + 1):
+            tgt_off[b] = pos
+            pos += spaces[b].dim
+        m = np.zeros((total_dim(k + 1), total_dim(k)), dtype=np.int64)
+        col = 0
+        for (p, q) in total_blocks(k):
+            src_dim = spaces[(p, q)].dim
+            if p + 1 < n_cols and (p + 1, q) in tgt_off:
+                horiz = reference_delta_tilde(diagram, p + 1, q).entries
+                r = tgt_off[(p + 1, q)]
+                m[r:r + horiz.shape[0], col:col + src_dim] += horiz
+            if (p, q + 1) in tgt_off:
+                vert = block_diagonal([cech_differential(s.complex, q, field).matrix.entries
+                                       for _, s in spaces[(p, q)].blocks], field).entries
+                r = tgt_off[(p, q + 1)]
+                m[r:r + vert.shape[0], col:col + src_dim] += ((-1) ** p) * vert
+            col += src_dim
+        differentials.append(FMatrix(m, field))
+    return differentials
+
+
+def reference_tuple_pullback(r, level, degree):
+    return block_diagonal([
+        pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree, r.fine.field).matrix.entries
+        for t, space in mv.tuple_space(r.coarse, level, degree).blocks], r.fine.field)
+
+
+def reference_parallel_system(cocycle):
+    k = cocycle.rank
+    vs = cocycle.base.vertices
+    offset = {v: i * k for i, v in enumerate(vs)}
+    edges = cocycle.base.simplices_of_dim(1)
+    m = np.zeros((len(edges) * k, len(vs) * k), dtype=np.int64)
+    for r, (a, b) in enumerate(edges):
+        m[r * k:(r + 1) * k, offset[a]:offset[a] + k] += np.eye(k, dtype=np.int64)
+        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= np.asarray(cocycle.values[(a, b)])
+    return FMatrix(m, cocycle.field)
+
+
+def reference_glue_system(data):
+    diagram = data.diagram
+    rank = data.rank
+    offsets = {}
+    pos = 0
+    for pid in diagram.piece_ids:
+        for v in diagram.nerves[pid].vertices:
+            offsets[(pid, v)] = pos
+            pos += rank
+    rows = []
+    for pid in diagram.piece_ids:
+        g = data.cocycles[pid]
+        for a, b in diagram.nerves[pid].simplices_of_dim(1):
+            row = np.zeros((rank, pos), dtype=np.int64)
+            row[:, offsets[(pid, a)]:offsets[(pid, a)] + rank] += np.eye(rank, dtype=np.int64)
+            row[:, offsets[(pid, b)]:offsets[(pid, b)] + rank] -= np.asarray(g.values[(a, b)])
+            rows.append(row)
+    for i, j in itertools.combinations(diagram.piece_ids, 2):
+        for v in diagram.intersection_nerve((i, j)).vertices:
+            row = np.zeros((rank, pos), dtype=np.int64)
+            row[:, offsets[(j, v)]:offsets[(j, v)] + rank] += np.eye(rank, dtype=np.int64)
+            row[:, offsets[(i, v)]:offsets[(i, v)] + rank] -= np.asarray(data.ident(i, j, v))
+            rows.append(row)
+    return FMatrix(np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64), diagram.field)
+
+
+def random_label_map(data, diagram):
+    """One label sent to itself or a neighbour in the union nerve; the identity if that is not a refinement."""
+    identity = {v: v for v in diagram.nerve.vertices}
+    if not identity:
+        return RefinementMap(diagram, diagram, identity)
+    v = data.draw(st.sampled_from(diagram.nerve.vertices))
+    u = data.draw(st.sampled_from([v] + [w for e in diagram.nerve.simplices_of_dim(1) if v in e for w in e]))
+    r = RefinementMap(diagram, diagram, {**identity, v: u})
+    return r if validate_refinement(r).valid else RefinementMap(diagram, diagram, identity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_layouts_equal_the_offset_loops(necklace, data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    kind = data.draw(st.sampled_from(("random_admissible", "necklace", "gallery")))
+    refinement = None
+    if kind == "random_admissible":
+        doc = random_admissible(data.draw(st.integers(0, 10 ** 6)), field=p, n_pieces=data.draw(st.integers(1, 5)))
+        diagram = canonicalize(parse_document(doc).system)
+    elif kind == "necklace":
+        diagram = glued_from_nerves(necklace(data.draw(st.integers(2, 6)), data.draw(st.booleans()),
+                                             tri=data.draw(st.booleans())), PrimeField(p))
+    else:
+        name, kwargs = data.draw(st.sampled_from(GALLERY))
+        parsed = parse_document(gallery_document(name, field=p, **kwargs))
+        diagram = canonicalize(parsed.system)
+        if parsed.refinement is not None:
+            refinement = materialise_refinement(diagram, parsed.refinement, diagram.field)
+    if refinement is None:
+        refinement = random_label_map(data, diagram)
+
+    n = diagram.n_pieces
+    for q in range(diagram.nerve.dim + 2):
+        assert mv.phi_star(diagram, q).matrix.equals(reference_phi_star(diagram, q))
+        for level in range(1, n):
+            assert mv.delta_tilde(diagram, level, q).matrix.equals(reference_delta_tilde(diagram, level, q))
+        for level in range(1, refinement.fine.n_pieces + 1):
+            assert refinements._tuple_pullback(refinement, level, q).equals(
+                reference_tuple_pullback(refinement, level, q))
+    total = mv._total_differentials(diagram)
+    reference = reference_total_differentials(diagram)
+    assert len(total) == len(reference)
+    assert all(a.equals(b) for a, b in zip(total, reference))
+
+
+LABELS = "abcde"
+SIMPLICES = [list(s) for n in (2, 3) for s in itertools.combinations(LABELS, n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank2_section_systems_equal_the_offset_loops(data):
+    """Random rank-2 transitions and identifications, invertible or not: the systems need no cocycle."""
+    field = PrimeField(data.draw(st.sampled_from((2, 3))))
+    k = build_complex(data.draw(st.lists(st.sampled_from(SIMPLICES), max_size=7)) + [[v] for v in LABELS])
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(LABELS), min_size=1), min_size=1, max_size=3))
+    diagram = glued_from_nerves({f"p{n}": full_subcomplex(k, s) for n, s in enumerate(subsets)}, field)
+    matrices = st.lists(st.integers(0, field.p - 1), min_size=4, max_size=4).map(lambda x: np.reshape(x, (2, 2)))
+    cocycles = {pid: ConstantCocycle.build(nerve, 2, field, {e: data.draw(matrices)
+                                                             for e in nerve.simplices_of_dim(1)})
+                for pid, nerve in diagram.nerves.items()}
+    identifications = {}
+    for i, j in itertools.combinations(diagram.piece_ids, 2):
+        shared = diagram.intersection_nerve((i, j)).vertices
+        identifications[(i, j)] = {v: data.draw(matrices) for v in shared if data.draw(st.booleans())}
+    piece_data = PieceBundleData(diagram, 2, cocycles, identifications)
+
+    built = []
+    real = bundles._section_system
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(bundles, "_section_system", recording):
+        glue_dim = glue_section_space(piece_data)
+        sections = {pid: parallel_sections(g).basis for pid, g in cocycles.items()}
+    assert len(built) == 1 + len(cocycles)
+    glue_system = reference_glue_system(piece_data)
+    assert built[0].equals(glue_system) and glue_dim == glue_system.rank_nullity()[1]
+    for (pid, g), system in zip(cocycles.items(), built[1:]):
+        reference = reference_parallel_system(g)
+        assert system.equals(reference)
+        kernel = reference.kernel_basis()
+        assert len(sections[pid]) == kernel.cols
+        for j, section in enumerate(sections[pid]):
+            for i, v in enumerate(g.base.vertices):
+                assert np.array_equal(section.values[v], kernel.entries[2 * i:2 * i + 2, j])
