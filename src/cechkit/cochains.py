@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .complexes import Simplex, SimplicialComplex
-from .fplinalg import FMatrix, PrimeField, entry_matrix, pivot_columns
+from .fplinalg import FMatrix, PrimeField, echelon, entry_matrix
 
 
 class NotSubcomplex(ValueError):
@@ -93,11 +93,16 @@ class ChainMapLevel:
 
 
 def cech_differential(k: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Coboundary from degree q to q+1, built once per complex, degree and field."""
+    """Coboundary from degree q to q+1, as a map between cochain spaces."""
+    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(k, q + 1, field), coboundary_matrix(k, q, field))
+
+
+def coboundary_matrix(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
+    """The matrix of d^q, built once per complex, degree and field and kept on the complex."""
     key = ("d", q, field.p)
     if key not in k.cochain_matrices:
         k.cochain_matrices[key] = _coboundary(k, q, field)
-    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(k, q + 1, field), k.cochain_matrices[key])
+    return k.cochain_matrices[key]
 
 
 def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
@@ -114,30 +119,56 @@ def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
 
 @dataclass(frozen=True)
 class CohomologyBasis:
-    """Cocycles, coboundaries and a chosen complement spanning H^q."""
+    """H^q of one complex: its dimension from ranks, its bases on first read.
+
+    The dimension is n_q - rank d^q - rank d^(q-1), from the ranks each
+    memoised coboundary keeps.  The cocycles, the coboundaries and a
+    chosen complement spanning H^q take one more elimination, run when
+    any of the three is first read and kept on the complex under
+    ("H", q, p), so every later CohomologyBasis of that complex, degree
+    and field shares them.
+    """
 
     space: CochainSpace
-    cocycles: FMatrix
-    coboundaries: FMatrix
-    representatives: FMatrix
 
     @property
     def dimension(self) -> int:
-        return self.representatives.cols
+        k, q, field = self.space.complex, self.space.degree, self.space.field
+        rank_in = coboundary_matrix(k, q - 1, field).rank() if q else 0
+        return self.space.dim - coboundary_matrix(k, q, field).rank() - rank_in
+
+    @cached_property
+    def _bases(self) -> tuple[FMatrix, FMatrix, FMatrix]:
+        k, q, field = self.space.complex, self.space.degree, self.space.field
+        key = ("H", q, field.p)
+        if key not in k.cochain_matrices:
+            k.cochain_matrices[key] = _cohomology_basis(k, q, field)
+        return k.cochain_matrices[key]
+
+    @property
+    def cocycles(self) -> FMatrix:
+        return self._bases[0]
+
+    @property
+    def coboundaries(self) -> FMatrix:
+        return self._bases[1]
+
+    @property
+    def representatives(self) -> FMatrix:
+        return self._bases[2]
 
 
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:
-    """Cocycle, coboundary and representative bases of H^q(k; F_p).
+    """H^q(k; F_p): its dimension, and its cocycle, coboundary and representative bases.
 
-    The elimination runs once per complex, degree and field; its read-only
-    matrices are kept on the complex and shared by every later call.  The
-    memo holds no reference back to the complex, so a complex that goes
-    out of use is freed at once, without waiting for the cycle collector.
+    Reading the dimension eliminates only the coboundaries, each at most
+    once per complex, degree and field.  The bases take one more
+    elimination, on first read; their read-only matrices are kept on the
+    complex and shared by every later call.  The memo holds no reference
+    back to the complex, so a complex that goes out of use is freed at
+    once, without waiting for the cycle collector.
     """
-    key = ("H", q, field.p)
-    if key not in k.cochain_matrices:
-        k.cochain_matrices[key] = _cohomology_basis(k, q, field)
-    return CohomologyBasis(CochainSpace(k, q, field), *k.cochain_matrices[key])
+    return CohomologyBasis(CochainSpace(k, q, field))
 
 
 def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, FMatrix, FMatrix]:
@@ -145,15 +176,16 @@ def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[
 
     A column is a pivot exactly when it is not in the span of the columns
     before it, so the d^(q-1) pivots are a basis of the coboundaries and
-    the Z pivots extend it to the cocycles, both in column order.
+    the Z pivots extend it to the cocycles, both in column order.  Z is
+    back-substituted from the echelon that the rank of d^q already holds.
     """
-    z = cech_differential(k, q, field).matrix.kernel_basis()
+    z = coboundary_matrix(k, q, field).kernel_basis()
     if q == 0:
         d = np.zeros((z.rows, 0), dtype=np.int64)
     else:
-        d = cech_differential(k, q - 1, field).matrix.entries
+        d = coboundary_matrix(k, q - 1, field).entries
     n = d.shape[1]
-    pivots = pivot_columns(np.hstack([d, z.entries]), field.p)
+    pivots = echelon(np.hstack([d, z.entries]), field.p).pivots
     b = FMatrix(d[:, [c for c in pivots if c < n]], field)
     reps = FMatrix(z.entries[:, [c - n for c in pivots if c >= n]], field)
     return z, b, reps
@@ -178,16 +210,21 @@ def induced_on_cohomology(chain_map: ChainMapLevel, src: CohomologyBasis, tgt: C
 
 
 def restriction_map(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Pullback along the inclusion of a subcomplex: C^q(k) -> C^q(l).
+    """Pullback along the inclusion of a subcomplex: C^q(k) -> C^q(l), as a map between cochain spaces."""
+    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(l, q, field), restriction_matrix(k, l, q, field))
 
-    The matrix is built once per source complex, target value, degree and
-    field, and kept on k under the target's simplices, so every complex
-    equal to l shares it.  The key holds a frozenset, not l itself.
+
+def restriction_matrix(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
+    """The matrix of restriction C^q(k) -> C^q(l) onto a subcomplex.
+
+    It is built once per source complex, target value, degree and field,
+    and kept on k under the target's simplices, so every complex equal to
+    l shares it.  The key holds a frozenset, not l itself.
     """
     key = ("r", l.simplices, q, field.p)
     if key not in k.cochain_matrices:
         k.cochain_matrices[key] = _restriction(k, l, q, field)
-    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(l, q, field), k.cochain_matrices[key])
+    return k.cochain_matrices[key]
 
 
 def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:

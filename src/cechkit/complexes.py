@@ -9,12 +9,15 @@ legal everywhere and models an empty intersection.
 Complexes are immutable, so results that depend on one complex alone
 are memoised on the instance and live exactly as long as it does: its
 vertices, its simplices of each dimension, and in `cochain_matrices` the
-read-only matrices of `cochains`: each coboundary d^q and each cohomology
-basis per degree and field, and each restriction matrix onto a subcomplex
-keyed by the subcomplex's simplices.  The memo belongs to the object, so
-two equal complexes share it only when they are one object: a glued
-diagram interns its nerves by value for exactly that reason.  Its scope is
-that diagram; nothing is cached per process.
+read-only matrices of `cochains`.  These are each coboundary d^q per
+degree and field, with the one forward elimination that its rank, column
+space and kernel share; the cocycle, coboundary and representative bases
+of H^q per degree and field, once any of them is read; and each
+restriction matrix onto a subcomplex, keyed by the subcomplex's
+simplices.  The memo belongs to the object, so two equal complexes share
+it only when they are one object: a glued diagram interns its nerves by
+value for exactly that reason.  Its scope is that diagram; nothing is
+cached per process.
 """
 
 from __future__ import annotations

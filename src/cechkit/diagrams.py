@@ -82,8 +82,9 @@ class GluingBijection:
     target: str
     pairs: tuple[tuple[str, str], ...]
 
-    @property
+    @cached_property
     def mapping(self) -> dict[str, str]:
+        """The pairs as a dict, built once and shared: read it, do not change it."""
         return dict(self.pairs)
 
     @property
@@ -107,11 +108,16 @@ class AdjunctionSystem:
                 return p
         raise KeyError(piece_id)
 
-    def gluing(self, i: str, j: str) -> GluingBijection | None:
+    @cached_property
+    def _gluing_index(self) -> dict[tuple[str, str], GluingBijection]:
+        """The first gluing from each source to each target, in the order given."""
+        index: dict[tuple[str, str], GluingBijection] = {}
         for g in self.gluings:
-            if g.source == i and g.target == j:
-                return g
-        return None
+            index.setdefault((g.source, g.target), g)
+        return index
+
+    def gluing(self, i: str, j: str) -> GluingBijection | None:
+        return self._gluing_index.get((i, j))
 
     def domain(self, i: str, j: str) -> set[str]:
         g = self.gluing(i, j)
@@ -207,18 +213,22 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
                                             (y,)))
 
     # A3: composition on overlapping domains.
+    from_source: dict[str, list[GluingBijection]] = {}
+    for g in system.gluings:
+        from_source.setdefault(g.source, []).append(g)
     for gi in system.gluings:
         i, j = gi.source, gi.target
         if i == j:
             continue
-        for gk in system.gluings:
-            if gk.source != i or gk.target == j or gk.target == i:
+        fij = gi.mapping
+        for gk in from_source[i]:
+            if gk.target == j or gk.target == i:
                 continue
             k = gk.target
             jk = system.gluing(j, k)
             jk_map = jk.mapping if jk is not None else {}
-            fij, fik = gi.mapping, gk.mapping
-            for x in sorted(set(fij) & set(fik)):
+            fik = gk.mapping
+            for x in sorted(fij.keys() & fik.keys()):
                 y = fij[x]
                 if y not in jk_map:
                     violations.append(Violation("A3",

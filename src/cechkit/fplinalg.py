@@ -5,16 +5,17 @@ solve calls on small matrices with entries in F_p.  Matrices are numpy
 int64 arrays normalised to the range [0, p); all routines are
 deterministic, so repeated runs give identical output.
 
-Two functions eliminate, and each picks its method from the field.
-`rref` gives the reduced row echelon form, which is unique, so its
-result does not depend on the method; `pivot_columns` stops after
-forward elimination, for callers that read only the pivot columns (rank,
-column spaces, cohomology bases).
+One function eliminates: `echelon` runs forward elimination and picks
+its method from the field.  Its pivot columns give rank and column
+spaces, and `Echelon.reduced` continues from its rows to the reduced row
+echelon form, which is unique, so the result does not depend on the
+method.  `rref` is the two steps in one call.  Each `FMatrix` keeps its
+own echelon, so its rank, column space and kernel share one elimination.
 
 * Over F_2 each row is one Python int, column j being bit ncols - 1 - j.
   A row is reduced by XOR with the echelon row of its leading bit, in the
   manner of bit-vector persistence reductions (Edelsbrunner, Letscher and
-  Zomorodian 2002); rref then back-substitutes the pivot rows.
+  Zomorodian 2002); back-substitution then clears above each pivot.
 * Over odd p each pivot is one numpy update of every row to clear, on the
   columns from the pivot on.  This lane is why MAX_PRIME bounds the
   modulus: it multiplies int64 entries below p, and p^2 < 2^32 keeps every
@@ -46,7 +47,7 @@ class ModulusTooLarge(InputError):
 
 
 # The largest prime below 2^16: a product of two entries stays below 2^32,
-# so every int64 sum of such products in the odd-p lane of rref and in @ is exact.
+# so every int64 sum of such products in the odd-p elimination and in @ is exact.
 MAX_PRIME = 65521
 
 
@@ -133,11 +134,13 @@ def _f2_echelon(rows: list[int]) -> dict[int, int]:
     return table
 
 
-def _odd_eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
-    """Elimination mod an odd p with one numpy update of all rows per pivot.
+def _odd_eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Forward elimination mod an odd p with one numpy update of all rows per pivot.
 
-    full=False clears only the rows below each pivot, which already fixes
-    the pivot columns; full=True clears the rows above too, giving rref.
+    Returns the pivot rows and the pivot columns.  Each pivot row is scaled
+    to a leading 1 and the rows below it are cleared, which already fixes
+    the pivot columns; the rows past the last pivot end up zero and are
+    dropped, so a kept echelon holds no zero rows.
     """
     a = a % p
     nrows, ncols = a.shape
@@ -153,43 +156,73 @@ def _odd_eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[
             a[[r, r + below[0]]] = a[[r + below[0], r]]
         # row r was zero in column c, so the swap leaves the other nonzeros in place
         targets = r + below[1:]
-        if full:
-            targets = np.concatenate([np.flatnonzero(a[:r, c]), targets])
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
         if targets.size:
             a[targets, c:] = (a[targets, c:] - np.outer(a[targets, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return (a if r == nrows else a[:r].copy()), pivots
 
 
-def pivot_columns(a: np.ndarray, p: int) -> list[int]:
-    """The pivot columns of rref(a, p), from forward elimination alone."""
+@dataclass(frozen=True, eq=False)
+class Echelon:
+    """One forward elimination of a matrix: its pivot columns and echelon rows.
+
+    Over F_2 the rows are `_f2_echelon`'s table of bit rows; over odd p they
+    are the pivot rows of `_odd_eliminate`.  `reduced` continues from them
+    to the reduced row echelon form by back-substitution alone, and leaves
+    them as they are, so one elimination serves rank, column spaces,
+    kernels and the reduced form.
+    """
+
+    shape: tuple[int, int]
+    p: int
+    pivots: list[int]
+    rows: object
+
+    def reduced(self) -> np.ndarray:
+        """The reduced row echelon form, with the zero rows below the pivot rows."""
+        nrows, ncols = self.shape
+        if self.p != 2:
+            a = np.zeros(self.shape, dtype=np.int64)
+            a[:len(self.pivots)] = self.rows
+            # From the last pivot up: a pivot row already cleared of the later
+            # pivots clears its own column in the rows above it.
+            for r in range(len(self.pivots) - 1, 0, -1):
+                c = self.pivots[r]
+                above = np.flatnonzero(a[:r, c])
+                if above.size:
+                    a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % self.p
+            return a
+        table = dict(self.rows)
+        # From the last pivot up: a reduced row has no other pivot bit, so
+        # XOR-ing it in clears exactly its own pivot bit.
+        done = 0
+        for lead in sorted(table):
+            x = table[lead]
+            hits = x & done
+            while hits:
+                bit = hits.bit_length()
+                x ^= table[bit]
+                hits ^= 1 << (bit - 1)
+            table[lead] = x
+            done |= 1 << (lead - 1)
+        return _f2_matrix([table[lead] for lead in sorted(table, reverse=True)], nrows, ncols)
+
+
+def echelon(a: np.ndarray, p: int) -> Echelon:
+    """Forward elimination of a mod p: the one place a matrix is eliminated."""
     if p != 2:
-        return _odd_eliminate(a, p, full=False)[1]
-    return sorted(a.shape[1] - lead for lead in _f2_echelon(_f2_rows(a % 2)))
+        rows, pivots = _odd_eliminate(a, p)
+        return Echelon(a.shape, p, pivots, rows)
+    table = _f2_echelon(_f2_rows(a % 2))
+    return Echelon(a.shape, p, sorted(a.shape[1] - lead for lead in table), table)
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    if p != 2:
-        return _odd_eliminate(a, p, full=True)
-    nrows, ncols = a.shape
-    table = _f2_echelon(_f2_rows(a % 2))
-    # Back-substitution from the last pivot up: a reduced row has no other
-    # pivot bit, so XOR-ing it in clears exactly its own pivot bit.
-    done = 0
-    for lead in sorted(table):
-        x = table[lead]
-        hits = x & done
-        while hits:
-            bit = hits.bit_length()
-            x ^= table[bit]
-            hits ^= 1 << (bit - 1)
-        table[lead] = x
-        done |= 1 << (lead - 1)
-    leads = sorted(table, reverse=True)
-    return _f2_matrix([table[lead] for lead in leads], nrows, ncols), [ncols - lead for lead in leads]
+    e = echelon(a, p)
+    return e.reduced(), e.pivots
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +230,8 @@ class FMatrix:
     """Dense matrix over a prime field, entries normalised to [0, p).
 
     The entries are a read-only copy, so a matrix can be shared freely
-    and its rank is computed at most once.
+    and is forward-eliminated at most once, on the first read of its rank,
+    pivots, column space or kernel.
     """
 
     entries: np.ndarray
@@ -262,11 +296,11 @@ class FMatrix:
         return not self.entries.any()
 
     @cached_property
-    def _rank(self) -> int:
-        return len(pivot_columns(self.entries, self.field.p))
+    def _echelon(self) -> Echelon:
+        return echelon(self.entries, self.field.p)
 
     def rank(self) -> int:
-        return self._rank
+        return len(self._echelon.pivots)
 
     def rank_nullity(self) -> tuple[int, int]:
         r = self.rank()
@@ -274,13 +308,14 @@ class FMatrix:
 
     def kernel_basis(self) -> "FMatrix":
         """One column per free variable: 1 there, 0 at the other free ones."""
-        reduced, pivots = rref(self.entries, self.field.p)
+        e = self._echelon
+        pivots = e.pivots
         free = np.ones(self.cols, dtype=bool)
         free[pivots] = False
         free = np.flatnonzero(free)
         k = np.zeros((self.cols, free.size), dtype=np.int64)
         k[free, np.arange(free.size)] = 1
-        k[pivots] = -reduced[:len(pivots), free]
+        k[pivots] = -e.reduced()[:len(pivots), free]
         return FMatrix(k, self.field)
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
@@ -305,7 +340,7 @@ class FMatrix:
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""
-        return FMatrix(self.entries[:, pivot_columns(self.entries, self.field.p)], self.field)
+        return FMatrix(self.entries[:, self._echelon.pivots], self.field)
 
     def inverse(self) -> "FMatrix":
         if self.rows != self.cols:

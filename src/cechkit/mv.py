@@ -25,11 +25,12 @@ from .cochains import (
     ChainMapLevel,
     CochainSpace,
     CohomologyBasis,
-    cech_differential,
     class_coordinates,
+    coboundary_matrix,
     cohomology,
     induced_on_cohomology,
     restriction_map,
+    restriction_matrix,
 )
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
@@ -94,7 +95,7 @@ def _phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
     field = diagram.field
     src = CochainSpace(diagram.nerve, degree, field)
     tgt = tuple_space(diagram, 1, degree)
-    blocks = ((t, "union", restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries)
+    blocks = ((t, "union", restriction_matrix(diagram.nerve, space.complex, degree, field).entries)
               for t, space in tgt.blocks)
     return ChainMapLevel(src, tgt, block_matrix(tgt.dims, {"union": src.dim}, blocks, field))
 
@@ -123,7 +124,7 @@ def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLeve
         for t_prime, tgt_space in tgt.blocks:
             for a in range(len(t_prime)):
                 t = t_prime[:a] + t_prime[a + 1:]
-                res = restriction_map(src.block(t).complex, tgt_space.complex, degree, diagram.field).matrix.entries
+                res = restriction_matrix(src.block(t).complex, tgt_space.complex, degree, diagram.field).entries
                 yield t_prime, t, res if a % 2 else -res
 
     return ChainMapLevel(src, tgt, block_matrix(tgt.dims, src.dims, blocks(), diagram.field))
@@ -192,9 +193,9 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
     lift_nerve = diagram.nerves[through]
     # Extension by zero is the transpose of restriction: into the lift piece,
     # and from there into the union, where the pair (dg, 0) or (0, -dg) lives.
-    into_lift = restriction_map(lift_nerve, n12, degree, field).matrix.T
-    into_union = restriction_map(diagram.nerve, lift_nerve, degree + 1, field).matrix.T
-    d_lift = cech_differential(lift_nerve, degree, field).matrix
+    into_lift = restriction_matrix(lift_nerve, n12, degree, field).T
+    into_union = restriction_matrix(diagram.nerve, lift_nerve, degree + 1, field).T
+    d_lift = coboundary_matrix(lift_nerve, degree, field)
     lifted = into_union @ (d_lift @ (into_lift @ coh_src.representatives))
     if through != i1:
         lifted = -lifted
@@ -313,8 +314,8 @@ class FibredProduct:
                 raise IncompatibleFamily(f"map for piece {i!r} has wrong target dimension")
         for i, j in itertools.combinations(ids, 2):
             nij = self.diagram.intersection_nerve((i, j))
-            ri = restriction_map(self.diagram.nerves[i], nij, self.degree, field).matrix
-            rj = restriction_map(self.diagram.nerves[j], nij, self.degree, field).matrix
+            ri = restriction_matrix(self.diagram.nerves[i], nij, self.degree, field)
+            rj = restriction_matrix(self.diagram.nerves[j], nij, self.degree, field)
             if not (ri @ rhos[i]).equals(rj @ rhos[j]):
                 raise IncompatibleFamily(f"maps for pieces {i!r} and {j!r} do not agree on the overlap")
         stacked = np.vstack([rhos[i].entries for i in ids])
@@ -364,8 +365,8 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
         constraint: list[tuple[str, int, np.ndarray]] = []
         for prev in ids[:m]:
             nij = diagram.intersection_nerve((prev, nxt))
-            r_prev = restriction_map(diagram.nerves[prev], nij, degree, field).matrix.entries
-            r_next = restriction_map(diagram.nerves[nxt], nij, degree, field).matrix.entries
+            r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field).entries
+            r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field).entries
             rows[prev] = r_prev.shape[0]
             constraint += [(prev, 0, r_prev @ blocks[prev]), (prev, 1, -r_next)]
         kernel = block_matrix(rows, {0: cols, 1: spaces[nxt].dim}, constraint, field).kernel_basis().entries
@@ -424,7 +425,7 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
             if q <= q_top:
                 # d^q on each block; degrees q and q+1 share the level's index sets
                 src, tgt = tuple_space(diagram, p + 1, q), tuple_space(diagram, p + 1, q + 1)
-                d = block_matrix(tgt.dims, src.dims, ((t, t, cech_differential(s.complex, q, field).matrix.entries)
+                d = block_matrix(tgt.dims, src.dims, ((t, t, coboundary_matrix(s.complex, q, field).entries)
                                                       for t, s in src.blocks), field).entries
                 yield (p, q + 1), (p, q), -d if p % 2 else d
 

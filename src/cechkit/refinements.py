@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cochains import ChainMapLevel, cech_differential, cohomology, induced_on_cohomology, pullback_map
+from .cochains import ChainMapLevel, coboundary_matrix, cohomology, induced_on_cohomology, pullback_map
 from .complexes import EMPTY_COMPLEX, SimplicialComplex
 from .diagrams import GluedDiagram
 from .errors import ResourceLimit
@@ -88,18 +88,29 @@ def refine_pullback(r: RefinementMap, degree: int) -> dict[tuple[str, ...] | str
     return out
 
 
-def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
+def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int,
+              memo: dict) -> ChainMapLevel:
+    """The pullback from a coarse complex to a fine one, kept in the memo."""
+    key = (fine_c, coarse_c, degree)
+    if key not in memo:
+        memo[key] = pullback_map(r.labels, fine_c, coarse_c, degree, r.fine.field)
+    return memo[key]
+
+
+def _tuple_pullback(r: RefinementMap, level: int, degree: int, memo: dict) -> FMatrix:
     """Blockwise pullback between the level-p tuple spaces of the two diagrams.
 
     A fine N_T is nonempty only where the coarse one is, since labels map
-    piece by piece; where it is empty, its block has no rows.
+    piece by piece; where it is empty, its block has no rows.  The result
+    is kept in the memo under (level, degree), next to its blocks.
     """
-    coarse = tuple_space(r.coarse, level, degree)
-    maps = {t: pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree,
-                            r.fine.field).matrix.entries
-            for t, space in coarse.blocks}
-    return block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
-                        ((t, t, m) for t, m in maps.items()), r.fine.field)
+    if (level, degree) not in memo:
+        coarse = tuple_space(r.coarse, level, degree)
+        maps = {t: _pullback(r, r.fine.intersection_nerve(t), space.complex, degree, memo).matrix.entries
+                for t, space in coarse.blocks}
+        memo[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
+                                           ((t, t, m) for t, m in maps.items()), r.fine.field)
+    return memo[level, degree]
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,9 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
         raise InvalidRefinement(verdict.violations[0])
     field = r.fine.field
     squares: list[NaturalitySquare] = []
+    # Neighbouring degrees and levels share their pullbacks, so each is built
+    # once per call, in a memo that nothing keeps after it.
+    memo: dict = {}
 
     # An empty fine N_T makes both sides of its square 0 x dim C^q(coarse N_T),
     # so the square commutes; it is recorded as such, with None complexes.
@@ -141,23 +155,23 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
             if fine_c is None:
                 squares.append(NaturalitySquare(f"delta[{name}] q={q}", True))
                 continue
-            lam_q = pullback_map(r.labels, fine_c, coarse_c, q, field).matrix
-            lam_q1 = pullback_map(r.labels, fine_c, coarse_c, q + 1, field).matrix
-            d_fine = cech_differential(fine_c, q, field).matrix
-            d_coarse = cech_differential(coarse_c, q, field).matrix
+            lam_q = _pullback(r, fine_c, coarse_c, q, memo).matrix
+            lam_q1 = _pullback(r, fine_c, coarse_c, q + 1, memo).matrix
+            d_fine = coboundary_matrix(fine_c, q, field)
+            d_coarse = coboundary_matrix(coarse_c, q, field)
             squares.append(NaturalitySquare(
                 f"delta[{name}] q={q}", (lam_q1 @ d_coarse).equals(d_fine @ lam_q)))
 
-        lam_union = pullback_map(r.labels, r.fine.nerve, r.coarse.nerve, q, field).matrix
-        lam_l1 = _tuple_pullback(r, 1, q)
+        lam_union = _pullback(r, r.fine.nerve, r.coarse.nerve, q, memo).matrix
+        lam_l1 = _tuple_pullback(r, 1, q, memo)
         squares.append(NaturalitySquare(
             f"phi_star q={q}",
             (lam_l1 @ phi_star(r.coarse, q).matrix).equals(
                 phi_star(r.fine, q).matrix @ lam_union)))
 
         for level in range(1, r.fine.n_pieces):
-            lam_src = _tuple_pullback(r, level, q)
-            lam_tgt = _tuple_pullback(r, level + 1, q)
+            lam_src = _tuple_pullback(r, level, q, memo)
+            lam_tgt = _tuple_pullback(r, level + 1, q, memo)
             squares.append(NaturalitySquare(
                 f"delta_tilde level={level} q={q}",
                 (lam_tgt @ delta_tilde(r.coarse, level, q).matrix).equals(
@@ -171,10 +185,10 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
             delta_f = connecting_homomorphism(r.fine, q)
             delta_c = connecting_homomorphism(r.coarse, q)
             lam_12 = induced_on_cohomology(
-                pullback_map(r.labels, fine_12, coarse_12, q, field),
+                _pullback(r, fine_12, coarse_12, q, memo),
                 cohomology(coarse_12, q, field), cohomology(fine_12, q, field))
             lam_n = induced_on_cohomology(
-                pullback_map(r.labels, r.fine.nerve, r.coarse.nerve, q + 1, field),
+                _pullback(r, r.fine.nerve, r.coarse.nerve, q + 1, memo),
                 cohomology(r.coarse.nerve, q + 1, field), cohomology(r.fine.nerve, q + 1, field))
             squares.append(NaturalitySquare(
                 f"connecting q={q}",

@@ -1,10 +1,11 @@
 import itertools
 import os
+import sys
 
 import pytest
 from hypothesis import settings
 
-from cechkit import cochains, fplinalg
+from cechkit import fplinalg
 from cechkit.complexes import build_complex
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
@@ -94,15 +95,16 @@ def necklace_document():
     return lambda n, ring, tri=False: shared_label_document(necklace_nerves(n, ring, tri=tri))
 
 
-# Every full or pivots-only elimination goes through one of these; cochains
-# imports pivot_columns by name, so it is patched there too.
-ELIMINATIONS = ("rref", "pivot_columns")
+# Every forward elimination goes through these entry points, and no other
+# function calls the kernels behind them (test_fplinalg checks the source);
+# rref and every FMatrix method reach the kernels through them.
+ELIMINATIONS = ("echelon",)
 
 
 @pytest.fixture
 def count_eliminations(monkeypatch):
-    """Call to start counting: every elimination entry point, in fplinalg
-    and in cochains, records its matrix shape in the returned list."""
+    """Call to start counting: every elimination entry point, wherever a
+    cechkit module binds it, records its matrix shape in the returned list."""
     def start() -> list:
         calls = []
         for name in ELIMINATIONS:
@@ -112,8 +114,25 @@ def count_eliminations(monkeypatch):
                 calls.append(a.shape)
                 return real(a, p)
 
-            for module in (fplinalg, cochains):
-                if hasattr(module, name):
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counted)
+        return calls
+    return start
+
+
+@pytest.fixture
+def count_backsubstitutions(monkeypatch):
+    """Call to start counting: each back-substitution from an echelon to the
+    reduced form records the matrix shape in the returned list."""
+    def start() -> list:
+        calls = []
+        real = fplinalg.Echelon.reduced
+
+        def counted(self):
+            calls.append(self.shape)
+            return real(self)
+
+        monkeypatch.setattr(fplinalg.Echelon, "reduced", counted)
         return calls
     return start

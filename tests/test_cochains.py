@@ -14,6 +14,7 @@ from cechkit.cochains import (
     NotSubcomplex,
     cech_differential,
     class_coordinates,
+    coboundary_matrix,
     cohomology,
     extend_by_zero,
     induced_on_cohomology,
@@ -312,12 +313,56 @@ def test_cohomology_bases_match_greedy_loop_on_random_nerves(seed, p):
         assert_matches_greedy(nerve, PrimeField(p))
 
 
-def test_cohomology_runs_two_eliminations(count_eliminations):
-    calls = count_eliminations()
+def assert_dimension_from_ranks(k, field):
+    for q in range(k.dim + 2):
+        coh = cohomology(k, q, field)
+        assert coh.dimension == coh.representatives.cols, (k.vertices, q, field.p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_dimension_from_ranks_counts_the_representatives_on_gallery(gallery_diagram, p):
+    for nerve in nerves_of(gallery_diagram):
+        assert_dimension_from_ranks(nerve, PrimeField(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from((2, 3, 5)))
+def test_dimension_from_ranks_counts_the_representatives_on_random_nerves(seed, p):
+    diagram = canonicalize(parse_document(random_admissible(seed)).system)
+    for nerve in nerves_of(diagram):
+        assert_dimension_from_ranks(nerve, PrimeField(p))
+
+
+def test_cohomology_runs_two_eliminations(count_eliminations, count_backsubstitutions):
+    # The bases take two forward eliminations, of d^q and of [d^(q-1) | Z], and
+    # one back-substitution of d^q; the dimension reads the ranks of d^q and
+    # d^(q-1) alone, so read first it eliminates d^q for the bases to reuse.
+    calls, backsubs = count_eliminations(), count_backsubstitutions()
+    field = PrimeField(3)
     for q in (0, 1, 2):
+        k = theta()
+        n = [len(k.simplices_of_dim(i)) for i in range(q - 1, q + 2)]
+        d_q, d_in = (n[2], n[1]), (n[1], n[0])
         calls.clear()
-        cohomology(theta(), q, PrimeField(3))
-        assert len(calls) == 2, (q, calls)
+        backsubs.clear()
+        coh = cohomology(k, q, field)
+        assert calls == [] and backsubs == [], q
+        dim = coh.dimension
+        assert calls == ([d_in] if q else []) + [d_q] and backsubs == [], (q, calls)
+        calls.clear()
+        assert coh.representatives.cols == dim
+        assert backsubs == [d_q] and calls == [(n[1], (n[0] if q else 0) + coh.cocycles.cols)], (q, calls)
+        fresh = theta()
+        calls.clear()
+        backsubs.clear()
+        assert cohomology(fresh, q, field).representatives.cols == dim
+        assert backsubs == [d_q] and len(calls) == 2, (q, calls)
+        # every later read on either complex shares what is kept on it
+        calls.clear()
+        backsubs.clear()
+        for again in (cohomology(k, q, field), cohomology(fresh, q, field)):
+            assert again.dimension == again.cocycles.cols - again.coboundaries.cols == dim
+        assert calls == ([d_in] if q else []) and backsubs == [], (q, calls)
 
 
 def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_eliminations, three_circles):
@@ -325,6 +370,8 @@ def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_elimin
     coh = cohomology(nerve, 1, F2)
     piece = cohomology(three_circles.nerves[three_circles.piece_ids[0]], 1, F2)
     assert coh.dimension >= 2
+    # bases first, so only the descent's solves are counted
+    assert coh.representatives.cols == coh.dimension and piece.representatives.cols == piece.dimension
     calls = count_eliminations()
     assert induced_on_cohomology(restriction_map(nerve, nerve, 1, F2), coh, coh).equals(
         FMatrix.identity(coh.dimension, F2))
@@ -349,9 +396,10 @@ def test_coboundary_is_built_once_per_complex_degree_and_field(monkeypatch):
     monkeypatch.setattr(cochains, "_coboundary", counting)
     k = theta()
     for q in (0, 1, 2):
-        cohomology(k, q, F2)
+        assert cohomology(k, q, F2).representatives.cols == cohomology(k, q, F2).dimension
     d1 = cech_differential(k, 1, F2)
     assert sorted(built) == [(0, 2), (1, 2), (2, 2)]
+    assert coboundary_matrix(k, 1, F2) is d1.matrix
     assert cech_differential(k, 1, F2).matrix is d1.matrix
     assert d1.source == CochainSpace(k, 1, F2) and d1.target == CochainSpace(k, 2, F2)
     cech_differential(k, 1, PrimeField(3))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechkit import diagrams
-from cechkit.complexes import build_complex, components, intersect
+from cechkit.complexes import build_complex, components, full_subcomplex, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
     BadIndexSet,
@@ -21,6 +21,8 @@ from cechkit.diagrams import (
     induced_map,
     shared_label_system,
     subsystem_embedding,
+    ValidationReport,
+    Violation,
     validate_system,
 )
 from cechkit.documents import parse_document
@@ -326,3 +328,188 @@ def test_nonempty_subsets_cuts_only_candidates_with_nonempty_faces(necklace, mon
     # no triple of a ring of 6 has three meeting pairs, so no triple is cut
     assert d.nonempty_subsets(3) == d.nonempty_subsets(4) == ()
     assert len(cut) == 15
+
+
+def parent_gluing(system: AdjunctionSystem, i: str, j: str) -> GluingBijection | None:
+    """Oracle: the first gluing from i to j, by a scan of the gluings."""
+    for g in system.gluings:
+        if g.source == i and g.target == j:
+            return g
+    return None
+
+
+def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
+    """Oracle: validate_system as it was before the gluings were indexed."""
+    violations: list[Violation] = []
+    ids = [p.piece_id for p in system.pieces]
+    if len(set(ids)) != len(ids):
+        violations.append(Violation("STRUCTURE", "duplicate piece ids", tuple(ids)))
+        return ValidationReport(False, tuple(violations))
+    by_id = {p.piece_id: p for p in system.pieces}
+
+    for g in system.gluings:
+        if g.source not in by_id or g.target not in by_id:
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} names unknown pieces"))
+            continue
+        src_labels = set(by_id[g.source].labels)
+        dom = [x for x, _ in g.pairs]
+        img = [y for _, y in g.pairs]
+        if len(set(dom)) != len(dom):
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} domain has repeats"))
+        if len(set(img)) != len(img):
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} is not injective"))
+        missing = sorted(set(dom) - src_labels)
+        if missing:
+            violations.append(Violation("STRUCTURE",
+                                         f"gluing {g.source}->{g.target} domain not in source labels",
+                                         tuple(missing)))
+        extra = sorted(set(img) - set(by_id[g.target].labels))
+        if extra:
+            violations.append(Violation("STRUCTURE",
+                                         f"gluing {g.source}->{g.target} image not in target labels",
+                                         tuple(extra)))
+    if violations:
+        return ValidationReport(False, tuple(violations))
+
+    # A1: supplied self-gluings must be the identity on all labels.
+    for g in system.gluings:
+        if g.source == g.target:
+            piece = by_id[g.source]
+            if set(g.domain) != set(piece.labels) or any(x != y for x, y in g.pairs):
+                bad = sorted(x for x, y in g.pairs if x != y) or sorted(set(piece.labels) - set(g.domain))
+                violations.append(Violation("A1", f"self-gluing of {g.source} is not the identity",
+                                            tuple(bad)))
+
+    # A2: the reverse gluing is the inverse with matching domains.
+    for g in system.gluings:
+        if g.source == g.target:
+            continue
+        back = parent_gluing(system, g.target, g.source)
+        if back is None:
+            violations.append(Violation("A2", f"gluing {g.target}->{g.source} is missing"))
+            continue
+        if set(back.domain) != set(g.image):
+            violations.append(Violation("A2",
+                                        f"domain of {g.target}->{g.source} differs from image of {g.source}->{g.target}",
+                                        tuple(sorted(set(back.domain) ^ set(g.image)))))
+            continue
+        back_map = dict(back.pairs)
+        for x, y in g.pairs:
+            if back_map.get(y) != x:
+                violations.append(Violation("A2",
+                                            f"gluing {g.target}->{g.source} is not inverse to {g.source}->{g.target} at {y!r}",
+                                            (y,)))
+
+    # A3: composition on overlapping domains.
+    for gi in system.gluings:
+        i, j = gi.source, gi.target
+        if i == j:
+            continue
+        for gk in system.gluings:
+            if gk.source != i or gk.target == j or gk.target == i:
+                continue
+            k = gk.target
+            jk = parent_gluing(system, j, k)
+            jk_map = dict(jk.pairs) if jk is not None else {}
+            fij, fik = dict(gi.pairs), dict(gk.pairs)
+            for x in sorted(set(fij) & set(fik)):
+                y = fij[x]
+                if y not in jk_map:
+                    violations.append(Violation("A3",
+                                                f"label {x!r}: image under {i}->{j} misses the domain of {j}->{k}",
+                                                (x,)))
+                elif jk_map[y] != fik[x]:
+                    violations.append(Violation("A3",
+                                                f"label {x!r}: {i}->{k} differs from {j}->{k} after {i}->{j}",
+                                                (x,)))
+
+    # Gluings must be simplicial isomorphisms between induced subcomplexes.
+    for g in system.gluings:
+        if g.source == g.target:
+            continue
+        src_sub = full_subcomplex(by_id[g.source].nerve, g.domain)
+        tgt_sub = full_subcomplex(by_id[g.target].nerve, g.image)
+        mapping = dict(g.pairs)
+        mapped = frozenset(tuple(sorted(mapping[v] for v in s)) for s in src_sub.simplices)
+        if mapped != tgt_sub.simplices:
+            diff = sorted(mapped ^ tgt_sub.simplices)
+            violations.append(Violation("SIMPLICIAL",
+                                        f"gluing {g.source}->{g.target} is not a simplicial isomorphism "
+                                        f"between induced subcomplexes",
+                                        tuple(diff[:4])))
+
+    return ValidationReport(not violations, tuple(violations))
+
+
+def hostile_systems():
+    """Systems that break each check, and repeated gluings that must resolve as a scan does."""
+    base = two_origin_system()
+    p1, p2 = base.pieces
+    forward, backward = base.gluings[0], base.gluings[1]
+    images = [y for _, y in forward.pairs]
+    swapped = GluingBijection(forward.source, forward.target,
+                              tuple(zip([x for x, _ in forward.pairs], images[::-1])))
+    yield AdjunctionSystem((p1, p1, p2), base.gluings)
+    yield AdjunctionSystem(base.pieces, base.gluings + (GluingBijection("p1", "nope", ()),))
+    yield AdjunctionSystem(base.pieces, (forward,))
+    yield AdjunctionSystem(base.pieces, (swapped, backward))
+    # a second p1 -> p2 gluing: the first one given is the one checked against
+    yield AdjunctionSystem(base.pieces, (forward, backward, swapped))
+    yield AdjunctionSystem(base.pieces, (swapped, backward, forward))
+    yield AdjunctionSystem(base.pieces, base.gluings + (GluingBijection("p1", "p1", (("l", "r"), ("r", "l"))),))
+    yield AdjunctionSystem(base.pieces, (GluingBijection("p1", "p2", forward.pairs + forward.pairs[:1]), backward))
+    yield AdjunctionSystem((p1, LocalPiece("p2", build_complex([["l", "o2"], ["o2", "r"], ["l", "r"]]))),
+                           base.gluings)
+    a3 = AdjunctionSystem(
+        (LocalPiece("p1", build_complex([["x"]])), LocalPiece("p2", build_complex([["y"]])),
+         LocalPiece("p3", build_complex([["w"], ["z"]]))),
+        (GluingBijection("p1", "p2", (("x", "y"),)), GluingBijection("p2", "p1", (("y", "x"),)),
+         GluingBijection("p2", "p3", (("y", "z"),)), GluingBijection("p3", "p2", (("z", "y"),)),
+         GluingBijection("p1", "p3", (("x", "w"),)), GluingBijection("p3", "p1", (("w", "x"),))))
+    yield a3
+    yield AdjunctionSystem(a3.pieces, a3.gluings[:3] + a3.gluings[4:])
+
+
+def test_validate_system_matches_the_scanning_oracle_on_gallery_and_hostile_systems():
+    systems = [parse_document(gallery_document(name, **kwargs)).system
+               for name, kwargs in [("two_origin_line", {}), ("bug_eyed_circle", {}), ("three_circles", {}),
+                                    ("branching_line_n", {"n": 8})]]
+    hostile = list(hostile_systems())
+    assert all(not parent_validate_system(s).valid for s in hostile)
+    for system in systems + hostile:
+        assert validate_system(system) == parent_validate_system(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_validate_system_matches_the_scanning_oracle_on_corrupted_random_systems(seed, data):
+    system = parse_document(random_admissible(seed)).system
+    gluings = list(system.gluings)
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = gluings[data.draw(st.integers(0, len(gluings) - 1))]
+        at = gluings.index(g)
+        kind = data.draw(st.sampled_from(("drop", "duplicate", "swap", "extend", "reverse")))
+        if kind == "drop" and len(gluings) > 1:
+            del gluings[at]
+        elif kind == "duplicate":
+            gluings.insert(data.draw(st.integers(0, len(gluings))), g)
+        elif kind == "swap" and len(g.pairs) > 1:
+            ys = [y for _, y in g.pairs]
+            ys[0], ys[-1] = ys[-1], ys[0]
+            gluings[at] = GluingBijection(g.source, g.target, tuple(zip([x for x, _ in g.pairs], ys)))
+        elif kind == "extend":
+            extra = (data.draw(st.sampled_from(system.piece(g.source).labels)),
+                     data.draw(st.sampled_from(system.piece(g.target).labels)))
+            gluings[at] = GluingBijection(g.source, g.target, g.pairs + (extra,))
+        elif kind == "reverse":
+            gluings.append(GluingBijection(g.target, g.source, tuple((y, x) for x, y in g.pairs)))
+    corrupted = AdjunctionSystem(system.pieces, tuple(gluings), system.field)
+    assert validate_system(corrupted) == parent_validate_system(corrupted)
+
+
+def test_validate_system_builds_each_mapping_once():
+    system = parse_document(gallery_document("branching_line_n", n=8)).system
+    assert validate_system(system).valid
+    # each mapping was built during validation and kept on its gluing
+    assert all("mapping" in vars(g) and vars(g)["mapping"] is g.mapping for g in system.gluings)
+    assert all(system.gluing(g.source, g.target) is g for g in system.gluings)

@@ -1,10 +1,13 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cechkit
 from cechkit.fplinalg import (
     F2,
     MAX_PRIME,
@@ -15,8 +18,8 @@ from cechkit.fplinalg import (
     NotPrime,
     PrimeField,
     block_matrix,
+    echelon,
     entry_matrix,
-    pivot_columns,
     quotient_dim,
     rref,
 )
@@ -238,11 +241,44 @@ def test_column_space_basis_matches_greedy_loop(m):
 
 
 def test_column_space_basis_runs_one_elimination(count_eliminations):
-    m = FMatrix(np.arange(42).reshape(6, 7), PrimeField(5))
-    rank = m.rank()
     calls = count_eliminations()
-    assert m.column_space_basis().cols == rank
+    m = FMatrix(np.arange(42).reshape(6, 7), PrimeField(5))
+    basis = m.column_space_basis()
     assert calls == [(6, 7)]
+    # the rank and a second basis read the echelon the first one kept
+    assert m.rank() == basis.cols and m.column_space_basis().equals(basis)
+    assert calls == [(6, 7)]
+
+
+def kernel_references(tree: ast.AST, kernels: set[str]) -> set[str]:
+    """The innermost function around each name or attribute naming a kernel."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in kernels:
+                return
+            scope = node.name
+        if isinstance(node, ast.Name) and node.id in kernels or \
+                isinstance(node, ast.Attribute) and node.attr in kernels:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_counted_entry_points_reach_the_elimination_kernels():
+    # count_eliminations counts calls of the ELIMINATIONS entry points; a
+    # function reaching a kernel around them would make counting tests pass
+    # without counting its work.
+    from conftest import ELIMINATIONS
+    kernels = {"_f2_echelon", "_odd_eliminate"}
+    callers = {(path.stem, scope)
+               for path in sorted(Path(cechkit.__file__).parent.glob("*.py"))
+               for scope in kernel_references(ast.parse(path.read_text(encoding="utf-8")), kernels)}
+    assert callers == {("fplinalg", name) for name in ELIMINATIONS}
 
 
 def test_determinism_repeated_runs():
@@ -254,16 +290,20 @@ def test_determinism_repeated_runs():
         assert (again.rank_nullity(), again.kernel_basis().entries.tolist()) == first
 
 
-def test_entries_are_read_only_and_rank_runs_one_elimination(count_eliminations):
+def test_entries_are_read_only_and_rank_runs_one_elimination(count_eliminations, count_backsubstitutions):
     source = np.arange(42).reshape(6, 7)
     m = FMatrix(source, PrimeField(5))
     source[0, 0] = 4
     assert m.entries[0, 0] == 0
     with pytest.raises(ValueError):
         m.entries[0, 0] = 1
-    calls = count_eliminations()
+    calls, backsubs = count_eliminations(), count_backsubstitutions()
     assert m.rank() == m.rank() == m.rank_nullity()[0]
-    assert calls == [(6, 7)]
+    assert calls == [(6, 7)] and backsubs == []
+    # a kernel read after the rank back-substitutes the same echelon
+    kernel = m.kernel_basis()
+    assert kernel.cols == m.rank_nullity()[1] and (m @ kernel).is_zero()
+    assert calls == [(6, 7)] and backsubs == [(6, 7)]
 
 
 def dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -324,7 +364,7 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     got, got_pivots = rref(a, p)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and got_pivots == want_pivots
-    assert pivot_columns(a, p) == want_pivots
+    assert echelon(a, p).pivots == want_pivots
 
     m = FMatrix(a, field)
     assert m.rank() == len(want_pivots)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cechkit import cochains, diagrams, mv
+from cechkit import cli, cochains, diagrams, fplinalg, mv
 from cechkit.cli import run_command
 from cechkit.cochains import cohomology, induced_on_cohomology, restriction_map
 from cechkit.complexes import build_complex, intersect
@@ -383,10 +383,18 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
     assert cut and all(k.simplices for k in cut)
 
 
-@pytest.mark.parametrize("name, kwargs", (
+COMMAND_DOCUMENTS = (
     ("two_origin_line", {}), ("branching_line_n", {"n": 3}), ("bug_eyed_circle", {}), ("three_circles", {}),
     # six pieces on one shared core: every intersection is the core, by value
-    ("random_admissible", {"seed": 3, "n": 6})))
+    ("random_admissible", {"seed": 3, "n": 6}))
+
+
+def file_commands(doc):
+    return ["cohomology", "mv", "fibred", "count", "collapse-check"] + (
+        ["refine-check"] if "refinement" in doc else [])
+
+
+@pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)
 def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwargs, tmp_path, monkeypatch):
     built = Counter()
     alive = []  # keep every complex and diagram referenced, so no id is reused
@@ -420,9 +428,7 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
     doc = gallery_document(name, **kwargs)
     path = tmp_path / "doc.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
-    commands = ["cohomology", "mv", "fibred", "count", "collapse-check"]
-    commands += ["refine-check"] if "refinement" in doc else []
-    for command in commands:
+    for command in file_commands(doc):
         built.clear()
         scope["by_object"] = command == "collapse-check"
         _, code = run_command(command, {"path": path})
@@ -443,13 +449,97 @@ def test_descended_maps_take_one_solve_per_target_block(count_eliminations, thre
             delta_tilde(three_circles, level, q)
             src = tuple_cohomology(three_circles, level, q)
             blocks = tuple_cohomology(three_circles, level + 1, q).blocks
+            for _, coh in src.blocks + blocks:
+                assert coh.representatives.cols == coh.dimension
             calls.clear()
             descended_delta_tilde(three_circles, level, q)
             assert len(calls) == (len(blocks) if src.dim else 0)
             solves += len(calls)
     assert solves
-    cohomology(two_origin.nerve, 1, two_origin.field)
-    cohomology(two_origin.intersection_nerve(two_origin.piece_ids), 0, two_origin.field)
+    assert cohomology(two_origin.nerve, 1, two_origin.field).representatives.cols == 1
+    intersection = two_origin.intersection_nerve(two_origin.piece_ids)
+    assert cohomology(intersection, 0, two_origin.field).representatives.cols == 2
     calls.clear()
     delta = connecting_homomorphism(two_origin, 0).matrix
     assert delta.cols >= 2 and len(calls) == 1
+
+
+def count_basis_work(monkeypatch) -> Counter:
+    """Count kernels, reduced forms and cohomology bases from here on."""
+    work = Counter()
+
+    def counting(kind, real):
+        def wrapper(*args):
+            work[kind] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(fplinalg.FMatrix, "kernel_basis", counting("kernel_basis", fplinalg.FMatrix.kernel_basis))
+    monkeypatch.setattr(fplinalg, "rref", counting("rref", fplinalg.rref))
+    monkeypatch.setattr(cochains, "_cohomology_basis", counting("H", cochains._cohomology_basis))
+    return work
+
+
+@pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)
+def test_cohomology_command_reads_dimensions_from_ranks_alone(name, kwargs, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(gallery_document(name, **kwargs)), encoding="utf-8")
+    work = count_basis_work(monkeypatch)
+    report, code = run_command("cohomology", {"path": path})
+    assert code == 0 and report["union_dims"][0] >= 1
+    assert work == Counter()
+
+
+# two-piece documents have no collapse step
+@pytest.mark.parametrize("name, kwargs", [doc for doc in COMMAND_DOCUMENTS
+                                          if doc[0] not in ("two_origin_line", "bug_eyed_circle")])
+def test_collapse_check_step_dims_build_no_basis(name, kwargs, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(gallery_document(name, **kwargs)), encoding="utf-8")
+    work = count_basis_work(monkeypatch)
+    before_les = []
+    real = cli.assemble_les
+
+    def snapshot(diagram, q_max):
+        before_les.append(Counter(work))
+        return real(diagram, q_max)
+
+    monkeypatch.setattr(cli, "assemble_les", snapshot)
+    report, code = run_command("collapse-check", {"path": path})
+    assert code in (0, 1) and report["steps"] and all(step["dims"] for step in report["steps"])
+    # the baseline and every step read dimensions only; the final binary
+    # long exact sequence reads representatives
+    assert before_les == [Counter()] and work["H"] > 0
+
+
+@pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)
+def test_every_command_eliminates_each_coboundary_at_most_once(name, kwargs, tmp_path, monkeypatch):
+    built = []  # every d^q of the job; kept referenced, so no id is reused
+    eliminated = Counter()
+    alive = []
+    real_coboundary, real_echelon = cochains._coboundary, fplinalg.echelon
+
+    def building(k, q, field):
+        built.append(real_coboundary(k, q, field))
+        return built[-1]
+
+    def eliminating(a, p):
+        eliminated[id(a)] += 1
+        alive.append(a)
+        return real_echelon(a, p)
+
+    monkeypatch.setattr(cochains, "_coboundary", building)
+    for module in (fplinalg, cochains):
+        monkeypatch.setattr(module, "echelon", eliminating)
+    doc = gallery_document(name, **kwargs)
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    for command in file_commands(doc):
+        built.clear()
+        eliminated.clear()
+        _, code = run_command(command, {"path": path})
+        assert code in (0, 1)
+        counts = [eliminated[id(d.entries)] for d in built]
+        assert max(counts, default=0) <= 1, (command, counts)
+        if command in ("cohomology", "collapse-check", "mv", "count"):
+            assert max(counts) == 1, command

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -146,3 +150,41 @@ def test_label_map_enumeration_refuses_before_trying_a_candidate(necklace, monke
     with pytest.raises(ResourceLimit, match=r"capped at 1000000 candidates; .* give 12\^12"):
         enumerate_valid_label_maps(d, d)
     assert tried == []
+
+
+def identity_refinement(name):
+    coarse = canonicalize(parse_document(gallery_document(name)).system)
+    return RefinementMap(coarse, coarse, {v: v for v in coarse.nerve.vertices})
+
+
+@pytest.mark.parametrize("r", [refinement_for("bug_eyed_circle"), refinement_for("two_origin_line"),
+                               identity_refinement("three_circles")], ids=["bug_eyed", "two_origin", "circles"])
+def test_naturality_check_builds_each_pullback_once_within_the_call(r, monkeypatch):
+    built, tuple_builds, alive = Counter(), [], []
+    real_pullback, real_blocks = refinements.pullback_map, refinements.block_matrix
+
+    def counting(labels, domain, codomain, q, field):
+        built[(domain.simplices, codomain.simplices, q)] += 1
+        result = real_pullback(labels, domain, codomain, q, field)
+        alive.append(weakref.ref(result))
+        return result
+
+    def blocks(*args):
+        tuple_builds.append(args[1])
+        return real_blocks(*args)
+
+    monkeypatch.setattr(refinements, "pullback_map", counting)
+    monkeypatch.setattr(refinements, "block_matrix", blocks)
+    verdict = naturality_check(r, 2)
+    assert built and set(built.values()) == {1}
+    # one tuple pullback per level and degree
+    assert len(tuple_builds) == 3 * r.fine.n_pieces
+    gc.collect()
+    assert all(ref() is None for ref in alive)
+    # the squares are those of a check that builds every pullback afresh
+    memoised, memoised_tuple = refinements._pullback, refinements._tuple_pullback
+    monkeypatch.setattr(refinements, "_pullback", lambda r, f, c, q, memo: memoised(r, f, c, q, {}))
+    monkeypatch.setattr(refinements, "_tuple_pullback", lambda r, level, q, memo: memoised_tuple(r, level, q, {}))
+    built.clear()
+    assert naturality_check(r, 2) == verdict
+    assert max(built.values()) > 1
