@@ -55,7 +55,7 @@ from .mv import (
     total_cohomology,
     verify_exact_sequence,
 )
-from .refinements import induced_cohomology_map, naturality_check, validate_refinement
+from .refinements import induced_cohomology_map, naturality_check
 
 
 # `cohomology --qmax` refuses degrees above this: each row lists qmax + 1
@@ -389,7 +389,7 @@ def _cmd_refine_check(args) -> tuple[dict, int]:
     diagram = canonicalize(parsed.system)
     refinement = materialise_refinement(diagram, parsed.refinement, diagram.field)
     report = _base_report("refine-check", digest, diagram.field.p)
-    verdict = validate_refinement(refinement)
+    verdict = refinement.verdict
     report["verdicts"]["refinement_valid"] = verdict.valid
     report["violations"] = list(verdict.violations)
     if verdict.valid:

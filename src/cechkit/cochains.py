@@ -265,6 +265,12 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
             raise NotSimplicial(f"vertex map undefined on {exc.args[0]!r}") from exc
         if image not in codomain:
             raise NotSimplicial(f"image of {s!r} is not a simplex of the codomain")
+    return simplicial_pullback(vertex_map, domain, codomain, q, field)
+
+
+def simplicial_pullback(vertex_map: Mapping[str, str], domain: SimplicialComplex,
+                        codomain: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
+    """`pullback_map` without its scan: the caller has shown the map simplicial."""
     src = CochainSpace(codomain, q, field)
     tgt = CochainSpace(domain, q, field)
     rows, cols, signs = [], [], []

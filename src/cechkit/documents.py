@@ -72,6 +72,13 @@ def _label_pairs(value: Any, message: str, path: str) -> list[tuple[str, str]]:
     return [tuple(_labels(pair, message, path, 2)) for pair in value]
 
 
+def _put_once(table: dict, key: Any, value: Any, what: str, path: str) -> None:
+    """table[key] = value, refusing a key given before, with an equal value or not."""
+    if key in table:
+        raise ParseError(f"{what} {key!r} is given twice", path)
+    table[key] = value
+
+
 @dataclass(frozen=True)
 class ParsedDocument:
     system: AdjunctionSystem
@@ -214,7 +221,7 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
     for entry in _entries(raw, "pieces", "$.bundle.pieces"):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise ParseError("bundle piece entries need a string id", "$.bundle.pieces")
-        given[entry["id"]] = entry
+        _put_once(given, entry["id"], entry, "bundle piece", "$.bundle.pieces")
     unknown = sorted(set(given) - set(diagram.piece_ids))
     if unknown:
         raise ParseError(f"bundle names unknown pieces {unknown}", "$.bundle.pieces")
@@ -228,7 +235,7 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
             key = tuple(sorted(_labels(item[:2], "edge entries are [a, b, value]", path)))
             if key not in nerve.simplices:
                 raise ParseError(f"{key} is not an edge of piece {pid!r}", path)
-            values[key] = item[2]
+            _put_once(values, key, item[2], "edge", path)
         try:
             cocycles[pid] = ConstantCocycle.build(nerve, rank, diagram.field, values)
         except _BAD_VALUE as exc:
@@ -252,12 +259,13 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
             if label not in overlap:
                 raise ParseError(f"label {label!r} is not in the overlap of {key}", path)
             try:
-                table[label] = _normalise_value(item[1], rank, diagram.field.p)
+                value = _normalise_value(item[1], rank, diagram.field.p)
             except _BAD_VALUE as exc:
                 raise ParseError(f"value at {label!r}: {exc}", path) from None
+            _put_once(table, label, value, "identification vertex", path)
         if (i, j) != key:
             raise ParseError("identifications must be given for i < j", path)
-        identifications[key] = table
+        _put_once(identifications, key, table, "identification of the pair", path)
     return PieceBundleData(diagram, rank, cocycles, identifications)
 
 
@@ -275,6 +283,8 @@ def materialise_refinement(coarse: GluedDiagram, raw: dict | None, field: PrimeF
     fine_doc["field"] = field.p
     fine_system = parse_document(fine_doc, root="$.refinement.fine").system
     fine = canonicalize(fine_system)
-    labels = dict(_label_pairs(raw["map"], "map must be a list of [fine, coarse] label pairs",
-                               "$.refinement.map"))
+    labels: dict[str, str] = {}
+    for v, image in _label_pairs(raw["map"], "map must be a list of [fine, coarse] label pairs",
+                                 "$.refinement.map"):
+        _put_once(labels, v, image, "fine label", "$.refinement.map")
     return RefinementMap(fine, coarse, labels)

@@ -12,15 +12,21 @@ for every fine simplex the union of the two images spans a coarse
 simplex, piece by piece.  Contiguous maps induce identical pullbacks on
 cohomology; plain validity alone does not (a constant map to a shared
 vertex can be valid yet kill first cohomology).
+
+A `RefinementMap` validates once (`verdict`).  It builds each pullback,
+tuple pullback and induced map on cohomology once, only past a valid
+verdict (else `InvalidRefinement`), and keeps them in `pullbacks` for as
+long as it lives.  Its label map is never changed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
-from .cochains import ChainMapLevel, coboundary_matrix, cohomology, induced_on_cohomology, pullback_map
+from .cochains import ChainMapLevel, coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
 from .complexes import EMPTY_COMPLEX, SimplicialComplex
 from .diagrams import GluedDiagram
 from .errors import ResourceLimit
@@ -37,6 +43,17 @@ class RefinementMap:
     fine: GluedDiagram
     coarse: GluedDiagram
     labels: dict[str, str]
+
+    @cached_property
+    def verdict(self) -> RefinementVerdict:
+        """`validate_refinement(self)`, run once."""
+        return validate_refinement(self)
+
+    @cached_property
+    def pullbacks(self) -> dict:
+        """Pullbacks keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
+        and induced maps on cohomology by ("H", fine complex, coarse complex, q)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -74,43 +91,52 @@ def validate_refinement(r: RefinementMap) -> RefinementVerdict:
 
 def refine_pullback(r: RefinementMap, degree: int) -> dict[tuple[str, ...] | str, ChainMapLevel]:
     """Pullback chain maps coarse -> fine on the union nerve and every N_T."""
-    verdict = validate_refinement(r)
-    if not verdict.valid:
-        raise InvalidRefinement(verdict.violations[0])
-    field = r.fine.field
-    out: dict[tuple[str, ...] | str, ChainMapLevel] = {
-        "union": pullback_map(r.labels, r.fine.nerve, r.coarse.nerve, degree, field)
-    }
+    out = {"union": _pullback(r, r.fine.nerve, r.coarse.nerve, degree)}
     for size in range(1, r.fine.n_pieces + 1):
         for t, fine_nerve in r.fine.index_set_nerves(size):
-            out[t] = pullback_map(r.labels, EMPTY_COMPLEX if fine_nerve is None else fine_nerve,
-                                  r.coarse.intersection_nerve(t), degree, field)
+            out[t] = _pullback(r, EMPTY_COMPLEX if fine_nerve is None else fine_nerve,
+                               r.coarse.intersection_nerve(t), degree)
     return out
 
 
-def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int,
-              memo: dict) -> ChainMapLevel:
-    """The pullback from a coarse complex to a fine one, kept in the memo."""
+def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> ChainMapLevel:
+    """The pullback from a coarse complex to a fine one, built once and only past a valid verdict.
+
+    That verdict stands in for `pullback_map`'s scan of the domain: each
+    fine piece simplex maps into its coarse piece, so each fine union or
+    N_T simplex into the coarse union or N_T.
+    """
     key = (fine_c, coarse_c, degree)
-    if key not in memo:
-        memo[key] = pullback_map(r.labels, fine_c, coarse_c, degree, r.fine.field)
-    return memo[key]
+    if key not in r.pullbacks:
+        if not r.verdict.valid:
+            raise InvalidRefinement(r.verdict.violations[0])
+        r.pullbacks[key] = simplicial_pullback(r.labels, fine_c, coarse_c, degree, r.fine.field)
+    return r.pullbacks[key]
 
 
-def _tuple_pullback(r: RefinementMap, level: int, degree: int, memo: dict) -> FMatrix:
-    """Blockwise pullback between the level-p tuple spaces of the two diagrams.
+def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
+    """Blockwise pullback between the level-p tuple spaces of the two diagrams, built once.
 
     A fine N_T is nonempty only where the coarse one is, since labels map
-    piece by piece; where it is empty, its block has no rows.  The result
-    is kept in the memo under (level, degree), next to its blocks.
+    piece by piece; where it is empty, its block has no rows.
     """
-    if (level, degree) not in memo:
+    if (level, degree) not in r.pullbacks:
         coarse = tuple_space(r.coarse, level, degree)
-        maps = {t: _pullback(r, r.fine.intersection_nerve(t), space.complex, degree, memo).matrix.entries
+        maps = {t: _pullback(r, r.fine.intersection_nerve(t), space.complex, degree).matrix.entries
                 for t, space in coarse.blocks}
-        memo[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
-                                           ((t, t, m) for t, m in maps.items()), r.fine.field)
-    return memo[level, degree]
+        r.pullbacks[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
+                                                  ((t, t, m) for t, m in maps.items()), r.fine.field)
+    return r.pullbacks[level, degree]
+
+
+def _induced(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:
+    """The pullback on H^degree, coarse_c -> fine_c, built once."""
+    key = ("H", fine_c, coarse_c, degree)
+    if key not in r.pullbacks:
+        field = r.fine.field
+        r.pullbacks[key] = induced_on_cohomology(_pullback(r, fine_c, coarse_c, degree),
+                                                 cohomology(coarse_c, degree, field), cohomology(fine_c, degree, field))
+    return r.pullbacks[key]
 
 
 @dataclass(frozen=True)
@@ -133,84 +159,50 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
     restriction map, with the difference maps at every level, and (for
     binary diagrams) with the connecting homomorphism on cohomology.
     """
-    verdict = validate_refinement(r)
-    if not verdict.valid:
-        raise InvalidRefinement(verdict.violations[0])
     field = r.fine.field
     squares: list[NaturalitySquare] = []
-    # Neighbouring degrees and levels share their pullbacks, so each is built
-    # once per call, in a memo that nothing keeps after it.
-    memo: dict = {}
 
     # An empty fine N_T makes both sides of its square 0 x dim C^q(coarse N_T),
     # so the square commutes; it is recorded as such, with None complexes.
-    complexes: list[tuple[str, SimplicialComplex | None, SimplicialComplex | None]] = [
-        ("union", r.fine.nerve, r.coarse.nerve)]
-    for size in range(1, r.fine.n_pieces + 1):
-        for t, fine_nerve in r.fine.index_set_nerves(size):
-            coarse_nerve = r.coarse.intersection_nerve(t) if fine_nerve is not None else None
-            complexes.append((f"T={','.join(t)}", fine_nerve, coarse_nerve))
+    complexes = [("union", r.fine.nerve, r.coarse.nerve)] + [
+        (f"T={','.join(t)}", fine_nerve, None if fine_nerve is None else r.coarse.intersection_nerve(t))
+        for size in range(1, r.fine.n_pieces + 1) for t, fine_nerve in r.fine.index_set_nerves(size)]
     for q in range(q_max + 1):
         for name, fine_c, coarse_c in complexes:
             if fine_c is None:
                 squares.append(NaturalitySquare(f"delta[{name}] q={q}", True))
                 continue
-            lam_q = _pullback(r, fine_c, coarse_c, q, memo).matrix
-            lam_q1 = _pullback(r, fine_c, coarse_c, q + 1, memo).matrix
-            d_fine = coboundary_matrix(fine_c, q, field)
-            d_coarse = coboundary_matrix(coarse_c, q, field)
-            squares.append(NaturalitySquare(
-                f"delta[{name}] q={q}", (lam_q1 @ d_coarse).equals(d_fine @ lam_q)))
+            left = _pullback(r, fine_c, coarse_c, q + 1).matrix @ coboundary_matrix(coarse_c, q, field)
+            right = coboundary_matrix(fine_c, q, field) @ _pullback(r, fine_c, coarse_c, q).matrix
+            squares.append(NaturalitySquare(f"delta[{name}] q={q}", left.equals(right)))
 
-        lam_union = _pullback(r, r.fine.nerve, r.coarse.nerve, q, memo).matrix
-        lam_l1 = _tuple_pullback(r, 1, q, memo)
-        squares.append(NaturalitySquare(
-            f"phi_star q={q}",
-            (lam_l1 @ phi_star(r.coarse, q).matrix).equals(
-                phi_star(r.fine, q).matrix @ lam_union)))
+        left = _tuple_pullback(r, 1, q) @ phi_star(r.coarse, q).matrix
+        right = phi_star(r.fine, q).matrix @ _pullback(r, r.fine.nerve, r.coarse.nerve, q).matrix
+        squares.append(NaturalitySquare(f"phi_star q={q}", left.equals(right)))
 
         for level in range(1, r.fine.n_pieces):
-            lam_src = _tuple_pullback(r, level, q, memo)
-            lam_tgt = _tuple_pullback(r, level + 1, q, memo)
-            squares.append(NaturalitySquare(
-                f"delta_tilde level={level} q={q}",
-                (lam_tgt @ delta_tilde(r.coarse, level, q).matrix).equals(
-                    delta_tilde(r.fine, level, q).matrix @ lam_src)))
+            left = _tuple_pullback(r, level + 1, q) @ delta_tilde(r.coarse, level, q).matrix
+            right = delta_tilde(r.fine, level, q).matrix @ _tuple_pullback(r, level, q)
+            squares.append(NaturalitySquare(f"delta_tilde level={level} q={q}", left.equals(right)))
 
     if r.fine.n_pieces == 2:
-        pair = r.fine.piece_ids
-        fine_12 = r.fine.intersection_nerve(pair)
-        coarse_12 = r.coarse.intersection_nerve(pair)
+        fine_12, coarse_12 = (d.intersection_nerve(r.fine.piece_ids) for d in (r.fine, r.coarse))
         for q in range(q_max + 1):
-            delta_f = connecting_homomorphism(r.fine, q)
-            delta_c = connecting_homomorphism(r.coarse, q)
-            lam_12 = induced_on_cohomology(
-                _pullback(r, fine_12, coarse_12, q, memo),
-                cohomology(coarse_12, q, field), cohomology(fine_12, q, field))
-            lam_n = induced_on_cohomology(
-                _pullback(r, r.fine.nerve, r.coarse.nerve, q + 1, memo),
-                cohomology(r.coarse.nerve, q + 1, field), cohomology(r.fine.nerve, q + 1, field))
-            squares.append(NaturalitySquare(
-                f"connecting q={q}",
-                (delta_f.matrix @ lam_12).equals(lam_n @ delta_c.matrix)))
+            left = connecting_homomorphism(r.fine, q).matrix @ _induced(r, fine_12, coarse_12, q)
+            right = induced_cohomology_map(r, q + 1) @ connecting_homomorphism(r.coarse, q).matrix
+            squares.append(NaturalitySquare(f"connecting q={q}", left.equals(right)))
 
     return NaturalityVerdict(tuple(squares), all(s.commutes for s in squares))
 
 
 def induced_cohomology_map(r: RefinementMap, degree: int) -> FMatrix:
     """Pullback on H^degree of the union nerves, coarse -> fine."""
-    verdict = validate_refinement(r)
-    if not verdict.valid:
-        raise InvalidRefinement(verdict.violations[0])
-    field = r.fine.field
-    chain = pullback_map(r.labels, r.fine.nerve, r.coarse.nerve, degree, field)
-    return induced_on_cohomology(chain, cohomology(r.coarse.nerve, degree, field),
-                                 cohomology(r.fine.nerve, degree, field))
+    return _induced(r, r.fine.nerve, r.coarse.nerve, degree)
 
 
 def contiguous(r1: RefinementMap, r2: RefinementMap) -> bool:
-    """Whether two label maps realise the same refinement (piecewise)."""
-    if r1.fine is not r2.fine and r1.fine != r2.fine:
+    """Whether two label maps between the same two diagrams realise the same refinement (piecewise)."""
+    if any(a is not b and a != b for a, b in ((r1.fine, r2.fine), (r1.coarse, r2.coarse))):
         return False
     for pid in r1.fine.piece_ids:
         coarse_nerve = r1.coarse.nerves[pid]

@@ -430,13 +430,25 @@ def _set(path, value):
     ("bundles", _set(("bundle", "rank"), True)),
     ("bundles", _set(("bundle", "rank"), 10 ** 9)),
     ("refine-check", _set(("refinement", "map"), {"ll": 1})),
+    # a repeated key is refused, whichever value comes last and whether or not the values agree
+    *(("refine-check", _set(("refinement", "map"), [["l1", first], ["l1", last], ["l2", "l"], ["o1", "o1"],
+                                                    ["o2", "o2"], ["r1", "r"], ["r2", "r"]]))
+      for first, last in (("o2", "l"), ("l", "o2"), ("l", "l"))),
+    *(("bundles", _set(("bundle", "identifications", 0, "vertices"), vertices))
+      for vertices in ([["r", 1], ["r", 0]], [["r", 0], ["r", 1]], [["l", 0], ["l", 0]])),
+    ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": []}, {"id": "p1", "edges": []}])),
+    ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": [["l", "o1", 1], ["o1", "l", 1]]}])),
+    ("bundles", _set(("bundle", "identifications"), [{"i": "p1", "j": "p2", "vertices": []}] * 2)),
 ), ids=("identification_not_object", "identifications_not_list", "edge_not_list",
         "rank1_value_x", "rank1_value_list", "rank3_scalar_values", "refinement_fine_5",
         "document_field_too_large", "identification_value_1.5", "identification_value_0.9",
         "identification_value_true", "identification_value_string", "edge_value_1.5",
         "edge_value_true", "rank2_identification_float_entry", "rank2_edge_bool_entry",
         "simplex_not_a_list", "gluing_end_a_list", "pairs_as_strings", "rank_true", "rank_1e9",
-        "refinement_map_an_object"))
+        "refinement_map_an_object", "map_label_twice_o2_then_l", "map_label_twice_l_then_o2",
+        "map_label_twice_equal", "identification_vertex_twice_1_then_0", "identification_vertex_twice_0_then_1",
+        "identification_vertex_twice_equal", "bundle_piece_twice", "edge_twice_reversed",
+        "identification_pair_twice"))
 def test_cli_bad_blocks_are_input_errors(tmp_path, capsys, command, change):
     doc = gallery_document("two_origin_line")
     change(doc)

@@ -184,7 +184,7 @@ def test_block_layouts_equal_the_offset_loops(necklace, data):
         for level in range(1, n):
             assert mv.delta_tilde(diagram, level, q).matrix.equals(reference_delta_tilde(diagram, level, q))
         for level in range(1, refinement.fine.n_pieces + 1):
-            assert refinements._tuple_pullback(refinement, level, q, {}).equals(
+            assert refinements._tuple_pullback(refinement, level, q).equals(
                 reference_tuple_pullback(refinement, level, q))
     total = mv._total_differentials(diagram)
     reference = reference_total_differentials(diagram)

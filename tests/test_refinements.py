@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 import weakref
 from collections import Counter
 
@@ -7,6 +9,7 @@ import pytest
 
 from cechkit import refinements
 from cechkit.bundles import ResourceLimit
+from cechkit.cli import main
 from cechkit.cochains import cech_differential, cohomology, induced_on_cohomology, pullback_map
 from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
@@ -157,11 +160,17 @@ def identity_refinement(name):
     return RefinementMap(coarse, coarse, {v: v for v in coarse.nerve.vertices})
 
 
-@pytest.mark.parametrize("r", [refinement_for("bug_eyed_circle"), refinement_for("two_origin_line"),
-                               identity_refinement("three_circles")], ids=["bug_eyed", "two_origin", "circles"])
-def test_naturality_check_builds_each_pullback_once_within_the_call(r, monkeypatch):
-    built, tuple_builds, alive = Counter(), [], []
-    real_pullback, real_blocks = refinements.pullback_map, refinements.block_matrix
+@pytest.mark.parametrize("make", [lambda: refinement_for("bug_eyed_circle"), lambda: refinement_for("two_origin_line"),
+                                  lambda: identity_refinement("three_circles")], ids=["bug_eyed", "two_origin", "circles"])
+def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeypatch):
+    r = make()
+    validations, built, tuple_builds, alive = [], Counter(), [], []
+    real_validate, real_pullback, real_blocks = (refinements.validate_refinement, refinements.simplicial_pullback,
+                                                 refinements.block_matrix)
+
+    def validating(refinement):
+        validations.append(1)
+        return real_validate(refinement)
 
     def counting(labels, domain, codomain, q, field):
         built[(domain.simplices, codomain.simplices, q)] += 1
@@ -171,20 +180,84 @@ def test_naturality_check_builds_each_pullback_once_within_the_call(r, monkeypat
 
     def blocks(*args):
         tuple_builds.append(args[1])
-        return real_blocks(*args)
+        result = real_blocks(*args)
+        alive.append(weakref.ref(result))
+        return result
 
-    monkeypatch.setattr(refinements, "pullback_map", counting)
+    monkeypatch.setattr(refinements, "validate_refinement", validating)
+    monkeypatch.setattr(refinements, "simplicial_pullback", counting)
     monkeypatch.setattr(refinements, "block_matrix", blocks)
+    maps = [refine_pullback(r, q) for q in range(4)]
     verdict = naturality_check(r, 2)
+    induced = [induced_cohomology_map(r, q) for q in (0, 1)]
+    assert naturality_check(r, 2) == verdict and refine_pullback(r, 1) == maps[1]
+    assert induced_cohomology_map(r, 1) is induced[1]
+    assert validations == [1]
     assert built and set(built.values()) == {1}
     # one tuple pullback per level and degree
     assert len(tuple_builds) == 3 * r.fine.n_pieces
+    alive.extend(weakref.ref(m) for m in induced)
+
+    # the squares and induced maps are those of a refinement whose every pullback is built afresh
+    def afresh(other, fine_c, coarse_c, q):
+        built[(fine_c.simplices, coarse_c.simplices, q)] += 1
+        return pullback_map(other.labels, fine_c, coarse_c, q, other.fine.field)
+
+    fresh = RefinementMap(r.fine, r.coarse, dict(r.labels))
+    monkeypatch.setattr(refinements, "_pullback", afresh)
+    built.clear()
+    assert naturality_check(fresh, 2) == verdict
+    assert all(induced_cohomology_map(fresh, q).equals(induced[q]) for q in (0, 1))
+    assert max(built.values()) > 1
+
+    # what the refinement derived goes with it
+    del r, fresh, maps, induced
     gc.collect()
     assert all(ref() is None for ref in alive)
-    # the squares are those of a check that builds every pullback afresh
-    memoised, memoised_tuple = refinements._pullback, refinements._tuple_pullback
-    monkeypatch.setattr(refinements, "_pullback", lambda r, f, c, q, memo: memoised(r, f, c, q, {}))
-    monkeypatch.setattr(refinements, "_tuple_pullback", lambda r, level, q, memo: memoised_tuple(r, level, q, {}))
-    built.clear()
-    assert naturality_check(r, 2) == verdict
-    assert max(built.values()) > 1
+
+
+def two_origin_with_map(change):
+    doc = gallery_document("two_origin_line")
+    doc["refinement"]["map"] = change(doc["refinement"]["map"])
+    return doc
+
+
+@pytest.mark.parametrize("change, only_not_simplicial", [
+    # l2 -> r: every image is a label of its piece, but the edge l1-l2 goes to l-r
+    (lambda pairs: [[f, "r" if f == "l2" else c] for f, c in pairs], True),
+    (lambda pairs: [["l1", "l"], ["o1", "o2"]], False),
+], ids=["non_simplicial_image", "undefined_and_leaving"])
+def test_every_entry_point_refuses_what_validation_rejects(change, only_not_simplicial, tmp_path, capsys):
+    doc = two_origin_with_map(change)
+    parsed = parse_document(doc)
+    coarse = canonicalize(parsed.system)
+    r = materialise_refinement(coarse, parsed.refinement, coarse.field)
+    verdict = validate_refinement(r)
+    assert not verdict.valid
+    if only_not_simplicial:
+        assert all("is not simplicial" in v for v in verdict.violations)
+    for call in (lambda: refine_pullback(r, 0), lambda: naturality_check(r, 1),
+                 lambda: induced_cohomology_map(r, 0), lambda: induced_cohomology_map(r, 1)):
+        with pytest.raises(InvalidRefinement, match=re.escape(verdict.violations[0])):
+            call()
+    assert r.pullbacks == {}
+
+    path, report = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--report", str(report), "refine-check", str(path)]) == 1
+    written = json.loads(report.read_text(encoding="utf-8"))
+    assert written["verdicts"] == {"refinement_valid": False}
+    assert written["violations"] == list(verdict.violations)
+    assert "squares" not in written and "induced_cohomology" not in written
+    assert capsys.readouterr().out.count("violation: ") == len(verdict.violations)
+
+
+def test_contiguity_needs_the_same_coarse_diagram(two_origin_refinement):
+    r = two_origin_refinement
+    doc = gallery_document("two_origin_line")
+    doc["pieces"][0]["simplices"].append(["x"])
+    wider = canonicalize(parse_document(doc).system)
+    other = RefinementMap(r.fine, wider, dict(r.labels))
+    assert validate_refinement(other).valid and other.coarse != r.coarse
+    assert contiguous(r, RefinementMap(r.fine, r.coarse, dict(r.labels)))
+    assert not contiguous(r, other) and not contiguous(other, r)
