@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +34,7 @@ from .bundles import (
 )
 from .cochains import class_coordinates, cohomology
 from .complexes import components
-from .diagrams import canonicalize, collapse, validate_system
+from .diagrams import AdjunctionSystem, GluedDiagram, canonicalize, collapse, validate_system
 from .documents import (
     ParsedDocument,
     canonical_json,
@@ -65,10 +66,6 @@ QMAX_CAP = 64
 
 class UnknownCommand(ValueError):
     pass
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _key(t: tuple[str, ...]) -> str:
@@ -136,17 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> tuple[ParsedDocument, str]:
     """The parsed document and the digest of the bytes it was parsed from, read once."""
     data = Path(args.path).read_bytes()
-    return parse_document(decode_document(data), args.field), _digest(data)
+    return parse_document(decode_document(data), args.field), hashlib.sha256(data).hexdigest()
 
 
-def _base_report(command: str, digest: str, field: int) -> dict[str, Any]:
-    return {"command": command, "input_digest": digest, "field": field, "verdicts": {}}
-
-
-def _cmd_validate(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    report = _base_report("validate", digest, parsed.system.field.p)
-    verdict = validate_system(parsed.system)
+def _cmd_validate(args, parsed: ParsedDocument, system: AdjunctionSystem, report: dict) -> None:
+    verdict = validate_system(system)
     report["verdicts"]["valid"] = verdict.valid
     report["violations"] = [
         {"condition": v.condition, "message": v.message, "witness": list(v.witness)}
@@ -154,16 +145,10 @@ def _cmd_validate(args) -> tuple[dict, int]:
     _println(f"system valid: {verdict.valid}")
     for v in verdict.violations:
         _println(f"  [{v.condition}] {v.message}  witness={list(v.witness)}")
-    return report, 0 if verdict.valid else 1
 
 
-def _cmd_cohomology(args) -> tuple[dict, int]:
-    if args.qmax is not None and args.qmax > QMAX_CAP:
-        raise ResourceLimit(f"cohomology degrees are capped at --qmax {QMAX_CAP}; got --qmax {args.qmax}")
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
+def _cmd_cohomology(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     q_max = args.qmax if args.qmax is not None else max(diagram.nerve.dim, 0)
-    report = _base_report("cohomology", digest, diagram.field.p)
     union = [cohomology(diagram.nerve, q, diagram.field).dimension for q in range(q_max + 1)]
     report["global_labels"] = list(diagram.nerve.vertices)
     report["union_dims"] = union
@@ -183,16 +168,10 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
             ("union", *union)]
            + [(pid, *report["piece_dims"][pid]) for pid in diagram.piece_ids]
            + [(k, *v) for k, v in sorted(report["intersection_dims"].items())])
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 1
 
 
-def _cmd_mv(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
+def _cmd_mv(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     q_top = max(diagram.nerve.dim, 0)
-    report = _base_report("mv", digest, diagram.field.p)
-
     ses = [verify_exact_sequence(diagram, q) for q in range(q_top + 1)]
     report["short_exact"] = [
         {"q": v.degree, "exact": v.exact,
@@ -235,17 +214,11 @@ def _cmd_mv(args) -> tuple[dict, int]:
              f"hypothesis={h1.hypothesis_holds} equal={h1.equal}")
     if diagram.n_pieces == 2:
         _println(f"binary LES exact: {report['verdicts']['les_exact']}")
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 1
 
 
-def _cmd_fibred(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
+def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     degrees = [args.q] if args.q is not None else list(range(min(2, max(diagram.nerve.dim, 0)) + 1))
-    report = _base_report("fibred", digest, diagram.field.p)
     report["degrees"] = []
-    all_ok = True
     for q in degrees:
         fp = fibred_product(diagram, q)
         union_dim = cohomology(diagram.nerve, q, diagram.field).space.dim
@@ -253,31 +226,25 @@ def _cmd_fibred(args) -> tuple[dict, int]:
         two_step, basis = inductive_fibred_dim(diagram, q)
         joint = FMatrix(np.hstack([fp.basis.entries, basis.entries]), diagram.field)
         same_span = joint.rank() == fp.dimension and two_step == fp.dimension
-        entry = {"q": q, "cochain_dim_union": union_dim, "fibred_dim": fp.dimension,
-                 "rank_phi_star": rank_phi, "inductive_dim": two_step,
-                 "matches_union": fp.dimension == union_dim,
-                 "matches_phi": fp.dimension == rank_phi,
-                 "inductive_matches": same_span}
-        report["degrees"].append(entry)
-        all_ok = all_ok and entry["matches_union"] and entry["matches_phi"] and entry["inductive_matches"]
+        report["degrees"].append({
+            "q": q, "cochain_dim_union": union_dim, "fibred_dim": fp.dimension,
+            "rank_phi_star": rank_phi, "inductive_dim": two_step,
+            "matches_union": fp.dimension == union_dim,
+            "matches_phi": fp.dimension == rank_phi,
+            "inductive_matches": same_span})
         _println(f"q={q}: dim C^q(union)={union_dim} fibred={fp.dimension} "
                  f"rank(phi*)={rank_phi} inductive={two_step}")
-    report["verdicts"]["fibred_equals_union_cochains"] = all_ok
-    return report, 0 if all_ok else 1
+    report["verdicts"]["fibred_equals_union_cochains"] = all(
+        e["matches_union"] and e["matches_phi"] and e["inductive_matches"] for e in report["degrees"])
 
 
-def _cmd_bundles(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
-    report = _base_report("bundles", digest, diagram.field.p)
+def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     reps = enumerate_line_bundles(diagram)
     h1_dim = reps.h1.dimension
     # [B | R] has independent columns, so each class's coordinates are unique
     # and one batched solve gives what one solve per class would.
     all_coords = class_coordinates(reps.h1, reps.classes)
     table = class_table(reps)
-    round_trips_ok = all(table.round_trips_preserved)
-    glue_ok = table.glue_space_dims == table.parallel_dims
     edges = diagram.nerve.simplices_of_dim(1)
     classes = [{
         "class": [int(x) for x in coords],
@@ -291,8 +258,8 @@ def _cmd_bundles(args) -> tuple[dict, int]:
             table.glue_space_dims)]
     report["classes"] = classes
     report["verdicts"]["count_is_two_to_h1"] = len(reps) == 2 ** h1_dim
-    report["verdicts"]["round_trips_preserve_class"] = round_trips_ok
-    report["verdicts"]["glued_sections_match"] = glue_ok
+    report["verdicts"]["round_trips_preserve_class"] = all(table.round_trips_preserved)
+    report["verdicts"]["glued_sections_match"] = table.glue_space_dims == table.parallel_dims
 
     if parsed.bundle is not None:
         data = materialise_bundle(diagram, parsed.bundle)
@@ -303,10 +270,9 @@ def _cmd_bundles(args) -> tuple[dict, int]:
                 block["class"] = [int(c) for c in cocycle_class(result.cocycle)]
             block["parallel_dim"] = parallel_sections(result.cocycle).dimension
             block["glue_space_dim"] = glue_section_space(data)
-            report["verdicts"]["bundle_block_glues"] = True
         else:
             block["witness"] = [str(w) for w in result.witness]
-            report["verdicts"]["bundle_block_glues"] = False
+        report["verdicts"]["bundle_block_glues"] = result.ok
         report["bundle_block"] = block
 
     _println(f"line bundle classes: {len(reps)} (2^{h1_dim})")
@@ -315,15 +281,10 @@ def _cmd_bundles(args) -> tuple[dict, int]:
                c["glue_space_dim"]) for c in classes])
     if "bundle_block" in report:
         _println(f"document bundle block: {report['bundle_block']}")
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 1
 
 
-def _cmd_count(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
+def _cmd_count(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     result = count_line_bundles(diagram)
-    report = _base_report("count", digest, diagram.field.p)
     report["h1_dims"] = {_key(t): d for t, d in sorted(result.h1_dims.items())}
     report["hypotheses"] = {
         "all_intersections_connected": result.connected_hypothesis,
@@ -345,50 +306,33 @@ def _cmd_count(args) -> tuple[dict, int]:
         _println("flag: dimension form disagrees with ground truth")
     if not result.literal_form_matches:
         _println("flag: literal order-sum form disagrees with ground truth")
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 1
 
 
-def _cmd_collapse_check(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
+def _cmd_collapse_check(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     q_top = max(diagram.nerve.dim, 0)
     field = diagram.field
     baseline = [cohomology(diagram.nerve, q, field).dimension for q in range(q_top + 1)]
-    report = _base_report("collapse-check", digest, field.p)
     report["baseline_dims"] = baseline
     steps = []
     current = diagram
-    nerves_ok = True
-    dims_ok = True
     while current.n_pieces > 2:
         j = current.piece_ids[:2]
         merged = collapse(current, j)
-        nerve_same = merged.nerve.simplices == current.nerve.simplices
-        dims = [cohomology(merged.nerve, q, field).dimension for q in range(q_top + 1)]
         steps.append({"collapsed": list(j), "pieces_left": merged.n_pieces,
-                      "nerve_preserved": nerve_same, "dims": dims})
-        nerves_ok = nerves_ok and nerve_same
-        dims_ok = dims_ok and dims == baseline
+                      "nerve_preserved": merged.nerve.simplices == current.nerve.simplices,
+                      "dims": [cohomology(merged.nerve, q, field).dimension for q in range(q_top + 1)]})
         current = merged
     report["steps"] = steps
-    report["verdicts"]["union_nerve_preserved"] = nerves_ok
-    report["verdicts"]["cohomology_invariant"] = dims_ok
+    nerves_ok = report["verdicts"]["union_nerve_preserved"] = all(s["nerve_preserved"] for s in steps)
+    dims_ok = report["verdicts"]["cohomology_invariant"] = all(s["dims"] == baseline for s in steps)
     if current.n_pieces == 2:
-        les = assemble_les(current, q_top)
-        report["final_les_exact"] = les.all_ok
-        report["verdicts"]["final_les_exact"] = les.all_ok
+        report["final_les_exact"] = report["verdicts"]["final_les_exact"] = assemble_les(current, q_top).all_ok
     _println(f"collapse steps: {len(steps)}; nerve preserved: {nerves_ok}; "
              f"dims invariant: {dims_ok}")
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 1
 
 
-def _cmd_refine_check(args) -> tuple[dict, int]:
-    parsed, digest = _load(args)
-    diagram = canonicalize(parsed.system)
+def _cmd_refine_check(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     refinement = materialise_refinement(diagram, parsed.refinement, diagram.field)
-    report = _base_report("refine-check", digest, diagram.field.p)
     verdict = refinement.verdict
     report["verdicts"]["refinement_valid"] = verdict.valid
     report["violations"] = list(verdict.violations)
@@ -408,22 +352,18 @@ def _cmd_refine_check(args) -> tuple[dict, int]:
     else:
         for v in verdict.violations:
             _println(f"  violation: {v}")
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 1
 
 
-def _cmd_gallery(args) -> tuple[dict | None, int, str]:
+def _cmd_gallery(args) -> tuple[dict | None, int]:
     if args.name == "list":
-        listing = "\n".join(GALLERY_NAMES) + "\n"
-        sys.stdout.write(listing)
-        return None, 0, listing
+        sys.stdout.write("\n".join(GALLERY_NAMES) + "\n")
+        return None, 0
     field = PrimeField(args.field if args.field is not None else 2)
     doc = gallery_document(args.name, field=field.p, n=args.n, seed=args.seed)
-    text = canonical_json(doc)
-    sys.stdout.write(text)
+    sys.stdout.write(canonical_json(doc))
     if args.name == "random_admissible":
         sys.stderr.write(f"seed: {args.seed}\n")
-    return doc, 0, text
+    return doc, 0
 
 
 _HANDLERS = {
@@ -438,20 +378,41 @@ _HANDLERS = {
 }
 
 
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
+    """One file command: load, canonicalise, the report header, the handler, the exit code.
+
+    Every command but validate runs on the canonical diagram.  The exit
+    code is 0 exactly when every verdict the handler wrote holds.
+    """
+    qmax = getattr(args, "qmax", None)
+    if qmax is not None and qmax > QMAX_CAP:
+        raise ResourceLimit(f"cohomology degrees are capped at --qmax {QMAX_CAP}; got --qmax {qmax}")
+    parsed, digest = _load(args)
+    subject = parsed.system if args.command == "validate" else canonicalize(parsed.system)
+    report = {"command": args.command, "input_digest": digest, "field": parsed.system.field.p, "verdicts": {}}
+    _HANDLERS[args.command](args, parsed, subject, report)
+    return report, 0 if all(report["verdicts"].values()) else 1
+
+
 def run_command(command: str, options: dict[str, Any] | None = None) -> tuple[dict, int]:
     """Programmatic dispatch of one file command; returns (report, exit code).
 
     Options: path (required), plus field, qmax, q where the command takes
-    them.  Input failures raise instead of returning exit code 2; the
-    command line wrapper maps them.
+    them.  They are turned into arguments for the command line parser, so
+    a value the command line refuses is refused alike: a negative degree
+    raises SystemExit(2) after the usage message.  Input failures raise
+    instead of returning exit code 2; the command line wrapper maps them.
     """
     if command not in _HANDLERS:
         raise UnknownCommand(command)
     options = dict(options or {})
-    args = argparse.Namespace(field=options.get("field"), report=None,
-                              qmax=options.get("qmax"), q=options.get("q"),
-                              path=Path(options["path"]))
-    return _HANDLERS[command](args)
+    argv = [] if options.get("field") is None else ["--field", str(options["field"])]
+    # Relative to ".", a path that starts with "-" is not read as an option.
+    argv += [command, os.path.join(os.curdir, options["path"])]
+    for name in ("qmax", "q"):
+        if options.get(name) is not None:
+            argv += [f"--{name}", str(options[name])]
+    return _run(build_parser().parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -459,9 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         if args.command == "gallery":
-            report, code, _ = _cmd_gallery(args)
+            report, code = _cmd_gallery(args)
         else:
-            report, code = _HANDLERS[args.command](args)
+            report, code = _run(args)
             _println(f"elapsed: {time.perf_counter() - started:.3f}s")
         if args.report is not None and report is not None:
             args.report.write_text(canonical_json(report), encoding="utf-8")

@@ -25,6 +25,7 @@ nerve-level content and are not validated.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -151,6 +152,11 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _repeats(labels: list[str]) -> tuple[str, ...]:
+    """The labels that occur more than once, sorted."""
+    return tuple(sorted(label for label, n in Counter(labels).items() if n > 1))
+
+
 def validate_system(system: AdjunctionSystem) -> ValidationReport:
     violations: list[Violation] = []
     ids = [p.piece_id for p in system.pieces]
@@ -167,9 +173,11 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
         dom = [x for x, _ in g.pairs]
         img = [y for _, y in g.pairs]
         if len(set(dom)) != len(dom):
-            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} domain has repeats"))
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} domain has repeats",
+                                        _repeats(dom)))
         if len(set(img)) != len(img):
-            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} is not injective"))
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} is not injective",
+                                        _repeats(img)))
         missing = sorted(set(dom) - src_labels)
         if missing:
             violations.append(Violation("STRUCTURE",

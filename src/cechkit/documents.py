@@ -12,7 +12,7 @@ The document format is UTF-8 JSON with exactly these fields:
 
 Maximal simplices suffice; the downward closure is computed on load.
 Each gluing entry also installs its inverse, so documents carry one
-direction per unordered pair.  The optional bundle block is
+entry per unordered pair; a second is refused.  The optional bundle block is
 {"rank": int, "pieces": [{"id", "edges": [[a, b, value], ...]}],
 "identifications": [{"i", "j", "vertices": [[label, value], ...]}]}
 with labels referring to canonical global names; rank-1 values are field
@@ -147,6 +147,7 @@ def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
     if not isinstance(doc["gluings"], list):
         raise ParseError("gluings must be a list", f"{root}.gluings")
     gluings: list[GluingBijection] = []
+    glued: dict[tuple[str, str], int] = {}
     for k, entry in enumerate(doc["gluings"]):
         path = f"{root}.gluings[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "pairs"}:
@@ -158,6 +159,8 @@ def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
         unknown = f"gluing references unknown pieces {i!r}, {j!r}"
         if not set(_labels([i, j], unknown, path)) <= seen:
             raise ParseError(unknown, path)
+        # Each entry installs both directions, so i, j and j, i are one pair.
+        _put_once(glued, tuple(sorted((i, j))), k, "gluing of the pair", path)
         pairs = tuple(sorted(_label_pairs(entry["pairs"], "pairs must be a list of [label, label] entries",
                                           path)))
         gluings.append(GluingBijection(i, j, pairs))

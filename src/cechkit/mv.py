@@ -132,11 +132,37 @@ def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLeve
 
 @dataclass(frozen=True)
 class PositionRecord:
+    """One position of a sequence: exact when the incoming image fills the outgoing kernel."""
+
+    degree: int
     position: str
     dim: int
     incoming_rank: int
     outgoing_nullity: int
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.incoming_rank == self.outgoing_nullity
+
+
+def _positions(names: list[tuple[int, str]], maps: list[FMatrix]) -> tuple[PositionRecord, ...]:
+    """Rank bookkeeping along V_0 -> V_1 -> ..., where maps[k] leaves position k.
+
+    The map into V_0 is zero, and so is the map out of any position past
+    the last map, whose outgoing nullity is then its whole dimension.
+    Extra maps past the last position are not read.
+    """
+    records = []
+    for k, (degree, position) in enumerate(names):
+        dim = maps[k].cols if k < len(maps) else maps[k - 1].rows
+        nullity_out = maps[k].rank_nullity()[1] if k < len(maps) else dim
+        records.append(PositionRecord(degree, position, dim, maps[k - 1].rank() if k else 0, nullity_out))
+    return tuple(records)
+
+
+def _compose_to_zero(maps: list[FMatrix]) -> bool:
+    """Whether each map composed with the next is zero."""
+    return all((after @ before).is_zero() for before, after in zip(maps, maps[1:]))
 
 
 @dataclass(frozen=True)
@@ -150,20 +176,12 @@ class ExactnessVerdict:
 def verify_exact_sequence(diagram: GluedDiagram, degree: int) -> ExactnessVerdict:
     """Rank bookkeeping for 0 -> C^q(N) -> (+)C^q(N_i) -> ... -> C^q(N_1..n) -> 0."""
     n = diagram.n_pieces
-    maps = [phi_star(diagram, degree)]
-    maps += [delta_tilde(diagram, level, degree) for level in range(1, n)]
-    names = ["union"] + [f"level_{p}" for p in range(1, n + 1)]
-    dims = [maps[0].source.dim] + [m.target.dim for m in maps]
-
-    records: list[PositionRecord] = []
-    for k, name in enumerate(names):
-        rank_in = maps[k - 1].matrix.rank() if k > 0 else 0
-        nullity_out = maps[k].matrix.rank_nullity()[1] if k < len(maps) else dims[k]
-        records.append(PositionRecord(name, dims[k], rank_in, nullity_out,
-                                      rank_in == nullity_out))
-    comps_zero = all((maps[k + 1].matrix @ maps[k].matrix).is_zero() for k in range(len(maps) - 1))
-    return ExactnessVerdict(degree, tuple(records), comps_zero,
-                            comps_zero and all(r.exact for r in records))
+    maps = [phi_star(diagram, degree).matrix]
+    maps += [delta_tilde(diagram, level, degree).matrix for level in range(1, n)]
+    names = [(degree, "union")] + [(degree, f"level_{p}") for p in range(1, n + 1)]
+    records = _positions(names, maps)
+    comps_zero = _compose_to_zero(maps)
+    return ExactnessVerdict(degree, records, comps_zero, comps_zero and all(r.exact for r in records))
 
 
 def _binary_pieces(diagram: GluedDiagram) -> tuple[str, str]:
@@ -203,15 +221,6 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
 
 
 @dataclass(frozen=True)
-class LESPosition:
-    degree: int
-    position: str
-    incoming_rank: int
-    outgoing_nullity: int
-    exact: bool
-
-
-@dataclass(frozen=True)
 class BinaryMVReport:
     q_max: int
     union_dims: tuple[int, ...]
@@ -219,7 +228,7 @@ class BinaryMVReport:
     intersection_dims: tuple[int, ...]
     alpha_ranks: tuple[int, ...]
     delta_star_ranks: tuple[int, ...]
-    positions: tuple[LESPosition, ...]
+    positions: tuple[PositionRecord, ...]
     identity_ok: tuple[bool, ...]
     all_ok: bool
 
@@ -248,26 +257,16 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
         return FMatrix(np.vstack([top_block.entries, bot_block.entries]), field)
 
     phis = [phi_h(q) for q in range(top + 1)]
-    alphas = [descended_delta_tilde(diagram, 1, q) for q in range(top + 1)]
+    alphas = [descended_delta_tilde(diagram, 1, q) for q in range(top)]
     deltas = [connecting_homomorphism(diagram, q).matrix for q in range(top)]
-
-    positions: list[LESPosition] = []
-    identity_ok: list[bool] = []
-    for q in range(q_max + 1):
-        rank_delta_prev = deltas[q - 1].rank() if q >= 1 else 0
-        positions.append(LESPosition(q, "union", rank_delta_prev,
-                                     phis[q].rank_nullity()[1],
-                                     rank_delta_prev == phis[q].rank_nullity()[1]))
-        positions.append(LESPosition(q, "pieces", phis[q].rank(),
-                                     alphas[q].rank_nullity()[1],
-                                     phis[q].rank() == alphas[q].rank_nullity()[1]))
-        positions.append(LESPosition(q, "intersection", alphas[q].rank(),
-                                     deltas[q].rank_nullity()[1],
-                                     alphas[q].rank() == deltas[q].rank_nullity()[1]))
-        coker_prev = (coh_12[q - 1].dimension - alphas[q - 1].rank()) if q >= 1 else 0
-        identity_ok.append(coh_n[q].dimension == coker_prev + alphas[q].rank_nullity()[1])
-
-    all_ok = all(p.exact for p in positions) and all(identity_ok)
+    # H^0(N) -> H^0(N_1) + H^0(N_2) -> H^0(N_12) -> H^1(N) -> ..., then phi_(q_max+1)
+    maps = [m for q in range(top) for m in (phis[q], alphas[q], deltas[q])] + [phis[top]]
+    positions = _positions([(q, name) for q in range(top) for name in ("union", "pieces", "intersection")],
+                           maps)
+    coker = [coh_12[q].dimension - alphas[q].rank() for q in range(top)]
+    identity_ok = [coh_n[q].dimension == (coker[q - 1] if q else 0) + alphas[q].rank_nullity()[1]
+                   for q in range(top)]
+    all_ok = all(p.exact for p in positions) and all(identity_ok) and _compose_to_zero(maps)
     return BinaryMVReport(
         q_max=q_max,
         union_dims=tuple(coh_n[q].dimension for q in range(q_max + 1)),
@@ -276,7 +275,7 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
         intersection_dims=tuple(coh_12[q].dimension for q in range(q_max + 1)),
         alpha_ranks=tuple(alphas[q].rank() for q in range(q_max + 1)),
         delta_star_ranks=tuple(deltas[q].rank() for q in range(q_max + 1)),
-        positions=tuple(positions),
+        positions=positions,
         identity_ok=tuple(identity_ok),
         all_ok=all_ok,
     )
@@ -395,14 +394,10 @@ def total_cohomology(diagram: GluedDiagram, q_max: int) -> TotalCohomologyReport
     """
     field = diagram.field
     differentials = _total_differentials(diagram)
-    k_max = len(differentials) - 1
-    d_square_zero = all((differentials[k + 1] @ differentials[k]).is_zero()
-                        for k in range(k_max))
-    total_dims = []
-    for k in range(q_max + 1):
-        nullity = differentials[k].rank_nullity()[1] if k <= k_max else 0
-        rank_prev = differentials[k - 1].rank() if 1 <= k <= k_max + 1 else 0
-        total_dims.append(nullity - rank_prev)
+    d_square_zero = _compose_to_zero(differentials)
+    # The last differential's target, total degree k_max + 1, is the zero space.
+    records = _positions([(k, "total") for k in range(min(q_max + 1, len(differentials)))], differentials)
+    total_dims = [r.outgoing_nullity - r.incoming_rank for r in records] + [0] * (q_max + 1 - len(records))
     union_dims = tuple(cohomology(diagram.nerve, k, field).dimension for k in range(q_max + 1))
     return TotalCohomologyReport(q_max, tuple(total_dims), union_dims, d_square_zero,
                                  d_square_zero and tuple(total_dims) == union_dims)
@@ -473,6 +468,16 @@ def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMa
     return block_matrix(tgt.dims, {"src": src.dim}, coords, field)
 
 
+def _connectivity(diagram: GluedDiagram) -> tuple[dict[tuple[str, ...], int], tuple[tuple[str, ...], ...]]:
+    """Each index set's number of intersection components, and the sorted sets where it is not 1.
+
+    An empty intersection has no components.
+    """
+    connectivity = {t: len(components(nerve)) if nerve is not None else 0
+                    for size in range(1, diagram.n_pieces + 1) for t, nerve in diagram.index_set_nerves(size)}
+    return connectivity, tuple(sorted(t for t, c in connectivity.items() if c != 1))
+
+
 @dataclass(frozen=True)
 class H1FibredVerdict:
     connectivity: dict[tuple[str, ...], int]
@@ -492,12 +497,7 @@ def h1_fibred_check(diagram: GluedDiagram) -> H1FibredVerdict:
     reported, but equality is not asserted.
     """
     field = diagram.field
-    connectivity: dict[tuple[str, ...], int] = {}
-    for size in range(1, diagram.n_pieces + 1):
-        for t, nerve in diagram.index_set_nerves(size):
-            # An empty intersection has no components.
-            connectivity[t] = len(components(nerve)) if nerve is not None else 0
-    disconnected = tuple(t for t, c in sorted(connectivity.items()) if c != 1)
+    connectivity, disconnected = _connectivity(diagram)
     hypothesis = not disconnected
 
     h1_union = cohomology(diagram.nerve, 1, field).dimension
@@ -536,23 +536,18 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
     """
     if diagram.field.p != 2:
         raise WrongField("line bundle counting requires the field F_2")
-    n = diagram.n_pieces
+    connectivity, disconnected = _connectivity(diagram)
     h1_dims: dict[tuple[str, ...], int] = {}
-    connectivity_bad: list[tuple[str, ...]] = []
-    exponent = 0
-    literal = 0
-    for size in range(1, n + 1):
-        sign = (-1) ** (size + 1)
-        for t, nerve in diagram.index_set_nerves(size):
-            # An empty intersection: H^1 = 0 (a literal term 2^0), no components.
-            h1_dims[t] = cohomology(nerve, 1, diagram.field).dimension if nerve is not None else 0
-            if nerve is None or len(components(nerve)) != 1:
-                connectivity_bad.append(t)
-            exponent += sign * h1_dims[t]
-            literal += sign * 2 ** h1_dims[t]
+    exponent = literal = 0
+    for t, c in connectivity.items():
+        # An empty intersection has no components, H^1 = 0 and a literal term 2^0.
+        h1_dims[t] = h = cohomology(diagram.intersection_nerve(t), 1, diagram.field).dimension if c else 0
+        sign = 1 if len(t) % 2 else -1
+        exponent += sign * h
+        literal += sign * 2 ** h
 
     non_surjective: list[int] = []
-    for level in range(1, n):
+    for level in range(1, diagram.n_pieces):
         descended = descended_delta_tilde(diagram, level, 1)
         if descended.rank() != descended.rows:
             non_surjective.append(level)
@@ -561,8 +556,8 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
     dim_count = 2 ** exponent if exponent >= 0 else None
     return CountReport(
         h1_dims=h1_dims,
-        connected_hypothesis=not connectivity_bad,
-        disconnected=tuple(sorted(connectivity_bad)),
+        connected_hypothesis=not disconnected,
+        disconnected=disconnected,
         surjective_hypothesis=not non_surjective,
         non_surjective_levels=tuple(non_surjective),
         exponent=exponent,

@@ -355,9 +355,11 @@ def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
         dom = [x for x, _ in g.pairs]
         img = [y for _, y in g.pairs]
         if len(set(dom)) != len(dom):
-            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} domain has repeats"))
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} domain has repeats",
+                                        tuple(sorted({x for x in dom if dom.count(x) > 1}))))
         if len(set(img)) != len(img):
-            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} is not injective"))
+            violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} is not injective",
+                                        tuple(sorted({y for y in img if img.count(y) > 1}))))
         missing = sorted(set(dom) - src_labels)
         if missing:
             violations.append(Violation("STRUCTURE",

@@ -215,7 +215,7 @@ def test_cli_unreadable_document_or_unwritable_report_is_an_input_error(tmp_path
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
-def test_run_command_programmatic(tmp_path, capsys):
+def test_run_command_programmatic(tmp_path, capsys, monkeypatch):
     from cechkit.cli import UnknownCommand, run_command
     path = write_doc(tmp_path, gallery_document("two_origin_line"))
     report, code = run_command("cohomology", {"path": path})
@@ -224,6 +224,18 @@ def test_run_command_programmatic(tmp_path, capsys):
     assert report["union_dims"] == [1, 1]
     with pytest.raises(UnknownCommand):
         run_command("nope", {"path": path})
+    # the command line's parser refuses a negative degree, here as there
+    for command, options in (("cohomology", {"qmax": -3}), ("fibred", {"q": -1})):
+        with pytest.raises(SystemExit) as exc:
+            run_command(command, {"path": path, **options})
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage:") and "degree must be >= 0" in captured.err
+        assert captured.out == ""
+    # a relative path that starts with "-" is still the document, not an option
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-doc.json").write_bytes(path.read_bytes())
+    assert run_command("validate", {"path": "-doc.json"})[1] == 0
 
 
 def test_cli_nonprime_field(tmp_path):
@@ -296,6 +308,8 @@ def test_structured_reports_byte_identical(tmp_path, capsys):
                 code = main(["--report", str(report_path), command, str(path)])
                 captured = capsys.readouterr()
                 body = report_path.read_bytes() if report_path.exists() else b""
+                if body:
+                    assert code == (0 if all(json.loads(body)["verdicts"].values()) else 1), (doc_name, command)
                 outputs.append((code, body))
             assert outputs[0] == outputs[1], (doc_name, command)
 
@@ -439,6 +453,9 @@ def _set(path, value):
     ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": []}, {"id": "p1", "edges": []}])),
     ("bundles", _set(("bundle", "pieces"), [{"id": "p1", "edges": [["l", "o1", 1], ["o1", "l", 1]]}])),
     ("bundles", _set(("bundle", "identifications"), [{"i": "p1", "j": "p2", "vertices": []}] * 2)),
+    *(("cohomology", _set(("gluings",), gluings)) for gluings in (
+        [{"i": "p1", "j": "p2", "pairs": [["l", "l"], ["r", "r"]]}] * 2,
+        [{"i": "p1", "j": "p2", "pairs": [["l", "l"], ["r", "r"]]}, {"i": "p2", "j": "p1", "pairs": [["l", "l"]]}])),
 ), ids=("identification_not_object", "identifications_not_list", "edge_not_list",
         "rank1_value_x", "rank1_value_list", "rank3_scalar_values", "refinement_fine_5",
         "document_field_too_large", "identification_value_1.5", "identification_value_0.9",
@@ -448,7 +465,7 @@ def _set(path, value):
         "refinement_map_an_object", "map_label_twice_o2_then_l", "map_label_twice_l_then_o2",
         "map_label_twice_equal", "identification_vertex_twice_1_then_0", "identification_vertex_twice_0_then_1",
         "identification_vertex_twice_equal", "bundle_piece_twice", "edge_twice_reversed",
-        "identification_pair_twice"))
+        "identification_pair_twice", "gluing_pair_twice_equal", "gluing_pair_twice_reversed_unequal"))
 def test_cli_bad_blocks_are_input_errors(tmp_path, capsys, command, change):
     doc = gallery_document("two_origin_line")
     change(doc)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_descended_difference_map_is_alpha_of_the_long_exact_sequence(p):
             assert descended_delta_tilde(diagram, 1, q).equals(_alpha_by_hand(diagram, q))
 
 
-def test_assemble_les_bug_eyed(bug_eyed):
+def test_assemble_les_bug_eyed(bug_eyed, necklace, monkeypatch):
     les = assemble_les(bug_eyed, 1)
     assert les.union_dims == (1, 2)
     assert les.all_ok
@@ -175,6 +176,28 @@ def test_assemble_les_bug_eyed(bug_eyed):
     piece_h1 = sum(v[1] for v in les.piece_dims.values())
     ker_alpha1 = piece_h1 - les.alpha_ranks[1]
     assert (coker0, ker_alpha1) == (0, 2)
+
+    # bug_eyed's delta_0 is 0, so a rank-1 one would change ranks.  Two circles
+    # meeting in two points have a rank-1 delta_0 = u w into H^1 (dim 3).  Put
+    # its image outside ker phi_1 = span(u) with the same kernel: every position
+    # keeps its ranks, and only the composition phi_1 delta_0 != 0 shows it.
+    ring = glued_from_nerves(necklace(2, True), F2)
+    real = mv.connecting_homomorphism
+    delta0 = real(ring, 0).matrix.entries
+    assert delta0.shape == (3, 2) and real(ring, 0).matrix.rank() == 1
+    u, w = delta0[:, delta0.any(axis=0)][:, 0], delta0[delta0.any(axis=1)][0]
+    v = next(e for e in np.eye(3, dtype=np.int64) if (e != u).any())
+    before = assemble_les(ring, 1)
+    assert before.all_ok
+
+    def moved(diagram, degree, through=None):
+        m = real(diagram, degree, through)
+        return dataclasses.replace(m, matrix=FMatrix(np.outer(v, w), F2)) if degree == 0 else m
+
+    monkeypatch.setattr(mv, "connecting_homomorphism", moved)
+    after = assemble_les(ring, 1)
+    assert after.positions == before.positions and after.identity_ok == before.identity_ok
+    assert all(p.exact for p in after.positions) and not after.all_ok
 
 
 def test_assemble_les_branching(branching):
