@@ -111,11 +111,8 @@ class AdjunctionSystem:
 
     @cached_property
     def _gluing_index(self) -> dict[tuple[str, str], GluingBijection]:
-        """The first gluing from each source to each target, in the order given."""
-        index: dict[tuple[str, str], GluingBijection] = {}
-        for g in self.gluings:
-            index.setdefault((g.source, g.target), g)
-        return index
+        """The gluing from each source to each target; validation refuses a pair given twice."""
+        return {(g.source, g.target): g for g in self.gluings}
 
     def gluing(self, i: str, j: str) -> GluingBijection | None:
         return self._gluing_index.get((i, j))
@@ -188,6 +185,10 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
             violations.append(Violation("STRUCTURE",
                                          f"gluing {g.source}->{g.target} image not in target labels",
                                          tuple(extra)))
+    pairs = Counter((g.source, g.target) for g in system.gluings)
+    for (i, j), n in pairs.items():
+        if n > 1:
+            violations.append(Violation("STRUCTURE", f"gluing {i}->{j} is given {n} times", (i, j)))
     if violations:
         return ValidationReport(False, tuple(violations))
 

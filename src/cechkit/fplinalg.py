@@ -16,10 +16,14 @@ own echelon, so its rank, column space and kernel share one elimination.
   A row is reduced by XOR with the echelon row of its leading bit, in the
   manner of bit-vector persistence reductions (Edelsbrunner, Letscher and
   Zomorodian 2002); back-substitution then clears above each pivot.
-* Over odd p each pivot is one numpy update of every row to clear, on the
-  columns from the pivot on.  This lane is why MAX_PRIME bounds the
-  modulus: it multiplies int64 entries below p, and p^2 < 2^32 keeps every
-  product exact.
+* Over odd p each row is one {column: value} dict of its nonzeros, in
+  the manner of the sparse column reductions of Ripser (Bauer 2021).  A
+  row is reduced by the echelon row of its leading column, scaled, until
+  that column is new; back-substitution then clears above each pivot.
+  Cochain matrices are sparse (a coboundary row has q + 2 nonzeros, a
+  restriction row one), so a pivot costs the entries it touches, not a
+  pass over the matrix.  The dict rows hold Python ints, which never
+  overflow.
 
 Two constructors own matrix layout: `block_matrix` places blocks keyed by
 index set, and `entry_matrix` places single entries.  They are the one
@@ -46,8 +50,9 @@ class ModulusTooLarge(InputError):
     pass
 
 
-# The largest prime below 2^16: a product of two entries stays below 2^32,
-# so every int64 sum of such products in the odd-p elimination and in @ is exact.
+# The largest prime below 2^16.  The elimination computes in Python ints, so
+# the bound is for `@` and `apply`: their int64 sums of n products of entries
+# below p stay exact while n * (p - 1)^2 < 2^63, that is for n below 2^31.
 MAX_PRIME = 65521
 
 
@@ -134,66 +139,78 @@ def _f2_echelon(rows: list[int]) -> dict[int, int]:
     return table
 
 
-def _odd_eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Forward elimination mod an odd p with one numpy update of all rows per pivot.
+def _odd_rows(a: np.ndarray) -> list[dict[int, int]]:
+    """Each row of a matrix reduced mod p as one {column: value} dict of its nonzeros."""
+    r, c = np.nonzero(a)
+    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+    for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+        rows[i][j] = v
+    return rows
 
-    Returns the pivot rows and the pivot columns.  Each pivot row is scaled
-    to a leading 1 and the rows below it are cleared, which already fixes
-    the pivot columns; the rows past the last pivot end up zero and are
-    dropped, so a kept echelon holds no zero rows.
+
+def _odd_echelon(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Forward elimination mod an odd p: the echelon rows, keyed by their leading column.
+
+    Each row is reduced on its leading column by the kept row of that
+    column until its lead is new, when it is scaled to a leading 1 and
+    kept, or the row is empty.  A kept row is never changed again.
     """
-    a = a % p
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        below = np.flatnonzero(a[r:, c])
-        if not below.size:
-            continue
-        if below[0]:
-            a[[r, r + below[0]]] = a[[r + below[0], r]]
-        # row r was zero in column c, so the swap leaves the other nonzeros in place
-        targets = r + below[1:]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        if targets.size:
-            a[targets, c:] = (a[targets, c:] - np.outer(a[targets, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return (a if r == nrows else a[:r].copy()), pivots
+    table: dict[int, dict[int, int]] = {}
+    for x in rows:
+        while x:
+            lead = min(x)
+            pivot = table.get(lead)
+            if pivot is None:
+                inv = pow(x[lead], p - 2, p)
+                table[lead] = {c: v * inv % p for c, v in x.items()}
+                break
+            _subtract(x, x[lead], pivot, p)
+    return table
+
+
+def _subtract(x: dict[int, int], f: int, row: dict[int, int], p: int) -> None:
+    """x -= f * row mod p, in place, dropping the entries that become 0."""
+    for c, v in row.items():
+        y = (x.get(c, 0) - f * v) % p
+        if y:
+            x[c] = y
+        else:
+            del x[c]
 
 
 @dataclass(frozen=True, eq=False)
 class Echelon:
     """One forward elimination of a matrix: its pivot columns and echelon rows.
 
-    Over F_2 the rows are `_f2_echelon`'s table of bit rows; over odd p they
-    are the pivot rows of `_odd_eliminate`.  `reduced` continues from them
-    to the reduced row echelon form by back-substitution alone, and leaves
-    them as they are, so one elimination serves rank, column spaces,
-    kernels and the reduced form.
+    The rows are a table keyed by each row's lead: over F_2 `_f2_echelon`'s
+    bit rows, keyed by bit length; over odd p `_odd_echelon`'s sparse
+    {column: value} rows, keyed by leading column.  `reduced` continues
+    from them to the reduced row echelon form by back-substitution alone,
+    and leaves them as they are, so one elimination serves rank, column
+    spaces, kernels and the reduced form.
     """
 
     shape: tuple[int, int]
     p: int
     pivots: list[int]
-    rows: object
+    rows: dict
 
     def reduced(self) -> np.ndarray:
         """The reduced row echelon form, with the zero rows below the pivot rows."""
-        nrows, ncols = self.shape
         if self.p != 2:
+            table = {lead: dict(x) for lead, x in self.rows.items()}
+            # From the last pivot up: subtracting a reduced row clears its own
+            # pivot column and adds entries in free columns only.
+            for lead in reversed(self.pivots):
+                x = table[lead]
+                for c in [c for c in x if c != lead and c in table]:
+                    _subtract(x, x[c], table[c], self.p)
+            ordered = [table[lead] for lead in self.pivots]
+            at = ([i for i, x in enumerate(ordered) for _ in x], [c for x in ordered for c in x])
             a = np.zeros(self.shape, dtype=np.int64)
-            a[:len(self.pivots)] = self.rows
-            # From the last pivot up: a pivot row already cleared of the later
-            # pivots clears its own column in the rows above it.
-            for r in range(len(self.pivots) - 1, 0, -1):
-                c = self.pivots[r]
-                above = np.flatnonzero(a[:r, c])
-                if above.size:
-                    a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % self.p
+            a[at] = [v for x in ordered for v in x.values()]
             return a
+        nrows, ncols = self.shape
         table = dict(self.rows)
         # From the last pivot up: a reduced row has no other pivot bit, so
         # XOR-ing it in clears exactly its own pivot bit.
@@ -213,8 +230,8 @@ class Echelon:
 def echelon(a: np.ndarray, p: int) -> Echelon:
     """Forward elimination of a mod p: the one place a matrix is eliminated."""
     if p != 2:
-        rows, pivots = _odd_eliminate(a, p)
-        return Echelon(a.shape, p, pivots, rows)
+        table = _odd_echelon(_odd_rows(a % p), p)
+        return Echelon(a.shape, p, sorted(table), table)
     table = _f2_echelon(_f2_rows(a % 2))
     return Echelon(a.shape, p, sorted(a.shape[1] - lead for lead in table), table)
 

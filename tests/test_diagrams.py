@@ -331,7 +331,7 @@ def test_nonempty_subsets_cuts_only_candidates_with_nonempty_faces(necklace, mon
 
 
 def parent_gluing(system: AdjunctionSystem, i: str, j: str) -> GluingBijection | None:
-    """Oracle: the first gluing from i to j, by a scan of the gluings."""
+    """Oracle: the gluing from i to j, by a scan of the gluings."""
     for g in system.gluings:
         if g.source == i and g.target == j:
             return g
@@ -339,7 +339,7 @@ def parent_gluing(system: AdjunctionSystem, i: str, j: str) -> GluingBijection |
 
 
 def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
-    """Oracle: validate_system as it was before the gluings were indexed."""
+    """Oracle: validate_system by scans of the gluings instead of an index."""
     violations: list[Violation] = []
     ids = [p.piece_id for p in system.pieces]
     if len(set(ids)) != len(ids):
@@ -370,6 +370,10 @@ def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
             violations.append(Violation("STRUCTURE",
                                          f"gluing {g.source}->{g.target} image not in target labels",
                                          tuple(extra)))
+    for i, j in dict.fromkeys((g.source, g.target) for g in system.gluings):
+        n = sum(1 for g in system.gluings if (g.source, g.target) == (i, j))
+        if n > 1:
+            violations.append(Violation("STRUCTURE", f"gluing {i}->{j} is given {n} times", (i, j)))
     if violations:
         return ValidationReport(False, tuple(violations))
 
@@ -444,7 +448,7 @@ def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
 
 
 def hostile_systems():
-    """Systems that break each check, and repeated gluings that must resolve as a scan does."""
+    """Systems that break each check, including a pair glued twice."""
     base = two_origin_system()
     p1, p2 = base.pieces
     forward, backward = base.gluings[0], base.gluings[1]
@@ -455,9 +459,10 @@ def hostile_systems():
     yield AdjunctionSystem(base.pieces, base.gluings + (GluingBijection("p1", "nope", ()),))
     yield AdjunctionSystem(base.pieces, (forward,))
     yield AdjunctionSystem(base.pieces, (swapped, backward))
-    # a second p1 -> p2 gluing: the first one given is the one checked against
+    # a second p1 -> p2 gluing, equal to the first or not, is refused by name
+    yield AdjunctionSystem(base.pieces, (forward, forward, backward))
     yield AdjunctionSystem(base.pieces, (forward, backward, swapped))
-    yield AdjunctionSystem(base.pieces, (swapped, backward, forward))
+    yield AdjunctionSystem(base.pieces, (swapped, backward, forward, backward))
     yield AdjunctionSystem(base.pieces, base.gluings + (GluingBijection("p1", "p1", (("l", "r"), ("r", "l"))),))
     yield AdjunctionSystem(base.pieces, (GluingBijection("p1", "p2", forward.pairs + forward.pairs[:1]), backward))
     yield AdjunctionSystem((p1, LocalPiece("p2", build_complex([["l", "o2"], ["o2", "r"], ["l", "r"]]))),
@@ -507,6 +512,20 @@ def test_validate_system_matches_the_scanning_oracle_on_corrupted_random_systems
             gluings.append(GluingBijection(g.target, g.source, tuple((y, x) for x, y in g.pairs)))
     corrupted = AdjunctionSystem(system.pieces, tuple(gluings), system.field)
     assert validate_system(corrupted) == parent_validate_system(corrupted)
+
+
+def test_a_pair_glued_twice_is_a_structure_violation_naming_the_pair():
+    base = two_origin_system()
+    forward, backward = base.gluings
+    for gluings, pairs in [((forward, forward, backward), [("p1", "p2", 2)]),
+                           ((forward, backward, backward, forward, forward), [("p1", "p2", 3), ("p2", "p1", 2)])]:
+        system = AdjunctionSystem(base.pieces, gluings)
+        report = validate_system(system)
+        assert not report.valid
+        assert report.violations == tuple(Violation("STRUCTURE", f"gluing {i}->{j} is given {n} times", (i, j))
+                                          for i, j, n in pairs)
+        with pytest.raises(InvalidSystem, match="gluing p1->p2 is given"):
+            canonicalize(system)
 
 
 def test_validate_system_builds_each_mapping_once():

@@ -12,6 +12,7 @@ from cechkit.fplinalg import (
     F2,
     MAX_PRIME,
     DimensionMismatch,
+    Echelon,
     FMatrix,
     ModulusTooLarge,
     NotASubspace,
@@ -274,7 +275,7 @@ def test_only_the_counted_entry_points_reach_the_elimination_kernels():
     # function reaching a kernel around them would make counting tests pass
     # without counting its work.
     from conftest import ELIMINATIONS
-    kernels = {"_f2_echelon", "_odd_eliminate"}
+    kernels = {"_f2_echelon", "_odd_echelon"}
     callers = {(path.stem, scope)
                for path in sorted(Path(cechkit.__file__).parent.glob("*.py"))
                for scope in kernel_references(ast.parse(path.read_text(encoding="utf-8")), kernels)}
@@ -331,6 +332,19 @@ def dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+class DenseEchelon(Echelon):
+    """An echelon whose rows are dense_rref's reduced form, which reduced returns as it is."""
+
+    def reduced(self) -> np.ndarray:
+        return self.rows.copy()
+
+
+def dense_echelon(a: np.ndarray, p: int) -> Echelon:
+    """Reference: echelon on dense_rref, with the same pivots and reduced form."""
+    reduced, pivots = dense_rref(a, p)
+    return DenseEchelon(a.shape, p, pivots, reduced)
 
 
 def dense_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -410,22 +424,34 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
                 m.inverse()
 
 
+KERNEL_PRIMES = (2, 3, 5, 7, MAX_PRIME)
+
+
 @st.composite
 def kernel_cases(draw) -> tuple[np.ndarray, int, int]:
-    """A matrix over F_2, F_3 or F_5 (entries in [-p, 2p)), p and a seed.
+    """A matrix over F_2, F_3, F_5, F_7 or F_65521 (entries in [-p, 2p)), p and a seed.
 
-    Kinds: uniform entries, sparse (about 1 in 8 nonzero, like a coboundary
-    matrix), all zero, full rank min(rows, cols), and duplicated or
-    rescaled rows.
+    Kinds: uniform entries, sparse (about 1 in 8 nonzero), cochain (each
+    row either q + 2 entries of alternating sign, as in a coboundary, or
+    one nonzero, as in a restriction), all zero, full rank min(rows, cols),
+    and duplicated or rescaled rows.
     """
-    p = draw(st.sampled_from((2, 3, 5)))
-    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
-    kind = draw(st.sampled_from(("uniform", "sparse", "zero", "full_rank", "duplicate_rows")))
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("uniform", "sparse", "cochain", "zero", "full_rank", "duplicate_rows")))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     a = rng.integers(-p, 2 * p, size=(rows, cols))
     if kind == "sparse":
         a[rng.random((rows, cols)) < 7 / 8] = 0
+    elif kind == "cochain":
+        a[:] = 0
+        for i in range(rows if cols else 0):
+            if rng.random() < 0.5:
+                a[i, rng.integers(cols)] = rng.integers(1, p)
+            else:
+                k = min(cols, int(rng.integers(2, 6)))
+                a[i, rng.choice(cols, size=k, replace=False)] = (-1) ** np.arange(k)
     elif kind == "zero":
         a[:] = 0
     elif kind == "full_rank":
@@ -447,7 +473,7 @@ def test_kernel_matches_the_dense_loop(case):
     assert_kernel_matches_dense(a, p, np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
 @pytest.mark.parametrize("a", (
     np.zeros((0, 0), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
     np.zeros((5, 0), dtype=np.int64), np.zeros((4, 4), dtype=np.int64),

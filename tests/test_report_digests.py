@@ -19,6 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cechkit import fplinalg
 from cechkit.cli import main
 from cechkit.documents import canonical_json
 from cechkit.gallery import gallery_document
@@ -45,18 +46,24 @@ def documents() -> dict[str, dict]:
     return docs
 
 
-def report_digests(workdir: Path) -> dict[str, str | None]:
-    digests: dict[str, str | None] = {}
-    for doc_name, doc in documents().items():
+def reports(workdir: Path, docs: dict[str, dict], commands: tuple[str, ...]) -> dict[str, bytes | None]:
+    """Each command's report bytes on each document, keyed "document|command"; None for no report."""
+    out: dict[str, bytes | None] = {}
+    for doc_name, doc in docs.items():
         path = workdir / f"{doc_name}.json"
         path.write_text(canonical_json(doc), encoding="utf-8")
-        for command in COMMANDS:
+        for command in commands:
             report = workdir / f"{doc_name}.{command}.report.json"
+            report.unlink(missing_ok=True)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 main(["--report", str(report), command, str(path)])
-            key = f"{doc_name}|{command}"
-            digests[key] = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
-    return digests
+            out[f"{doc_name}|{command}"] = report.read_bytes() if report.exists() else None
+    return out
+
+
+def report_digests(workdir: Path) -> dict[str, str | None]:
+    return {key: hashlib.sha256(data).hexdigest() if data is not None else None
+            for key, data in reports(workdir, documents(), COMMANDS).items()}
 
 
 def test_reports_match_pinned_digests(tmp_path):
@@ -64,6 +71,56 @@ def test_reports_match_pinned_digests(tmp_path):
     assert got.keys() == PINNED.keys()
     changed = sorted(k for k in PINNED if got[k] != PINNED[k])
     assert not changed, changed
+
+
+def with_doubled_refinement(doc: dict) -> dict:
+    """doc with a refinement block that splits every label v into v.0 and v.1.
+
+    Each coarse simplex becomes the simplex on the doubles of its labels,
+    so the fine nerve of each piece maps onto the coarse one.
+    """
+    def double(labels):
+        return [f"{v}.{k}" for v in labels for k in (0, 1)]
+
+    pieces = [{"id": piece["id"], "simplices": [double(s) for s in piece["simplices"]]} for piece in doc["pieces"]]
+    gluings = [{"i": g["i"], "j": g["j"], "pairs": [[f"{x}.{k}", f"{y}.{k}"] for x, y in g["pairs"] for k in (0, 1)]}
+               for g in doc["gluings"]]
+    labels = sorted({v for piece in doc["pieces"] for s in piece["simplices"] for v in s})
+    return {**doc, "refinement": {"fine": {"pieces": pieces, "gluings": gluings},
+                                  "map": [[f"{v}.{k}", v] for v in labels for k in (0, 1)]}}
+
+
+ODD_FIELD_COMMANDS = ("cohomology", "mv", "fibred", "collapse-check", "refine-check")
+
+
+def larger_odd_field_documents() -> dict[str, dict]:
+    """Documents past the pinned ones' sizes, each with a doubled refinement:
+    8 branching lines, and 5 and 6 random pieces."""
+    docs = {}
+    for field in (3, 5):
+        docs[f"branching_line_n-n8-F{field}"] = gallery_document("branching_line_n", field=field, n=8)
+        for n, seed in ((5, 3), (6, 1)):
+            docs[f"random-n{n}-seed{seed}-F{field}"] = gallery_document("random_admissible", field=field, n=n,
+                                                                        seed=seed)
+    return {name: with_doubled_refinement(doc) for name, doc in docs.items()}
+
+
+def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch):
+    from test_fplinalg import dense_echelon
+    docs = larger_odd_field_documents()
+    shipped = reports(tmp_path, docs, ODD_FIELD_COMMANDS)
+    assert None not in shipped.values()
+    calls = []
+
+    def oracle(a, p):
+        calls.append(a.shape)
+        return dense_echelon(a, p)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, "echelon", None) is fplinalg.echelon:
+            monkeypatch.setattr(module, "echelon", oracle)
+    assert reports(tmp_path, docs, ODD_FIELD_COMMANDS) == shipped
+    assert calls
 
 
 PINNED: dict[str, str | None] = {
