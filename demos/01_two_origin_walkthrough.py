@@ -51,4 +51,4 @@ print("difference-map ranks:", les.alpha_ranks)
 # overlap components and lands on the generator of H^1 of the 4-cycle.
 delta = connecting_homomorphism(diagram, 0)
 print("connecting map matrix (rows: H^1(N), cols: H^0(N12)):")
-print(delta.matrix.entries)
+print(delta.entries)

@@ -22,8 +22,9 @@ share one interface:
   reports the classes it fails as a class mask.
 
 * rank k >= 2: transitions are literal invertible k x k matrices over
-  F_p; sections and equivalences are computed by matrix arithmetic, with
-  brute-force gauge search for equivalence at desk scale.
+  F_p; sections, gluing and the colimit are computed by matrix
+  arithmetic.  Gauge equivalence (`cocycles_equivalent`) and H^1 classes
+  are decided for rank 1 only; higher rank raises `NonAbelianRank`.
 
 Conventions: stored values are g[{a,b}] for a < b, with g[b,a] the
 inverse and g[a,a] the identity; a section is parallel when
@@ -35,10 +36,8 @@ this is the usual coboundary shift).
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,8 +54,6 @@ ENUMERATION_CAP = 4096
 # Documents may not ask for a higher bundle rank: a rank-k block builds
 # (edges * k) x (vertices * k) section systems, refused before any allocation.
 MAX_RANK = 16
-# The rank >= 2 gauge search refuses more vertex gauges than this.
-GAUGE_CAP = 10 ** 6
 # The modulus the rank-1 union-find takes over F_2: values, potentials and
 # residuals are class bitsets, bit c for class c, added by XOR.  A prime p
 # (2 included) gives F_p scalars.
@@ -248,22 +245,6 @@ def cocycle_class(cocycle: ConstantCocycle) -> np.ndarray:
     return class_coordinates(coh, cocycle.edge_vector())
 
 
-def _gl_order(rank: int, p: int) -> int:
-    """|GL_k(F_p)|: the product over i < k of p^k - p^i."""
-    return math.prod(p ** rank - p ** i for i in range(rank))
-
-
-@lru_cache(maxsize=None)
-def _all_invertible(rank: int, p: int) -> tuple:
-    field = PrimeField(p)
-    out = []
-    for entries in itertools.product(range(p), repeat=rank * rank):
-        m = np.array(entries, dtype=np.int64).reshape(rank, rank)
-        if FMatrix(m, field).rank() == rank:
-            out.append(m)
-    return tuple(out)
-
-
 def _inequivalent_classes(g: ConstantCocycle, h: ConstantCocycle) -> int:
     """The class mask of the classes on which two rank-1 cocycles are not gauge-equivalent."""
     m = _modulus(g.field.p)
@@ -278,26 +259,12 @@ def _inequivalent_classes(g: ConstantCocycle, h: ConstantCocycle) -> int:
 
 
 def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:
-    """Gauge equivalence; a union-find for rank 1, brute force for higher rank."""
+    """Gauge equivalence of two rank-1 cocycles, by one union-find."""
     if g.base != h.base or g.rank != h.rank or g.field.p != h.field.p:
         raise ValueError("cocycles live on different bases")
-    if g.rank == 1:
-        return not _inequivalent_classes(g, h)
-    vertices = g.base.vertices
-    order = _gl_order(g.rank, g.field.p)
-    if order ** len(vertices) > GAUGE_CAP:
-        raise ResourceLimit(f"rank-{g.rank} gauge search is capped at {GAUGE_CAP} gauges; "
-                            f"|GL_{g.rank}(F_{g.field.p})|^{len(vertices)} = {order}^{len(vertices)}")
-    units = _all_invertible(g.rank, g.field.p)
-    edges = g.base.simplices_of_dim(1)
-    for gauge in itertools.product(units, repeat=len(vertices)):
-        table = dict(zip(vertices, gauge))
-        if not any(_mismatch(
-                _compose(_compose(table[a], g.values[(a, b)], g.rank, g.field.p),
-                         _invert(table[b], g.rank, g.field), g.rank, g.field.p),
-                h.values[(a, b)], g.rank, g.field.p) for a, b in edges):
-            return True
-    return False
+    if g.rank != 1:
+        raise NonAbelianRank("gauge equivalence is only decided for rank 1")
+    return not _inequivalent_classes(g, h)
 
 
 @dataclass(frozen=True, eq=False)

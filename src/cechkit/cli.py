@@ -222,7 +222,7 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
     for q in degrees:
         fp = fibred_product(diagram, q)
         union_dim = cohomology(diagram.nerve, q, diagram.field).space.dim
-        rank_phi = phi_star(diagram, q).matrix.rank()
+        rank_phi = phi_star(diagram, q).rank()
         two_step, basis = inductive_fibred_dim(diagram, q)
         joint = FMatrix(np.hstack([fp.basis.entries, basis.entries]), diagram.field)
         same_span = joint.rank() == fp.dimension and two_step == fp.dimension

@@ -4,6 +4,9 @@ A q-cochain assigns one field value to every q-simplex of a complex; the
 basis of each cochain space is the lexicographically sorted list of its
 q-simplices, which fixes all sign conventions globally.  Over F_2 the
 signs vanish, but the implementation carries them so odd primes work too.
+A cochain is a vector indexed by `CochainSpace.index`, and every map
+between cochain spaces (coboundary, restriction, pullback) is one
+`FMatrix`; extension by zero is the transpose of restriction.
 """
 
 from __future__ import annotations
@@ -43,58 +46,6 @@ class CochainSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def zero(self) -> "Cochain":
-        return Cochain(self, np.zeros(self.dim, dtype=np.int64))
-
-    def cochain(self, values: Mapping[Simplex, int] | np.ndarray) -> "Cochain":
-        if isinstance(values, Mapping):
-            vec = np.zeros(self.dim, dtype=np.int64)
-            for s, v in values.items():
-                vec[self.index[tuple(s)]] = v
-            return Cochain(self, vec % self.field.p)
-        vec = np.asarray(values, dtype=np.int64) % self.field.p
-        if vec.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} values, got shape {vec.shape}")
-        return Cochain(self, vec)
-
-
-@dataclass(frozen=True)
-class Cochain:
-    space: CochainSpace
-    values: np.ndarray
-
-    def __getitem__(self, simplex: Simplex) -> int:
-        return int(self.values[self.space.index[tuple(simplex)]])
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.space, (self.values + other.values) % self.space.field.p)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.space, (self.values - other.values) % self.space.field.p)
-
-    def is_zero(self) -> bool:
-        return not self.values.any()
-
-    def same_as(self, other: "Cochain") -> bool:
-        return self.space == other.space and bool(np.array_equal(self.values, other.values))
-
-
-@dataclass(frozen=True)
-class ChainMapLevel:
-    """A linear map between cochain spaces of equal degree, as a matrix."""
-
-    source: object
-    target: object
-    matrix: FMatrix
-
-    def __call__(self, f: Cochain) -> Cochain:
-        return Cochain(self.target, self.matrix.apply(f.values))
-
-
-def cech_differential(k: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Coboundary from degree q to q+1, as a map between cochain spaces."""
-    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(k, q + 1, field), coboundary_matrix(k, q, field))
 
 
 def coboundary_matrix(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
@@ -203,15 +154,10 @@ def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
     return solution[coh.coboundaries.cols:]
 
 
-def induced_on_cohomology(chain_map: ChainMapLevel, src: CohomologyBasis, tgt: CohomologyBasis) -> FMatrix:
-    """Descend a chain map to a matrix on cohomology representatives, with one solve."""
-    image = chain_map.matrix @ src.representatives
+def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis, tgt: CohomologyBasis) -> FMatrix:
+    """Descend a chain map's matrix to a matrix on cohomology representatives, with one solve."""
+    image = matrix @ src.representatives
     return FMatrix(class_coordinates(tgt, image.entries), src.space.field)
-
-
-def restriction_map(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Pullback along the inclusion of a subcomplex: C^q(k) -> C^q(l), as a map between cochain spaces."""
-    return ChainMapLevel(CochainSpace(k, q, field), CochainSpace(l, q, field), restriction_matrix(k, l, q, field))
 
 
 def restriction_matrix(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
@@ -236,24 +182,14 @@ def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: Prim
     return entry_matrix((tgt.dim, src.dim), np.arange(tgt.dim), [src.index[s] for s in tgt.basis], 1, field)
 
 
-def restrict_cochain(f: Cochain, l: SimplicialComplex) -> Cochain:
-    return restriction_map(f.space.complex, l, f.space.degree, f.space.field)(f)
-
-
-def extend_by_zero(f: Cochain, k: SimplicialComplex) -> Cochain:
-    """Extension by zero of a cochain on a subcomplex: the transpose of restriction."""
-    res = restriction_map(k, f.space.complex, f.space.degree, f.space.field)
-    return Cochain(res.source, res.matrix.T.apply(f.values))
-
-
 def _permutation_sign(seq: tuple[str, ...]) -> int:
     inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
     return -1 if inversions % 2 else 1
 
 
 def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
-                 codomain: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
-    """Pullback C^q(codomain) -> C^q(domain) along a simplicial vertex map.
+                 codomain: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
+    """The matrix of the pullback C^q(codomain) -> C^q(domain) along a simplicial vertex map.
 
     Simplices with degenerate image (repeated vertices) pull the cochain
     value back to zero, matching the alternating-cochain model.
@@ -269,7 +205,7 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
 
 
 def simplicial_pullback(vertex_map: Mapping[str, str], domain: SimplicialComplex,
-                        codomain: SimplicialComplex, q: int, field: PrimeField) -> ChainMapLevel:
+                        codomain: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """`pullback_map` without its scan: the caller has shown the map simplicial."""
     src = CochainSpace(codomain, q, field)
     tgt = CochainSpace(domain, q, field)
@@ -280,4 +216,4 @@ def simplicial_pullback(vertex_map: Mapping[str, str], domain: SimplicialComplex
             rows.append(row)
             cols.append(src.index[tuple(sorted(images))])
             signs.append(_permutation_sign(images))
-    return ChainMapLevel(src, tgt, entry_matrix((tgt.dim, src.dim), rows, cols, signs, field))
+    return entry_matrix((tgt.dim, src.dim), rows, cols, signs, field)

@@ -310,8 +310,8 @@ class GluedDiagram:
 
     @cached_property
     def tuple_cochains(self) -> dict:
-        """`mv` tuple spaces, phi_star (level 0, the union) and difference maps, keyed by
-        (kind, level, q); none points back here."""
+        """`mv` tuple spaces and the matrices of phi_star (level 0, the union) and of the
+        difference maps, keyed by (kind, level, q); none points back here."""
         return {}
 
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:

@@ -224,6 +224,8 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
     for entry in _entries(raw, "pieces", "$.bundle.pieces"):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise ParseError("bundle piece entries need a string id", "$.bundle.pieces")
+        if set(entry) - {"id", "edges"}:
+            raise ParseError(f"unknown bundle piece keys {sorted(set(entry) - {'id', 'edges'})}", "$.bundle.pieces")
         _put_once(given, entry["id"], entry, "bundle piece", "$.bundle.pieces")
     unknown = sorted(set(given) - set(diagram.piece_ids))
     if unknown:

@@ -60,10 +60,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class NotASubspace(ValueError):
-    pass
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -409,14 +405,3 @@ def entry_matrix(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, val
     m = np.zeros(shape, dtype=np.int64)
     m[rows, cols] = values
     return FMatrix(m, field)
-
-
-def quotient_dim(z: FMatrix, b: FMatrix) -> int:
-    """dim span(z) - dim span(b), requiring span(b) <= span(z)."""
-    if z.field.p != b.field.p or z.rows != b.rows:
-        raise DimensionMismatch("bases live in different spaces")
-    rz = z.rank()
-    joint = FMatrix(np.column_stack([z.entries, b.entries]), z.field)
-    if joint.rank() > rz:
-        raise NotASubspace("second basis is not contained in the span of the first")
-    return rz - b.rank()

@@ -22,14 +22,12 @@ import numpy as np
 
 from .bundles import WrongField
 from .cochains import (
-    ChainMapLevel,
     CochainSpace,
     CohomologyBasis,
     class_coordinates,
     coboundary_matrix,
     cohomology,
     induced_on_cohomology,
-    restriction_map,
     restriction_matrix,
 )
 from .complexes import components
@@ -83,7 +81,7 @@ def tuple_space(diagram: GluedDiagram, level: int, degree: int) -> TupleCochainS
     return diagram.tuple_cochains[key]
 
 
-def phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
+def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
     """Concatenated restrictions C^q(union) -> (+)_i C^q(N_i), built once per diagram; always injective."""
     key = ("phi_star", 0, degree)
     if key not in diagram.tuple_cochains:
@@ -91,16 +89,15 @@ def phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
     return diagram.tuple_cochains[key]
 
 
-def _phi_star(diagram: GluedDiagram, degree: int) -> ChainMapLevel:
+def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
     field = diagram.field
-    src = CochainSpace(diagram.nerve, degree, field)
     tgt = tuple_space(diagram, 1, degree)
     blocks = ((t, "union", restriction_matrix(diagram.nerve, space.complex, degree, field).entries)
               for t, space in tgt.blocks)
-    return ChainMapLevel(src, tgt, block_matrix(tgt.dims, {"union": src.dim}, blocks, field))
+    return block_matrix(tgt.dims, {"union": CochainSpace(diagram.nerve, degree, field).dim}, blocks, field)
 
 
-def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel:
+def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
     """Signed difference map from level p to level p+1 intersections, built once per diagram.
 
     The entry feeding target block T' from the source block obtained by
@@ -116,7 +113,7 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel
     return diagram.tuple_cochains[key]
 
 
-def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLevel:
+def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
     src = tuple_space(diagram, level, degree)
     tgt = tuple_space(diagram, level + 1, degree)
 
@@ -127,7 +124,7 @@ def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> ChainMapLeve
                 res = restriction_matrix(src.block(t).complex, tgt_space.complex, degree, diagram.field).entries
                 yield t_prime, t, res if a % 2 else -res
 
-    return ChainMapLevel(src, tgt, block_matrix(tgt.dims, src.dims, blocks(), diagram.field))
+    return block_matrix(tgt.dims, src.dims, blocks(), diagram.field)
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,7 @@ class ExactnessVerdict:
 def verify_exact_sequence(diagram: GluedDiagram, degree: int) -> ExactnessVerdict:
     """Rank bookkeeping for 0 -> C^q(N) -> (+)C^q(N_i) -> ... -> C^q(N_1..n) -> 0."""
     n = diagram.n_pieces
-    maps = [phi_star(diagram, degree).matrix]
-    maps += [delta_tilde(diagram, level, degree).matrix for level in range(1, n)]
+    maps = [phi_star(diagram, degree)] + [delta_tilde(diagram, level, degree) for level in range(1, n)]
     names = [(degree, "union")] + [(degree, f"level_{p}") for p in range(1, n + 1)]
     records = _positions(names, maps)
     comps_zero = _compose_to_zero(maps)
@@ -191,8 +187,8 @@ def _binary_pieces(diagram: GluedDiagram) -> tuple[str, str]:
 
 
 def connecting_homomorphism(diagram: GluedDiagram, degree: int,
-                            through: str | None = None) -> ChainMapLevel:
-    """Snake-lemma map H^q(N_12) -> H^(q+1)(union) for a binary diagram.
+                            through: str | None = None) -> FMatrix:
+    """Snake-lemma map H^q(N_12) -> H^(q+1)(union) for a binary diagram, on the representative bases.
 
     A cocycle class on the intersection is lifted by extension by zero
     into one piece, hit with the coboundary, and the resulting compatible
@@ -217,7 +213,7 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
     lifted = into_union @ (d_lift @ (into_lift @ coh_src.representatives))
     if through != i1:
         lifted = -lifted
-    return ChainMapLevel(coh_src, coh_tgt, FMatrix(class_coordinates(coh_tgt, lifted.entries), field))
+    return FMatrix(class_coordinates(coh_tgt, lifted.entries), field)
 
 
 @dataclass(frozen=True)
@@ -252,13 +248,13 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
     coh_12 = [cohomology(n12, q, field) for q in range(top + 1)]
 
     def phi_h(q: int) -> FMatrix:
-        top_block = induced_on_cohomology(restriction_map(n, n1, q, field), coh_n[q], coh_1[q])
-        bot_block = induced_on_cohomology(restriction_map(n, n2, q, field), coh_n[q], coh_2[q])
+        top_block = induced_on_cohomology(restriction_matrix(n, n1, q, field), coh_n[q], coh_1[q])
+        bot_block = induced_on_cohomology(restriction_matrix(n, n2, q, field), coh_n[q], coh_2[q])
         return FMatrix(np.vstack([top_block.entries, bot_block.entries]), field)
 
     phis = [phi_h(q) for q in range(top + 1)]
     alphas = [descended_delta_tilde(diagram, 1, q) for q in range(top)]
-    deltas = [connecting_homomorphism(diagram, q).matrix for q in range(top)]
+    deltas = [connecting_homomorphism(diagram, q) for q in range(top)]
     # H^0(N) -> H^0(N_1) + H^0(N_2) -> H^0(N_12) -> H^1(N) -> ..., then phi_(q_max+1)
     maps = [m for q in range(top) for m in (phis[q], alphas[q], deltas[q])] + [phis[top]]
     positions = _positions([(q, name) for q in range(top) for name in ("union", "pieces", "intersection")],
@@ -327,15 +323,15 @@ def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
     if diagram.n_pieces == 1:
         basis = FMatrix.identity(level1.dim, diagram.field)
     else:
-        basis = delta_tilde(diagram, 1, degree).matrix.kernel_basis()
+        basis = delta_tilde(diagram, 1, degree).kernel_basis()
     phi = phi_star(diagram, degree)
-    if phi.matrix.rank() != basis.cols:
+    if phi.rank() != basis.cols:
         raise AssertionError("fibred product dimension differs from rank of phi_star")
     if basis.cols:
-        joint = FMatrix(np.hstack([basis.entries, phi.matrix.entries]), diagram.field)
+        joint = FMatrix(np.hstack([basis.entries, phi.entries]), diagram.field)
         if joint.rank() != basis.cols:
             raise AssertionError("image of phi_star escapes the fibred product")
-    elif not phi.matrix.is_zero():
+    elif not phi.is_zero():
         raise AssertionError("image of phi_star escapes the fibred product")
     return FibredProduct(diagram, degree, level1, basis)
 
@@ -416,7 +412,7 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
     def blocks(k: int):
         for p, q in dims[k]:
             if p + 1 < n_cols:
-                yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q).matrix.entries
+                yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q).entries
             if q <= q_top:
                 # d^q on each block; degrees q and q+1 share the level's index sets
                 src, tgt = tuple_space(diagram, p + 1, q), tuple_space(diagram, p + 1, q + 1)
@@ -461,7 +457,7 @@ def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMa
     tgt = tuple_cohomology(diagram, level + 1, degree)
     reps = block_matrix(tuple_space(diagram, level, degree).dims, src.dims,
                         ((t, t, coh.representatives.entries) for t, coh in src.blocks), field)
-    image = (delta_tilde(diagram, level, degree).matrix @ reps).entries
+    image = (delta_tilde(diagram, level, degree) @ reps).entries
     offsets = tuple_space(diagram, level + 1, degree).offsets
     coords = ((t, "src", class_coordinates(coh, image[offsets[t]:offsets[t] + coh.space.dim]))
               for t, coh in tgt.blocks)

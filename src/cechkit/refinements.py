@@ -15,21 +15,18 @@ vertex can be valid yet kill first cohomology).
 
 A `RefinementMap` validates once (`verdict`).  It builds each pullback,
 tuple pullback and induced map on cohomology once, only past a valid
-verdict (else `InvalidRefinement`), and keeps them in `pullbacks` for as
-long as it lives.  Its label map is never changed.
+verdict (else `InvalidRefinement`), and keeps their matrices in
+`pullbacks` for as long as it lives.  Its label map is never changed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
-from .cochains import ChainMapLevel, coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
-from .complexes import EMPTY_COMPLEX, SimplicialComplex
+from .cochains import coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
+from .complexes import SimplicialComplex
 from .diagrams import GluedDiagram
-from .errors import ResourceLimit
 from .fplinalg import FMatrix, block_matrix
 from .mv import connecting_homomorphism, delta_tilde, phi_star, tuple_space
 
@@ -51,7 +48,7 @@ class RefinementMap:
 
     @cached_property
     def pullbacks(self) -> dict:
-        """Pullbacks keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
+        """Pullback matrices keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
         and induced maps on cohomology by ("H", fine complex, coarse complex, q)."""
         return {}
 
@@ -89,18 +86,8 @@ def validate_refinement(r: RefinementMap) -> RefinementVerdict:
     return RefinementVerdict(not bad, tuple(bad))
 
 
-def refine_pullback(r: RefinementMap, degree: int) -> dict[tuple[str, ...] | str, ChainMapLevel]:
-    """Pullback chain maps coarse -> fine on the union nerve and every N_T."""
-    out = {"union": _pullback(r, r.fine.nerve, r.coarse.nerve, degree)}
-    for size in range(1, r.fine.n_pieces + 1):
-        for t, fine_nerve in r.fine.index_set_nerves(size):
-            out[t] = _pullback(r, EMPTY_COMPLEX if fine_nerve is None else fine_nerve,
-                               r.coarse.intersection_nerve(t), degree)
-    return out
-
-
-def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> ChainMapLevel:
-    """The pullback from a coarse complex to a fine one, built once and only past a valid verdict.
+def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:
+    """The pullback matrix from a coarse complex to a fine one, built once and only past a valid verdict.
 
     That verdict stands in for `pullback_map`'s scan of the domain: each
     fine piece simplex maps into its coarse piece, so each fine union or
@@ -122,7 +109,7 @@ def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
     """
     if (level, degree) not in r.pullbacks:
         coarse = tuple_space(r.coarse, level, degree)
-        maps = {t: _pullback(r, r.fine.intersection_nerve(t), space.complex, degree).matrix.entries
+        maps = {t: _pullback(r, r.fine.intersection_nerve(t), space.complex, degree).entries
                 for t, space in coarse.blocks}
         r.pullbacks[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
                                                   ((t, t, m) for t, m in maps.items()), r.fine.field)
@@ -172,24 +159,24 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
             if fine_c is None:
                 squares.append(NaturalitySquare(f"delta[{name}] q={q}", True))
                 continue
-            left = _pullback(r, fine_c, coarse_c, q + 1).matrix @ coboundary_matrix(coarse_c, q, field)
-            right = coboundary_matrix(fine_c, q, field) @ _pullback(r, fine_c, coarse_c, q).matrix
+            left = _pullback(r, fine_c, coarse_c, q + 1) @ coboundary_matrix(coarse_c, q, field)
+            right = coboundary_matrix(fine_c, q, field) @ _pullback(r, fine_c, coarse_c, q)
             squares.append(NaturalitySquare(f"delta[{name}] q={q}", left.equals(right)))
 
-        left = _tuple_pullback(r, 1, q) @ phi_star(r.coarse, q).matrix
-        right = phi_star(r.fine, q).matrix @ _pullback(r, r.fine.nerve, r.coarse.nerve, q).matrix
+        left = _tuple_pullback(r, 1, q) @ phi_star(r.coarse, q)
+        right = phi_star(r.fine, q) @ _pullback(r, r.fine.nerve, r.coarse.nerve, q)
         squares.append(NaturalitySquare(f"phi_star q={q}", left.equals(right)))
 
         for level in range(1, r.fine.n_pieces):
-            left = _tuple_pullback(r, level + 1, q) @ delta_tilde(r.coarse, level, q).matrix
-            right = delta_tilde(r.fine, level, q).matrix @ _tuple_pullback(r, level, q)
+            left = _tuple_pullback(r, level + 1, q) @ delta_tilde(r.coarse, level, q)
+            right = delta_tilde(r.fine, level, q) @ _tuple_pullback(r, level, q)
             squares.append(NaturalitySquare(f"delta_tilde level={level} q={q}", left.equals(right)))
 
     if r.fine.n_pieces == 2:
         fine_12, coarse_12 = (d.intersection_nerve(r.fine.piece_ids) for d in (r.fine, r.coarse))
         for q in range(q_max + 1):
-            left = connecting_homomorphism(r.fine, q).matrix @ _induced(r, fine_12, coarse_12, q)
-            right = induced_cohomology_map(r, q + 1) @ connecting_homomorphism(r.coarse, q).matrix
+            left = connecting_homomorphism(r.fine, q) @ _induced(r, fine_12, coarse_12, q)
+            right = induced_cohomology_map(r, q + 1) @ connecting_homomorphism(r.coarse, q)
             squares.append(NaturalitySquare(f"connecting q={q}", left.equals(right)))
 
     return NaturalityVerdict(tuple(squares), all(s.commutes for s in squares))
@@ -211,20 +198,3 @@ def contiguous(r1: RefinementMap, r2: RefinementMap) -> bool:
             if joint not in coarse_nerve:
                 return False
     return True
-
-
-# enumerate_valid_label_maps refuses to validate more candidate maps than this.
-LABEL_MAP_CAP = 10 ** 6
-
-
-def enumerate_valid_label_maps(fine: GluedDiagram, coarse: GluedDiagram) -> Iterator[dict[str, str]]:
-    """All label maps passing validation; refuses when called, before any candidate is tried."""
-    fine_labels = fine.nerve.vertices
-    coarse_labels = coarse.nerve.vertices
-    if len(coarse_labels) ** len(fine_labels) > LABEL_MAP_CAP:
-        raise ResourceLimit(f"label map enumeration is capped at {LABEL_MAP_CAP} candidates; "
-                            f"{len(fine_labels)} fine and {len(coarse_labels)} coarse labels "
-                            f"give {len(coarse_labels)}^{len(fine_labels)}")
-    maps = (dict(zip(fine_labels, image))
-            for image in itertools.product(coarse_labels, repeat=len(fine_labels)))
-    return (labels for labels in maps if validate_refinement(RefinementMap(fine, coarse, labels)).valid)

@@ -189,7 +189,7 @@ def test_criterion_07_fibred_products():
         for q in range(3):
             fp = fibred_product(d, q)
             union_dim = len(d.nerve.simplices_of_dim(q))
-            rank_phi = phi_star(d, q).matrix.rank()
+            rank_phi = phi_star(d, q).rank()
             ok = ok and fp.dimension == union_dim == rank_phi
     d3 = diagram_for("three_circles")
     flat = [fibred_product(d3, q).dimension for q in (0, 1, 2)]

@@ -15,12 +15,9 @@ from cechkit.bundles import (
     LineBundles,
     NonAbelianRank,
     PieceBundleData,
-    ResourceLimit,
     TwistedSection,
     WrongField,
-    _all_invertible,
     _find,
-    _gl_order,
     class_table,
     cocycle_class,
     cocycles_equivalent,
@@ -41,6 +38,8 @@ from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import canonical_json, materialise_bundle, parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
 from cechkit.gallery import gallery_document, random_admissible
+
+from brute_force import all_invertible, gauge_equivalent, gl_order
 
 
 def cycle4():
@@ -124,11 +123,13 @@ def test_cocycle_class_constant_on_gauge_orbits_and_separating():
                 assert same_class == cocycles_equivalent(g, h)
 
 
-def test_cocycle_class_rejects_higher_rank():
+def test_cocycle_class_and_equivalence_reject_higher_rank():
     edge = build_complex([["a", "b"]])
     g = ConstantCocycle.build(edge, 2, F2)
     with pytest.raises(NonAbelianRank):
         cocycle_class(g)
+    with pytest.raises(NonAbelianRank):
+        cocycles_equivalent(g, g)
 
 
 def test_enumerate_line_bundles_counts(two_origin, branching, bug_eyed, three_circles):
@@ -269,7 +270,8 @@ def test_round_trip_rank2():
     assert validate_piece_data(data).valid
     back = colimit_bundle(d, data)
     assert back.ok
-    assert cocycles_equivalent(back.cocycle, g)
+    assert gauge_equivalent(back.cocycle, g)
+    assert not gauge_equivalent(g, ConstantCocycle.build(base, 2, F2))
 
 
 def test_glue_sections_compatible_and_incompatible(two_origin):
@@ -664,14 +666,4 @@ def test_find_matches_the_recursive_lookup(links, queries, p):
 
 @pytest.mark.parametrize("rank, p", ((1, 5), (2, 2), (2, 3), (3, 2)))
 def test_gl_order_counts_the_invertible_matrices(rank, p):
-    assert _gl_order(rank, p) == len(_all_invertible(rank, p))
-
-
-def test_rank3_gauge_search_refuses_before_listing_units(monkeypatch):
-    def listing(rank, p):
-        raise AssertionError("the units were listed")
-
-    monkeypatch.setattr(bundles, "_all_invertible", listing)
-    g = ConstantCocycle.build(build_complex([["a", "b"]]), 3, PrimeField(3))
-    with pytest.raises(ResourceLimit, match=r"\|GL_3\(F_3\)\|\^2 = 11232\^2"):
-        cocycles_equivalent(g, g)
+    assert gl_order(rank, p) == len(all_invertible(rank, p))

@@ -12,15 +12,12 @@ from cechkit.cochains import (
     CochainSpace,
     NotSimplicial,
     NotSubcomplex,
-    cech_differential,
     class_coordinates,
     coboundary_matrix,
     cohomology,
-    extend_by_zero,
     induced_on_cohomology,
     pullback_map,
-    restrict_cochain,
-    restriction_map,
+    restriction_matrix,
 )
 from cechkit.complexes import EMPTY_COMPLEX, build_complex, components
 from cechkit.diagrams import canonicalize
@@ -36,6 +33,14 @@ def cycle4():
 
 def theta():
     return build_complex([["a", "b"], ["a", "c1"], ["b", "c1"], ["a", "c2"], ["b", "c2"]])
+
+
+def cochain(space, values):
+    """The vector of the cochain {simplex: value}, indexed by space.index."""
+    vec = np.zeros(space.dim, dtype=np.int64)
+    for simplex, value in values.items():
+        vec[space.index[simplex]] = value
+    return vec % space.field.p
 
 
 def brute_h1_dim_f2(k):
@@ -59,45 +64,48 @@ def brute_h1_dim_f2(k):
 
 def test_differential_single_edge_signs():
     k = build_complex([["a", "b"]])
-    d0 = cech_differential(k, 0, PrimeField(5))
-    f = d0.source.cochain({("a",): 2, ("b",): 3})
-    df = d0(f)
-    assert df[("a", "b")] == (3 - 2) % 5
+    field = PrimeField(5)
+    df = coboundary_matrix(k, 0, field).apply(cochain(CochainSpace(k, 0, field), {("a",): 2, ("b",): 3}))
+    assert df[CochainSpace(k, 1, field).index[("a", "b")]] == (3 - 2) % 5
+
+
+def test_differential_triangle_signs():
+    # (df)(abc) = f(bc) - f(ac) + f(ab): face i of abc drops vertex i and carries (-1)^i
+    k = build_complex([["a", "b", "c"]])
+    field = PrimeField(7)
+    f = cochain(CochainSpace(k, 1, field), {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 4})
+    assert coboundary_matrix(k, 1, field).apply(f).tolist() == [(4 - 2 + 1) % 7]
 
 
 def test_differential_squares_to_zero_triangle():
     k = build_complex([["a", "b", "c"]])
     for p in (2, 3, 7):
         field = PrimeField(p)
-        d0 = cech_differential(k, 0, field)
-        d1 = cech_differential(k, 1, field)
-        assert (d1.matrix @ d0.matrix).is_zero()
+        assert (coboundary_matrix(k, 1, field) @ coboundary_matrix(k, 0, field)).is_zero()
 
 
 def test_differential_squares_to_zero_everywhere():
     k = build_complex([["a", "b", "c"], ["b", "c", "d"], ["d", "e"], ["a", "e"]])
     field = PrimeField(3)
     for q in range(k.dim + 1):
-        dq = cech_differential(k, q, field)
-        dq1 = cech_differential(k, q + 1, field)
-        assert (dq1.matrix @ dq.matrix).is_zero()
+        assert (coboundary_matrix(k, q + 1, field) @ coboundary_matrix(k, q, field)).is_zero()
 
 
 def test_cycle4_rank_and_h1():
-    d0 = cech_differential(cycle4(), 0, F2)
-    assert d0.matrix.rank() == 3
+    assert coboundary_matrix(cycle4(), 0, F2).rank() == 3
     # no 2-simplices: every 1-cochain is a cocycle
-    d1 = cech_differential(cycle4(), 1, F2)
-    assert d1.matrix.rank_nullity()[1] == 4
+    assert coboundary_matrix(cycle4(), 1, F2).rank_nullity()[1] == 4
     assert cohomology(cycle4(), 1, F2).dimension == 1
     assert brute_h1_dim_f2(cycle4()) == 1
 
 
-def test_cycle4_quotient_dim_of_bases():
-    from cechkit.fplinalg import quotient_dim
+def test_cycle4_cocycles_over_coboundaries_by_ranks():
     coh = cohomology(cycle4(), 1, F2)
     assert coh.cocycles.cols == 4 and coh.coboundaries.cols == 3
-    assert quotient_dim(coh.cocycles, coh.coboundaries) == 1
+    # the coboundaries lie in the span of the cocycles, and the quotient has dimension 1
+    joint = FMatrix(np.hstack([coh.cocycles.entries, coh.coboundaries.entries]), F2)
+    assert joint.rank() == coh.cocycles.rank()
+    assert coh.cocycles.rank() - coh.coboundaries.rank() == 1
 
 
 def test_cohomology_point_and_theta():
@@ -119,24 +127,27 @@ def test_h0_matches_components(gallery_diagram):
 
 def test_restrict_identity_and_empty():
     k = cycle4()
-    space = CochainSpace(k, 1, F2)
-    f = space.cochain({("l", "o1"): 1})
-    assert restrict_cochain(f, k).same_as(f)
-    empty = restrict_cochain(f, EMPTY_COMPLEX)
-    assert empty.space.dim == 0
+    f = cochain(CochainSpace(k, 1, F2), {("l", "o1"): 1})
+    assert np.array_equal(restriction_matrix(k, k, 1, F2).apply(f), f)
+    empty = restriction_matrix(k, EMPTY_COMPLEX, 1, F2)
+    assert (empty.rows, empty.cols) == (0, 4) and empty.apply(f).shape == (0,)
 
 
 def test_restrict_to_piece_path():
     k = cycle4()
     path = build_complex([["l", "o1"], ["o1", "r"]])
-    f = CochainSpace(k, 1, F2).cochain({("l", "o1"): 1, ("o2", "r"): 1})
-    g = restrict_cochain(f, path)
-    assert g[("l", "o1")] == 1 and g[("o1", "r")] == 0
+    space, sub = CochainSpace(k, 1, F2), CochainSpace(path, 1, F2)
+    res = restriction_matrix(k, path, 1, F2)
+    g = res.apply(cochain(space, {("l", "o1"): 1, ("o2", "r"): 1}))
+    assert g[sub.index[("l", "o1")]] == 1 and g[sub.index[("o1", "r")]] == 0
+    # each row picks its own simplex out of the big complex's simplices
+    for simplex, row in sub.index.items():
+        assert res.entries[row].tolist() == [int(col == space.index[simplex]) for col in range(space.dim)]
 
 
 def test_restrict_requires_subcomplex():
     with pytest.raises(NotSubcomplex):
-        restrict_cochain(CochainSpace(cycle4(), 1, F2).zero(), build_complex([["x", "y"]]))
+        restriction_matrix(cycle4(), build_complex([["x", "y"]]), 1, F2)
 
 
 def test_restriction_is_memoised_by_target_value_and_still_checks_each_new_pair(monkeypatch):
@@ -149,60 +160,61 @@ def test_restriction_is_memoised_by_target_value_and_still_checks_each_new_pair(
 
     monkeypatch.setattr(cochains, "_restriction", counting)
     k, path = cycle4(), build_complex([["l", "o1"], ["o1", "r"]])
-    first = restriction_map(k, path, 1, F2)
-    restriction_map(k, path, 0, F2)
-    restriction_map(path, path, 1, F2)
+    first = restriction_matrix(k, path, 1, F2)
+    restriction_matrix(k, path, 0, F2)
+    restriction_matrix(path, path, 1, F2)
     # an equal target object hits the memo kept on k
-    again = restriction_map(k, build_complex([["l", "o1"], ["o1", "r"]]), 1, F2)
-    assert again.matrix is first.matrix and built == [(1, 2), (0, 2), (1, 2)]
+    again = restriction_matrix(k, build_complex([["l", "o1"], ["o1", "r"]]), 1, F2)
+    assert again is first and built == [(1, 2), (0, 2), (1, 2)]
     # every other pair of the same complexes is a miss, and checked
     with pytest.raises(NotSubcomplex):
-        restriction_map(path, k, 1, F2)
+        restriction_matrix(path, k, 1, F2)
     with pytest.raises(NotSubcomplex):
-        restriction_map(path, k, 0, F2)
+        restriction_matrix(path, k, 0, F2)
     with pytest.raises(NotSubcomplex):
-        restriction_map(k, build_complex([["l", "r"]]), 1, F2)
-    assert restriction_map(k, path, 1, PrimeField(3)).matrix is not first.matrix
+        restriction_matrix(k, build_complex([["l", "r"]]), 1, F2)
+    assert restriction_matrix(k, path, 1, PrimeField(3)) is not first
 
 
-def test_extend_by_zero_round_trip():
+def test_extend_by_zero_is_the_transpose_of_restriction():
     k = cycle4()
     sub = build_complex([["l"], ["r"]])
-    f = CochainSpace(sub, 0, F2).cochain({("l",): 1})
-    big = extend_by_zero(f, k)
-    assert big[("l",)] == 1 and big[("r",)] == 0 and big[("o1",)] == 0 and big[("o2",)] == 0
-    assert restrict_cochain(big, sub).same_as(f)
-    zero = extend_by_zero(CochainSpace(sub, 0, F2).zero(), k)
-    assert zero.is_zero()
-    assert extend_by_zero(big, k).same_as(big)
+    space, sub_space = CochainSpace(k, 0, F2), CochainSpace(sub, 0, F2)
+    restrict = restriction_matrix(k, sub, 0, F2)
+    f = cochain(sub_space, {("l",): 1})
+    big = restrict.T.apply(f)
+    assert np.array_equal(big, cochain(space, {("l",): 1, ("r",): 0, ("o1",): 0, ("o2",): 0}))
+    assert np.array_equal(restrict.apply(big), f)
+    assert (restrict @ restrict.T).equals(FMatrix.identity(sub_space.dim, F2))
+    assert not restrict.T.apply(np.zeros(sub_space.dim, dtype=np.int64)).any()
+    assert restriction_matrix(k, k, 0, F2).T.equals(FMatrix.identity(space.dim, F2))
 
 
 def test_restriction_is_chain_map(gallery_diagram):
     d = gallery_diagram
     for pid in d.piece_ids:
         for q in range(max(d.nerve.dim, 0) + 1):
-            res_q = restriction_map(d.nerve, d.nerves[pid], q, d.field)
-            res_q1 = restriction_map(d.nerve, d.nerves[pid], q + 1, d.field)
-            d_big = cech_differential(d.nerve, q, d.field)
-            d_small = cech_differential(d.nerves[pid], q, d.field)
-            assert (res_q1.matrix @ d_big.matrix).equals(d_small.matrix @ res_q.matrix)
+            res_q = restriction_matrix(d.nerve, d.nerves[pid], q, d.field)
+            res_q1 = restriction_matrix(d.nerve, d.nerves[pid], q + 1, d.field)
+            d_big = coboundary_matrix(d.nerve, q, d.field)
+            d_small = coboundary_matrix(d.nerves[pid], q, d.field)
+            assert (res_q1 @ d_big).equals(d_small @ res_q)
 
 
 def test_pullback_identity():
     k = cycle4()
     ident = {v: v for v in k.vertices}
-    m = pullback_map(ident, k, k, 1, F2)
-    assert m.matrix.equals(type(m.matrix).identity(4, F2))
+    assert pullback_map(ident, k, k, 1, F2).equals(FMatrix.identity(4, F2))
 
 
 def test_pullback_degenerate_edge_collapse():
     k = build_complex([["a", "b"]])
     point = build_complex([["x"]])
     m = pullback_map({"a": "x", "b": "x"}, k, point, 0, F2)
-    assert m.matrix.entries.tolist() == [[1], [1]]
+    assert m.entries.tolist() == [[1], [1]]
     # the point has no 1-simplices, so the degree-1 pullback has no columns
     m1 = pullback_map({"a": "x", "b": "x"}, k, point, 1, F2)
-    assert m1.matrix.rows == 1 and m1.matrix.cols == 0
+    assert m1.rows == 1 and m1.cols == 0
 
 
 def test_pullback_commutes_with_differential():
@@ -214,9 +226,9 @@ def test_pullback_commutes_with_differential():
         for q in (0, 1):
             lam_q = pullback_map(g, fine, coarse, q, field)
             lam_q1 = pullback_map(g, fine, coarse, q + 1, field)
-            d_c = cech_differential(coarse, q, field)
-            d_f = cech_differential(fine, q, field)
-            assert (lam_q1.matrix @ d_c.matrix).equals(d_f.matrix @ lam_q.matrix)
+            d_c = coboundary_matrix(coarse, q, field)
+            d_f = coboundary_matrix(fine, q, field)
+            assert (lam_q1 @ d_c).equals(d_f @ lam_q)
 
 
 def test_pullback_requires_simplicial():
@@ -249,8 +261,8 @@ def test_class_coordinates_brute_force_cross_check():
     k = cycle4()
     coh = cohomology(k, 1, F2)
     space = CochainSpace(k, 1, F2)
-    d0 = cech_differential(k, 0, F2)
-    coboundaries = {tuple(d0.matrix.apply(np.array(v)).tolist())
+    d0 = coboundary_matrix(k, 0, F2)
+    coboundaries = {tuple(d0.apply(np.array(v)).tolist())
                     for v in itertools.product((0, 1), repeat=4)}
     for vec in itertools.product((0, 1), repeat=4):
         coords = class_coordinates(coh, np.array(vec))
@@ -285,7 +297,7 @@ def assert_matches_greedy(k, field):
         if q == 0:
             b = FMatrix.zeros(dim, 0, field)
         else:
-            b = greedy_extend_basis(FMatrix.zeros(dim, 0, field), cech_differential(k, q - 1, field).matrix)
+            b = greedy_extend_basis(FMatrix.zeros(dim, 0, field), coboundary_matrix(k, q - 1, field))
         reps = greedy_extend_basis(b, coh.cocycles)
         for got, want in ((coh.coboundaries, b), (coh.representatives, reps)):
             assert got.entries.shape == want.entries.shape, (k.vertices, q)
@@ -373,14 +385,14 @@ def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_elimin
     # bases first, so only the descent's solves are counted
     assert coh.representatives.cols == coh.dimension and piece.representatives.cols == piece.dimension
     calls = count_eliminations()
-    assert induced_on_cohomology(restriction_map(nerve, nerve, 1, F2), coh, coh).equals(
+    assert induced_on_cohomology(restriction_matrix(nerve, nerve, 1, F2), coh, coh).equals(
         FMatrix.identity(coh.dimension, F2))
     assert len(calls) == 1
     calls.clear()
-    induced = induced_on_cohomology(restriction_map(nerve, piece.space.complex, 1, F2), coh, piece)
+    induced = induced_on_cohomology(restriction_matrix(nerve, piece.space.complex, 1, F2), coh, piece)
     assert len(calls) == 1
     # the batched solve equals one class_coordinates solve per class
-    image = restriction_map(nerve, piece.space.complex, 1, F2).matrix @ coh.representatives
+    image = restriction_matrix(nerve, piece.space.complex, 1, F2) @ coh.representatives
     for j in range(coh.dimension):
         assert np.array_equal(induced.column(j), class_coordinates(piece, image.column(j)))
 
@@ -397,12 +409,11 @@ def test_coboundary_is_built_once_per_complex_degree_and_field(monkeypatch):
     k = theta()
     for q in (0, 1, 2):
         assert cohomology(k, q, F2).representatives.cols == cohomology(k, q, F2).dimension
-    d1 = cech_differential(k, 1, F2)
+    d1 = coboundary_matrix(k, 1, F2)
     assert sorted(built) == [(0, 2), (1, 2), (2, 2)]
-    assert coboundary_matrix(k, 1, F2) is d1.matrix
-    assert cech_differential(k, 1, F2).matrix is d1.matrix
-    assert d1.source == CochainSpace(k, 1, F2) and d1.target == CochainSpace(k, 2, F2)
-    cech_differential(k, 1, PrimeField(3))
+    assert coboundary_matrix(k, 1, F2) is d1
+    assert (d1.rows, d1.cols) == (CochainSpace(k, 2, F2).dim, CochainSpace(k, 1, F2).dim)
+    coboundary_matrix(k, 1, PrimeField(3))
     assert built[-1] == (1, 3)
 
 
@@ -435,7 +446,7 @@ def test_cached_bases_do_not_keep_their_complex_alive():
     # collector runs.
     k, path = cycle4(), build_complex([["l", "o1"], ["o1", "r"]])
     cohomology(k, 1, F2)
-    restriction_map(k, path, 1, F2)
+    restriction_matrix(k, path, 1, F2)
     diagram = canonicalize(parse_document(random_admissible(3, n_pieces=4)).system)
     for q in (0, 1):
         phi_star(diagram, q)

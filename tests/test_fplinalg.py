@@ -15,13 +15,11 @@ from cechkit.fplinalg import (
     Echelon,
     FMatrix,
     ModulusTooLarge,
-    NotASubspace,
     NotPrime,
     PrimeField,
     block_matrix,
     echelon,
     entry_matrix,
-    quotient_dim,
     rref,
 )
 
@@ -179,17 +177,6 @@ def test_entry_matrix_with_no_entries_is_zero_of_its_shape():
     for shape in ((0, 0), (0, 4), (3, 0), (2, 5)):
         m = entry_matrix(shape, empty, empty, empty, PrimeField(5))
         assert m.entries.shape == shape and m.is_zero()
-
-
-def test_quotient_dim():
-    z = FMatrix(np.array([[1, 0], [0, 1], [0, 0]]), F2)
-    b = FMatrix(np.array([[1], [1], [0]]), F2)
-    assert quotient_dim(z, b) == 1
-    assert quotient_dim(z, z) == 0
-    assert quotient_dim(z, FMatrix.zeros(3, 0, F2)) == 2
-    outside = FMatrix(np.array([[0], [0], [1]]), F2)
-    with pytest.raises(NotASubspace):
-        quotient_dim(z, outside)
 
 
 def test_inverse():

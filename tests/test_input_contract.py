@@ -26,7 +26,7 @@ from cechkit.complexes import MalformedSimplex
 from cechkit.diagrams import BadIndexSet, EmptyIndexSet, IncompatibleFamily, InvalidSystem
 from cechkit.documents import NonPrimeModulus, ParseError, canonical_json
 from cechkit.errors import InputError, ResourceLimit
-from cechkit.fplinalg import DimensionMismatch, ModulusTooLarge, NotASubspace, NotPrime
+from cechkit.fplinalg import DimensionMismatch, ModulusTooLarge, NotPrime
 from cechkit.gallery import BadGalleryParameter, UnknownGallery, gallery_document
 from cechkit.mv import NotBinary
 from cechkit.refinements import InvalidRefinement
@@ -43,7 +43,7 @@ REPLACEMENTS = (0, -1, 1.5, True, None, "x", [], {}, 10 ** 9)
 def test_refusals_are_input_errors_and_api_misuse_is_not():
     refusals = (ParseError, NonPrimeModulus, NotPrime, ModulusTooLarge, BadGalleryParameter,
                 UnknownGallery, IncompatibleData, WrongField, InvalidSystem, ResourceLimit)
-    misuse = (DimensionMismatch, NotASubspace, NotSubcomplex, NotSimplicial, MalformedSimplex,
+    misuse = (DimensionMismatch, NotSubcomplex, NotSimplicial, MalformedSimplex,
               BadIndexSet, EmptyIndexSet, IncompatibleFamily, NotBinary, NonAbelianRank,
               IncompatibleSections, InvalidRefinement)
     assert all(issubclass(c, InputError) for c in refusals)
@@ -107,6 +107,17 @@ def test_every_mutated_document_gets_a_verdict_or_an_input_error(doc):
                     assert err == "", (command, err)
                 runs.append((code, err, report.read_bytes() if report.exists() else None))
             assert runs[0] == runs[1], command
+
+
+def test_a_misspelled_bundle_piece_key_is_one_input_error(tmp_path):
+    # read as "every edge is the identity", it would glue; it is refused instead
+    doc = gallery_document("two_origin_line")
+    doc["bundle"]["pieces"][0] = {"id": "p1", "edgez": [["l", "o1", 1]]}
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, err = _run(["--report", str(tmp_path / "report.json"), "bundles", str(path)])
+    assert code == 2 and out == ""
+    assert err == "input error: $.bundle.pieces: unknown bundle piece keys ['edgez']\n"
 
 
 def test_the_module_entry_point_exits_0_1_or_2_without_a_traceback(tmp_path):

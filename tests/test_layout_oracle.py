@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cechkit import bundles, mv, refinements
 from cechkit.bundles import ConstantCocycle, PieceBundleData, glue_section_space, parallel_sections
-from cechkit.cochains import cech_differential, pullback_map, restriction_map
+from cechkit.cochains import coboundary_matrix, pullback_map, restriction_matrix
 from cechkit.complexes import build_complex, full_subcomplex
 from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
@@ -43,7 +43,7 @@ def reference_phi_star(diagram, degree):
     src_dim = len(diagram.nerve.simplices_of_dim(degree))
     tgt = mv.tuple_space(diagram, 1, degree)
     m = np.vstack([np.zeros((0, src_dim), dtype=np.int64)]
-                  + [restriction_map(diagram.nerve, space.complex, degree, field).matrix.entries
+                  + [restriction_matrix(diagram.nerve, space.complex, degree, field).entries
                      for _, space in tgt.blocks])
     return FMatrix(m, field)
 
@@ -58,7 +58,7 @@ def reference_delta_tilde(diagram, level, degree):
         for a in range(len(t_prime)):
             t = t_prime[:a] + t_prime[a + 1:]
             src_space = src.block(t)
-            res = restriction_map(src_space.complex, tgt_space.complex, degree, field).matrix.entries
+            res = restriction_matrix(src_space.complex, tgt_space.complex, degree, field).entries
             col = src.offsets[t]
             m[row:row + tgt_space.dim, col:col + src_space.dim] += (-1) ** (a + 1) * res
     return FMatrix(m, field)
@@ -93,7 +93,7 @@ def reference_total_differentials(diagram):
                 r = tgt_off[(p + 1, q)]
                 m[r:r + horiz.shape[0], col:col + src_dim] += horiz
             if (p, q + 1) in tgt_off:
-                vert = block_diagonal([cech_differential(s.complex, q, field).matrix.entries
+                vert = block_diagonal([coboundary_matrix(s.complex, q, field).entries
                                        for _, s in spaces[(p, q)].blocks], field).entries
                 r = tgt_off[(p, q + 1)]
                 m[r:r + vert.shape[0], col:col + src_dim] += ((-1) ** p) * vert
@@ -104,7 +104,7 @@ def reference_total_differentials(diagram):
 
 def reference_tuple_pullback(r, level, degree):
     return block_diagonal([
-        pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree, r.fine.field).matrix.entries
+        pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree, r.fine.field).entries
         for t, space in mv.tuple_space(r.coarse, level, degree).blocks], r.fine.field)
 
 
@@ -180,9 +180,9 @@ def test_block_layouts_equal_the_offset_loops(necklace, data):
 
     n = diagram.n_pieces
     for q in range(diagram.nerve.dim + 2):
-        assert mv.phi_star(diagram, q).matrix.equals(reference_phi_star(diagram, q))
+        assert mv.phi_star(diagram, q).equals(reference_phi_star(diagram, q))
         for level in range(1, n):
-            assert mv.delta_tilde(diagram, level, q).matrix.equals(reference_delta_tilde(diagram, level, q))
+            assert mv.delta_tilde(diagram, level, q).equals(reference_delta_tilde(diagram, level, q))
         for level in range(1, refinement.fine.n_pieces + 1):
             assert refinements._tuple_pullback(refinement, level, q).equals(
                 reference_tuple_pullback(refinement, level, q))

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from cechkit import cli, cochains, diagrams, fplinalg, mv
 from cechkit.cli import run_command
-from cechkit.cochains import cohomology, induced_on_cohomology, restriction_map
+from cechkit.cochains import cohomology, induced_on_cohomology, restriction_matrix
 from cechkit.complexes import build_complex, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
@@ -45,26 +44,26 @@ def single_circle_diagram(p=2):
 
 def test_phi_star_single_piece_identity():
     d = single_circle_diagram()
-    m = phi_star(d, 0).matrix
+    m = phi_star(d, 0)
     assert m.equals(FMatrix.identity(3, d.field))
 
 
 def test_phi_star_two_origin_injective(two_origin):
     m = phi_star(two_origin, 0)
-    assert m.source.dim == 4 and m.target.dim == 6
-    assert m.matrix.rank() == 4
-    assert m.matrix.kernel_basis().cols == 0
+    assert (m.rows, m.cols) == (tuple_space(two_origin, 1, 0).dim, len(two_origin.nerve.vertices)) == (6, 4)
+    assert m.rank() == 4
+    assert m.kernel_basis().cols == 0
 
 
 def test_phi_star_always_injective(gallery_diagram):
     for q in range(max(gallery_diagram.nerve.dim, 0) + 1):
-        assert phi_star(gallery_diagram, q).matrix.kernel_basis().cols == 0
+        assert phi_star(gallery_diagram, q).kernel_basis().cols == 0
 
 
 def test_delta_tilde_binary_is_first_minus_second():
     # over F_3 the signs are visible: f1 restriction carries +1, f2 carries -1
     d3 = canonicalize(parse_document(gallery_document("two_origin_line", field=3)).system)
-    m = delta_tilde(d3, 1, 0).matrix.entries
+    m = delta_tilde(d3, 1, 0).entries
     level1 = tuple_space(d3, 1, 0)
     basis_p1 = level1.block(("p1",)).basis
     basis_p2 = level1.block(("p2",)).basis
@@ -76,8 +75,8 @@ def test_delta_tilde_binary_is_first_minus_second():
 
 def test_delta_tilde_squares_to_zero(three_circles):
     for q in (0, 1):
-        d1 = delta_tilde(three_circles, 1, q).matrix
-        d2 = delta_tilde(three_circles, 2, q).matrix
+        d1 = delta_tilde(three_circles, 1, q)
+        d2 = delta_tilde(three_circles, 2, q)
         assert (d2 @ d1).is_zero()
 
 
@@ -86,7 +85,7 @@ def test_delta_tilde_annihilates_phi_star(gallery_diagram):
     if d.n_pieces < 2:
         return
     for q in range(max(d.nerve.dim, 0) + 1):
-        assert (delta_tilde(d, 1, q).matrix @ phi_star(d, q).matrix).is_zero()
+        assert (delta_tilde(d, 1, q) @ phi_star(d, q)).is_zero()
 
 
 def test_exact_sequence_gallery(gallery_diagram):
@@ -103,30 +102,31 @@ def test_exact_sequence_single_piece():
 
 def test_connecting_two_origin_generator(two_origin):
     delta = connecting_homomorphism(two_origin, 0)
-    assert delta.source.dimension == 2
-    assert delta.target.dimension == 1
+    # rows: H^1(N), columns: H^0(N_12), in their representative bases
+    assert delta.cols == cohomology(two_origin.intersection_nerve(two_origin.piece_ids), 0, F2).dimension == 2
+    assert delta.rows == cohomology(two_origin.nerve, 1, F2).dimension == 1
     # the H^0 generator supported on one intersection point hits the H^1 generator
-    assert delta.matrix.apply(np.array([1, 0])).tolist() == [1]
-    assert delta.matrix.rank() == 1
+    assert delta.apply(np.array([1, 0])).tolist() == [1]
+    assert delta.rank() == 1
 
 
 def test_connecting_kills_difference_image(two_origin):
     # classes restricted from the pieces die under the connecting map
     delta = connecting_homomorphism(two_origin, 0)
-    assert delta.matrix.apply(np.array([1, 1])).tolist() == [0]
+    assert delta.apply(np.array([1, 1])).tolist() == [0]
 
 
 def test_connecting_branching_zero(branching):
     delta = connecting_homomorphism(branching, 0)
-    assert delta.matrix.is_zero()
+    assert delta.is_zero()
 
 
 def test_connecting_lift_independence(two_origin, branching, bug_eyed):
     for d in (two_origin, branching, bug_eyed):
         i1, i2 = d.piece_ids
         for q in (0, 1):
-            a = connecting_homomorphism(d, q, through=i1).matrix
-            b = connecting_homomorphism(d, q, through=i2).matrix
+            a = connecting_homomorphism(d, q, through=i1)
+            b = connecting_homomorphism(d, q, through=i2)
             assert a.equals(b)
 
 
@@ -150,7 +150,7 @@ def _alpha_by_hand(diagram, q):
     """(a1 | -a2): each piece's restriction to N_12, descended to cohomology on its own."""
     field = diagram.field
     n12 = diagram.intersection_nerve(diagram.piece_ids)
-    blocks = [induced_on_cohomology(restriction_map(diagram.nerves[i], n12, q, field),
+    blocks = [induced_on_cohomology(restriction_matrix(diagram.nerves[i], n12, q, field),
                                     cohomology(diagram.nerves[i], q, field),
                                     cohomology(n12, q, field)).entries
               for i in diagram.piece_ids]
@@ -183,8 +183,8 @@ def test_assemble_les_bug_eyed(bug_eyed, necklace, monkeypatch):
     # keeps its ranks, and only the composition phi_1 delta_0 != 0 shows it.
     ring = glued_from_nerves(necklace(2, True), F2)
     real = mv.connecting_homomorphism
-    delta0 = real(ring, 0).matrix.entries
-    assert delta0.shape == (3, 2) and real(ring, 0).matrix.rank() == 1
+    delta0 = real(ring, 0).entries
+    assert delta0.shape == (3, 2) and real(ring, 0).rank() == 1
     u, w = delta0[:, delta0.any(axis=0)][:, 0], delta0[delta0.any(axis=1)][0]
     v = next(e for e in np.eye(3, dtype=np.int64) if (e != u).any())
     before = assemble_les(ring, 1)
@@ -192,7 +192,7 @@ def test_assemble_les_bug_eyed(bug_eyed, necklace, monkeypatch):
 
     def moved(diagram, degree, through=None):
         m = real(diagram, degree, through)
-        return dataclasses.replace(m, matrix=FMatrix(np.outer(v, w), F2)) if degree == 0 else m
+        return FMatrix(np.outer(v, w), F2) if degree == 0 else m
 
     monkeypatch.setattr(mv, "connecting_homomorphism", moved)
     after = assemble_les(ring, 1)
@@ -213,7 +213,7 @@ def test_fibred_product_matches_union(gallery_diagram):
         fp = fibred_product(d, q)
         union_dim = len(d.nerve.simplices_of_dim(q))
         assert fp.dimension == union_dim
-        assert fp.dimension == phi_star(d, q).matrix.rank()
+        assert fp.dimension == phi_star(d, q).rank()
 
 
 def test_fibred_product_two_origin_q0(two_origin):
@@ -222,17 +222,17 @@ def test_fibred_product_two_origin_q0(two_origin):
 
 def test_mediate_restrictions_give_phi_star(two_origin):
     fp = fibred_product(two_origin, 0)
-    rhos = {pid: restriction_map(two_origin.nerve, two_origin.nerves[pid], 0,
-                                 two_origin.field).matrix
+    rhos = {pid: restriction_matrix(two_origin.nerve, two_origin.nerves[pid], 0,
+                                 two_origin.field)
             for pid in two_origin.piece_ids}
     mediated = fp.mediate(rhos)
-    assert mediated.equals(phi_star(two_origin, 0).matrix)
+    assert mediated.equals(phi_star(two_origin, 0))
 
 
 def test_mediate_rejects_incompatible_family(two_origin):
     fp = fibred_product(two_origin, 0)
-    rhos = {pid: restriction_map(two_origin.nerve, two_origin.nerves[pid], 0,
-                                 two_origin.field).matrix
+    rhos = {pid: restriction_matrix(two_origin.nerve, two_origin.nerves[pid], 0,
+                                 two_origin.field)
             for pid in two_origin.piece_ids}
     bad = rhos["p2"].entries.copy()
     bad[0, :] = (bad[0, :] + 1) % 2  # perturb the value over the shared label l
@@ -348,7 +348,7 @@ def test_sphere_from_two_cones():
     les = assemble_les(d, 2)
     assert les.all_ok
     assert les.delta_star_ranks == (0, 1, 0)
-    assert connecting_homomorphism(d, 1).matrix.rank() == 1
+    assert connecting_homomorphism(d, 1).rank() == 1
     report = total_cohomology(d, 2)
     assert report.matches and report.total_dims == (1, 0, 1)
 
@@ -483,7 +483,7 @@ def test_descended_maps_take_one_solve_per_target_block(count_eliminations, thre
     intersection = two_origin.intersection_nerve(two_origin.piece_ids)
     assert cohomology(intersection, 0, two_origin.field).representatives.cols == 2
     calls.clear()
-    delta = connecting_homomorphism(two_origin, 0).matrix
+    delta = connecting_homomorphism(two_origin, 0)
     assert delta.cols >= 2 and len(calls) == 1
 
 
