@@ -23,7 +23,6 @@ from .bundles import (
     restrict_bundle,
 )
 from .cochains import (
-    CochainSpace,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -66,8 +65,8 @@ __all__ = [
     "cocycles_equivalent", "colimit_bundle", "enumerate_line_bundles", "glue_section_space",
     "glue_sections", "parallel_sections", "restrict_bundle",
     # cochains
-    "CochainSpace", "class_coordinates", "coboundary_matrix", "cohomology", "induced_on_cohomology",
-    "pullback_map", "restriction_matrix",
+    "class_coordinates", "coboundary_matrix", "cohomology", "induced_on_cohomology", "pullback_map",
+    "restriction_matrix",
     # complexes
     "SimplicialComplex", "build_complex", "components",
     # diagrams

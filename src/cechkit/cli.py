@@ -221,7 +221,7 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
     report["degrees"] = []
     for q in degrees:
         fp = fibred_product(diagram, q)
-        union_dim = cohomology(diagram.nerve, q, diagram.field).space.dim
+        union_dim = len(diagram.nerve.simplices_of_dim(q))
         rank_phi = phi_star(diagram, q).rank()
         two_step, basis = inductive_fibred_dim(diagram, q)
         joint = FMatrix(np.hstack([fp.basis.entries, basis.entries]), diagram.field)

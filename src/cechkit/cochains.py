@@ -4,20 +4,20 @@ A q-cochain assigns one field value to every q-simplex of a complex; the
 basis of each cochain space is the lexicographically sorted list of its
 q-simplices, which fixes all sign conventions globally.  Over F_2 the
 signs vanish, but the implementation carries them so odd primes work too.
-A cochain is a vector indexed by `CochainSpace.index`, and every map
-between cochain spaces (coboundary, restriction, pullback) is one
-`FMatrix`; extension by zero is the transpose of restriction.
+A q-cochain is a vector indexed by `SimplicialComplex.index_of_dim(q)`,
+and every map between cochain spaces (coboundary, restriction, pullback)
+is one `FMatrix`; extension by zero is the transpose of restriction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import SimplicialComplex
 from .fplinalg import FMatrix, PrimeField, echelon, entry_matrix
 
 
@@ -29,23 +29,9 @@ class NotSimplicial(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CochainSpace:
-    complex: SimplicialComplex
-    degree: int
-    field: PrimeField
-
-    @cached_property
-    def basis(self) -> tuple[Simplex, ...]:
-        return self.complex.simplices_of_dim(self.degree)
-
-    @cached_property
-    def index(self) -> dict[Simplex, int]:
-        return {s: i for i, s in enumerate(self.basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+def _cochain_dims(complexes: Mapping[Hashable, SimplicialComplex], q: int) -> dict[Hashable, int]:
+    """dim C^q of each keyed complex, in key order: the block sizes of a direct sum of cochain spaces."""
+    return {key: len(k.simplices_of_dim(q)) for key, k in complexes.items()}
 
 
 def coboundary_matrix(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
@@ -58,14 +44,13 @@ def coboundary_matrix(k: SimplicialComplex, q: int, field: PrimeField) -> FMatri
 
 def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """The matrix of d^q: alternating sum over vertex removals."""
-    src = CochainSpace(k, q, field)
-    tgt = CochainSpace(k, q + 1, field)
+    src, tgt = k.index_of_dim(q), k.simplices_of_dim(q + 1)
     width = q + 2
     # row r, column i: face i of simplex r, all distinct; each row of faces takes the signs (-1)^i
-    faces = np.array([src.index[sigma[:i] + sigma[i + 1:]] for sigma in tgt.basis for i in range(width)],
-                     dtype=np.int64).reshape(tgt.dim, width)
+    faces = np.array([src[sigma[:i] + sigma[i + 1:]] for sigma in tgt for i in range(width)],
+                     dtype=np.int64).reshape(len(tgt), width)
     signs = [(-1) ** i for i in range(width)]
-    return entry_matrix((tgt.dim, src.dim), np.arange(tgt.dim)[:, None], faces, signs, field)
+    return entry_matrix((len(tgt), len(src)), np.arange(len(tgt))[:, None], faces, signs, field)
 
 
 @dataclass(frozen=True)
@@ -80,17 +65,19 @@ class CohomologyBasis:
     and field shares them.
     """
 
-    space: CochainSpace
+    complex: SimplicialComplex
+    degree: int
+    field: PrimeField
 
     @property
     def dimension(self) -> int:
-        k, q, field = self.space.complex, self.space.degree, self.space.field
+        k, q, field = self.complex, self.degree, self.field
         rank_in = coboundary_matrix(k, q - 1, field).rank() if q else 0
-        return self.space.dim - coboundary_matrix(k, q, field).rank() - rank_in
+        return len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
 
     @cached_property
     def _bases(self) -> tuple[FMatrix, FMatrix, FMatrix]:
-        k, q, field = self.space.complex, self.space.degree, self.space.field
+        k, q, field = self.complex, self.degree, self.field
         key = ("H", q, field.p)
         if key not in k.cochain_matrices:
             k.cochain_matrices[key] = _cohomology_basis(k, q, field)
@@ -119,7 +106,7 @@ def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBas
     back to the complex, so a complex that goes out of use is freed at
     once, without waiting for the cycle collector.
     """
-    return CohomologyBasis(CochainSpace(k, q, field))
+    return CohomologyBasis(k, q, field)
 
 
 def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, FMatrix, FMatrix]:
@@ -148,7 +135,7 @@ def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
     A 2-d `values` holds one cocycle per column, all solved in one elimination.
     """
     stacked = np.hstack([coh.coboundaries.entries, coh.representatives.entries])
-    solution = FMatrix(stacked, coh.space.field).solve(values)
+    solution = FMatrix(stacked, coh.field).solve(values)
     if solution is None:
         raise ValueError("vector is not a cocycle of this space")
     return solution[coh.coboundaries.cols:]
@@ -157,7 +144,7 @@ def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
 def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis, tgt: CohomologyBasis) -> FMatrix:
     """Descend a chain map's matrix to a matrix on cohomology representatives, with one solve."""
     image = matrix @ src.representatives
-    return FMatrix(class_coordinates(tgt, image.entries), src.space.field)
+    return FMatrix(class_coordinates(tgt, image.entries), src.field)
 
 
 def restriction_matrix(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
@@ -177,9 +164,8 @@ def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: Prim
     """The 0/1 matrix picking each q-simplex of l out of the q-simplices of k."""
     if not l.is_subcomplex_of(k):
         raise NotSubcomplex("second complex is not a subcomplex of the first")
-    src = CochainSpace(k, q, field)
-    tgt = CochainSpace(l, q, field)
-    return entry_matrix((tgt.dim, src.dim), np.arange(tgt.dim), [src.index[s] for s in tgt.basis], 1, field)
+    src, tgt = k.index_of_dim(q), l.simplices_of_dim(q)
+    return entry_matrix((len(tgt), len(src)), np.arange(len(tgt)), [src[s] for s in tgt], 1, field)
 
 
 def _permutation_sign(seq: tuple[str, ...]) -> int:
@@ -207,13 +193,12 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
 def simplicial_pullback(vertex_map: Mapping[str, str], domain: SimplicialComplex,
                         codomain: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """`pullback_map` without its scan: the caller has shown the map simplicial."""
-    src = CochainSpace(codomain, q, field)
-    tgt = CochainSpace(domain, q, field)
+    src, tgt = codomain.index_of_dim(q), domain.simplices_of_dim(q)
     rows, cols, signs = [], [], []
-    for row, tau in enumerate(tgt.basis):
+    for row, tau in enumerate(tgt):
         images = tuple(vertex_map[v] for v in tau)
         if len(set(images)) == len(images):
             rows.append(row)
-            cols.append(src.index[tuple(sorted(images))])
+            cols.append(src[tuple(sorted(images))])
             signs.append(_permutation_sign(images))
-    return entry_matrix((tgt.dim, src.dim), rows, cols, signs, field)
+    return entry_matrix((len(tgt), len(src)), rows, cols, signs, field)

@@ -8,7 +8,8 @@ legal everywhere and models an empty intersection.
 
 Complexes are immutable, so results that depend on one complex alone
 are memoised on the instance and live exactly as long as it does: its
-vertices, its simplices of each dimension, and in `cochain_matrices` the
+vertices, its simplices of each dimension, the index of each dimension's
+simplices (the coordinates of C^q), and in `cochain_matrices` the
 read-only matrices of `cochains`.  These are each coboundary d^q per
 degree and field, with the one forward elimination that its rank, column
 space and kernel share; the cocycle, coboundary and representative bases
@@ -74,6 +75,16 @@ class SimplicialComplex:
 
     def simplices_of_dim(self, q: int) -> tuple[Simplex, ...]:
         return self._by_dim.get(q, ())
+
+    @cached_property
+    def _index(self) -> dict[int, dict[Simplex, int]]:
+        return {}
+
+    def index_of_dim(self, q: int) -> dict[Simplex, int]:
+        """Each q-simplex's coordinate in C^q, its position in `simplices_of_dim(q)`; built once, read only."""
+        if q not in self._index:
+            self._index[q] = {s: i for i, s in enumerate(self.simplices_of_dim(q))}
+        return self._index[q]
 
     @cached_property
     def cochain_matrices(self) -> dict:

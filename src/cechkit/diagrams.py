@@ -117,10 +117,6 @@ class AdjunctionSystem:
     def gluing(self, i: str, j: str) -> GluingBijection | None:
         return self._gluing_index.get((i, j))
 
-    def domain(self, i: str, j: str) -> set[str]:
-        g = self.gluing(i, j)
-        return set(g.domain) if g is not None else set()
-
 
 def shared_label_system(piece_nerves: Mapping[str, SimplicialComplex],
                         field: PrimeField = F2) -> AdjunctionSystem:
@@ -305,13 +301,13 @@ class GluedDiagram:
         return {}
 
     @cached_property
-    def _nonempty(self) -> dict[int, tuple[tuple[str, ...], ...]]:
+    def _levels(self) -> dict[int, dict[tuple[str, ...], SimplicialComplex]]:
         return {}
 
     @cached_property
     def tuple_cochains(self) -> dict:
-        """`mv` tuple spaces and the matrices of phi_star (level 0, the union) and of the
-        difference maps, keyed by (kind, level, q); none points back here."""
+        """`mv` matrices of phi_star (level 0, the union) and of the difference maps,
+        keyed by (kind, level, q); none points back here."""
         return {}
 
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:
@@ -348,33 +344,36 @@ class GluedDiagram:
 
     def index_set_nerves(self, size: int) -> list[tuple[tuple[str, ...], SimplicialComplex | None]]:
         """Each of `index_subsets(size)` with its intersection nerve, or None where that is empty."""
-        nonempty = set(self.nonempty_subsets(size))
-        return [(t, self.intersection_nerve(t) if t in nonempty else None) for t in self.index_subsets(size)]
+        level = self.level(size)
+        return [(t, level.get(t)) for t in self.index_subsets(size)]
 
     def nonempty_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:
-        """The index sets of the given size whose intersection is nonempty.
+        """The index sets of the given size whose intersection is nonempty: the keys of `level(size)`."""
+        return tuple(self.level(size))
 
-        These are the (size-1)-simplices of the nerve of the piece cover,
-        in `itertools.combinations` order, and all that computation needs:
-        an empty intersection contributes nothing.  Built level by level,
-        Apriori-style: a candidate extends a nonempty (size-1)-set by a
-        later piece, and is intersected only when every face is nonempty.
+    def level(self, size: int) -> dict[tuple[str, ...], SimplicialComplex]:
+        """{index set: intersection nerve} over the index sets of this size with a nonempty intersection.
+
+        The index sets are the (size-1)-simplices of the nerve of the piece
+        cover, in `itertools.combinations` order, and all that computation
+        needs: an empty intersection contributes nothing.  Built once per
+        size, level by level, Apriori-style: a candidate extends a nonempty
+        (size-1)-set by a later piece, and is intersected only when every
+        face is nonempty.  Each nerve is the one `intersection_nerve`
+        returns.  The dict is shared: read it, do not change it.
         """
-        memo = self._nonempty
+        memo = self._levels
         if size not in memo:
             if size < 1:
-                memo[size] = ()
+                memo[size] = {}
             elif size == 1:
-                memo[size] = tuple((i,) for i in self.piece_ids if self.nerves[i].simplices)
+                memo[size] = {(i,): self.nerves[i] for i in self.piece_ids if self.nerves[i].simplices}
             else:
-                faces = self.nonempty_subsets(size - 1)
-                known = set(faces)
-                memo[size] = tuple(
-                    t + (j,)
-                    for t in faces
-                    for j in self.piece_ids[self.piece_ids.index(t[-1]) + 1:]
-                    if all(t[:a] + t[a + 1:] + (j,) in known for a in range(size - 1))
-                    and self._intersection(t + (j,)).simplices)
+                faces = self.level(size - 1)
+                candidates = (t + (j,) for t in faces for j in self.piece_ids[self.piece_ids.index(t[-1]) + 1:]
+                              if all(t[:a] + t[a + 1:] + (j,) in faces for a in range(size - 1)))
+                nerves = ((t, self._intersection(t)) for t in candidates)
+                memo[size] = {t: nerve for t, nerve in nerves if nerve.simplices}
         return memo[size]
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from .bundles import MAX_RANK, ConstantCocycle, PieceBundleData, _normalise_value
@@ -181,15 +180,6 @@ def decode_document(data: bytes) -> Any:
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def load_document(path: str | Path) -> dict:
-    return decode_document(Path(path).read_bytes())
-
-
-def load_diagram(path: str | Path, field_override: int | None = None) -> ParsedDocument:
-    """Parse and validate a diagram document from disk."""
-    return parse_document(load_document(path), field_override)
-
-
 def canonical_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -292,4 +282,8 @@ def materialise_refinement(coarse: GluedDiagram, raw: dict | None, field: PrimeF
     for v, image in _label_pairs(raw["map"], "map must be a list of [fine, coarse] label pairs",
                                  "$.refinement.map"):
         _put_once(labels, v, image, "fine label", "$.refinement.map")
+    # Map keys are the fine diagram's canonical labels; a local label merged into another name is none.
+    unknown = sorted(set(labels) - set(fine.nerve.vertices))
+    if unknown:
+        raise ParseError(f"map names labels the fine diagram does not have {unknown}", "$.refinement.map")
     return RefinementMap(fine, coarse, labels)

@@ -6,6 +6,11 @@ of multiple intersections, and everything they generate: short and long
 exact sequences, connecting homomorphisms, fibred products, the bicomplex
 total cohomology, and the line-bundle counting formulas over F_2.
 
+Level p is the direct sum of C^q(N_T) over the p-fold index sets T
+whose intersection is nonempty, block by block in the order of
+`GluedDiagram.level(p)`: an empty intersection would be a block of
+dimension 0, so leaving it out changes no matrix.
+
 Exactness is always decided by rank arithmetic; over a field this is a
 complete criterion and keeps every verdict a deterministic integer
 comparison.  For a binary diagram the level-one difference map is
@@ -16,14 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .bundles import WrongField
 from .cochains import (
-    CochainSpace,
-    CohomologyBasis,
+    _cochain_dims,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -32,53 +35,11 @@ from .cochains import (
 )
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
-from .fplinalg import FMatrix, block_matrix
+from .fplinalg import FMatrix, _ranges, block_matrix
 
 
 class NotBinary(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TupleCochainSpace:
-    """Direct sum of the cochain spaces of the nonempty p-fold intersection nerves.
-
-    An empty intersection would be a block of dimension 0, so leaving it
-    out changes no matrix.
-    """
-
-    level: int
-    degree: int
-    blocks: tuple[tuple[tuple[str, ...], CochainSpace], ...]
-
-    @cached_property
-    def dim(self) -> int:
-        return sum(self.dims.values())
-
-    @cached_property
-    def dims(self) -> dict[tuple[str, ...], int]:
-        return {t: space.dim for t, space in self.blocks}
-
-    @cached_property
-    def offsets(self) -> dict[tuple[str, ...], int]:
-        return dict(zip(self.dims, itertools.accumulate(self.dims.values(), initial=0)))
-
-    @cached_property
-    def _by_t(self) -> dict[tuple[str, ...], CochainSpace]:
-        return dict(self.blocks)
-
-    def block(self, t: tuple[str, ...]) -> CochainSpace:
-        return self._by_t[t]
-
-
-def tuple_space(diagram: GluedDiagram, level: int, degree: int) -> TupleCochainSpace:
-    """The level-p tuple space in degree q, built once per diagram."""
-    key = ("space", level, degree)
-    if key not in diagram.tuple_cochains:
-        diagram.tuple_cochains[key] = TupleCochainSpace(level, degree, tuple(
-            (t, CochainSpace(diagram.intersection_nerve(t), degree, diagram.field))
-            for t in diagram.nonempty_subsets(level)))
-    return diagram.tuple_cochains[key]
 
 
 def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
@@ -91,10 +52,11 @@ def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
 
 def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
     field = diagram.field
-    tgt = tuple_space(diagram, 1, degree)
-    blocks = ((t, "union", restriction_matrix(diagram.nerve, space.complex, degree, field).entries)
-              for t, space in tgt.blocks)
-    return block_matrix(tgt.dims, {"union": CochainSpace(diagram.nerve, degree, field).dim}, blocks, field)
+    pieces = diagram.level(1)
+    blocks = ((t, "union", restriction_matrix(diagram.nerve, k, degree, field).entries)
+              for t, k in pieces.items())
+    return block_matrix(_cochain_dims(pieces, degree), {"union": len(diagram.nerve.simplices_of_dim(degree))},
+                        blocks, field)
 
 
 def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
@@ -114,17 +76,16 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
 
 
 def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    src = tuple_space(diagram, level, degree)
-    tgt = tuple_space(diagram, level + 1, degree)
+    src, tgt = diagram.level(level), diagram.level(level + 1)
 
     def blocks():
-        for t_prime, tgt_space in tgt.blocks:
+        for t_prime, k in tgt.items():
             for a in range(len(t_prime)):
                 t = t_prime[:a] + t_prime[a + 1:]
-                res = restriction_matrix(src.block(t).complex, tgt_space.complex, degree, diagram.field).entries
+                res = restriction_matrix(src[t], k, degree, diagram.field).entries
                 yield t_prime, t, res if a % 2 else -res
 
-    return block_matrix(tgt.dims, src.dims, blocks(), diagram.field)
+    return block_matrix(_cochain_dims(tgt, degree), _cochain_dims(src, degree), blocks(), diagram.field)
 
 
 @dataclass(frozen=True)
@@ -283,7 +244,6 @@ class FibredProduct:
 
     diagram: GluedDiagram
     degree: int
-    level1: TupleCochainSpace
     basis: FMatrix
 
     @property
@@ -319,12 +279,11 @@ class FibredProduct:
 
 def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
     """Basis of the cochain fibred product; equals the image of phi_star."""
-    level1 = tuple_space(diagram, 1, degree)
+    phi = phi_star(diagram, degree)
     if diagram.n_pieces == 1:
-        basis = FMatrix.identity(level1.dim, diagram.field)
+        basis = FMatrix.identity(phi.rows, diagram.field)
     else:
         basis = delta_tilde(diagram, 1, degree).kernel_basis()
-    phi = phi_star(diagram, degree)
     if phi.rank() != basis.cols:
         raise AssertionError("fibred product dimension differs from rank of phi_star")
     if basis.cols:
@@ -333,7 +292,7 @@ def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
             raise AssertionError("image of phi_star escapes the fibred product")
     elif not phi.is_zero():
         raise AssertionError("image of phi_star escapes the fibred product")
-    return FibredProduct(diagram, degree, level1, basis)
+    return FibredProduct(diagram, degree, basis)
 
 
 def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
@@ -349,22 +308,24 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
     ids = tuple(order) if order is not None else diagram.piece_ids
     if sorted(ids) != list(diagram.piece_ids):
         raise ValueError("order must be a permutation of the piece ids")
-    spaces = {i: CochainSpace(diagram.nerves[i], degree, field) for i in ids}
+    dims = _cochain_dims(diagram.nerves, degree)
+    pairs = diagram.level(2)
 
-    blocks: dict[str, np.ndarray] = {ids[0]: np.eye(spaces[ids[0]].dim, dtype=np.int64)}
-    cols = spaces[ids[0]].dim
+    blocks: dict[str, np.ndarray] = {ids[0]: np.eye(dims[ids[0]], dtype=np.int64)}
+    cols = dims[ids[0]]
     for m in range(1, len(ids)):
         nxt = ids[m]
-        # unknowns: coefficients on the basis absorbed so far (0), then a cochain on nxt (1)
-        rows: dict[str, int] = {}
+        # unknowns: coefficients on the basis absorbed so far (0), then a cochain on nxt (1);
+        # an empty intersection adds no constraint
+        meets = ((prev, pairs.get((prev, nxt), pairs.get((nxt, prev)))) for prev in ids[:m])
+        overlaps = {prev: nij for prev, nij in meets if nij is not None}
         constraint: list[tuple[str, int, np.ndarray]] = []
-        for prev in ids[:m]:
-            nij = diagram.intersection_nerve((prev, nxt))
+        for prev, nij in overlaps.items():
             r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field).entries
             r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field).entries
-            rows[prev] = r_prev.shape[0]
             constraint += [(prev, 0, r_prev @ blocks[prev]), (prev, 1, -r_next)]
-        kernel = block_matrix(rows, {0: cols, 1: spaces[nxt].dim}, constraint, field).kernel_basis().entries
+        kernel = block_matrix(_cochain_dims(overlaps, degree), {0: cols, 1: dims[nxt]}, constraint,
+                              field).kernel_basis().entries
         top, bottom = kernel[:cols, :], kernel[cols:, :]
         blocks = {i: (blocks[i] @ top) % field.p for i in blocks}
         blocks[nxt] = bottom
@@ -384,7 +345,7 @@ class TotalCohomologyReport:
 def total_cohomology(diagram: GluedDiagram, q_max: int) -> TotalCohomologyReport:
     """Cohomology of the intersection bicomplex's total complex.
 
-    Columns are the level-(p+1) tuple spaces, rows the Cech degrees; the
+    Columns are the level-(p+1) cochains, rows the Cech degrees; the
     total differential is the difference map plus (-1)^p times the
     columnwise coboundary.  The result must match the union nerve.
     """
@@ -406,7 +367,8 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
     q_top = max(diagram.nerve.dim, 0)
     k_max = n_cols - 1 + q_top + 1
     # total degree k: the cochains of bidegree (p, k - p), on the level-(p+1) index sets
-    dims = [{(p, k - p): tuple_space(diagram, p + 1, k - p).dim for p in range(n_cols) if 0 <= k - p <= q_top + 1}
+    dims = [{(p, k - p): sum(_cochain_dims(diagram.level(p + 1), k - p).values())
+             for p in range(n_cols) if 0 <= k - p <= q_top + 1}
             for k in range(k_max + 2)]
 
     def blocks(k: int):
@@ -415,33 +377,13 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
                 yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q).entries
             if q <= q_top:
                 # d^q on each block; degrees q and q+1 share the level's index sets
-                src, tgt = tuple_space(diagram, p + 1, q), tuple_space(diagram, p + 1, q + 1)
-                d = block_matrix(tgt.dims, src.dims, ((t, t, coboundary_matrix(s.complex, q, field).entries)
-                                                      for t, s in src.blocks), field).entries
+                nerves = diagram.level(p + 1)
+                d = block_matrix(_cochain_dims(nerves, q + 1), _cochain_dims(nerves, q),
+                                 ((t, t, coboundary_matrix(n, q, field).entries) for t, n in nerves.items()),
+                                 field).entries
                 yield (p, q + 1), (p, q), -d if p % 2 else d
 
     return [block_matrix(dims[k + 1], dims[k], blocks(k), field) for k in range(k_max + 1)]
-
-
-@dataclass(frozen=True)
-class TupleCohomology:
-    level: int
-    degree: int
-    blocks: tuple[tuple[tuple[str, ...], CohomologyBasis], ...]
-
-    @cached_property
-    def dims(self) -> dict[tuple[str, ...], int]:
-        return {t: coh.dimension for t, coh in self.blocks}
-
-    @cached_property
-    def dim(self) -> int:
-        return sum(self.dims.values())
-
-
-def tuple_cohomology(diagram: GluedDiagram, level: int, degree: int) -> TupleCohomology:
-    blocks = tuple((t, cohomology(diagram.intersection_nerve(t), degree, diagram.field))
-                   for t in diagram.nonempty_subsets(level))
-    return TupleCohomology(level, degree, blocks)
 
 
 def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
@@ -453,15 +395,15 @@ def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMa
     signed restriction on its own and summing.
     """
     field = diagram.field
-    src = tuple_cohomology(diagram, level, degree)
-    tgt = tuple_cohomology(diagram, level + 1, degree)
-    reps = block_matrix(tuple_space(diagram, level, degree).dims, src.dims,
-                        ((t, t, coh.representatives.entries) for t, coh in src.blocks), field)
+    src, tgt = diagram.level(level), diagram.level(level + 1)
+    src_h = {t: cohomology(k, degree, field) for t, k in src.items()}
+    tgt_h = {t: cohomology(k, degree, field) for t, k in tgt.items()}
+    reps = block_matrix(_cochain_dims(src, degree), {t: h.dimension for t, h in src_h.items()},
+                        ((t, t, h.representatives.entries) for t, h in src_h.items()), field)
     image = (delta_tilde(diagram, level, degree) @ reps).entries
-    offsets = tuple_space(diagram, level + 1, degree).offsets
-    coords = ((t, "src", class_coordinates(coh, image[offsets[t]:offsets[t] + coh.space.dim]))
-              for t, coh in tgt.blocks)
-    return block_matrix(tgt.dims, {"src": src.dim}, coords, field)
+    rows, _ = _ranges(_cochain_dims(tgt, degree))
+    coords = ((t, "src", class_coordinates(h, image[rows[t]])) for t, h in tgt_h.items())
+    return block_matrix({t: h.dimension for t, h in tgt_h.items()}, {"src": reps.cols}, coords, field)
 
 
 def _connectivity(diagram: GluedDiagram) -> tuple[dict[tuple[str, ...], int], tuple[tuple[str, ...], ...]]:

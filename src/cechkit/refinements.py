@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cochains import coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
-from .complexes import SimplicialComplex
+from .cochains import _cochain_dims, coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
+from .complexes import EMPTY_COMPLEX, SimplicialComplex
 from .diagrams import GluedDiagram
 from .fplinalg import FMatrix, block_matrix
-from .mv import connecting_homomorphism, delta_tilde, phi_star, tuple_space
+from .mv import connecting_homomorphism, delta_tilde, phi_star
 
 
 class InvalidRefinement(ValueError):
@@ -102,16 +102,16 @@ def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialC
 
 
 def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
-    """Blockwise pullback between the level-p tuple spaces of the two diagrams, built once.
+    """Blockwise pullback between the level-p cochains of the two diagrams, built once.
 
     A fine N_T is nonempty only where the coarse one is, since labels map
     piece by piece; where it is empty, its block has no rows.
     """
     if (level, degree) not in r.pullbacks:
-        coarse = tuple_space(r.coarse, level, degree)
-        maps = {t: _pullback(r, r.fine.intersection_nerve(t), space.complex, degree).entries
-                for t, space in coarse.blocks}
-        r.pullbacks[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()}, coarse.dims,
+        fine, coarse = r.fine.level(level), r.coarse.level(level)
+        maps = {t: _pullback(r, fine.get(t, EMPTY_COMPLEX), k, degree).entries for t, k in coarse.items()}
+        r.pullbacks[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()},
+                                                  _cochain_dims(coarse, degree),
                                                   ((t, t, m) for t, m in maps.items()), r.fine.field)
     return r.pullbacks[level, degree]
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cechkit import cochains
 from cechkit.cochains import (
-    CochainSpace,
     NotSimplicial,
     NotSubcomplex,
     class_coordinates,
@@ -35,12 +34,13 @@ def theta():
     return build_complex([["a", "b"], ["a", "c1"], ["b", "c1"], ["a", "c2"], ["b", "c2"]])
 
 
-def cochain(space, values):
-    """The vector of the cochain {simplex: value}, indexed by space.index."""
-    vec = np.zeros(space.dim, dtype=np.int64)
+def cochain(k, q, field, values):
+    """The vector of the q-cochain {simplex: value} on k, indexed by k.index_of_dim(q)."""
+    index = k.index_of_dim(q)
+    vec = np.zeros(len(index), dtype=np.int64)
     for simplex, value in values.items():
-        vec[space.index[simplex]] = value
-    return vec % space.field.p
+        vec[index[simplex]] = value
+    return vec % field.p
 
 
 def brute_h1_dim_f2(k):
@@ -65,15 +65,15 @@ def brute_h1_dim_f2(k):
 def test_differential_single_edge_signs():
     k = build_complex([["a", "b"]])
     field = PrimeField(5)
-    df = coboundary_matrix(k, 0, field).apply(cochain(CochainSpace(k, 0, field), {("a",): 2, ("b",): 3}))
-    assert df[CochainSpace(k, 1, field).index[("a", "b")]] == (3 - 2) % 5
+    df = coboundary_matrix(k, 0, field).apply(cochain(k, 0, field, {("a",): 2, ("b",): 3}))
+    assert df[k.index_of_dim(1)[("a", "b")]] == (3 - 2) % 5
 
 
 def test_differential_triangle_signs():
     # (df)(abc) = f(bc) - f(ac) + f(ab): face i of abc drops vertex i and carries (-1)^i
     k = build_complex([["a", "b", "c"]])
     field = PrimeField(7)
-    f = cochain(CochainSpace(k, 1, field), {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 4})
+    f = cochain(k, 1, field, {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 4})
     assert coboundary_matrix(k, 1, field).apply(f).tolist() == [(4 - 2 + 1) % 7]
 
 
@@ -127,7 +127,7 @@ def test_h0_matches_components(gallery_diagram):
 
 def test_restrict_identity_and_empty():
     k = cycle4()
-    f = cochain(CochainSpace(k, 1, F2), {("l", "o1"): 1})
+    f = cochain(k, 1, F2, {("l", "o1"): 1})
     assert np.array_equal(restriction_matrix(k, k, 1, F2).apply(f), f)
     empty = restriction_matrix(k, EMPTY_COMPLEX, 1, F2)
     assert (empty.rows, empty.cols) == (0, 4) and empty.apply(f).shape == (0,)
@@ -136,13 +136,13 @@ def test_restrict_identity_and_empty():
 def test_restrict_to_piece_path():
     k = cycle4()
     path = build_complex([["l", "o1"], ["o1", "r"]])
-    space, sub = CochainSpace(k, 1, F2), CochainSpace(path, 1, F2)
+    index, sub = k.index_of_dim(1), path.index_of_dim(1)
     res = restriction_matrix(k, path, 1, F2)
-    g = res.apply(cochain(space, {("l", "o1"): 1, ("o2", "r"): 1}))
-    assert g[sub.index[("l", "o1")]] == 1 and g[sub.index[("o1", "r")]] == 0
+    g = res.apply(cochain(k, 1, F2, {("l", "o1"): 1, ("o2", "r"): 1}))
+    assert g[sub[("l", "o1")]] == 1 and g[sub[("o1", "r")]] == 0
     # each row picks its own simplex out of the big complex's simplices
-    for simplex, row in sub.index.items():
-        assert res.entries[row].tolist() == [int(col == space.index[simplex]) for col in range(space.dim)]
+    for simplex, row in sub.items():
+        assert res.entries[row].tolist() == [int(col == index[simplex]) for col in range(len(index))]
 
 
 def test_restrict_requires_subcomplex():
@@ -179,15 +179,15 @@ def test_restriction_is_memoised_by_target_value_and_still_checks_each_new_pair(
 def test_extend_by_zero_is_the_transpose_of_restriction():
     k = cycle4()
     sub = build_complex([["l"], ["r"]])
-    space, sub_space = CochainSpace(k, 0, F2), CochainSpace(sub, 0, F2)
+    dim, sub_dim = len(k.index_of_dim(0)), len(sub.index_of_dim(0))
     restrict = restriction_matrix(k, sub, 0, F2)
-    f = cochain(sub_space, {("l",): 1})
+    f = cochain(sub, 0, F2, {("l",): 1})
     big = restrict.T.apply(f)
-    assert np.array_equal(big, cochain(space, {("l",): 1, ("r",): 0, ("o1",): 0, ("o2",): 0}))
+    assert np.array_equal(big, cochain(k, 0, F2, {("l",): 1, ("r",): 0, ("o1",): 0, ("o2",): 0}))
     assert np.array_equal(restrict.apply(big), f)
-    assert (restrict @ restrict.T).equals(FMatrix.identity(sub_space.dim, F2))
-    assert not restrict.T.apply(np.zeros(sub_space.dim, dtype=np.int64)).any()
-    assert restriction_matrix(k, k, 0, F2).T.equals(FMatrix.identity(space.dim, F2))
+    assert (restrict @ restrict.T).equals(FMatrix.identity(sub_dim, F2))
+    assert not restrict.T.apply(np.zeros(sub_dim, dtype=np.int64)).any()
+    assert restriction_matrix(k, k, 0, F2).T.equals(FMatrix.identity(dim, F2))
 
 
 def test_restriction_is_chain_map(gallery_diagram):
@@ -260,7 +260,6 @@ def test_quotient_map_on_h1_degree_one_variant_is_injective():
 def test_class_coordinates_brute_force_cross_check():
     k = cycle4()
     coh = cohomology(k, 1, F2)
-    space = CochainSpace(k, 1, F2)
     d0 = coboundary_matrix(k, 0, F2)
     coboundaries = {tuple(d0.apply(np.array(v)).tolist())
                     for v in itertools.product((0, 1), repeat=4)}
@@ -293,7 +292,7 @@ def greedy_extend_basis(b: FMatrix, z: FMatrix) -> FMatrix:
 def assert_matches_greedy(k, field):
     for q in (0, 1, 2):
         coh = cohomology(k, q, field)
-        dim = coh.space.dim
+        dim = len(k.simplices_of_dim(q))
         if q == 0:
             b = FMatrix.zeros(dim, 0, field)
         else:
@@ -389,10 +388,10 @@ def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_elimin
         FMatrix.identity(coh.dimension, F2))
     assert len(calls) == 1
     calls.clear()
-    induced = induced_on_cohomology(restriction_matrix(nerve, piece.space.complex, 1, F2), coh, piece)
+    induced = induced_on_cohomology(restriction_matrix(nerve, piece.complex, 1, F2), coh, piece)
     assert len(calls) == 1
     # the batched solve equals one class_coordinates solve per class
-    image = restriction_matrix(nerve, piece.space.complex, 1, F2) @ coh.representatives
+    image = restriction_matrix(nerve, piece.complex, 1, F2) @ coh.representatives
     for j in range(coh.dimension):
         assert np.array_equal(induced.column(j), class_coordinates(piece, image.column(j)))
 
@@ -412,7 +411,7 @@ def test_coboundary_is_built_once_per_complex_degree_and_field(monkeypatch):
     d1 = coboundary_matrix(k, 1, F2)
     assert sorted(built) == [(0, 2), (1, 2), (2, 2)]
     assert coboundary_matrix(k, 1, F2) is d1
-    assert (d1.rows, d1.cols) == (CochainSpace(k, 2, F2).dim, CochainSpace(k, 1, F2).dim)
+    assert (d1.rows, d1.cols) == (len(k.simplices_of_dim(2)), len(k.simplices_of_dim(1)))
     coboundary_matrix(k, 1, PrimeField(3))
     assert built[-1] == (1, 3)
 
@@ -429,7 +428,7 @@ def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
     k = theta()
     coh = cohomology(k, 1, F2)
     again = cohomology(k, 1, F2)
-    assert again.space == coh.space and again.space.complex is k
+    assert again == coh and again.complex is k
     assert again.representatives is coh.representatives
     assert cohomology(k, 1, PrimeField(3)).representatives is not coh.representatives
     assert cohomology(theta(), 1, F2).representatives is not coh.representatives

@@ -271,6 +271,9 @@ def assert_nonempty_subsets_exact(d):
     for size in range(1, d.n_pieces + 2):
         want = [t for t in d.index_subsets(size) if d.intersection_nerve(t).simplices]
         assert list(got[size]) == want, size
+        assert list(d.level(size)) == list(d.nonempty_subsets(size)), size
+        for t, nerve in d.level(size).items():
+            assert nerve is d.intersection_nerve(t), t
         for t in d.index_subsets(size):
             plain = frozenset.intersection(*(d.nerves[i].simplices for i in t))
             assert d.intersection_nerve(t).simplices == plain, t

@@ -10,7 +10,7 @@ from cechkit.documents import (
     NonPrimeModulus,
     ParseError,
     canonical_json,
-    load_diagram,
+    decode_document,
     parse_document,
 )
 from cechkit.gallery import GALLERY_NAMES, MAX_PIECES, BadGalleryParameter, gallery_document
@@ -24,7 +24,7 @@ def write_doc(tmp_path, doc, name="doc.json"):
 
 def test_load_two_origin(tmp_path):
     path = write_doc(tmp_path, gallery_document("two_origin_line"))
-    parsed = load_diagram(path)
+    parsed = parse_document(decode_document(path.read_bytes()))
     assert len(parsed.system.pieces) == 2
     diagram = canonicalize(parsed.system)
     assert len(diagram.nerve.vertices) == 4
@@ -97,7 +97,7 @@ def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  \"field\": 2,,\n}", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_diagram(path)
+        parse_document(decode_document(path.read_bytes()))
     assert "line" in str(err.value)
 
 
@@ -105,7 +105,7 @@ def test_document_that_is_not_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(canonical_json(gallery_document("two_origin_line")).replace("p1", "p\u00e9").encode("latin-1"))
     with pytest.raises(ParseError, match="not UTF-8"):
-        load_diagram(path)
+        parse_document(decode_document(path.read_bytes()))
 
 
 def test_gallery_emission_round_trip_stable(tmp_path, capsys):

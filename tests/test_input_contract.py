@@ -137,3 +137,30 @@ def test_the_module_entry_point_exits_0_1_or_2_without_a_traceback(tmp_path):
         assert "Traceback" not in done.stderr
         if want == 2:
             assert done.stderr.startswith("input error: ") and done.stderr.count("\n") == 1
+
+
+def _merged_local_label(doc):
+    """p2 calls the class of l1 "k1"; canonicalisation names it l1, so the map's k1 names nothing."""
+    fine = doc["refinement"]["fine"]
+    fine["pieces"][1]["simplices"][0] = ["k1", "l2"]
+    fine["gluings"][0]["pairs"][0] = ["l1", "k1"]
+    doc["refinement"]["map"].append(["k1", "l"])
+    return "k1"
+
+
+def _unknown_label(doc):
+    doc["refinement"]["map"].append(["zzz", "l"])
+    return "zzz"
+
+
+def test_a_refinement_map_naming_a_label_the_fine_diagram_lacks_is_one_input_error(tmp_path):
+    # dropped, the entry would leave a verdict on a map the document did not give; it is refused instead
+    for mutate in (_unknown_label, _merged_local_label):
+        doc = gallery_document("two_origin_line")
+        label = mutate(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        code, out, err = _run(["--report", str(tmp_path / "report.json"), "refine-check", str(path)])
+        assert code == 2 and out == "", (label, err)
+        assert err == f"input error: $.refinement.map: map names labels the fine diagram does not have " \
+                      f"['{label}']\n"

@@ -38,29 +38,39 @@ def block_diagonal(blocks, field):
     return FMatrix(m, field)
 
 
+def level_offsets(nerves, degree):
+    """Each index set's first coordinate in the level's cochains, and the level's dimension."""
+    offsets = {}
+    pos = 0
+    for t, nerve in nerves.items():
+        offsets[t] = pos
+        pos += len(nerve.simplices_of_dim(degree))
+    return offsets, pos
+
+
 def reference_phi_star(diagram, degree):
     field = diagram.field
     src_dim = len(diagram.nerve.simplices_of_dim(degree))
-    tgt = mv.tuple_space(diagram, 1, degree)
     m = np.vstack([np.zeros((0, src_dim), dtype=np.int64)]
-                  + [restriction_matrix(diagram.nerve, space.complex, degree, field).entries
-                     for _, space in tgt.blocks])
+                  + [restriction_matrix(diagram.nerve, nerve, degree, field).entries
+                     for nerve in diagram.level(1).values()])
     return FMatrix(m, field)
 
 
 def reference_delta_tilde(diagram, level, degree):
     field = diagram.field
-    src = mv.tuple_space(diagram, level, degree)
-    tgt = mv.tuple_space(diagram, level + 1, degree)
-    m = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for t_prime, tgt_space in tgt.blocks:
-        row = tgt.offsets[t_prime]
+    src, tgt = diagram.level(level), diagram.level(level + 1)
+    src_offsets, src_dim = level_offsets(src, degree)
+    tgt_offsets, tgt_dim = level_offsets(tgt, degree)
+    m = np.zeros((tgt_dim, src_dim), dtype=np.int64)
+    for t_prime, tgt_nerve in tgt.items():
+        row = tgt_offsets[t_prime]
         for a in range(len(t_prime)):
             t = t_prime[:a] + t_prime[a + 1:]
-            src_space = src.block(t)
-            res = restriction_matrix(src_space.complex, tgt_space.complex, degree, field).entries
-            col = src.offsets[t]
-            m[row:row + tgt_space.dim, col:col + src_space.dim] += (-1) ** (a + 1) * res
+            res = restriction_matrix(src[t], tgt_nerve, degree, field).entries
+            col = src_offsets[t]
+            h, w = len(tgt_nerve.simplices_of_dim(degree)), len(src[t].simplices_of_dim(degree))
+            m[row:row + h, col:col + w] += (-1) ** (a + 1) * res
     return FMatrix(m, field)
 
 
@@ -68,13 +78,16 @@ def reference_total_differentials(diagram):
     field = diagram.field
     n_cols = diagram.n_pieces
     q_top = max(diagram.nerve.dim, 0)
-    spaces = {(p, q): mv.tuple_space(diagram, p + 1, q) for p in range(n_cols) for q in range(q_top + 2)}
+    levels = {p: diagram.level(p + 1) for p in range(n_cols)}
 
     def total_blocks(k):
         return [(p, k - p) for p in range(n_cols) if 0 <= k - p <= q_top + 1]
 
+    def block_dim(p, q):
+        return level_offsets(levels[p], q)[1]
+
     def total_dim(k):
-        return sum(spaces[b].dim for b in total_blocks(k))
+        return sum(block_dim(*b) for b in total_blocks(k))
 
     k_max = n_cols - 1 + q_top + 1
     differentials = []
@@ -83,18 +96,18 @@ def reference_total_differentials(diagram):
         pos = 0
         for b in total_blocks(k + 1):
             tgt_off[b] = pos
-            pos += spaces[b].dim
+            pos += block_dim(*b)
         m = np.zeros((total_dim(k + 1), total_dim(k)), dtype=np.int64)
         col = 0
         for (p, q) in total_blocks(k):
-            src_dim = spaces[(p, q)].dim
+            src_dim = block_dim(p, q)
             if p + 1 < n_cols and (p + 1, q) in tgt_off:
                 horiz = reference_delta_tilde(diagram, p + 1, q).entries
                 r = tgt_off[(p + 1, q)]
                 m[r:r + horiz.shape[0], col:col + src_dim] += horiz
             if (p, q + 1) in tgt_off:
-                vert = block_diagonal([coboundary_matrix(s.complex, q, field).entries
-                                       for _, s in spaces[(p, q)].blocks], field).entries
+                vert = block_diagonal([coboundary_matrix(nerve, q, field).entries
+                                       for nerve in levels[p].values()], field).entries
                 r = tgt_off[(p, q + 1)]
                 m[r:r + vert.shape[0], col:col + src_dim] += ((-1) ** p) * vert
             col += src_dim
@@ -104,8 +117,8 @@ def reference_total_differentials(diagram):
 
 def reference_tuple_pullback(r, level, degree):
     return block_diagonal([
-        pullback_map(r.labels, r.fine.intersection_nerve(t), space.complex, degree, r.fine.field).entries
-        for t, space in mv.tuple_space(r.coarse, level, degree).blocks], r.fine.field)
+        pullback_map(r.labels, r.fine.intersection_nerve(t), nerve, degree, r.fine.field).entries
+        for t, nerve in r.coarse.level(level).items()], r.fine.field)
 
 
 def reference_parallel_system(cocycle):

@@ -6,7 +6,7 @@ import pytest
 from cechkit import cli, cochains, diagrams, fplinalg, mv
 from cechkit.cli import run_command
 from cechkit.cochains import cohomology, induced_on_cohomology, restriction_matrix
-from cechkit.complexes import build_complex, intersect
+from cechkit.complexes import SimplicialComplex, build_complex, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
     IncompatibleFamily,
@@ -31,8 +31,6 @@ from cechkit.mv import (
     inductive_fibred_dim,
     phi_star,
     total_cohomology,
-    tuple_cohomology,
-    tuple_space,
     verify_exact_sequence,
 )
 
@@ -50,7 +48,8 @@ def test_phi_star_single_piece_identity():
 
 def test_phi_star_two_origin_injective(two_origin):
     m = phi_star(two_origin, 0)
-    assert (m.rows, m.cols) == (tuple_space(two_origin, 1, 0).dim, len(two_origin.nerve.vertices)) == (6, 4)
+    level1_dim = sum(len(k.simplices_of_dim(0)) for k in two_origin.level(1).values())
+    assert (m.rows, m.cols) == (level1_dim, len(two_origin.nerve.vertices)) == (6, 4)
     assert m.rank() == 4
     assert m.kernel_basis().cols == 0
 
@@ -64,10 +63,11 @@ def test_delta_tilde_binary_is_first_minus_second():
     # over F_3 the signs are visible: f1 restriction carries +1, f2 carries -1
     d3 = canonicalize(parse_document(gallery_document("two_origin_line", field=3)).system)
     m = delta_tilde(d3, 1, 0).entries
-    level1 = tuple_space(d3, 1, 0)
-    basis_p1 = level1.block(("p1",)).basis
-    basis_p2 = level1.block(("p2",)).basis
-    off_p2 = level1.offsets[("p2",)]
+    level1 = d3.level(1)
+    basis_p1 = level1[("p1",)].simplices_of_dim(0)
+    basis_p2 = level1[("p2",)].simplices_of_dim(0)
+    assert list(level1) == [("p1",), ("p2",)]
+    off_p2 = len(basis_p1)
     # row for vertex l of the intersection
     assert m[0, basis_p1.index(("l",))] == 1
     assert m[0, off_p2 + basis_p2.index(("l",))] == 2
@@ -368,11 +368,13 @@ def test_empty_intersection_blocks_are_fine():
 def test_tuple_space_has_no_empty_block(necklace):
     d = glued_from_nerves(necklace(6, True), F2)
     for level in range(1, d.n_pieces + 1):
+        nerves = d.level(level)
         for q in (0, 1, 2):
-            space = tuple_space(d, level, q)
-            assert [t for t, _ in space.blocks] == list(d.nonempty_subsets(level))
-            assert all(block.complex.simplices for _, block in space.blocks)
-            assert space.dim == sum(len(d.intersection_nerve(t).simplices_of_dim(q))
+            assert list(nerves) == list(d.nonempty_subsets(level))
+            assert all(nerve.simplices for nerve in nerves.values())
+            # the map into the level has one row per q-simplex of every intersection, empty ones included
+            into = phi_star(d, q) if level == 1 else delta_tilde(d, level - 1, q)
+            assert into.rows == sum(len(d.intersection_nerve(t).simplices_of_dim(q))
                                     for t in d.index_subsets(level))
 
 
@@ -404,6 +406,27 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
     assert len(count_report["h1_dims"]) == 2 ** 8 - 1
     assert eliminated and set(eliminated.values()) == {1}
     assert cut and all(k.simplices for k in cut)
+
+
+def test_each_complex_builds_its_simplex_index_at_most_once(necklace_document, tmp_path, monkeypatch):
+    returned = {}  # (complex id, q) -> ids of the index dicts handed out
+    alive = []  # complexes and indexes stay referenced, so no id is reused by a later one
+    real = SimplicialComplex.index_of_dim
+
+    def recording(k, q):
+        index = real(k, q)
+        alive.append((k, index))
+        returned.setdefault((id(k), q), set()).add(id(index))
+        return index
+
+    monkeypatch.setattr(SimplicialComplex, "index_of_dim", recording)
+    ring = tmp_path / "ring8.json"
+    ring.write_text(canonical_json(necklace_document(8, True)), encoding="utf-8")
+    bug_eyed = tmp_path / "bug_eyed.json"
+    bug_eyed.write_text(canonical_json(gallery_document("bug_eyed_circle")), encoding="utf-8")
+    for command, path in (("mv", ring), ("fibred", ring), ("refine-check", bug_eyed)):
+        assert run_command(command, {"path": path})[1] == 0, command
+    assert returned and all(len(ids) == 1 for ids in returned.values())
 
 
 COMMAND_DOCUMENTS = (
@@ -470,13 +493,13 @@ def test_descended_maps_take_one_solve_per_target_block(count_eliminations, thre
         for q in (0, 1):
             # bases and difference maps first, so only the descent's solves are counted
             delta_tilde(three_circles, level, q)
-            src = tuple_cohomology(three_circles, level, q)
-            blocks = tuple_cohomology(three_circles, level + 1, q).blocks
-            for _, coh in src.blocks + blocks:
+            src = [cohomology(k, q, three_circles.field) for k in three_circles.level(level).values()]
+            blocks = [cohomology(k, q, three_circles.field) for k in three_circles.level(level + 1).values()]
+            for coh in src + blocks:
                 assert coh.representatives.cols == coh.dimension
             calls.clear()
             descended_delta_tilde(three_circles, level, q)
-            assert len(calls) == (len(blocks) if src.dim else 0)
+            assert len(calls) == (len(blocks) if sum(coh.dimension for coh in src) else 0)
             solves += len(calls)
     assert solves
     assert cohomology(two_origin.nerve, 1, two_origin.field).representatives.cols == 1
