@@ -45,7 +45,7 @@ from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram
 from .errors import InputError, ResourceLimit
-from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix
+from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix, product
 
 Edge = tuple[str, str]
 
@@ -308,7 +308,7 @@ def enumerate_line_bundles(diagram: GluedDiagram) -> LineBundles:
                             f"dim H^1 = {coh.dimension} gives 2^{coh.dimension}")
     masks = np.arange(2 ** coh.dimension)
     # Column `mask` of `classes` sums the representatives at the set bits of mask.
-    classes = coh.representatives.entries @ (masks >> np.arange(coh.dimension)[:, None] & 1) % 2
+    classes = product(coh.representatives.entries, masks >> np.arange(coh.dimension)[:, None] & 1, 2)
     return LineBundles(diagram, coh, classes)
 
 

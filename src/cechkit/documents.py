@@ -130,6 +130,10 @@ def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
         pid = entry["id"]
         if not isinstance(pid, str) or not pid:
             raise ParseError("piece id must be a nonempty string", path)
+        # Reports key an index set by its ids joined with ",", so an id holding
+        # one could name two index sets with one key.
+        if "," in pid:
+            raise ParseError(f"piece id {pid!r} contains ','", path)
         if pid in seen:
             raise ParseError(f"duplicate piece id {pid!r}", path)
         seen.add(pid)

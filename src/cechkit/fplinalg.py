@@ -2,8 +2,17 @@
 
 Every cohomology computation in this package reduces to rank, kernel and
 solve calls on small matrices with entries in F_p.  Matrices are numpy
-int64 arrays normalised to the range [0, p); all routines are
+int64 arrays normalised to the range [0, p), each reduced once, when it
+is built from entries that may lie outside it; all routines are
 deterministic, so repeated runs give identical output.
+
+One function multiplies: `product` is the exact product mod p, run on
+float64 BLAS in the manner of FFLAS (Dumas, Giorgi and Pernet 2008).
+float64 holds every integer up to 2^53 - 1 exactly, and a sum of n
+products of entries in [0, p) is at most n * (p - 1)^2, so the inner
+dimension is cut into chunks of at most (2^53 - 1) // (p - 1)^2 terms,
+each summed exactly in any order and reduced before the next is added.
+At p = 65521 a chunk is 2,098,176 terms, so every matrix here is one.
 
 One function eliminates: `echelon` runs forward elimination and picks
 its method from the field.  Its pivot columns give rank and column
@@ -51,9 +60,12 @@ class ModulusTooLarge(InputError):
 
 
 # The largest prime below 2^16.  The elimination computes in Python ints, so
-# the bound is for `@` and `apply`: their int64 sums of n products of entries
-# below p stay exact while n * (p - 1)^2 < 2^63, that is for n below 2^31.
+# the bound is for `product`: each float64 chunk sums at most
+# (2^53 - 1) // (p - 1)^2 products of entries below p, 2,098,176 at this p.
 MAX_PRIME = 65521
+
+# Every integer from 0 to this is exact in float64.
+_FLOAT64_EXACT = 2 ** 53 - 1
 
 
 class DimensionMismatch(ValueError):
@@ -93,11 +105,30 @@ class PrimeField:
 F2 = PrimeField(2)
 
 
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """An int64 array mod p; over F_2 its low bit, which needs no division."""
+    return a & 1 if p == 2 else a % p
+
+
 def _normalise(entries, p: int) -> np.ndarray:
     a = np.asarray(entries, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    return a % p
+    return _reduce(a, p)
+
+
+def product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exactly, for int64 entries in [0, p); b may be one vector.
+
+    Each chunk of the inner dimension is one float64 BLAS product whose
+    sums stay below 2^53, so it is exact whatever the summation order.
+    """
+    step = _FLOAT64_EXACT // (p - 1) ** 2
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    out = _reduce((a[:, :step] @ b[:step]).astype(np.int64), p)
+    for s in range(step, a.shape[1], step):
+        out = _reduce(out + _reduce((a[:, s:s + step] @ b[s:s + step]).astype(np.int64), p), p)
+    return out
 
 
 def _f2_rows(a: np.ndarray) -> list[int]:
@@ -226,9 +257,9 @@ class Echelon:
 def echelon(a: np.ndarray, p: int) -> Echelon:
     """Forward elimination of a mod p: the one place a matrix is eliminated."""
     if p != 2:
-        table = _odd_echelon(_odd_rows(a % p), p)
+        table = _odd_echelon(_odd_rows(_reduce(a, p)), p)
         return Echelon(a.shape, p, sorted(table), table)
-    table = _f2_echelon(_f2_rows(a % 2))
+    table = _f2_echelon(_f2_rows(_reduce(a, 2)))
     return Echelon(a.shape, p, sorted(a.shape[1] - lead for lead in table), table)
 
 
@@ -256,6 +287,15 @@ class FMatrix:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
+    def _of(cls, entries: np.ndarray, field: PrimeField) -> "FMatrix":
+        """Wrap a 2-d int64 array already in [0, p), without reducing it again."""
+        m = object.__new__(cls)
+        entries.setflags(write=False)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "field", field)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, field: PrimeField) -> "FMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), field)
 
@@ -279,7 +319,7 @@ class FMatrix:
 
     @property
     def T(self) -> "FMatrix":
-        return FMatrix(self.entries.T, self.field)
+        return FMatrix._of(self.entries.T, self.field)
 
     def column(self, j: int) -> np.ndarray:
         return self.entries[:, j].copy()
@@ -289,16 +329,16 @@ class FMatrix:
             raise DimensionMismatch("field mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return FMatrix((self.entries @ other.entries) % self.field.p, self.field)
+        return FMatrix._of(product(self.entries, other.entries, self.field.p), self.field)
 
     def __neg__(self) -> "FMatrix":
         return FMatrix(-self.entries, self.field)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.int64) % self.field.p
+        v = _reduce(np.asarray(vector, dtype=np.int64), self.field.p)
         if v.shape[0] != self.cols:
             raise DimensionMismatch(f"vector length {v.shape[0]} != {self.cols} columns")
-        return (self.entries @ v) % self.field.p
+        return product(self.entries, v, self.field.p)
 
     def equals(self, other: "FMatrix") -> bool:
         return (self.field.p == other.field.p
@@ -320,7 +360,11 @@ class FMatrix:
         return r, self.cols - r
 
     def kernel_basis(self) -> "FMatrix":
-        """One column per free variable: 1 there, 0 at the other free ones."""
+        """One column per free variable: 1 there, 0 at the other free ones; built once per matrix."""
+        return self._kernel
+
+    @cached_property
+    def _kernel(self) -> "FMatrix":
         e = self._echelon
         pivots = e.pivots
         free = np.ones(self.cols, dtype=bool)
@@ -353,7 +397,7 @@ class FMatrix:
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""
-        return FMatrix(self.entries[:, self._echelon.pivots], self.field)
+        return FMatrix._of(self.entries[:, self._echelon.pivots], self.field)
 
     def inverse(self) -> "FMatrix":
         if self.rows != self.cols:
@@ -363,7 +407,7 @@ class FMatrix:
         reduced, pivots = rref(aug, p)
         if pivots[: self.rows] != list(range(self.rows)):
             raise ZeroDivisionError("matrix is singular")
-        return FMatrix(reduced[:, self.rows:], self.field)
+        return FMatrix._of(reduced[:, self.rows:], self.field)
 
 
 def _ranges(dims: Mapping[Hashable, int]) -> tuple[dict[Hashable, slice], int]:

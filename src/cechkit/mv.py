@@ -35,7 +35,7 @@ from .cochains import (
 )
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
-from .fplinalg import FMatrix, _ranges, block_matrix
+from .fplinalg import FMatrix, _ranges, block_matrix, product
 
 
 class NotBinary(ValueError):
@@ -323,11 +323,11 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
         for prev, nij in overlaps.items():
             r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field).entries
             r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field).entries
-            constraint += [(prev, 0, r_prev @ blocks[prev]), (prev, 1, -r_next)]
+            constraint += [(prev, 0, product(r_prev, blocks[prev], field.p)), (prev, 1, -r_next)]
         kernel = block_matrix(_cochain_dims(overlaps, degree), {0: cols, 1: dims[nxt]}, constraint,
                               field).kernel_basis().entries
         top, bottom = kernel[:cols, :], kernel[cols:, :]
-        blocks = {i: (blocks[i] @ top) % field.p for i in blocks}
+        blocks = {i: product(blocks[i], top, field.p) for i in blocks}
         blocks[nxt] = bottom
         cols = kernel.shape[1]
     return cols, FMatrix(np.vstack([blocks[i] for i in diagram.piece_ids]), field)
@@ -386,6 +386,30 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
     return [block_matrix(dims[k + 1], dims[k], blocks(k), field) for k in range(k_max + 1)]
 
 
+def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
+    """The rank of the difference map between levels, descended to cohomology, from ranks alone.
+
+    Its image is (dZ + B) / B, where d is the difference map, Z the
+    source blocks' cocycles and B the target blocks' coboundaries, so the
+    rank is rank [dZ | (+) d^(q-1)] - sum rank d^(q-1).  Each Z is
+    back-substituted from the echelon its coboundary keeps, and each rank
+    of d^(q-1) is the one its memoised coboundary keeps; no cohomology
+    basis is built and no class is solved for.
+    """
+    field = diagram.field
+    src, tgt = diagram.level(level), diagram.level(level + 1)
+    z = {t: coboundary_matrix(k, degree, field).kernel_basis() for t, k in src.items()}
+    cocycles = block_matrix(_cochain_dims(src, degree), {t: m.cols for t, m in z.items()},
+                            ((t, t, m.entries) for t, m in z.items()), field)
+    image = (delta_tilde(diagram, level, degree) @ cocycles).entries
+    d = {t: coboundary_matrix(k, degree - 1, field) for t, k in tgt.items()} if degree else {}
+    dims = _cochain_dims(tgt, degree)
+    rows, _ = _ranges(dims)
+    blocks = [(t, "image", image[r]) for t, r in rows.items()] + [(t, t, m.entries) for t, m in d.items()]
+    joint = block_matrix(dims, {"image": image.shape[1], **{t: m.cols for t, m in d.items()}}, blocks, field)
+    return joint.rank() - sum(m.rank() for m in d.values())
+
+
 def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
     """The difference map between levels, descended to cohomology.
 
@@ -442,7 +466,8 @@ def h1_fibred_check(diagram: GluedDiagram) -> H1FibredVerdict:
     if diagram.n_pieces == 1:
         fibred_dim = h1_union
     else:
-        fibred_dim = descended_delta_tilde(diagram, 1, 1).rank_nullity()[1]
+        pieces_h1 = sum(cohomology(k, 1, field).dimension for k in diagram.level(1).values())
+        fibred_dim = pieces_h1 - descended_rank(diagram, 1, 1)
     equal = fibred_dim == h1_union
     return H1FibredVerdict(connectivity, hypothesis, disconnected, h1_union,
                            fibred_dim, equal, equal if hypothesis else True)
@@ -486,8 +511,7 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
 
     non_surjective: list[int] = []
     for level in range(1, diagram.n_pieces):
-        descended = descended_delta_tilde(diagram, level, 1)
-        if descended.rank() != descended.rows:
+        if descended_rank(diagram, level, 1) != sum(h1_dims[t] for t in diagram.level(level + 1)):
             non_surjective.append(level)
 
     ground = 2 ** cohomology(diagram.nerve, 1, diagram.field).dimension

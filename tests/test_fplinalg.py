@@ -1,6 +1,7 @@
 import ast
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cechkit
+from cechkit import fplinalg
 from cechkit.fplinalg import (
     F2,
     MAX_PRIME,
@@ -20,6 +22,7 @@ from cechkit.fplinalg import (
     block_matrix,
     echelon,
     entry_matrix,
+    product,
     rref,
 )
 
@@ -45,6 +48,10 @@ def test_prime_bound_keeps_int64_arithmetic_exact():
     field = PrimeField(p)
     row = FMatrix([[p - 1] * 3], field)
     assert (row @ FMatrix([[p - 1]] * 3, field)).entries.tolist() == [[3]]
+    # every integer up to the bound is exact in float64; at MAX_PRIME one product chunk is 2,098,176 terms
+    assert float(fplinalg._FLOAT64_EXACT) == fplinalg._FLOAT64_EXACT
+    assert float(fplinalg._FLOAT64_EXACT + 2) != fplinalg._FLOAT64_EXACT + 2
+    assert fplinalg._FLOAT64_EXACT // (p - 1) ** 2 == 2_098_176
     for big in (p + 1, 65537, 2 ** 31 - 1, 2305843009213693951):
         with pytest.raises(ModulusTooLarge, match="exceeds 65521"):
             PrimeField(big)
@@ -470,3 +477,63 @@ def test_kernel_matches_the_dense_loop(case):
         "equal_rows12x14"))
 def test_kernel_matches_the_dense_loop_on_edge_shapes(a, p):
     assert_kernel_matches_dense(a, p, np.random.default_rng(0))
+
+
+PRODUCT_PRIMES = (2, 3, 5, MAX_PRIME)
+
+
+@st.composite
+def product_cases(draw) -> tuple[np.ndarray, np.ndarray, int, int | None]:
+    """Operands with entries in [0, p), p, and a chunk length to force (None: the real bound).
+
+    Any dimension may be 0; kinds: uniform entries, every entry p - 1
+    (the largest sums), and a left or right operand of zeros.  The right
+    operand is sometimes one vector, as `FMatrix.apply` passes it.
+    """
+    p = draw(st.sampled_from(PRODUCT_PRIMES))
+    m, k, n = (draw(st.integers(0, 9)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = rng.integers(0, p, size=(m, k)), rng.integers(0, p, size=(k, n))
+    kind = draw(st.sampled_from(("uniform", "top", "zero_left", "zero_right")))
+    if kind == "top":
+        a[:], b[:] = p - 1, p - 1
+    elif kind == "zero_left":
+        a[:] = 0
+    elif kind == "zero_right":
+        b[:] = 0
+    if n and draw(st.booleans()):
+        b = b[:, 0]
+    return a, b, p, draw(st.sampled_from((None, 1, 2, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_product_matches_the_int64_product(case):
+    a, b, p, chunk = case
+    bound = fplinalg._FLOAT64_EXACT if chunk is None else chunk * (p - 1) ** 2
+    with mock.patch.object(fplinalg, "_FLOAT64_EXACT", bound):
+        got = product(a, b, p)
+    want = (a @ b) % p
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_product_reduces_each_chunk_and_each_running_sum(monkeypatch):
+    p = MAX_PRIME
+    a, b = np.full((3, 7), p - 1), np.full((7, 2), p - 1)
+    b[3] = 5
+    reductions = []
+    real = fplinalg._reduce
+
+    def reducing(x, q):
+        reductions.append(x.shape)
+        return real(x, q)
+
+    monkeypatch.setattr(fplinalg, "_reduce", reducing)
+    assert np.array_equal(product(a, b, p), (a @ b) % p)
+    assert reductions == [(3, 2)]
+    # two inner terms per chunk: 7 terms are four chunks, each reduced, and each added to the sum so far
+    monkeypatch.setattr(fplinalg, "_FLOAT64_EXACT", 2 * (p - 1) ** 2)
+    reductions.clear()
+    assert np.array_equal(product(a, b, p), (a @ b) % p)
+    assert reductions == [(3, 2)] * 7

@@ -10,6 +10,7 @@ a key deleted, a value replaced, a list entry duplicated or dropped.
 import contextlib
 import copy
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -118,6 +119,20 @@ def test_a_misspelled_bundle_piece_key_is_one_input_error(tmp_path):
     code, out, err = _run(["--report", str(tmp_path / "report.json"), "bundles", str(path)])
     assert code == 2 and out == ""
     assert err == "input error: $.bundle.pieces: unknown bundle piece keys ['edgez']\n"
+
+
+def test_a_piece_id_holding_a_comma_is_one_input_error(tmp_path):
+    # report keys join an index set's ids with ",": ("a", "b,c") and ("a,b", "c") would share "a,b,c"
+    ids = ("a", "a,b", "b,c", "c")
+    doc = {"field": 2, "pieces": [{"id": i, "simplices": [["x", "y"]]} for i in ids],
+           "gluings": [{"i": i, "j": j, "pairs": [["x", "x"], ["y", "y"]]}
+                       for i, j in itertools.combinations(ids, 2)]}
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    for command in FILE_COMMANDS:
+        code, out, err = _run(["--report", str(tmp_path / "report.json"), command, str(path)])
+        assert code == 2 and out == "", (command, code)
+        assert err == "input error: $.pieces[1]: piece id 'a,b' contains ','\n", command
 
 
 def test_the_module_entry_point_exits_0_1_or_2_without_a_traceback(tmp_path):

@@ -2,6 +2,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import GALLERY_CASES, diagram_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechkit import cli, cochains, diagrams, fplinalg, mv
 from cechkit.cli import run_command
@@ -17,7 +20,7 @@ from cechkit.diagrams import (
 )
 from cechkit.documents import canonical_json, parse_document
 from cechkit.fplinalg import F2, FMatrix, PrimeField
-from cechkit.gallery import gallery_document
+from cechkit.gallery import gallery_document, random_admissible
 from cechkit.mv import (
     NotBinary,
     WrongField,
@@ -26,6 +29,7 @@ from cechkit.mv import (
     count_line_bundles,
     delta_tilde,
     descended_delta_tilde,
+    descended_rank,
     fibred_product,
     h1_fibred_check,
     inductive_fibred_dim,
@@ -166,6 +170,31 @@ def test_descended_difference_map_is_alpha_of_the_long_exact_sequence(p):
         diagram = canonicalize(parse_document(doc).system)
         for q in range(diagram.nerve.dim + 2):
             assert descended_delta_tilde(diagram, 1, q).equals(_alpha_by_hand(diagram, q))
+
+
+def assert_descended_rank_is_the_rank_of_the_descended_map(diagram) -> int:
+    """Check every level and q in {0, 1, 2}; return the sum of the ranks."""
+    total = 0
+    for level in range(1, diagram.n_pieces):
+        for q in (0, 1, 2):
+            rank = descended_rank(diagram, level, q)
+            assert rank == descended_delta_tilde(diagram, level, q).rank(), (level, q)
+            total += rank
+    return total
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_descended_rank_is_the_rank_of_the_descended_map_on_the_gallery(p):
+    ranks = [assert_descended_rank_is_the_rank_of_the_descended_map(diagram_for(name, field=p, **kwargs))
+             for name, kwargs in GALLERY_CASES]
+    assert any(ranks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from((2, 3, 5)), n=st.integers(2, 5))
+def test_descended_rank_is_the_rank_of_the_descended_map_on_random_diagrams(seed, p, n):
+    diagram = canonicalize(parse_document(random_admissible(seed, field=p, n_pieces=n)).system)
+    assert_descended_rank_is_the_rank_of_the_descended_map(diagram)
 
 
 def test_assemble_les_bug_eyed(bug_eyed, necklace, monkeypatch):
@@ -380,14 +409,21 @@ def test_tuple_space_has_no_empty_block(necklace):
 
 def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklace_document,
                                                                          tmp_path, monkeypatch):
-    eliminated = Counter()
-    alive = []  # complexes stay referenced, so no id is reused by a later one
-    real_basis = cochains._cohomology_basis
+    eliminated = Counter()  # (complex id, q, p) -> eliminations of that complex's d^q
+    owner = {}  # id of each d^q's entries -> (complex id, q, p)
+    alive = []  # complexes and coboundaries stay referenced, so no id is reused by a later one
+    real_coboundary, real_echelon = cochains._coboundary, fplinalg.echelon
 
-    def counting(k, q, field):
-        eliminated[(id(k), q, field.p)] += 1
-        alive.append(k)
-        return real_basis(k, q, field)
+    def building(k, q, field):
+        d = real_coboundary(k, q, field)
+        owner[id(d.entries)] = (id(k), q, field.p)
+        alive.append((k, d))
+        return d
+
+    def eliminating(a, p):
+        if id(a) in owner:
+            eliminated[owner[id(a)]] += 1
+        return real_echelon(a, p)
 
     cut = []
 
@@ -395,8 +431,11 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
         cut.append(k)
         return intersect(k, l)
 
-    monkeypatch.setattr(cochains, "_cohomology_basis", counting)
+    monkeypatch.setattr(cochains, "_coboundary", building)
+    for module in (fplinalg, cochains):
+        monkeypatch.setattr(module, "echelon", eliminating)
     monkeypatch.setattr(diagrams, "intersect", recording)
+    work = count_basis_work(monkeypatch)
     path = tmp_path / "ring8.json"
     path.write_text(canonical_json(necklace_document(8, True)), encoding="utf-8")
     count_report, count_code = run_command("count", {"path": path})
@@ -404,7 +443,10 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
     assert (count_code, mv_code) == (0, 0)
     assert count_report["ground_truth"] == 2 ** 9
     assert len(count_report["h1_dims"]) == 2 ** 8 - 1
-    assert eliminated and set(eliminated.values()) == {1}
+    # every H^1 dimension and descended rank reads d^0 and d^1, each eliminated once per complex
+    assert {q for _, q, _ in eliminated} == {0, 1} and set(eliminated.values()) == {1}
+    # ranks alone: no cohomology basis is built and no class is solved for
+    assert work["H"] == 0 and work["rref"] == 0
     assert cut and all(k.simplices for k in cut)
 
 
