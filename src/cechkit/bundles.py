@@ -44,7 +44,7 @@ import numpy as np
 from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram
-from .errors import InputError, ResourceLimit
+from .errors import InputError, ResourceLimit, WrongField
 from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix, product
 
 Edge = tuple[str, str]
@@ -65,10 +65,6 @@ EVERY_CLASS = -1
 
 
 class NonAbelianRank(ValueError):
-    pass
-
-
-class WrongField(InputError):
     pass
 
 

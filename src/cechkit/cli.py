@@ -32,7 +32,7 @@ from .bundles import (
     glue_section_space,
     parallel_sections,
 )
-from .cochains import class_coordinates, cohomology
+from .cochains import cohomology
 from .complexes import components
 from .diagrams import AdjunctionSystem, GluedDiagram, canonicalize, collapse, validate_system
 from .documents import (
@@ -241,21 +241,19 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
 def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     reps = enumerate_line_bundles(diagram)
     h1_dim = reps.h1.dimension
-    # [B | R] has independent columns, so each class's coordinates are unique
-    # and one batched solve gives what one solve per class would.
-    all_coords = class_coordinates(reps.h1, reps.classes)
     table = class_table(reps)
     edges = diagram.nerve.simplices_of_dim(1)
+    # Column c of reps.classes is R times the bits of c, and [B | R] has
+    # independent columns, so class c's coordinates are exactly those bits.
     classes = [{
-        "class": [int(x) for x in coords],
+        "class": [c >> i & 1 for i in range(h1_dim)],
         "nonzero_edges": [list(e) for e, v in zip(edges, vec) if v],
         "parallel_dim": parallel,
         "round_trip_class_preserved": preserved,
         "glue_space_dim": glue,
         "glue_matches_parallel": glue == parallel}
-        for coords, vec, parallel, preserved, glue in zip(
-            all_coords.T, reps.classes.T, table.parallel_dims, table.round_trips_preserved,
-            table.glue_space_dims)]
+        for c, (vec, parallel, preserved, glue) in enumerate(zip(
+            reps.classes.T, table.parallel_dims, table.round_trips_preserved, table.glue_space_dims))]
     report["classes"] = classes
     report["verdicts"]["count_is_two_to_h1"] = len(reps) == 2 ** h1_dim
     report["verdicts"]["round_trips_preserve_class"] = all(table.round_trips_preserved)

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .fplinalg import FMatrix, PrimeField, echelon, entry_matrix
+from .errors import NotSimplicial
+from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, echelon, entry_matrix
 
 
 class NotSubcomplex(ValueError):
-    pass
-
-
-class NotSimplicial(ValueError):
     pass
 
 
@@ -141,10 +138,33 @@ def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
     return solution[coh.coboundaries.cols:]
 
 
-def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis, tgt: CohomologyBasis) -> FMatrix:
-    """Descend a chain map's matrix to a matrix on cohomology representatives, with one solve."""
-    image = matrix @ src.representatives
-    return FMatrix(class_coordinates(tgt, image.entries), src.field)
+def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis | Sequence[CohomologyBasis],
+                          tgt: CohomologyBasis | Sequence[CohomologyBasis]) -> FMatrix:
+    """Descend a chain map's matrix to a matrix on cohomology representatives.
+
+    `src` and `tgt` are each one basis or a sequence of them, the blocks
+    of a direct sum laid out in order.  The map takes the block-diagonal
+    source representatives in one product; each target block's classes
+    then take one solve.  Solving with free variables at 0 is linear, so
+    this equals descending block by block and summing.
+    """
+    src, tgt = _summands(src), _summands(tgt)
+    reps = block_matrix(_cochain_sizes(src), {i: h.dimension for i, h in src.items()},
+                        ((i, i, h.representatives.entries) for i, h in src.items()), matrix.field)
+    image = (matrix @ reps).entries
+    rows, _ = _ranges(_cochain_sizes(tgt))
+    coords = ((i, "src", class_coordinates(h, image[rows[i]])) for i, h in tgt.items())
+    return block_matrix({i: h.dimension for i, h in tgt.items()}, {"src": reps.cols}, coords, matrix.field)
+
+
+def _summands(bases: CohomologyBasis | Sequence[CohomologyBasis]) -> dict[int, CohomologyBasis]:
+    """One basis or a sequence of them, keyed by position in the direct sum."""
+    return dict(enumerate((bases,) if isinstance(bases, CohomologyBasis) else bases))
+
+
+def _cochain_sizes(bases: Mapping[int, CohomologyBasis]) -> dict[int, int]:
+    """dim C^q of each basis's complex in its own degree."""
+    return {i: len(h.complex.simplices_of_dim(h.degree)) for i, h in bases.items()}
 
 
 def restriction_matrix(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Simplex = tuple[str, ...]
 
@@ -123,23 +123,33 @@ def union_complexes(ks: Iterable[SimplicialComplex]) -> SimplicialComplex:
     return SimplicialComplex(out)
 
 
-def components(k: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
-    """Edge-connected components of the vertex set, deterministically ordered."""
-    parent: dict[str, str] = {v: v for v in k.vertices}
+def _class_roots(nodes: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
+    """Each node's class under the equivalence the pairs generate, named by its smallest node.
 
-    def find(v: str) -> str:
+    One union-find: joining two classes makes the smaller root the root,
+    so a root is its class's minimum, and each find halves its path.  The
+    result keeps the order of `nodes`.
+    """
+    parent = {v: v for v in nodes}
+
+    def find(v):
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    for s in k.simplices_of_dim(1):
-        a, b = find(s[0]), find(s[1])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {v: find(v) for v in parent}
+
+
+def components(k: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
+    """Edge-connected components of the vertex set, deterministically ordered."""
     groups: dict[str, list[str]] = {}
-    for v in k.vertices:
-        groups.setdefault(find(v), []).append(v)
+    for v, root in _class_roots(k.vertices, k.simplices_of_dim(1)).items():
+        groups.setdefault(root, []).append(v)
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 

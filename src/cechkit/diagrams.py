@@ -30,15 +30,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .cochains import NotSimplicial
 from .complexes import (
     SimplicialComplex,
+    _class_roots,
     full_subcomplex,
     intersect,
     relabel,
     union_complexes,
 )
-from .errors import InputError, ResourceLimit
+from .errors import InputError, NotSimplicial, ResourceLimit
 from .fplinalg import F2, PrimeField
 
 # Report rows list every index set, 2^n - 1 of them for n pieces; more than
@@ -297,10 +297,6 @@ class GluedDiagram:
         return self._complexes.setdefault(k, k)
 
     @cached_property
-    def _intersections(self) -> dict[tuple[str, ...], SimplicialComplex]:
-        return {}
-
-    @cached_property
     def _levels(self) -> dict[int, dict[tuple[str, ...], SimplicialComplex]]:
         return {}
 
@@ -311,24 +307,22 @@ class GluedDiagram:
         return {}
 
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:
-        ids = tuple(sorted(set(t)))
+        """The nerve of the pieces in t: a piece nerve, an entry of `level`, or the diagram's empty complex.
+
+        The diagram interns its own empty complex, so an empty
+        intersection's memos live only as long as the diagram.
+        """
+        ids = set(t)
         if not ids:
             raise EmptyIndexSet("intersection over an empty index set")
-        unknown = [i for i in ids if i not in self.nerves]
+        unknown = sorted(ids - self.nerves.keys())
         if unknown:
             raise BadIndexSet(f"unknown piece ids {unknown}")
-        return self._intersection(ids)
-
-    def _intersection(self, ids: tuple[str, ...]) -> SimplicialComplex:
-        """N_ids as the memoised N_prefix cut by one more nerve, interned; empty stays empty."""
-        memo = self._intersections
-        if ids not in memo:
-            if len(ids) == 1:
-                memo[ids] = self.nerves[ids[0]]
-            else:
-                prefix = self._intersection(ids[:-1])
-                memo[ids] = self._intern(intersect(prefix, self.nerves[ids[-1]])) if prefix.simplices else prefix
-        return memo[ids]
+        if len(ids) == 1:
+            return self.nerves[ids.pop()]
+        key = tuple(i for i in self.piece_ids if i in ids)
+        nerve = self.level(len(key)).get(key)
+        return nerve if nerve is not None else self._intern(SimplicialComplex(frozenset()))
 
     def index_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:
         """Every index set of the given size, in `itertools.combinations` order.
@@ -347,10 +341,6 @@ class GluedDiagram:
         level = self.level(size)
         return [(t, level.get(t)) for t in self.index_subsets(size)]
 
-    def nonempty_subsets(self, size: int) -> tuple[tuple[str, ...], ...]:
-        """The index sets of the given size whose intersection is nonempty: the keys of `level(size)`."""
-        return tuple(self.level(size))
-
     def level(self, size: int) -> dict[tuple[str, ...], SimplicialComplex]:
         """{index set: intersection nerve} over the index sets of this size with a nonempty intersection.
 
@@ -358,9 +348,11 @@ class GluedDiagram:
         cover, in `itertools.combinations` order, and all that computation
         needs: an empty intersection contributes nothing.  Built once per
         size, level by level, Apriori-style: a candidate extends a nonempty
-        (size-1)-set by a later piece, and is intersected only when every
-        face is nonempty.  Each nerve is the one `intersection_nerve`
-        returns.  The dict is shared: read it, do not change it.
+        (size-1)-set by a later piece, and is cut from that prefix's nerve
+        only when every face is nonempty.  These dicts are the diagram's
+        one store of intersections, and each nerve is interned and is the
+        one `intersection_nerve` returns.  The dict is shared: read it, do
+        not change it.
         """
         memo = self._levels
         if size not in memo:
@@ -372,8 +364,8 @@ class GluedDiagram:
                 faces = self.level(size - 1)
                 candidates = (t + (j,) for t in faces for j in self.piece_ids[self.piece_ids.index(t[-1]) + 1:]
                               if all(t[:a] + t[a + 1:] + (j,) in faces for a in range(size - 1)))
-                nerves = ((t, self._intersection(t)) for t in candidates)
-                memo[size] = {t: nerve for t, nerve in nerves if nerve.simplices}
+                nerves = ((t, intersect(faces[t[:-1]], self.nerves[t[-1]])) for t in candidates)
+                memo[size] = {t: self._intern(nerve) for t, nerve in nerves if nerve.simplices}
         return memo[size]
 
 
@@ -395,52 +387,28 @@ def canonicalize(system: AdjunctionSystem) -> GluedDiagram:
     if not report.valid:
         raise InvalidSystem(report)
 
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-    for piece in system.pieces:
-        for v in piece.labels:
-            parent[(piece.piece_id, v)] = (piece.piece_id, v)
-
-    def find(node: tuple[str, str]) -> tuple[str, str]:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    def union(a: tuple[str, str], b: tuple[str, str]) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for g in system.gluings:
-        if g.source == g.target:
-            continue
-        for x, y in g.pairs:
-            union((g.source, x), (g.target, y))
+    nodes = ((piece.piece_id, v) for piece in system.pieces for v in piece.labels)
+    glued = (((g.source, x), (g.target, y)) for g in system.gluings if g.source != g.target for x, y in g.pairs)
+    roots = _class_roots(nodes, glued)
 
     classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for node in parent:
-        classes.setdefault(find(node), []).append(node)
+    for node, root in roots.items():
+        classes.setdefault(root, []).append(node)
     for members in classes.values():
         per_piece = [p for p, _ in members]
         if len(set(per_piece)) != len(per_piece):
             raise InvalidSystem(ValidationReport(False, (Violation(
                 "STRUCTURE", "a gluing chain identifies two labels of one piece"),)))
 
-    names: dict[tuple[str, str], str] = {}
-    by_name: dict[str, list[tuple[str, str]]] = {}
-    for root, members in classes.items():
-        minimal = min(members)
-        names[root] = minimal[1]
-        by_name.setdefault(minimal[1], []).append(root)
-    for name, roots in by_name.items():
-        if len(roots) > 1:
-            for root in roots:
-                names[root] = f"{min(classes[root])[1]}@{min(classes[root])[0]}"
+    # a class's root is its minimal (piece_id, label) member
+    roots_per_label = Counter(label for _, label in classes)
+    names = {(piece_id, label): label if roots_per_label[label] == 1 else f"{label}@{piece_id}"
+             for piece_id, label in classes}
     if len(set(names.values())) != len(names):
         raise InvalidSystem(ValidationReport(False, (Violation(
             "STRUCTURE", "canonical class names collide even after qualification"),)))
 
-    label_classes = {node: names[find(node)] for node in parent}
+    label_classes = {node: names[root] for node, root in roots.items()}
     nerves: dict[str, SimplicialComplex] = {}
     for piece in system.pieces:
         mapping = {v: label_classes[(piece.piece_id, v)] for v in piece.labels}

@@ -6,7 +6,8 @@ on stderr and exits 2.  Anything else that escapes is a bug and surfaces
 as a traceback: API misuse (mismatched dimensions, a map into a
 non-subcomplex, a non-binary diagram where two pieces are needed) keeps
 raising plain `ValueError` subclasses, so a program fault is never
-reported as the user's.
+reported as the user's.  The classes that more than one module raises
+are defined here, once.
 """
 
 from __future__ import annotations
@@ -18,3 +19,11 @@ class InputError(ValueError):
 
 class ResourceLimit(InputError):
     """A step would exceed its cap; it refuses before it starts, naming the cap."""
+
+
+class WrongField(InputError):
+    """The command needs another field, as line bundles need F_2."""
+
+
+class NotSimplicial(ValueError):
+    """A vertex map is undefined on a vertex, or sends a simplex outside its target."""

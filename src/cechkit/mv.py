@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import WrongField
 from .cochains import (
     _cochain_dims,
     class_coordinates,
@@ -35,6 +34,7 @@ from .cochains import (
 )
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
+from .errors import WrongField
 from .fplinalg import FMatrix, _ranges, block_matrix, product
 
 
@@ -195,7 +195,9 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
 
     Also checks the dimension identity
         dim H^q(union) = dim coker(alpha_(q-1)) + dim ker(alpha_q)
-    where alpha_q is the difference map descended to cohomology.
+    where alpha_q is the difference map descended to cohomology.  phi and
+    alpha on cohomology are the memoised phi_star and level-one
+    delta_tilde, each descended once over the pieces' direct sum.
     """
     i1, i2 = _binary_pieces(diagram)
     field = diagram.field
@@ -208,13 +210,9 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
     coh_2 = [cohomology(n2, q, field) for q in range(top + 1)]
     coh_12 = [cohomology(n12, q, field) for q in range(top + 1)]
 
-    def phi_h(q: int) -> FMatrix:
-        top_block = induced_on_cohomology(restriction_matrix(n, n1, q, field), coh_n[q], coh_1[q])
-        bot_block = induced_on_cohomology(restriction_matrix(n, n2, q, field), coh_n[q], coh_2[q])
-        return FMatrix(np.vstack([top_block.entries, bot_block.entries]), field)
-
-    phis = [phi_h(q) for q in range(top + 1)]
-    alphas = [descended_delta_tilde(diagram, 1, q) for q in range(top)]
+    phis = [induced_on_cohomology(phi_star(diagram, q), coh_n[q], (coh_1[q], coh_2[q])) for q in range(top + 1)]
+    alphas = [induced_on_cohomology(delta_tilde(diagram, 1, q), (coh_1[q], coh_2[q]), coh_12[q])
+              for q in range(top)]
     deltas = [connecting_homomorphism(diagram, q) for q in range(top)]
     # H^0(N) -> H^0(N_1) + H^0(N_2) -> H^0(N_12) -> H^1(N) -> ..., then phi_(q_max+1)
     maps = [m for q in range(top) for m in (phis[q], alphas[q], deltas[q])] + [phis[top]]
@@ -408,26 +406,6 @@ def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
     blocks = [(t, "image", image[r]) for t, r in rows.items()] + [(t, t, m.entries) for t, m in d.items()]
     joint = block_matrix(dims, {"image": image.shape[1], **{t: m.cols for t, m in d.items()}}, blocks, field)
     return joint.rank() - sum(m.rank() for m in d.values())
-
-
-def descended_delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    """The difference map between levels, descended to cohomology.
-
-    The difference map takes the block-diagonal source representatives in
-    one product; each target block's classes then take one solve.  Solving
-    with free variables at 0 is linear, so this equals descending each
-    signed restriction on its own and summing.
-    """
-    field = diagram.field
-    src, tgt = diagram.level(level), diagram.level(level + 1)
-    src_h = {t: cohomology(k, degree, field) for t, k in src.items()}
-    tgt_h = {t: cohomology(k, degree, field) for t, k in tgt.items()}
-    reps = block_matrix(_cochain_dims(src, degree), {t: h.dimension for t, h in src_h.items()},
-                        ((t, t, h.representatives.entries) for t, h in src_h.items()), field)
-    image = (delta_tilde(diagram, level, degree) @ reps).entries
-    rows, _ = _ranges(_cochain_dims(tgt, degree))
-    coords = ((t, "src", class_coordinates(h, image[rows[t]])) for t, h in tgt_h.items())
-    return block_matrix({t: h.dimension for t, h in tgt_h.items()}, {"src": reps.cols}, coords, field)
 
 
 def _connectivity(diagram: GluedDiagram) -> tuple[dict[tuple[str, ...], int], tuple[tuple[str, ...], ...]]:

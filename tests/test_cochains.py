@@ -450,12 +450,12 @@ def test_cached_bases_do_not_keep_their_complex_alive():
     for q in (0, 1):
         phi_star(diagram, q)
         delta_tilde(diagram, 1, q)
-        for t in diagram.nonempty_subsets(2):
+        for t in diagram.level(2):
             cohomology(diagram.intersection_nerve(t), q, diagram.field)
     # the pieces share one core, so the intern table maps many index sets to one object
-    assert len({id(diagram.intersection_nerve(t)) for t in diagram.nonempty_subsets(2)}) == 1
+    assert len({id(diagram.intersection_nerve(t)) for t in diagram.level(2)}) == 1
     held = [k, path, diagram, diagram.nerve, *diagram.nerves.values(),
-            *(diagram.intersection_nerve(t) for t in diagram.nonempty_subsets(2))]
+            *(diagram.intersection_nerve(t) for t in diagram.level(2))]
     alive = [weakref.ref(x) for x in held]
     gc.disable()
     try:

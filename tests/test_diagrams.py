@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechkit import diagrams
-from cechkit.complexes import build_complex, components, full_subcomplex, intersect
+from cechkit.complexes import EMPTY_COMPLEX, build_complex, components, full_subcomplex, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
     BadIndexSet,
@@ -174,7 +174,7 @@ def test_index_subsets_are_refused_past_the_report_row_cap(necklace):
     seventeen = glued_from_nerves(necklace(17, False))
     with pytest.raises(ResourceLimit, match="capped at 65536 index sets; 17 pieces"):
         seventeen.index_subsets(1)
-    assert len(seventeen.nonempty_subsets(2)) == 16  # computation needs no report rows
+    assert len(seventeen.level(2)) == 16  # computation needs no report rows
 
 
 def test_collapse_preserves_union(three_circles):
@@ -266,12 +266,11 @@ def test_admissibility_after_canonicalize(gallery_diagram):
 
 
 def assert_nonempty_subsets_exact(d):
-    """nonempty_subsets, asked first, against intersection_nerve and plain set algebra."""
-    got = {size: d.nonempty_subsets(size) for size in range(1, d.n_pieces + 2)}
+    """The keys of `level`, asked first, against intersection_nerve and plain set algebra."""
+    got = {size: tuple(d.level(size)) for size in range(1, d.n_pieces + 2)}
     for size in range(1, d.n_pieces + 2):
         want = [t for t in d.index_subsets(size) if d.intersection_nerve(t).simplices]
         assert list(got[size]) == want, size
-        assert list(d.level(size)) == list(d.nonempty_subsets(size)), size
         for t, nerve in d.level(size).items():
             assert nerve is d.intersection_nerve(t), t
         for t in d.index_subsets(size):
@@ -294,8 +293,8 @@ def test_nonempty_subsets_on_necklaces(necklace, n, ring, order):
     order.shuffle(ids)
     d = glued_from_nerves(necklace(n, ring, ids))
     assert_nonempty_subsets_exact(d)
-    assert len(d.nonempty_subsets(2)) == (n if ring else n - 1)
-    assert d.nonempty_subsets(3) == ()
+    assert len(d.level(2)) == (n if ring else n - 1)
+    assert tuple(d.level(3)) == ()
 
 
 def test_intersection_nerve_is_memoised_and_never_cuts_an_empty_prefix(necklace, monkeypatch):
@@ -307,14 +306,22 @@ def test_intersection_nerve_is_memoised_and_never_cuts_an_empty_prefix(necklace,
 
     monkeypatch.setattr(diagrams, "intersect", recording)
     d = glued_from_nerves(necklace(6, True))
+    empty = []
     for size in range(1, 7):
         for t in itertools.combinations(d.piece_ids, size):
-            assert d.intersection_nerve(t) is d.intersection_nerve(t)
+            nerve = d.intersection_nerve(t)
+            assert nerve is d.intersection_nerve(t[::-1])
+            if nerve.simplices:
+                assert nerve is d.level(size)[t], t
+            else:
+                empty.append(nerve)
     assert d.intersection_nerve(("c00",)) is d.nerves["c00"]
+    # every empty intersection is the diagram's own empty complex, whose memos die with the diagram
+    assert empty and all(k is empty[0] for k in empty) and empty[0] is not EMPTY_COMPLEX
     assert cut and all(k.simplices for k in cut)
-    # One cut per index set whose prefix is nonempty: all 15 pairs, and the
-    # 4 + 3 + 2 + 1 triples that extend a meeting pair (ci, ci+1) by a later piece.
-    assert len(cut) == 15 + 10
+    # One cut per candidate whose faces are all nonempty: the 15 pairs, and no
+    # triple, as no triple of a ring of 6 has three meeting pairs.
+    assert len(cut) == 15
 
 
 def test_nonempty_subsets_cuts_only_candidates_with_nonempty_faces(necklace, monkeypatch):
@@ -326,10 +333,10 @@ def test_nonempty_subsets_cuts_only_candidates_with_nonempty_faces(necklace, mon
 
     monkeypatch.setattr(diagrams, "intersect", recording)
     d = glued_from_nerves(necklace(6, True))
-    assert len(d.nonempty_subsets(2)) == 6
+    assert len(d.level(2)) == 6
     assert len(cut) == 15
     # no triple of a ring of 6 has three meeting pairs, so no triple is cut
-    assert d.nonempty_subsets(3) == d.nonempty_subsets(4) == ()
+    assert tuple(d.level(3)) == tuple(d.level(4)) == ()
     assert len(cut) == 15
 
 

@@ -28,7 +28,6 @@ from cechkit.mv import (
     connecting_homomorphism,
     count_line_bundles,
     delta_tilde,
-    descended_delta_tilde,
     descended_rank,
     fibred_product,
     h1_fibred_check,
@@ -150,6 +149,12 @@ def test_assemble_les_two_origin(two_origin):
     assert coker0 == 1
 
 
+def descended_delta_tilde(diagram, level, q):
+    """The difference map between levels, descended to cohomology: the reference for `descended_rank`."""
+    src, tgt = ([cohomology(k, q, diagram.field) for k in diagram.level(size).values()] for size in (level, level + 1))
+    return induced_on_cohomology(delta_tilde(diagram, level, q), src, tgt)
+
+
 def _alpha_by_hand(diagram, q):
     """(a1 | -a2): each piece's restriction to N_12, descended to cohomology on its own."""
     field = diagram.field
@@ -170,6 +175,25 @@ def test_descended_difference_map_is_alpha_of_the_long_exact_sequence(p):
         diagram = canonicalize(parse_document(doc).system)
         for q in range(diagram.nerve.dim + 2):
             assert descended_delta_tilde(diagram, 1, q).equals(_alpha_by_hand(diagram, q))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_induced_on_cohomology_over_a_direct_sum_stacks_the_single_basis_maps(p):
+    # phi on cohomology: into the pieces' direct sum at once, against one piece at a time
+    cases = [diagram_for(name, field=p, **kwargs) for name, kwargs in GALLERY_CASES]
+    cases += [diagram_for("random_admissible", field=p, seed=seed) for seed in range(12)]
+    nonzero = 0
+    for diagram in cases:
+        field = diagram.field
+        for q in range(diagram.nerve.dim + 2):
+            union = cohomology(diagram.nerve, q, field)
+            pieces = [cohomology(k, q, field) for k in diagram.level(1).values()]
+            one_by_one = [induced_on_cohomology(restriction_matrix(diagram.nerve, h.complex, q, field), union, h)
+                          for h in pieces]
+            phi = induced_on_cohomology(phi_star(diagram, q), union, pieces)
+            assert phi.equals(FMatrix(np.vstack([m.entries for m in one_by_one]), field)), q
+            nonzero += not phi.is_zero()
+    assert nonzero
 
 
 def assert_descended_rank_is_the_rank_of_the_descended_map(diagram) -> int:
@@ -399,7 +423,7 @@ def test_tuple_space_has_no_empty_block(necklace):
     for level in range(1, d.n_pieces + 1):
         nerves = d.level(level)
         for q in (0, 1, 2):
-            assert list(nerves) == list(d.nonempty_subsets(level))
+            assert list(nerves) == [t for t in d.index_subsets(level) if d.intersection_nerve(t).simplices]
             assert all(nerve.simplices for nerve in nerves.values())
             # the map into the level has one row per q-simplex of every intersection, empty ones included
             into = phi_star(d, q) if level == 1 else delta_tilde(d, level - 1, q)
