@@ -43,7 +43,7 @@ import numpy as np
 
 from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
-from .diagrams import GluedDiagram
+from .diagrams import GluedDiagram, ValidationReport
 from .errors import InputError, ResourceLimit, WrongField
 from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix, product
 
@@ -203,12 +203,6 @@ class ConstantCocycle:
                             for e in self.base.simplices_of_dim(1)))
 
 
-@dataclass(frozen=True)
-class CocycleVerdict:
-    valid: bool
-    violations: tuple[tuple, ...]
-
-
 def _cocycle_violations(cocycle: ConstantCocycle) -> list[tuple[tuple, int]]:
     """Non-invertible values and failed triangle identities, each with its class mask."""
     found: list[tuple[tuple, int]] = []
@@ -227,10 +221,10 @@ def _cocycle_violations(cocycle: ConstantCocycle) -> list[tuple[tuple, int]]:
     return found
 
 
-def validate_cocycle(cocycle: ConstantCocycle) -> CocycleVerdict:
+def validate_cocycle(cocycle: ConstantCocycle) -> ValidationReport:
     """Invertibility of every value plus the triangle identity."""
     bad = _violations(_cocycle_violations(cocycle))
-    return CocycleVerdict(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 def cocycle_class(cocycle: ConstantCocycle) -> np.ndarray:
@@ -365,8 +359,7 @@ def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
 
     overlaps: list[tuple[tuple, int]] = []
     # compatibility: g^j[a,b] = k_a g^i[a,b] k_b^(-1) on every overlap edge
-    for i, j in itertools.combinations(diagram.piece_ids, 2):
-        nij = diagram.intersection_nerve((i, j))
+    for (i, j), nij in diagram.level(2).items():
         gi, gj = data.cocycles[i], data.cocycles[j]
         for a, b in nij.simplices_of_dim(1):
             lhs = gj.value(a, b)
@@ -376,8 +369,7 @@ def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
                              _mismatch(lhs, rhs, data.rank, p)))
 
     # triple condition on vertices of triple overlaps
-    for i, j, k in itertools.combinations(diagram.piece_ids, 3):
-        nijk = diagram.intersection_nerve((i, j, k))
+    for (i, j, k), nijk in diagram.level(3).items():
         for v in nijk.vertices:
             lhs = data.ident(i, k, v)
             rhs = _compose(data.ident(j, k, v), data.ident(i, j, v), data.rank, p)
@@ -386,9 +378,9 @@ def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
     return found + [(v, mask & ~failed) for v, mask in overlaps if mask & ~failed]
 
 
-def validate_piece_data(data: PieceBundleData) -> CocycleVerdict:
+def validate_piece_data(data: PieceBundleData) -> ValidationReport:
     bad = _violations(_piece_data_violations(data))
-    return CocycleVerdict(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,8 +647,8 @@ def _join_piece_components(data: PieceBundleData) -> tuple[dict, dict, list]:
         for root, _ in gauge.values():
             _find(parent, pot, (pid, root), m)
         failures += [((pid, root), root, twist[root]) for root in sorted(twist)]
-    for i, j in itertools.combinations(diagram.piece_ids, 2):
-        for v in diagram.intersection_nerve((i, j)).vertices:
+    for (i, j), nij in diagram.level(2).items():
+        for v in nij.vertices:
             (ri, phase_i), (rj, phase_j) = gauges[i][v], gauges[j][v]
             delta = _compose(_compose(phase_i, data.ident(i, j, v), 1, field.p), _invert(phase_j, 1, field),
                              1, field.p)
@@ -705,8 +697,7 @@ def glue_sections(data: PieceBundleData,
     if not colimit.ok:
         raise IncompatibleData(f"piece data does not glue: witness {colimit.witness}")
 
-    for i, j in itertools.combinations(diagram.piece_ids, 2):
-        nij = diagram.intersection_nerve((i, j))
+    for (i, j), nij in diagram.level(2).items():
         for v in nij.vertices:
             si, sj = sections[i].values[v], sections[j].values[v]
             if rank == 1:
@@ -746,8 +737,8 @@ def glue_section_space(data: PieceBundleData) -> int:
         return int(_glue_space_dims(data, 1)[0])
 
     # rank >= 2: each piece's parallel sections, linked by s_j(v) = ident(i, j, v) s_i(v)
-    links = [((j, v), (i, v), data.ident(i, j, v)) for i, j in itertools.combinations(diagram.piece_ids, 2)
-             for v in diagram.intersection_nerve((i, j)).vertices]
+    links = [((j, v), (i, v), data.ident(i, j, v))
+             for (i, j), nij in diagram.level(2).items() for v in nij.vertices]
     cocycles = {pid: data.cocycles[pid] for pid in diagram.piece_ids}
     return _section_system(cocycles, links, rank, diagram.field).rank_nullity()[1]
 

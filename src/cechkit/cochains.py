@@ -198,9 +198,11 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
     """The matrix of the pullback C^q(codomain) -> C^q(domain) along a simplicial vertex map.
 
     Simplices with degenerate image (repeated vertices) pull the cochain
-    value back to zero, matching the alternating-cochain model.
+    value back to zero, matching the alternating-cochain model.  The
+    domain is scanned by dimension, then lexicographically, so an error
+    names the same simplex on every run.
     """
-    for s in domain.simplices:
+    for s in sorted(domain.simplices, key=lambda s: (len(s), s)):
         try:
             image = tuple(sorted({vertex_map[v] for v in s}))
         except KeyError as exc:

@@ -141,8 +141,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A verdict and its violations: `Violation`s for a system, messages or
+    witness tuples for a refinement map, a cocycle or bundle piece data."""
+
     valid: bool
-    violations: tuple[Violation, ...]
+    violations: tuple
 
 
 def _repeats(labels: list[str]) -> tuple[str, ...]:
@@ -457,7 +460,11 @@ def subsystem_embedding(diagram: GluedDiagram, j: Iterable[str]) -> tuple[GluedD
 
 def induced_map(diagram: GluedDiagram, target: SimplicialComplex,
                 psi: Mapping[str, Mapping[str, str]]) -> dict[str, str]:
-    """The unique simplicial map on the union nerve restricting to each psi_i."""
+    """The unique simplicial map on the union nerve restricting to each psi_i.
+
+    Each piece nerve is checked by dimension, then lexicographically, so an
+    error names the same simplex on every run.
+    """
     for pid in diagram.piece_ids:
         if pid not in psi:
             raise IncompatibleFamily(f"no vertex map supplied for piece {pid!r}")
@@ -469,7 +476,7 @@ def induced_map(diagram: GluedDiagram, target: SimplicialComplex,
         for v in nerve.vertices:
             if v not in vm:
                 raise NotSimplicial(f"map for piece {pid!r} undefined on label {v!r}")
-        for s in nerve.simplices:
+        for s in sorted(nerve.simplices, key=lambda s: (len(s), s)):
             image = tuple(sorted({vm[v] for v in s}))
             if image not in target:
                 raise NotSimplicial(f"piece {pid!r}: image of {s!r} is not a simplex of the target")

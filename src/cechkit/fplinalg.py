@@ -2,9 +2,10 @@
 
 Every cohomology computation in this package reduces to rank, kernel and
 solve calls on small matrices with entries in F_p.  Matrices are numpy
-int64 arrays normalised to the range [0, p), each reduced once, when it
-is built from entries that may lie outside it; all routines are
-deterministic, so repeated runs give identical output.
+int64 arrays normalised to the range [0, p), each reduced once, when its
+`FMatrix` is built from entries that may lie outside it.  `echelon` and
+`rref` take entries already in [0, p) and do not reduce them again.  All
+routines are deterministic, so repeated runs give identical output.
 
 One function multiplies: `product` is the exact product mod p, run on
 float64 BLAS in the manner of FFLAS (Dumas, Giorgi and Pernet 2008).
@@ -91,7 +92,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Prime modulus with mod-p scalar helpers."""
+    """A prime modulus, at most MAX_PRIME."""
 
     p: int
 
@@ -101,12 +102,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
-    def inv(self, x: int) -> int:
-        x = int(x) % self.p
-        if x == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return pow(x, self.p - 2, self.p)
-
 
 F2 = PrimeField(2)
 
@@ -114,13 +109,6 @@ F2 = PrimeField(2)
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     """An int64 array mod p; over F_2 its low bit, which needs no division."""
     return a & 1 if p == 2 else a % p
-
-
-def _normalise(entries, p: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    return _reduce(a, p)
 
 
 def product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -261,16 +249,20 @@ class Echelon:
 
 
 def echelon(a: np.ndarray, p: int) -> Echelon:
-    """Forward elimination of a mod p: the one place a matrix is eliminated."""
+    """Forward elimination of a mod p: the one place a matrix is eliminated.
+
+    The entries must already lie in [0, p), as an `FMatrix`'s do; they
+    are not reduced again.
+    """
     if p != 2:
-        table = _odd_echelon(_odd_rows(_reduce(a, p)), p)
+        table = _odd_echelon(_odd_rows(a), p)
         return Echelon(a.shape, p, sorted(table), table)
-    table = _f2_echelon(_f2_rows(_reduce(a, 2)))
+    table = _f2_echelon(_f2_rows(a))
     return Echelon(a.shape, p, sorted(a.shape[1] - lead for lead in table), table)
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
+    """Reduced row echelon form mod p of entries already in [0, p); returns (matrix, pivot columns)."""
     e = echelon(a, p)
     return e.reduced(), e.pivots
 
@@ -288,7 +280,10 @@ class FMatrix:
     field: PrimeField
 
     def __post_init__(self) -> None:
-        entries = _normalise(self.entries, self.field.p)
+        entries = np.asarray(self.entries, dtype=np.int64)
+        if entries.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {entries.shape}")
+        entries = _reduce(entries, self.field.p)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 

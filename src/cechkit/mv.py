@@ -19,7 +19,6 @@ comparison.  For a binary diagram the level-one difference map is
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,8 +264,7 @@ class FibredProduct:
         for i in ids:
             if rhos[i].rows != len(self.diagram.nerves[i].simplices_of_dim(self.degree)):
                 raise IncompatibleFamily(f"map for piece {i!r} has wrong target dimension")
-        for i, j in itertools.combinations(ids, 2):
-            nij = self.diagram.intersection_nerve((i, j))
+        for (i, j), nij in self.diagram.level(2).items():
             ri = restriction_matrix(self.diagram.nerves[i], nij, self.degree, field)
             rj = restriction_matrix(self.diagram.nerves[j], nij, self.degree, field)
             if not (ri @ rhos[i]).equals(rj @ rhos[j]):

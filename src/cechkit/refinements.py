@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .cochains import _cochain_dims, coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
 from .complexes import EMPTY_COMPLEX, SimplicialComplex
-from .diagrams import GluedDiagram
+from .diagrams import GluedDiagram, ValidationReport
 from .fplinalg import FMatrix, block_matrix
 from .mv import connecting_homomorphism, delta_tilde, phi_star
 
@@ -42,7 +42,7 @@ class RefinementMap:
     labels: dict[str, str]
 
     @cached_property
-    def verdict(self) -> RefinementVerdict:
+    def verdict(self) -> ValidationReport:
         """`validate_refinement(self)`, run once."""
         return validate_refinement(self)
 
@@ -53,17 +53,12 @@ class RefinementMap:
         return {}
 
 
-@dataclass(frozen=True)
-class RefinementVerdict:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def validate_refinement(r: RefinementMap) -> RefinementVerdict:
+def validate_refinement(r: RefinementMap) -> ValidationReport:
+    """Every violation as a message; each piece's simplices are checked by dimension, then lexicographically."""
     bad: list[str] = []
     if r.fine.piece_ids != r.coarse.piece_ids:
         bad.append(f"piece sets differ: {r.fine.piece_ids} vs {r.coarse.piece_ids}")
-        return RefinementVerdict(False, tuple(bad))
+        return ValidationReport(False, tuple(bad))
     if r.fine.field.p != r.coarse.field.p:
         bad.append("field moduli differ")
     for v in r.fine.nerve.vertices:
@@ -72,18 +67,18 @@ def validate_refinement(r: RefinementMap) -> RefinementVerdict:
         elif (r.labels[v],) not in r.coarse.nerve:
             bad.append(f"image {r.labels[v]!r} of {v!r} is not a coarse label")
     if bad:
-        return RefinementVerdict(False, tuple(bad))
+        return ValidationReport(False, tuple(bad))
     for pid in r.fine.piece_ids:
         fine_nerve = r.fine.nerves[pid]
         coarse_nerve = r.coarse.nerves[pid]
         for v in fine_nerve.vertices:
             if (r.labels[v],) not in coarse_nerve:
                 bad.append(f"piece {pid!r}: image of label {v!r} leaves the piece")
-        for s in fine_nerve.simplices:
+        for s in sorted(fine_nerve.simplices, key=lambda s: (len(s), s)):
             image = tuple(sorted({r.labels[v] for v in s}))
             if image not in coarse_nerve:
                 bad.append(f"piece {pid!r}: image of simplex {s!r} is not simplicial")
-    return RefinementVerdict(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:

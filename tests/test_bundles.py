@@ -448,6 +448,19 @@ def test_glue_space_matches_the_enumeration(data):
     assert glue_section_space(data) == enumerated_glue_section_space(data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=rank1_piece_data())
+def test_valid_piece_data_glue_to_a_cocycle_restricting_to_each_piece(data):
+    # The colimit theorem: valid data, twisted identifications included, glue
+    # to one cocycle on the union nerve, equivalent on each piece to its own.
+    colimit = colimit_bundle(data.diagram, data)
+    assert colimit.ok, colimit.witness
+    assert validate_cocycle(colimit.cocycle).valid
+    restricted = restrict_bundle(colimit.cocycle, data.diagram)
+    for pid in data.diagram.piece_ids:
+        assert cocycles_equivalent(restricted.cocycles[pid], data.cocycles[pid]), pid
+
+
 def test_glue_space_on_seven_disjoint_edges(tmp_path):
     # 14 piece components: the coefficient enumeration would visit 2^14 tuples
     edges = [[f"e{k}", f"f{k}"] for k in range(7)]

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import cechkit
 from cechkit import fplinalg
+from cechkit.cli import main
+from cechkit.documents import canonical_json
 from cechkit.fplinalg import (
     F2,
     MAX_PRIME,
@@ -25,6 +28,7 @@ from cechkit.fplinalg import (
     product,
     rref,
 )
+from cechkit.gallery import gallery_document
 
 
 def brute_force_image_size(a: np.ndarray, p: int) -> int:
@@ -276,6 +280,36 @@ def test_only_the_counted_entry_points_reach_the_elimination_kernels():
     assert callers == {("fplinalg", name) for name in ELIMINATIONS}
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
+    # echelon and rref do not reduce their input: a matrix is reduced once,
+    # when its FMatrix is built, so every caller must pass entries in [0, p).
+    from conftest import ELIMINATIONS, GALLERY_CASES
+    seen, unreduced = [], []
+    for name in ELIMINATIONS:
+        real = getattr(fplinalg, name)
+
+        def checked(a, q, real=real):
+            seen.append(a.shape)
+            if a.dtype != np.int64 or a.size and (a.min() < 0 or a.max() >= q):
+                unreduced.append((a.shape, a.dtype, q))
+            return real(a, q)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, checked)
+    for gallery, kwargs in GALLERY_CASES + [("random_admissible", {"seed": 3})]:
+        doc = gallery_document(gallery, field=p, **kwargs)
+        path = tmp_path / f"{gallery}.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        for command in ("cohomology", "mv", "fibred", "count", "bundles", "refine-check"):
+            # count and bundles need F_2; refine-check needs a refinement block
+            refused = (command in ("count", "bundles") and p != 2
+                       or command == "refine-check" and "refinement" not in doc)
+            assert main([command, str(path)]) == (2 if refused else 0), (gallery, command)
+    assert seen and unreduced == []
+
+
 def test_determinism_repeated_runs():
     a = np.arange(30).reshape(5, 6)
     m = FMatrix(a, PrimeField(7))
@@ -369,10 +403,11 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     field = PrimeField(p)
     rows, cols = a.shape
     want, want_pivots = dense_rref(a, p)
-    got, got_pivots = rref(a, p)
+    # rref and echelon take entries in [0, p); FMatrix reduces its own.
+    got, got_pivots = rref(a % p, p)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and got_pivots == want_pivots
-    assert echelon(a, p).pivots == want_pivots
+    assert echelon(a % p, p).pivots == want_pivots
 
     m = FMatrix(a, field)
     assert m.rank() == len(want_pivots)

@@ -1,8 +1,12 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,27 @@ def test_every_entry_point_refuses_what_validation_rejects(change, only_not_simp
     assert written["violations"] == list(verdict.violations)
     assert "squares" not in written and "induced_cohomology" not in written
     assert capsys.readouterr().out.count("violation: ") == len(verdict.violations)
+
+
+def test_refine_check_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # l2 -> r and r1 -> l break one edge at each end of both pieces; the
+    # violations follow the simplices' order, not the order of a set.
+    doc = two_origin_with_map(lambda pairs: [[f, {"l2": "r", "r1": "l"}.get(f, c)] for f, c in pairs])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for seed in ("1", "2"):
+        report = tmp_path / f"report{seed}.json"
+        done = subprocess.run([sys.executable, "-m", "cechkit", "--report", str(report), "refine-check", str(path)],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert done.returncode == 1, done.stderr.decode()
+        written.append(report.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["violations"] == [
+        f"piece {pid!r}: image of simplex {s!r} is not simplicial"
+        for pid in ("p1", "p2") for s in (("l1", "l2"), ("r1", "r2"))]
 
 
 def test_contiguity_needs_the_same_coarse_diagram(two_origin_refinement):
