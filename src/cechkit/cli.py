@@ -6,9 +6,10 @@ the run over another prime (overriding the document), --report PATH
 writes the structured report as canonical JSON.  Exit codes: 0 when every
 verdict in the report holds, 1 on a verdict failure, 2 on input errors.
 An input error is an `errors.InputError` (or an OSError reading the
-document or writing the report) and prints one `input error: <message>`
-on stderr; anything else that escapes is a bug.  Structured reports are
-deterministic; wall time only appears in the human-readable output.
+document or writing the report, or, as a last resort, a MemoryError)
+and prints one `input error: <message>` on stderr; anything else that
+escapes is a bug.  Structured reports are deterministic; wall time only
+appears in the human-readable output.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import os
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -77,11 +80,25 @@ def _println(line: str = "") -> None:
 
 
 def _table(rows: list[tuple]) -> None:
+    """Print rows of equal length as columns, each cell left-aligned to its column's width.
+
+    Each cell is turned into text once.  Rows whose tails (the cells after
+    the first) read alike share one tail, padded once: index set rows
+    mostly end alike.  Only the distinct tails are kept, so a wide table
+    holds no second copy of its cells.
+    """
     if not rows:
         return
-    widths = [max(len(str(r[c])) for r in rows) for c in range(len(rows[0]))]
-    for r in rows:
-        _println("  " + "  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
+    heads = list(map(str, map(itemgetter(0), rows)))
+    columns = [map(str, map(itemgetter(c), rows)) for c in range(1, len(rows[0]))]
+    tails: dict[tuple[str, ...], tuple[str, ...]] = {}
+    row_tails = [tails.setdefault(tail, tail)
+                 for tail in (zip(*columns) if columns else itertools.repeat((), len(rows)))]
+    first = max(map(len, heads))
+    widths = [max(map(len, column)) for column in zip(*tails)]
+    padded = {tail: "".join("  " + v.ljust(w) for v, w in zip(tail, widths)) for tail in tails}
+    sys.stdout.writelines(map("  {}{}\n".format, map(str.ljust, heads, itertools.repeat(first)),
+                              map(padded.__getitem__, row_tails)))
 
 
 def _degree(text: str) -> int:
@@ -155,19 +172,22 @@ def _cmd_cohomology(args, parsed: ParsedDocument, diagram: GluedDiagram, report:
     report["piece_dims"] = {
         pid: [cohomology(diagram.nerves[pid], q, diagram.field).dimension for q in range(q_max + 1)]
         for pid in diagram.piece_ids}
-    report["intersection_dims"] = {}
+    rows = []
     for size in range(2, diagram.n_pieces + 1):
-        for t, nerve in diagram.index_set_nerves(size):
+        level = diagram.level(size)
+        for t in diagram.index_subsets(size):
+            nerve = level.get(t)
             # An empty intersection has no cohomology in any degree.
-            report["intersection_dims"][_key(t)] = [
-                cohomology(nerve, q, diagram.field).dimension
-                for q in range(q_max + 1)] if nerve is not None else [0] * (q_max + 1)
+            rows.append((_key(t), [cohomology(nerve, q, diagram.field).dimension for q in range(q_max + 1)]
+                         if nerve is not None else [0] * (q_max + 1)))
+    rows.sort()
+    report["intersection_dims"] = dict(rows)
     report["verdicts"]["h0_matches_components"] = union[0] == len(components(diagram.nerve))
     _println(f"global labels: {', '.join(diagram.nerve.vertices)}")
     _table([("space", *[f"H^{q}" for q in range(q_max + 1)]),
             ("union", *union)]
            + [(pid, *report["piece_dims"][pid]) for pid in diagram.piece_ids]
-           + [(k, *v) for k, v in sorted(report["intersection_dims"].items())])
+           + [(k, *v) for k, v in rows])
 
 
 def _cmd_mv(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
@@ -283,10 +303,11 @@ def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: di
 
 def _cmd_count(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     result = count_line_bundles(diagram)
-    report["h1_dims"] = {_key(t): d for t, d in sorted(result.h1_dims.items())}
+    keys = {t: _key(t) for t in result.h1_dims}
+    report["h1_dims"] = {keys[t]: d for t, d in result.h1_dims.items()}
     report["hypotheses"] = {
         "all_intersections_connected": result.connected_hypothesis,
-        "disconnected": [_key(t) for t in result.disconnected],
+        "disconnected": [keys[t] for t in result.disconnected],
         "descended_maps_surjective": result.surjective_hypothesis,
         "non_surjective_levels": list(result.non_surjective_levels)}
     report["exponent"] = result.exponent
@@ -427,6 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     # OSError: the document cannot be read or the report cannot be written.
     except (InputError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return 2
+    # The last resort for a document too large for this process's memory.
+    except MemoryError as exc:
+        sys.stderr.write(f"input error: out of memory{f': {exc}' if str(exc) else ''}\n")
         return 2
     return code
 

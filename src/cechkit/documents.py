@@ -19,13 +19,22 @@ with labels referring to canonical global names; rank-1 values are field
 scalars (additive), higher ranks use nested k x k matrices.  The optional
 refinement block is {"fine": {"pieces": ..., "gluings": ...},
 "map": [[fine_label, coarse_label], ...]} and inherits the field.
+
+Reports and gallery documents are written by `canonical_json`, which
+builds the standard library encoder's canonical text (indent 2, sorted
+keys, non-ASCII unescaped) directly, at the cost of its bytes.
+`tests/test_documents_cli.py::test_canonical_json_matches_the_standard_encoder`
+holds it to that encoder byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
-from typing import Any
+from json.encoder import encode_basestring
+from typing import Any, Callable, Iterable
 
 from .bundles import MAX_RANK, ConstantCocycle, PieceBundleData, _normalise_value
 from .complexes import MalformedSimplex, build_complex
@@ -185,7 +194,99 @@ def decode_document(data: bytes) -> Any:
 
 
 def canonical_json(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """payload as canonical JSON text: 2-space indent, sorted keys, non-ASCII unescaped, one final newline.
+
+    The text is the standard library encoder's with indent=2,
+    sort_keys=True and ensure_ascii=False, plus a newline, written
+    directly: with an indent, that encoder yields one token at a time in
+    Python.  Strings go through its C escaper.  Every key must be a str;
+    a key or a value of any other type raises TypeError.
+    """
+    return _text(payload, "\n", {}) + "\n"
+
+
+def _float_text(x: float) -> str:
+    # The standard encoder's spelling: repr, and the JavaScript names of the values that are not finite.
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring, int: int.__repr__, float: _float_text,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+# Item types of the lists written as rows: equal lists of these have equal texts (an int never
+# equals a str, while True == 1 and 0.0 == -0.0).
+_ROW_ITEMS = {int, str}
+
+
+def _text(value: Any, newline: str, rows: dict) -> str:
+    """value's text, for a line that starts with newline (a line break and the indent).
+
+    A container's text is one join of its parts, so a child's text is
+    copied once, into its parent's.
+    """
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        return text(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = sorted(value)
+        # The escaper refuses a key that is not a str with TypeError.
+        parts = zip(_separators("{", inner, len(keys)), map(encode_basestring, keys), itertools.repeat(": "),
+                    _texts([value[k] for k in keys], inner, rows))
+        closing = newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = zip(_separators("[", inner, len(value)), _texts(value, inner, rows))
+        closing = newline + "]"
+    else:
+        # A subclass of a scalar type is written as its base; bool and None have none.
+        for base in (str, int, float):
+            if isinstance(value, base):
+                return _SCALARS[base](value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return "".join(itertools.chain(itertools.chain.from_iterable(parts), (closing,)))
+
+
+def _separators(opening: str, inner: str, n: int) -> Iterable[str]:
+    """What goes before each of n siblings: the opening bracket and a line break, then a comma and one."""
+    return itertools.chain((opening + inner,), itertools.repeat("," + inner, n - 1))
+
+
+def _texts(values: list | tuple, newline: str, rows: dict) -> Iterable[str]:
+    """The text of each of values, siblings in one container; each starts a line with newline.
+
+    Siblings of one scalar type are written by one map, and so are lists
+    whose items are all ints or all strs, such as index set rows and
+    edges.  Each distinct such list is written once per indent within a
+    `canonical_json` call, and memoised in rows: index set rows repeat.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        text = _SCALARS.get(kind)
+        if text is not None:
+            return map(text, values)
+        if kind in (list, tuple):
+            items = set(map(type, itertools.chain.from_iterable(values)))
+            if len(items) <= 1 and items <= _ROW_ITEMS:
+                memo = rows.setdefault(newline, {})
+                return [memo.get(row) or _row(row, newline, memo) for row in map(tuple, values)]
+    return [_text(v, newline, rows) for v in values]
+
+
+def _row(row: tuple, newline: str, memo: dict) -> str:
+    """The text of a list whose items are all ints or all strs, memoised."""
+    inner = newline + "  "
+    memo[row] = "[" + inner + ("," + inner).join(map(_SCALARS[type(row[0])], row)) + newline + "]" if row else "[]"
+    return memo[row]
 
 
 # What a malformed value raises on its way to an int or an int64 array.

@@ -19,6 +19,7 @@ comparison.  For a binary diagram the level-one difference map is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,10 +410,13 @@ def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
 def _connectivity(diagram: GluedDiagram) -> tuple[dict[tuple[str, ...], int], tuple[tuple[str, ...], ...]]:
     """Each index set's number of intersection components, and the sorted sets where it is not 1.
 
-    An empty intersection has no components.
+    An empty intersection has no components: every index set starts at 0,
+    and only the nonempty ones in `level` are counted.
     """
-    connectivity = {t: len(components(nerve)) if nerve is not None else 0
-                    for size in range(1, diagram.n_pieces + 1) for t, nerve in diagram.index_set_nerves(size)}
+    connectivity: dict[tuple[str, ...], int] = {}
+    for size in range(1, diagram.n_pieces + 1):
+        connectivity.update(dict.fromkeys(diagram.index_subsets(size), 0))
+        connectivity.update((t, len(components(nerve))) for t, nerve in diagram.level(size).items())
     return connectivity, tuple(sorted(t for t, c in connectivity.items() if c != 1))
 
 
@@ -476,14 +480,17 @@ def count_line_bundles(diagram: GluedDiagram) -> CountReport:
     if diagram.field.p != 2:
         raise WrongField("line bundle counting requires the field F_2")
     connectivity, disconnected = _connectivity(diagram)
-    h1_dims: dict[tuple[str, ...], int] = {}
+    # An empty intersection has H^1 = 0 and a literal term 2^0.
+    h1_dims = dict.fromkeys(connectivity, 0)
     exponent = literal = 0
-    for t, c in connectivity.items():
-        # An empty intersection has no components, H^1 = 0 and a literal term 2^0.
-        h1_dims[t] = h = cohomology(diagram.intersection_nerve(t), 1, diagram.field).dimension if c else 0
-        sign = 1 if len(t) % 2 else -1
-        exponent += sign * h
-        literal += sign * 2 ** h
+    for size in range(1, diagram.n_pieces + 1):
+        sign = 1 if size % 2 else -1
+        level = diagram.level(size)
+        literal += sign * (math.comb(diagram.n_pieces, size) - len(level))
+        for t, nerve in level.items():
+            h1_dims[t] = h = cohomology(nerve, 1, diagram.field).dimension
+            exponent += sign * h
+            literal += sign * 2 ** h
 
     non_surjective: list[int] = []
     for level in range(1, diagram.n_pieces):

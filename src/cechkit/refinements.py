@@ -54,7 +54,7 @@ class RefinementMap:
 
 
 def validate_refinement(r: RefinementMap) -> ValidationReport:
-    """Every violation as a message; each piece's simplices are checked by dimension, then lexicographically."""
+    """Every violation as a message; per piece its labels, then its other simplices by dimension and lexicographically."""
     bad: list[str] = []
     if r.fine.piece_ids != r.coarse.piece_ids:
         bad.append(f"piece sets differ: {r.fine.piece_ids} vs {r.coarse.piece_ids}")
@@ -74,7 +74,8 @@ def validate_refinement(r: RefinementMap) -> ValidationReport:
         for v in fine_nerve.vertices:
             if (r.labels[v],) not in coarse_nerve:
                 bad.append(f"piece {pid!r}: image of label {v!r} leaves the piece")
-        for s in sorted(fine_nerve.simplices, key=lambda s: (len(s), s)):
+        # A vertex's image is its label's, checked just above, so a vertex is not named twice.
+        for s in sorted((s for s in fine_nerve.simplices if len(s) > 1), key=lambda s: (len(s), s)):
             image = tuple(sorted({r.labels[v] for v in s}))
             if image not in coarse_nerve:
                 bad.append(f"piece {pid!r}: image of simplex {s!r} is not simplicial")

@@ -1,9 +1,21 @@
+import contextlib
+import enum
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cechkit import cli
 from cechkit.cli import QMAX_CAP, main
 from cechkit.diagrams import canonicalize, validate_system
 from cechkit.documents import (
@@ -509,3 +521,191 @@ def test_cli_field_flag_refuses_moduli_above_the_bound(tmp_path, capsys, modulus
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert f"modulus {modulus} exceeds 65521" in captured.err
+
+
+def standard_json(value):
+    """The canonical form as the standard library writes it: the oracle of `canonical_json`."""
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 63 - 2, max_value=2 ** 80)
+    | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)
+                      | st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=6)
+                      | st.lists(st.lists(st.sampled_from(["a", "1", "é"]), max_size=3), max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example(None)
+@example([0, -1, 2 ** 64, -2 ** 63 - 1, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 0.1])
+@example(['"quoted" \\ back\\slash', "\x00\x01\x1f\x7f\n\r\t\b\f", "é ü 文字 😀   \ud800"])
+@example({"b": [[], {}, ()], "a": {"nested": [[1, [2, []]], (3,)]}, "": "", "é": True, "A": False})
+# One row repeated at two indents, and rows equal to [1, 1] as values but not as types.
+@example({"rows": [[0, 0], [0, 0], [1, 1]], "deeper": {"rows": [[0, 0], [1, 1]]}, "row": [0, 0]})
+@example([[1, 1], [True, True], [1.0, 1.0], (1, 1), [1, 1]])
+@example({"ints": [[1, 1], [], [1, 1]], "strs": [["1", "1"], [], ["1", "1"]], "edges": [("a", "b"), ["a", "b"]]})
+@example({"a": [[1, 1]], "b": [[True, True]], "c": [[1.0, 1.0]], "d": [[0.0]], "e": [[-0.0]], "f": [[0]]})
+def test_canonical_json_matches_the_standard_encoder(value):
+    assert canonical_json(value) == standard_json(value)
+
+
+class Level(enum.IntEnum):
+    TOP = 3
+
+
+class Name(str):
+    pass
+
+
+def test_canonical_json_writes_subclasses_of_scalars_as_their_base():
+    value = {Name("key"): [Level.TOP, Name("x"), np.float64(0.1), np.float64("-inf")], "level": Level.TOP,
+             "rows": [[Level.TOP, 1], [Name("a")]]}
+    assert canonical_json(value) == standard_json(value)
+
+
+@pytest.mark.parametrize("value", ({1: 2}, {"a": {(1, 2): 3}}, {1, 2}, [frozenset()], np.int64(3),
+                                   {"a": [np.int64(1)]}, [np.bool_(True)], b"bytes", object()),
+                         ids=("int_key", "tuple_key", "set", "frozenset", "int64", "int64_in_list", "bool_",
+                              "bytes", "object"))
+def test_canonical_json_refuses_non_str_keys_and_non_json_values(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def row_by_row_table(rows):
+    """The reference table: widths from every cell, then each row formatted on its own."""
+    if not rows:
+        return ""
+    widths = [max(len(str(r[c])) for r in rows) for c in range(len(rows[0]))]
+    return "".join("  " + "  ".join(str(v).ljust(w) for v, w in zip(r, widths)) + "\n" for r in rows)
+
+
+table_rows = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(*[st.integers(-5, 12) | st.booleans() | st.text("ab,é", max_size=5)] * width), max_size=12))
+
+
+@given(table_rows)
+@example([])
+@example([("space", "H^0", "H^1"), ("union", 1, 1), ("p1", 1, 0), ("p1,p2", 0, 0), ("p1,p3", 0, 0),
+          ("p2,p3", 1, 0), ("p1,p2,p3", 0, 0)])
+@example([("class", "parallel_dim", "round_trip", "glue_dim"), ("[0, 1]", 1, True, 1), ("[1, 1]", 1, True, 1),
+          ("[1, 0]", 10, False, 1)])
+@example([("a",), ("bb",), (True,), (1,), ("",)])
+@example([("x", 1), ("y", True), ("z", 1), ("w", 1.0)])
+def test_table_matches_the_row_by_row_formatter(rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._table(rows)
+    assert out.getvalue() == row_by_row_table(rows)
+
+
+def test_table_of_repeated_tails_holds_no_text_per_cell(monkeypatch):
+    # `cohomology --qmax 40` rows over 2,000 empty index sets: 82,000 cells, one distinct tail.
+    rows = [("space", *[f"H^{q}" for q in range(41)])] + [(f"p{k},p{k + 1}", *[0] * 41) for k in range(2000)]
+    written = []
+
+    class Sink:
+        def write(self, text):
+            written.append(len(text))
+
+        def writelines(self, lines):
+            written.append(sum(map(len, lines)))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        cli._table(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == len(row_by_row_table(rows))
+    # A text object per cell would take about 4 MB; a reference per row and the two distinct tails far less.
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("error", (MemoryError(), MemoryError("Unable to allocate 2.1 GiB for an array")),
+                         ids=("bare", "with_message"))
+def test_cli_maps_memory_error_to_one_input_error_line(tmp_path, capsys, monkeypatch, error):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "count", exhausted)
+    report = tmp_path / "report.json"
+    assert main(["--report", str(report), "count", str(write_doc(tmp_path, gallery_document("two_origin_line")))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: out of memory{f': {error}' if str(error) else ''}\n"
+    assert not report.exists()
+
+
+EVERY_FILE_COMMAND = ("validate", "cohomology", "mv", "fibred", "bundles", "count", "collapse-check",
+                      "refine-check")
+
+# Runs every file command in process and prints one digest of their exit codes, stdout and reports.
+DIGEST_EVERY_COMMAND = """
+import contextlib, hashlib, io, re, sys
+from cechkit.cli import main
+doc, workdir, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+digest = hashlib.sha256()
+for command in commands:
+    report = f"{workdir}/{command}.report.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--report", report, command, doc])
+    digest.update(f"{command} {code}\\n".encode())
+    digest.update(re.sub(r"elapsed: [0-9.]+s\\n", "", out.getvalue()).encode())
+    digest.update(open(report, "rb").read())
+print(digest.hexdigest())
+"""
+
+
+def pieces_a_z_and_a_bang():
+    """A three-piece gallery document with the piece ids a, z and a!, and an identity refinement block.
+
+    In tuple order ("a", "z") comes before ("a!",); in the order of the
+    joined keys "a!" comes first.  Every index set is disconnected.
+    """
+    names = {"p1": "a", "p2": "z", "p3": "a!"}
+    doc = gallery_document("random_admissible", n=3, seed=11)
+    doc["pieces"] = [{**piece, "id": names[piece["id"]]} for piece in doc["pieces"]]
+    doc["gluings"] = [{**g, "i": names[g["i"]], "j": names[g["j"]]} for g in doc["gluings"]]
+    coarse = canonicalize(parse_document(doc).system)
+    doc["refinement"] = {"fine": {"pieces": doc["pieces"], "gluings": doc["gluings"]},
+                         "map": [[v, v] for v in coarse.nerve.vertices]}
+    return doc
+
+
+def test_cli_cohomology_table_lists_index_sets_in_key_order(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["--report", str(report_path), "cohomology", str(write_doc(tmp_path, pieces_a_z_and_a_bang()))]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    degrees = len(report["union_dims"])
+    rows = ([("space", *[f"H^{q}" for q in range(degrees)]), ("union", *report["union_dims"])]
+            + [(pid, *report["piece_dims"][pid]) for pid in ("a", "a!", "z")]
+            + [(k, *report["intersection_dims"][k]) for k in ("a!,z", "a,a!", "a,a!,z", "a,z")])
+    out = capsys.readouterr().out
+    assert out.startswith(f"global labels: {', '.join(report['global_labels'])}\n" + row_by_row_table(rows))
+    assert out.count("\n") == len(rows) + 2 and out.splitlines()[-1].startswith("elapsed: ")
+
+
+def test_every_report_and_stdout_do_not_depend_on_the_hash_seed(tmp_path):
+    path = write_doc(tmp_path, pieces_a_z_and_a_bang())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for seed in ("1", "2"):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        done = subprocess.run([sys.executable, "-c", DIGEST_EVERY_COMMAND, str(path), str(workdir),
+                               *EVERY_FILE_COMMAND], capture_output=True, timeout=120, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        digests.append(done.stdout)
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(f"{c}.report.json" for c in EVERY_FILE_COMMAND)
+    assert digests[0] == digests[1]
+    count = json.loads((tmp_path / "seed1" / "count.report.json").read_text(encoding="utf-8"))
+    assert set(count["h1_dims"]) == {"a", "z", "a!", "a,z", "a,a!", "a!,z", "a,a!,z"}
+    assert count["hypotheses"]["disconnected"] == ["a", "a,a!", "a,a!,z", "a,z", "a!", "a!,z", "z"]

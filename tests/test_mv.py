@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cechkit import cli, cochains, diagrams, fplinalg, mv
 from cechkit.cli import run_command
 from cechkit.cochains import cohomology, induced_on_cohomology, restriction_matrix
-from cechkit.complexes import SimplicialComplex, build_complex, intersect
+from cechkit.complexes import SimplicialComplex, build_complex, components, intersect
 from cechkit.diagrams import (
     AdjunctionSystem,
     IncompatibleFamily,
@@ -95,6 +96,20 @@ def test_exact_sequence_gallery(gallery_diagram):
     for q in range(max(gallery_diagram.nerve.dim, 0) + 1):
         verdict = verify_exact_sequence(gallery_diagram, q)
         assert verdict.exact, verdict
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_positions_tell_a_sequence_that_composes_to_zero_but_is_not_exact(p):
+    # 0 -> F -0-> F -0-> F -> 0: every composite is zero, but the kernel at the middle is not the image.
+    field = PrimeField(p)
+    zero = FMatrix.zeros(1, 1, field)
+    records = mv._positions([(0, "first"), (0, "middle"), (0, "last")], [zero, zero])
+    assert mv._compose_to_zero([zero, zero])
+    assert [(r.dim, r.incoming_rank, r.outgoing_nullity) for r in records] == [(1, 0, 1), (1, 0, 1), (1, 0, 1)]
+    assert [r.exact for r in records] == [False, False, False]
+    # F -1-> F -0-> F: exact at the middle only.
+    records = mv._positions([(0, "first"), (0, "middle"), (0, "last")], [FMatrix.identity(1, field), zero])
+    assert [r.exact for r in records] == [True, True, False]
 
 
 def test_exact_sequence_single_piece():
@@ -362,6 +377,38 @@ def test_count_single_circle():
     report = count_line_bundles(single_circle_diagram())
     assert report.exponent == 1
     assert report.dimension_form_count == 2 == report.ground_truth
+
+
+def every_index_set_sum(diagram):
+    """(h1_dims, connectivity, disconnected, exponent, literal) from every index set's plain set intersection."""
+    h1_dims, connectivity = {}, {}
+    exponent = literal = 0
+    for size in range(1, diagram.n_pieces + 1):
+        sign = 1 if size % 2 else -1
+        for t in itertools.combinations(diagram.piece_ids, size):
+            nerve = SimplicialComplex(frozenset.intersection(*(diagram.nerves[i].simplices for i in t)))
+            connectivity[t] = len(components(nerve))
+            h1_dims[t] = h = cohomology(nerve, 1, diagram.field).dimension
+            exponent += sign * h
+            literal += sign * 2 ** h
+    return h1_dims, connectivity, tuple(sorted(t for t, c in connectivity.items() if c != 1)), exponent, literal
+
+
+@pytest.mark.parametrize("make", [
+    lambda necklace: glued_from_nerves(necklace(7, True)),
+    lambda necklace: glued_from_nerves(necklace(6, False, ids=["b", "a!", "a", "c", "z", "a0"])),
+    lambda necklace: glued_from_nerves({"a": build_complex([["x", "y"], ["y", "z"], ["x", "z"]]),
+                                        "b": SimplicialComplex(frozenset()), "c": build_complex([["x"], ["z"]])}),
+    lambda necklace: diagram_for("random_admissible", n=3, seed=11),
+], ids=["ring7", "chain6_renamed", "empty_piece", "random11"])
+def test_count_and_connectivity_take_empty_index_sets_in_closed_form(necklace, make):
+    diagram = make(necklace)
+    h1_dims, connectivity, disconnected, exponent, literal = every_index_set_sum(diagram)
+    count, h1 = count_line_bundles(diagram), h1_fibred_check(diagram)
+    assert list(count.h1_dims.items()) == list(h1_dims.items())
+    assert list(h1.connectivity.items()) == list(connectivity.items())
+    assert count.disconnected == h1.disconnected == disconnected
+    assert (count.exponent, count.literal_form_count) == (exponent, literal)
 
 
 def test_count_requires_f2():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cechkit import refinements
-from cechkit.cli import main
+from cechkit.cli import main, run_command
 from cechkit.cochains import coboundary_matrix, cohomology, induced_on_cohomology, pullback_map
 from cechkit.diagrams import canonicalize
 from cechkit.documents import materialise_refinement, parse_document
@@ -69,6 +69,16 @@ def test_piece_violation_detected(two_origin_refinement):
     assert any("o1" in v for v in verdict.violations)
     with pytest.raises(InvalidRefinement):
         induced_cohomology_map(bad, 0)
+
+
+def test_a_label_that_leaves_its_piece_is_named_once(two_origin_refinement):
+    labels = dict(two_origin_refinement.labels)
+    labels["o1"] = "o2"
+    verdict = validate_refinement(RefinementMap(two_origin_refinement.fine, two_origin_refinement.coarse, labels))
+    # The edges at o1 still go to no edge of piece p1; the vertex ('o1',) is not named again.
+    assert verdict.violations == ("piece 'p1': image of label 'o1' leaves the piece",
+                                  "piece 'p1': image of simplex ('l2', 'o1') is not simplicial",
+                                  "piece 'p1': image of simplex ('o1', 'r2') is not simplicial")
 
 
 def union_and_intersection_nerves(r):
@@ -155,6 +165,44 @@ def test_noncontiguous_valid_map_exists_and_differs(two_origin_refinement):
     assert validate_refinement(constant).valid
     assert not contiguous(r, constant)
     assert induced_cohomology_map(constant, 1).rank() == 0
+
+
+def reverses_an_edge(r, labels):
+    """Whether labels send some fine edge a < b to a coarse edge with the larger label first."""
+    return any(len(s) == 2 and labels[s[0]] > labels[s[1]] for s in r.fine.nerve.simplices)
+
+
+@pytest.mark.parametrize("name", ("two_origin_line", "bug_eyed_circle"))
+@pytest.mark.parametrize("p", (3, 5))
+def test_refine_check_over_odd_primes_on_order_reversing_maps(tmp_path, name, p):
+    # Over F_2 a reversed edge's sign -1 is 1; over F_3 and F_5 every square sees it.
+    doc = gallery_document(name)
+    parsed = parse_document(doc, field_override=p)
+    coarse = canonicalize(parsed.system)
+    r = materialise_refinement(coarse, parsed.refinement, coarse.field)
+    reversing = [labels for labels in valid_label_maps(r.fine, r.coarse) if reverses_an_edge(r, labels)]
+    assert len(reversing) == {"two_origin_line": 7, "bug_eyed_circle": 51}[name]
+    path = tmp_path / "doc.json"
+    for labels in reversing:
+        doc["refinement"]["map"] = sorted(labels.items())
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        report, code = run_command("refine-check", {"path": str(path), "field": p})
+        assert code == 0, [s for s in report.get("squares", []) if not s["commutes"]]
+        assert report["verdicts"] == {"refinement_valid": True, "naturality_squares_commute": True}
+
+
+def test_a_delta_square_with_a_broken_pullback_does_not_commute():
+    r = refinement_for("two_origin_line")
+    field = r.fine.field
+    for fine_c, coarse_c in ((r.fine.nerve, r.coarse.nerve), (r.fine.nerves["p1"], r.coarse.nerves["p1"])):
+        good = refinements._pullback(r, fine_c, coarse_c, 0)
+        # The pullback of 0-cochains with one entry flipped: still a map C^0(coarse) -> C^0(fine), not a chain map.
+        broken = good.entries.copy()
+        broken[0, 0] = 1 - broken[0, 0]
+        r.pullbacks[fine_c, coarse_c, 0] = FMatrix(broken, field)
+    commutes = {s.name: s.commutes for s in naturality_check(r, 1).squares}
+    assert not commutes["delta[union] q=0"] and not commutes["delta[T=p1] q=0"]
+    assert commutes["delta[union] q=1"] and commutes["delta[T=p2] q=0"] and commutes["delta[T=p1,p2] q=0"]
 
 
 def identity_refinement(name):
