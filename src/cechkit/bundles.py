@@ -45,7 +45,7 @@ from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram, ValidationReport
 from .errors import InputError, ResourceLimit, WrongField
-from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix, product
+from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix
 
 Edge = tuple[str, str]
 
@@ -298,7 +298,7 @@ def enumerate_line_bundles(diagram: GluedDiagram) -> LineBundles:
                             f"dim H^1 = {coh.dimension} gives 2^{coh.dimension}")
     masks = np.arange(2 ** coh.dimension)
     # Column `mask` of `classes` sums the representatives at the set bits of mask.
-    classes = product(coh.representatives.entries, masks >> np.arange(coh.dimension)[:, None] & 1, 2)
+    classes = coh.representatives.apply(masks >> np.arange(coh.dimension)[:, None] & 1)
     return LineBundles(diagram, coh, classes)
 
 
@@ -576,12 +576,9 @@ def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
                 sections.append(TwistedSection(cocycle, values))
         return SectionBasis(cocycle, tuple(sections))
 
-    k = cocycle.rank
-    vs = base.vertices
-    # kernel row i * k + r is entry r of the section at vertex i
-    kernel = _section_system({"": cocycle}, [], k, cocycle.field).kernel_basis()
-    by_vertex = kernel.entries.reshape(len(vs), k, kernel.cols)
-    sections = tuple(TwistedSection(cocycle, {v: by_vertex[i, :, j].copy() for i, v in enumerate(vs)})
+    # kernel row i * k + r is entry r of the section at vertex i, for rank k
+    kernel = _section_system({"": cocycle}, [], cocycle.rank, cocycle.field).kernel_basis()
+    sections = tuple(TwistedSection(cocycle, dict(zip(base.vertices, kernel.column(j).reshape(-1, cocycle.rank))))
                      for j in range(kernel.cols))
     return SectionBasis(cocycle, sections)
 
@@ -598,8 +595,8 @@ def _section_system(cocycles: dict[str, ConstantCocycle], links: list[tuple[tupl
     unknowns = {(i, v): rank for i, g in cocycles.items() for v in g.base.vertices}
     conditions = [((i, a), (i, b), g.values[(a, b)]) for i, g in cocycles.items()
                   for a, b in g.base.simplices_of_dim(1)] + links
-    eye = np.eye(rank, dtype=np.int64)
-    blocks = [block for n, (x, y, h) in enumerate(conditions) for block in ((n, x, eye), (n, y, -np.asarray(h)))]
+    eye = FMatrix.identity(rank, field)
+    blocks = [block for n, (x, y, h) in enumerate(conditions) for block in ((n, x, eye), (n, y, -FMatrix(h, field)))]
     return block_matrix(dict.fromkeys(range(len(conditions)), rank), unknowns, blocks, field)
 
 

@@ -25,8 +25,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .bundles import (
     class_table,
     cocycle_class,
@@ -47,7 +45,7 @@ from .documents import (
     parse_document,
 )
 from .errors import InputError, ResourceLimit
-from .fplinalg import FMatrix, PrimeField
+from .fplinalg import PrimeField, block_matrix
 from .gallery import GALLERY_NAMES, gallery_document
 from .mv import (
     assemble_les,
@@ -244,7 +242,8 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
         union_dim = len(diagram.nerve.simplices_of_dim(q))
         rank_phi = phi_star(diagram, q).rank()
         two_step, basis = inductive_fibred_dim(diagram, q)
-        joint = FMatrix(np.hstack([fp.basis.entries, basis.entries]), diagram.field)
+        joint = block_matrix({0: basis.rows}, {0: fp.dimension, 1: basis.cols}, [(0, 0, fp.basis), (0, 1, basis)],
+                             diagram.field)
         same_span = joint.rank() == fp.dimension and two_step == fp.dimension
         report["degrees"].append({
             "q": q, "cochain_dim_union": union_dim, "fibred_dim": fp.dimension,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import NotSimplicial
-from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, echelon, entry_matrix
+from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix
 
 
 class NotSubcomplex(ValueError):
@@ -55,9 +55,9 @@ class CohomologyBasis:
     """H^q of one complex: its dimension from ranks, its bases on first read.
 
     The dimension is n_q - rank d^q - rank d^(q-1), from the ranks each
-    memoised coboundary keeps.  The cocycles, the coboundaries and a
-    chosen complement spanning H^q take one more elimination, run when
-    any of the three is first read and kept on the complex under
+    memoised coboundary keeps.  The cocycles, the coboundaries B and a
+    chosen complement R spanning H^q, column views of one [B | R], take
+    one more elimination, run on first read and kept on the complex under
     ("H", q, p), so every later CohomologyBasis of that complex, degree
     and field shares them.
     """
@@ -73,7 +73,7 @@ class CohomologyBasis:
         return len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
 
     @cached_property
-    def _bases(self) -> tuple[FMatrix, FMatrix, FMatrix]:
+    def _bases(self) -> tuple[FMatrix, ...]:
         k, q, field = self.complex, self.degree, self.field
         key = ("H", q, field.p)
         if key not in k.cochain_matrices:
@@ -92,6 +92,11 @@ class CohomologyBasis:
     def representatives(self) -> FMatrix:
         return self._bases[2]
 
+    @property
+    def adapted(self) -> FMatrix:
+        """[B | R], the basis of the cocycles that classes are solved on."""
+        return self._bases[3]
+
 
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:
     """H^q(k; F_p): its dimension, and its cocycle, coboundary and representative bases.
@@ -106,8 +111,8 @@ def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBas
     return CohomologyBasis(k, q, field)
 
 
-def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, FMatrix, FMatrix]:
-    """Cocycles, coboundaries and representatives from one elimination of [d^(q-1) | Z].
+def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, ...]:
+    """Cocycles Z, coboundaries B, representatives R and [B | R] from one elimination of [d^(q-1) | Z].
 
     A column is a pivot exactly when it is not in the span of the columns
     before it, so the d^(q-1) pivots are a basis of the coboundaries and
@@ -115,24 +120,19 @@ def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[
     back-substituted from the echelon that the rank of d^q already holds.
     """
     z = coboundary_matrix(k, q, field).kernel_basis()
-    if q == 0:
-        d = np.zeros((z.rows, 0), dtype=np.int64)
-    else:
-        d = coboundary_matrix(k, q - 1, field).entries
-    n = d.shape[1]
-    pivots = echelon(np.hstack([d, z.entries]), field.p).pivots
-    b = FMatrix(d[:, [c for c in pivots if c < n]], field)
-    reps = FMatrix(z.entries[:, [c - n for c in pivots if c >= n]], field)
-    return z, b, reps
+    d = coboundary_matrix(k, q - 1, field) if q else FMatrix.zeros(z.rows, 0, field)
+    joint = block_matrix({0: z.rows}, {"B": d.cols, "Z": z.cols}, [(0, "B", d), (0, "Z", z)], field)
+    adapted = joint.column_space_basis()
+    n = sum(c < d.cols for c in joint.pivots())
+    return z, adapted[:, :n], adapted[:, n:], adapted
 
 
-def class_coordinates(coh: CohomologyBasis, values: np.ndarray) -> np.ndarray:
-    """Coordinates of a cocycle's class in the chosen representative basis.
+def class_coordinates(coh: CohomologyBasis, values: np.ndarray | FMatrix) -> np.ndarray | FMatrix:
+    """Coordinates of a cocycle's class in the chosen representative basis, solved on [B | R].
 
-    A 2-d `values` holds one cocycle per column, all solved in one elimination.
+    A 2-d `values` or an `FMatrix` holds one cocycle per column, all solved in one elimination.
     """
-    stacked = np.hstack([coh.coboundaries.entries, coh.representatives.entries])
-    solution = FMatrix(stacked, coh.field).solve(values)
+    solution = coh.adapted.solve(values)
     if solution is None:
         raise ValueError("vector is not a cocycle of this space")
     return solution[coh.coboundaries.cols:]
@@ -150,8 +150,8 @@ def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis | Sequence[Cohom
     """
     src, tgt = _summands(src), _summands(tgt)
     reps = block_matrix(_cochain_sizes(src), {i: h.dimension for i, h in src.items()},
-                        ((i, i, h.representatives.entries) for i, h in src.items()), matrix.field)
-    image = (matrix @ reps).entries
+                        ((i, i, h.representatives) for i, h in src.items()), matrix.field)
+    image = matrix @ reps
     rows, _ = _ranges(_cochain_sizes(tgt))
     coords = ((i, "src", class_coordinates(h, image[rows[i]])) for i, h in tgt.items())
     return block_matrix({i: h.dimension for i, h in tgt.items()}, {"src": reps.cols}, coords, matrix.field)

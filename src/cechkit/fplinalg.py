@@ -41,14 +41,16 @@ own echelon, so its rank, column space and kernel share one elimination.
   (`grid` wall time 0.094 -> 0.111 s, +18 %; `necklace` +7 %; `bundles`
   +10 %).
 
-Two constructors own matrix layout: `block_matrix` places blocks keyed by
-index set, and `entry_matrix` places single entries.  They are the one
-place in the package where a matrix is allocated and written into; every
-cochain, restriction, difference and total differential goes through them.
+`FMatrix` is the one holder of matrix storage; no other module reads its
+array, and `apply` takes one vector or a matrix of columns.  Two
+constructors own matrix layout: `block_matrix` places `FMatrix` blocks
+keyed by index set, and `entry_matrix` places single entries; every
+cochain, restriction, difference, total differential and join uses them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -80,14 +82,7 @@ class DimensionMismatch(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,6 @@ class Echelon:
             a = np.zeros(self.shape, dtype=np.int64)
             a[at] = [v for x in ordered for v in x.values()]
             return a
-        nrows, ncols = self.shape
         table = dict(self.rows)
         # From the last pivot up: a reduced row has no other pivot bit, so
         # XOR-ing it in clears exactly its own pivot bit.
@@ -245,7 +239,7 @@ class Echelon:
                 hits ^= 1 << (bit - 1)
             table[lead] = x
             done |= 1 << (lead - 1)
-        return _f2_matrix([table[lead] for lead in sorted(table, reverse=True)], nrows, ncols)
+        return _f2_matrix([table[lead] for lead in sorted(table, reverse=True)], *self.shape)
 
 
 def echelon(a: np.ndarray, p: int) -> Echelon:
@@ -333,9 +327,17 @@ class FMatrix:
         return FMatrix._of(product(self.entries, other.entries, self.field.p), self.field)
 
     def __neg__(self) -> "FMatrix":
-        return FMatrix(-self.entries, self.field)
+        return self if self.field.p == 2 else FMatrix(-self.entries, self.field)  # -1 = 1 over F_2
+
+    def __getitem__(self, key) -> "FMatrix":
+        """The rows and columns a numpy index picks, e.g. m[a:b] or m[:, cols]; a view where numpy gives one."""
+        entries = self.entries[key]
+        if entries.ndim != 2:
+            raise ValueError(f"index {key!r} does not pick a matrix")
+        return FMatrix._of(entries, self.field)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
+        """The product with one vector, or with a 2-d array holding one vector per column."""
         v = _reduce(np.asarray(vector, dtype=np.int64), self.field.p)
         if v.shape[0] != self.cols:
             raise DimensionMismatch(f"vector length {v.shape[0]} != {self.cols} columns")
@@ -356,9 +358,12 @@ class FMatrix:
     def rank(self) -> int:
         return len(self._echelon.pivots)
 
+    def pivots(self) -> list[int]:
+        """The pivot columns of the echelon this matrix keeps: each column not in the span of those before it."""
+        return self._echelon.pivots
+
     def rank_nullity(self) -> tuple[int, int]:
-        r = self.rank()
-        return r, self.cols - r
+        return self.rank(), self.cols - self.rank()
 
     def kernel_basis(self) -> "FMatrix":
         """One column per free variable: 1 there, 0 at the other free ones; built once per matrix."""
@@ -376,36 +381,36 @@ class FMatrix:
         k[pivots] = -e.reduced()[:len(pivots), free]
         return FMatrix(k, self.field)
 
-    def solve(self, b: np.ndarray) -> np.ndarray | None:
+    def solve(self, b: "np.ndarray | FMatrix") -> "np.ndarray | FMatrix | None":
         """One solution of A x = b with free variables set to 0, or None.
 
         A 2-d b takes one elimination of [A | b] and gives None if any column
         is inconsistent; otherwise no pivot lands among b's columns, so each
-        column's solution is that of its own solve.
+        column's solution is that of its own solve.  An `FMatrix` b, already
+        in [0, p), is not reduced again, and its solution is an `FMatrix`.
         """
-        p = self.field.p
-        b = np.asarray(b, dtype=np.int64) % p
-        if b.shape[0] != self.rows:
-            raise DimensionMismatch(f"rhs length {b.shape[0]} != {self.rows} rows")
-        rhs = b if b.ndim == 2 else b[:, None]
-        x = np.zeros((self.cols, rhs.shape[1]), dtype=np.int64)
-        if rhs.shape[1]:
-            reduced, pivots = rref(np.hstack([self.entries, rhs]), p)
+        rhs = b.entries if isinstance(b, FMatrix) else np.asarray(b, dtype=np.int64) % self.field.p
+        if rhs.shape[0] != self.rows:
+            raise DimensionMismatch(f"rhs length {rhs.shape[0]} != {self.rows} rows")
+        columns = rhs if rhs.ndim == 2 else rhs[:, None]
+        x = np.zeros((self.cols, columns.shape[1]), dtype=np.int64)
+        if columns.shape[1]:
+            reduced, pivots = rref(np.hstack([self.entries, columns]), self.field.p)
             if pivots and pivots[-1] >= self.cols:
                 return None
             x[pivots] = reduced[:len(pivots), self.cols:]
-        return x if b.ndim == 2 else x[:, 0]
+        if isinstance(b, FMatrix):
+            return FMatrix._of(x, self.field)
+        return x if rhs.ndim == 2 else x[:, 0]
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""
-        return FMatrix._of(self.entries[:, self._echelon.pivots], self.field)
+        return self[:, self.pivots()]
 
     def inverse(self) -> "FMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        p = self.field.p
-        aug = np.column_stack([self.entries, np.eye(self.rows, dtype=np.int64)])
-        reduced, pivots = rref(aug, p)
+        reduced, pivots = rref(np.column_stack([self.entries, np.eye(self.rows, dtype=np.int64)]), self.field.p)
         if pivots[: self.rows] != list(range(self.rows)):
             raise ZeroDivisionError("matrix is singular")
         return FMatrix._of(reduced[:, self.rows:], self.field)
@@ -422,22 +427,24 @@ def _ranges(dims: Mapping[Hashable, int]) -> tuple[dict[Hashable, slice], int]:
 
 
 def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, int],
-                 blocks: Iterable[tuple[Hashable, Hashable, np.ndarray]], field: PrimeField) -> FMatrix:
-    """The matrix whose row and column ranges are the keyed sizes in order.
+                 blocks: Iterable[tuple[Hashable, Hashable, FMatrix]], field: PrimeField) -> FMatrix:
+    """The matrix whose row and column ranges are the keyed sizes, in the order of the maps, not of the blocks.
 
-    Each (row key, col key, array) block is added at its position, so
-    blocks that share a position are summed; any size may be 0.  A block
-    must have exactly its position's shape.
+    Each (row key, col key, FMatrix) block is added at its position; any
+    size may be 0, and a block must have exactly its position's shape.
+    Blocks are in [0, p), so only a sum of blocks that share a position is reduced.
     """
     rows, n_rows = _ranges(row_dims)
     cols, n_cols = _ranges(col_dims)
     m = np.zeros((n_rows, n_cols), dtype=np.int64)
+    placed = []
     for r, c, block in blocks:
         place = m[rows[r], cols[c]]
-        if place.shape != block.shape:
-            raise DimensionMismatch(f"block {r!r}, {c!r} has shape {block.shape}, not {place.shape}")
-        place += block
-    return FMatrix(m, field)
+        if place.shape != block.entries.shape or block.field.p != field.p:
+            raise DimensionMismatch(f"block {r!r}, {c!r}: {block.entries.shape} mod {block.field.p}, not {place.shape}")
+        place += block.entries
+        placed.append((r, c))
+    return FMatrix(m, field) if len(set(placed)) < len(placed) else FMatrix._of(m, field)
 
 
 def entry_matrix(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values,

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cochains import (
     _cochain_dims,
     class_coordinates,
@@ -35,7 +33,7 @@ from .cochains import (
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
 from .errors import WrongField
-from .fplinalg import FMatrix, _ranges, block_matrix, product
+from .fplinalg import FMatrix, _ranges, block_matrix
 
 
 class NotBinary(ValueError):
@@ -53,8 +51,7 @@ def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
 def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
     field = diagram.field
     pieces = diagram.level(1)
-    blocks = ((t, "union", restriction_matrix(diagram.nerve, k, degree, field).entries)
-              for t, k in pieces.items())
+    blocks = ((t, "union", restriction_matrix(diagram.nerve, k, degree, field)) for t, k in pieces.items())
     return block_matrix(_cochain_dims(pieces, degree), {"union": len(diagram.nerve.simplices_of_dim(degree))},
                         blocks, field)
 
@@ -82,7 +79,7 @@ def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
         for t_prime, k in tgt.items():
             for a in range(len(t_prime)):
                 t = t_prime[:a] + t_prime[a + 1:]
-                res = restriction_matrix(src[t], k, degree, diagram.field).entries
+                res = restriction_matrix(src[t], k, degree, diagram.field)
                 yield t_prime, t, res if a % 2 else -res
 
     return block_matrix(_cochain_dims(tgt, degree), _cochain_dims(src, degree), blocks(), diagram.field)
@@ -174,7 +171,7 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
     lifted = into_union @ (d_lift @ (into_lift @ coh_src.representatives))
     if through != i1:
         lifted = -lifted
-    return FMatrix(class_coordinates(coh_tgt, lifted.entries), field)
+    return class_coordinates(coh_tgt, lifted)
 
 
 @dataclass(frozen=True)
@@ -270,8 +267,8 @@ class FibredProduct:
             rj = restriction_matrix(self.diagram.nerves[j], nij, self.degree, field)
             if not (ri @ rhos[i]).equals(rj @ rhos[j]):
                 raise IncompatibleFamily(f"maps for pieces {i!r} and {j!r} do not agree on the overlap")
-        stacked = np.vstack([rhos[i].entries for i in ids])
-        return FMatrix(stacked, field)
+        return block_matrix({i: rhos[i].rows for i in ids}, {0: rhos[ids[0]].cols}, ((i, 0, rhos[i]) for i in ids),
+                            field)
 
 
 def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
@@ -283,11 +280,9 @@ def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
         basis = delta_tilde(diagram, 1, degree).kernel_basis()
     if phi.rank() != basis.cols:
         raise AssertionError("fibred product dimension differs from rank of phi_star")
-    if basis.cols:
-        joint = FMatrix(np.hstack([basis.entries, phi.entries]), diagram.field)
-        if joint.rank() != basis.cols:
-            raise AssertionError("image of phi_star escapes the fibred product")
-    elif not phi.is_zero():
+    # rank phi = dim B, so phi lies in B exactly when [B | phi] has rank dim B; an empty B leaves phi 0
+    if basis.cols and block_matrix({0: phi.rows}, {0: basis.cols, 1: phi.cols}, [(0, 0, basis), (0, 1, phi)],
+                                   diagram.field).rank() != basis.cols:
         raise AssertionError("image of phi_star escapes the fibred product")
     return FibredProduct(diagram, degree, basis)
 
@@ -308,7 +303,7 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
     dims = _cochain_dims(diagram.nerves, degree)
     pairs = diagram.level(2)
 
-    blocks: dict[str, np.ndarray] = {ids[0]: np.eye(dims[ids[0]], dtype=np.int64)}
+    blocks = {ids[0]: FMatrix.identity(dims[ids[0]], field)}
     cols = dims[ids[0]]
     for m in range(1, len(ids)):
         nxt = ids[m]
@@ -316,18 +311,20 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
         # an empty intersection adds no constraint
         meets = ((prev, pairs.get((prev, nxt), pairs.get((nxt, prev)))) for prev in ids[:m])
         overlaps = {prev: nij for prev, nij in meets if nij is not None}
-        constraint: list[tuple[str, int, np.ndarray]] = []
+        constraint: list[tuple[str, int, FMatrix]] = []
         for prev, nij in overlaps.items():
-            r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field).entries
-            r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field).entries
-            constraint += [(prev, 0, product(r_prev, blocks[prev], field.p)), (prev, 1, -r_next)]
+            r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field)
+            r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field)
+            constraint += [(prev, 0, r_prev @ blocks[prev]), (prev, 1, -r_next)]
         kernel = block_matrix(_cochain_dims(overlaps, degree), {0: cols, 1: dims[nxt]}, constraint,
-                              field).kernel_basis().entries
-        top, bottom = kernel[:cols, :], kernel[cols:, :]
-        blocks = {i: product(blocks[i], top, field.p) for i in blocks}
+                              field).kernel_basis()
+        top, bottom = kernel[:cols], kernel[cols:]
+        blocks = {i: blocks[i] @ top for i in blocks}
         blocks[nxt] = bottom
-        cols = kernel.shape[1]
-    return cols, FMatrix(np.vstack([blocks[i] for i in diagram.piece_ids]), field)
+        cols = kernel.cols
+    # rows in piece_ids order, whatever the order of adjoining or of diagram.nerves
+    return cols, block_matrix({i: dims[i] for i in diagram.piece_ids}, {0: cols},
+                              ((i, 0, blocks[i]) for i in diagram.piece_ids), field)
 
 
 @dataclass(frozen=True)
@@ -371,13 +368,12 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
     def blocks(k: int):
         for p, q in dims[k]:
             if p + 1 < n_cols:
-                yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q).entries
+                yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q)
             if q <= q_top:
                 # d^q on each block; degrees q and q+1 share the level's index sets
                 nerves = diagram.level(p + 1)
                 d = block_matrix(_cochain_dims(nerves, q + 1), _cochain_dims(nerves, q),
-                                 ((t, t, coboundary_matrix(n, q, field).entries) for t, n in nerves.items()),
-                                 field).entries
+                                 ((t, t, coboundary_matrix(n, q, field)) for t, n in nerves.items()), field)
                 yield (p, q + 1), (p, q), -d if p % 2 else d
 
     return [block_matrix(dims[k + 1], dims[k], blocks(k), field) for k in range(k_max + 1)]
@@ -397,13 +393,13 @@ def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
     src, tgt = diagram.level(level), diagram.level(level + 1)
     z = {t: coboundary_matrix(k, degree, field).kernel_basis() for t, k in src.items()}
     cocycles = block_matrix(_cochain_dims(src, degree), {t: m.cols for t, m in z.items()},
-                            ((t, t, m.entries) for t, m in z.items()), field)
-    image = (delta_tilde(diagram, level, degree) @ cocycles).entries
+                            ((t, t, m) for t, m in z.items()), field)
+    image = delta_tilde(diagram, level, degree) @ cocycles
     d = {t: coboundary_matrix(k, degree - 1, field) for t, k in tgt.items()} if degree else {}
     dims = _cochain_dims(tgt, degree)
     rows, _ = _ranges(dims)
-    blocks = [(t, "image", image[r]) for t, r in rows.items()] + [(t, t, m.entries) for t, m in d.items()]
-    joint = block_matrix(dims, {"image": image.shape[1], **{t: m.cols for t, m in d.items()}}, blocks, field)
+    blocks = [(t, "image", image[r]) for t, r in rows.items()] + [(t, t, m) for t, m in d.items()]
+    joint = block_matrix(dims, {"image": image.cols, **{t: m.cols for t, m in d.items()}}, blocks, field)
     return joint.rank() - sum(m.rank() for m in d.values())
 
 

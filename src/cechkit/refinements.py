@@ -105,8 +105,8 @@ def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
     """
     if (level, degree) not in r.pullbacks:
         fine, coarse = r.fine.level(level), r.coarse.level(level)
-        maps = {t: _pullback(r, fine.get(t, EMPTY_COMPLEX), k, degree).entries for t, k in coarse.items()}
-        r.pullbacks[level, degree] = block_matrix({t: m.shape[0] for t, m in maps.items()},
+        maps = {t: _pullback(r, fine.get(t, EMPTY_COMPLEX), k, degree) for t, k in coarse.items()}
+        r.pullbacks[level, degree] = block_matrix({t: m.rows for t, m in maps.items()},
                                                   _cochain_dims(coarse, degree),
                                                   ((t, t, m) for t, m in maps.items()), r.fine.field)
     return r.pullbacks[level, degree]

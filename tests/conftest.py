@@ -101,6 +101,14 @@ def necklace_document():
 ELIMINATIONS = ("echelon",)
 
 
+def patch_bindings(monkeypatch, name, replacement):
+    """Replace fplinalg's `name` wherever a cechkit module binds it."""
+    real = getattr(fplinalg, name)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.fixture
 def count_eliminations(monkeypatch):
     """Call to start counting: every elimination entry point, wherever a
@@ -114,9 +122,7 @@ def count_eliminations(monkeypatch):
                 calls.append(a.shape)
                 return real(a, p)
 
-            for module in list(sys.modules.values()):
-                if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
+            patch_bindings(monkeypatch, name, counted)
         return calls
     return start
 

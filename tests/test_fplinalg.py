@@ -1,6 +1,5 @@
 import ast
 import itertools
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -132,9 +131,9 @@ def test_solve_dimension_mismatch():
 
 
 def diagonal(blocks, field):
-    """block_matrix with block i at (i, i)."""
+    """block_matrix with block i, an array wrapped in an FMatrix, at (i, i)."""
     return block_matrix({i: b.shape[0] for i, b in enumerate(blocks)}, {i: b.shape[1] for i, b in enumerate(blocks)},
-                        [(i, i, b) for i, b in enumerate(blocks)], field)
+                        [(i, i, FMatrix(b, field)) for i, b in enumerate(blocks)], field)
 
 
 def test_block_diagonal_places_blocks_in_order_including_empty_ones():
@@ -151,19 +150,21 @@ def test_block_diagonal_places_blocks_in_order_including_empty_ones():
 
 def test_block_matrix_sums_blocks_that_share_a_position():
     f5 = PrimeField(5)
-    m = block_matrix({"r": 1}, {"a": 2, "b": 1}, [("r", "a", np.array([[1, 2]])), ("r", "b", np.array([[3]])),
-                                                   ("r", "a", np.array([[4, -2]]))], f5)
+    m = block_matrix({"r": 1}, {"a": 2, "b": 1}, [("r", "a", FMatrix(np.array([[1, 2]]), f5)),
+                                                   ("r", "b", FMatrix(np.array([[3]]), f5)),
+                                                   ("r", "a", FMatrix(np.array([[4, -2]]), f5))], f5)
     assert m.entries.tolist() == [[0, 0, 3]]
     # a repeated key summed with its negative leaves zero
-    eye = np.eye(2, dtype=np.int64)
+    eye = FMatrix.identity(2, f5)
     assert block_matrix({0: 2}, {0: 2}, [(0, 0, eye), (0, 0, -eye)], f5).is_zero()
 
 
 def test_block_matrix_lays_out_keys_in_the_order_of_the_maps_not_of_the_blocks():
-    blocks = [("y", "q", np.array([[1]])), ("x", "p", np.array([[2, 2]]))]
-    m = block_matrix({"x": 1, "y": 1}, {"p": 2, "q": 1}, blocks, PrimeField(3))
+    f3 = PrimeField(3)
+    blocks = [("y", "q", FMatrix(np.array([[1]]), f3)), ("x", "p", FMatrix(np.array([[2, 2]]), f3))]
+    m = block_matrix({"x": 1, "y": 1}, {"p": 2, "q": 1}, blocks, f3)
     assert m.entries.tolist() == [[2, 2, 0], [0, 0, 1]]
-    swapped = block_matrix({"y": 1, "x": 1}, {"q": 1, "p": 2}, blocks, PrimeField(3))
+    swapped = block_matrix({"y": 1, "x": 1}, {"q": 1, "p": 2}, blocks, f3)
     assert swapped.entries.tolist() == [[1, 0, 0], [0, 2, 2]]
     # keys of size 0 take no rows or columns, and a map may have no blocks at all
     assert block_matrix({"x": 0, "y": 2}, {"p": 3}, [], F2).entries.tolist() == [[0, 0, 0], [0, 0, 0]]
@@ -172,9 +173,30 @@ def test_block_matrix_lays_out_keys_in_the_order_of_the_maps_not_of_the_blocks()
 def test_block_matrix_refuses_a_block_of_the_wrong_shape():
     # (1 x 2) where (2 x 1) belongs: numpy would broadcast a (1 x 1) block silently
     with pytest.raises(DimensionMismatch):
-        block_matrix({0: 2}, {0: 1}, [(0, 0, np.array([[1, 1]]))], F2)
+        block_matrix({0: 2}, {0: 1}, [(0, 0, FMatrix(np.array([[1, 1]]), F2))], F2)
     with pytest.raises(DimensionMismatch):
-        block_matrix({0: 2}, {0: 2}, [(0, 0, np.array([[1]]))], F2)
+        block_matrix({0: 2}, {0: 2}, [(0, 0, FMatrix(np.array([[1]]), F2))], F2)
+    # a block over another field would bring entries outside [0, p) unreduced
+    with pytest.raises(DimensionMismatch):
+        block_matrix({0: 1}, {0: 1}, [(0, 0, FMatrix(np.array([[4]]), PrimeField(5)))], PrimeField(3))
+
+
+def test_views_pivots_negation_and_a_matrix_right_hand_side():
+    f3 = PrimeField(3)
+    a = FMatrix(np.array([[1, 2, 0], [2, 1, 1]]), f3)
+    assert a[1:].entries.tolist() == [[2, 1, 1]] and a[:, [2, 0]].entries.tolist() == [[0, 1], [1, 2]]
+    with pytest.raises(ValueError):
+        a[0]
+    # column 1 is twice column 0
+    assert a.pivots() == [0, 2] and a.column_space_basis().equals(a[:, [0, 2]])
+    b = FMatrix(np.array([[1], [0]]), f3)
+    x = a.solve(b)
+    assert isinstance(x, FMatrix) and np.array_equal(x.column(0), a.solve(np.array([1, 0]))) and (a @ x).equals(b)
+    assert (-a).entries.tolist() == [[2, 1, 0], [1, 2, 2]]
+    over_f2 = FMatrix(np.array([[1, 0]]), F2)
+    assert -over_f2 is over_f2
+    # apply takes one vector or a matrix of columns
+    assert np.array_equal(a.apply(np.eye(3, dtype=np.int64)), a.entries)
 
 
 def test_entry_matrix_places_entries_and_reduces_them():
@@ -280,11 +302,47 @@ def test_only_the_counted_entry_points_reach_the_elimination_kernels():
     assert callers == {("fplinalg", name) for name in ELIMINATIONS}
 
 
+ARRAY_JOINS = {"hstack", "vstack", "column_stack", "concatenate"}
+
+
+def storage_reads(tree: ast.AST) -> set[tuple[str, str]]:
+    """The innermost function around each `.entries` read, numpy array join,
+    and import of `product` or `echelon` from fplinalg, with what it is."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "entries":
+            found.add((scope, ".entries"))
+        if isinstance(node, ast.Attribute) and node.attr in ARRAY_JOINS and \
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            found.add((scope, f"np.{node.attr}"))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fplinalg"):
+            found.update((scope, f"import {a.name}") for a in node.names if a.name in ("product", "echelon"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_module_but_fplinalg_reads_matrix_storage():
+    # FMatrix owns the storage, so changing it changes fplinalg alone.
+    assert storage_reads(ast.parse("from .fplinalg import echelon\ndef f(m):\n    return np.vstack([m.entries])")) == {
+        ("<module>", "import echelon"), ("f", ".entries"), ("f", "np.vstack")}
+    found = {(path.stem, scope, what)
+             for path in sorted(Path(cechkit.__file__).parent.glob("*.py")) if path.stem != "fplinalg"
+             for scope, what in storage_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    # The one exception: a rank-k bundle transition is a small numpy value, not a cochain map.
+    assert found == {("bundles", "_invert", ".entries")}
+
+
 @pytest.mark.parametrize("p", (2, 3))
 def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
     # echelon and rref do not reduce their input: a matrix is reduced once,
     # when its FMatrix is built, so every caller must pass entries in [0, p).
-    from conftest import ELIMINATIONS, GALLERY_CASES
+    from conftest import ELIMINATIONS, GALLERY_CASES, patch_bindings
     seen, unreduced = [], []
     for name in ELIMINATIONS:
         real = getattr(fplinalg, name)
@@ -295,9 +353,7 @@ def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
                 unreduced.append((a.shape, a.dtype, q))
             return real(a, q)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, checked)
+        patch_bindings(monkeypatch, name, checked)
     for gallery, kwargs in GALLERY_CASES + [("random_admissible", {"seed": 3})]:
         doc = gallery_document(gallery, field=p, **kwargs)
         path = tmp_path / f"{gallery}.json"

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import GALLERY_CASES, diagram_for
+from conftest import GALLERY_CASES, diagram_for, patch_bindings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -503,8 +503,7 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
         return intersect(k, l)
 
     monkeypatch.setattr(cochains, "_coboundary", building)
-    for module in (fplinalg, cochains):
-        monkeypatch.setattr(module, "echelon", eliminating)
+    patch_bindings(monkeypatch, "echelon", eliminating)
     monkeypatch.setattr(diagrams, "intersect", recording)
     work = count_basis_work(monkeypatch)
     path = tmp_path / "ring8.json"
@@ -688,8 +687,7 @@ def test_every_command_eliminates_each_coboundary_at_most_once(name, kwargs, tmp
         return real_echelon(a, p)
 
     monkeypatch.setattr(cochains, "_coboundary", building)
-    for module in (fplinalg, cochains):
-        monkeypatch.setattr(module, "echelon", eliminating)
+    patch_bindings(monkeypatch, "echelon", eliminating)
     doc = gallery_document(name, **kwargs)
     path = tmp_path / "doc.json"
     path.write_text(canonical_json(doc), encoding="utf-8")

@@ -19,7 +19,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from cechkit import fplinalg
 from cechkit.cli import main
 from cechkit.documents import canonical_json
 from cechkit.gallery import gallery_document
@@ -106,6 +105,7 @@ def larger_odd_field_documents() -> dict[str, dict]:
 
 
 def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch):
+    from conftest import patch_bindings
     from test_fplinalg import dense_echelon
     docs = larger_odd_field_documents()
     shipped = reports(tmp_path, docs, ODD_FIELD_COMMANDS)
@@ -116,9 +116,7 @@ def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch
         calls.append(a.shape)
         return dense_echelon(a, p)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, "echelon", None) is fplinalg.echelon:
-            monkeypatch.setattr(module, "echelon", oracle)
+    patch_bindings(monkeypatch, "echelon", oracle)
     assert reports(tmp_path, docs, ODD_FIELD_COMMANDS) == shipped
     assert calls
 
