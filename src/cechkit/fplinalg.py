@@ -1,55 +1,57 @@
-"""Exact linear algebra over prime fields, on one field-specialised kernel.
+"""Exact linear algebra over prime fields, on the rows that elimination reads.
 
 Every cohomology computation in this package reduces to rank, kernel and
-solve calls on small matrices with entries in F_p.  Matrices are numpy
-int64 arrays normalised to the range [0, p), each reduced once, when its
-`FMatrix` is built from entries that may lie outside it.  `echelon` and
-`rref` take entries already in [0, p) and do not reduce them again.  All
-routines are deterministic, so repeated runs give identical output.
-
-One function multiplies: `product` is the exact product mod p, run on
-float64 BLAS in the manner of FFLAS (Dumas, Giorgi and Pernet 2008).
-float64 holds every integer up to 2^53 - 1 exactly, and a sum of n
-products of entries in [0, p) is at most n * (p - 1)^2, so the inner
-dimension is cut into chunks of at most (2^53 - 1) // (p - 1)^2 terms,
-each summed exactly in any order and reduced before the next is added.
-At p = 65521 a chunk is 2,098,176 terms, so every matrix here is one.
-
-One function eliminates: `echelon` runs forward elimination and picks
-its method from the field.  Its pivot columns give rank and column
-spaces, and `Echelon.reduced` continues from its rows to the reduced row
-echelon form, which is unique, so the result does not depend on the
-method.  `rref` is the two steps in one call.  Each `FMatrix` keeps its
-own echelon, so its rank, column space and kernel share one elimination.
+solve calls on matrices with entries in F_p, and nearly all of them are
+cochain matrices: a coboundary row has q + 2 nonzeros, a restriction row
+one.  An `FMatrix` stores each row in the form its elimination reads,
+with one form for every size:
 
 * Over F_2 each row is one Python int, column j being bit ncols - 1 - j.
   A row is reduced by XOR with the echelon row of its leading bit, in the
   manner of bit-vector persistence reductions (Edelsbrunner, Letscher and
   Zomorodian 2002); back-substitution then clears above each pivot.
-* Over odd p each row is one {column: value} dict of its nonzeros, in
-  the manner of the sparse column reductions of Ripser (Bauer 2021).  A
-  row is reduced by the echelon row of its leading column, scaled, until
-  that column is new; back-substitution then clears above each pivot.
-  Cochain matrices are sparse (a coboundary row has q + 2 nonzeros, a
-  restriction row one), so a pivot costs the entries it touches, not a
-  pass over the matrix.  The dict rows hold Python ints, which never
+* Over odd p each row is one {column: value} dict of its nonzeros, every
+  value in [1, p), in the manner of the sparse column reductions of
+  Ripser (Bauer 2021).  A row is reduced by the echelon row of its
+  leading column, scaled, until that column is new; back-substitution
+  then clears above each pivot.  The dicts hold Python ints, which never
   overflow.
-* F_2 keeps its own kernel although the dict rows would serve p = 2 as
+* F_2 keeps its own form although the dict rows would serve p = 2 as
   well: one XOR of two ints reduces a whole row, where a dict row is
   reduced entry by entry.  Sent through the dict rows, F_2 gave the same
   reports but ran slower in 6 of 6 benchmark pairs on a 2-CPU machine
   (`grid` wall time 0.094 -> 0.111 s, +18 %; `necklace` +7 %; `bundles`
   +10 %).
 
-`FMatrix` is the one holder of matrix storage; no other module reads its
-array, and `apply` takes one vector or a matrix of columns.  Two
-constructors own matrix layout: `block_matrix` places `FMatrix` blocks
-keyed by index set, and `entry_matrix` places single entries; every
-cochain, restriction, difference, total differential and join uses them.
+So a matrix costs the memory of its nonzeros, not of its shape, and
+every operation works on rows.  A product is a row gather: row i of
+A @ B is the XOR of B's rows at the set bits of A's row i, or the sum of
+B's rows scaled by A's entries, and a row of A whose one entry is 1 (a
+restriction row) picks B's row itself.  A column selection is the product
+with a 0/1 selection matrix.  No stored row is ever changed, so views,
+products and `block_matrix` share rows freely; elimination copies a row
+before it reduces it.  `FMatrix.entries` is a read-only dense int64 view,
+built on first read, for tests, demos and `bundles`.
+
+One function eliminates: `echelon` runs forward elimination on an
+`FMatrix`'s rows.  Its pivot columns give rank and column spaces, and
+`Echelon.reduced` continues from its rows to the reduced row echelon
+form, which is unique, so the reduced kernel basis and the solution with
+free variables 0 do not depend on the method.  `rref` is the two steps
+in one call.  Each `FMatrix` keeps its own echelon, so its rank, column
+space and kernel share one elimination.
+
+`FMatrix` is the one holder of matrix storage: no other module reads its
+rows, and only `bundles._invert` reads its dense view, for a rank-k
+transition value, a small numpy matrix.  Two constructors own matrix
+layout: `block_matrix` places `FMatrix` blocks keyed by index set, and
+`entry_matrix` places single entries; every cochain, restriction,
+difference, total differential and join uses them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,13 +70,9 @@ class ModulusTooLarge(InputError):
     pass
 
 
-# The largest prime below 2^16.  The elimination computes in Python ints, so
-# the bound is for `product`: each float64 chunk sums at most
-# (2^53 - 1) // (p - 1)^2 products of entries below p, 2,098,176 at this p.
+# The largest prime below 2^16, the largest modulus every command accepts.
+# Rows hold Python ints, which never overflow, so no product needs a bound.
 MAX_PRIME = 65521
-
-# Every integer from 0 to this is exact in float64.
-_FLOAT64_EXACT = 2 ** 53 - 1
 
 
 class DimensionMismatch(ValueError):
@@ -106,20 +104,6 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     return a & 1 if p == 2 else a % p
 
 
-def product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exactly, for int64 entries in [0, p); b may be one vector.
-
-    Each chunk of the inner dimension is one float64 BLAS product whose
-    sums stay below 2^53, so it is exact whatever the summation order.
-    """
-    step = _FLOAT64_EXACT // (p - 1) ** 2
-    a, b = a.astype(np.float64), b.astype(np.float64)
-    out = _reduce((a[:, :step] @ b[:step]).astype(np.int64), p)
-    for s in range(step, a.shape[1], step):
-        out = _reduce(out + _reduce((a[:, s:s + step] @ b[s:s + step]).astype(np.int64), p), p)
-    return out
-
-
 def _f2_rows(a: np.ndarray) -> list[int]:
     """Each row of a 0/1 matrix as one int: column j is bit ncols - 1 - j."""
     nrows, ncols = a.shape
@@ -129,13 +113,14 @@ def _f2_rows(a: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad for i in range(nrows)]
 
 
-def _f2_matrix(rows: list[int], nrows: int, ncols: int) -> np.ndarray:
-    """The int64 matrix of _f2_rows' bit rows, padded with zero rows to nrows."""
-    width = -(-ncols // 8)
-    pad = 8 * width - ncols
-    data = b"".join((x << pad).to_bytes(width, "big") for x in rows) + bytes(width * (nrows - len(rows)))
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(nrows, width)
-    return np.unpackbits(packed, axis=1, count=ncols).astype(np.int64)
+def _f2_combine(x: int, ncols: int, rows: list[int]) -> int:
+    """The XOR of rows[j] over the columns j of x's set bits."""
+    y = 0
+    while x:
+        lead = x.bit_length()
+        y ^= rows[ncols - lead]
+        x ^= 1 << (lead - 1)
+    return y
 
 
 def _f2_echelon(rows: list[int]) -> dict[int, int]:
@@ -164,15 +149,29 @@ def _odd_rows(a: np.ndarray) -> list[dict[int, int]]:
     return rows
 
 
+def _odd_combine(x: dict[int, int], rows: list[dict[int, int]], p: int) -> dict[int, int]:
+    """The sum of rows[j] scaled by x[j], mod p, without zeros; one unscaled row is shared, not copied."""
+    if len(x) == 1:
+        (j, f), = x.items()
+        return rows[j] if f == 1 else {c: v * f % p for c, v in rows[j].items()}
+    acc: dict[int, int] = {}
+    for j, f in x.items():
+        for c, v in rows[j].items():
+            acc[c] = acc.get(c, 0) + f * v
+    return {c: r for c, s in acc.items() if (r := s % p)}
+
+
 def _odd_echelon(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Forward elimination mod an odd p: the echelon rows, keyed by their leading column.
 
-    Each row is reduced on its leading column by the kept row of that
-    column until its lead is new, when it is scaled to a leading 1 and
-    kept, or the row is empty.  A kept row is never changed again.
+    Each row is copied, then reduced on its leading column by the kept
+    row of that column until its lead is new, when it is scaled to a
+    leading 1 and kept, or the row is empty.  A kept row is never changed
+    again, and the given rows are not changed at all.
     """
     table: dict[int, dict[int, int]] = {}
     for x in rows:
+        x = dict(x)
         while x:
             lead = min(x)
             pivot = table.get(lead)
@@ -211,8 +210,9 @@ class Echelon:
     pivots: list[int]
     rows: dict
 
-    def reduced(self) -> np.ndarray:
-        """The reduced row echelon form, with the zero rows below the pivot rows."""
+    def reduced(self) -> "FMatrix":
+        """The nonzero rows of the reduced row echelon form, one per pivot, in pivot order."""
+        field = PrimeField(self.p)
         if self.p != 2:
             table = {lead: dict(x) for lead, x in self.rows.items()}
             # From the last pivot up: subtracting a reduced row clears its own
@@ -221,11 +221,7 @@ class Echelon:
                 x = table[lead]
                 for c in [c for c in x if c != lead and c in table]:
                     _subtract(x, x[c], table[c], self.p)
-            ordered = [table[lead] for lead in self.pivots]
-            at = ([i for i, x in enumerate(ordered) for _ in x], [c for x in ordered for c in x])
-            a = np.zeros(self.shape, dtype=np.int64)
-            a[at] = [v for x in ordered for v in x.values()]
-            return a
+            return FMatrix._of([table[lead] for lead in self.pivots], self.shape[1], field)
         table = dict(self.rows)
         # From the last pivot up: a reduced row has no other pivot bit, so
         # XOR-ing it in clears exactly its own pivot bit.
@@ -239,64 +235,71 @@ class Echelon:
                 hits ^= 1 << (bit - 1)
             table[lead] = x
             done |= 1 << (lead - 1)
-        return _f2_matrix([table[lead] for lead in sorted(table, reverse=True)], *self.shape)
+        return FMatrix._of([table[lead] for lead in sorted(table, reverse=True)], self.shape[1], field)
 
 
-def echelon(a: np.ndarray, p: int) -> Echelon:
-    """Forward elimination of a mod p: the one place a matrix is eliminated.
+def echelon(a: "FMatrix | np.ndarray", p: int) -> Echelon:
+    """Forward elimination mod p: the one place a matrix is eliminated.
 
-    The entries must already lie in [0, p), as an `FMatrix`'s do; they
-    are not reduced again.
+    It reads an `FMatrix`'s rows and does not change them; an array is
+    read as the matrix it holds, its entries already in [0, p).
     """
+    m = a if isinstance(a, FMatrix) else FMatrix(a, PrimeField(p))
     if p != 2:
-        table = _odd_echelon(_odd_rows(a), p)
-        return Echelon(a.shape, p, sorted(table), table)
-    table = _f2_echelon(_f2_rows(a))
-    return Echelon(a.shape, p, sorted(a.shape[1] - lead for lead in table), table)
+        table = _odd_echelon(m._rows, p)
+        return Echelon(m.shape, p, sorted(table), table)
+    table = _f2_echelon(m._rows)
+    return Echelon(m.shape, p, sorted(m.cols - lead for lead in table), table)
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p of entries already in [0, p); returns (matrix, pivot columns)."""
+def rref(a: "FMatrix | np.ndarray", p: int) -> tuple["FMatrix | np.ndarray", list[int]]:
+    """Reduced row echelon form mod p, zero rows below the pivot rows, and the pivot columns.
+
+    An `FMatrix` gives an `FMatrix`; an array, its entries already in
+    [0, p), gives an int64 array.
+    """
     e = echelon(a, p)
-    return e.reduced(), e.pivots
+    r = e.reduced()
+    full = block_matrix({0: r.rows, 1: e.shape[0] - r.rows}, {0: r.cols}, [(0, 0, r)], r.field)
+    return (full if isinstance(a, FMatrix) else full._dense()), e.pivots
 
 
-@dataclass(frozen=True, eq=False)
 class FMatrix:
-    """Dense matrix over a prime field, entries normalised to [0, p).
+    """A matrix over a prime field, stored as its rows: bit ints over F_2, {column: value} dicts over odd p.
 
-    The entries are a read-only copy, so a matrix can be shared freely
-    and is forward-eliminated at most once, on the first read of its rank,
-    pivots, column space or kernel.
+    Built from a 2-d array-like of integers, which it reduces mod p.  A
+    matrix is read-only and its rows are never changed, so it can be
+    shared freely and is forward-eliminated at most once, on the first
+    read of its rank, pivots, column space or kernel.
     """
 
-    entries: np.ndarray
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {entries.shape}")
-        entries = _reduce(entries, self.field.p)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries, field: PrimeField) -> None:
+        a = np.asarray(entries, dtype=np.int64)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+        a = _reduce(a, field.p)
+        self.__dict__.update(_rows=_f2_rows(a) if field.p == 2 else _odd_rows(a), cols=a.shape[1], field=field)
 
     @classmethod
-    def _of(cls, entries: np.ndarray, field: PrimeField) -> "FMatrix":
-        """Wrap a 2-d int64 array already in [0, p), without reducing it again."""
+    def _of(cls, rows: list, cols: int, field: PrimeField) -> "FMatrix":
+        """Wrap rows already in this field's form, without checking or copying them."""
         m = object.__new__(cls)
-        entries.setflags(write=False)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "field", field)
+        m.__dict__.update(_rows=rows, cols=cols, field=field)
         return m
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"an FMatrix is read-only; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"FMatrix({self._dense().tolist()}, {self.field!r})"
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: PrimeField) -> "FMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), field)
+        return cls._of([0] * rows if field.p == 2 else [{} for _ in range(rows)], cols, field)
 
     @classmethod
     def identity(cls, n: int, field: PrimeField) -> "FMatrix":
-        return cls(np.eye(n, dtype=np.int64), field)
+        return _placed((n, n), zip(range(n), range(n), itertools.repeat(1)), field)
 
     @classmethod
     def from_columns(cls, columns: Sequence[np.ndarray], rows: int, field: PrimeField) -> "FMatrix":
@@ -306,54 +309,103 @@ class FMatrix:
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
+        return len(self._rows)
 
     @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
+    def shape(self) -> tuple[int, int]:
+        return len(self._rows), self.cols
+
+    def _dense(self) -> np.ndarray:
+        """A new int64 array of the entries."""
+        if self.field.p == 2:
+            width = -(-self.cols // 8)
+            pad = 8 * width - self.cols
+            data = b"".join((x << pad).to_bytes(width, "big") for x in self._rows)
+            packed = np.frombuffer(data, dtype=np.uint8).reshape(self.rows, width)
+            return np.unpackbits(packed, axis=1, count=self.cols).astype(np.int64)
+        a = np.zeros(self.shape, dtype=np.int64)
+        a[[i for i, x in enumerate(self._rows) for _ in x], [c for x in self._rows for c in x]] = \
+            [v for x in self._rows for v in x.values()]
+        return a
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense int64 view, read-only, built on first read."""
+        a = self._dense()
+        a.setflags(write=False)
+        return a
 
     @property
     def T(self) -> "FMatrix":
-        return FMatrix._of(self.entries.T, self.field)
+        n, p = self.rows, self.field.p
+        out: list = [0] * self.cols if p == 2 else [{} for _ in range(self.cols)]
+        for i, x in enumerate(self._rows):
+            if p == 2:
+                bit = 1 << (n - 1 - i)
+                while x:
+                    lead = x.bit_length()
+                    out[self.cols - lead] |= bit
+                    x ^= 1 << (lead - 1)
+            else:
+                for c, v in x.items():
+                    out[c][i] = v
+        return FMatrix._of(out, n, self.field)
 
     def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j].copy()
+        j = range(self.cols)[j]
+        if self.field.p == 2:
+            return np.array([x >> (self.cols - 1 - j) & 1 for x in self._rows], dtype=np.int64)
+        return np.array([x.get(j, 0) for x in self._rows], dtype=np.int64)
 
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         if self.field.p != other.field.p:
             raise DimensionMismatch("field mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return FMatrix._of(product(self.entries, other.entries, self.field.p), self.field)
+        return _compose(self, other)
 
     def __neg__(self) -> "FMatrix":
-        return self if self.field.p == 2 else FMatrix(-self.entries, self.field)  # -1 = 1 over F_2
+        p = self.field.p
+        if p == 2:
+            return self  # -1 = 1 over F_2
+        return FMatrix._of([{c: p - v for c, v in x.items()} for x in self._rows], self.cols, self.field)
 
     def __getitem__(self, key) -> "FMatrix":
-        """The rows and columns a numpy index picks, e.g. m[a:b] or m[:, cols]; a view where numpy gives one."""
-        entries = self.entries[key]
-        if entries.ndim != 2:
+        """The rows and columns that slices or lists of indices pick, e.g. m[a:b] or m[:, cols]; rows are shared."""
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        if not all(isinstance(k, slice) or np.ndim(k) == 1 for k in (rows, cols)):
             raise ValueError(f"index {key!r} does not pick a matrix")
-        return FMatrix._of(entries, self.field)
+        picked = self._rows[rows] if isinstance(rows, slice) else [self._rows[i] for i in rows]
+        if isinstance(cols, slice) and cols.step in (None, 1):
+            start, stop, _ = cols.indices(self.cols)
+            width = max(stop - start, 0)
+            if width < self.cols and self.field.p == 2:
+                picked = [x >> (self.cols - stop) & ((1 << width) - 1) for x in picked]
+            elif width < self.cols:
+                picked = [{c - start: v for c, v in x.items() if start <= c < stop} for x in picked]
+            return FMatrix._of(picked, width, self.field)
+        # any other selection is the product with the 0/1 matrix whose column k is 1 at js[k]
+        js = range(self.cols)[cols] if isinstance(cols, slice) else [range(self.cols)[j] for j in cols]
+        select = _placed((self.cols, len(js)), zip(js, range(len(js)), itertools.repeat(1)), self.field)
+        return _compose(FMatrix._of(picked, self.cols, self.field), select)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """The product with one vector, or with a 2-d array holding one vector per column."""
-        v = _reduce(np.asarray(vector, dtype=np.int64), self.field.p)
+        v = np.asarray(vector, dtype=np.int64)
         if v.shape[0] != self.cols:
             raise DimensionMismatch(f"vector length {v.shape[0]} != {self.cols} columns")
-        return product(self.entries, v, self.field.p)
+        out = _compose(self, FMatrix(v if v.ndim == 2 else v[:, None], self.field))._dense()
+        return out if v.ndim == 2 else out[:, 0]
 
     def equals(self, other: "FMatrix") -> bool:
-        return (self.field.p == other.field.p
-                and self.entries.shape == other.entries.shape
-                and bool(np.array_equal(self.entries, other.entries)))
+        return self.field.p == other.field.p and self.shape == other.shape and self._rows == other._rows
 
     def is_zero(self) -> bool:
-        return not self.entries.any()
+        return not any(self._rows)
 
     @cached_property
     def _echelon(self) -> Echelon:
-        return echelon(self.entries, self.field.p)
+        return echelon(self, self.field.p)
 
     def rank(self) -> int:
         return len(self._echelon.pivots)
@@ -372,36 +424,38 @@ class FMatrix:
     @cached_property
     def _kernel(self) -> "FMatrix":
         e = self._echelon
-        pivots = e.pivots
-        free = np.ones(self.cols, dtype=bool)
-        free[pivots] = False
-        free = np.flatnonzero(free)
-        k = np.zeros((self.cols, free.size), dtype=np.int64)
-        k[free, np.arange(free.size)] = 1
-        k[pivots] = -e.reduced()[:len(pivots), free]
-        return FMatrix(k, self.field)
+        pivots = set(e.pivots)
+        free = [j for j in range(self.cols) if j not in pivots]
+        rows = dict(zip(free, FMatrix.identity(len(free), self.field)._rows))
+        rows.update(zip(e.pivots, (-e.reduced()[:, free])._rows))
+        return FMatrix._of([rows[j] for j in range(self.cols)], len(free), self.field)
 
     def solve(self, b: "np.ndarray | FMatrix") -> "np.ndarray | FMatrix | None":
         """One solution of A x = b with free variables set to 0, or None.
 
         A 2-d b takes one elimination of [A | b] and gives None if any column
         is inconsistent; otherwise no pivot lands among b's columns, so each
-        column's solution is that of its own solve.  An `FMatrix` b, already
-        in [0, p), is not reduced again, and its solution is an `FMatrix`.
+        column's solution is that of its own solve.  An `FMatrix` b gives an
+        `FMatrix`, an array b an array of its shape.
         """
-        rhs = b.entries if isinstance(b, FMatrix) else np.asarray(b, dtype=np.int64) % self.field.p
-        if rhs.shape[0] != self.rows:
-            raise DimensionMismatch(f"rhs length {rhs.shape[0]} != {self.rows} rows")
-        columns = rhs if rhs.ndim == 2 else rhs[:, None]
-        x = np.zeros((self.cols, columns.shape[1]), dtype=np.int64)
-        if columns.shape[1]:
-            reduced, pivots = rref(np.hstack([self.entries, columns]), self.field.p)
+        if isinstance(b, FMatrix):
+            rhs = b
+        else:
+            b = np.asarray(b, dtype=np.int64)
+            rhs = FMatrix(b if b.ndim == 2 else b[:, None], self.field)
+        if rhs.rows != self.rows:
+            raise DimensionMismatch(f"rhs length {rhs.rows} != {self.rows} rows")
+        x = FMatrix.zeros(self.cols, rhs.cols, self.field)
+        if rhs.cols:
+            joint = block_matrix({0: self.rows}, {0: self.cols, 1: rhs.cols}, [(0, 0, self), (0, 1, rhs)], self.field)
+            reduced, pivots = rref(joint, self.field.p)
             if pivots and pivots[-1] >= self.cols:
                 return None
-            x[pivots] = reduced[:len(pivots), self.cols:]
+            solved = dict(zip(pivots, reduced[:len(pivots), self.cols:]._rows))
+            x = FMatrix._of([solved.get(j, z) for j, z in enumerate(x._rows)], rhs.cols, self.field)
         if isinstance(b, FMatrix):
-            return FMatrix._of(x, self.field)
-        return x if rhs.ndim == 2 else x[:, 0]
+            return x
+        return x._dense() if b.ndim == 2 else x._dense()[:, 0]
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""
@@ -410,10 +464,21 @@ class FMatrix:
     def inverse(self) -> "FMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        reduced, pivots = rref(np.column_stack([self.entries, np.eye(self.rows, dtype=np.int64)]), self.field.p)
-        if pivots[: self.rows] != list(range(self.rows)):
+        n = self.rows
+        joint = block_matrix({0: n}, {0: n, 1: n}, [(0, 0, self), (0, 1, FMatrix.identity(n, self.field))], self.field)
+        reduced, pivots = rref(joint, self.field.p)
+        if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return FMatrix._of(reduced[:, self.rows:], self.field)
+        return reduced[:, n:]
+
+
+def _compose(a: FMatrix, b: FMatrix) -> FMatrix:
+    """a @ b by rows, for operands already checked to compose."""
+    if a.field.p == 2:
+        rows = [_f2_combine(x, a.cols, b._rows) for x in a._rows]
+    else:
+        rows = [_odd_combine(x, b._rows, a.field.p) for x in a._rows]
+    return FMatrix._of(rows, b.cols, a.field)
 
 
 def _ranges(dims: Mapping[Hashable, int]) -> tuple[dict[Hashable, slice], int]:
@@ -432,28 +497,65 @@ def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, i
 
     Each (row key, col key, FMatrix) block is added at its position; any
     size may be 0, and a block must have exactly its position's shape.
-    Blocks are in [0, p), so only a sum of blocks that share a position is reduced.
+    Blocks that share a position are summed mod p.  A row that one block
+    fills from column 0 is that block's row, shared, not copied.
     """
     rows, n_rows = _ranges(row_dims)
     cols, n_cols = _ranges(col_dims)
-    m = np.zeros((n_rows, n_cols), dtype=np.int64)
+    p = field.p
+    # over F_2 each row is XOR-ed together at once; over odd p the pieces of
+    # each row are collected as (column offset, row) and joined below
+    out: list = [0] * n_rows if p == 2 else [[] for _ in range(n_rows)]
     placed = []
     for r, c, block in blocks:
-        place = m[rows[r], cols[c]]
-        if place.shape != block.entries.shape or block.field.p != field.p:
-            raise DimensionMismatch(f"block {r!r}, {c!r}: {block.entries.shape} mod {block.field.p}, not {place.shape}")
-        place += block.entries
+        shape = (rows[r].stop - rows[r].start, cols[c].stop - cols[c].start)
+        if block.shape != shape or block.field.p != p:
+            raise DimensionMismatch(f"block {r!r}, {c!r}: {block.shape} mod {block.field.p}, not {shape}")
         placed.append((r, c))
-    return FMatrix(m, field) if len(set(placed)) < len(placed) else FMatrix._of(m, field)
+        for i, x in enumerate(block._rows, rows[r].start):
+            if p == 2:
+                out[i] ^= x << (n_cols - cols[c].stop)
+            elif x:
+                out[i].append((cols[c].start, x))
+    if p != 2:
+        summed = len(set(placed)) < len(placed)
+        out = [_odd_join(pieces, p, summed) for pieces in out]
+    return FMatrix._of(out, n_cols, field)
 
 
-def entry_matrix(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values,
-                 field: PrimeField) -> FMatrix:
+def _odd_join(pieces: list[tuple[int, dict[int, int]]], p: int, summed: bool) -> dict[int, int]:
+    """One row from (column offset, row) pieces; summed mod p where pieces may share a column."""
+    if len(pieces) == 1 and pieces[0][0] == 0:
+        return pieces[0][1]
+    if not summed:
+        return {at + c: v for at, x in pieces for c, v in x.items()}
+    acc: dict[int, int] = {}
+    for at, x in pieces:
+        for c, v in x.items():
+            acc[at + c] = acc.get(at + c, 0) + v
+    return {c: r for c, s in acc.items() if (r := s % p)}
+
+
+def entry_matrix(shape: tuple[int, int], rows, cols, values, field: PrimeField) -> FMatrix:
     """The matrix with values[i] at (rows[i], cols[i]) and zero elsewhere.
 
-    The three arrays broadcast together, as in numpy indexing, so one
-    value may serve every entry; the places must be distinct.
+    The three index and value arrays broadcast together, as in numpy
+    indexing, so one value may serve every entry; the places must be
+    distinct.  Values are reduced mod p, and zeros are not stored.
     """
-    m = np.zeros(shape, dtype=np.int64)
-    m[rows, cols] = values
-    return FMatrix(m, field)
+    r, c, v = (np.asarray(a, dtype=np.int64) for a in (rows, cols, values))
+    # adding zeros of the common shape broadcasts in one numpy call per array
+    zero = np.zeros(np.broadcast(r, c, v).shape, dtype=np.int64)
+    return _placed(shape, zip(*((a + zero).ravel().tolist() for a in (r, c, _reduce(v, field.p)))), field)
+
+
+def _placed(shape: tuple[int, int], entries: Iterable[tuple[int, int, int]], field: PrimeField) -> FMatrix:
+    """The matrix with each (row, column, value in [0, p)) entry at its distinct place."""
+    nrows, ncols = shape
+    out: list = [0] * nrows if field.p == 2 else [{} for _ in range(nrows)]
+    for i, j, x in entries:
+        if x and field.p == 2:
+            out[i] |= 1 << (ncols - 1 - j)
+        elif x:
+            out[i][j] = x
+    return FMatrix._of(out, ncols, field)

@@ -303,8 +303,10 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
     dims = _cochain_dims(diagram.nerves, degree)
     pairs = diagram.level(2)
 
-    blocks = {ids[0]: FMatrix.identity(dims[ids[0]], field)}
-    cols = dims[ids[0]]
+    # the basis absorbed so far, one matrix stacked in the order of adjoining, so
+    # each step takes one update product; rows[i] is piece i's row range in it
+    basis = FMatrix.identity(dims[ids[0]], field)
+    rows = {ids[0]: slice(0, dims[ids[0]])}
     for m in range(1, len(ids)):
         nxt = ids[m]
         # unknowns: coefficients on the basis absorbed so far (0), then a cochain on nxt (1);
@@ -315,16 +317,16 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
         for prev, nij in overlaps.items():
             r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field)
             r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field)
-            constraint += [(prev, 0, r_prev @ blocks[prev]), (prev, 1, -r_next)]
-        kernel = block_matrix(_cochain_dims(overlaps, degree), {0: cols, 1: dims[nxt]}, constraint,
+            constraint += [(prev, 0, r_prev @ basis[rows[prev]]), (prev, 1, -r_next)]
+        kernel = block_matrix(_cochain_dims(overlaps, degree), {0: basis.cols, 1: dims[nxt]}, constraint,
                               field).kernel_basis()
-        top, bottom = kernel[:cols], kernel[cols:]
-        blocks = {i: blocks[i] @ top for i in blocks}
-        blocks[nxt] = bottom
-        cols = kernel.cols
+        top, bottom = kernel[:basis.cols], kernel[basis.cols:]
+        rows[nxt] = slice(basis.rows, basis.rows + dims[nxt])
+        basis = block_matrix({0: basis.rows, 1: dims[nxt]}, {0: kernel.cols}, [(0, 0, basis @ top), (1, 0, bottom)],
+                             field)
     # rows in piece_ids order, whatever the order of adjoining or of diagram.nerves
-    return cols, block_matrix({i: dims[i] for i in diagram.piece_ids}, {0: cols},
-                              ((i, 0, blocks[i]) for i in diagram.piece_ids), field)
+    return basis.cols, block_matrix({i: dims[i] for i in diagram.piece_ids}, {0: basis.cols},
+                                    ((i, 0, basis[rows[i]]) for i in diagram.piece_ids), field)
 
 
 @dataclass(frozen=True)

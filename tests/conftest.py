@@ -95,6 +95,32 @@ def necklace_document():
     return lambda n, ring, tri=False: shared_label_document(necklace_nerves(n, ring, tri=tri))
 
 
+def strip_nerves(width, height, k):
+    """A triangulated periodic strip of width x height vertices, an annulus, cut into k arcs.
+
+    Arc i holds the squares from column round(i * width / k) up to the
+    first column of arc i + 1, each cut into two triangles, so every arc
+    is a disk and consecutive arcs share one column of vertices.  Vertex
+    (c, r) is the label g{c}_{r}.
+    """
+    bounds = [round(i * width / k) for i in range(k)] + [width]
+    nerves = {}
+    for i in range(k):
+        triangles = []
+        for c in range(bounds[i], bounds[i + 1]):
+            a, b = c % width, (c + 1) % width
+            for r in range(height - 1):
+                triangles += [(f"g{a}_{r}", f"g{b}_{r}", f"g{b}_{r + 1}"),
+                              (f"g{a}_{r}", f"g{a}_{r + 1}", f"g{b}_{r + 1}")]
+        nerves[f"A{i}"] = build_complex([sorted(t) for t in triangles])
+    return nerves
+
+
+@pytest.fixture(scope="session")
+def strip_document():
+    return lambda width, height, k=3, field=2: shared_label_document(strip_nerves(width, height, k), field)
+
+
 # Every forward elimination goes through these entry points, and no other
 # function calls the kernels behind them (test_fplinalg checks the source);
 # rref and every FMatrix method reach the kernels through them.
@@ -112,7 +138,8 @@ def patch_bindings(monkeypatch, name, replacement):
 @pytest.fixture
 def count_eliminations(monkeypatch):
     """Call to start counting: every elimination entry point, wherever a
-    cechkit module binds it, records its matrix shape in the returned list."""
+    cechkit module binds it, records the shape of the matrix it eliminates
+    (an `FMatrix`, read as its stored rows) in the returned list."""
     def start() -> list:
         calls = []
         for name in ELIMINATIONS:
@@ -129,8 +156,8 @@ def count_eliminations(monkeypatch):
 
 @pytest.fixture
 def count_backsubstitutions(monkeypatch):
-    """Call to start counting: each back-substitution from an echelon to the
-    reduced form records the matrix shape in the returned list."""
+    """Call to start counting: each back-substitution from an echelon's rows
+    to the reduced rows records the matrix shape in the returned list."""
     def start() -> list:
         calls = []
         real = fplinalg.Echelon.reduced

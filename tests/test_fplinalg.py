@@ -1,7 +1,6 @@
 import ast
 import itertools
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from cechkit.fplinalg import (
     block_matrix,
     echelon,
     entry_matrix,
-    product,
     rref,
 )
 from cechkit.gallery import gallery_document
@@ -51,10 +49,6 @@ def test_prime_bound_keeps_int64_arithmetic_exact():
     field = PrimeField(p)
     row = FMatrix([[p - 1] * 3], field)
     assert (row @ FMatrix([[p - 1]] * 3, field)).entries.tolist() == [[3]]
-    # every integer up to the bound is exact in float64; at MAX_PRIME one product chunk is 2,098,176 terms
-    assert float(fplinalg._FLOAT64_EXACT) == fplinalg._FLOAT64_EXACT
-    assert float(fplinalg._FLOAT64_EXACT + 2) != fplinalg._FLOAT64_EXACT + 2
-    assert fplinalg._FLOAT64_EXACT // (p - 1) ** 2 == 2_098_176
     for big in (p + 1, 65537, 2 ** 31 - 1, 2305843009213693951):
         with pytest.raises(ModulusTooLarge, match="exceeds 65521"):
             PrimeField(big)
@@ -340,8 +334,9 @@ def test_no_module_but_fplinalg_reads_matrix_storage():
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
-    # echelon and rref do not reduce their input: a matrix is reduced once,
-    # when its FMatrix is built, so every caller must pass entries in [0, p).
+    # echelon reads an FMatrix's rows as stored: a matrix is reduced once,
+    # when it is built, so every stored row must already be reduced, an F_2
+    # row an int of at most ncols bits and every odd-p value in [1, p).
     from conftest import ELIMINATIONS, GALLERY_CASES, patch_bindings
     seen, unreduced = [], []
     for name in ELIMINATIONS:
@@ -349,8 +344,11 @@ def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
 
         def checked(a, q, real=real):
             seen.append(a.shape)
-            if a.dtype != np.int64 or a.size and (a.min() < 0 or a.max() >= q):
-                unreduced.append((a.shape, a.dtype, q))
+            if not isinstance(a, FMatrix) or a.field.p != q:
+                unreduced.append((a.shape, type(a), q))
+            elif q == 2 and any(not 0 <= x < 1 << a.cols for x in a._rows) or \
+                    q != 2 and any(not 1 <= v < q or not 0 <= c < a.cols for x in a._rows for c, v in x.items()):
+                unreduced.append((a.shape, q))
             return real(a, q)
 
         patch_bindings(monkeypatch, name, checked)
@@ -419,10 +417,10 @@ def dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 class DenseEchelon(Echelon):
-    """An echelon whose rows are dense_rref's reduced form, which reduced returns as it is."""
+    """An echelon whose rows are dense_rref's reduced form, whose pivot rows reduced returns."""
 
-    def reduced(self) -> np.ndarray:
-        return self.rows.copy()
+    def reduced(self) -> FMatrix:
+        return FMatrix(self.rows[:len(self.pivots)], PrimeField(self.p))
 
 
 def dense_echelon(a: np.ndarray, p: int) -> Echelon:
@@ -574,12 +572,12 @@ PRODUCT_PRIMES = (2, 3, 5, MAX_PRIME)
 
 
 @st.composite
-def product_cases(draw) -> tuple[np.ndarray, np.ndarray, int, int | None]:
-    """Operands with entries in [0, p), p, and a chunk length to force (None: the real bound).
+def product_cases(draw) -> tuple[np.ndarray, np.ndarray, int]:
+    """Operands with entries in [0, p) and p.
 
     Any dimension may be 0; kinds: uniform entries, every entry p - 1
     (the largest sums), and a left or right operand of zeros.  The right
-    operand is sometimes one vector, as `FMatrix.apply` passes it.
+    operand is sometimes one vector, as `FMatrix.apply` takes it.
     """
     p = draw(st.sampled_from(PRODUCT_PRIMES))
     m, k, n = (draw(st.integers(0, 9)) for _ in range(3))
@@ -594,37 +592,18 @@ def product_cases(draw) -> tuple[np.ndarray, np.ndarray, int, int | None]:
         b[:] = 0
     if n and draw(st.booleans()):
         b = b[:, 0]
-    return a, b, p, draw(st.sampled_from((None, 1, 2, 3)))
+    return a, b, p
 
 
 @settings(max_examples=300, deadline=None)
 @given(product_cases())
 def test_product_matches_the_int64_product(case):
-    a, b, p, chunk = case
-    bound = fplinalg._FLOAT64_EXACT if chunk is None else chunk * (p - 1) ** 2
-    with mock.patch.object(fplinalg, "_FLOAT64_EXACT", bound):
-        got = product(a, b, p)
+    # @ gathers rows and apply goes through it; both must give the int64 product mod p
+    a, b, p = case
+    field = PrimeField(p)
     want = (a @ b) % p
+    got = FMatrix(a, field).apply(b)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)
-
-
-def test_product_reduces_each_chunk_and_each_running_sum(monkeypatch):
-    p = MAX_PRIME
-    a, b = np.full((3, 7), p - 1), np.full((7, 2), p - 1)
-    b[3] = 5
-    reductions = []
-    real = fplinalg._reduce
-
-    def reducing(x, q):
-        reductions.append(x.shape)
-        return real(x, q)
-
-    monkeypatch.setattr(fplinalg, "_reduce", reducing)
-    assert np.array_equal(product(a, b, p), (a @ b) % p)
-    assert reductions == [(3, 2)]
-    # two inner terms per chunk: 7 terms are four chunks, each reduced, and each added to the sum so far
-    monkeypatch.setattr(fplinalg, "_FLOAT64_EXACT", 2 * (p - 1) ** 2)
-    reductions.clear()
-    assert np.array_equal(product(a, b, p), (a @ b) % p)
-    assert reductions == [(3, 2)] * 7
+    if b.ndim == 2:
+        assert np.array_equal((FMatrix(a, field) @ FMatrix(b, field)).entries, want)

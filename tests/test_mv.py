@@ -321,6 +321,26 @@ def test_inductive_fibred_product_three_circles(three_circles):
         assert dim_rev == fp.dimension
 
 
+def test_inductive_fibred_product_makes_one_update_product_per_adjoined_piece(necklace_document, monkeypatch):
+    diagram = canonicalize(parse_document(necklace_document(12, True)).system)
+    calls = []
+    real = FMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(FMatrix, "__matmul__", counted)
+    for q in (0, 1):
+        calls.clear()
+        dim, basis = inductive_fibred_dim(diagram, q)
+        assert dim == fibred_product(diagram, q).dimension == basis.cols
+        # one restriction product per overlap (12 on a ring of 12) and one
+        # update of the stacked basis per adjoined piece (11); updating every
+        # absorbed block at each step took 1 + 2 + ... + 11 = 66 updates
+        assert len(calls) == 12 + 11, q
+
+
 def test_total_cohomology_single_piece():
     d = single_circle_diagram()
     report = total_cohomology(d, 1)
@@ -481,13 +501,13 @@ def test_tuple_space_has_no_empty_block(necklace):
 def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklace_document,
                                                                          tmp_path, monkeypatch):
     eliminated = Counter()  # (complex id, q, p) -> eliminations of that complex's d^q
-    owner = {}  # id of each d^q's entries -> (complex id, q, p)
+    owner = {}  # id of each d^q -> (complex id, q, p)
     alive = []  # complexes and coboundaries stay referenced, so no id is reused by a later one
     real_coboundary, real_echelon = cochains._coboundary, fplinalg.echelon
 
     def building(k, q, field):
         d = real_coboundary(k, q, field)
-        owner[id(d.entries)] = (id(k), q, field.p)
+        owner[id(d)] = (id(k), q, field.p)
         alive.append((k, d))
         return d
 
@@ -696,7 +716,7 @@ def test_every_command_eliminates_each_coboundary_at_most_once(name, kwargs, tmp
         eliminated.clear()
         _, code = run_command(command, {"path": path})
         assert code in (0, 1)
-        counts = [eliminated[id(d.entries)] for d in built]
+        counts = [eliminated[id(d)] for d in built]
         assert max(counts, default=0) <= 1, (command, counts)
         if command in ("cohomology", "collapse-check", "mv", "count"):
             assert max(counts) == 1, command

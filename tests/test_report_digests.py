@@ -114,7 +114,7 @@ def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch
 
     def oracle(a, p):
         calls.append(a.shape)
-        return dense_echelon(a, p)
+        return dense_echelon(a.entries, p)
 
     patch_bindings(monkeypatch, "echelon", oracle)
     assert reports(tmp_path, docs, ODD_FIELD_COMMANDS) == shipped
