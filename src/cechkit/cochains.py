@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Sequence
 
 from .complexes import SimplicialComplex
 from .errors import NotSimplicial
 from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotSubcomplex(ValueError):
@@ -42,12 +43,11 @@ def coboundary_matrix(k: SimplicialComplex, q: int, field: PrimeField) -> FMatri
 def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """The matrix of d^q: alternating sum over vertex removals."""
     src, tgt = k.index_of_dim(q), k.simplices_of_dim(q + 1)
-    width = q + 2
-    # row r, column i: face i of simplex r, all distinct; each row of faces takes the signs (-1)^i
-    faces = np.array([src[sigma[:i] + sigma[i + 1:]] for sigma in tgt for i in range(width)],
-                     dtype=np.int64).reshape(len(tgt), width)
-    signs = [(-1) ** i for i in range(width)]
-    return entry_matrix((len(tgt), len(src)), np.arange(len(tgt))[:, None], faces, signs, field)
+    # row r holds face i of simplex r, the faces all distinct, with sign (-1)^i, which entry_matrix reduces mod p
+    signs = [(-1) ** i for i in range(q + 2)]
+    entries = ((r, src[sigma[:i] + sigma[i + 1:]], sign)
+               for r, sigma in enumerate(tgt) for i, sign in enumerate(signs))
+    return entry_matrix((len(tgt), len(src)), entries, field)
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,24 @@ def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: Prim
     """The 0/1 matrix picking each q-simplex of l out of the q-simplices of k."""
     if not l.is_subcomplex_of(k):
         raise NotSubcomplex("second complex is not a subcomplex of the first")
-    src, tgt = k.index_of_dim(q), l.simplices_of_dim(q)
-    return entry_matrix((len(tgt), len(src)), np.arange(len(tgt)), [src[s] for s in tgt], 1, field)
+    return entry_matrix((len(l.simplices_of_dim(q)), len(k.simplices_of_dim(q))), _restriction_entries(k, l, q),
+                        field)
+
+
+def _restriction_entries(k: SimplicialComplex, l: SimplicialComplex, q: int, row: int = 0, col: int = 0,
+                        value: int = 1) -> Iterator[tuple[int, int, int]]:
+    """The entries of restriction C^q(k) -> C^q(l), scaled by value and placed at (row, col).
+
+    One (row, column, value) triple per q-simplex of l, for `entry_matrix`,
+    so a map made of restriction blocks is built without a matrix per
+    block.  A q-simplex of l that k lacks raises NotSubcomplex.
+    """
+    index = k.index_of_dim(q)
+    try:
+        for r, s in enumerate(l.simplices_of_dim(q), row):
+            yield r, col + index[s], value
+    except KeyError as exc:
+        raise NotSubcomplex(f"simplex {exc.args[0]!r} of the second complex is not in the first") from None
 
 
 def _permutation_sign(seq: tuple[str, ...]) -> int:
@@ -216,11 +232,11 @@ def simplicial_pullback(vertex_map: Mapping[str, str], domain: SimplicialComplex
                         codomain: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """`pullback_map` without its scan: the caller has shown the map simplicial."""
     src, tgt = codomain.index_of_dim(q), domain.simplices_of_dim(q)
-    rows, cols, signs = [], [], []
-    for row, tau in enumerate(tgt):
-        images = tuple(vertex_map[v] for v in tau)
-        if len(set(images)) == len(images):
-            rows.append(row)
-            cols.append(src[tuple(sorted(images))])
-            signs.append(_permutation_sign(images))
-    return entry_matrix((len(tgt), len(src)), rows, cols, signs, field)
+
+    def entries():
+        for row, tau in enumerate(tgt):
+            images = tuple(vertex_map[v] for v in tau)
+            if len(set(images)) == len(images):
+                yield row, src[tuple(sorted(images))], _permutation_sign(images)
+
+    return entry_matrix((len(tgt), len(src)), entries(), field)

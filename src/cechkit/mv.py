@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .cochains import (
     _cochain_dims,
+    _restriction_entries,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -33,7 +34,7 @@ from .cochains import (
 from .complexes import components
 from .diagrams import GluedDiagram, IncompatibleFamily
 from .errors import WrongField
-from .fplinalg import FMatrix, _ranges, block_matrix
+from .fplinalg import FMatrix, _ranges, block_matrix, entry_matrix
 
 
 class NotBinary(ValueError):
@@ -49,11 +50,10 @@ def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
 
 
 def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
-    field = diagram.field
     pieces = diagram.level(1)
-    blocks = ((t, "union", restriction_matrix(diagram.nerve, k, degree, field)) for t, k in pieces.items())
-    return block_matrix(_cochain_dims(pieces, degree), {"union": len(diagram.nerve.simplices_of_dim(degree))},
-                        blocks, field)
+    rows, n_rows = _ranges(_cochain_dims(pieces, degree))
+    entries = (e for t, k in pieces.items() for e in _restriction_entries(diagram.nerve, k, degree, rows[t].start))
+    return entry_matrix((n_rows, len(diagram.nerve.simplices_of_dim(degree))), entries, diagram.field)
 
 
 def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
@@ -74,15 +74,17 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
 
 def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
     src, tgt = diagram.level(level), diagram.level(level + 1)
+    rows, n_rows = _ranges(_cochain_dims(tgt, degree))
+    cols, n_cols = _ranges(_cochain_dims(src, degree))
 
-    def blocks():
+    def entries():
         for t_prime, k in tgt.items():
             for a in range(len(t_prime)):
                 t = t_prime[:a] + t_prime[a + 1:]
-                res = restriction_matrix(src[t], k, degree, diagram.field)
-                yield t_prime, t, res if a % 2 else -res
+                sign = (-1) ** (a + 1)
+                yield from _restriction_entries(src[t], k, degree, rows[t_prime].start, cols[t].start, sign)
 
-    return block_matrix(_cochain_dims(tgt, degree), _cochain_dims(src, degree), blocks(), diagram.field)
+    return entry_matrix((n_rows, n_cols), entries(), diagram.field)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,10 @@ def test_restrict_to_piece_path():
 def test_restrict_requires_subcomplex():
     with pytest.raises(NotSubcomplex):
         restriction_matrix(cycle4(), build_complex([["x", "y"]]), 1, F2)
+    # phi* and delta~ stream these entries without the whole-complex check:
+    # a q-simplex the source lacks is still NotSubcomplex, never a KeyError
+    with pytest.raises(NotSubcomplex, match=r"\('x', 'y'\)"):
+        list(cochains._restriction_entries(cycle4(), build_complex([["x", "y"]]), 1))
 
 
 def test_restriction_is_memoised_by_target_value_and_still_checks_each_new_pair(monkeypatch):

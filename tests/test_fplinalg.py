@@ -194,16 +194,21 @@ def test_views_pivots_negation_and_a_matrix_right_hand_side():
 
 
 def test_entry_matrix_places_entries_and_reduces_them():
-    m = entry_matrix((2, 3), np.array([0, 1, 1]), np.array([2, 0, 1]), np.array([-1, 4, 1]), PrimeField(3))
+    m = entry_matrix((2, 3), [(0, 2, -1), (1, 0, 4), (1, 1, 1)], PrimeField(3))
     assert m.entries.tolist() == [[0, 0, 2], [1, 1, 0]]
-    assert entry_matrix((2, 2), np.arange(2), np.array([1, 0]), 1, F2).entries.tolist() == [[0, 1], [1, 0]]
+    assert entry_matrix((2, 2), iter([(0, 1, 1), (1, 0, -1)]), F2).entries.tolist() == [[0, 1], [1, 0]]
+    # a value that is 0 mod p is not stored: over odd p no key, over F_2 no bit
+    zeros = {p: entry_matrix((2, 2), [(0, 0, p), (1, 1, 2 * p), (1, 0, 1)], PrimeField(p)) for p in (2, 5)}
+    assert all(z.entries.tolist() == [[0, 0], [1, 0]] for z in zeros.values())
+    assert zeros[5]._rows == [{}, {0: 1}] and zeros[2]._rows == [0, 0b10]
+    assert entry_matrix((1, 1), [(0, 0, -1)], PrimeField(65521)).entries.tolist() == [[65520]]
 
 
 def test_entry_matrix_with_no_entries_is_zero_of_its_shape():
-    empty = np.zeros(0, dtype=np.int64)
-    for shape in ((0, 0), (0, 4), (3, 0), (2, 5)):
-        m = entry_matrix(shape, empty, empty, empty, PrimeField(5))
-        assert m.entries.shape == shape and m.is_zero()
+    for p in (2, 5):
+        for shape in ((0, 0), (0, 4), (3, 0), (2, 5)):
+            m = entry_matrix(shape, (), PrimeField(p))
+            assert m.entries.shape == shape and m.is_zero()
 
 
 def test_inverse():
@@ -330,6 +335,47 @@ def test_no_module_but_fplinalg_reads_matrix_storage():
              for scope, what in storage_reads(ast.parse(path.read_text(encoding="utf-8")))}
     # The one exception: a rank-k bundle transition is a small numpy value, not a cochain map.
     assert found == {("bundles", "_invert", ".entries")}
+
+
+def runtime_numpy(tree: ast.AST) -> set[tuple[str, str]]:
+    """The innermost function around each runtime use of numpy: an import of it,
+    or a name `np`/`numpy` read outside annotations and `if TYPE_CHECKING:` blocks."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child, scope)
+            return
+        annotation = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope, annotation = node.name, node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names) or \
+                isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.add((scope, "import numpy"))
+        if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+            found.add((scope, node.id))
+        for child in ast.iter_child_nodes(node):
+            if child is not annotation:
+                visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_cochain_maps_are_built_without_numpy():
+    # d, restrictions, pullbacks, phi* and delta~ go straight into rows, so
+    # cochains and mv use numpy at most in annotations.
+    assert runtime_numpy(ast.parse(
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
+        "def f(v: np.ndarray) -> np.ndarray:\n    return g(v)\n")) == set()
+    assert runtime_numpy(ast.parse("import numpy as np\ndef f(v: np.ndarray):\n    return np.asarray(v)")) == {
+        ("<module>", "import numpy"), ("f", "np")}
+    package = Path(cechkit.__file__).parent
+    assert {m: runtime_numpy(ast.parse((package / f"{m}.py").read_text(encoding="utf-8")))
+            for m in ("cochains", "mv")} == {"cochains": set(), "mv": set()}
 
 
 @pytest.mark.parametrize("p", (2, 3))

@@ -4,7 +4,10 @@ Each reference below is the hand-written offset loop that built the
 matrix before `block_matrix` and `entry_matrix` owned layout: the
 concatenated restriction phi*, the difference maps, the bicomplex total
 differentials, the blockwise refinement pullbacks and the rank-k section
-systems.  The package's matrices must equal them entry for entry.
+systems.  The coboundary, restriction and simplicial pullback references
+are the numpy constructions that built those three from broadcast index
+arrays before they were built from (row, column, value) triples.  The
+package's matrices must equal them entry for entry.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from cechkit import bundles, mv, refinements
 from cechkit.bundles import ConstantCocycle, PieceBundleData, glue_section_space, parallel_sections
 from cechkit.cochains import coboundary_matrix, pullback_map, restriction_matrix
-from cechkit.complexes import build_complex, full_subcomplex
+from cechkit.complexes import EMPTY_COMPLEX, SimplicialComplex, build_complex, full_subcomplex
 from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
 from cechkit.fplinalg import FMatrix, PrimeField
@@ -119,6 +122,44 @@ def reference_tuple_pullback(r, level, degree):
     return block_diagonal([
         pullback_map(r.labels, r.fine.intersection_nerve(t), nerve, degree, r.fine.field).entries
         for t, nerve in r.coarse.level(level).items()], r.fine.field)
+
+
+def numpy_entry_matrix(shape, rows, cols, values, field):
+    """values[i] at (rows[i], cols[i]), the three arrays broadcast together as in numpy indexing."""
+    m = np.zeros(shape, dtype=np.int64)
+    r, c, v = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (rows, cols, values)))
+    m[r.ravel(), c.ravel()] = v.ravel()
+    return FMatrix(m, field)
+
+
+def simplex_index(k, q):
+    return {s: i for i, s in enumerate(k.simplices_of_dim(q))}
+
+
+def reference_coboundary(k, q, field):
+    src, tgt = simplex_index(k, q), k.simplices_of_dim(q + 1)
+    width = q + 2
+    faces = np.array([src[sigma[:i] + sigma[i + 1:]] for sigma in tgt for i in range(width)],
+                     dtype=np.int64).reshape(len(tgt), width)
+    signs = [(-1) ** i for i in range(width)]
+    return numpy_entry_matrix((len(tgt), len(src)), np.arange(len(tgt))[:, None], faces, signs, field)
+
+
+def reference_restriction(k, l, q, field):
+    src, tgt = simplex_index(k, q), l.simplices_of_dim(q)
+    return numpy_entry_matrix((len(tgt), len(src)), np.arange(len(tgt)), [src[s] for s in tgt], 1, field)
+
+
+def reference_pullback(vertex_map, domain, codomain, q, field):
+    src, tgt = simplex_index(codomain, q), domain.simplices_of_dim(q)
+    rows, cols, signs = [], [], []
+    for row, tau in enumerate(tgt):
+        images = tuple(vertex_map[v] for v in tau)
+        if len(set(images)) == len(images):
+            rows.append(row)
+            cols.append(src[tuple(sorted(images))])
+            signs.append((-1) ** sum(a > b for a, b in itertools.combinations(images, 2)))
+    return numpy_entry_matrix((len(tgt), len(src)), rows, cols, signs, field)
 
 
 def reference_parallel_system(cocycle):
@@ -248,3 +289,31 @@ def test_rank2_section_systems_equal_the_offset_loops(data):
         for j, section in enumerate(sections[pid]):
             for i, v in enumerate(g.base.vertices):
                 assert np.array_equal(section.values[v], kernel.entries[2 * i:2 * i + 2, j])
+
+
+COCHAIN_LABELS = "abcde"
+COCHAIN_SIMPLICES = [s for n in (1, 2, 3, 4) for s in itertools.combinations(COCHAIN_LABELS, n)]
+DOMAIN_LABELS = "uvwxyz"
+DOMAIN_SIMPLICES = [s for n in (1, 2, 3, 4) for s in itertools.combinations(DOMAIN_LABELS, n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cochain_builders_equal_the_numpy_constructions(data):
+    """d, restriction and the simplicial pullback on random complexes, the empty one included, in every
+    degree up to two above the top: over 65521 the sign -1 is 65520."""
+    field = PrimeField(data.draw(st.sampled_from((2, 3, 5, 65521))))
+    k = build_complex(data.draw(st.lists(st.sampled_from(COCHAIN_SIMPLICES), max_size=8)))
+    l = build_complex(data.draw(st.lists(st.sampled_from(sorted(k.simplices)), max_size=5))) if k.simplices \
+        else EMPTY_COMPLEX
+    # a vertex map into k, and the largest subcomplex of a random domain on which it is simplicial
+    vertex_map = {v: data.draw(st.sampled_from(k.vertices)) for v in DOMAIN_LABELS} if k.vertices else {}
+    candidate = build_complex(data.draw(st.lists(st.sampled_from(DOMAIN_SIMPLICES), max_size=8)))
+    domain = SimplicialComplex(frozenset(s for s in candidate.simplices if vertex_map
+                                         and tuple(sorted({vertex_map[v] for v in s})) in k))
+    for q in range(max(k.dim, domain.dim, 0) + 3):
+        assert coboundary_matrix(k, q, field).equals(reference_coboundary(k, q, field))
+        assert coboundary_matrix(domain, q, field).equals(reference_coboundary(domain, q, field))
+        assert restriction_matrix(k, l, q, field).equals(reference_restriction(k, l, q, field))
+        assert pullback_map(vertex_map, domain, k, q, field).equals(
+            reference_pullback(vertex_map, domain, k, q, field))

@@ -616,6 +616,23 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
             assert any(key[0] == "delta_tilde" for key in built)
         if command in ("mv", "fibred"):
             assert any(key[0] == "phi_star" for key in built)
+        if command == "count":
+            # the difference maps it reads go straight into rows, through no restriction matrix
+            assert any(key[0] == "delta_tilde" for key in built) and not any(key[0] == "r" for key in built)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_phi_star_and_delta_tilde_build_no_restriction_matrix(p, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a restriction matrix was built")
+
+    monkeypatch.setattr(cochains, "_restriction", refuse)
+    diagram = canonicalize(parse_document(gallery_document("three_circles", field=p)).system)
+    for q in range(diagram.nerve.dim + 2):
+        assert phi_star(diagram, q).rank() == len(diagram.nerve.simplices_of_dim(q))
+        for level in range(1, diagram.n_pieces):
+            assert (delta_tilde(diagram, level, q) @ (phi_star(diagram, q) if level == 1
+                                                       else delta_tilde(diagram, level - 1, q))).is_zero()
 
 
 def test_descended_maps_take_one_solve_per_target_block(count_eliminations, three_circles, two_origin):
