@@ -21,10 +21,11 @@ share one interface:
   `enumerate_line_bundles` at once (`class_table`); a check that fails
   reports the classes it fails as a class mask.
 
-* rank k >= 2: transitions are literal invertible k x k matrices over
-  F_p; sections, gluing and the colimit are computed by matrix
-  arithmetic.  Gauge equivalence (`cocycles_equivalent`) and H^1 classes
-  are decided for rank 1 only; higher rank raises `NonAbelianRank`.
+* rank k >= 2: transitions are invertible k x k `FMatrix` values over
+  F_p, and a section's value at a vertex is a k x 1 `FMatrix`; sections,
+  gluing and the colimit are computed by `FMatrix` arithmetic.  Gauge
+  equivalence (`cocycles_equivalent`) and H^1 classes are decided for
+  rank 1 only; higher rank raises `NonAbelianRank`.
 
 Conventions: stored values are g[{a,b}] for a < b, with g[b,a] the
 inverse and g[a,a] the identity; a section is parallel when
@@ -38,14 +39,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .cochains import CohomologyBasis, class_coordinates, cohomology
 from .complexes import SimplicialComplex, components
 from .diagrams import GluedDiagram, ValidationReport
 from .errors import InputError, ResourceLimit, WrongField
-from .fplinalg import FMatrix, PrimeField, _f2_rows, block_matrix
+from .fplinalg import FMatrix, PrimeField, block_matrix, entry_matrix
 
 Edge = tuple[str, str]
 
@@ -78,35 +78,37 @@ class IncompatibleSections(ValueError):
         self.vertex = vertex
 
 
-def _identity(rank: int) -> int | np.ndarray:
-    return 0 if rank == 1 else np.eye(rank, dtype=np.int64)
+def _identity(rank: int, field: PrimeField) -> int | FMatrix:
+    return 0 if rank == 1 else FMatrix.identity(rank, field)
 
 
 def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
-def _normalise_value(value, rank: int, p: int) -> int | np.ndarray:
-    """A transition value mod p: an integer at rank 1, a k x k integer matrix at rank k.
+def _normalise_value(value, rank: int, field: PrimeField) -> int | FMatrix:
+    """A transition value mod p: an integer at rank 1, a k x k `FMatrix` at rank k.
 
     Floats, booleans and strings are refused, so that 1.5 or true is not
-    read as 1.
+    read as 1.  Each integer is reduced mod p as a Python int, however
+    large.  An `FMatrix` of the right shape and field is a value already.
     """
+    if isinstance(value, FMatrix) and rank > 1 and value.shape == (rank, rank) and value.field == field:
+        return value
     if rank == 1:
-        if isinstance(value, np.ndarray):
-            value = value.reshape(())[()]
         if not _is_integer(value):
             raise TypeError(f"rank-1 value {value!r} is not an integer")
-        return int(value) % p
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        a = value
-    else:
-        a = np.asarray(value, dtype=object)
-    if a.shape != (rank, rank):
-        raise ValueError(f"expected a {rank}x{rank} matrix, got shape {a.shape}")
-    if a.dtype == object and not all(_is_integer(x) for x in a.flat):
+        return int(value) % field.p
+    try:
+        rows = [list(row) for row in value]
+    except TypeError:
+        rows = []
+    if len(rows) != rank or any(len(row) != rank for row in rows):
+        raise ValueError(f"expected a {rank}x{rank} matrix, got {value!r}")
+    if not all(_is_integer(x) for row in rows for x in row):
         raise TypeError(f"rank-{rank} value {value!r} is not a matrix of integers")
-    return a.astype(np.int64) % p
+    return entry_matrix((rank, rank), ((i, j, int(x)) for i, row in enumerate(rows) for j, x in enumerate(row)),
+                        field)
 
 
 def _modulus(p: int) -> int:
@@ -124,20 +126,20 @@ def _mask(residual: int, m: int) -> int:
 def _invert(value, rank: int, field: PrimeField):
     if rank == 1:
         return int(value) if field.p == 2 else -int(value) % field.p
-    return FMatrix(value, field).inverse().entries
+    return value.inverse()
 
 
 def _compose(a, b, rank: int, p: int):
     if rank == 1:
         return int(a) ^ int(b) if p == 2 else (int(a) + int(b)) % p
-    return (np.asarray(a) @ np.asarray(b)) % p
+    return a @ b
 
 
 def _mismatch(a, b, rank: int, p: int) -> int:
     """The class mask of the classes on which two values differ."""
     if rank == 1:
         return _mask(int(a) ^ int(b), _modulus(p))
-    return 0 if np.array_equal(np.asarray(a), np.asarray(b)) else EVERY_CLASS
+    return 0 if a.equals(b) else EVERY_CLASS
 
 
 def _failing(found: list[tuple[tuple, int]]) -> int:
@@ -153,12 +155,12 @@ def _violations(found: list[tuple[tuple, int]], c: int = 0) -> list[tuple]:
     return [v for v, mask in found if mask >> c & 1]
 
 
-def _class_counts(masks, n: int) -> np.ndarray:
+def _class_counts(masks, n: int) -> list[int]:
     """For each class c < n, how many of the class masks hold it."""
-    total = np.zeros(n, dtype=np.int64)
+    total = [0] * n
     for mask in masks:
-        data = (mask & ((1 << n) - 1)).to_bytes(-(-n // 8), "little")
-        total += np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
+        # bit c of the mask is character c of its n binary digits, reversed
+        total = [t + (digit == "1") for t, digit in zip(total, format(mask & ((1 << n) - 1), f"0{n}b")[::-1])]
     return total
 
 
@@ -167,35 +169,29 @@ class ConstantCocycle:
     base: SimplicialComplex
     rank: int
     field: PrimeField
-    values: dict[Edge, int | np.ndarray]
+    values: dict[Edge, int | FMatrix]
 
     @classmethod
     def build(cls, base: SimplicialComplex, rank: int, field: PrimeField,
               values: dict | None = None) -> "ConstantCocycle":
         """Fill unspecified edges with the identity transition."""
-        table: dict[Edge, int | np.ndarray] = {}
+        table: dict[Edge, int | FMatrix] = {}
         given = {tuple(sorted(k)): v for k, v in (values or {}).items()}
         for edge in base.simplices_of_dim(1):
             if edge in given:
-                table[edge] = _normalise_value(given.pop(edge), rank, field.p)
+                table[edge] = _normalise_value(given.pop(edge), rank, field)
             else:
-                table[edge] = _identity(rank)
+                table[edge] = _identity(rank, field)
         if given:
             raise ValueError(f"values on non-edges: {sorted(given)}")
         return cls(base, rank, field, table)
 
     def value(self, a: str, b: str):
         if a == b:
-            return _identity(self.rank)
+            return _identity(self.rank, self.field)
         if a < b:
             return self.values[(a, b)]
         return _invert(self.values[(b, a)], self.rank, self.field)
-
-    def edge_vector(self) -> np.ndarray:
-        """Rank-1 values in the C^1 basis order of the base."""
-        if self.rank != 1:
-            raise NonAbelianRank("edge vector is only defined for rank 1")
-        return np.array([self.values[e] for e in self.base.simplices_of_dim(1)], dtype=np.int64)
 
     def same_values(self, other: "ConstantCocycle") -> bool:
         return (self.base == other.base and self.rank == other.rank
@@ -205,17 +201,19 @@ class ConstantCocycle:
 
 def _cocycle_violations(cocycle: ConstantCocycle) -> list[tuple[tuple, int]]:
     """Non-invertible values and failed triangle identities, each with its class mask."""
-    found: list[tuple[tuple, int]] = []
-    if cocycle.rank > 1:
-        for edge in cocycle.base.simplices_of_dim(1):
-            if FMatrix(cocycle.values[edge], cocycle.field).rank() != cocycle.rank:
-                found.append(((edge, "transition is not invertible"), EVERY_CLASS))
+    singular = [] if cocycle.rank == 1 else [
+        e for e in cocycle.base.simplices_of_dim(1) if cocycle.values[e].rank() != cocycle.rank]
+    found = [((edge, "transition is not invertible"), EVERY_CLASS) for edge in singular]
     p = cocycle.field.p
     for tri in cocycle.base.simplices_of_dim(2):
         a, b, c = tri
+        if (a, c) in singular:
+            # g[c, a] does not exist; a product through a singular value is never the identity anyway
+            found.append(((tri, "triangle identity fails"), EVERY_CLASS))
+            continue
         prod = _compose(_compose(cocycle.value(a, b), cocycle.value(b, c), cocycle.rank, p),
                         cocycle.value(c, a), cocycle.rank, p)
-        mask = _mismatch(prod, _identity(cocycle.rank), cocycle.rank, p)
+        mask = _mismatch(prod, _identity(cocycle.rank, cocycle.field), cocycle.rank, p)
         if mask:
             found.append(((tri, "triangle identity fails"), mask))
     return found
@@ -227,12 +225,14 @@ def validate_cocycle(cocycle: ConstantCocycle) -> ValidationReport:
     return ValidationReport(not bad, tuple(bad))
 
 
-def cocycle_class(cocycle: ConstantCocycle) -> np.ndarray:
-    """H^1 class coordinates of a rank-1 cocycle on its base."""
+def cocycle_class(cocycle: ConstantCocycle):
+    """H^1 class coordinates of a rank-1 cocycle on its base, as an int64 array."""
     if cocycle.rank != 1:
         raise NonAbelianRank("class coordinates are only defined for rank 1")
-    coh = cohomology(cocycle.base, 1, cocycle.field)
-    return class_coordinates(coh, cocycle.edge_vector())
+    edges = cocycle.base.simplices_of_dim(1)
+    # the values in the C^1 basis order of the base, as one column
+    column = entry_matrix((len(edges), 1), ((r, 0, cocycle.values[e]) for r, e in enumerate(edges)), cocycle.field)
+    return class_coordinates(cohomology(cocycle.base, 1, cocycle.field), column).column(0)
 
 
 def _inequivalent_classes(g: ConstantCocycle, h: ConstantCocycle) -> int:
@@ -261,31 +261,31 @@ def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:
 class LineBundles(Sequence):
     """One rank-1 representative per H^1 class of a diagram's union nerve over F_2.
 
-    Column c of `classes` is class c's edge vector in the C^1 order of the
-    nerve: the sum of the H^1 representatives at the set bits of c.
-    Indexing builds class c's cocycle; `class_table` reads every column
-    at once as class bitsets and builds none.
+    `bits` holds one class bitset per edge of the nerve, in C^1 order:
+    bit c is class c's value on that edge, the sum of the H^1
+    representatives at the set bits of c.  Indexing builds class c's
+    cocycle; `class_table` reads every class at once from the bitsets and
+    builds none.
     """
 
     diagram: GluedDiagram
     h1: CohomologyBasis
-    classes: np.ndarray
+    n_classes: int
+    bits: tuple[int, ...]
 
     def __len__(self) -> int:
-        return self.classes.shape[1]
+        return self.n_classes
 
     def __getitem__(self, c: int) -> ConstantCocycle:
-        column = self.classes[:, range(len(self))[c]]
+        c = range(self.n_classes)[c]
         edges = self.diagram.nerve.simplices_of_dim(1)
-        return ConstantCocycle.build(self.diagram.nerve, 1, self.diagram.field,
-                                     dict(zip(edges, (int(v) for v in column))))
+        return ConstantCocycle(self.diagram.nerve, 1, self.diagram.field,
+                               {e: bits >> c & 1 for e, bits in zip(edges, self.bits)})
 
     def bitsets(self) -> ConstantCocycle:
         """Every class at once: the value on each edge is the bitset of the classes that are 1 there."""
         edges = self.diagram.nerve.simplices_of_dim(1)
-        # _f2_rows puts column j at bit ncols - 1 - j, so reversing the columns puts class c at bit c.
-        return ConstantCocycle(self.diagram.nerve, 1, self.diagram.field,
-                               dict(zip(edges, _f2_rows(self.classes[:, ::-1]))))
+        return ConstantCocycle(self.diagram.nerve, 1, self.diagram.field, dict(zip(edges, self.bits)))
 
 
 def enumerate_line_bundles(diagram: GluedDiagram) -> LineBundles:
@@ -296,10 +296,13 @@ def enumerate_line_bundles(diagram: GluedDiagram) -> LineBundles:
     if 2 ** coh.dimension > ENUMERATION_CAP:
         raise ResourceLimit(f"line bundle enumeration is capped at {ENUMERATION_CAP} classes; "
                             f"dim H^1 = {coh.dimension} gives 2^{coh.dimension}")
-    masks = np.arange(2 ** coh.dimension)
-    # Column `mask` of `classes` sums the representatives at the set bits of mask.
-    classes = coh.representatives.apply(masks >> np.arange(coh.dimension)[:, None] & 1)
-    return LineBundles(diagram, coh, classes)
+    n = 2 ** coh.dimension
+    bits = [0] * len(diagram.nerve.simplices_of_dim(1))
+    for i in range(coh.dimension):
+        # The classes c with bit i set: blocks of 2^i zeros then 2^i ones, repeated every 2^(i+1) classes.
+        holders = ((1 << n) - 1) // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        bits = [b ^ holders if v else b for b, v in zip(bits, coh.representatives.column(i))]
+    return LineBundles(diagram, coh, n, tuple(bits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,15 +312,21 @@ class PieceBundleData:
     diagram: GluedDiagram
     rank: int
     cocycles: dict[str, ConstantCocycle]
-    identifications: dict[tuple[str, str], dict[str, int | np.ndarray]]
+    identifications: dict[tuple[str, str], dict[str, int | FMatrix]]
+
+    def __post_init__(self) -> None:
+        """Each identification value becomes a value of this rank and field, as a cocycle's does."""
+        object.__setattr__(self, "identifications", {
+            pair: {v: _normalise_value(x, self.rank, self.diagram.field) for v, x in table.items()}
+            for pair, table in self.identifications.items()})
 
     def ident(self, i: str, j: str, vertex: str):
+        one = _identity(self.rank, self.diagram.field)
         if (i, j) in self.identifications:
-            return self.identifications[(i, j)].get(vertex, _identity(self.rank))
+            return self.identifications[(i, j)].get(vertex, one)
         if (j, i) in self.identifications:
-            raw = self.identifications[(j, i)].get(vertex, _identity(self.rank))
-            return _invert(raw, self.rank, self.diagram.field)
-        return _identity(self.rank)
+            return _invert(self.identifications[(j, i)].get(vertex, one), self.rank, self.diagram.field)
+        return one
 
 
 def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
@@ -350,8 +359,7 @@ def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
             found.append((((i, j), f"identification on labels outside the overlap: {extra}"), EVERY_CLASS))
         if data.rank > 1:
             for v in sorted(data.identifications[(i, j)]):
-                m = _normalise_value(data.identifications[(i, j)][v], data.rank, p)
-                if FMatrix(m, diagram.field).rank() != data.rank:
+                if data.identifications[(i, j)][v].rank() != data.rank:
                     found.append((((i, j), f"identification at {v!r} is not invertible"), EVERY_CLASS))
     failed = _failing(found)
     if failed == EVERY_CLASS:
@@ -387,7 +395,6 @@ def validate_piece_data(data: PieceBundleData) -> ValidationReport:
 class ColimitResult:
     status: str
     cocycle: ConstantCocycle | None = None
-    gauges: dict[tuple[str, str], int | np.ndarray] | None = None
     witness: tuple = ()
 
     @property
@@ -395,8 +402,8 @@ class ColimitResult:
         return self.status == "ok"
 
 
-def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, dict, list[tuple[tuple, int]]]:
-    """The colimit's vertex gauges and edge values, and its obstructions with their class masks.
+def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, list[tuple[tuple, int]]]:
+    """The colimit's edge values, transported by its vertex gauges, and its obstructions with their class masks.
 
     Raises IncompatibleData naming the first violation of the first class
     whose piece data is invalid.  A class glues when no obstruction's
@@ -413,11 +420,11 @@ def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, dict, 
     p = field.p
 
     obstructions: list[tuple[tuple, int]] = []
-    gauges: dict[tuple[str, str], int | np.ndarray] = {}
+    gauges: dict[tuple[str, str], int | FMatrix] = {}
     for v in diagram.nerve.vertices:
         holders = [i for i in diagram.piece_ids if (v,) in diagram.nerves[i]]
         root = holders[0]
-        gauges[(root, v)] = _identity(rank)
+        gauges[(root, v)] = _identity(rank, field)
         for j in holders[1:]:
             gauges[(j, v)] = _invert(data.ident(root, j, v), rank, field)
         for i, j in itertools.combinations(holders, 2):
@@ -426,7 +433,7 @@ def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, dict, 
             if mask:
                 obstructions.append(((v, root, i, j), mask))
 
-    values: dict[Edge, int | np.ndarray] = {}
+    values: dict[Edge, int | FMatrix] = {}
     for a, b in diagram.nerve.simplices_of_dim(1):
         glued = None
         for i in diagram.piece_ids:
@@ -441,7 +448,7 @@ def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, dict, 
             if mask:
                 obstructions.append((((a, b), i), mask))
         values[(a, b)] = glued
-    return gauges, values, obstructions
+    return values, obstructions
 
 
 def colimit_bundle(diagram: GluedDiagram, data: PieceBundleData) -> ColimitResult:
@@ -452,11 +459,10 @@ def colimit_bundle(diagram: GluedDiagram, data: PieceBundleData) -> ColimitResul
     gauge system yields an obstructed outcome naming the label and piece
     cycle, meaning no constant cocycle on this cover glues the data.
     """
-    gauges, values, obstructions = _colimit(diagram, data)
+    values, obstructions = _colimit(diagram, data)
     if obstructions:
         return ColimitResult("obstructed", witness=obstructions[0][0])
-    cocycle = ConstantCocycle(diagram.nerve, data.rank, diagram.field, values)
-    return ColimitResult("ok", cocycle=cocycle, gauges=gauges)
+    return ColimitResult("ok", cocycle=ConstantCocycle(diagram.nerve, data.rank, diagram.field, values))
 
 
 def restrict_bundle(cocycle: ConstantCocycle, diagram: GluedDiagram) -> PieceBundleData:
@@ -475,7 +481,7 @@ def restrict_bundle(cocycle: ConstantCocycle, diagram: GluedDiagram) -> PieceBun
 @dataclass(frozen=True, eq=False)
 class TwistedSection:
     cocycle: ConstantCocycle
-    values: dict[str, int | np.ndarray]
+    values: dict[str, int | FMatrix]
 
 
 @dataclass(frozen=True)
@@ -552,10 +558,11 @@ def _untwisting_gauge(cocycle: ConstantCocycle) -> tuple[dict[str, tuple[str, in
     return gauge, twist
 
 
-def _parallel_dims(cocycle: ConstantCocycle, n: int) -> np.ndarray:
+def _parallel_dims(cocycle: ConstantCocycle, n: int) -> list[int]:
     """For each of n classes, the number of components on which the cocycle untwists."""
     gauge, twist = _untwisting_gauge(cocycle)
-    return len({root for root, _ in gauge.values()}) - _class_counts(twist.values(), n)
+    roots = len({root for root, _ in gauge.values()})
+    return [roots - twisted for twisted in _class_counts(twist.values(), n)]
 
 
 def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
@@ -563,7 +570,7 @@ def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
 
     Rank 1: one basis section per component on which the cocycle
     untwists, in component-normalised coordinates.  Rank >= 2: kernel of
-    the edge equations s_a = g[a,b] s_b.
+    the edge equations s_a = g[a,b] s_b, each value a k x 1 `FMatrix`.
     """
     base = cocycle.base
     if cocycle.rank == 1:
@@ -577,13 +584,14 @@ def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
         return SectionBasis(cocycle, tuple(sections))
 
     # kernel row i * k + r is entry r of the section at vertex i, for rank k
-    kernel = _section_system({"": cocycle}, [], cocycle.rank, cocycle.field).kernel_basis()
-    sections = tuple(TwistedSection(cocycle, dict(zip(base.vertices, kernel.column(j).reshape(-1, cocycle.rank))))
-                     for j in range(kernel.cols))
-    return SectionBasis(cocycle, sections)
+    k = cocycle.rank
+    kernel = _section_system({"": cocycle}, [], k, cocycle.field).kernel_basis()
+    return SectionBasis(cocycle, tuple(
+        TwistedSection(cocycle, {v: kernel[i * k:(i + 1) * k, j:j + 1] for i, v in enumerate(base.vertices)})
+        for j in range(kernel.cols)))
 
 
-def _section_system(cocycles: dict[str, ConstantCocycle], links: list[tuple[tuple, tuple, np.ndarray]],
+def _section_system(cocycles: dict[str, ConstantCocycle], links: list[tuple[tuple, tuple, FMatrix]],
                     rank: int, field: PrimeField) -> FMatrix:
     """The linear system of rank >= 2 parallel sections on pieces joined by links.
 
@@ -596,13 +604,12 @@ def _section_system(cocycles: dict[str, ConstantCocycle], links: list[tuple[tupl
     conditions = [((i, a), (i, b), g.values[(a, b)]) for i, g in cocycles.items()
                   for a, b in g.base.simplices_of_dim(1)] + links
     eye = FMatrix.identity(rank, field)
-    blocks = [block for n, (x, y, h) in enumerate(conditions) for block in ((n, x, eye), (n, y, -FMatrix(h, field)))]
+    blocks = [block for n, (x, y, h) in enumerate(conditions) for block in ((n, x, eye), (n, y, -h))]
     return block_matrix(dict.fromkeys(range(len(conditions)), rank), unknowns, blocks, field)
 
 
 def is_parallel(section: TwistedSection) -> bool:
     cocycle = section.cocycle
-    base = cocycle.base
     p = cocycle.field.p
     if cocycle.rank == 1:
         # constant on each component, and zero on a twisted one
@@ -612,12 +619,8 @@ def is_parallel(section: TwistedSection) -> bool:
             if value != int(section.values[root]) % p or (value and twist.get(root)):
                 return False
         return True
-    for a, b in base.simplices_of_dim(1):
-        lhs = np.asarray(section.values[a]) % p
-        rhs = (np.asarray(cocycle.values[(a, b)]) @ np.asarray(section.values[b])) % p
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    return all(section.values[a].equals(cocycle.values[(a, b)] @ section.values[b])
+               for a, b in cocycle.base.simplices_of_dim(1))
 
 
 def _join_piece_components(data: PieceBundleData) -> tuple[dict, dict, list]:
@@ -655,7 +658,7 @@ def _join_piece_components(data: PieceBundleData) -> tuple[dict, dict, list]:
     return parent, pot, failures
 
 
-def _glue_space_dims(data: PieceBundleData, n: int) -> np.ndarray:
+def _glue_space_dims(data: PieceBundleData, n: int) -> list[int]:
     """For each of n classes, the rank-1 glue_section_space.
 
     A compatible tuple takes one value on each set of joined piece
@@ -670,7 +673,7 @@ def _glue_space_dims(data: PieceBundleData, n: int) -> np.ndarray:
     for node, _, mask in failures:
         root = _find(parent, pot, node, m)[0]
         failing[root] = failing.get(root, 0) | mask
-    return len(roots) - _class_counts(failing.values(), n)
+    return [len(roots) - failed for failed in _class_counts(failing.values(), n)]
 
 
 def glue_sections(data: PieceBundleData,
@@ -697,13 +700,8 @@ def glue_sections(data: PieceBundleData,
     for (i, j), nij in diagram.level(2).items():
         for v in nij.vertices:
             si, sj = sections[i].values[v], sections[j].values[v]
-            if rank == 1:
-                if int(si) % p != int(sj) % p:
-                    raise IncompatibleSections(v, f"sections disagree at {v!r}")
-            else:
-                expected = (np.asarray(data.ident(i, j, v)) @ np.asarray(si)) % p
-                if not np.array_equal(np.asarray(sj) % p, expected):
-                    raise IncompatibleSections(v, f"sections disagree at {v!r}")
+            if not (int(si) % p == int(sj) % p if rank == 1 else sj.equals(data.ident(i, j, v) @ si)):
+                raise IncompatibleSections(v, f"sections disagree at {v!r}")
 
     if rank == 1:
         # Joined components now carry one value; only nonzero ones constrain the phases.
@@ -711,12 +709,11 @@ def glue_sections(data: PieceBundleData,
         for (pid, _), v, _ in failures:
             if int(sections[pid].values[v]) % p:
                 raise IncompatibleSections(v, f"gauge phases are inconsistent at {v!r}")
-    glued_values: dict[str, int | np.ndarray] = {}
+    glued_values: dict[str, int | FMatrix] = {}
     for v in diagram.nerve.vertices:
-        holder = next(i for i in diagram.piece_ids if (v,) in diagram.nerves[i])
-        value = sections[holder].values[v]
-        glued_values[v] = (int(value) % p if rank == 1 else
-                           (np.asarray(colimit.gauges[(holder, v)]) @ np.asarray(value)) % p)
+        # the first piece holding v is v's root in the colimit, whose gauge is the identity
+        value = sections[next(i for i in diagram.piece_ids if (v,) in diagram.nerves[i])].values[v]
+        glued_values[v] = int(value) % p if rank == 1 else value
     glued = TwistedSection(colimit.cocycle, glued_values)
     if not is_parallel(glued):
         raise AssertionError("glued section is not parallel for the colimit cocycle")
@@ -731,7 +728,7 @@ def glue_section_space(data: PieceBundleData) -> int:
     diagram = data.diagram
     rank = data.rank
     if rank == 1:
-        return int(_glue_space_dims(data, 1)[0])
+        return _glue_space_dims(data, 1)[0]
 
     # rank >= 2: each piece's parallel sections, linked by s_j(v) = ident(i, j, v) s_i(v)
     links = [((j, v), (i, v), data.ident(i, j, v))
@@ -764,9 +761,9 @@ def class_table(bundles: LineBundles) -> ClassTable:
     n = len(bundles)
     g = bundles.bitsets()
     data = restrict_bundle(g, diagram)
-    _, values, obstructions = _colimit(diagram, data)
+    values, obstructions = _colimit(diagram, data)
     back = ConstantCocycle(diagram.nerve, 1, diagram.field, values)
     lost = _inequivalent_classes(back, g) | _failing(obstructions)
-    return ClassTable(tuple(int(d) for d in _parallel_dims(g, n)),
+    return ClassTable(tuple(_parallel_dims(g, n)),
                       tuple(not x for x in _class_counts([lost], n)),
-                      tuple(int(d) for d in _glue_space_dims(data, n)))
+                      tuple(_glue_space_dims(data, n)))

@@ -262,17 +262,17 @@ def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: di
     h1_dim = reps.h1.dimension
     table = class_table(reps)
     edges = diagram.nerve.simplices_of_dim(1)
-    # Column c of reps.classes is R times the bits of c, and [B | R] has
-    # independent columns, so class c's coordinates are exactly those bits.
+    # Class c's edge values (bit c of reps.bits) are R times the bits of c, and
+    # [B | R] has independent columns, so class c's coordinates are exactly those bits.
     classes = [{
         "class": [c >> i & 1 for i in range(h1_dim)],
-        "nonzero_edges": [list(e) for e, v in zip(edges, vec) if v],
+        "nonzero_edges": [list(e) for e, bits in zip(edges, reps.bits) if bits >> c & 1],
         "parallel_dim": parallel,
         "round_trip_class_preserved": preserved,
         "glue_space_dim": glue,
         "glue_matches_parallel": glue == parallel}
-        for c, (vec, parallel, preserved, glue) in enumerate(zip(
-            reps.classes.T, table.parallel_dims, table.round_trips_preserved, table.glue_space_dims))]
+        for c, (parallel, preserved, glue) in enumerate(zip(
+            table.parallel_dims, table.round_trips_preserved, table.glue_space_dims))]
     report["classes"] = classes
     report["verdicts"]["count_is_two_to_h1"] = len(reps) == 2 ** h1_dim
     report["verdicts"]["round_trips_preserve_class"] = all(table.round_trips_preserved)

@@ -289,8 +289,8 @@ def _row(row: tuple, newline: str, memo: dict) -> str:
     return memo[row]
 
 
-# What a malformed value raises on its way to an int or an int64 array.
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
+# What a malformed value raises on its way to an int or a k x k FMatrix.
+_BAD_VALUE = (TypeError, ValueError)
 
 
 def _entries(raw: dict, key: str, path: str) -> list:
@@ -359,7 +359,7 @@ def materialise_bundle(diagram: GluedDiagram, raw: dict) -> PieceBundleData:
             if label not in overlap:
                 raise ParseError(f"label {label!r} is not in the overlap of {key}", path)
             try:
-                value = _normalise_value(item[1], rank, diagram.field.p)
+                value = _normalise_value(item[1], rank, diagram.field)
             except _BAD_VALUE as exc:
                 raise ParseError(f"value at {label!r}: {exc}", path) from None
             _put_once(table, label, value, "identification vertex", path)

@@ -33,7 +33,7 @@ a row of A whose one entry is 1 (a restriction row) picks B's row
 itself.  A column selection is the product with a 0/1 selection matrix.  No stored row is ever changed, so views,
 products and `block_matrix` share rows freely; elimination copies a row
 before it reduces it.  `FMatrix.entries` is a read-only dense int64 view,
-built on first read, for tests, demos and `bundles`.
+built on first read, for tests and demos; no command reads it.
 
 One function eliminates: `echelon` runs forward elimination on an
 `FMatrix`'s rows.  Its pivot columns give rank and column spaces, and
@@ -44,8 +44,10 @@ in one call.  Each `FMatrix` keeps its own echelon, so its rank, column
 space and kernel share one elimination.
 
 `FMatrix` is the one holder of matrix storage: no other module reads its
-rows, and only `bundles._invert` reads its dense view, for a rank-k
-transition value, a small numpy matrix.  Two constructors own matrix
+rows or its dense view, or knows the F_2 bit order, and no other module
+uses numpy at run time.  A rank-k bundle transition is a k x k `FMatrix`
+too, which `bundles` inverts, composes and compares with `inverse`, `@`
+and `equals`.  Two constructors own matrix
 layout: `block_matrix` places `FMatrix` blocks keyed by index set, and
 `entry_matrix` places (row, column, value) triples, read once as they
 come.  The cochain maps (d, restrictions, pullbacks, phi* and delta~),
@@ -334,7 +336,7 @@ class FMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense int64 view, read-only, built on first read."""
+        """The dense int64 view, read-only, built on first read, for tests and demos; no command reads it."""
         a = self._dense()
         a.setflags(write=False)
         return a
@@ -466,14 +468,13 @@ class FMatrix:
         return self[:, self.pivots()]
 
     def inverse(self) -> "FMatrix":
+        """The solution of A X = I, from the one elimination of [A | I] that `solve` runs."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        n = self.rows
-        joint = block_matrix({0: n}, {0: n, 1: n}, [(0, 0, self), (0, 1, FMatrix.identity(n, self.field))], self.field)
-        reduced, pivots = rref(joint, self.field.p)
-        if pivots[:n] != list(range(n)):
+        x = self.solve(FMatrix.identity(self.rows, self.field))
+        if x is None:
             raise ZeroDivisionError("matrix is singular")
-        return reduced[:, n:]
+        return x
 
 
 def _compose(a: FMatrix, b: FMatrix) -> FMatrix:

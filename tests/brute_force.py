@@ -34,9 +34,9 @@ def gl_order(rank, p):
 def all_invertible(rank, p):
     """Every invertible rank x rank matrix over F_p."""
     field = PrimeField(p)
-    units = (np.array(entries, dtype=np.int64).reshape(rank, rank)
+    units = (FMatrix(np.array(entries, dtype=np.int64).reshape(rank, rank), field)
              for entries in itertools.product(range(p), repeat=rank * rank))
-    return tuple(m for m in units if FMatrix(m, field).rank() == rank)
+    return tuple(m for m in units if m.rank() == rank)
 
 
 def gauge_equivalent(g, h):

@@ -29,6 +29,22 @@ def diagram_for(name, **kwargs):
     return canonicalize(parse_document(gallery_document(name, **kwargs)).system)
 
 
+def rank2_bundle_document(entry=1):
+    """The line with two origins carrying a rank-2 bundle block over F_2.
+
+    Piece p2 has the swap on its edge (o2, r); the identification of p1
+    with p2 is [[entry, 0], [0, 1]] at l and the swap at r.  Every odd
+    entry gives the same bundle.
+    """
+    swap = [[0, 1], [1, 0]]
+    doc = gallery_document("two_origin_line")
+    doc["bundle"] = {"rank": 2,
+                     "pieces": [{"id": "p1", "edges": []}, {"id": "p2", "edges": [["o2", "r", swap]]}],
+                     "identifications": [{"i": "p1", "j": "p2",
+                                          "vertices": [["l", [[entry, 0], [0, 1]]], ["r", swap]]}]}
+    return doc
+
+
 @pytest.fixture(scope="session")
 def two_origin():
     return diagram_for("two_origin_line")

@@ -40,6 +40,7 @@ from cechkit.fplinalg import F2, FMatrix, PrimeField
 from cechkit.gallery import gallery_document, random_admissible
 
 from brute_force import all_invertible, gauge_equivalent, gl_order
+from conftest import rank2_bundle_document
 
 
 def cycle4():
@@ -322,6 +323,44 @@ def test_glue_space_rank2(two_origin):
     assert glue_section_space(data) == parallel_sections(g).dimension
 
 
+def test_glue_sections_rank2_refuses_sections_that_disagree(two_origin):
+    # The swap on (o2, r) turns one piece's first parallel section into the other basis vector.
+    g = ConstantCocycle.build(two_origin.nerve, 2, F2, {("o2", "r"): [[0, 1], [1, 0]]})
+    data = restrict_bundle(g, two_origin)
+    firsts = {pid: parallel_sections(h).basis[0] for pid, h in data.cocycles.items()}
+    with pytest.raises(IncompatibleSections) as err:
+        glue_sections(data, firsts)
+    assert err.value.vertex == "l"
+
+
+def test_glue_sections_rank2_glues_the_identity_section():
+    diagram = canonicalize(parse_document(gallery_document("three_circles", field=3)).system)
+    g = ConstantCocycle.build(diagram.nerve, 2, diagram.field)
+    data = restrict_bundle(g, diagram)
+    for section in parallel_sections(g).basis:
+        pieces = {pid: TwistedSection(data.cocycles[pid], {v: section.values[v] for v in nerve.vertices})
+                  for pid, nerve in diagram.nerves.items()}
+        glued = glue_sections(data, pieces)
+        assert is_parallel(glued)
+        assert glued.cocycle.rank == 2 and set(glued.values) == set(diagram.nerve.vertices)
+
+
+def test_glue_sections_rank2_applies_the_identification():
+    # identification 1 at l and the swap at r; p2 carries the swap on its edge (o2, r)
+    parsed = parse_document(rank2_bundle_document())
+    diagram = canonicalize(parsed.system)
+    data = materialise_bundle(diagram, parsed.bundle)
+    e1, e2 = FMatrix([[1], [0]], F2), FMatrix([[0], [1]], F2)
+    sections = {"p1": TwistedSection(data.cocycles["p1"], {"l": e1, "o1": e1, "r": e1}),
+                "p2": TwistedSection(data.cocycles["p2"], {"l": e1, "o2": e1, "r": e2})}
+    glued = glue_sections(data, sections)
+    assert is_parallel(glued) and all(glued.values[v].equals(e1) for v in diagram.nerve.vertices)
+    # p2's other parallel section is p1's image at r but not at l
+    with pytest.raises(IncompatibleSections) as err:
+        glue_sections(data, {**sections, "p2": TwistedSection(data.cocycles["p2"], {"l": e2, "o2": e2, "r": e1})})
+    assert err.value.vertex == "l"
+
+
 def solved_untwisting_phases(cocycle, comp):
     """Phases with phase_b - phase_a = g[a,b] on comp, by one linear solve, or None."""
     order = {v: i for i, v in enumerate(comp)}
@@ -588,7 +627,8 @@ def test_class_table_matches_the_per_class_answers(necklace, data):
         n_edges = len(diagram.nerve.simplices_of_dim(1))
         columns = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_edges, max_size=n_edges),
                                      min_size=1, max_size=8))
-        reps = LineBundles(diagram, reps.h1, np.array(columns, dtype=np.int64).reshape(len(columns), n_edges).T)
+        reps = LineBundles(diagram, reps.h1, len(columns),
+                           tuple(sum(column[e] << c for c, column in enumerate(columns)) for e in range(n_edges)))
     answers = []
     for g in reps:
         try:
@@ -610,7 +650,8 @@ def test_class_table_refuses_with_the_first_invalid_class():
     edges = diagram.nerve.simplices_of_dim(1)
     # class 0 is a cocycle; class 1 breaks the triangle of p2, class 2 the triangle of p1
     columns = [[int(e in twisted) for e in edges] for twisted in ((), (("c", "d"),), (("a", "b"),))]
-    reps = LineBundles(diagram, enumerate_line_bundles(diagram).h1, np.array(columns, dtype=np.int64).T)
+    reps = LineBundles(diagram, enumerate_line_bundles(diagram).h1, len(columns),
+                       tuple(sum(column[e] << c for c, column in enumerate(columns)) for e in range(len(edges))))
     with pytest.raises(IncompatibleData) as scalar:
         colimit_bundle(diagram, restrict_bundle(reps[1], diagram))
     with pytest.raises(IncompatibleData) as batch:

@@ -306,7 +306,8 @@ ARRAY_JOINS = {"hstack", "vstack", "column_stack", "concatenate"}
 
 def storage_reads(tree: ast.AST) -> set[tuple[str, str]]:
     """The innermost function around each `.entries` read, numpy array join,
-    and import of `product` or `echelon` from fplinalg, with what it is."""
+    and import from fplinalg of `product`, `echelon` or a row codec (`_f2_*`,
+    `_odd_*`), with what it is."""
     found: set[tuple[str, str]] = set()
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -318,7 +319,8 @@ def storage_reads(tree: ast.AST) -> set[tuple[str, str]]:
                 isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
             found.add((scope, f"np.{node.attr}"))
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fplinalg"):
-            found.update((scope, f"import {a.name}") for a in node.names if a.name in ("product", "echelon"))
+            found.update((scope, f"import {a.name}") for a in node.names
+                         if a.name in ("product", "echelon") or a.name.startswith(("_f2_", "_odd_")))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -330,11 +332,12 @@ def test_no_module_but_fplinalg_reads_matrix_storage():
     # FMatrix owns the storage, so changing it changes fplinalg alone.
     assert storage_reads(ast.parse("from .fplinalg import echelon\ndef f(m):\n    return np.vstack([m.entries])")) == {
         ("<module>", "import echelon"), ("f", ".entries"), ("f", "np.vstack")}
+    assert storage_reads(ast.parse("from .fplinalg import FMatrix, _f2_rows, _odd_rows, _ranges")) == {
+        ("<module>", "import _f2_rows"), ("<module>", "import _odd_rows")}
     found = {(path.stem, scope, what)
              for path in sorted(Path(cechkit.__file__).parent.glob("*.py")) if path.stem != "fplinalg"
              for scope, what in storage_reads(ast.parse(path.read_text(encoding="utf-8")))}
-    # The one exception: a rank-k bundle transition is a small numpy value, not a cochain map.
-    assert found == {("bundles", "_invert", ".entries")}
+    assert found == set()
 
 
 def runtime_numpy(tree: ast.AST) -> set[tuple[str, str]]:
@@ -366,16 +369,19 @@ def runtime_numpy(tree: ast.AST) -> set[tuple[str, str]]:
 
 
 def test_cochain_maps_are_built_without_numpy():
-    # d, restrictions, pullbacks, phi* and delta~ go straight into rows, so
-    # cochains and mv use numpy at most in annotations.
+    # d, restrictions, pullbacks, phi* and delta~ go straight into rows, and
+    # bundle values are FMatrix values, so no module but fplinalg uses numpy
+    # outside annotations.
     assert runtime_numpy(ast.parse(
         "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
         "def f(v: np.ndarray) -> np.ndarray:\n    return g(v)\n")) == set()
     assert runtime_numpy(ast.parse("import numpy as np\ndef f(v: np.ndarray):\n    return np.asarray(v)")) == {
         ("<module>", "import numpy"), ("f", "np")}
-    package = Path(cechkit.__file__).parent
-    assert {m: runtime_numpy(ast.parse((package / f"{m}.py").read_text(encoding="utf-8")))
-            for m in ("cochains", "mv")} == {"cochains": set(), "mv": set()}
+    modules = {path.stem: path for path in sorted(Path(cechkit.__file__).parent.glob("*.py"))
+               if path.stem != "fplinalg"}
+    assert {"bundles", "cochains", "mv", "cli"} <= set(modules)
+    assert {m: runtime_numpy(ast.parse(path.read_text(encoding="utf-8"))) for m, path in modules.items()} == \
+        dict.fromkeys(modules, set())
 
 
 @pytest.mark.parametrize("p", (2, 3))

@@ -11,12 +11,14 @@ import contextlib
 import copy
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from conftest import rank2_bundle_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +121,32 @@ def test_a_misspelled_bundle_piece_key_is_one_input_error(tmp_path):
     code, out, err = _run(["--report", str(tmp_path / "report.json"), "bundles", str(path)])
     assert code == 2 and out == ""
     assert err == "input error: $.bundle.pieces: unknown bundle piece keys ['edgez']\n"
+
+
+def test_a_rank2_entry_beyond_int64_is_reduced_mod_p(tmp_path):
+    # 2^80 + 1 is 1 mod 2, as it is at rank 1: the bundle is the one with entry 1
+    reports = []
+    for entry in (2 ** 80 + 1, 1):
+        path, report = tmp_path / f"doc{entry}.json", tmp_path / f"report{entry}.json"
+        path.write_text(canonical_json(rank2_bundle_document(entry)), encoding="utf-8")
+        code, _, err = _run(["--report", str(report), "bundles", str(path)])
+        assert (code, err) == (0, "")
+        reports.append(json.loads(report.read_text(encoding="utf-8")))
+        del reports[-1]["input_digest"]
+    assert reports[0] == reports[1] and reports[0]["bundle_block"]["status"] == "ok"
+
+
+def test_a_singular_rank2_transition_on_a_triangle_is_one_input_error(tmp_path):
+    # the triangle identity reads g[c, a], the inverse of the value on (a, c), which does not exist
+    doc = {"field": 2,
+           "pieces": [{"id": "p1", "simplices": [["a", "b", "c"]]}, {"id": "p2", "simplices": [["c", "d"]]}],
+           "gluings": [{"i": "p1", "j": "p2", "pairs": [["c", "c"]]}],
+           "bundle": {"rank": 2, "pieces": [{"id": "p1", "edges": [["a", "c", [[1, 1], [1, 1]]]]}]}}
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, err = _run(["bundles", str(path)])
+    assert code == 2 and out == ""
+    assert err == "input error: piece data invalid: ('p1', ('a', 'c'), 'transition is not invertible')\n"
 
 
 def test_a_piece_id_holding_a_comma_is_one_input_error(tmp_path):

@@ -170,7 +170,7 @@ def reference_parallel_system(cocycle):
     m = np.zeros((len(edges) * k, len(vs) * k), dtype=np.int64)
     for r, (a, b) in enumerate(edges):
         m[r * k:(r + 1) * k, offset[a]:offset[a] + k] += np.eye(k, dtype=np.int64)
-        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= np.asarray(cocycle.values[(a, b)])
+        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= cocycle.values[(a, b)].entries
     return FMatrix(m, cocycle.field)
 
 
@@ -189,13 +189,13 @@ def reference_glue_system(data):
         for a, b in diagram.nerves[pid].simplices_of_dim(1):
             row = np.zeros((rank, pos), dtype=np.int64)
             row[:, offsets[(pid, a)]:offsets[(pid, a)] + rank] += np.eye(rank, dtype=np.int64)
-            row[:, offsets[(pid, b)]:offsets[(pid, b)] + rank] -= np.asarray(g.values[(a, b)])
+            row[:, offsets[(pid, b)]:offsets[(pid, b)] + rank] -= g.values[(a, b)].entries
             rows.append(row)
     for i, j in itertools.combinations(diagram.piece_ids, 2):
         for v in diagram.intersection_nerve((i, j)).vertices:
             row = np.zeros((rank, pos), dtype=np.int64)
             row[:, offsets[(j, v)]:offsets[(j, v)] + rank] += np.eye(rank, dtype=np.int64)
-            row[:, offsets[(i, v)]:offsets[(i, v)] + rank] -= np.asarray(data.ident(i, j, v))
+            row[:, offsets[(i, v)]:offsets[(i, v)] + rank] -= data.ident(i, j, v).entries
             rows.append(row)
     return FMatrix(np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64), diagram.field)
 
@@ -288,7 +288,7 @@ def test_rank2_section_systems_equal_the_offset_loops(data):
         assert len(sections[pid]) == kernel.cols
         for j, section in enumerate(sections[pid]):
             for i, v in enumerate(g.base.vertices):
-                assert np.array_equal(section.values[v], kernel.entries[2 * i:2 * i + 2, j])
+                assert section.values[v].equals(kernel[2 * i:2 * i + 2, j:j + 1])
 
 
 COCHAIN_LABELS = "abcde"

@@ -1,16 +1,16 @@
 """An `FMatrix` is its rows: what sharing them may not change, and what they save.
 
 Views, products and `block_matrix` share row objects with their operands,
-so no operation may change a stored row.  Only `bundles` reads the dense
-`entries` view, and a strip's `mv` and `fibred` cost the memory of their
-nonzeros, not of their matrices' shapes.
+so no operation may change a stored row.  No command reads a dense view:
+rank-k bundle values are `FMatrix` values too.  A strip's `mv` and
+`fibred` cost the memory of their nonzeros, not of their matrices' shapes.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import GALLERY_CASES
+from conftest import GALLERY_CASES, rank2_bundle_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,24 +66,30 @@ def test_no_operation_changes_a_row_it_shares(case):
         assert np.array_equal(x.entries, want)
 
 
-COMMANDS = ("validate", "cohomology", "mv", "fibred", "count", "collapse-check", "refine-check")
+COMMANDS = ("validate", "cohomology", "mv", "fibred", "bundles", "count", "collapse-check", "refine-check")
 
 
 @pytest.mark.parametrize("p", (2, 3))
-def test_no_command_but_bundles_reads_a_dense_view(p, tmp_path, monkeypatch, capsys):
+def test_no_command_reads_a_dense_view(p, tmp_path, monkeypatch, capsys):
+    cases = GALLERY_CASES + [("random_admissible", {"seed": 3})]
+    docs = [gallery_document(name, field=p, **kwargs) for name, kwargs in cases]
+    docs += [rank2_bundle_document()] if p == 2 else []
     paths = []
-    for name, kwargs in GALLERY_CASES + [("random_admissible", {"seed": 3})]:
-        paths.append(tmp_path / f"{name}{len(paths)}.json")
-        paths[-1].write_text(canonical_json(gallery_document(name, field=p, **kwargs)), encoding="utf-8")
+    for doc in docs:
+        paths.append(tmp_path / f"doc{len(paths)}.json")
+        paths[-1].write_text(canonical_json(doc), encoding="utf-8")
     codes = {(path, command): main([command, str(path)]) for path in paths for command in COMMANDS}
 
     def dense_view(self):
         raise AssertionError("a dense view was read")
 
     monkeypatch.setattr(FMatrix, "entries", property(dense_view))
+    monkeypatch.setattr(FMatrix, "_dense", dense_view)
     assert {(path, command): main([command, str(path)]) for path in paths for command in COMMANDS} == codes
-    # count needs F_2 and refine-check a refinement block; every other command runs
-    assert {code for (_, command), code in codes.items() if command not in ("count", "refine-check")} <= {0, 1}
+    # count and bundles need F_2 and refine-check a refinement block; every other command runs
+    needs_f2 = ("count", "bundles") if p != 2 else ()
+    assert {code for (_, command), code in codes.items() if command not in needs_f2 + ("refine-check",)} <= {0, 1}
+    assert p != 2 or codes[(paths[-1], "bundles")] == 0
 
 
 @pytest.mark.parametrize("command", ("mv", "fibred"))
