@@ -6,6 +6,8 @@ and r.  The glued cover's nerve is a 4-cycle, the combinatorial model of
 the non-Hausdorff line with two origins.
 """
 
+import numpy as np
+
 from cechkit import (
     canonicalize,
     cohomology,
@@ -51,4 +53,4 @@ print("difference-map ranks:", les.alpha_ranks)
 # overlap components and lands on the generator of H^1 of the 4-cycle.
 delta = connecting_homomorphism(diagram, 0)
 print("connecting map matrix (rows: H^1(N), cols: H^0(N12)):")
-print(delta.entries)
+print(np.array(delta.tolist()))

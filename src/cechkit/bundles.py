@@ -226,7 +226,7 @@ def validate_cocycle(cocycle: ConstantCocycle) -> ValidationReport:
 
 
 def cocycle_class(cocycle: ConstantCocycle):
-    """H^1 class coordinates of a rank-1 cocycle on its base, as an int64 array."""
+    """H^1 class coordinates of a rank-1 cocycle on its base, as a list of ints."""
     if cocycle.rank != 1:
         raise NonAbelianRank("class coordinates are only defined for rank 1")
     edges = cocycle.base.simplices_of_dim(1)
@@ -420,13 +420,16 @@ def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, list[t
     p = field.p
 
     obstructions: list[tuple[tuple, int]] = []
+    # each holder's gauge at a vertex and its inverse, which is ident(root, j, v) itself
     gauges: dict[tuple[str, str], int | FMatrix] = {}
+    inverses: dict[tuple[str, str], int | FMatrix] = {}
     for v in diagram.nerve.vertices:
         holders = [i for i in diagram.piece_ids if (v,) in diagram.nerves[i]]
         root = holders[0]
-        gauges[(root, v)] = _identity(rank, field)
+        gauges[(root, v)] = inverses[(root, v)] = _identity(rank, field)
         for j in holders[1:]:
-            gauges[(j, v)] = _invert(data.ident(root, j, v), rank, field)
+            inverses[(j, v)] = data.ident(root, j, v)
+            gauges[(j, v)] = _invert(inverses[(j, v)], rank, field)
         for i, j in itertools.combinations(holders, 2):
             mask = _mismatch(gauges[(i, v)], _compose(gauges[(j, v)], data.ident(i, j, v), rank, p),
                              rank, p)
@@ -440,7 +443,7 @@ def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, list[t
             if (a, b) not in diagram.nerves[i]:
                 continue
             candidate = _compose(_compose(gauges[(i, a)], data.cocycles[i].value(a, b), rank, p),
-                                 _invert(gauges[(i, b)], rank, field), rank, p)
+                                 inverses[(i, b)], rank, p)
             if glued is None:
                 glued = candidate
                 continue

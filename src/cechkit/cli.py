@@ -284,7 +284,7 @@ def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: di
         block: dict[str, Any] = {"status": result.status}
         if result.ok:
             if data.rank == 1:
-                block["class"] = [int(c) for c in cocycle_class(result.cocycle)]
+                block["class"] = cocycle_class(result.cocycle)
             block["parallel_dim"] = parallel_sections(result.cocycle).dimension
             block["glue_space_dim"] = glue_section_space(data)
         else:

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .complexes import SimplicialComplex
 from .errors import NotSimplicial
 from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotSubcomplex(ValueError):
@@ -127,10 +124,10 @@ def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[
     return z, adapted[:, :n], adapted[:, n:], adapted
 
 
-def class_coordinates(coh: CohomologyBasis, values: np.ndarray | FMatrix) -> np.ndarray | FMatrix:
+def class_coordinates(coh: CohomologyBasis, values: FMatrix) -> FMatrix:
     """Coordinates of a cocycle's class in the chosen representative basis, solved on [B | R].
 
-    A 2-d `values` or an `FMatrix` holds one cocycle per column, all solved in one elimination.
+    `values` holds one cocycle per column, all solved in one elimination.
     """
     solution = coh.adapted.solve(values)
     if solution is None:

@@ -30,10 +30,10 @@ in column j holds ncols - j bits.  Every operation works on rows.  A
 product is a row gather: row i of A @ B is the XOR of B's rows at the
 set bits of A's row i, or the sum of B's rows scaled by A's entries, and
 a row of A whose one entry is 1 (a restriction row) picks B's row
-itself.  A column selection is the product with a 0/1 selection matrix.  No stored row is ever changed, so views,
-products and `block_matrix` share rows freely; elimination copies a row
-before it reduces it.  `FMatrix.entries` is a read-only dense int64 view,
-built on first read, for tests and demos; no command reads it.
+itself.  A column selection is the product with a 0/1 selection matrix.
+No stored row is ever changed, so views, products and `block_matrix`
+share rows freely; elimination copies a row before it reduces it.
+`tolist` and `column` give the entries as new lists of ints.
 
 One function eliminates: `echelon` runs forward elimination on an
 `FMatrix`'s rows.  Its pivot columns give rank and column spaces, and
@@ -44,8 +44,9 @@ in one call.  Each `FMatrix` keeps its own echelon, so its rank, column
 space and kernel share one elimination.
 
 `FMatrix` is the one holder of matrix storage: no other module reads its
-rows or its dense view, or knows the F_2 bit order, and no other module
-uses numpy at run time.  A rank-k bundle transition is a k x k `FMatrix`
+rows or knows the F_2 bit order.  Its methods take and give `FMatrix`
+values and plain ints and lists, so the package needs nothing beyond
+the standard library.  A rank-k bundle transition is a k x k `FMatrix`
 too, which `bundles` inverts, composes and compares with `inverse`, `@`
 and `equals`.  Two constructors own matrix
 layout: `block_matrix` places `FMatrix` blocks keyed by index set, and
@@ -59,11 +60,10 @@ joins are built from blocks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import InputError
 
@@ -105,20 +105,6 @@ class PrimeField:
 F2 = PrimeField(2)
 
 
-def _reduce(a: np.ndarray, p: int) -> np.ndarray:
-    """An int64 array mod p; over F_2 its low bit, which needs no division."""
-    return a & 1 if p == 2 else a % p
-
-
-def _f2_rows(a: np.ndarray) -> list[int]:
-    """Each row of a 0/1 matrix as one int: column j is bit ncols - 1 - j."""
-    nrows, ncols = a.shape
-    width = -(-ncols // 8)
-    pad = 8 * width - ncols
-    data = np.packbits(a.astype(np.uint8), axis=1).tobytes()
-    return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad for i in range(nrows)]
-
-
 def _f2_combine(x: int, ncols: int, rows: list[int]) -> int:
     """The XOR of rows[j] over the columns j of x's set bits."""
     y = 0
@@ -144,15 +130,6 @@ def _f2_echelon(rows: list[int]) -> dict[int, int]:
                 break
             x ^= table[lead]
     return table
-
-
-def _odd_rows(a: np.ndarray) -> list[dict[int, int]]:
-    """Each row of a matrix reduced mod p as one {column: value} dict of its nonzeros."""
-    r, c = np.nonzero(a)
-    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
-    for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-        rows[i][j] = v
-    return rows
 
 
 def _odd_combine(x: dict[int, int], rows: list[dict[int, int]], p: int) -> dict[int, int]:
@@ -244,47 +221,44 @@ class Echelon:
         return FMatrix._of([table[lead] for lead in sorted(table, reverse=True)], self.shape[1], field)
 
 
-def echelon(a: "FMatrix | np.ndarray", p: int) -> Echelon:
+def echelon(a: "FMatrix", p: int) -> Echelon:
     """Forward elimination mod p: the one place a matrix is eliminated.
 
-    It reads an `FMatrix`'s rows and does not change them; an array is
-    read as the matrix it holds, its entries already in [0, p).
+    It reads an `FMatrix`'s rows and does not change them.
     """
-    m = a if isinstance(a, FMatrix) else FMatrix(a, PrimeField(p))
     if p != 2:
-        table = _odd_echelon(m._rows, p)
-        return Echelon(m.shape, p, sorted(table), table)
-    table = _f2_echelon(m._rows)
-    return Echelon(m.shape, p, sorted(m.cols - lead for lead in table), table)
+        table = _odd_echelon(a._rows, p)
+        return Echelon(a.shape, p, sorted(table), table)
+    table = _f2_echelon(a._rows)
+    return Echelon(a.shape, p, sorted(a.cols - lead for lead in table), table)
 
 
-def rref(a: "FMatrix | np.ndarray", p: int) -> tuple["FMatrix | np.ndarray", list[int]]:
-    """Reduced row echelon form mod p, zero rows below the pivot rows, and the pivot columns.
-
-    An `FMatrix` gives an `FMatrix`; an array, its entries already in
-    [0, p), gives an int64 array.
-    """
+def rref(a: "FMatrix", p: int) -> tuple["FMatrix", list[int]]:
+    """Reduced row echelon form mod p, zero rows below the pivot rows, and the pivot columns."""
     e = echelon(a, p)
     r = e.reduced()
-    full = block_matrix({0: r.rows, 1: e.shape[0] - r.rows}, {0: r.cols}, [(0, 0, r)], r.field)
-    return (full if isinstance(a, FMatrix) else full._dense()), e.pivots
+    return block_matrix({0: r.rows, 1: e.shape[0] - r.rows}, {0: r.cols}, [(0, 0, r)], r.field), e.pivots
 
 
 class FMatrix:
     """A matrix over a prime field, stored as its rows: bit ints over F_2, {column: value} dicts over odd p.
 
-    Built from a 2-d array-like of integers, which it reduces mod p.  A
-    matrix is read-only and its rows are never changed, so it can be
-    shared freely and is forward-eliminated at most once, on the first
-    read of its rank, pivots, column space or kernel.
+    Built from a nonempty sequence of equally long rows of integers, which
+    it reduces mod p.  A matrix is read-only and its rows are never
+    changed, so it can be shared freely and is forward-eliminated at most
+    once, on the first read of its rank, pivots, column space or kernel.
     """
 
-    def __init__(self, entries, field: PrimeField) -> None:
-        a = np.asarray(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        a = _reduce(a, field.p)
-        self.__dict__.update(_rows=_f2_rows(a) if field.p == 2 else _odd_rows(a), cols=a.shape[1], field=field)
+    def __init__(self, entries: Sequence[Sequence[int]], field: PrimeField) -> None:
+        try:
+            rows = [list(row) for row in entries]
+        except TypeError:
+            rows = []
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("expected a nonempty sequence of equally long rows of integers")
+        m = entry_matrix((len(rows), len(rows[0])),
+                         ((i, j, operator.index(x)) for i, row in enumerate(rows) for j, x in enumerate(row)), field)
+        self.__dict__.update(m.__dict__)
 
     @classmethod
     def _of(cls, rows: list, cols: int, field: PrimeField) -> "FMatrix":
@@ -297,7 +271,7 @@ class FMatrix:
         raise AttributeError(f"an FMatrix is read-only; cannot set {name!r}")
 
     def __repr__(self) -> str:
-        return f"FMatrix({self._dense().tolist()}, {self.field!r})"
+        return f"FMatrix({self.tolist()}, {self.field!r})"
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: PrimeField) -> "FMatrix":
@@ -307,12 +281,6 @@ class FMatrix:
     def identity(cls, n: int, field: PrimeField) -> "FMatrix":
         return entry_matrix((n, n), ((i, i, 1) for i in range(n)), field)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[np.ndarray], rows: int, field: PrimeField) -> "FMatrix":
-        if not columns:
-            return cls.zeros(rows, 0, field)
-        return cls(np.column_stack([np.asarray(c, dtype=np.int64) for c in columns]), field)
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -321,25 +289,11 @@ class FMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self._rows), self.cols
 
-    def _dense(self) -> np.ndarray:
-        """A new int64 array of the entries."""
+    def tolist(self) -> list[list[int]]:
+        """The entries, a new list of rows of ints in [0, p)."""
         if self.field.p == 2:
-            width = -(-self.cols // 8)
-            pad = 8 * width - self.cols
-            data = b"".join((x << pad).to_bytes(width, "big") for x in self._rows)
-            packed = np.frombuffer(data, dtype=np.uint8).reshape(self.rows, width)
-            return np.unpackbits(packed, axis=1, count=self.cols).astype(np.int64)
-        a = np.zeros(self.shape, dtype=np.int64)
-        a[[i for i, x in enumerate(self._rows) for _ in x], [c for x in self._rows for c in x]] = \
-            [v for x in self._rows for v in x.values()]
-        return a
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The dense int64 view, read-only, built on first read, for tests and demos; no command reads it."""
-        a = self._dense()
-        a.setflags(write=False)
-        return a
+            return [[x >> (self.cols - 1 - j) & 1 for j in range(self.cols)] for x in self._rows]
+        return [[x.get(j, 0) for j in range(self.cols)] for x in self._rows]
 
     @property
     def T(self) -> "FMatrix":
@@ -357,11 +311,11 @@ class FMatrix:
                     out[c][i] = v
         return FMatrix._of(out, n, self.field)
 
-    def column(self, j: int) -> np.ndarray:
+    def column(self, j: int) -> list[int]:
         j = range(self.cols)[j]
         if self.field.p == 2:
-            return np.array([x >> (self.cols - 1 - j) & 1 for x in self._rows], dtype=np.int64)
-        return np.array([x.get(j, 0) for x in self._rows], dtype=np.int64)
+            return [x >> (self.cols - 1 - j) & 1 for x in self._rows]
+        return [x.get(j, 0) for x in self._rows]
 
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         if self.field.p != other.field.p:
@@ -379,8 +333,10 @@ class FMatrix:
     def __getitem__(self, key) -> "FMatrix":
         """The rows and columns that slices or lists of indices pick, e.g. m[a:b] or m[:, cols]; rows are shared."""
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        if not all(isinstance(k, slice) or np.ndim(k) == 1 for k in (rows, cols)):
-            raise ValueError(f"index {key!r} does not pick a matrix")
+        try:
+            rows, cols = (k if isinstance(k, slice) else [operator.index(i) for i in k] for k in (rows, cols))
+        except TypeError:
+            raise ValueError(f"index {key!r} does not pick a matrix") from None
         picked = self._rows[rows] if isinstance(rows, slice) else [self._rows[i] for i in rows]
         if isinstance(cols, slice) and cols.step in (None, 1):
             start, stop, _ = cols.indices(self.cols)
@@ -394,14 +350,6 @@ class FMatrix:
         js = range(self.cols)[cols] if isinstance(cols, slice) else [range(self.cols)[j] for j in cols]
         select = entry_matrix((self.cols, len(js)), ((j, k, 1) for k, j in enumerate(js)), self.field)
         return _compose(FMatrix._of(picked, self.cols, self.field), select)
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """The product with one vector, or with a 2-d array holding one vector per column."""
-        v = np.asarray(vector, dtype=np.int64)
-        if v.shape[0] != self.cols:
-            raise DimensionMismatch(f"vector length {v.shape[0]} != {self.cols} columns")
-        out = _compose(self, FMatrix(v if v.ndim == 2 else v[:, None], self.field))._dense()
-        return out if v.ndim == 2 else out[:, 0]
 
     def equals(self, other: "FMatrix") -> bool:
         return self.field.p == other.field.p and self.shape == other.shape and self._rows == other._rows
@@ -436,32 +384,24 @@ class FMatrix:
         rows.update(zip(e.pivots, (-e.reduced()[:, free])._rows))
         return FMatrix._of([rows[j] for j in range(self.cols)], len(free), self.field)
 
-    def solve(self, b: "np.ndarray | FMatrix") -> "np.ndarray | FMatrix | None":
-        """One solution of A x = b with free variables set to 0, or None.
+    def solve(self, b: "FMatrix") -> "FMatrix | None":
+        """One solution of A X = B with free variables set to 0, or None.
 
-        A 2-d b takes one elimination of [A | b] and gives None if any column
-        is inconsistent; otherwise no pivot lands among b's columns, so each
-        column's solution is that of its own solve.  An `FMatrix` b gives an
-        `FMatrix`, an array b an array of its shape.
+        One elimination of [A | B] gives None if any column of B is
+        inconsistent; otherwise no pivot lands among B's columns, so each
+        column's solution is that of its own solve.
         """
-        if isinstance(b, FMatrix):
-            rhs = b
-        else:
-            b = np.asarray(b, dtype=np.int64)
-            rhs = FMatrix(b if b.ndim == 2 else b[:, None], self.field)
-        if rhs.rows != self.rows:
-            raise DimensionMismatch(f"rhs length {rhs.rows} != {self.rows} rows")
-        x = FMatrix.zeros(self.cols, rhs.cols, self.field)
-        if rhs.cols:
-            joint = block_matrix({0: self.rows}, {0: self.cols, 1: rhs.cols}, [(0, 0, self), (0, 1, rhs)], self.field)
+        if b.rows != self.rows:
+            raise DimensionMismatch(f"rhs length {b.rows} != {self.rows} rows")
+        x = FMatrix.zeros(self.cols, b.cols, self.field)
+        if b.cols:
+            joint = block_matrix({0: self.rows}, {0: self.cols, 1: b.cols}, [(0, 0, self), (0, 1, b)], self.field)
             reduced, pivots = rref(joint, self.field.p)
             if pivots and pivots[-1] >= self.cols:
                 return None
             solved = dict(zip(pivots, reduced[:len(pivots), self.cols:]._rows))
-            x = FMatrix._of([solved.get(j, z) for j, z in enumerate(x._rows)], rhs.cols, self.field)
-        if isinstance(b, FMatrix):
-            return x
-        return x._dense() if b.ndim == 2 else x._dense()[:, 0]
+            x = FMatrix._of([solved.get(j, z) for j, z in enumerate(x._rows)], b.cols, self.field)
+        return x
 
     def column_space_basis(self) -> "FMatrix":
         """The pivot columns: each column not in the span of those before it."""

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from dense import dense, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +66,7 @@ def brute_h1_dim_f2(k):
 def test_differential_single_edge_signs():
     k = build_complex([["a", "b"]])
     field = PrimeField(5)
-    df = coboundary_matrix(k, 0, field).apply(cochain(k, 0, field, {("a",): 2, ("b",): 3}))
+    df = (coboundary_matrix(k, 0, field) @ vector(cochain(k, 0, field, {("a",): 2, ("b",): 3}), field)).column(0)
     assert df[k.index_of_dim(1)[("a", "b")]] == (3 - 2) % 5
 
 
@@ -74,7 +75,7 @@ def test_differential_triangle_signs():
     k = build_complex([["a", "b", "c"]])
     field = PrimeField(7)
     f = cochain(k, 1, field, {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 4})
-    assert coboundary_matrix(k, 1, field).apply(f).tolist() == [(4 - 2 + 1) % 7]
+    assert (coboundary_matrix(k, 1, field) @ vector(f, field)).column(0) == [(4 - 2 + 1) % 7]
 
 
 def test_differential_squares_to_zero_triangle():
@@ -103,7 +104,7 @@ def test_cycle4_cocycles_over_coboundaries_by_ranks():
     coh = cohomology(cycle4(), 1, F2)
     assert coh.cocycles.cols == 4 and coh.coboundaries.cols == 3
     # the coboundaries lie in the span of the cocycles, and the quotient has dimension 1
-    joint = FMatrix(np.hstack([coh.cocycles.entries, coh.coboundaries.entries]), F2)
+    joint = matrix(np.hstack([dense(coh.cocycles), dense(coh.coboundaries)]), F2)
     assert joint.rank() == coh.cocycles.rank()
     assert coh.cocycles.rank() - coh.coboundaries.rank() == 1
 
@@ -128,9 +129,9 @@ def test_h0_matches_components(gallery_diagram):
 def test_restrict_identity_and_empty():
     k = cycle4()
     f = cochain(k, 1, F2, {("l", "o1"): 1})
-    assert np.array_equal(restriction_matrix(k, k, 1, F2).apply(f), f)
+    assert np.array_equal((restriction_matrix(k, k, 1, F2) @ vector(f, F2)).column(0), f)
     empty = restriction_matrix(k, EMPTY_COMPLEX, 1, F2)
-    assert (empty.rows, empty.cols) == (0, 4) and empty.apply(f).shape == (0,)
+    assert (empty.rows, empty.cols) == (0, 4) and dense(empty @ vector(f, F2))[:, 0].shape == (0,)
 
 
 def test_restrict_to_piece_path():
@@ -138,11 +139,11 @@ def test_restrict_to_piece_path():
     path = build_complex([["l", "o1"], ["o1", "r"]])
     index, sub = k.index_of_dim(1), path.index_of_dim(1)
     res = restriction_matrix(k, path, 1, F2)
-    g = res.apply(cochain(k, 1, F2, {("l", "o1"): 1, ("o2", "r"): 1}))
+    g = (res @ vector(cochain(k, 1, F2, {("l", "o1"): 1, ("o2", "r"): 1}), F2)).column(0)
     assert g[sub[("l", "o1")]] == 1 and g[sub[("o1", "r")]] == 0
     # each row picks its own simplex out of the big complex's simplices
     for simplex, row in sub.items():
-        assert res.entries[row].tolist() == [int(col == index[simplex]) for col in range(len(index))]
+        assert res.tolist()[row] == [int(col == index[simplex]) for col in range(len(index))]
 
 
 def test_restrict_requires_subcomplex():
@@ -186,11 +187,11 @@ def test_extend_by_zero_is_the_transpose_of_restriction():
     dim, sub_dim = len(k.index_of_dim(0)), len(sub.index_of_dim(0))
     restrict = restriction_matrix(k, sub, 0, F2)
     f = cochain(sub, 0, F2, {("l",): 1})
-    big = restrict.T.apply(f)
+    big = (restrict.T @ vector(f, F2)).column(0)
     assert np.array_equal(big, cochain(k, 0, F2, {("l",): 1, ("r",): 0, ("o1",): 0, ("o2",): 0}))
-    assert np.array_equal(restrict.apply(big), f)
+    assert np.array_equal((restrict @ vector(big, F2)).column(0), f)
     assert (restrict @ restrict.T).equals(FMatrix.identity(sub_dim, F2))
-    assert not restrict.T.apply(np.zeros(sub_dim, dtype=np.int64)).any()
+    assert not any((restrict.T @ vector(np.zeros(sub_dim, dtype=np.int64), F2)).column(0))
     assert restriction_matrix(k, k, 0, F2).T.equals(FMatrix.identity(dim, F2))
 
 
@@ -215,7 +216,7 @@ def test_pullback_degenerate_edge_collapse():
     k = build_complex([["a", "b"]])
     point = build_complex([["x"]])
     m = pullback_map({"a": "x", "b": "x"}, k, point, 0, F2)
-    assert m.entries.tolist() == [[1], [1]]
+    assert m.tolist() == [[1], [1]]
     # the point has no 1-simplices, so the degree-1 pullback has no columns
     m1 = pullback_map({"a": "x", "b": "x"}, k, point, 1, F2)
     assert m1.rows == 1 and m1.cols == 0
@@ -265,12 +266,12 @@ def test_class_coordinates_brute_force_cross_check():
     k = cycle4()
     coh = cohomology(k, 1, F2)
     d0 = coboundary_matrix(k, 0, F2)
-    coboundaries = {tuple(d0.apply(np.array(v)).tolist())
+    coboundaries = {tuple((d0 @ vector(v, F2)).column(0))
                     for v in itertools.product((0, 1), repeat=4)}
     for vec in itertools.product((0, 1), repeat=4):
-        coords = class_coordinates(coh, np.array(vec))
+        coords = class_coordinates(coh, vector(vec, F2))
         trivial = tuple(vec) in coboundaries
-        assert (not coords.any()) == trivial
+        assert (not dense(coords).any()) == trivial
 
 
 def greedy_extend_basis(b: FMatrix, z: FMatrix) -> FMatrix:
@@ -280,17 +281,17 @@ def greedy_extend_basis(b: FMatrix, z: FMatrix) -> FMatrix:
     is what column_space_basis used to compute, so this one loop gives
     both the old coboundary basis and the old representatives.
     """
-    picked: list[np.ndarray] = []
-    current = b.entries
+    picked: list[list[int]] = []
+    current, columns = dense(b), dense(z)
     rank = b.rank()
     for j in range(z.cols):
-        candidate = np.column_stack([current, z.entries[:, j]]) if current.size else z.entries[:, [j]]
-        r = FMatrix(candidate, z.field).rank()
+        candidate = np.column_stack([current, columns[:, j]]) if current.size else columns[:, [j]]
+        r = matrix(candidate, z.field).rank()
         if r > rank:
             picked.append(z.column(j))
             current = candidate
             rank = r
-    return FMatrix.from_columns(picked, z.rows, z.field)
+    return matrix(np.column_stack(picked) if picked else np.zeros((z.rows, 0), dtype=np.int64), z.field)
 
 
 def assert_matches_greedy(k, field):
@@ -303,8 +304,8 @@ def assert_matches_greedy(k, field):
             b = greedy_extend_basis(FMatrix.zeros(dim, 0, field), coboundary_matrix(k, q - 1, field))
         reps = greedy_extend_basis(b, coh.cocycles)
         for got, want in ((coh.coboundaries, b), (coh.representatives, reps)):
-            assert got.entries.shape == want.entries.shape, (k.vertices, q)
-            assert np.array_equal(got.entries, want.entries), (k.vertices, q)
+            assert dense(got).shape == dense(want).shape, (k.vertices, q)
+            assert np.array_equal(dense(got), dense(want)), (k.vertices, q)
 
 
 def nerves_of(diagram):
@@ -397,7 +398,7 @@ def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_elimin
     # the batched solve equals one class_coordinates solve per class
     image = restriction_matrix(nerve, piece.complex, 1, F2) @ coh.representatives
     for j in range(coh.dimension):
-        assert np.array_equal(induced.column(j), class_coordinates(piece, image.column(j)))
+        assert induced.column(j) == class_coordinates(piece, image[:, [j]]).column(0)
 
 
 def test_coboundary_is_built_once_per_complex_degree_and_field(monkeypatch):
@@ -438,8 +439,8 @@ def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
     assert cohomology(theta(), 1, F2).representatives is not coh.representatives
     assert calls == [(1, 2), (1, 3), (1, 2)]
     for m in (coh.cocycles, coh.coboundaries, coh.representatives):
-        with pytest.raises(ValueError):
-            m.entries[...] = 0
+        with pytest.raises(AttributeError):
+            m.cols = 0
     assert cohomology(k, 1, F2).dimension == 2
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense import dense, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ def test_prime_bound_keeps_int64_arithmetic_exact():
     p = MAX_PRIME
     field = PrimeField(p)
     row = FMatrix([[p - 1] * 3], field)
-    assert (row @ FMatrix([[p - 1]] * 3, field)).entries.tolist() == [[3]]
+    assert (row @ FMatrix([[p - 1]] * 3, field)).tolist() == [[3]]
     for big in (p + 1, 65537, 2 ** 31 - 1, 2305843009213693951):
         with pytest.raises(ModulusTooLarge, match="exceeds 65521"):
             PrimeField(big)
@@ -84,7 +85,7 @@ def test_kernel_basis():
     a = FMatrix(np.array([[1, 1, 0], [0, 1, 1]]), F2)
     k = a.kernel_basis()
     assert k.cols == 1
-    assert not (a @ k).entries.any()
+    assert not dense(a @ k).any()
 
 
 def test_kernel_vectors_annihilated_everywhere():
@@ -94,14 +95,14 @@ def test_kernel_vectors_annihilated_everywhere():
         a = FMatrix(rng.integers(0, p, size=(3, 5)), field)
         k = a.kernel_basis()
         assert a.rank_nullity()[1] == k.cols
-        assert not (a @ k).entries.any()
+        assert not dense(a @ k).any()
 
 
 def test_solve_identity_and_unsolvable():
-    b = np.array([1, 0, 1])
-    assert np.array_equal(FMatrix.identity(3, F2).solve(b), b)
-    assert FMatrix.zeros(3, 3, F2).solve(np.array([1, 0, 0])) is None
-    assert FMatrix.zeros(2, 2, F2).solve(np.zeros(2, dtype=int)) is not None
+    b = vector([1, 0, 1], F2)
+    assert FMatrix.identity(3, F2).solve(b).equals(b)
+    assert FMatrix.zeros(3, 3, F2).solve(vector([1, 0, 0], F2)) is None
+    assert FMatrix.zeros(2, 2, F2).solve(vector([0, 0], F2)) is not None
 
 
 def test_solve_cross_checked_by_rank():
@@ -111,35 +112,35 @@ def test_solve_cross_checked_by_rank():
         for _ in range(30):
             a = FMatrix(rng.integers(0, p, size=(4, 4)), field)
             b = rng.integers(0, p, size=4)
-            x = a.solve(b)
-            aug = FMatrix(np.column_stack([a.entries, b]), field)
+            x = a.solve(vector(b, field))
+            aug = FMatrix(np.column_stack([dense(a), b]), field)
             consistent = aug.rank() == a.rank()
             assert (x is not None) == consistent
             if x is not None:
-                assert np.array_equal((a.entries @ x) % p, b % p)
+                assert np.array_equal((dense(a) @ dense(x)[:, 0]) % p, b % p)
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        FMatrix.identity(3, F2).solve(np.array([1, 0]))
+        FMatrix.identity(3, F2).solve(vector([1, 0], F2))
 
 
 def diagonal(blocks, field):
     """block_matrix with block i, an array wrapped in an FMatrix, at (i, i)."""
     return block_matrix({i: b.shape[0] for i, b in enumerate(blocks)}, {i: b.shape[1] for i, b in enumerate(blocks)},
-                        [(i, i, FMatrix(b, field)) for i, b in enumerate(blocks)], field)
+                        [(i, i, matrix(b, field)) for i, b in enumerate(blocks)], field)
 
 
 def test_block_diagonal_places_blocks_in_order_including_empty_ones():
     blocks = [np.array([[1, 2]]), np.zeros((0, 3), dtype=np.int64), np.array([[4], [5]]),
               np.zeros((2, 0), dtype=np.int64)]
     m = diagonal(blocks, PrimeField(3))
-    assert m.entries.tolist() == [[1, 2, 0, 0, 0, 0],
-                                  [0, 0, 0, 0, 0, 1],
-                                  [0, 0, 0, 0, 0, 2],
-                                  [0, 0, 0, 0, 0, 0],
-                                  [0, 0, 0, 0, 0, 0]]
-    assert diagonal([], F2).entries.shape == (0, 0)
+    assert m.tolist() == [[1, 2, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 0, 1],
+                          [0, 0, 0, 0, 0, 2],
+                          [0, 0, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 0, 0]]
+    assert dense(diagonal([], F2)).shape == (0, 0)
 
 
 def test_block_matrix_sums_blocks_that_share_a_position():
@@ -147,7 +148,7 @@ def test_block_matrix_sums_blocks_that_share_a_position():
     m = block_matrix({"r": 1}, {"a": 2, "b": 1}, [("r", "a", FMatrix(np.array([[1, 2]]), f5)),
                                                    ("r", "b", FMatrix(np.array([[3]]), f5)),
                                                    ("r", "a", FMatrix(np.array([[4, -2]]), f5))], f5)
-    assert m.entries.tolist() == [[0, 0, 3]]
+    assert m.tolist() == [[0, 0, 3]]
     # a repeated key summed with its negative leaves zero
     eye = FMatrix.identity(2, f5)
     assert block_matrix({0: 2}, {0: 2}, [(0, 0, eye), (0, 0, -eye)], f5).is_zero()
@@ -157,11 +158,11 @@ def test_block_matrix_lays_out_keys_in_the_order_of_the_maps_not_of_the_blocks()
     f3 = PrimeField(3)
     blocks = [("y", "q", FMatrix(np.array([[1]]), f3)), ("x", "p", FMatrix(np.array([[2, 2]]), f3))]
     m = block_matrix({"x": 1, "y": 1}, {"p": 2, "q": 1}, blocks, f3)
-    assert m.entries.tolist() == [[2, 2, 0], [0, 0, 1]]
+    assert m.tolist() == [[2, 2, 0], [0, 0, 1]]
     swapped = block_matrix({"y": 1, "x": 1}, {"q": 1, "p": 2}, blocks, f3)
-    assert swapped.entries.tolist() == [[1, 0, 0], [0, 2, 2]]
+    assert swapped.tolist() == [[1, 0, 0], [0, 2, 2]]
     # keys of size 0 take no rows or columns, and a map may have no blocks at all
-    assert block_matrix({"x": 0, "y": 2}, {"p": 3}, [], F2).entries.tolist() == [[0, 0, 0], [0, 0, 0]]
+    assert block_matrix({"x": 0, "y": 2}, {"p": 3}, [], F2).tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_block_matrix_refuses_a_block_of_the_wrong_shape():
@@ -178,37 +179,51 @@ def test_block_matrix_refuses_a_block_of_the_wrong_shape():
 def test_views_pivots_negation_and_a_matrix_right_hand_side():
     f3 = PrimeField(3)
     a = FMatrix(np.array([[1, 2, 0], [2, 1, 1]]), f3)
-    assert a[1:].entries.tolist() == [[2, 1, 1]] and a[:, [2, 0]].entries.tolist() == [[0, 1], [1, 2]]
-    with pytest.raises(ValueError):
-        a[0]
+    assert a[1:].tolist() == [[2, 1, 1]] and a[:, [2, 0]].tolist() == [[0, 1], [1, 2]]
+    for not_a_matrix in (0, (0, 1), ([[0]], slice(None)), (slice(None), [[0, 1]])):
+        with pytest.raises(ValueError):
+            a[not_a_matrix]
     # column 1 is twice column 0
     assert a.pivots() == [0, 2] and a.column_space_basis().equals(a[:, [0, 2]])
     b = FMatrix(np.array([[1], [0]]), f3)
     x = a.solve(b)
-    assert isinstance(x, FMatrix) and np.array_equal(x.column(0), a.solve(np.array([1, 0]))) and (a @ x).equals(b)
-    assert (-a).entries.tolist() == [[2, 1, 0], [1, 2, 2]]
+    assert isinstance(x, FMatrix) and x.column(0) == [1, 0, 1] and (a @ x).equals(b)
+    assert (-a).tolist() == [[2, 1, 0], [1, 2, 2]]
     over_f2 = FMatrix(np.array([[1, 0]]), F2)
     assert -over_f2 is over_f2
-    # apply takes one vector or a matrix of columns
-    assert np.array_equal(a.apply(np.eye(3, dtype=np.int64)), a.entries)
+    assert (a @ FMatrix(np.eye(3, dtype=np.int64), f3)).tolist() == a.tolist() == [[1, 2, 0], [2, 1, 1]]
+
+
+def test_the_constructor_reads_integers_only_and_reduces_them_at_any_size():
+    f3 = PrimeField(3)
+    # a float is not read as an integer, however close to one
+    for bad in ([[1.7, 2.2]], [[1, 2.0]], [[1, "2"]], [[1, None]], [[[1], [2]]]):
+        with pytest.raises((TypeError, ValueError)):
+            FMatrix(bad, f3)
+    # an int beyond int64 is reduced mod p, as entry_matrix reduces it
+    assert FMatrix([[2 ** 70, 1]], f3).tolist() == [[1, 1]] and FMatrix([[2 ** 70 + 1, -1]], F2).tolist() == [[1, 1]]
+    assert FMatrix(np.array([[4, -1]]), f3).tolist() == [[1, 2]] and FMatrix([(4, 3)], f3).tolist() == [[1, 0]]
+    for bad in ([], [1, 2], [[1, 2], [3]], 5):
+        with pytest.raises(ValueError):
+            FMatrix(bad, f3)
 
 
 def test_entry_matrix_places_entries_and_reduces_them():
     m = entry_matrix((2, 3), [(0, 2, -1), (1, 0, 4), (1, 1, 1)], PrimeField(3))
-    assert m.entries.tolist() == [[0, 0, 2], [1, 1, 0]]
-    assert entry_matrix((2, 2), iter([(0, 1, 1), (1, 0, -1)]), F2).entries.tolist() == [[0, 1], [1, 0]]
+    assert m.tolist() == [[0, 0, 2], [1, 1, 0]]
+    assert entry_matrix((2, 2), iter([(0, 1, 1), (1, 0, -1)]), F2).tolist() == [[0, 1], [1, 0]]
     # a value that is 0 mod p is not stored: over odd p no key, over F_2 no bit
     zeros = {p: entry_matrix((2, 2), [(0, 0, p), (1, 1, 2 * p), (1, 0, 1)], PrimeField(p)) for p in (2, 5)}
-    assert all(z.entries.tolist() == [[0, 0], [1, 0]] for z in zeros.values())
+    assert all(z.tolist() == [[0, 0], [1, 0]] for z in zeros.values())
     assert zeros[5]._rows == [{}, {0: 1}] and zeros[2]._rows == [0, 0b10]
-    assert entry_matrix((1, 1), [(0, 0, -1)], PrimeField(65521)).entries.tolist() == [[65520]]
+    assert entry_matrix((1, 1), [(0, 0, -1)], PrimeField(65521)).tolist() == [[65520]]
 
 
 def test_entry_matrix_with_no_entries_is_zero_of_its_shape():
     for p in (2, 5):
         for shape in ((0, 0), (0, 4), (3, 0), (2, 5)):
             m = entry_matrix(shape, (), PrimeField(p))
-            assert m.entries.shape == shape and m.is_zero()
+            assert dense(m).shape == shape and m.is_zero()
 
 
 def test_inverse():
@@ -224,21 +239,21 @@ def test_column_space_basis_deterministic():
     a = FMatrix(np.array([[1, 1, 0], [1, 1, 1]]), F2)
     cb = a.column_space_basis()
     assert cb.cols == 2
-    assert np.array_equal(cb.entries[:, 0], [1, 1])
+    assert cb.column(0) == [1, 1]
 
 
 def greedy_column_space_basis(m: FMatrix) -> FMatrix:
     """Reference: the per-column greedy loop column_space_basis replaced."""
-    p = m.field.p
+    p, a = m.field.p, dense(m)
     picked: list[np.ndarray] = []
     rank = 0
     for j in range(m.cols):
-        candidate = picked + [m.entries[:, j]]
-        r = len(rref(np.column_stack(candidate), p)[1])
+        candidate = picked + [a[:, j]]
+        r = len(rref(matrix(np.column_stack(candidate), m.field), p)[1])
         if r > rank:
-            picked.append(m.entries[:, j].copy())
+            picked.append(a[:, j])
             rank = r
-    return FMatrix.from_columns(picked, m.rows, m.field)
+    return matrix(np.column_stack(picked) if picked else np.zeros((m.rows, 0), dtype=np.int64), m.field)
 
 
 @st.composite
@@ -247,7 +262,7 @@ def matrices(draw) -> FMatrix:
     rows = draw(st.integers(0, 6))
     cols = draw(st.integers(0, 8))
     values = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
-    return FMatrix(np.array(values, dtype=np.int64).reshape(rows, cols), PrimeField(p))
+    return matrix(np.array(values, dtype=np.int64).reshape(rows, cols), PrimeField(p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,9 +270,9 @@ def matrices(draw) -> FMatrix:
 def test_column_space_basis_matches_greedy_loop(m):
     got = m.column_space_basis()
     want = greedy_column_space_basis(m)
-    assert got.entries.shape == want.entries.shape
-    assert got.entries.dtype == want.entries.dtype
-    assert np.array_equal(got.entries, want.entries)
+    assert dense(got).shape == dense(want).shape
+    assert dense(got).dtype == dense(want).dtype
+    assert np.array_equal(dense(got), dense(want))
 
 
 def test_column_space_basis_runs_one_elimination(count_eliminations):
@@ -340,47 +355,37 @@ def test_no_module_but_fplinalg_reads_matrix_storage():
     assert found == set()
 
 
-def runtime_numpy(tree: ast.AST) -> set[tuple[str, str]]:
-    """The innermost function around each runtime use of numpy: an import of it,
-    or a name `np`/`numpy` read outside annotations and `if TYPE_CHECKING:` blocks."""
+def numpy_uses(tree: ast.AST) -> set[tuple[str, str]]:
+    """The innermost function around each use of numpy: an import of it, also
+    under `if TYPE_CHECKING:`, or a name `np`/`numpy`, also in an annotation."""
     found: set[tuple[str, str]] = set()
 
     def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
-            for child in node.orelse:
-                visit(child, scope)
-            return
-        annotation = None
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope, annotation = node.name, node.returns
-        elif isinstance(node, (ast.arg, ast.AnnAssign)):
-            annotation = node.annotation
+            scope = node.name
         if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names) or \
                 isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
             found.add((scope, "import numpy"))
         if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
             found.add((scope, node.id))
         for child in ast.iter_child_nodes(node):
-            if child is not annotation:
-                visit(child, scope)
+            visit(child, scope)
 
     visit(tree, "<module>")
     return found
 
 
 def test_cochain_maps_are_built_without_numpy():
-    # d, restrictions, pullbacks, phi* and delta~ go straight into rows, and
-    # bundle values are FMatrix values, so no module but fplinalg uses numpy
-    # outside annotations.
-    assert runtime_numpy(ast.parse(
+    # FMatrix takes and gives FMatrix values and plain ints, so no module,
+    # fplinalg included, names numpy, not even for type checking.
+    assert numpy_uses(ast.parse(
         "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
-        "def f(v: np.ndarray) -> np.ndarray:\n    return g(v)\n")) == set()
-    assert runtime_numpy(ast.parse("import numpy as np\ndef f(v: np.ndarray):\n    return np.asarray(v)")) == {
-        ("<module>", "import numpy"), ("f", "np")}
-    modules = {path.stem: path for path in sorted(Path(cechkit.__file__).parent.glob("*.py"))
-               if path.stem != "fplinalg"}
-    assert {"bundles", "cochains", "mv", "cli"} <= set(modules)
-    assert {m: runtime_numpy(ast.parse(path.read_text(encoding="utf-8"))) for m, path in modules.items()} == \
+        "def f(v: np.ndarray) -> np.ndarray:\n    return g(v)\n")) == {("<module>", "import numpy"), ("f", "np")}
+    assert numpy_uses(ast.parse("from numpy import ndarray\ndef f(v):\n    return numpy.asarray(v)")) == {
+        ("<module>", "import numpy"), ("f", "numpy")}
+    modules = {path.stem: path for path in sorted(Path(cechkit.__file__).parent.glob("*.py"))}
+    assert {"fplinalg", "bundles", "cochains", "mv", "cli"} <= set(modules)
+    assert {m: numpy_uses(ast.parse(path.read_text(encoding="utf-8"))) for m, path in modules.items()} == \
         dict.fromkeys(modules, set())
 
 
@@ -419,19 +424,20 @@ def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
 def test_determinism_repeated_runs():
     a = np.arange(30).reshape(5, 6)
     m = FMatrix(a, PrimeField(7))
-    first = (m.rank_nullity(), m.kernel_basis().entries.tolist())
+    first = (m.rank_nullity(), m.kernel_basis().tolist())
     for _ in range(3):
         again = FMatrix(a, PrimeField(7))
-        assert (again.rank_nullity(), again.kernel_basis().entries.tolist()) == first
+        assert (again.rank_nullity(), again.kernel_basis().tolist()) == first
 
 
 def test_entries_are_read_only_and_rank_runs_one_elimination(count_eliminations, count_backsubstitutions):
     source = np.arange(42).reshape(6, 7)
     m = FMatrix(source, PrimeField(5))
     source[0, 0] = 4
-    assert m.entries[0, 0] == 0
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 1
+    assert m.tolist()[0][0] == 0
+    # each read is a new list, so writing to one changes nothing
+    m.tolist()[0][0] = 1
+    assert m.tolist()[0][0] == 0 and m.column(0)[0] == 0
     calls, backsubs = count_eliminations(), count_backsubstitutions()
     assert m.rank() == m.rank() == m.rank_nullity()[0]
     assert calls == [(6, 7)] and backsubs == []
@@ -472,7 +478,7 @@ class DenseEchelon(Echelon):
     """An echelon whose rows are dense_rref's reduced form, whose pivot rows reduced returns."""
 
     def reduced(self) -> FMatrix:
-        return FMatrix(self.rows[:len(self.pivots)], PrimeField(self.p))
+        return matrix(self.rows[:len(self.pivots)], PrimeField(self.p))
 
 
 def dense_echelon(a: np.ndarray, p: int) -> Echelon:
@@ -509,17 +515,17 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     field = PrimeField(p)
     rows, cols = a.shape
     want, want_pivots = dense_rref(a, p)
-    # rref and echelon take entries in [0, p); FMatrix reduces its own.
-    got, got_pivots = rref(a % p, p)
+    m = matrix(a, field)
+    got, got_pivots = rref(m, p)
+    got = dense(got)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and got_pivots == want_pivots
-    assert echelon(a % p, p).pivots == want_pivots
+    assert echelon(m, p).pivots == want_pivots
 
-    m = FMatrix(a, field)
     assert m.rank() == len(want_pivots)
-    kernel = m.kernel_basis().entries
+    kernel = dense(m.kernel_basis())
     assert kernel.dtype == np.int64 and np.array_equal(kernel, dense_kernel_basis(a, p))
-    assert np.array_equal(m.column_space_basis().entries, (a % p)[:, want_pivots])
+    assert np.array_equal(dense(m.column_space_basis()), (a % p)[:, want_pivots])
 
     consistent = (a @ rng.integers(0, p, size=cols)) % p
     left_kernel = dense_kernel_basis(a.T, p)
@@ -528,12 +534,12 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     if left_kernel.shape[1]:
         outside[np.flatnonzero(left_kernel[:, 0])[0]] = 1
     for b in (consistent, rng.integers(-p, 2 * p, size=rows), outside):
-        x, want_x = m.solve(b), dense_solve(a, b, p)
+        x, want_x = m.solve(vector(b, field)), dense_solve(a, b, p)
         assert (x is None) == (want_x is None)
         if x is not None:
-            assert x.dtype == np.int64 and np.array_equal(x, want_x)
+            assert x.shape == (cols, 1) and np.array_equal(dense(x)[:, 0], want_x)
     if left_kernel.shape[1]:
-        assert m.solve(outside) is None
+        assert m.solve(vector(outside, field)) is None
 
     # A 2-d right-hand side is one elimination of [A | B]; it must agree with
     # column-by-column solves, and be None when any one column is inconsistent.
@@ -543,17 +549,17 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     if left_kernel.shape[1]:
         batches.append(np.column_stack([consistent, outside, consistent]))
     for batch in batches:
-        x, want = m.solve(batch), [dense_solve(a, b, p) for b in batch.T]
+        x, want = m.solve(matrix(batch, field)), [dense_solve(a, b, p) for b in batch.T]
         assert (x is None) == any(w is None for w in want)
         if x is not None:
-            assert x.dtype == np.int64 and x.shape == (cols, batch.shape[1])
+            assert x.shape == (cols, batch.shape[1])
             for j, b in enumerate(batch.T):
-                assert np.array_equal(x[:, j], m.solve(b)) and np.array_equal(x[:, j], want[j])
+                assert x.column(j) == m.solve(vector(b, field)).column(0) and np.array_equal(x.column(j), want[j])
 
     if rows == cols:
         reduced, pivots = dense_rref(np.column_stack([a, np.eye(rows, dtype=np.int64)]), p)
         if pivots[:rows] == list(range(rows)):
-            assert np.array_equal(m.inverse().entries, reduced[:, rows:])
+            assert np.array_equal(dense(m.inverse()), reduced[:, rows:])
         else:
             with pytest.raises(ZeroDivisionError):
                 m.inverse()
@@ -629,7 +635,7 @@ def product_cases(draw) -> tuple[np.ndarray, np.ndarray, int]:
 
     Any dimension may be 0; kinds: uniform entries, every entry p - 1
     (the largest sums), and a left or right operand of zeros.  The right
-    operand is sometimes one vector, as `FMatrix.apply` takes it.
+    operand is sometimes one vector, taken as a one-column matrix.
     """
     p = draw(st.sampled_from(PRODUCT_PRIMES))
     m, k, n = (draw(st.integers(0, 9)) for _ in range(3))
@@ -650,12 +656,11 @@ def product_cases(draw) -> tuple[np.ndarray, np.ndarray, int]:
 @settings(max_examples=300, deadline=None)
 @given(product_cases())
 def test_product_matches_the_int64_product(case):
-    # @ gathers rows and apply goes through it; both must give the int64 product mod p
+    # @ gathers rows; it must give the int64 product mod p
     a, b, p = case
     field = PrimeField(p)
     want = (a @ b) % p
-    got = FMatrix(a, field).apply(b)
+    got = dense(matrix(a, field) @ (matrix(b, field) if b.ndim == 2 else vector(b, field)))
+    got = got if b.ndim == 2 else got[:, 0]
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)
-    if b.ndim == 2:
-        assert np.array_equal((FMatrix(a, field) @ FMatrix(b, field)).entries, want)

@@ -14,6 +14,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
+from dense import dense, matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from cechkit.cochains import coboundary_matrix, pullback_map, restriction_matrix
 from cechkit.complexes import EMPTY_COMPLEX, SimplicialComplex, build_complex, full_subcomplex
 from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
-from cechkit.fplinalg import FMatrix, PrimeField
+from cechkit.fplinalg import PrimeField
 from cechkit.gallery import gallery_document, random_admissible
 from cechkit.refinements import RefinementMap, validate_refinement
 
@@ -38,7 +39,7 @@ def block_diagonal(blocks, field):
         h, w = block.shape
         m[r:r + h, c:c + w] = block
         r, c = r + h, c + w
-    return FMatrix(m, field)
+    return matrix(m, field)
 
 
 def level_offsets(nerves, degree):
@@ -55,9 +56,9 @@ def reference_phi_star(diagram, degree):
     field = diagram.field
     src_dim = len(diagram.nerve.simplices_of_dim(degree))
     m = np.vstack([np.zeros((0, src_dim), dtype=np.int64)]
-                  + [restriction_matrix(diagram.nerve, nerve, degree, field).entries
+                  + [dense(restriction_matrix(diagram.nerve, nerve, degree, field))
                      for nerve in diagram.level(1).values()])
-    return FMatrix(m, field)
+    return matrix(m, field)
 
 
 def reference_delta_tilde(diagram, level, degree):
@@ -70,11 +71,11 @@ def reference_delta_tilde(diagram, level, degree):
         row = tgt_offsets[t_prime]
         for a in range(len(t_prime)):
             t = t_prime[:a] + t_prime[a + 1:]
-            res = restriction_matrix(src[t], tgt_nerve, degree, field).entries
+            res = dense(restriction_matrix(src[t], tgt_nerve, degree, field))
             col = src_offsets[t]
             h, w = len(tgt_nerve.simplices_of_dim(degree)), len(src[t].simplices_of_dim(degree))
             m[row:row + h, col:col + w] += (-1) ** (a + 1) * res
-    return FMatrix(m, field)
+    return matrix(m, field)
 
 
 def reference_total_differentials(diagram):
@@ -105,22 +106,22 @@ def reference_total_differentials(diagram):
         for (p, q) in total_blocks(k):
             src_dim = block_dim(p, q)
             if p + 1 < n_cols and (p + 1, q) in tgt_off:
-                horiz = reference_delta_tilde(diagram, p + 1, q).entries
+                horiz = dense(reference_delta_tilde(diagram, p + 1, q))
                 r = tgt_off[(p + 1, q)]
                 m[r:r + horiz.shape[0], col:col + src_dim] += horiz
             if (p, q + 1) in tgt_off:
-                vert = block_diagonal([coboundary_matrix(nerve, q, field).entries
-                                       for nerve in levels[p].values()], field).entries
+                vert = dense(block_diagonal([dense(coboundary_matrix(nerve, q, field))
+                                             for nerve in levels[p].values()], field))
                 r = tgt_off[(p, q + 1)]
                 m[r:r + vert.shape[0], col:col + src_dim] += ((-1) ** p) * vert
             col += src_dim
-        differentials.append(FMatrix(m, field))
+        differentials.append(matrix(m, field))
     return differentials
 
 
 def reference_tuple_pullback(r, level, degree):
     return block_diagonal([
-        pullback_map(r.labels, r.fine.intersection_nerve(t), nerve, degree, r.fine.field).entries
+        dense(pullback_map(r.labels, r.fine.intersection_nerve(t), nerve, degree, r.fine.field))
         for t, nerve in r.coarse.level(level).items()], r.fine.field)
 
 
@@ -129,7 +130,7 @@ def numpy_entry_matrix(shape, rows, cols, values, field):
     m = np.zeros(shape, dtype=np.int64)
     r, c, v = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (rows, cols, values)))
     m[r.ravel(), c.ravel()] = v.ravel()
-    return FMatrix(m, field)
+    return matrix(m, field)
 
 
 def simplex_index(k, q):
@@ -170,8 +171,8 @@ def reference_parallel_system(cocycle):
     m = np.zeros((len(edges) * k, len(vs) * k), dtype=np.int64)
     for r, (a, b) in enumerate(edges):
         m[r * k:(r + 1) * k, offset[a]:offset[a] + k] += np.eye(k, dtype=np.int64)
-        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= cocycle.values[(a, b)].entries
-    return FMatrix(m, cocycle.field)
+        m[r * k:(r + 1) * k, offset[b]:offset[b] + k] -= dense(cocycle.values[(a, b)])
+    return matrix(m, cocycle.field)
 
 
 def reference_glue_system(data):
@@ -189,15 +190,15 @@ def reference_glue_system(data):
         for a, b in diagram.nerves[pid].simplices_of_dim(1):
             row = np.zeros((rank, pos), dtype=np.int64)
             row[:, offsets[(pid, a)]:offsets[(pid, a)] + rank] += np.eye(rank, dtype=np.int64)
-            row[:, offsets[(pid, b)]:offsets[(pid, b)] + rank] -= g.values[(a, b)].entries
+            row[:, offsets[(pid, b)]:offsets[(pid, b)] + rank] -= dense(g.values[(a, b)])
             rows.append(row)
     for i, j in itertools.combinations(diagram.piece_ids, 2):
         for v in diagram.intersection_nerve((i, j)).vertices:
             row = np.zeros((rank, pos), dtype=np.int64)
             row[:, offsets[(j, v)]:offsets[(j, v)] + rank] += np.eye(rank, dtype=np.int64)
-            row[:, offsets[(i, v)]:offsets[(i, v)] + rank] -= data.ident(i, j, v).entries
+            row[:, offsets[(i, v)]:offsets[(i, v)] + rank] -= dense(data.ident(i, j, v))
             rows.append(row)
-    return FMatrix(np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64), diagram.field)
+    return matrix(np.vstack(rows) if rows else np.zeros((0, pos), dtype=np.int64), diagram.field)
 
 
 def random_label_map(data, diagram):

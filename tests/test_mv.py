@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import GALLERY_CASES, diagram_for, patch_bindings
+from dense import dense, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,7 +67,7 @@ def test_phi_star_always_injective(gallery_diagram):
 def test_delta_tilde_binary_is_first_minus_second():
     # over F_3 the signs are visible: f1 restriction carries +1, f2 carries -1
     d3 = canonicalize(parse_document(gallery_document("two_origin_line", field=3)).system)
-    m = delta_tilde(d3, 1, 0).entries
+    m = dense(delta_tilde(d3, 1, 0))
     level1 = d3.level(1)
     basis_p1 = level1[("p1",)].simplices_of_dim(0)
     basis_p2 = level1[("p2",)].simplices_of_dim(0)
@@ -124,14 +125,14 @@ def test_connecting_two_origin_generator(two_origin):
     assert delta.cols == cohomology(two_origin.intersection_nerve(two_origin.piece_ids), 0, F2).dimension == 2
     assert delta.rows == cohomology(two_origin.nerve, 1, F2).dimension == 1
     # the H^0 generator supported on one intersection point hits the H^1 generator
-    assert delta.apply(np.array([1, 0])).tolist() == [1]
+    assert (delta @ vector([1, 0], F2)).column(0) == [1]
     assert delta.rank() == 1
 
 
 def test_connecting_kills_difference_image(two_origin):
     # classes restricted from the pieces die under the connecting map
     delta = connecting_homomorphism(two_origin, 0)
-    assert delta.apply(np.array([1, 1])).tolist() == [0]
+    assert (delta @ vector([1, 1], F2)).column(0) == [0]
 
 
 def test_connecting_branching_zero(branching):
@@ -174,11 +175,11 @@ def _alpha_by_hand(diagram, q):
     """(a1 | -a2): each piece's restriction to N_12, descended to cohomology on its own."""
     field = diagram.field
     n12 = diagram.intersection_nerve(diagram.piece_ids)
-    blocks = [induced_on_cohomology(restriction_matrix(diagram.nerves[i], n12, q, field),
-                                    cohomology(diagram.nerves[i], q, field),
-                                    cohomology(n12, q, field)).entries
+    blocks = [dense(induced_on_cohomology(restriction_matrix(diagram.nerves[i], n12, q, field),
+                                          cohomology(diagram.nerves[i], q, field),
+                                          cohomology(n12, q, field)))
               for i in diagram.piece_ids]
-    return FMatrix(np.hstack([blocks[0], -blocks[1]]), field)
+    return matrix(np.hstack([blocks[0], -blocks[1]]), field)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -206,7 +207,7 @@ def test_induced_on_cohomology_over_a_direct_sum_stacks_the_single_basis_maps(p)
             one_by_one = [induced_on_cohomology(restriction_matrix(diagram.nerve, h.complex, q, field), union, h)
                           for h in pieces]
             phi = induced_on_cohomology(phi_star(diagram, q), union, pieces)
-            assert phi.equals(FMatrix(np.vstack([m.entries for m in one_by_one]), field)), q
+            assert phi.equals(matrix(np.vstack([dense(m) for m in one_by_one]), field)), q
             nonzero += not phi.is_zero()
     assert nonzero
 
@@ -251,7 +252,7 @@ def test_assemble_les_bug_eyed(bug_eyed, necklace, monkeypatch):
     # keeps its ranks, and only the composition phi_1 delta_0 != 0 shows it.
     ring = glued_from_nerves(necklace(2, True), F2)
     real = mv.connecting_homomorphism
-    delta0 = real(ring, 0).entries
+    delta0 = dense(real(ring, 0))
     assert delta0.shape == (3, 2) and real(ring, 0).rank() == 1
     u, w = delta0[:, delta0.any(axis=0)][:, 0], delta0[delta0.any(axis=1)][0]
     v = next(e for e in np.eye(3, dtype=np.int64) if (e != u).any())
@@ -302,7 +303,7 @@ def test_mediate_rejects_incompatible_family(two_origin):
     rhos = {pid: restriction_matrix(two_origin.nerve, two_origin.nerves[pid], 0,
                                  two_origin.field)
             for pid in two_origin.piece_ids}
-    bad = rhos["p2"].entries.copy()
+    bad = dense(rhos["p2"])
     bad[0, :] = (bad[0, :] + 1) % 2  # perturb the value over the shared label l
     rhos["p2"] = FMatrix(bad, two_origin.field)
     with pytest.raises(IncompatibleFamily):
@@ -314,7 +315,7 @@ def test_inductive_fibred_product_three_circles(three_circles):
         fp = fibred_product(three_circles, q)
         dim, basis = inductive_fibred_dim(three_circles, q)
         assert dim == fp.dimension
-        joint = FMatrix(np.hstack([fp.basis.entries, basis.entries]), three_circles.field)
+        joint = matrix(np.hstack([dense(fp.basis), dense(basis)]), three_circles.field)
         assert joint.rank() == fp.dimension
         # a different adjoining order gives the same product
         dim_rev, _ = inductive_fibred_dim(three_circles, q, order=("p3", "p1", "p2"))

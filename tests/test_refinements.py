@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense import dense, vector
 
 from cechkit import refinements
 from cechkit.cli import main, run_command
@@ -134,8 +135,9 @@ def test_connecting_square_on_the_generator(two_origin_refinement):
     lam_n = induced_cohomology_map(r, 1)
     generator = np.zeros(delta_c.cols, dtype=np.int64)
     generator[0] = 1
-    left = delta_f.apply(lam_12.apply(generator))
-    right = lam_n.apply(delta_c.apply(generator))
+    g = vector(generator, r.fine.field)
+    left = dense(delta_f @ (lam_12 @ g))
+    right = dense(lam_n @ (delta_c @ g))
     assert np.array_equal(left, right)
     assert left.any()
 
@@ -197,7 +199,7 @@ def test_a_delta_square_with_a_broken_pullback_does_not_commute():
     for fine_c, coarse_c in ((r.fine.nerve, r.coarse.nerve), (r.fine.nerves["p1"], r.coarse.nerves["p1"])):
         good = refinements._pullback(r, fine_c, coarse_c, 0)
         # The pullback of 0-cochains with one entry flipped: still a map C^0(coarse) -> C^0(fine), not a chain map.
-        broken = good.entries.copy()
+        broken = dense(good)
         broken[0, 0] = 1 - broken[0, 0]
         r.pullbacks[fine_c, coarse_c, 0] = FMatrix(broken, field)
     commutes = {s.name: s.commutes for s in naturality_check(r, 1).squares}

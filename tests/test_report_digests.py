@@ -106,6 +106,7 @@ def larger_odd_field_documents() -> dict[str, dict]:
 
 def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch):
     from conftest import patch_bindings
+    from dense import dense
     from test_fplinalg import dense_echelon
     docs = larger_odd_field_documents()
     shipped = reports(tmp_path, docs, ODD_FIELD_COMMANDS)
@@ -114,7 +115,7 @@ def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch
 
     def oracle(a, p):
         calls.append(a.shape)
-        return dense_echelon(a.entries, p)
+        return dense_echelon(dense(a), p)
 
     patch_bindings(monkeypatch, "echelon", oracle)
     assert reports(tmp_path, docs, ODD_FIELD_COMMANDS) == shipped

@@ -1,20 +1,27 @@
 """An `FMatrix` is its rows: what sharing them may not change, and what they save.
 
 Views, products and `block_matrix` share row objects with their operands,
-so no operation may change a stored row.  No command reads a dense view:
-rank-k bundle values are `FMatrix` values too.  A strip's `mv` and
-`fibred` cost the memory of their nonzeros, not of their matrices' shapes.
+so no operation may change a stored row.  No command needs numpy: every
+command gives the same exit code, output and report bytes in a process
+where numpy cannot be imported.  A strip's `mv` and `fibred` cost the
+memory of their nonzeros, not of their matrices' shapes.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import GALLERY_CASES, rank2_bundle_document
+from dense import dense, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechkit.cli import main, run_command
+from cechkit.cli import run_command
 from cechkit.documents import canonical_json
 from cechkit.fplinalg import MAX_PRIME, FMatrix, PrimeField, block_matrix
 from cechkit.gallery import gallery_document
@@ -52,8 +59,8 @@ def test_no_operation_changes_a_row_it_shares(case):
         x.rank()
         x.kernel_basis()
         x.column_space_basis()
-        x.solve(np.ones(x.rows, dtype=np.int64))
-        x.solve(np.ones((x.rows, 2), dtype=np.int64))
+        x.solve(vector(np.ones(x.rows, dtype=np.int64), field))
+        x.solve(matrix(np.ones((x.rows, 2), dtype=np.int64), field))
         x.solve(FMatrix.identity(x.rows, field))
         if x.rows == x.cols:
             try:
@@ -61,31 +68,60 @@ def test_no_operation_changes_a_row_it_shares(case):
             except ZeroDivisionError:
                 pass
     assert u.inverse().shape == (n, n)
-    # the first dense read of each matrix, so each view is built from the rows as they are now
+    # each matrix's entries are read only now, after every operation ran on the rows it shares
     for x, want in [(m, a), (rhs, b), (u, unit % p), *results]:
-        assert np.array_equal(x.entries, want)
+        assert np.array_equal(dense(x), want)
 
 
 COMMANDS = ("validate", "cohomology", "mv", "fibred", "bundles", "count", "collapse-check", "refine-check")
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs each (document, command, report) job of argv[2] through cechkit.cli.main
+# in one fresh process, after making numpy unimportable when argv[1] is
+# "blocked"; prints each job's exit code and stdout less its elapsed line,
+# and whether numpy was imported.
+CHILD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from cechkit.cli import main
+jobs = []
+for doc, command, report in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["--report", report, command, doc])
+    jobs.append([code, [line for line in out.getvalue().splitlines() if not line.startswith("elapsed: ")]])
+print(json.dumps({"jobs": jobs, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+
+def run_jobs(mode: str, paths: list[Path], reports: Path) -> tuple[dict, dict]:
+    """The child's summary of every command on every path, and the report bytes (None for no report)."""
+    reports.mkdir()
+    jobs = [[str(path), command, str(reports / f"{path.stem}.{command}.json")] for path in paths for command in COMMANDS]
+    done = subprocess.run([sys.executable, "-c", CHILD, mode, json.dumps(jobs)], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    written = {Path(report).name: Path(report).read_bytes() if Path(report).exists() else None
+               for _, _, report in jobs}
+    return json.loads(done.stdout), written
+
 
 @pytest.mark.parametrize("p", (2, 3))
-def test_no_command_reads_a_dense_view(p, tmp_path, monkeypatch, capsys):
-    cases = GALLERY_CASES + [("random_admissible", {"seed": 3})]
+def test_no_command_needs_numpy(p, tmp_path):
+    cases = GALLERY_CASES + [("random_admissible", {"seed": seed}) for seed in (3, 7, 11)]
     docs = [gallery_document(name, field=p, **kwargs) for name, kwargs in cases]
     docs += [rank2_bundle_document()] if p == 2 else []
     paths = []
     for doc in docs:
         paths.append(tmp_path / f"doc{len(paths)}.json")
         paths[-1].write_text(canonical_json(doc), encoding="utf-8")
-    codes = {(path, command): main([command, str(path)]) for path in paths for command in COMMANDS}
-
-    def dense_view(self):
-        raise AssertionError("a dense view was read")
-
-    monkeypatch.setattr(FMatrix, "entries", property(dense_view))
-    monkeypatch.setattr(FMatrix, "_dense", dense_view)
-    assert {(path, command): main([command, str(path)]) for path in paths for command in COMMANDS} == codes
+    normal, normal_reports = run_jobs("normal", paths, tmp_path / "normal")
+    blocked, blocked_reports = run_jobs("blocked", paths, tmp_path / "blocked")
+    assert blocked == normal and blocked_reports == normal_reports
+    assert normal["numpy"] is False and any(normal_reports.values())
+    keys = [(path, command) for path in paths for command in COMMANDS]
+    codes = {key: code for key, (code, _) in zip(keys, normal["jobs"])}
     # count and bundles need F_2 and refine-check a refinement block; every other command runs
     needs_f2 = ("count", "bundles") if p != 2 else ()
     assert {code for (_, command), code in codes.items() if command not in needs_f2 + ("refine-check",)} <= {0, 1}
