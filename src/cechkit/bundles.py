@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 from .cochains import CohomologyBasis, class_coordinates, cohomology
@@ -177,21 +178,34 @@ class ConstantCocycle:
         """Fill unspecified edges with the identity transition."""
         table: dict[Edge, int | FMatrix] = {}
         given = {tuple(sorted(k)): v for k, v in (values or {}).items()}
+        one = _identity(rank, field)
         for edge in base.simplices_of_dim(1):
             if edge in given:
                 table[edge] = _normalise_value(given.pop(edge), rank, field)
             else:
-                table[edge] = _identity(rank, field)
+                table[edge] = one
         if given:
             raise ValueError(f"values on non-edges: {sorted(given)}")
         return cls(base, rank, field, table)
 
+    @cached_property
+    def one(self) -> int | FMatrix:
+        """The identity transition of this rank and field, made once and shared: read it, do not change it."""
+        return _identity(self.rank, self.field)
+
+    @cached_property
+    def _inverses(self) -> dict[Edge, int | FMatrix]:
+        """g[b, a] for each edge (a, b) read against its order, inverted once."""
+        return {}
+
     def value(self, a: str, b: str):
         if a == b:
-            return _identity(self.rank, self.field)
+            return self.one
         if a < b:
             return self.values[(a, b)]
-        return _invert(self.values[(b, a)], self.rank, self.field)
+        if (b, a) not in self._inverses:
+            self._inverses[(b, a)] = _invert(self.values[(b, a)], self.rank, self.field)
+        return self._inverses[(b, a)]
 
     def same_values(self, other: "ConstantCocycle") -> bool:
         return (self.base == other.base and self.rank == other.rank
@@ -213,7 +227,7 @@ def _cocycle_violations(cocycle: ConstantCocycle) -> list[tuple[tuple, int]]:
             continue
         prod = _compose(_compose(cocycle.value(a, b), cocycle.value(b, c), cocycle.rank, p),
                         cocycle.value(c, a), cocycle.rank, p)
-        mask = _mismatch(prod, _identity(cocycle.rank, cocycle.field), cocycle.rank, p)
+        mask = _mismatch(prod, cocycle.one, cocycle.rank, p)
         if mask:
             found.append(((tri, "triangle identity fails"), mask))
     return found
@@ -320,13 +334,17 @@ class PieceBundleData:
             pair: {v: _normalise_value(x, self.rank, self.diagram.field) for v, x in table.items()}
             for pair, table in self.identifications.items()})
 
+    @cached_property
+    def one(self) -> int | FMatrix:
+        """The identity of this rank and field, made once and shared: read it, do not change it."""
+        return _identity(self.rank, self.diagram.field)
+
     def ident(self, i: str, j: str, vertex: str):
-        one = _identity(self.rank, self.diagram.field)
         if (i, j) in self.identifications:
-            return self.identifications[(i, j)].get(vertex, one)
+            return self.identifications[(i, j)].get(vertex, self.one)
         if (j, i) in self.identifications:
-            return _invert(self.identifications[(j, i)].get(vertex, one), self.rank, self.diagram.field)
-        return one
+            return _invert(self.identifications[(j, i)].get(vertex, self.one), self.rank, self.diagram.field)
+        return self.one
 
 
 def _piece_data_violations(data: PieceBundleData) -> list[tuple[tuple, int]]:
@@ -426,7 +444,7 @@ def _colimit(diagram: GluedDiagram, data: PieceBundleData) -> tuple[dict, list[t
     for v in diagram.nerve.vertices:
         holders = [i for i in diagram.piece_ids if (v,) in diagram.nerves[i]]
         root = holders[0]
-        gauges[(root, v)] = inverses[(root, v)] = _identity(rank, field)
+        gauges[(root, v)] = inverses[(root, v)] = data.one
         for j in holders[1:]:
             inverses[(j, v)] = data.ident(root, j, v)
             gauges[(j, v)] = _invert(inverses[(j, v)], rank, field)

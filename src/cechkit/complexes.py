@@ -19,16 +19,29 @@ simplices.  The memo belongs to the object, so two equal complexes share
 it only when they are one object: a glued diagram interns its nerves by
 value for exactly that reason.  Its scope is that diagram; nothing is
 cached per process.
+
+A complex is built from its generators once: each generator is checked
+once, the closure's size is bounded before any face is made, and a
+generator already in the closure adds nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from .errors import ResourceLimit
+
 Simplex = tuple[str, ...]
+
+# A simplex on n vertices has 2^n - 1 faces.  Generators whose closures
+# could hold more faces than this in all are refused before any is made;
+# the largest benchmark document, the fine system of strip 160x40, bounds
+# 176,358.
+CLOSURE_CAP = 2 ** 20
 
 
 class MalformedSimplex(ValueError):
@@ -36,13 +49,26 @@ class MalformedSimplex(ValueError):
 
 
 def make_simplex(vertices: Sequence[str]) -> Simplex:
-    s = tuple(str(v) for v in vertices)
+    s = tuple(map(str, vertices))
     if not s:
         raise MalformedSimplex("empty vertex sequence")
-    for a, b in zip(s, s[1:]):
-        if not a < b:
-            raise MalformedSimplex(f"vertices not strictly increasing: {s!r}")
+    if not all(map(operator.lt, s, s[1:])):
+        raise MalformedSimplex(f"vertices not strictly increasing: {s!r}")
     return s
+
+
+def make_simplices(generators: Iterable[Sequence[str]]) -> list[Simplex]:
+    """Each generator as `make_simplex` makes it, all checked in one pass of C loops.
+
+    A tuple is strictly increasing exactly when it equals its own sorted
+    set; where any generator is not, or is empty, the first such one
+    raises as `make_simplex` does.
+    """
+    simplices = list(map(tuple, map(map, itertools.repeat(str), generators)))
+    if not all(simplices) or not all(map(operator.eq, simplices, map(tuple, map(sorted, map(set, simplices))))):
+        for s in simplices:
+            make_simplex(s)
+    return simplices
 
 
 def faces(simplex: Simplex) -> frozenset[Simplex]:
@@ -59,7 +85,9 @@ class SimplicialComplex:
 
     @cached_property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(s[0] for s in self.simplices_of_dim(0))
+        """The labels of the 0-simplices, sorted; the complex's other simplices are not sorted for them."""
+        points = itertools.compress(self.simplices, map((1).__eq__, map(len, self.simplices)))
+        return tuple(sorted(map(operator.itemgetter(0), points)))
 
     @property
     def dim(self) -> int:
@@ -68,10 +96,8 @@ class SimplicialComplex:
 
     @cached_property
     def _by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        groups: dict[int, list[Simplex]] = {}
-        for s in sorted(self.simplices):
-            groups.setdefault(len(s) - 1, []).append(s)
-        return {q: tuple(g) for q, g in groups.items()}
+        """The simplices of each dimension, sorted: grouped by length, then each group sorted, in C loops."""
+        return {n - 1: tuple(sorted(group)) for n, group in itertools.groupby(sorted(self.simplices, key=len), len)}
 
     def simplices_of_dim(self, q: int) -> tuple[Simplex, ...]:
         return self._by_dim.get(q, ())
@@ -104,12 +130,38 @@ class SimplicialComplex:
 EMPTY_COMPLEX = SimplicialComplex(frozenset())
 
 
-def build_complex(generators: Iterable[Sequence[str]]) -> SimplicialComplex:
-    """Downward closure of the given generator simplices."""
+def check_closure_bound(simplices: Iterable[Simplex]) -> None:
+    """Refuse simplices whose closure could pass CLOSURE_CAP faces, naming the cap and the bound.
+
+    The bound is the sum of 2^n - 1 over the simplices, counted before
+    any face is made.
+    """
+    bound = sum((1 << len(s)) - 1 for s in simplices)
+    if bound > CLOSURE_CAP:
+        shown = bound if bound < 2 ** 64 else "more than 2^64"
+        raise ResourceLimit(f"simplex closures are capped at {CLOSURE_CAP} faces; the simplices given close "
+                            f"to up to {shown}")
+
+
+def closure(simplices: Iterable[Simplex]) -> SimplicialComplex:
+    """Downward closure of simplices that are already well formed, bounded by the caller.
+
+    The set is closed after each simplex, so a simplex already in it
+    brings all its faces and is skipped.
+    """
     closed: set[Simplex] = set()
-    for g in generators:
-        closed |= faces(make_simplex(g))
+    for s in simplices:
+        if s not in closed:
+            for q in range(1, len(s) + 1):
+                closed.update(itertools.combinations(s, q))
     return SimplicialComplex(frozenset(closed))
+
+
+def build_complex(generators: Iterable[Sequence[str]]) -> SimplicialComplex:
+    """Downward closure of the given generator simplices, refused past CLOSURE_CAP faces."""
+    simplices = make_simplices(generators)
+    check_closure_bound(simplices)
+    return closure(simplices)
 
 
 def intersect(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
@@ -153,15 +205,41 @@ def components(k: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
+def induced_simplices(simplices: frozenset[Simplex], labels: Iterable[str]) -> frozenset[Simplex]:
+    """The simplices whose vertices all lie in the given label set."""
+    return frozenset(filter(frozenset(labels).issuperset, simplices))
+
+
 def full_subcomplex(k: SimplicialComplex, labels: Iterable[str]) -> SimplicialComplex:
     """All simplices of k whose vertices lie in the given label set."""
-    allowed = set(labels)
-    return SimplicialComplex(frozenset(s for s in k.simplices if set(s) <= allowed))
+    return SimplicialComplex(induced_simplices(k.simplices, labels))
+
+
+def renamed_simplices(simplices: frozenset[Simplex], mapping: Mapping[str, str],
+                      vertices: Sequence[str]) -> frozenset[Simplex]:
+    """The simplices on the sorted vertices given, each vertex renamed along an injective mapping.
+
+    An identity renaming gives the same frozenset back.  One that keeps
+    the vertices' order renames each simplex in place; any other also
+    re-sorts each simplex.
+    """
+    image = list(map(mapping.__getitem__, vertices))
+    if all(map(operator.eq, image, vertices)):
+        return simplices
+    renamed = map(tuple, map(map, itertools.repeat(mapping.__getitem__), simplices))
+    if all(map(operator.lt, image, image[1:])):
+        return frozenset(renamed)
+    return frozenset(map(tuple, map(sorted, renamed)))
 
 
 def relabel(k: SimplicialComplex, mapping: Mapping[str, str]) -> SimplicialComplex:
-    """Rename vertices along an injective mapping, re-sorting each simplex."""
-    image = [mapping[v] for v in k.vertices]
-    if len(set(image)) != len(image):
+    """Rename vertices along an injective mapping, each simplex once, by `renamed_simplices`.
+
+    An identity renaming returns k itself, and no simplex is sorted
+    unless the renaming changes the vertices' order.
+    """
+    image = set(map(mapping.__getitem__, k.vertices))
+    if len(image) != len(k.vertices):
         raise MalformedSimplex("relabeling is not injective on the vertex set")
-    return SimplicialComplex(frozenset(tuple(sorted(mapping[v] for v in s)) for s in k.simplices))
+    simplices = renamed_simplices(k.simplices, mapping, k.vertices)
+    return k if simplices is k.simplices else SimplicialComplex(simplices)

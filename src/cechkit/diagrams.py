@@ -25,6 +25,7 @@ nerve-level content and are not validated.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,13 +34,16 @@ from typing import Iterable, Mapping
 from .complexes import (
     SimplicialComplex,
     _class_roots,
-    full_subcomplex,
+    induced_simplices,
     intersect,
     relabel,
+    renamed_simplices,
     union_complexes,
 )
 from .errors import InputError, NotSimplicial, ResourceLimit
 from .fplinalg import F2, PrimeField
+
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
 
 # Report rows list every index set, 2^n - 1 of them for n pieces; more than
 # this many are refused before the first row (16 pieces give 65,535).
@@ -88,12 +92,14 @@ class GluingBijection:
         """The pairs as a dict, built once and shared: read it, do not change it."""
         return dict(self.pairs)
 
-    @property
+    @cached_property
     def domain(self) -> tuple[str, ...]:
+        """The source labels, sorted once, on the first read."""
         return tuple(sorted(x for x, _ in self.pairs))
 
-    @property
+    @cached_property
     def image(self) -> tuple[str, ...]:
+        """The target labels, sorted once, on the first read."""
         return tuple(sorted(y for _, y in self.pairs))
 
 
@@ -116,6 +122,16 @@ class AdjunctionSystem:
 
     def gluing(self, i: str, j: str) -> GluingBijection | None:
         return self._gluing_index.get((i, j))
+
+    @cached_property
+    def _glued_pairs(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
+        """Each pair of glued (piece id, label) nodes once, read from the gluing out of the smaller id."""
+        return [((g.source, x), (g.target, y)) for g in self.gluings if g.source < g.target for x, y in g.pairs]
+
+    @cached_property
+    def _glued_roots(self) -> dict[tuple[str, str], tuple[str, str]]:
+        """Each glued node's class root under `_glued_pairs`, the class minimum; an unglued node is not a key."""
+        return _class_roots(dict.fromkeys(itertools.chain.from_iterable(self._glued_pairs)), self._glued_pairs)
 
 
 def shared_label_system(piece_nerves: Mapping[str, SimplicialComplex],
@@ -153,37 +169,89 @@ def _repeats(labels: list[str]) -> tuple[str, ...]:
     return tuple(sorted(label for label, n in Counter(labels).items() if n > 1))
 
 
+def _a3_violations(gluings: tuple[GluingBijection, ...],
+                   index: dict[tuple[str, str], GluingBijection]) -> list[Violation]:
+    """A3 over every triple of pieces i, j, k glued from i, worded only for the labels that fail."""
+    violations: list[Violation] = []
+    from_source: dict[str, list[GluingBijection]] = {}
+    for g in gluings:
+        from_source.setdefault(g.source, []).append(g)
+    for gi in gluings:
+        i, j = gi.source, gi.target
+        if i == j:
+            continue
+        fij = gi.mapping
+        for gk in from_source[i]:
+            if gk.target == j or gk.target == i:
+                continue
+            k = gk.target
+            jk = index.get((j, k))
+            jk_map = jk.mapping if jk is not None else {}
+            fik = gk.mapping
+            overlap = fij.keys() & fik.keys()
+            if list(map(jk_map.get, map(fij.__getitem__, overlap))) == list(map(fik.__getitem__, overlap)):
+                continue
+            for x in sorted(overlap):
+                y = fij[x]
+                if y not in jk_map:
+                    violations.append(Violation("A3",
+                                                f"label {x!r}: image under {i}->{j} misses the domain of {j}->{k}",
+                                                (x,)))
+                elif jk_map[y] != fik[x]:
+                    violations.append(Violation("A3",
+                                                f"label {x!r}: {i}->{k} differs from {j}->{k} after {i}->{j}",
+                                                (x,)))
+    return violations
+
+
+def _classes_complete(system: AdjunctionSystem) -> bool:
+    """Whether each class of glued nodes has an edge between every two of its nodes."""
+    roots = system._glued_roots
+    edges = Counter(map(roots.__getitem__, map(_FIRST, system._glued_pairs)))
+    return all(edges[root] == n * (n - 1) // 2 for root, n in Counter(roots.values()).items())
+
+
 def validate_system(system: AdjunctionSystem) -> ValidationReport:
+    """Every violation of the gluing conditions, in check order: STRUCTURE, A1, A2, A3, SIMPLICIAL.
+
+    Each pass reads what it needs once per call: each piece's label set,
+    each gluing's dict (kept on the gluing) and image set, and each
+    induced subcomplex, a frozenset made once per piece and label set.
+    A2 and A3 compare whole maps first and word a violation only for the
+    labels that fail.  A gluing that passed A2 is the inverse of its
+    reverse, so once the reverse is a simplicial isomorphism it is one
+    too and is not mapped again.
+    """
     violations: list[Violation] = []
     ids = [p.piece_id for p in system.pieces]
     if len(set(ids)) != len(ids):
         violations.append(Violation("STRUCTURE", "duplicate piece ids", tuple(ids)))
         return ValidationReport(False, tuple(violations))
     by_id = {p.piece_id: p for p in system.pieces}
+    labels = {pid: frozenset(p.labels) for pid, p in by_id.items()}
+    # each gluing's image as a set; its domain is the keys of its mapping
+    images: dict[tuple[str, str], set[str]] = {}
 
     for g in system.gluings:
         if g.source not in by_id or g.target not in by_id:
             violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} names unknown pieces"))
             continue
-        src_labels = set(by_id[g.source].labels)
-        dom = [x for x, _ in g.pairs]
-        img = [y for _, y in g.pairs]
-        if len(set(dom)) != len(dom):
+        dom = g.mapping.keys()
+        img = images[(g.source, g.target)] = set(map(_SECOND, g.pairs))
+        if len(dom) != len(g.pairs):
             violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} domain has repeats",
-                                        _repeats(dom)))
-        if len(set(img)) != len(img):
+                                        _repeats(list(map(_FIRST, g.pairs)))))
+        if len(img) != len(g.pairs):
             violations.append(Violation("STRUCTURE", f"gluing {g.source}->{g.target} is not injective",
-                                        _repeats(img)))
-        missing = sorted(set(dom) - src_labels)
-        if missing:
+                                        _repeats(list(map(_SECOND, g.pairs)))))
+        if not dom <= labels[g.source]:
             violations.append(Violation("STRUCTURE",
                                          f"gluing {g.source}->{g.target} domain not in source labels",
-                                         tuple(missing)))
-        extra = sorted(set(img) - set(by_id[g.target].labels))
-        if extra:
+                                         tuple(sorted(dom - labels[g.source]))))
+        if not img <= labels[g.target]:
             violations.append(Violation("STRUCTURE",
                                          f"gluing {g.source}->{g.target} image not in target labels",
-                                         tuple(extra)))
+                                         tuple(sorted(img - labels[g.target]))))
     pairs = Counter((g.source, g.target) for g in system.gluings)
     for (i, j), n in pairs.items():
         if n > 1:
@@ -194,73 +262,73 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
     # A1: supplied self-gluings must be the identity on all labels.
     for g in system.gluings:
         if g.source == g.target:
-            piece = by_id[g.source]
-            if set(g.domain) != set(piece.labels) or any(x != y for x, y in g.pairs):
-                bad = sorted(x for x, y in g.pairs if x != y) or sorted(set(piece.labels) - set(g.domain))
+            if g.mapping.keys() != labels[g.source] or any(x != y for x, y in g.pairs):
+                bad = sorted(x for x, y in g.pairs if x != y) or sorted(labels[g.source] - g.mapping.keys())
                 violations.append(Violation("A1", f"self-gluing of {g.source} is not the identity",
                                             tuple(bad)))
 
     # A2: the reverse gluing is the inverse with matching domains.
+    index = system._gluing_index
+    inverse: set[tuple[str, str]] = set()
+    n_glued = 0
     for g in system.gluings:
         if g.source == g.target:
             continue
-        back = system.gluing(g.target, g.source)
+        n_glued += 1
+        back = index.get((g.target, g.source))
         if back is None:
             violations.append(Violation("A2", f"gluing {g.target}->{g.source} is missing"))
             continue
-        if set(back.domain) != set(g.image):
+        image = images[(g.source, g.target)]
+        if back.mapping.keys() != image:
             violations.append(Violation("A2",
                                         f"domain of {g.target}->{g.source} differs from image of {g.source}->{g.target}",
-                                        tuple(sorted(set(back.domain) ^ set(g.image)))))
+                                        tuple(sorted(back.mapping.keys() ^ image))))
             continue
         back_map = back.mapping
+        if all(map(operator.eq, map(back_map.get, map(_SECOND, g.pairs)), map(_FIRST, g.pairs))):
+            inverse.add((g.source, g.target))
+            continue
         for x, y in g.pairs:
             if back_map.get(y) != x:
                 violations.append(Violation("A2",
                                             f"gluing {g.target}->{g.source} is not inverse to {g.source}->{g.target} at {y!r}",
                                             (y,)))
 
-    # A3: composition on overlapping domains.
-    from_source: dict[str, list[GluingBijection]] = {}
-    for g in system.gluings:
-        from_source.setdefault(g.source, []).append(g)
-    for gi in system.gluings:
-        i, j = gi.source, gi.target
-        if i == j:
-            continue
-        fij = gi.mapping
-        for gk in from_source[i]:
-            if gk.target == j or gk.target == i:
-                continue
-            k = gk.target
-            jk = system.gluing(j, k)
-            jk_map = jk.mapping if jk is not None else {}
-            fik = gk.mapping
-            for x in sorted(fij.keys() & fik.keys()):
-                y = fij[x]
-                if y not in jk_map:
-                    violations.append(Violation("A3",
-                                                f"label {x!r}: image under {i}->{j} misses the domain of {j}->{k}",
-                                                (x,)))
-                elif jk_map[y] != fik[x]:
-                    violations.append(Violation("A3",
-                                                f"label {x!r}: {i}->{k} differs from {j}->{k} after {i}->{j}",
-                                                (x,)))
+    # A3: composition on overlapping domains.  Where A2 holds for every
+    # gluing, the glued pairs are the edges of a graph on (piece, label)
+    # nodes, without repeats or loops, and A3 holds exactly when each
+    # connected component is complete: then no triple is scanned.
+    if len(inverse) < n_glued or not _classes_complete(system):
+        violations += _a3_violations(system.gluings, index)
 
     # Gluings must be simplicial isomorphisms between induced subcomplexes.
+    induced: dict[tuple[str, frozenset[str]], frozenset] = {}
+
+    def induced_on(piece_id: str, on: Iterable[str]) -> frozenset:
+        key = (piece_id, frozenset(on))
+        if key not in induced:
+            induced[key] = induced_simplices(by_id[piece_id].nerve.simplices, key[1])
+        return induced[key]
+
+    isomorphisms: set[tuple[str, str]] = set()
     for g in system.gluings:
         if g.source == g.target:
             continue
-        src_sub = full_subcomplex(by_id[g.source].nerve, g.domain)
-        tgt_sub = full_subcomplex(by_id[g.target].nerve, g.image)
-        mapping = g.mapping
-        mapped = frozenset(tuple(sorted(mapping[v] for v in s)) for s in src_sub.simplices)
-        if mapped != tgt_sub.simplices:
-            diff = sorted(mapped ^ tgt_sub.simplices)
-            violations.append(Violation("SIMPLICIAL",
-                                        f"gluing {g.source}->{g.target} is not a simplicial isomorphism "
-                                        f"between induced subcomplexes",
-                                        tuple(diff[:4])))
+        if (g.target, g.source) in isomorphisms and (g.source, g.target) in inverse:
+            isomorphisms.add((g.source, g.target))
+            continue
+        domain = sorted(g.mapping)
+        target = induced_on(g.target, images[(g.source, g.target)])
+        mapped = renamed_simplices(induced_on(g.source, domain), g.mapping, domain)
+        if mapped == target:
+            isomorphisms.add((g.source, g.target))
+            continue
+        diff = sorted(mapped ^ target)
+        violations.append(Violation("SIMPLICIAL",
+                                    f"gluing {g.source}->{g.target} is not a simplicial isomorphism "
+                                    f"between induced subcomplexes",
+                                    tuple(diff[:4])))
 
     return ValidationReport(not violations, tuple(violations))
 
@@ -385,14 +453,19 @@ def canonicalize(system: AdjunctionSystem) -> GluedDiagram:
     Each class is named by the local label of its lexicographically
     minimal (piece_id, label) member; colliding names are qualified with
     the piece id.
+
+    Validation has passed, so A2 holds: the two gluings of a pair relate
+    the same labels, and union-find reads each unordered pair once, from
+    the gluing out of the smaller id, over the glued labels only.  An
+    unglued label is its own class.  Each piece nerve is renamed once by
+    `relabel`, which keeps the parsed nerve where the renaming is the
+    identity.
     """
     report = validate_system(system)
     if not report.valid:
         raise InvalidSystem(report)
 
-    nodes = ((piece.piece_id, v) for piece in system.pieces for v in piece.labels)
-    glued = (((g.source, x), (g.target, y)) for g in system.gluings if g.source != g.target for x, y in g.pairs)
-    roots = _class_roots(nodes, glued)
+    roots = system._glued_roots
 
     classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for node, root in roots.items():
@@ -404,14 +477,17 @@ def canonicalize(system: AdjunctionSystem) -> GluedDiagram:
                 "STRUCTURE", "a gluing chain identifies two labels of one piece"),)))
 
     # a class's root is its minimal (piece_id, label) member
-    roots_per_label = Counter(label for _, label in classes)
+    nodes = [(piece.piece_id, v) for piece in system.pieces for v in piece.labels]
+    root_of = dict(zip(nodes, map(roots.get, nodes, nodes)))
+    class_roots = set(root_of.values())
+    roots_per_label = Counter(map(_SECOND, class_roots))
     names = {(piece_id, label): label if roots_per_label[label] == 1 else f"{label}@{piece_id}"
-             for piece_id, label in classes}
+             for piece_id, label in class_roots}
     if len(set(names.values())) != len(names):
         raise InvalidSystem(ValidationReport(False, (Violation(
             "STRUCTURE", "canonical class names collide even after qualification"),)))
 
-    label_classes = {node: names[root] for node, root in roots.items()}
+    label_classes = dict(zip(nodes, map(names.__getitem__, root_of.values())))
     nerves: dict[str, SimplicialComplex] = {}
     for piece in system.pieces:
         mapping = {v: label_classes[(piece.piece_id, v)] for v in piece.labels}

@@ -37,7 +37,7 @@ from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable
 
 from .bundles import MAX_RANK, ConstantCocycle, PieceBundleData, _normalise_value
-from .complexes import MalformedSimplex, build_complex
+from .complexes import MalformedSimplex, Simplex, check_closure_bound, closure, make_simplices
 from .diagrams import (
     AdjunctionSystem,
     GluedDiagram,
@@ -61,6 +61,10 @@ class NonPrimeModulus(ParseError):
         super().__init__(f"field modulus {value!r} is not prime", "$.field")
 
 
+# The second argument of isinstance, for map.
+_STR, _LIST = itertools.repeat(str), itertools.repeat(list)
+
+
 def _labels(value: Any, message: str, path: str, n: int | None = None) -> list[str]:
     """value itself if it is a JSON list of JSON strings (of length n), else ParseError(message, path).
 
@@ -68,16 +72,18 @@ def _labels(value: Any, message: str, path: str, n: int | None = None) -> list[s
     of its characters.
     """
     if (not isinstance(value, list) or (n is not None and len(value) != n)
-            or not all(isinstance(v, str) for v in value)):
+            or not all(map(isinstance, value, _STR))):
         raise ParseError(message, path)
     return value
 
 
 def _label_pairs(value: Any, message: str, path: str) -> list[tuple[str, str]]:
-    """A JSON list of [label, label] entries, each checked by _labels."""
-    if not isinstance(value, list):
+    """A JSON list of [label, label] entries, as tuples; anything else is ParseError(message, path)."""
+    if (not isinstance(value, list) or not all(map(isinstance, value, _LIST))
+            or not all(map((2).__eq__, map(len, value)))
+            or not all(map(isinstance, itertools.chain.from_iterable(value), _STR))):
         raise ParseError(message, path)
-    return [tuple(_labels(pair, message, path, 2)) for pair in value]
+    return list(map(tuple, value))
 
 
 def _put_once(table: dict, key: Any, value: Any, what: str, path: str) -> None:
@@ -128,10 +134,14 @@ def parse_document(doc: Any, field_override: int | None = None, root: str = "$")
 
 
 def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
+    """The system, each piece's generators and each gluing's pairs checked once.
+
+    Every piece is checked before any closure is made, so the closure
+    bound of the whole document is refused before its first face.
+    """
     if not isinstance(doc["pieces"], list) or not doc["pieces"]:
         raise ParseError("pieces must be a nonempty list", f"{root}.pieces")
-    pieces: list[LocalPiece] = []
-    seen: set[str] = set()
+    generators: dict[str, list[Simplex]] = {}
     for k, entry in enumerate(doc["pieces"]):
         path = f"{root}.pieces[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"id", "simplices"}:
@@ -143,18 +153,21 @@ def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
         # one could name two index sets with one key.
         if "," in pid:
             raise ParseError(f"piece id {pid!r} contains ','", path)
-        if pid in seen:
+        if pid in generators:
             raise ParseError(f"duplicate piece id {pid!r}", path)
-        seen.add(pid)
-        if not isinstance(entry["simplices"], list):
+        simplices = entry["simplices"]
+        if not isinstance(simplices, list):
             raise ParseError("simplices must be a list", path)
-        simplices = [_labels(s, "simplex must be a list of string labels", f"{path}.simplices[{m}]")
-                     for m, s in enumerate(entry["simplices"])]
+        if (not all(map(isinstance, simplices, _LIST))
+                or not all(map(isinstance, itertools.chain.from_iterable(simplices), _STR))):
+            for m, s in enumerate(simplices):
+                _labels(s, "simplex must be a list of string labels", f"{path}.simplices[{m}]")
         try:
-            nerve = build_complex(simplices)
+            generators[pid] = make_simplices(simplices)
         except MalformedSimplex as exc:
             raise ParseError(f"bad simplex: {exc}", path) from None
-        pieces.append(LocalPiece(pid, nerve))
+    check_closure_bound(itertools.chain.from_iterable(generators.values()))
+    pieces = tuple(LocalPiece(pid, closure(simplices)) for pid, simplices in generators.items())
 
     if not isinstance(doc["gluings"], list):
         raise ParseError("gluings must be a list", f"{root}.gluings")
@@ -168,16 +181,14 @@ def _parse_system(doc: dict, field: PrimeField, root: str) -> AdjunctionSystem:
         if i == j:
             raise ParseError("gluing must relate two distinct pieces", path)
         # A piece id is a string, so an end that is not one names no piece.
-        unknown = f"gluing references unknown pieces {i!r}, {j!r}"
-        if not set(_labels([i, j], unknown, path)) <= seen:
-            raise ParseError(unknown, path)
+        if not (isinstance(i, str) and isinstance(j, str) and i in generators and j in generators):
+            raise ParseError(f"gluing references unknown pieces {i!r}, {j!r}", path)
         # Each entry installs both directions, so i, j and j, i are one pair.
-        _put_once(glued, tuple(sorted((i, j))), k, "gluing of the pair", path)
-        pairs = tuple(sorted(_label_pairs(entry["pairs"], "pairs must be a list of [label, label] entries",
-                                          path)))
-        gluings.append(GluingBijection(i, j, pairs))
-        gluings.append(GluingBijection(j, i, tuple(sorted((y, x) for x, y in pairs))))
-    return AdjunctionSystem(tuple(pieces), tuple(gluings), field)
+        _put_once(glued, (i, j) if i < j else (j, i), k, "gluing of the pair", path)
+        pairs = sorted(_label_pairs(entry["pairs"], "pairs must be a list of [label, label] entries", path))
+        gluings.append(GluingBijection(i, j, tuple(pairs)))
+        gluings.append(GluingBijection(j, i, tuple(sorted(map(tuple, map(reversed, pairs))))))
+    return AdjunctionSystem(pieces, tuple(gluings), field)
 
 
 def decode_document(data: bytes) -> Any:

@@ -273,6 +273,42 @@ def test_the_colimit_inverts_each_gauge_once(tmp_path, monkeypatch, capsys):
     assert calls == [(2, 2), (2, 2)]
 
 
+def test_bundles_builds_each_identity_once_per_holder_and_inverts_each_gauge_once(tmp_path, monkeypatch, capsys):
+    # One identity per piece cocycle (its unlisted edges share it), one for the piece data, one per
+    # section system, one per inversion and one per kernel basis; none per edge, vertex or triangle.
+    calls = {"identity": 0, "inverse": 0}
+    real_identity, real_inverse = FMatrix.identity.__func__, FMatrix.inverse
+
+    def identity(cls, n, field):
+        calls["identity"] += 1
+        return real_identity(cls, n, field)
+
+    def inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(FMatrix, "identity", classmethod(identity))
+    monkeypatch.setattr(FMatrix, "inverse", inverse)
+    path = tmp_path / "rank2.json"
+    path.write_text(canonical_json(rank2_bundle_document()), encoding="utf-8")
+    assert main(["bundles", str(path)]) == 0
+    assert calls == {"identity": 9, "inverse": 2}
+
+
+def test_a_rank2_cocycle_inverts_each_edge_once_whatever_reads_it(monkeypatch):
+    # the triangles (a, b, c) and (a, c, d) both read g[c, a]; the second also reads g[d, a]
+    base = build_complex([["a", "b", "c"], ["a", "c", "d"]])
+    swap = [[0, 1], [1, 0]]
+    cocycle = ConstantCocycle.build(base, 2, F2, {("a", "b"): swap, ("a", "c"): swap, ("a", "d"): swap})
+    inverted = []
+    real = FMatrix.inverse
+    monkeypatch.setattr(FMatrix, "inverse", lambda self: inverted.append(self) or real(self))
+    assert validate_cocycle(cocycle).valid and validate_cocycle(cocycle).valid
+    assert cocycle.value("c", "a").equals(cocycle.values[("a", "c")])
+    assert cocycle.value("a", "a") is cocycle.value("b", "b") is cocycle.one
+    assert len(inverted) == 2
+
+
 def test_round_trip_preserves_every_class(gallery_diagram):
     for g in enumerate_line_bundles(gallery_diagram):
         back = colimit_bundle(gallery_diagram, restrict_bundle(g, gallery_diagram))

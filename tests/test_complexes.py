@@ -1,15 +1,21 @@
+import itertools
+
 import pytest
 
 from cechkit.complexes import (
+    CLOSURE_CAP,
     EMPTY_COMPLEX,
     MalformedSimplex,
     build_complex,
     components,
     full_subcomplex,
     intersect,
+    make_simplex,
+    make_simplices,
     relabel,
     union_complexes,
 )
+from cechkit.errors import ResourceLimit
 
 
 def cycle4():
@@ -43,6 +49,32 @@ def test_malformed_simplices():
         build_complex([["b", "a"]])
     with pytest.raises(MalformedSimplex):
         build_complex([["a", "a"]])
+
+
+def test_make_simplices_raises_what_make_simplex_raises_for_the_first_bad_generator():
+    good = [["a", "b"], ["c"], ["a", "b", "d"]]
+    assert make_simplices(good) == [make_simplex(g) for g in good] == [("a", "b"), ("c",), ("a", "b", "d")]
+    for bad in ([], ["b", "a"], ["a", "a"], ["a", "c", "b"]):
+        with pytest.raises(MalformedSimplex) as expected:
+            make_simplex(bad)
+        with pytest.raises(MalformedSimplex) as got:
+            make_simplices(good + [bad, []])
+        assert str(got.value) == str(expected.value)
+
+
+def test_a_closure_past_the_cap_is_refused_before_any_face_is_made():
+    # 2^20 - 1 faces fit; one more vertex would double them
+    assert len(build_complex([[f"v{i:02d}" for i in range(3)]] * 2).simplices) == 7
+    for generators in ([[f"v{i:02d}" for i in range(21)]], [[f"v{i:02d}" for i in range(40)]],
+                       [["a", "b"]] * (CLOSURE_CAP // 3 + 1), [[f"v{i:04d}" for i in range(5000)]]):
+        with pytest.raises(ResourceLimit, match=f"capped at {CLOSURE_CAP} faces"):
+            build_complex(generators)
+
+
+def test_the_closure_is_every_face_of_every_generator():
+    generators = [["a", "b", "c"], ["b", "c"], ["c", "d"], ["a", "b", "c"], ["e"], ["b", "c", "d", "e"]]
+    faces = {f for g in generators for q in range(1, len(g) + 1) for f in itertools.combinations(g, q)}
+    assert build_complex(generators).simplices == faces
 
 
 def test_intersect_idempotent_and_absorbing():
@@ -100,6 +132,19 @@ def test_full_subcomplex_and_relabel():
     assert ("b", "c", "z") in swapped
     with pytest.raises(MalformedSimplex):
         relabel(k, {"a": "x", "b": "x", "c": "c", "d": "d"})
+
+
+def test_relabel_keeps_an_identity_and_sorts_only_a_renaming_that_reorders():
+    k = build_complex([["a", "b", "c"], ["c", "d"]])
+    assert relabel(k, {v: v for v in "abcdz"}) is k
+    kept = relabel(k, {"a": "a1", "b": "b1", "c": "c", "d": "e"})
+    assert kept.simplices == frozenset({("a1",), ("b1",), ("c",), ("e",), ("a1", "b1"), ("a1", "c"), ("b1", "c"),
+                                        ("c", "e"), ("a1", "b1", "c")})
+    reversed_ = relabel(k, {"a": "d", "b": "c", "c": "b", "d": "a"})
+    assert reversed_.simplices == frozenset(tuple(sorted(s)) for s in
+                                            [("d",), ("c",), ("b",), ("a",), ("d", "c"), ("d", "b"), ("c", "b"),
+                                             ("b", "a"), ("d", "c", "b")])
+    assert relabel(EMPTY_COMPLEX, {}) is EMPTY_COMPLEX
 
 
 def test_closure_property_exhaustive():

@@ -1,11 +1,14 @@
+import copy
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechkit import diagrams
-from cechkit.complexes import EMPTY_COMPLEX, build_complex, components, full_subcomplex, intersect
+from cechkit.complexes import (EMPTY_COMPLEX, MalformedSimplex, SimplicialComplex, _class_roots, build_complex,
+                               components, full_subcomplex, intersect, union_complexes)
 from cechkit.diagrams import (
     AdjunctionSystem,
     BadIndexSet,
@@ -485,6 +488,22 @@ def hostile_systems():
          GluingBijection("p1", "p3", (("x", "w"),)), GluingBijection("p3", "p1", (("w", "x"),))))
     yield a3
     yield AdjunctionSystem(a3.pieces, a3.gluings[:3] + a3.gluings[4:])
+    # A2 fails at the second pair only: p2 -> p1 sends r to o1
+    yield AdjunctionSystem(base.pieces, (forward, GluingBijection("p2", "p1", (("l", "l"), ("r", "o1")))))
+    # p3 -> p1 sends z to w, which p1 -> p2 does not glue: A2 and A3 fail, though the glued
+    # labels (p1, x), (p2, y), (p3, z) form a complete graph
+    yield AdjunctionSystem(
+        (LocalPiece("p1", build_complex([["w"], ["x"]])), LocalPiece("p2", build_complex([["y"]])),
+         LocalPiece("p3", build_complex([["z"]]))),
+        (GluingBijection("p1", "p2", (("x", "y"),)), GluingBijection("p2", "p1", (("y", "x"),)),
+         GluingBijection("p2", "p3", (("y", "z"),)), GluingBijection("p3", "p2", (("z", "y"),)),
+         GluingBijection("p1", "p3", (("x", "z"),)), GluingBijection("p3", "p1", (("z", "w"),))))
+    # p1 -> p2 is a simplicial isomorphism on {a, b}; p2 -> p1 also glues c, fails A2, and maps
+    # p2's edge a-c to a non-edge of p1
+    yield AdjunctionSystem(
+        (LocalPiece("p1", build_complex([["a"], ["b"], ["c"]])), LocalPiece("p2", build_complex([["a", "c"], ["b"]]))),
+        (GluingBijection("p1", "p2", (("a", "a"), ("b", "b"))),
+         GluingBijection("p2", "p1", (("a", "a"), ("b", "b"), ("c", "c")))))
 
 
 def test_validate_system_matches_the_scanning_oracle_on_gallery_and_hostile_systems():
@@ -501,11 +520,11 @@ def test_validate_system_matches_the_scanning_oracle_on_gallery_and_hostile_syst
 @given(seed=st.integers(0, 10 ** 6), data=st.data())
 def test_validate_system_matches_the_scanning_oracle_on_corrupted_random_systems(seed, data):
     system = parse_document(random_admissible(seed)).system
-    gluings = list(system.gluings)
+    gluings, pieces = list(system.gluings), list(system.pieces)
     for _ in range(data.draw(st.integers(1, 3))):
         g = gluings[data.draw(st.integers(0, len(gluings) - 1))]
         at = gluings.index(g)
-        kind = data.draw(st.sampled_from(("drop", "duplicate", "swap", "extend", "reverse")))
+        kind = data.draw(st.sampled_from(("drop", "duplicate", "swap", "extend", "reverse", "edge", "self")))
         if kind == "drop" and len(gluings) > 1:
             del gluings[at]
         elif kind == "duplicate":
@@ -520,7 +539,17 @@ def test_validate_system_matches_the_scanning_oracle_on_corrupted_random_systems
             gluings[at] = GluingBijection(g.source, g.target, g.pairs + (extra,))
         elif kind == "reverse":
             gluings.append(GluingBijection(g.target, g.source, tuple((y, x) for x, y in g.pairs)))
-    corrupted = AdjunctionSystem(system.pieces, tuple(gluings), system.field)
+        elif kind == "edge" and len(set(g.domain)) > 1:
+            # an edge between two glued labels of the source alone: the induced subcomplexes differ
+            a, b = sorted(data.draw(st.permutations(sorted(set(g.domain))))[:2])
+            at_piece = next(n for n, p in enumerate(pieces) if p.piece_id == g.source)
+            nerve = pieces[at_piece].nerve
+            pieces[at_piece] = LocalPiece(g.source, SimplicialComplex(nerve.simplices | {(a, b)}))
+        elif kind == "self":
+            labels = system.piece(g.source).labels
+            image = data.draw(st.permutations(labels))
+            gluings.append(GluingBijection(g.source, g.source, tuple(zip(labels, image))))
+    corrupted = AdjunctionSystem(tuple(pieces), tuple(gluings), system.field)
     assert validate_system(corrupted) == parent_validate_system(corrupted)
 
 
@@ -544,3 +573,100 @@ def test_validate_system_builds_each_mapping_once():
     # each mapping was built during validation and kept on its gluing
     assert all("mapping" in vars(g) and vars(g)["mapping"] is g.mapping for g in system.gluings)
     assert all(system.gluing(g.source, g.target) is g for g in system.gluings)
+
+
+def parent_relabel(k: SimplicialComplex, mapping) -> SimplicialComplex:
+    """Oracle: relabel as it was before the renaming paths, every simplex re-sorted."""
+    image = [mapping[v] for v in k.vertices]
+    if len(set(image)) != len(image):
+        raise MalformedSimplex("relabeling is not injective on the vertex set")
+    return SimplicialComplex(frozenset(tuple(sorted(mapping[v] for v in s)) for s in k.simplices))
+
+
+def parent_canonicalize(system: AdjunctionSystem) -> diagrams.GluedDiagram:
+    """Oracle: canonicalize as it was before, union-find over every node and both gluings of each pair."""
+    report = parent_validate_system(system)
+    if not report.valid:
+        raise InvalidSystem(report)
+    nodes = ((piece.piece_id, v) for piece in system.pieces for v in piece.labels)
+    glued = (((g.source, x), (g.target, y)) for g in system.gluings if g.source != g.target for x, y in g.pairs)
+    roots = _class_roots(nodes, glued)
+    classes = {}
+    for node, root in roots.items():
+        classes.setdefault(root, []).append(node)
+    for members in classes.values():
+        per_piece = [p for p, _ in members]
+        if len(set(per_piece)) != len(per_piece):
+            raise InvalidSystem(ValidationReport(False, (Violation(
+                "STRUCTURE", "a gluing chain identifies two labels of one piece"),)))
+    roots_per_label = Counter(label for _, label in classes)
+    names = {(piece_id, label): label if roots_per_label[label] == 1 else f"{label}@{piece_id}"
+             for piece_id, label in classes}
+    if len(set(names.values())) != len(names):
+        raise InvalidSystem(ValidationReport(False, (Violation(
+            "STRUCTURE", "canonical class names collide even after qualification"),)))
+    label_classes = {node: names[root] for node, root in roots.items()}
+    nerves = {}
+    for piece in system.pieces:
+        mapping = {v: label_classes[(piece.piece_id, v)] for v in piece.labels}
+        nerves[piece.piece_id] = parent_relabel(piece.nerve, mapping)
+    ids = tuple(sorted(nerves))
+    return diagrams.GluedDiagram(system.field, ids, nerves, union_complexes(nerves[i] for i in ids), label_classes)
+
+
+# Per-piece renamings of a document's labels: a gluing then pairs unequal labels wherever two pieces
+# renamed a shared label differently, and a piece nerve is renamed onto its class names by the identity,
+# by a renaming that keeps the labels' order, or by one that changes it.
+RENAMINGS = {
+    "same": lambda labels: {v: v for v in labels},
+    "keeps order": lambda labels: {v: v + "k" for v in labels},
+    "reverses order": lambda labels: {v: f"r{len(labels) - n:02d}" for n, v in enumerate(sorted(labels))},
+    # s0 is in every random_admissible core: renamed 0s0, it comes first, and its class name is s0
+    # wherever a smaller piece id keeps it
+    "s0 only": lambda labels: {v: "0" + v if v == "s0" else v for v in labels},
+}
+
+
+def renamed_document(doc, choices):
+    """doc with the labels of each piece renamed by RENAMINGS[choices[piece index]]."""
+    doc = copy.deepcopy(doc)
+    rename = {}
+    for piece, choice in zip(doc["pieces"], choices):
+        labels = sorted({v for s in piece["simplices"] for v in s})
+        rename[piece["id"]] = RENAMINGS[choice](labels)
+        piece["simplices"] = [sorted(rename[piece["id"]][v] for v in s) for s in piece["simplices"]]
+    for g in doc["gluings"]:
+        g["pairs"] = [[rename[g["i"]][x], rename[g["j"]][y]] for x, y in g["pairs"]]
+    return doc
+
+
+def renaming_kind(k: SimplicialComplex, mapping) -> str:
+    image = [mapping[v] for v in k.vertices]
+    if image == list(k.vertices):
+        return "identity"
+    return "keeps order" if image == sorted(image) else "reorders"
+
+
+def test_canonicalize_matches_the_parent_on_renamed_random_documents(monkeypatch):
+    kinds = Counter()
+    real_relabel = diagrams.relabel
+
+    def classifying(k, mapping):
+        kinds[renaming_kind(k, mapping)] += 1
+        return real_relabel(k, mapping)
+
+    monkeypatch.setattr(diagrams, "relabel", classifying)
+    for seed in range(12):
+        doc = random_admissible(seed, n_pieces=2 + seed % 4)
+        for choices in itertools.product(RENAMINGS, repeat=2):
+            choices = (choices * len(doc["pieces"]))[:len(doc["pieces"])]
+            system = parse_document(renamed_document(doc, choices)).system
+            got, want = canonicalize(system), parent_canonicalize(system)
+            assert got.piece_ids == want.piece_ids
+            assert list(got.nerves.items()) == list(want.nerves.items())
+            assert got.nerve == want.nerve
+            assert list(got.label_classes.items()) == list(want.label_classes.items())
+            kinds["qualified"] += any("@" in name for name in got.label_classes.values())
+    # every renaming path ran, and some class names were qualified with their piece id
+    assert set(kinds) == {"identity", "keeps order", "reorders", "qualified"}
+    assert min(kinds.values()) >= 10

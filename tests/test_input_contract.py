@@ -13,9 +13,11 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from conftest import rank2_bundle_document
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from cechkit.bundles import IncompatibleData, IncompatibleSections, NonAbelianRank, WrongField
 from cechkit.cli import main
 from cechkit.cochains import NotSimplicial, NotSubcomplex
-from cechkit.complexes import MalformedSimplex
+from cechkit.complexes import CLOSURE_CAP, MalformedSimplex
 from cechkit.diagrams import BadIndexSet, EmptyIndexSet, IncompatibleFamily, InvalidSystem
 from cechkit.documents import NonPrimeModulus, ParseError, canonical_json
 from cechkit.errors import InputError, ResourceLimit
@@ -180,6 +182,27 @@ def test_the_module_entry_point_exits_0_1_or_2_without_a_traceback(tmp_path):
         assert "Traceback" not in done.stderr
         if want == 2:
             assert done.stderr.startswith("input error: ") and done.stderr.count("\n") == 1
+
+
+def test_a_simplex_of_40_vertices_is_refused_before_its_closure_is_made(tmp_path):
+    # Its closure would have 2^40 - 1 faces: made one by one, it ran out of memory.  The child
+    # gets a 1 GiB address-space limit, so a closure that is made anyway ends there.
+    path = tmp_path / "big.json"
+    path.write_text(canonical_json({"field": 2, "pieces": [{"id": "p", "simplices": [
+        [f"v{i:02d}" for i in range(40)]]}], "gluings": []}), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cechkit", "validate", str(path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=limit)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"input error: simplex closures are capped at {CLOSURE_CAP} faces; "
+                           f"the simplices given close to up to {2 ** 40 - 1}\n")
+    assert elapsed < 1.0
 
 
 def _merged_local_label(doc):
