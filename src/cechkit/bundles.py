@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
 
@@ -171,6 +171,8 @@ class ConstantCocycle:
     rank: int
     field: PrimeField
     values: dict[Edge, int | FMatrix]
+    # g[b, a] for each edge (a, b) read against its order, inverted once.
+    _inverses: dict[Edge, int | FMatrix] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, base: SimplicialComplex, rank: int, field: PrimeField,
@@ -192,11 +194,6 @@ class ConstantCocycle:
     def one(self) -> int | FMatrix:
         """The identity transition of this rank and field, made once and shared: read it, do not change it."""
         return _identity(self.rank, self.field)
-
-    @cached_property
-    def _inverses(self) -> dict[Edge, int | FMatrix]:
-        """g[b, a] for each edge (a, b) read against its order, inverted once."""
-        return {}
 
     def value(self, a: str, b: str):
         if a == b:

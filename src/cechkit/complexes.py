@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -82,6 +82,9 @@ def faces(simplex: Simplex) -> frozenset[Simplex]:
 @dataclass(frozen=True)
 class SimplicialComplex:
     simplices: frozenset[Simplex]
+    _index: dict[int, dict[Simplex, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # `cochains` matrices on this complex: FMatrix values and frozenset keys only, so none points back here.
+    cochain_matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def vertices(self) -> tuple[str, ...]:
@@ -102,20 +105,11 @@ class SimplicialComplex:
     def simplices_of_dim(self, q: int) -> tuple[Simplex, ...]:
         return self._by_dim.get(q, ())
 
-    @cached_property
-    def _index(self) -> dict[int, dict[Simplex, int]]:
-        return {}
-
     def index_of_dim(self, q: int) -> dict[Simplex, int]:
         """Each q-simplex's coordinate in C^q, its position in `simplices_of_dim(q)`; built once, read only."""
         if q not in self._index:
             self._index[q] = {s: i for i, s in enumerate(self.simplices_of_dim(q))}
         return self._index[q]
-
-    @cached_property
-    def cochain_matrices(self) -> dict:
-        """`cochains` matrices on this complex: FMatrix values and frozenset keys only, so none points back here."""
-        return {}
 
     def __contains__(self, simplex: Simplex) -> bool:
         return tuple(simplex) in self.simplices

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -350,6 +350,13 @@ class GluedDiagram:
     nerves: dict[str, SimplicialComplex]
     nerve: SimplicialComplex
     label_classes: dict[tuple[str, str], str] | None = None
+    _complexes: dict[SimplicialComplex, SimplicialComplex] = field(default_factory=dict, init=False, repr=False,
+                                                                   compare=False)
+    _levels: dict[int, dict[tuple[str, ...], SimplicialComplex]] = field(default_factory=dict, init=False,
+                                                                         repr=False, compare=False)
+    # `mv` matrices of phi_star (level 0, the union) and of the difference maps,
+    # keyed by (kind, level, q); none points back here.
+    tuple_cochains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nerves", {i: self._intern(k) for i, k in self.nerves.items()})
@@ -359,23 +366,9 @@ class GluedDiagram:
     def n_pieces(self) -> int:
         return len(self.piece_ids)
 
-    @cached_property
-    def _complexes(self) -> dict[SimplicialComplex, SimplicialComplex]:
-        return {}
-
     def _intern(self, k: SimplicialComplex) -> SimplicialComplex:
         """The diagram's one object equal to k."""
         return self._complexes.setdefault(k, k)
-
-    @cached_property
-    def _levels(self) -> dict[int, dict[tuple[str, ...], SimplicialComplex]]:
-        return {}
-
-    @cached_property
-    def tuple_cochains(self) -> dict:
-        """`mv` matrices of phi_star (level 0, the union) and of the difference maps,
-        keyed by (kind, level, q); none points back here."""
-        return {}
 
     def intersection_nerve(self, t: Iterable[str]) -> SimplicialComplex:
         """The nerve of the pieces in t: a piece nerve, an entry of `level`, or the diagram's empty complex.

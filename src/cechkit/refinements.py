@@ -21,7 +21,7 @@ verdict (else `InvalidRefinement`), and keeps their matrices in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cochains import _cochain_dims, coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
@@ -40,17 +40,14 @@ class RefinementMap:
     fine: GluedDiagram
     coarse: GluedDiagram
     labels: dict[str, str]
+    # Pullback matrices keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
+    # and induced maps on cohomology by ("H", fine complex, coarse complex, q).
+    pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def verdict(self) -> ValidationReport:
         """`validate_refinement(self)`, run once."""
         return validate_refinement(self)
-
-    @cached_property
-    def pullbacks(self) -> dict:
-        """Pullback matrices keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
-        and induced maps on cohomology by ("H", fine complex, coarse complex, q)."""
-        return {}
 
 
 def validate_refinement(r: RefinementMap) -> ValidationReport:

@@ -257,11 +257,16 @@ def test_cli_nonprime_field(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
-def test_cli_field_flag_overrides(tmp_path):
-    path = write_doc(tmp_path, gallery_document("two_origin_line"))
+@pytest.mark.parametrize("p, command, name", ((3, "cohomology", "two_origin_line"), (3, "mv", "two_origin_line"),
+                                              (5, "refine-check", "two_origin_line"),
+                                              (65521, "mv", "two_origin_line"), (3, "fibred", "three_circles")))
+def test_cli_field_flag_overrides(tmp_path, capsys, p, command, name):
+    # odd fields up to the largest modulus run; the document says F_2
+    path = write_doc(tmp_path, gallery_document(name))
     report_path = tmp_path / "report.json"
-    assert main(["--field", "3", "--report", str(report_path), "cohomology", str(path)]) == 0
-    assert json.loads(report_path.read_text())["field"] == 3
+    assert main(["--field", str(p), "--report", str(report_path), command, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(report_path.read_text())["field"] == p
 
 
 def test_cli_refine_check(tmp_path):
@@ -645,20 +650,22 @@ def test_cli_maps_memory_error_to_one_input_error_line(tmp_path, capsys, monkeyp
 EVERY_FILE_COMMAND = ("validate", "cohomology", "mv", "fibred", "bundles", "count", "collapse-check",
                       "refine-check")
 
-# Runs every file command in process and prints one digest of their exit codes, stdout and reports.
+# Runs every file command on each document in process and prints one digest of
+# their exit codes, stdout, stderr and reports.
 DIGEST_EVERY_COMMAND = """
-import contextlib, hashlib, io, re, sys
+import contextlib, hashlib, io, os, re, sys
 from cechkit.cli import main
-doc, workdir, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+workdir, commands, docs = sys.argv[1], sys.argv[2].split(), sys.argv[3:]
 digest = hashlib.sha256()
-for command in commands:
-    report = f"{workdir}/{command}.report.json"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["--report", report, command, doc])
-    digest.update(f"{command} {code}\\n".encode())
-    digest.update(re.sub(r"elapsed: [0-9.]+s\\n", "", out.getvalue()).encode())
-    digest.update(open(report, "rb").read())
+for doc in docs:
+    for command in commands:
+        report = f"{workdir}/{os.path.basename(doc)}.{command}.report.json"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--report", report, command, doc])
+        digest.update(f"{command} {code}\\n".encode())
+        digest.update(re.sub(r"elapsed: [0-9.]+s\\n", "", out.getvalue() + err.getvalue()).encode())
+        digest.update(open(report, "rb").read() if os.path.exists(report) else b"no report")
 print(digest.hexdigest())
 """
 
@@ -693,19 +700,28 @@ def test_cli_cohomology_table_lists_index_sets_in_key_order(tmp_path, capsys):
 
 
 def test_every_report_and_stdout_do_not_depend_on_the_hash_seed(tmp_path):
+    # The second document is invalid: validate lists its two violations, and
+    # every other command refuses it with an input error that names both.
     path = write_doc(tmp_path, pieces_a_z_and_a_bang())
+    invalid = write_doc(tmp_path, {"field": 2, "pieces": [{"id": "p1", "simplices": [["a", "b"]]},
+                                                         {"id": "p2", "simplices": [["a"], ["b"]]}],
+                                   "gluings": [{"i": "p1", "j": "p2", "pairs": [["a", "a"], ["b", "b"]]}]},
+                        "invalid.json")
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for seed in ("1", "2"):
         workdir = tmp_path / f"seed{seed}"
         workdir.mkdir()
-        done = subprocess.run([sys.executable, "-c", DIGEST_EVERY_COMMAND, str(path), str(workdir),
-                               *EVERY_FILE_COMMAND], capture_output=True, timeout=120, text=True,
+        done = subprocess.run([sys.executable, "-c", DIGEST_EVERY_COMMAND, str(workdir), " ".join(EVERY_FILE_COMMAND),
+                               str(path), str(invalid)], capture_output=True, timeout=120, text=True,
                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
         assert done.returncode == 0 and done.stderr == "", done.stderr
         digests.append(done.stdout)
-        assert sorted(p.name for p in workdir.iterdir()) == sorted(f"{c}.report.json" for c in EVERY_FILE_COMMAND)
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(
+            [f"doc.json.{c}.report.json" for c in EVERY_FILE_COMMAND] + ["invalid.json.validate.report.json"])
     assert digests[0] == digests[1]
-    count = json.loads((tmp_path / "seed1" / "count.report.json").read_text(encoding="utf-8"))
+    assert len(json.loads((tmp_path / "seed1" / "invalid.json.validate.report.json").read_text(
+        encoding="utf-8"))["violations"]) == 2
+    count = json.loads((tmp_path / "seed1" / "doc.json.count.report.json").read_text(encoding="utf-8"))
     assert set(count["h1_dims"]) == {"a", "z", "a!", "a,z", "a,a!", "a!,z", "a,a!,z"}
     assert count["hypotheses"]["disconnected"] == ["a", "a,a!", "a,a!,z", "a,z", "a!", "a!,z", "z"]

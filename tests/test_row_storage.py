@@ -4,7 +4,8 @@ Views, products and `block_matrix` share row objects with their operands,
 so no operation may change a stored row.  No command needs numpy: every
 command gives the same exit code, output and report bytes in a process
 where numpy cannot be imported.  A strip's `mv` and `fibred` cost the
-memory of their nonzeros, not of their matrices' shapes.
+memory of their nonzeros, not of their matrices' shapes, and the
+benchmark's larger strips run in a process limited to 1 GiB.
 """
 
 import json
@@ -140,3 +141,40 @@ def test_strip_commands_cost_their_nonzeros(command, strip_document, tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0 and peak < 8 * 2 ** 20, peak
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Writes the benchmark's strip 80x20 and strip 60x15 (bench/docs.py, imported
+# without writing bytecode next to it) into argv[2], runs mv, fibred and
+# refine-check on the first and refine-check on the second through
+# run_command, and prints their exit codes.
+CHILD_AT_SCALE = """
+import contextlib, io, json, sys
+from cechkit.cli import run_command
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import docs
+codes = []
+for (width, height), commands in (((80, 20), ("mv", "fibred", "refine-check")), ((60, 15), ("refine-check",))):
+    path = f"{sys.argv[2]}/strip{width}x{height}.json"
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(docs.strip(width, height, 3).body, f)
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(run_command(command, {"path": path})[1])
+print(json.dumps(codes))
+"""
+
+
+def test_the_benchmark_strips_run_in_1_gib(tmp_path):
+    # Stored as dense int64 matrices, mv, fibred and refine-check ran out of memory on these strips.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    done = subprocess.run([sys.executable, "-c", CHILD_AT_SCALE, str(BENCH), str(tmp_path)], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 0, 0, 0]
