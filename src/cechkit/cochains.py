@@ -49,14 +49,14 @@ def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
 
 @dataclass(frozen=True)
 class CohomologyBasis:
-    """H^q of one complex: its dimension from ranks, its bases on first read.
+    """H^q of one complex: its dimension from ranks, its representatives and class coordinates on first read.
 
     The dimension is n_q - rank d^q - rank d^(q-1), from the ranks each
-    memoised coboundary keeps.  The cocycles, the coboundaries B and a
-    chosen complement R spanning H^q, column views of one [B | R], take
-    one more elimination, run on first read and kept on the complex under
-    ("H", q, p), so every later CohomologyBasis of that complex, degree
-    and field shares them.
+    memoised coboundary keeps.  The representatives R and the reading of
+    class coordinates take one more elimination, of the coboundaries in
+    d^q's free coordinates (see `_class_reader`), run on first read and
+    kept on the complex under ("H", q, p), so every later
+    CohomologyBasis of that complex, degree and field shares them.
     """
 
     complex: SimplicialComplex
@@ -70,69 +70,85 @@ class CohomologyBasis:
         return len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
 
     @cached_property
-    def _bases(self) -> tuple[FMatrix, ...]:
+    def _reader(self) -> "_ClassReader":
         k, q, field = self.complex, self.degree, self.field
         key = ("H", q, field.p)
         if key not in k.cochain_matrices:
-            k.cochain_matrices[key] = _cohomology_basis(k, q, field)
+            k.cochain_matrices[key] = _class_reader(k, q, field)
         return k.cochain_matrices[key]
 
     @property
-    def cocycles(self) -> FMatrix:
-        return self._bases[0]
-
-    @property
-    def coboundaries(self) -> FMatrix:
-        return self._bases[1]
-
-    @property
     def representatives(self) -> FMatrix:
-        return self._bases[2]
-
-    @property
-    def adapted(self) -> FMatrix:
-        """[B | R], the basis of the cocycles that classes are solved on."""
-        return self._bases[3]
+        """One cocycle per class of a basis of H^q, the columns of R."""
+        return self._reader.representatives
 
 
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:
-    """H^q(k; F_p): its dimension, and its cocycle, coboundary and representative bases.
+    """H^q(k; F_p): its dimension, its representative basis and the coordinates of classes in it.
 
     Reading the dimension eliminates only the coboundaries, each at most
-    once per complex, degree and field.  The bases take one more
-    elimination, on first read; their read-only matrices are kept on the
-    complex and shared by every later call.  The memo holds no reference
-    back to the complex, so a complex that goes out of use is freed at
-    once, without waiting for the cycle collector.
+    once per complex, degree and field.  The representatives and class
+    coordinates take one more elimination, on first read; what it keeps
+    is read-only, kept on the complex and shared by every later call.
+    The memo holds no reference back to the complex, so a complex that
+    goes out of use is freed at once, without waiting for the cycle
+    collector.
     """
     return CohomologyBasis(k, q, field)
 
 
-def _cohomology_basis(k: SimplicialComplex, q: int, field: PrimeField) -> tuple[FMatrix, ...]:
-    """Cocycles Z, coboundaries B, representatives R and [B | R] from one elimination of [d^(q-1) | Z].
+@dataclass(frozen=True, eq=False)
+class _ClassReader:
+    """What reads the classes of H^q: d^q's free columns, the coboundaries on them, and R.
 
-    A column is a pivot exactly when it is not in the span of the columns
-    before it, so the d^(q-1) pivots are a basis of the coboundaries and
-    the Z pivots extend it to the cocycles, both in column order.  Z is
-    back-substituted from the echelon that the rank of d^q already holds.
+    `free` lists d^q's free columns last first, the reversed free
+    coordinates `coboundaries` is written in; `read` lists the free
+    columns of its echelon, one per representative, in representative
+    order.
     """
-    z = coboundary_matrix(k, q, field).kernel_basis()
-    d = coboundary_matrix(k, q - 1, field) if q else FMatrix.zeros(z.rows, 0, field)
-    joint = block_matrix({0: z.rows}, {"B": d.cols, "Z": z.cols}, [(0, "B", d), (0, "Z", z)], field)
-    adapted = joint.column_space_basis()
-    n = sum(c < d.cols for c in joint.pivots())
-    return z, adapted[:, :n], adapted[:, n:], adapted
+
+    free: list[int]
+    coboundaries: FMatrix
+    read: list[int]
+    representatives: FMatrix
+
+
+def _class_reader(k: SimplicialComplex, q: int, field: PrimeField) -> _ClassReader:
+    """The representatives of H^q and the echelon that reads class coordinates, from one elimination.
+
+    A cocycle is fixed by its values on d^q's free columns, so restricting
+    to them maps the cocycles one to one onto F_p^free, the kernel basis
+    Z onto the unit vectors and the coboundaries onto the span of the
+    free rows of d^(q-1).  Z_k is not in the span of B and the Z_j before
+    it exactly when row k of d^(q-1), restricted to the free rows, lies in
+    the span of the free rows after it.  Written with the free coordinates
+    reversed, the coboundaries are the rows of one matrix, and those k are
+    its free columns.  So its echelon picks R, the kernel columns of d^q
+    at those k, as the adapted basis [B | R] of the cocycles did, and a
+    cocycle less the coboundary that clears the echelon's pivot columns
+    is left with its class coordinates in the free ones.
+    """
+    d = coboundary_matrix(k, q, field)
+    pivots = set(d.pivots())
+    free = [j for j in reversed(range(d.cols)) if j not in pivots]
+    # the coboundary of each (q-1)-simplex, on the free coordinates, last first
+    b = coboundary_matrix(k, q - 1, field)[free].T if q else FMatrix.zeros(0, len(free), field)
+    kept = set(b.pivots())
+    read = [r for r in reversed(range(len(free))) if r not in kept]
+    return _ClassReader(free, b, read, d.kernel_columns([free[r] for r in read]))
 
 
 def class_coordinates(coh: CohomologyBasis, values: FMatrix) -> FMatrix:
-    """Coordinates of a cocycle's class in the chosen representative basis, solved on [B | R].
+    """Coordinates of each cocycle's class in the representative basis, one column per column of `values`.
 
-    `values` holds one cocycle per column, all solved in one elimination.
+    A cocycle's class coordinates are what is left of its values on the
+    free coordinates once the coboundaries' kept echelon clears its
+    pivot columns; no elimination is run.
     """
-    solution = coh.adapted.solve(values)
-    if solution is None:
+    reader = coh._reader
+    if not (coboundary_matrix(coh.complex, coh.degree, coh.field) @ values).is_zero():
         raise ValueError("vector is not a cocycle of this space")
-    return solution[coh.coboundaries.cols:]
+    return reader.coboundaries.remainder(values[reader.free].T)[:, reader.read].T
 
 
 def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis | Sequence[CohomologyBasis],
@@ -142,8 +158,8 @@ def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis | Sequence[Cohom
     `src` and `tgt` are each one basis or a sequence of them, the blocks
     of a direct sum laid out in order.  The map takes the block-diagonal
     source representatives in one product; each target block's classes
-    then take one solve.  Solving with free variables at 0 is linear, so
-    this equals descending block by block and summing.
+    are then read in one batch.  Class coordinates are linear, so this
+    equals descending block by block and summing.
     """
     src, tgt = _summands(src), _summands(tgt)
     reps = block_matrix(_cochain_sizes(src), {i: h.dimension for i, h in src.items()},

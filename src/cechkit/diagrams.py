@@ -51,11 +51,17 @@ REPORT_ROW_CAP = 2 ** 16
 
 
 class InvalidSystem(InputError):
-    """The gluing data fails validation; the message lists every violation, one per line."""
+    """The gluing data fails validation; a one-line message counts the violations and names the first.
+
+    The report keeps every violation; `validate` lists them all.  A line
+    break in a piece id is written escaped, so the message stays one line.
+    """
 
     def __init__(self, report: "ValidationReport"):
-        super().__init__("\n".join(["invalid adjunction system"] + [
-            f"  [{v.condition}] {v.message}  witness={list(v.witness)}" for v in report.violations]))
+        n, first = len(report.violations), report.violations[0]
+        message = (f"invalid adjunction system: {n} violation{'s' if n > 1 else ''}; "
+                   f"first [{first.condition}] {first.message}  witness={list(first.witness)}")
+        super().__init__(message.translate({ord("\n"): "\\n", ord("\r"): "\\r"}))
         self.report = report
 
 

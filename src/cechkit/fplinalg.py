@@ -30,8 +30,11 @@ in column j holds ncols - j bits.  Every operation works on rows.  A
 product is a row gather: row i of A @ B is the XOR of B's rows at the
 set bits of A's row i, or the sum of B's rows scaled by A's entries, and
 a row of A whose one entry is 1 (a restriction row) picks B's row
-itself.  A column selection is the product with a 0/1 selection matrix.
-No stored row is ever changed, so views, products and `block_matrix`
+itself.  Views cost their output: a row slice shares the rows it picks,
+and a column selection builds each row from the row's entries in the
+picked columns, so over F_2 it costs the picked set bits, not every set
+bit times the row width as a product with a 0/1 matrix would.  No
+stored row is ever changed, so views, products and `block_matrix`
 share rows freely; elimination copies a row before it reduces it.
 `tolist` and `column` give the entries as new lists of ints.
 
@@ -39,9 +42,13 @@ One function eliminates: `echelon` runs forward elimination on an
 `FMatrix`'s rows.  Its pivot columns give rank and column spaces, and
 `Echelon.reduced` continues from its rows to the reduced row echelon
 form, which is unique, so the reduced kernel basis and the solution with
-free variables 0 do not depend on the method.  `rref` is the two steps
-in one call.  Each `FMatrix` keeps its own echelon, so its rank, column
-space and kernel share one elimination.
+free variables 0 do not depend on the method.  `rref` reads that form
+off the echelon a matrix keeps, padded with zero rows; kernel columns
+and `solve`, on one echelon of [A | B], read it there.
+`Echelon.remainder` reduces other rows against the echelon rows without
+keeping them, which tests membership in the row space and reads
+coordinates modulo it.  Each `FMatrix` keeps its own echelon, so its
+rank, pivot columns, kernel and remainders share one elimination.
 
 `FMatrix` is the one holder of matrix storage: no other module reads its
 rows or knows the F_2 bit order.  Its methods take and give `FMatrix`
@@ -51,10 +58,10 @@ too, which `bundles` inverts, composes and compares with `inverse`, `@`
 and `equals`.  Two constructors own matrix
 layout: `block_matrix` places `FMatrix` blocks keyed by index set, and
 `entry_matrix` places (row, column, value) triples, read once as they
-come.  The cochain maps (d, restrictions, pullbacks, phi* and delta~),
-identities and column selections go from their triples straight into
-rows, with no array or block matrix between; total differentials and
-joins are built from blocks.
+come.  The cochain maps (d, restrictions, pullbacks, phi* and delta~)
+go from their triples straight into rows, with no array or block matrix
+between, and identities are built as rows directly; total differentials
+and joins are built from blocks, where an F_2 zero row costs nothing.
 """
 
 from __future__ import annotations
@@ -184,27 +191,28 @@ class Echelon:
     bit rows, keyed by bit length; over odd p `_odd_echelon`'s sparse
     {column: value} rows, keyed by leading column.  `reduced` continues
     from them to the reduced row echelon form by back-substitution alone,
-    and leaves them as they are, so one elimination serves rank, column
-    spaces, kernels and the reduced form.
+    and `remainder` clears other rows against them; both leave them as
+    they are, so one elimination serves rank, column spaces, kernels, the
+    reduced form and membership in the row space.
     """
 
     shape: tuple[int, int]
-    p: int
+    field: PrimeField
     pivots: list[int]
     rows: dict
 
     def reduced(self) -> "FMatrix":
         """The nonzero rows of the reduced row echelon form, one per pivot, in pivot order."""
-        field = PrimeField(self.p)
-        if self.p != 2:
+        p = self.field.p
+        if p != 2:
             table = {lead: dict(x) for lead, x in self.rows.items()}
             # From the last pivot up: subtracting a reduced row clears its own
             # pivot column and adds entries in free columns only.
             for lead in reversed(self.pivots):
                 x = table[lead]
                 for c in [c for c in x if c != lead and c in table]:
-                    _subtract(x, x[c], table[c], self.p)
-            return FMatrix._of([table[lead] for lead in self.pivots], self.shape[1], field)
+                    _subtract(x, x[c], table[c], p)
+            return FMatrix._of([table[lead] for lead in self.pivots], self.shape[1], self.field)
         table = dict(self.rows)
         # From the last pivot up: a reduced row has no other pivot bit, so
         # XOR-ing it in clears exactly its own pivot bit.
@@ -218,26 +226,68 @@ class Echelon:
                 hits ^= 1 << (bit - 1)
             table[lead] = x
             done |= 1 << (lead - 1)
-        return FMatrix._of([table[lead] for lead in sorted(table, reverse=True)], self.shape[1], field)
+        return FMatrix._of([table[lead] for lead in sorted(table, reverse=True)], self.shape[1], self.field)
+
+    def remainder(self, a: "FMatrix") -> "FMatrix":
+        """Each row of a less the combination of echelon rows that clears it in every pivot column.
+
+        The remainder is nonzero only in free columns, and it is zero
+        exactly when the row lies in the span of the echelon rows.  Each
+        row is reduced on its leading column, as in forward elimination,
+        but no row is kept, so the cost is the row's pivot hits, not the
+        rank.
+        """
+        if a.cols != self.shape[1] or a.field.p != self.field.p:
+            raise DimensionMismatch(f"cannot clear {a.rows}x{a.cols} mod {a.field.p} against {self.shape}")
+        p, table = self.field.p, self.rows
+        out = []
+        for x in a._rows:
+            if p == 2:
+                kept = 0
+                while x:
+                    lead = x.bit_length()
+                    row = table.get(lead)
+                    if row is None:
+                        kept |= 1 << (lead - 1)
+                        x ^= 1 << (lead - 1)
+                    else:
+                        x ^= row
+            else:
+                x, kept = dict(x), {}
+                while x:
+                    lead = min(x)
+                    row = table.get(lead)
+                    if row is None:
+                        kept[lead] = x.pop(lead)
+                    else:
+                        _subtract(x, x[lead], row, p)
+            out.append(kept)
+        return FMatrix._of(out, a.cols, self.field)
 
 
-def echelon(a: "FMatrix", p: int) -> Echelon:
-    """Forward elimination mod p: the one place a matrix is eliminated.
+def echelon(a: "FMatrix") -> Echelon:
+    """Forward elimination over a's field: the one place a matrix is eliminated.
 
     It reads an `FMatrix`'s rows and does not change them.
     """
-    if p != 2:
-        table = _odd_echelon(a._rows, p)
-        return Echelon(a.shape, p, sorted(table), table)
+    if a.field.p != 2:
+        table = _odd_echelon(a._rows, a.field.p)
+        return Echelon(a.shape, a.field, sorted(table), table)
     table = _f2_echelon(a._rows)
-    return Echelon(a.shape, p, sorted(a.cols - lead for lead in table), table)
+    return Echelon(a.shape, a.field, sorted(a.cols - lead for lead in table), table)
 
 
 def rref(a: "FMatrix", p: int) -> tuple["FMatrix", list[int]]:
-    """Reduced row echelon form mod p, zero rows below the pivot rows, and the pivot columns."""
-    e = echelon(a, p)
-    r = e.reduced()
-    return block_matrix({0: r.rows, 1: e.shape[0] - r.rows}, {0: r.cols}, [(0, 0, r)], r.field), e.pivots
+    """Reduced row echelon form mod p, zero rows below the pivot rows, and the pivot columns.
+
+    It back-substitutes the echelon a keeps, so a is eliminated at most
+    once however often its reduced form is read.
+    """
+    if p != a.field.p:
+        raise DimensionMismatch(f"cannot reduce a matrix mod {a.field.p} mod {p}")
+    e = a._echelon
+    r, pad = e.reduced(), FMatrix.zeros(a.rows - len(e.pivots), a.cols, a.field)
+    return FMatrix._of(r._rows + pad._rows, a.cols, a.field), e.pivots
 
 
 class FMatrix:
@@ -246,7 +296,7 @@ class FMatrix:
     Built from a nonempty sequence of equally long rows of integers, which
     it reduces mod p.  A matrix is read-only and its rows are never
     changed, so it can be shared freely and is forward-eliminated at most
-    once, on the first read of its rank, pivots, column space or kernel.
+    once, on the first read of its rank, pivots, kernel or a remainder.
     """
 
     def __init__(self, entries: Sequence[Sequence[int]], field: PrimeField) -> None:
@@ -279,7 +329,7 @@ class FMatrix:
 
     @classmethod
     def identity(cls, n: int, field: PrimeField) -> "FMatrix":
-        return entry_matrix((n, n), ((i, i, 1) for i in range(n)), field)
+        return cls._of([1 << (n - 1 - i) for i in range(n)] if field.p == 2 else [{i: 1} for i in range(n)], n, field)
 
     @property
     def rows(self) -> int:
@@ -332,6 +382,8 @@ class FMatrix:
 
     def __getitem__(self, key) -> "FMatrix":
         """The rows and columns that slices or lists of indices pick, e.g. m[a:b] or m[:, cols]; rows are shared."""
+        if isinstance(key, slice):
+            return FMatrix._of(self._rows[key], self.cols, self.field)
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
         try:
             rows, cols = (k if isinstance(k, slice) else [operator.index(i) for i in k] for k in (rows, cols))
@@ -346,10 +398,8 @@ class FMatrix:
             elif width < self.cols:
                 picked = [{c - start: v for c, v in x.items() if start <= c < stop} for x in picked]
             return FMatrix._of(picked, width, self.field)
-        # any other selection is the product with the 0/1 matrix whose column k is 1 at js[k]
         js = range(self.cols)[cols] if isinstance(cols, slice) else [range(self.cols)[j] for j in cols]
-        select = entry_matrix((self.cols, len(js)), ((j, k, 1) for k, j in enumerate(js)), self.field)
-        return _compose(FMatrix._of(picked, self.cols, self.field), select)
+        return FMatrix._of(_select(picked, self.cols, js, self.field.p), len(js), self.field)
 
     def equals(self, other: "FMatrix") -> bool:
         return self.field.p == other.field.p and self.shape == other.shape and self._rows == other._rows
@@ -359,7 +409,7 @@ class FMatrix:
 
     @cached_property
     def _echelon(self) -> Echelon:
-        return echelon(self, self.field.p)
+        return echelon(self)
 
     def rank(self) -> int:
         return len(self._echelon.pivots)
@@ -377,12 +427,21 @@ class FMatrix:
 
     @cached_property
     def _kernel(self) -> "FMatrix":
-        e = self._echelon
-        pivots = set(e.pivots)
-        free = [j for j in range(self.cols) if j not in pivots]
-        rows = dict(zip(free, FMatrix.identity(len(free), self.field)._rows))
-        rows.update(zip(e.pivots, (-e.reduced()[:, free])._rows))
-        return FMatrix._of([rows[j] for j in range(self.cols)], len(free), self.field)
+        pivots = set(self.pivots())
+        return self.kernel_columns([j for j in range(self.cols) if j not in pivots])
+
+    def kernel_columns(self, free: Sequence[int]) -> "FMatrix":
+        """The kernel basis columns of the given free (non-pivot) columns, in their order.
+
+        Column k is 1 at free[k], 0 at every other free column and, at each
+        pivot, minus the reduced row's entry in free[k]: `kernel_basis`
+        restricted to those free variables, from one back-substitution.
+        """
+        reduced, pivots = rref(self, self.field.p)
+        rows = dict.fromkeys(range(self.cols), 0 if self.field.p == 2 else {})
+        rows.update(zip(free, FMatrix.identity(len(free), self.field)._rows))
+        rows.update(zip(pivots, (-reduced[:len(pivots), free])._rows))
+        return FMatrix._of(list(rows.values()), len(free), self.field)
 
     def solve(self, b: "FMatrix") -> "FMatrix | None":
         """One solution of A X = B with free variables set to 0, or None.
@@ -403,9 +462,14 @@ class FMatrix:
             x = FMatrix._of([solved.get(j, z) for j, z in enumerate(x._rows)], b.cols, self.field)
         return x
 
-    def column_space_basis(self) -> "FMatrix":
-        """The pivot columns: each column not in the span of those before it."""
-        return self[:, self.pivots()]
+    def remainder(self, a: "FMatrix") -> "FMatrix":
+        """Each row of a less the combination of this matrix's rows that clears it in every pivot column.
+
+        It is zero exactly when the row lies in this matrix's row space, and
+        two rows have the same remainder exactly when they differ by a row
+        of that space.  It reads the echelon this matrix keeps.
+        """
+        return self._echelon.remainder(a)
 
     def inverse(self) -> "FMatrix":
         """The solution of A X = I, from the one elimination of [A | I] that `solve` runs."""
@@ -415,6 +479,36 @@ class FMatrix:
         if x is None:
             raise ZeroDivisionError("matrix is singular")
         return x
+
+
+def _select(rows: list, ncols: int, js: Sequence[int], p: int) -> list:
+    """Columns js of each row, in the order of js, each row at the cost of its entries in those columns.
+
+    Over F_2 a row is masked to the picked columns and each remaining
+    bit ORs in its output bits; over odd p each entry is looked up.
+    """
+    width = len(js)
+    if p == 2:
+        where: dict[int, int] = {}  # bit length of a picked column -> its output bits
+        for k, j in enumerate(js):
+            where[ncols - j] = where.get(ncols - j, 0) | 1 << (width - 1 - k)
+        mask = bytearray((ncols + 7) // 8)
+        for lead in where:
+            mask[-1 - (lead - 1) // 8] |= 1 << ((lead - 1) % 8)
+        mask = int.from_bytes(mask, "big")
+        out = []
+        for x in rows:
+            x, y = x & mask, 0
+            while x:
+                lead = x.bit_length()
+                y |= where[lead]
+                x ^= 1 << (lead - 1)
+            out.append(y)
+        return out
+    at: dict[int, list[int]] = {}
+    for k, j in enumerate(js):
+        at.setdefault(j, []).append(k)
+    return [{k: v for c, v in x.items() for k in at.get(c, ())} for x in rows]
 
 
 def _compose(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -458,9 +552,11 @@ def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, i
             raise DimensionMismatch(f"block {r!r}, {c!r}: {block.shape} mod {block.field.p}, not {shape}")
         placed.append((r, c))
         for i, x in enumerate(block._rows, rows[r].start):
+            if not x:
+                continue
             if p == 2:
                 out[i] ^= x << (n_cols - cols[c].stop)
-            elif x:
+            else:
                 out[i].append((cols[c].start, x))
     if p != 2:
         summed = len(set(placed)) < len(placed)

@@ -390,8 +390,8 @@ def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
     source blocks' cocycles and B the target blocks' coboundaries, so the
     rank is rank [dZ | (+) d^(q-1)] - sum rank d^(q-1).  Each Z is
     back-substituted from the echelon its coboundary keeps, and each rank
-    of d^(q-1) is the one its memoised coboundary keeps; no cohomology
-    basis is built and no class is solved for.
+    of d^(q-1) is the one its memoised coboundary keeps; no class reader
+    is built and no class is read.
     """
     field = diagram.field
     src, tgt = diagram.level(level), diagram.level(level + 1)

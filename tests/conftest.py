@@ -161,9 +161,9 @@ def count_eliminations(monkeypatch):
         for name in ELIMINATIONS:
             real = getattr(fplinalg, name)
 
-            def counted(a, p, real=real):
+            def counted(a, real=real):
                 calls.append(a.shape)
-                return real(a, p)
+                return real(a)
 
             patch_bindings(monkeypatch, name, counted)
         return calls

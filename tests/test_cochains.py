@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import GALLERY_CASES, diagram_for
 from dense import dense, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from cechkit.cochains import (
 from cechkit.complexes import EMPTY_COMPLEX, build_complex, components
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
-from cechkit.fplinalg import F2, FMatrix, PrimeField
+from cechkit.fplinalg import F2, MAX_PRIME, FMatrix, PrimeField, block_matrix
 from cechkit.gallery import random_admissible
 from cechkit.mv import delta_tilde, phi_star
 
@@ -101,12 +102,14 @@ def test_cycle4_rank_and_h1():
 
 
 def test_cycle4_cocycles_over_coboundaries_by_ranks():
-    coh = cohomology(cycle4(), 1, F2)
-    assert coh.cocycles.cols == 4 and coh.coboundaries.cols == 3
-    # the coboundaries lie in the span of the cocycles, and the quotient has dimension 1
-    joint = matrix(np.hstack([dense(coh.cocycles), dense(coh.coboundaries)]), F2)
-    assert joint.rank() == coh.cocycles.rank()
-    assert coh.cocycles.rank() - coh.coboundaries.rank() == 1
+    k = cycle4()
+    coh = cohomology(k, 1, F2)
+    cocycles, coboundaries = coboundary_matrix(k, 1, F2).kernel_basis(), coboundary_matrix(k, 0, F2)
+    assert cocycles.cols == 4 and coboundaries.rank() == 3
+    # the coboundaries and the one representative together span the cocycles
+    assert (coboundary_matrix(k, 1, F2) @ coh.representatives).is_zero()
+    joint = matrix(np.hstack([dense(coboundaries), dense(coh.representatives)]), F2)
+    assert coh.representatives.cols == 1 and joint.rank() == cocycles.rank() == 4
 
 
 def test_cohomology_point_and_theta():
@@ -278,7 +281,7 @@ def greedy_extend_basis(b: FMatrix, z: FMatrix) -> FMatrix:
     """Reference: the per-column greedy loop cohomology used to run.
 
     Extending the empty span of a matrix's rows greedily by its columns
-    is what column_space_basis used to compute, so this one loop gives
+    is what its pivot columns compute, so this one loop gives
     both the old coboundary basis and the old representatives.
     """
     picked: list[list[int]] = []
@@ -302,10 +305,9 @@ def assert_matches_greedy(k, field):
             b = FMatrix.zeros(dim, 0, field)
         else:
             b = greedy_extend_basis(FMatrix.zeros(dim, 0, field), coboundary_matrix(k, q - 1, field))
-        reps = greedy_extend_basis(b, coh.cocycles)
-        for got, want in ((coh.coboundaries, b), (coh.representatives, reps)):
-            assert dense(got).shape == dense(want).shape, (k.vertices, q)
-            assert np.array_equal(dense(got), dense(want)), (k.vertices, q)
+        reps = greedy_extend_basis(b, coboundary_matrix(k, q, field).kernel_basis())
+        assert dense(coh.representatives).shape == dense(reps).shape, (k.vertices, q)
+        assert np.array_equal(dense(coh.representatives), dense(reps)), (k.vertices, q)
 
 
 def nerves_of(diagram):
@@ -349,16 +351,85 @@ def test_dimension_from_ranks_counts_the_representatives_on_random_nerves(seed, 
         assert_dimension_from_ranks(nerve, PrimeField(p))
 
 
+def reference_cohomology_basis(k, q, field):
+    """Reference: cocycles Z, coboundaries B, representatives R and [B | R] from one elimination of [d^(q-1) | Z].
+
+    This is how the bases were computed before the class reader, and
+    `reference_class_coordinates` how classes were solved on them.
+    """
+    z = coboundary_matrix(k, q, field).kernel_basis()
+    d = coboundary_matrix(k, q - 1, field) if q else FMatrix.zeros(z.rows, 0, field)
+    joint = block_matrix({0: z.rows}, {"B": d.cols, "Z": z.cols}, [(0, "B", d), (0, "Z", z)], field)
+    adapted = joint[:, joint.pivots()]
+    n = sum(c < d.cols for c in joint.pivots())
+    return z, adapted[:, :n], adapted[:, n:], adapted
+
+
+def reference_class_coordinates(basis, values):
+    _, coboundaries, _, adapted = basis
+    solution = adapted.solve(values)
+    if solution is None:
+        raise ValueError("vector is not a cocycle of this space")
+    return solution[coboundaries.cols:]
+
+
+@st.composite
+def reader_cases(draw):
+    """Complexes (a random one, the nerves of a gallery diagram, or the empty complex), a field and a generator."""
+    field = PrimeField(draw(st.sampled_from((2, 3, 5, MAX_PRIME))))
+    kind = draw(st.sampled_from(("random", "gallery", "empty")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        n = int(rng.integers(1, 7))
+        generators = [sorted(f"v{i}" for i in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False))
+                      for _ in range(int(rng.integers(1, 8)))]
+        complexes = [build_complex(generators)]
+    elif kind == "gallery":
+        name, kwargs = draw(st.sampled_from(GALLERY_CASES))
+        complexes = list(nerves_of(diagram_for(name, **kwargs)))
+    else:
+        complexes = [EMPTY_COMPLEX]
+    return complexes, field, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(reader_cases())
+def test_class_reader_matches_the_adapted_basis_solve(case):
+    complexes, field, rng = case
+    for k in complexes:
+        for q in range(max(k.dim, 0) + 2):
+            coh = cohomology(k, q, field)
+            basis = reference_cohomology_basis(k, q, field)
+            z, reps = basis[0], basis[2]
+            assert coh.representatives.shape == reps.shape and coh.representatives.tolist() == reps.tolist(), q
+            # a batch of random cocycles, coboundaries among them when Z is small
+            values = z @ matrix(rng.integers(0, field.p, size=(z.cols, int(rng.integers(0, 4)))), field)
+            got, want = class_coordinates(coh, values), reference_class_coordinates(basis, values)
+            assert got.shape == want.shape and got.tolist() == want.tolist(), q
+            # a batch with one cochain that is not a cocycle
+            d = coboundary_matrix(k, q, field)
+            for j in [j for j in range(d.cols) if any(d.column(j))][:2]:
+                unit = np.zeros((d.cols, 1), dtype=np.int64)
+                unit[j] = 1
+                bad = matrix(np.hstack([dense(values), unit]), field)
+                for read in (class_coordinates, lambda coh, v: reference_class_coordinates(basis, v)):
+                    with pytest.raises(ValueError):
+                        read(coh, bad)
+
+
 def test_cohomology_runs_two_eliminations(count_eliminations, count_backsubstitutions):
-    # The bases take two forward eliminations, of d^q and of [d^(q-1) | Z], and
-    # one back-substitution of d^q; the dimension reads the ranks of d^q and
-    # d^(q-1) alone, so read first it eliminates d^q for the bases to reuse.
+    # The representatives take two forward eliminations, of d^q and of the
+    # n_(q-1) coboundaries on d^q's free columns, and one back-substitution
+    # of d^q; the dimension reads the ranks of d^q and d^(q-1) alone, so read
+    # first it eliminates d^q for the representatives to reuse.  Class
+    # coordinates read the kept echelon and eliminate nothing.
     calls, backsubs = count_eliminations(), count_backsubstitutions()
     field = PrimeField(3)
     for q in (0, 1, 2):
         k = theta()
         n = [len(k.simplices_of_dim(i)) for i in range(q - 1, q + 2)]
         d_q, d_in = (n[2], n[1]), (n[1], n[0])
+        reader = (n[0] if q else 0, n[1] - coboundary_matrix(theta(), q, field).rank())
         calls.clear()
         backsubs.clear()
         coh = cohomology(k, q, field)
@@ -367,7 +438,11 @@ def test_cohomology_runs_two_eliminations(count_eliminations, count_backsubstitu
         assert calls == ([d_in] if q else []) + [d_q] and backsubs == [], (q, calls)
         calls.clear()
         assert coh.representatives.cols == dim
-        assert backsubs == [d_q] and calls == [(n[1], (n[0] if q else 0) + coh.cocycles.cols)], (q, calls)
+        assert backsubs == [d_q] and calls == [reader], (q, calls)
+        calls.clear()
+        backsubs.clear()
+        assert class_coordinates(coh, coh.representatives).equals(FMatrix.identity(dim, field))
+        assert calls == [] and backsubs == [], q
         fresh = theta()
         calls.clear()
         backsubs.clear()
@@ -377,25 +452,25 @@ def test_cohomology_runs_two_eliminations(count_eliminations, count_backsubstitu
         calls.clear()
         backsubs.clear()
         for again in (cohomology(k, q, field), cohomology(fresh, q, field)):
-            assert again.dimension == again.cocycles.cols - again.coboundaries.cols == dim
+            assert again.dimension == again.representatives.cols == dim
+            assert class_coordinates(again, again.representatives).equals(FMatrix.identity(dim, field))
         assert calls == ([d_in] if q else []) and backsubs == [], (q, calls)
 
 
-def test_induced_on_cohomology_runs_one_elimination_for_all_classes(count_eliminations, three_circles):
+def test_induced_on_cohomology_runs_no_elimination_for_its_classes(count_eliminations, three_circles):
     nerve = three_circles.nerve
     coh = cohomology(nerve, 1, F2)
     piece = cohomology(three_circles.nerves[three_circles.piece_ids[0]], 1, F2)
     assert coh.dimension >= 2
-    # bases first, so only the descent's solves are counted
+    # representatives first, so only the descent's work is counted
     assert coh.representatives.cols == coh.dimension and piece.representatives.cols == piece.dimension
     calls = count_eliminations()
     assert induced_on_cohomology(restriction_matrix(nerve, nerve, 1, F2), coh, coh).equals(
         FMatrix.identity(coh.dimension, F2))
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == []
     induced = induced_on_cohomology(restriction_matrix(nerve, piece.complex, 1, F2), coh, piece)
-    assert len(calls) == 1
-    # the batched solve equals one class_coordinates solve per class
+    assert calls == []
+    # the batched read equals one class_coordinates read per class
     image = restriction_matrix(nerve, piece.complex, 1, F2) @ coh.representatives
     for j in range(coh.dimension):
         assert induced.column(j) == class_coordinates(piece, image[:, [j]]).column(0)
@@ -423,13 +498,13 @@ def test_coboundary_is_built_once_per_complex_degree_and_field(monkeypatch):
 
 def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
     calls = []
-    real = cochains._cohomology_basis
+    real = cochains._class_reader
 
     def counting(k, q, field):
         calls.append((q, field.p))
         return real(k, q, field)
 
-    monkeypatch.setattr(cochains, "_cohomology_basis", counting)
+    monkeypatch.setattr(cochains, "_class_reader", counting)
     k = theta()
     coh = cohomology(k, 1, F2)
     again = cohomology(k, 1, F2)
@@ -438,7 +513,11 @@ def test_cohomology_is_computed_once_and_shared_read_only(monkeypatch):
     assert cohomology(k, 1, PrimeField(3)).representatives is not coh.representatives
     assert cohomology(theta(), 1, F2).representatives is not coh.representatives
     assert calls == [(1, 2), (1, 3), (1, 2)]
-    for m in (coh.cocycles, coh.coboundaries, coh.representatives):
+    # class coordinates read what the first read kept
+    assert class_coordinates(again, coh.representatives).equals(FMatrix.identity(2, F2))
+    assert calls == [(1, 2), (1, 3), (1, 2)]
+    reader = coh._reader
+    for m in (coh.representatives, reader, reader.coboundaries):
         with pytest.raises(AttributeError):
             m.cols = 0
     assert cohomology(k, 1, F2).dimension == 2

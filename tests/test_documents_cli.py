@@ -199,13 +199,27 @@ def test_cli_invalid_system_is_input_error_elsewhere(tmp_path, capsys):
         "gluings": [{"i": "p1", "j": "p2", "pairs": [["a", "a"], ["b", "b"]]}],
     }
     path = write_doc(tmp_path, doc)
-    assert main(["validate", str(path)]) == 1
-    capsys.readouterr()
-    assert main(["cohomology", str(path)]) == 2
     iso = "is not a simplicial isomorphism between induced subcomplexes  witness=[('a', 'b')]"
-    assert capsys.readouterr().err == ("input error: invalid adjunction system\n"
-                                       f"  [SIMPLICIAL] gluing p1->p2 {iso}\n"
-                                       f"  [SIMPLICIAL] gluing p2->p1 {iso}\n")
+    # validate lists every violation
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"  [SIMPLICIAL] gluing p1->p2 {iso}\n" in out and f"  [SIMPLICIAL] gluing p2->p1 {iso}\n" in out
+    # every other command: one input error line that counts them and names the first
+    one_line = f"input error: invalid adjunction system: 2 violations; first [SIMPLICIAL] gluing p1->p2 {iso}\n"
+    for command in ("cohomology", "mv", "fibred", "bundles", "count", "collapse-check", "refine-check"):
+        assert main([command, str(path)]) == 2, command
+        assert capsys.readouterr().err == one_line, command
+    # an invalid fine block under a valid coarse document
+    refined = write_doc(tmp_path, {**gallery_document("two_origin_line"),
+                                   "refinement": {"fine": {"pieces": doc["pieces"], "gluings": doc["gluings"]},
+                                                  "map": [["a", "l"], ["b", "r"]]}})
+    assert main(["refine-check", str(refined)]) == 2
+    assert capsys.readouterr().err == one_line
+    # a line break in a piece id is written escaped
+    doc["pieces"][0]["id"] = doc["gluings"][0]["i"] = "p\n1"
+    assert main(["cohomology", str(write_doc(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "gluing p\\n1->p2" in err
 
 
 def test_cli_missing_file():

@@ -174,6 +174,9 @@ def test_block_matrix_refuses_a_block_of_the_wrong_shape():
     # a block over another field would bring entries outside [0, p) unreduced
     with pytest.raises(DimensionMismatch):
         block_matrix({0: 1}, {0: 1}, [(0, 0, FMatrix(np.array([[4]]), PrimeField(5)))], PrimeField(3))
+    # and rref mod another prime would read F_2 bit rows as odd-p rows
+    with pytest.raises(DimensionMismatch):
+        rref(FMatrix(np.array([[1, 1]]), F2), 3)
 
 
 def test_views_pivots_negation_and_a_matrix_right_hand_side():
@@ -184,7 +187,7 @@ def test_views_pivots_negation_and_a_matrix_right_hand_side():
         with pytest.raises(ValueError):
             a[not_a_matrix]
     # column 1 is twice column 0
-    assert a.pivots() == [0, 2] and a.column_space_basis().equals(a[:, [0, 2]])
+    assert a.pivots() == [0, 2]
     b = FMatrix(np.array([[1], [0]]), f3)
     x = a.solve(b)
     assert isinstance(x, FMatrix) and x.column(0) == [1, 0, 1] and (a @ x).equals(b)
@@ -235,15 +238,15 @@ def test_inverse():
         FMatrix(np.array([[1, 1], [1, 1]]), F2).inverse()
 
 
-def test_column_space_basis_deterministic():
+def test_pivot_columns_deterministic():
     a = FMatrix(np.array([[1, 1, 0], [1, 1, 1]]), F2)
-    cb = a.column_space_basis()
+    cb = a[:, a.pivots()]
     assert cb.cols == 2
     assert cb.column(0) == [1, 1]
 
 
 def greedy_column_space_basis(m: FMatrix) -> FMatrix:
-    """Reference: the per-column greedy loop column_space_basis replaced."""
+    """Reference: the per-column greedy loop the pivot columns replaced."""
     p, a = m.field.p, dense(m)
     picked: list[np.ndarray] = []
     rank = 0
@@ -267,21 +270,21 @@ def matrices(draw) -> FMatrix:
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
-def test_column_space_basis_matches_greedy_loop(m):
-    got = m.column_space_basis()
+def test_pivot_columns_match_greedy_loop(m):
+    got = m[:, m.pivots()]
     want = greedy_column_space_basis(m)
     assert dense(got).shape == dense(want).shape
     assert dense(got).dtype == dense(want).dtype
     assert np.array_equal(dense(got), dense(want))
 
 
-def test_column_space_basis_runs_one_elimination(count_eliminations):
+def test_pivot_columns_run_one_elimination(count_eliminations):
     calls = count_eliminations()
     m = FMatrix(np.arange(42).reshape(6, 7), PrimeField(5))
-    basis = m.column_space_basis()
+    basis = m[:, m.pivots()]
     assert calls == [(6, 7)]
-    # the rank and a second basis read the echelon the first one kept
-    assert m.rank() == basis.cols and m.column_space_basis().equals(basis)
+    # the rank and a second read of the pivots use the echelon the first one kept
+    assert m.rank() == basis.cols and m[:, m.pivots()].equals(basis)
     assert calls == [(6, 7)]
 
 
@@ -399,14 +402,15 @@ def test_every_command_eliminates_reduced_entries(p, monkeypatch, tmp_path):
     for name in ELIMINATIONS:
         real = getattr(fplinalg, name)
 
-        def checked(a, q, real=real):
+        def checked(a, real=real):
             seen.append(a.shape)
-            if not isinstance(a, FMatrix) or a.field.p != q:
-                unreduced.append((a.shape, type(a), q))
+            q = a.field.p if isinstance(a, FMatrix) else None
+            if q is None:
+                unreduced.append((a.shape, type(a)))
             elif q == 2 and any(not 0 <= x < 1 << a.cols for x in a._rows) or \
                     q != 2 and any(not 1 <= v < q or not 0 <= c < a.cols for x in a._rows for c, v in x.items()):
                 unreduced.append((a.shape, q))
-            return real(a, q)
+            return real(a)
 
         patch_bindings(monkeypatch, name, checked)
     for gallery, kwargs in GALLERY_CASES + [("random_admissible", {"seed": 3})]:
@@ -478,13 +482,20 @@ class DenseEchelon(Echelon):
     """An echelon whose rows are dense_rref's reduced form, whose pivot rows reduced returns."""
 
     def reduced(self) -> FMatrix:
-        return matrix(self.rows[:len(self.pivots)], PrimeField(self.p))
+        return matrix(self.rows[:len(self.pivots)], self.field)
+
+    def remainder(self, a: FMatrix) -> FMatrix:
+        # a reduced row is 1 in its own pivot column and 0 in every other one
+        rows = dense(a)
+        for k, c in enumerate(self.pivots):
+            rows = (rows - np.outer(rows[:, c], self.rows[k])) % self.field.p
+        return matrix(rows, self.field)
 
 
 def dense_echelon(a: np.ndarray, p: int) -> Echelon:
     """Reference: echelon on dense_rref, with the same pivots and reduced form."""
     reduced, pivots = dense_rref(a, p)
-    return DenseEchelon(a.shape, p, pivots, reduced)
+    return DenseEchelon(a.shape, PrimeField(p), pivots, reduced)
 
 
 def dense_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -520,12 +531,21 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     got = dense(got)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and got_pivots == want_pivots
-    assert echelon(m, p).pivots == want_pivots
+    assert echelon(m).pivots == want_pivots
 
     assert m.rank() == len(want_pivots)
     kernel = dense(m.kernel_basis())
     assert kernel.dtype == np.int64 and np.array_equal(kernel, dense_kernel_basis(a, p))
-    assert np.array_equal(dense(m.column_space_basis()), (a % p)[:, want_pivots])
+    assert np.array_equal(dense(m[:, m.pivots()]), (a % p)[:, want_pivots])
+    # a selection picks columns in any order, repeats included
+    js = [int(j) for j in rng.integers(0, cols, size=rng.integers(0, 2 * cols + 1))] if cols else []
+    assert np.array_equal(dense(m[:, js]), (a % p)[:, js])
+    # a remainder is 0 in every pivot column and differs from its row by a row of m's row space
+    batch = rng.integers(-p, 2 * p, size=(3, cols))
+    left = batch % p
+    for k, c in enumerate(want_pivots):
+        left = (left - np.outer(left[:, c], want[k])) % p
+    assert np.array_equal(dense(m.remainder(matrix(batch, field))), left)
 
     consistent = (a @ rng.integers(0, p, size=cols)) % p
     left_kernel = dense_kernel_basis(a.T, p)

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,10 +515,10 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
         alive.append((k, d))
         return d
 
-    def eliminating(a, p):
+    def eliminating(a):
         if id(a) in owner:
             eliminated[owner[id(a)]] += 1
-        return real_echelon(a, p)
+        return real_echelon(a)
 
     cut = []
 
@@ -536,8 +539,8 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
     assert len(count_report["h1_dims"]) == 2 ** 8 - 1
     # every H^1 dimension and descended rank reads d^0 and d^1, each eliminated once per complex
     assert {q for _, q, _ in eliminated} == {0, 1} and set(eliminated.values()) == {1}
-    # ranks alone: no cohomology basis is built and no class is solved for
-    assert work["H"] == 0 and work["rref"] == 0
+    # ranks alone: no class reader is built and no class is read
+    assert work["H"] == 0 and work["read"] == 0
     assert cut and all(k.simplices for k in cut)
 
 
@@ -596,8 +599,8 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
 
     monkeypatch.setattr(cochains, "_coboundary", counting(
         "d", cochains._coboundary, lambda k, q, field: (value(k), q, field.p)))
-    monkeypatch.setattr(cochains, "_cohomology_basis", counting(
-        "H", cochains._cohomology_basis, lambda k, q, field: (value(k), q, field.p)))
+    monkeypatch.setattr(cochains, "_class_reader", counting(
+        "H", cochains._class_reader, lambda k, q, field: (value(k), q, field.p)))
     monkeypatch.setattr(cochains, "_restriction", counting(
         "r", cochains._restriction, lambda k, l, q, field: (value(k), l.simplices, q, field.p)))
     monkeypatch.setattr(mv, "_phi_star", counting(
@@ -636,32 +639,45 @@ def test_phi_star_and_delta_tilde_build_no_restriction_matrix(p, monkeypatch):
                                                        else delta_tilde(diagram, level - 1, q))).is_zero()
 
 
-def test_descended_maps_take_one_solve_per_target_block(count_eliminations, three_circles, two_origin):
+def test_descended_maps_take_no_elimination(count_eliminations, monkeypatch):
+    # fresh diagrams, so every class reader of theirs is built here
+    three_circles, two_origin = diagram_for("three_circles"), diagram_for("two_origin_line")
     calls = count_eliminations()
-    solves = 0
+    readers, alive = Counter(), []
+    real = cochains._class_reader
+
+    def reading(k, q, field):
+        alive.append(k)
+        readers[id(k), q, field.p] += 1
+        return real(k, q, field)
+
+    monkeypatch.setattr(cochains, "_class_reader", reading)
+    read = 0
     for level in (1, 2):
         for q in (0, 1):
-            # bases and difference maps first, so only the descent's solves are counted
+            # representatives and difference maps first, so only the descent's work is counted
             delta_tilde(three_circles, level, q)
             src = [cohomology(k, q, three_circles.field) for k in three_circles.level(level).values()]
             blocks = [cohomology(k, q, three_circles.field) for k in three_circles.level(level + 1).values()]
             for coh in src + blocks:
                 assert coh.representatives.cols == coh.dimension
             calls.clear()
-            descended_delta_tilde(three_circles, level, q)
-            assert len(calls) == (len(blocks) if sum(coh.dimension for coh in src) else 0)
-            solves += len(calls)
-    assert solves
+            descended = descended_delta_tilde(three_circles, level, q)
+            assert calls == [] and descended.shape == (sum(h.dimension for h in blocks), sum(h.dimension for h in src))
+            read += descended.cols * descended.rows
+    assert read
     assert cohomology(two_origin.nerve, 1, two_origin.field).representatives.cols == 1
     intersection = two_origin.intersection_nerve(two_origin.piece_ids)
     assert cohomology(intersection, 0, two_origin.field).representatives.cols == 2
     calls.clear()
     delta = connecting_homomorphism(two_origin, 0)
-    assert delta.cols >= 2 and len(calls) == 1
+    assert delta.cols >= 2 and calls == []
+    # one reader per complex, degree and field
+    assert readers and set(readers.values()) == {1}
 
 
 def count_basis_work(monkeypatch) -> Counter:
-    """Count kernels, reduced forms and cohomology bases from here on."""
+    """Count kernel bases, class readers and class reads (remainders) from here on."""
     work = Counter()
 
     def counting(kind, real):
@@ -671,9 +687,53 @@ def count_basis_work(monkeypatch) -> Counter:
         return wrapper
 
     monkeypatch.setattr(fplinalg.FMatrix, "kernel_basis", counting("kernel_basis", fplinalg.FMatrix.kernel_basis))
-    monkeypatch.setattr(fplinalg, "rref", counting("rref", fplinalg.rref))
-    monkeypatch.setattr(cochains, "_cohomology_basis", counting("H", cochains._cohomology_basis))
+    monkeypatch.setattr(fplinalg.Echelon, "remainder", counting("read", fplinalg.Echelon.remainder))
+    monkeypatch.setattr(cochains, "_class_reader", counting("H", cochains._class_reader))
     return work
+
+
+def bench_docs(monkeypatch):
+    """The benchmark's document builders, bench/docs.py, imported without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_docs", Path(__file__).resolve().parents[1] / "bench" / "docs.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_class_paths_build_no_kernel_basis(tmp_path, monkeypatch):
+    # The classes that refine-check's induced maps and mv's long exact
+    # sequence read come from class readers: refine-check on three arcs builds
+    # no kernel basis at all, and mv on two arcs none for the union nerve.
+    docs = bench_docs(monkeypatch)
+    kernels, owners, alive = [], {}, []
+    real_kernel, real_coboundary = FMatrix.kernel_basis, cochains._coboundary
+
+    def kernel(m):
+        kernels.append(m)
+        return real_kernel(m)
+
+    def building(k, q, field):
+        d = real_coboundary(k, q, field)
+        owners[id(d)] = k.simplices
+        alive.append(d)
+        return d
+
+    monkeypatch.setattr(FMatrix, "kernel_basis", kernel)
+    monkeypatch.setattr(cochains, "_coboundary", building)
+    path = tmp_path / "strip.json"
+    path.write_text(canonical_json(docs.strip(8, 3, 3).body), encoding="utf-8")
+    report, code = run_command("refine-check", {"path": path})
+    assert code == 0 and report["induced_cohomology"]["H^1"]["rank"] == 1
+    assert kernels == []
+    body = docs.strip(8, 3, 2).body
+    path.write_text(canonical_json(body), encoding="utf-8")
+    report, code = run_command("mv", {"path": path})
+    assert code == 0 and report["verdicts"]["les_exact"]
+    union = canonicalize(parse_document(body).system).nerve.simplices
+    # the pieces' cocycles still give descended_rank its ranks
+    assert kernels and all(owners.get(id(m)) != union for m in kernels)
 
 
 @pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)
@@ -704,8 +764,9 @@ def test_collapse_check_step_dims_build_no_basis(name, kwargs, tmp_path, monkeyp
     report, code = run_command("collapse-check", {"path": path})
     assert code in (0, 1) and report["steps"] and all(step["dims"] for step in report["steps"])
     # the baseline and every step read dimensions only; the final binary
-    # long exact sequence reads representatives
-    assert before_les == [Counter()] and work["H"] > 0
+    # long exact sequence reads representatives and classes from class
+    # readers, and builds no kernel basis
+    assert before_les == [Counter()] and work["H"] > 0 and work["kernel_basis"] == 0
 
 
 @pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)
@@ -719,10 +780,10 @@ def test_every_command_eliminates_each_coboundary_at_most_once(name, kwargs, tmp
         built.append(real_coboundary(k, q, field))
         return built[-1]
 
-    def eliminating(a, p):
+    def eliminating(a):
         eliminated[id(a)] += 1
         alive.append(a)
-        return real_echelon(a, p)
+        return real_echelon(a)
 
     monkeypatch.setattr(cochains, "_coboundary", building)
     patch_bindings(monkeypatch, "echelon", eliminating)

@@ -113,9 +113,9 @@ def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch
     assert None not in shipped.values()
     calls = []
 
-    def oracle(a, p):
+    def oracle(a):
         calls.append(a.shape)
-        return dense_echelon(dense(a), p)
+        return dense_echelon(dense(a), a.field.p)
 
     patch_bindings(monkeypatch, "echelon", oracle)
     assert reports(tmp_path, docs, ODD_FIELD_COMMANDS) == shipped

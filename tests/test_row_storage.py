@@ -59,10 +59,11 @@ def test_no_operation_changes_a_row_it_shares(case):
     for x in [m, u, *(r for r, _ in results)]:
         x.rank()
         x.kernel_basis()
-        x.column_space_basis()
+        x[:, x.pivots()]
         x.solve(vector(np.ones(x.rows, dtype=np.int64), field))
         x.solve(matrix(np.ones((x.rows, 2), dtype=np.int64), field))
         x.solve(FMatrix.identity(x.rows, field))
+        x.remainder(x)
         if x.rows == x.cols:
             try:
                 x.inverse()
