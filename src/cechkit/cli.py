@@ -44,8 +44,8 @@ from .documents import (
     materialise_refinement,
     parse_document,
 )
-from .errors import InputError, ResourceLimit
-from .fplinalg import PrimeField, block_matrix
+from .errors import InputError, ResourceLimit, one_line
+from .fplinalg import PrimeField
 from .gallery import GALLERY_NAMES, gallery_document
 from .mv import (
     assemble_les,
@@ -74,7 +74,8 @@ def _key(t: tuple[str, ...]) -> str:
 
 
 def _println(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
+    """One line of human output; a line break in the text it quotes, as in a piece id, is written escaped."""
+    sys.stdout.write(one_line(line) + "\n")
 
 
 def _table(rows: list[tuple]) -> None:
@@ -83,11 +84,13 @@ def _table(rows: list[tuple]) -> None:
     Each cell is turned into text once.  Rows whose tails (the cells after
     the first) read alike share one tail, padded once: index set rows
     mostly end alike.  Only the distinct tails are kept, so a wide table
-    holds no second copy of its cells.
+    holds no second copy of its cells.  The first cells, which name
+    pieces and index sets, are written with line breaks escaped, so each
+    row stays one line; the other cells are numbers and flags.
     """
     if not rows:
         return
-    heads = list(map(str, map(itemgetter(0), rows)))
+    heads = list(map(one_line, map(str, map(itemgetter(0), rows))))
     columns = [map(str, map(itemgetter(c), rows)) for c in range(1, len(rows[0]))]
     tails: dict[tuple[str, ...], tuple[str, ...]] = {}
     row_tails = [tails.setdefault(tail, tail)
@@ -242,9 +245,8 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
         union_dim = len(diagram.nerve.simplices_of_dim(q))
         rank_phi = phi_star(diagram, q).rank()
         two_step, basis = inductive_fibred_dim(diagram, q)
-        joint = block_matrix({0: basis.rows}, {0: fp.dimension, 1: basis.cols}, [(0, 0, fp.basis), (0, 1, basis)],
-                             diagram.field)
-        same_span = joint.rank() == fp.dimension and two_step == fp.dimension
+        # the inductive basis spans the product exactly when it lies in it and has its dimension
+        same_span = two_step == fp.dimension and fp.contains(basis)
         report["degrees"].append({
             "q": q, "cochain_dim_union": union_dim, "fibred_dim": fp.dimension,
             "rank_phi_star": rank_phi, "inductive_dim": two_step,

@@ -52,11 +52,12 @@ class CohomologyBasis:
     """H^q of one complex: its dimension from ranks, its representatives and class coordinates on first read.
 
     The dimension is n_q - rank d^q - rank d^(q-1), from the ranks each
-    memoised coboundary keeps.  The representatives R and the reading of
-    class coordinates take one more elimination, of the coboundaries in
-    d^q's free coordinates (see `_class_reader`), run on first read and
-    kept on the complex under ("H", q, p), so every later
-    CohomologyBasis of that complex, degree and field shares them.
+    memoised coboundary keeps.  Where it is not 0, the representatives R
+    and the reading of class coordinates take one more elimination, of
+    the coboundaries in d^q's free coordinates (see `_class_reader`), run
+    on first read and kept on the complex under ("H", q, p), so every
+    later CohomologyBasis of that complex, degree and field shares them.
+    A zero H^q has the empty reader, with no elimination.
     """
 
     complex: SimplicialComplex
@@ -65,9 +66,7 @@ class CohomologyBasis:
 
     @property
     def dimension(self) -> int:
-        k, q, field = self.complex, self.degree, self.field
-        rank_in = coboundary_matrix(k, q - 1, field).rank() if q else 0
-        return len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
+        return _dimension(self.complex, self.degree, self.field)
 
     @cached_property
     def _reader(self) -> "_ClassReader":
@@ -83,13 +82,20 @@ class CohomologyBasis:
         return self._reader.representatives
 
 
+def _dimension(k: SimplicialComplex, q: int, field: PrimeField) -> int:
+    """dim H^q = n_q - rank d^q - rank d^(q-1), from the ranks the memoised coboundaries keep."""
+    rank_in = coboundary_matrix(k, q - 1, field).rank() if q else 0
+    return len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
+
+
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:
     """H^q(k; F_p): its dimension, its representative basis and the coordinates of classes in it.
 
     Reading the dimension eliminates only the coboundaries, each at most
-    once per complex, degree and field.  The representatives and class
-    coordinates take one more elimination, on first read; what it keeps
-    is read-only, kept on the complex and shared by every later call.
+    once per complex, degree and field.  Where H^q is not 0, the
+    representatives and class coordinates take one more elimination, on
+    first read; what it keeps is read-only, kept on the complex and
+    shared by every later call.
     The memo holds no reference back to the complex, so a complex that
     goes out of use is freed at once, without waiting for the cycle
     collector.
@@ -126,9 +132,13 @@ def _class_reader(k: SimplicialComplex, q: int, field: PrimeField) -> _ClassRead
     its free columns.  So its echelon picks R, the kernel columns of d^q
     at those k, as the adapted basis [B | R] of the cocycles did, and a
     cocycle less the coboundary that clears the echelon's pivot columns
-    is left with its class coordinates in the free ones.
+    is left with its class coordinates in the free ones.  A zero H^q
+    has no representatives: its reader has no free columns and reads
+    none, and nothing is eliminated or back-substituted for it.
     """
     d = coboundary_matrix(k, q, field)
+    if not _dimension(k, q, field):
+        return _ClassReader([], FMatrix.zeros(0, 0, field), [], FMatrix.zeros(d.cols, 0, field))
     pivots = set(d.pivots())
     free = [j for j in reversed(range(d.cols)) if j not in pivots]
     # the coboundary of each (q-1)-simplex, on the free coordinates, last first
@@ -143,11 +153,14 @@ def class_coordinates(coh: CohomologyBasis, values: FMatrix) -> FMatrix:
 
     A cocycle's class coordinates are what is left of its values on the
     free coordinates once the coboundaries' kept echelon clears its
-    pivot columns; no elimination is run.
+    pivot columns; no elimination is run.  A zero H^q gives no
+    coordinates, once the values are checked to be cocycles.
     """
     reader = coh._reader
     if not (coboundary_matrix(coh.complex, coh.degree, coh.field) @ values).is_zero():
         raise ValueError("vector is not a cocycle of this space")
+    if not reader.read:
+        return FMatrix.zeros(0, values.cols, coh.field)
     return reader.coboundaries.remainder(values[reader.free].T)[:, reader.read].T
 
 
@@ -159,9 +172,13 @@ def induced_on_cohomology(matrix: FMatrix, src: CohomologyBasis | Sequence[Cohom
     of a direct sum laid out in order.  The map takes the block-diagonal
     source representatives in one product; each target block's classes
     are then read in one batch.  Class coordinates are linear, so this
-    equals descending block by block and summing.
+    equals descending block by block and summing.  A source with no
+    classes gives the (dim target) x 0 matrix with no product; a target
+    with none still takes the product, so its cocycle check still runs.
     """
     src, tgt = _summands(src), _summands(tgt)
+    if not any(h.dimension for h in src.values()):
+        return FMatrix.zeros(sum(h.dimension for h in tgt.values()), 0, matrix.field)
     reps = block_matrix(_cochain_sizes(src), {i: h.dimension for i, h in src.items()},
                         ((i, i, h.representatives) for i, h in src.items()), matrix.field)
     image = matrix @ reps

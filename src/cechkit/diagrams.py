@@ -40,7 +40,7 @@ from .complexes import (
     renamed_simplices,
     union_complexes,
 )
-from .errors import InputError, NotSimplicial, ResourceLimit
+from .errors import InputError, NotSimplicial, ResourceLimit, one_line
 from .fplinalg import F2, PrimeField
 
 _FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
@@ -61,7 +61,7 @@ class InvalidSystem(InputError):
         n, first = len(report.violations), report.violations[0]
         message = (f"invalid adjunction system: {n} violation{'s' if n > 1 else ''}; "
                    f"first [{first.condition}] {first.message}  witness={list(first.witness)}")
-        super().__init__(message.translate({ord("\n"): "\\n", ord("\r"): "\\r"}))
+        super().__init__(one_line(message))
         self.report = report
 
 

@@ -7,7 +7,8 @@ as a traceback: API misuse (mismatched dimensions, a map into a
 non-subcomplex, a non-binary diagram where two pieces are needed) keeps
 raising plain `ValueError` subclasses, so a program fault is never
 reported as the user's.  The classes that more than one module raises
-are defined here, once.
+are defined here, once, as is `one_line`, which keeps a message or an
+output line that quotes a document's text on one line.
 """
 
 from __future__ import annotations
@@ -27,3 +28,11 @@ class WrongField(InputError):
 
 class NotSimplicial(ValueError):
     """A vertex map is undefined on a vertex, or sends a simplex outside its target."""
+
+
+_LINE_BREAKS = {ord("\n"): "\\n", ord("\r"): "\\r"}
+
+
+def one_line(text: str) -> str:
+    """text with each line break written escaped, as \\n or \\r, so it prints as one line."""
+    return text.translate(_LINE_BREAKS) if "\n" in text or "\r" in text else text

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cochains import (
     _cochain_dims,
@@ -154,6 +155,7 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
     into one piece, hit with the coboundary, and the resulting compatible
     pair is pulled back through the injective concatenated restriction.
     The output class does not depend on the piece chosen for the lift.
+    A zero H^q(N_12) gives the zero map, with nothing lifted.
     """
     i1, i2 = _binary_pieces(diagram)
     if through is None:
@@ -164,6 +166,8 @@ def connecting_homomorphism(diagram: GluedDiagram, degree: int,
     n12 = diagram.intersection_nerve((i1, i2))
     coh_src = cohomology(n12, degree, field)
     coh_tgt = cohomology(diagram.nerve, degree + 1, field)
+    if not coh_src.dimension:
+        return FMatrix.zeros(coh_tgt.dimension, 0, field)
     lift_nerve = diagram.nerves[through]
     # Extension by zero is the transpose of restriction: into the lift piece,
     # and from there into the union, where the pair (dg, 0) or (0, -dg) lives.
@@ -237,15 +241,22 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
 
 @dataclass(frozen=True)
 class FibredProduct:
-    """Tuples of piece cochains agreeing on every pairwise intersection."""
+    """Tuples of piece cochains agreeing on every pairwise intersection: the kernel of delta_tilde at level 1."""
 
     diagram: GluedDiagram
     degree: int
-    basis: FMatrix
+    dimension: int
 
-    @property
-    def dimension(self) -> int:
-        return self.basis.cols
+    @cached_property
+    def basis(self) -> FMatrix:
+        """A basis of the product, one tuple per column, built on first read."""
+        if self.diagram.n_pieces == 1:
+            return FMatrix.identity(self.dimension, self.diagram.field)
+        return delta_tilde(self.diagram, 1, self.degree).kernel_basis()
+
+    def contains(self, tuples: FMatrix) -> bool:
+        """Whether every column, a tuple of piece cochains, agrees on every pairwise intersection."""
+        return self.diagram.n_pieces == 1 or (delta_tilde(self.diagram, 1, self.degree) @ tuples).is_zero()
 
     def mediate(self, rhos: dict[str, FMatrix]) -> FMatrix:
         """Unique map into the product whose projections are the given maps.
@@ -274,19 +285,21 @@ class FibredProduct:
 
 
 def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
-    """Basis of the cochain fibred product; equals the image of phi_star."""
+    """The cochain fibred product, checked to be the image of phi_star from ranks and one product.
+
+    Its dimension is the nullity of delta_tilde at level 1 (all tuples for
+    one piece).  phi_star lies in it exactly when delta_tilde · phi_star
+    = 0, and then fills it exactly when its rank is that dimension; no
+    basis is built.
+    """
     phi = phi_star(diagram, degree)
-    if diagram.n_pieces == 1:
-        basis = FMatrix.identity(phi.rows, diagram.field)
-    else:
-        basis = delta_tilde(diagram, 1, degree).kernel_basis()
-    if phi.rank() != basis.cols:
+    dimension = phi.rows if diagram.n_pieces == 1 else delta_tilde(diagram, 1, degree).rank_nullity()[1]
+    product = FibredProduct(diagram, degree, dimension)
+    if phi.rank() != dimension:
         raise AssertionError("fibred product dimension differs from rank of phi_star")
-    # rank phi = dim B, so phi lies in B exactly when [B | phi] has rank dim B; an empty B leaves phi 0
-    if basis.cols and block_matrix({0: phi.rows}, {0: basis.cols, 1: phi.cols}, [(0, 0, basis), (0, 1, phi)],
-                                   diagram.field).rank() != basis.cols:
+    if not product.contains(phi):
         raise AssertionError("image of phi_star escapes the fibred product")
-    return FibredProduct(diagram, degree, basis)
+    return product
 
 
 def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
@@ -386,24 +399,30 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
 def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
     """The rank of the difference map between levels, descended to cohomology, from ranks alone.
 
-    Its image is (dZ + B) / B, where d is the difference map, Z the
-    source blocks' cocycles and B the target blocks' coboundaries, so the
-    rank is rank [dZ | (+) d^(q-1)] - sum rank d^(q-1).  Each Z is
-    back-substituted from the echelon its coboundary keeps, and each rank
-    of d^(q-1) is the one its memoised coboundary keeps; no class reader
-    is built and no class is read.
+    It is 0 when either level has no classes in the degree.  Otherwise its
+    image is (dR + B) / B, where d is the difference map, R the source
+    blocks' representatives and B the target blocks' coboundaries: d is a
+    chain map, so it carries the source coboundaries into B, and R with
+    them spans the source cocycles.  A target block with no classes adds
+    nothing to that quotient and is left out, so the rank is
+    rank [dR | (+) d^(q-1)] - sum rank d^(q-1) over the target blocks with
+    classes.  Each rank of d^(q-1) is the one its memoised coboundary
+    keeps, and no class is read.
     """
     field = diagram.field
     src, tgt = diagram.level(level), diagram.level(level + 1)
-    z = {t: coboundary_matrix(k, degree, field).kernel_basis() for t, k in src.items()}
-    cocycles = block_matrix(_cochain_dims(src, degree), {t: m.cols for t, m in z.items()},
-                            ((t, t, m) for t, m in z.items()), field)
-    image = delta_tilde(diagram, level, degree) @ cocycles
+    h_src = {t: cohomology(k, degree, field) for t, k in src.items()}
+    rows, _ = _ranges(_cochain_dims(tgt, degree))
+    tgt = {t: k for t, k in tgt.items() if cohomology(k, degree, field).dimension}
+    if not tgt or not any(h.dimension for h in h_src.values()):
+        return 0
+    reps = block_matrix(_cochain_dims(src, degree), {t: h.dimension for t, h in h_src.items()},
+                        ((t, t, h.representatives) for t, h in h_src.items()), field)
+    image = delta_tilde(diagram, level, degree) @ reps
     d = {t: coboundary_matrix(k, degree - 1, field) for t, k in tgt.items()} if degree else {}
-    dims = _cochain_dims(tgt, degree)
-    rows, _ = _ranges(dims)
-    blocks = [(t, "image", image[r]) for t, r in rows.items()] + [(t, t, m) for t, m in d.items()]
-    joint = block_matrix(dims, {"image": image.cols, **{t: m.cols for t, m in d.items()}}, blocks, field)
+    blocks = [(t, "image", image[rows[t]]) for t in tgt] + [(t, t, m) for t, m in d.items()]
+    joint = block_matrix(_cochain_dims(tgt, degree), {"image": image.cols, **{t: m.cols for t, m in d.items()}},
+                         blocks, field)
     return joint.rank() - sum(m.rank() for m in d.values())
 
 

@@ -222,6 +222,31 @@ def test_cli_invalid_system_is_input_error_elsewhere(tmp_path, capsys):
     assert err.count("\n") == 1 and "gluing p\\n1->p2" in err
 
 
+def test_cli_human_output_keeps_one_line_per_row_when_a_piece_id_holds_a_line_break(tmp_path, capsys):
+    invalid = {
+        "field": 2,
+        "pieces": [{"id": "p\n1", "simplices": [["a", "b"]]},
+                   {"id": "p2", "simplices": [["a"], ["b"]]}],
+        "gluings": [{"i": "p\n1", "j": "p2", "pairs": [["a", "a"], ["b", "b"]]}],
+    }
+    report_path = tmp_path / "report.json"
+    assert main(["--report", str(report_path), "validate", str(write_doc(tmp_path, invalid))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the verdict, one line per violation, the elapsed time
+    assert len(lines) == 4 and lines[0] == "system valid: False", lines
+    assert lines[1].startswith("  [SIMPLICIAL] gluing p\\n1->p2 ")
+    assert lines[2].startswith("  [SIMPLICIAL] gluing p2->p\\n1 ")
+    # the report keeps the id as it is, escaped by JSON alone
+    assert json.loads(report_path.read_text())["violations"][0]["message"].startswith("gluing p\n1->p2 ")
+    two = json.loads(json.dumps(gallery_document("two_origin_line")).replace('"p1"', '"p\\n1"'))
+    assert main(["--report", str(report_path), "cohomology", str(write_doc(tmp_path, two))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the labels, the header, the union, two pieces, one intersection, the elapsed time
+    assert len(lines) == 7, lines
+    assert [line.split()[0] for line in lines[2:6]] == ["union", "p\\n1", "p2", "p\\n1,p2"], lines
+    assert json.loads(report_path.read_text())["intersection_dims"] == {"p\n1,p2": [2, 0]}
+
+
 def test_cli_missing_file():
     assert main(["cohomology", "/nonexistent/x.json"]) == 2
 

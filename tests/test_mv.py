@@ -338,11 +338,12 @@ def test_inductive_fibred_product_makes_one_update_product_per_adjoined_piece(ne
     for q in (0, 1):
         calls.clear()
         dim, basis = inductive_fibred_dim(diagram, q)
-        assert dim == fibred_product(diagram, q).dimension == basis.cols
         # one restriction product per overlap (12 on a ring of 12) and one
         # update of the stacked basis per adjoined piece (11); updating every
         # absorbed block at each step took 1 + 2 + ... + 11 = 66 updates
         assert len(calls) == 12 + 11, q
+        # the flat product's own check, delta_tilde . phi_star = 0, is not counted
+        assert dim == fibred_product(diagram, q).dimension == basis.cols
 
 
 def test_total_cohomology_single_piece():
@@ -610,6 +611,11 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
     doc = gallery_document(name, **kwargs)
     path = tmp_path / "doc.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
+    # count descends H^1 only between levels that both have classes
+    diagram = canonicalize(parse_document(doc).system)
+    has_h1 = [any(cohomology(k, 1, diagram.field).dimension for k in diagram.level(size).values())
+              for size in range(1, diagram.n_pieces + 1)]
+    descended = {(level, 1) for level in range(1, diagram.n_pieces) if has_h1[level - 1] and has_h1[level]}
     for command in file_commands(doc):
         built.clear()
         scope["by_object"] = command == "collapse-check"
@@ -622,7 +628,8 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
             assert any(key[0] == "phi_star" for key in built)
         if command == "count":
             # the difference maps it reads go straight into rows, through no restriction matrix
-            assert any(key[0] == "delta_tilde" for key in built) and not any(key[0] == "r" for key in built)
+            assert {key[2:] for key in built if key[0] == "delta_tilde"} == descended
+            assert not any(key[0] == "r" for key in built)
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -704,36 +711,40 @@ def bench_docs(monkeypatch):
 
 def test_class_paths_build_no_kernel_basis(tmp_path, monkeypatch):
     # The classes that refine-check's induced maps and mv's long exact
-    # sequence read come from class readers: refine-check on three arcs builds
-    # no kernel basis at all, and mv on two arcs none for the union nerve.
+    # sequence read come from class readers, descended_rank (count, mv's H^1
+    # check) reads representatives, and the flat fibred product is checked
+    # by ranks and one product: refine-check on three arcs and mv and count
+    # on two build no kernel basis at all, and fibred only in the steps of
+    # the inductive form.
     docs = bench_docs(monkeypatch)
-    kernels, owners, alive = [], {}, []
-    real_kernel, real_coboundary = FMatrix.kernel_basis, cochains._coboundary
+    kernels, inductive = [], []  # per kernel basis: whether the inductive form asked for it
+    real_kernel, real_inductive = FMatrix.kernel_basis, cli.inductive_fibred_dim
 
     def kernel(m):
-        kernels.append(m)
+        kernels.append(bool(inductive))
         return real_kernel(m)
 
-    def building(k, q, field):
-        d = real_coboundary(k, q, field)
-        owners[id(d)] = k.simplices
-        alive.append(d)
-        return d
+    def stepwise(*args):
+        inductive.append(args)
+        try:
+            return real_inductive(*args)
+        finally:
+            inductive.pop()
 
     monkeypatch.setattr(FMatrix, "kernel_basis", kernel)
-    monkeypatch.setattr(cochains, "_coboundary", building)
+    monkeypatch.setattr(cli, "inductive_fibred_dim", stepwise)
     path = tmp_path / "strip.json"
     path.write_text(canonical_json(docs.strip(8, 3, 3).body), encoding="utf-8")
     report, code = run_command("refine-check", {"path": path})
     assert code == 0 and report["induced_cohomology"]["H^1"]["rank"] == 1
     assert kernels == []
-    body = docs.strip(8, 3, 2).body
-    path.write_text(canonical_json(body), encoding="utf-8")
+    path.write_text(canonical_json(docs.strip(8, 3, 2).body), encoding="utf-8")
     report, code = run_command("mv", {"path": path})
     assert code == 0 and report["verdicts"]["les_exact"]
-    union = canonicalize(parse_document(body).system).nerve.simplices
-    # the pieces' cocycles still give descended_rank its ranks
-    assert kernels and all(owners.get(id(m)) != union for m in kernels)
+    assert run_command("count", {"path": path})[1] == 0
+    assert kernels == []
+    assert run_command("fibred", {"path": path})[1] == 0
+    assert kernels and all(kernels)
 
 
 @pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)

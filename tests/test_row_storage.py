@@ -147,9 +147,9 @@ def test_strip_commands_cost_their_nonzeros(command, strip_document, tmp_path):
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Writes the benchmark's strip 80x20 and strip 60x15 (bench/docs.py, imported
-# without writing bytecode next to it) into argv[2], runs mv, fibred and
-# refine-check on the first and refine-check on the second through
-# run_command, and prints their exit codes.
+# without writing bytecode next to it) into argv[2], runs mv, fibred,
+# refine-check, count and collapse-check on the first and refine-check on the
+# second through run_command, and prints their exit codes.
 CHILD_AT_SCALE = """
 import contextlib, io, json, sys
 from cechkit.cli import run_command
@@ -157,7 +157,8 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, sys.argv[1])
 import docs
 codes = []
-for (width, height), commands in (((80, 20), ("mv", "fibred", "refine-check")), ((60, 15), ("refine-check",))):
+for (width, height), commands in (((80, 20), ("mv", "fibred", "refine-check", "count", "collapse-check")),
+                                  ((60, 15), ("refine-check",))):
     path = f"{sys.argv[2]}/strip{width}x{height}.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(docs.strip(width, height, 3).body, f)
@@ -169,7 +170,8 @@ print(json.dumps(codes))
 
 
 def test_the_benchmark_strips_run_in_1_gib(tmp_path):
-    # Stored as dense int64 matrices, mv, fibred and refine-check ran out of memory on these strips.
+    # Stored as dense int64 matrices, mv, fibred and refine-check ran out of memory on these strips;
+    # count's descended ranks and collapse-check's steps and long exact sequence run under the same limit.
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -178,4 +180,4 @@ def test_the_benchmark_strips_run_in_1_gib(tmp_path):
     done = subprocess.run([sys.executable, "-c", CHILD_AT_SCALE, str(BENCH), str(tmp_path)], capture_output=True,
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [0, 0, 0, 0]
+    assert json.loads(done.stdout) == [0] * 6
