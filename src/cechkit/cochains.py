@@ -255,12 +255,6 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
             raise NotSimplicial(f"vertex map undefined on {exc.args[0]!r}") from exc
         if image not in codomain:
             raise NotSimplicial(f"image of {s!r} is not a simplex of the codomain")
-    return simplicial_pullback(vertex_map, domain, codomain, q, field)
-
-
-def simplicial_pullback(vertex_map: Mapping[str, str], domain: SimplicialComplex,
-                        codomain: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
-    """`pullback_map` without its scan: the caller has shown the map simplicial."""
     src, tgt = codomain.index_of_dim(q), domain.simplices_of_dim(q)
 
     def entries():

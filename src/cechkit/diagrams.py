@@ -55,13 +55,15 @@ class InvalidSystem(InputError):
 
     The report keeps every violation; `validate` lists them all.  A line
     break in a piece id is written escaped, so the message stays one line.
+    A system read from inside a document, as a refinement's fine system
+    is, names its path there first.
     """
 
-    def __init__(self, report: "ValidationReport"):
+    def __init__(self, report: "ValidationReport", path: str | None = None):
         n, first = len(report.violations), report.violations[0]
         message = (f"invalid adjunction system: {n} violation{'s' if n > 1 else ''}; "
                    f"first [{first.condition}] {first.message}  witness={list(first.witness)}")
-        super().__init__(one_line(message))
+        super().__init__(one_line(message if path is None else f"{path}: {message}"))
         self.report = report
 
 

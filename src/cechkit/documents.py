@@ -42,6 +42,7 @@ from .diagrams import (
     AdjunctionSystem,
     GluedDiagram,
     GluingBijection,
+    InvalidSystem,
     LocalPiece,
     canonicalize,
 )
@@ -393,7 +394,10 @@ def materialise_refinement(coarse: GluedDiagram, raw: dict | None, field: PrimeF
         raise ParseError("fine document may only carry pieces and gluings", "$.refinement.fine")
     fine_doc["field"] = field.p
     fine_system = parse_document(fine_doc, root="$.refinement.fine").system
-    fine = canonicalize(fine_system)
+    try:
+        fine = canonicalize(fine_system)
+    except InvalidSystem as exc:
+        raise InvalidSystem(exc.report, "$.refinement.fine") from None
     labels: dict[str, str] = {}
     for v, image in _label_pairs(raw["map"], "map must be a list of [fine, coarse] label pairs",
                                  "$.refinement.map"):

@@ -36,7 +36,9 @@ picked columns, so over F_2 it costs the picked set bits, not every set
 bit times the row width as a product with a 0/1 matrix would.  No
 stored row is ever changed, so views, products and `block_matrix`
 share rows freely; elimination copies a row before it reduces it.
-`tolist` and `column` give the entries as new lists of ints.
+`tolist` and `column` give the entries as new lists of ints, and
+`differing_rows` the rows where two matrices differ, so a caller can
+read a square row by row without reading rows.
 
 One function eliminates: `echelon` runs forward elimination on an
 `FMatrix`'s rows.  Its pivot columns give rank and column spaces, and
@@ -403,6 +405,15 @@ class FMatrix:
 
     def equals(self, other: "FMatrix") -> bool:
         return self.field.p == other.field.p and self.shape == other.shape and self._rows == other._rows
+
+    def differing_rows(self, other: "FMatrix") -> list[int]:
+        """The indices of the rows where this matrix and another of its shape and field differ, in order."""
+        if self.field.p != other.field.p or self.shape != other.shape:
+            raise DimensionMismatch(f"cannot compare {self.shape} mod {self.field.p} with {other.shape} mod "
+                                    f"{other.field.p}")
+        if self._rows == other._rows:
+            return []
+        return [i for i, (x, y) in enumerate(zip(self._rows, other._rows)) if x != y]
 
     def is_zero(self) -> bool:
         return not any(self._rows)

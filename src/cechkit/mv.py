@@ -241,7 +241,13 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
 
 @dataclass(frozen=True)
 class FibredProduct:
-    """Tuples of piece cochains agreeing on every pairwise intersection: the kernel of delta_tilde at level 1."""
+    """Tuples of piece cochains agreeing on every pairwise intersection: the kernel of delta_tilde at level 1.
+
+    `basis` is that kernel's reduced basis, built on first read, which no
+    command does.  `inductive_fibred_dim` builds another basis of the same
+    space piece by piece, from row gathers and unit columns alone, and
+    `contains` is how the `fibred` command checks it.
+    """
 
     diagram: GluedDiagram
     degree: int
@@ -304,41 +310,39 @@ def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
 
 def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
                          order: tuple[str, ...] | None = None) -> tuple[int, FMatrix]:
-    """Fibred product computed piece by piece (the inductive two-step form).
+    """Fibred product computed piece by piece (the inductive two-step form), with no elimination.
 
-    Pieces are adjoined one at a time, each step solving only the
-    agreement constraints against the pieces already absorbed.  Returns
-    the dimension and a basis stacked in sorted piece order, so the span
-    can be compared with the flat computation.
+    Pieces are adjoined one at a time.  The columns absorbed so far agree
+    on every overlap of the absorbed pieces, so when a piece is adjoined
+    each of its q-simplices that an absorbed piece holds must take the
+    value of that holder's row, and any holder gives the same row: its
+    rows are gathered in one product.  Each of its other q-simplices is
+    unconstrained and adds one unit column.  Returns the dimension and a
+    basis stacked in sorted piece order, so the span can be compared with
+    the flat computation.
     """
     field = diagram.field
     ids = tuple(order) if order is not None else diagram.piece_ids
     if sorted(ids) != list(diagram.piece_ids):
         raise ValueError("order must be a permutation of the piece ids")
-    dims = _cochain_dims(diagram.nerves, degree)
-    pairs = diagram.level(2)
 
-    # the basis absorbed so far, one matrix stacked in the order of adjoining, so
-    # each step takes one update product; rows[i] is piece i's row range in it
-    basis = FMatrix.identity(dims[ids[0]], field)
-    rows = {ids[0]: slice(0, dims[ids[0]])}
-    for m in range(1, len(ids)):
-        nxt = ids[m]
-        # unknowns: coefficients on the basis absorbed so far (0), then a cochain on nxt (1);
-        # an empty intersection adds no constraint
-        meets = ((prev, pairs.get((prev, nxt), pairs.get((nxt, prev)))) for prev in ids[:m])
-        overlaps = {prev: nij for prev, nij in meets if nij is not None}
-        constraint: list[tuple[str, int, FMatrix]] = []
-        for prev, nij in overlaps.items():
-            r_prev = restriction_matrix(diagram.nerves[prev], nij, degree, field)
-            r_next = restriction_matrix(diagram.nerves[nxt], nij, degree, field)
-            constraint += [(prev, 0, r_prev @ basis[rows[prev]]), (prev, 1, -r_next)]
-        kernel = block_matrix(_cochain_dims(overlaps, degree), {0: basis.cols, 1: dims[nxt]}, constraint,
-                              field).kernel_basis()
-        top, bottom = kernel[:basis.cols], kernel[basis.cols:]
-        rows[nxt] = slice(basis.rows, basis.rows + dims[nxt])
-        basis = block_matrix({0: basis.rows, 1: dims[nxt]}, {0: kernel.cols}, [(0, 0, basis @ top), (1, 0, bottom)],
-                             field)
+    dims = _cochain_dims(diagram.nerves, degree)
+    # the basis absorbed so far, stacked in the order of adjoining; rows[i] is
+    # piece i's row range in it, and holder[s] the row of q-simplex s's first holder
+    basis = FMatrix.zeros(0, 0, field)
+    rows: dict[str, slice] = {}
+    holder: dict[tuple[str, ...], int] = {}
+    for nxt in ids:
+        simplices, n = diagram.nerves[nxt].simplices_of_dim(degree), dims[nxt]
+        fixed = [(i, holder[s]) for i, s in enumerate(simplices) if s in holder]
+        free = [i for i, s in enumerate(simplices) if s not in holder]
+        gathered = (entry_matrix((n, basis.rows), ((i, row, 1) for i, row in fixed), field) @ basis if fixed
+                    else FMatrix.zeros(n, basis.cols, field))
+        units = entry_matrix((n, len(free)), ((i, k, 1) for k, i in enumerate(free)), field)
+        rows[nxt] = slice(basis.rows, basis.rows + n)
+        holder.update((simplices[i], basis.rows + i) for i in free)
+        basis = block_matrix({0: basis.rows, 1: n}, {0: basis.cols, 1: len(free)},
+                             [(0, 0, basis), (1, 0, gathered), (1, 1, units)], field)
     # rows in piece_ids order, whatever the order of adjoining or of diagram.nerves
     return basis.cols, block_matrix({i: dims[i] for i in diagram.piece_ids}, {0: basis.cols},
                                     ((i, 0, basis[rows[i]]) for i in diagram.piece_ids), field)

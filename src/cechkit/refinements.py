@@ -13,21 +13,27 @@ simplex, piece by piece.  Contiguous maps induce identical pullbacks on
 cohomology; plain validity alone does not (a constant map to a shared
 vertex can be valid yet kill first cohomology).
 
-A `RefinementMap` validates once (`verdict`).  It builds each pullback,
-tuple pullback and induced map on cohomology once, only past a valid
-verdict (else `InvalidRefinement`), and keeps their matrices in
-`pullbacks` for as long as it lives.  Its label map is never changed.
+A simplicial map sends each simplex to one simplex, so every pullback is
+read off one table: each fine union simplex's coarse image and, where the
+image is nondegenerate, its permutation sign (Munkres, "Elements of
+Algebraic Topology", §§14-15).  A `RefinementMap` builds that table once
+(`images`), validates once from it (`verdict`), and builds from it the
+union pullback of each degree and the tuple pullback of each level and
+degree, each in one pass, once and only past a valid verdict (else
+`InvalidRefinement`).  It keeps them and its induced maps on cohomology
+in `pullbacks` for as long as it lives.  Its label map is never changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Hashable, Mapping
 
-from .cochains import _cochain_dims, coboundary_matrix, cohomology, induced_on_cohomology, simplicial_pullback
-from .complexes import EMPTY_COMPLEX, SimplicialComplex
+from .cochains import _cochain_dims, _permutation_sign, coboundary_matrix, cohomology, induced_on_cohomology
+from .complexes import Simplex, SimplicialComplex
 from .diagrams import GluedDiagram, ValidationReport
-from .fplinalg import FMatrix, block_matrix
+from .fplinalg import FMatrix, PrimeField, _ranges, entry_matrix
 from .mv import connecting_homomorphism, delta_tilde, phi_star
 
 
@@ -37,17 +43,40 @@ class InvalidRefinement(ValueError):
 
 @dataclass(frozen=True)
 class RefinementMap:
+    """A label map from a fine diagram to a coarse one, with the image table that every pullback reads.
+
+    `images` sends each fine union simplex to (its coarse image, its
+    sign): the image is the sorted set of its vertices' labels, and the
+    sign is the permutation sign that sorts them, or 0 where two vertices
+    share a label and the image is degenerate.  It is built once, on
+    first read, and needs a label for every fine vertex.
+    """
+
     fine: GluedDiagram
     coarse: GluedDiagram
     labels: dict[str, str]
     # Pullback matrices keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
-    # and induced maps on cohomology by ("H", fine complex, coarse complex, q).
+    # and induced maps on the union nerves' cohomology by ("H", q).
     pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def verdict(self) -> ValidationReport:
         """`validate_refinement(self)`, run once."""
         return validate_refinement(self)
+
+    @cached_property
+    def images(self) -> dict[Simplex, tuple[Simplex, int]]:
+        return _image_table(self.labels, self.fine.nerve)
+
+
+def _image_table(labels: Mapping[str, str], nerve: SimplicialComplex) -> dict[Simplex, tuple[Simplex, int]]:
+    """Each simplex's (sorted image, permutation sign or 0 where the image is degenerate), one pass."""
+    table = {}
+    for s in nerve.simplices:
+        mapped = tuple(map(labels.__getitem__, s))
+        image = tuple(sorted(set(mapped)))
+        table[s] = image, _permutation_sign(mapped) if len(image) == len(s) else 0
+    return table
 
 
 def validate_refinement(r: RefinementMap) -> ValidationReport:
@@ -65,6 +94,7 @@ def validate_refinement(r: RefinementMap) -> ValidationReport:
             bad.append(f"image {r.labels[v]!r} of {v!r} is not a coarse label")
     if bad:
         return ValidationReport(False, tuple(bad))
+    images = r.images
     for pid in r.fine.piece_ids:
         fine_nerve = r.fine.nerves[pid]
         coarse_nerve = r.coarse.nerves[pid]
@@ -72,51 +102,63 @@ def validate_refinement(r: RefinementMap) -> ValidationReport:
             if (r.labels[v],) not in coarse_nerve:
                 bad.append(f"piece {pid!r}: image of label {v!r} leaves the piece")
         # A vertex's image is its label's, checked just above, so a vertex is not named twice.
-        for s in sorted((s for s in fine_nerve.simplices if len(s) > 1), key=lambda s: (len(s), s)):
-            image = tuple(sorted({r.labels[v] for v in s}))
-            if image not in coarse_nerve:
-                bad.append(f"piece {pid!r}: image of simplex {s!r} is not simplicial")
+        for q in range(1, fine_nerve.dim + 1):
+            for s in fine_nerve.simplices_of_dim(q):
+                if images[s][0] not in coarse_nerve:
+                    bad.append(f"piece {pid!r}: image of simplex {s!r} is not simplicial")
     return ValidationReport(not bad, tuple(bad))
 
 
-def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:
-    """The pullback matrix from a coarse complex to a fine one, built once and only past a valid verdict.
+def _table_pullback(images: Mapping[Simplex, tuple[Simplex, int]], fine: Mapping[Hashable, SimplicialComplex],
+                    coarse: Mapping[Hashable, SimplicialComplex], degree: int, field: PrimeField) -> FMatrix:
+    """The blockwise pullback from the coarse complexes' q-cochains to the fine ones', one pass over the table.
+
+    Fine keys are coarse keys in the same order; a coarse block with no
+    fine block has no rows.  Row s of block T holds s's sign at its
+    image's column, or nothing where the image is degenerate.
+    """
+    rows, n_rows = _ranges(_cochain_dims(fine, degree))
+    cols, n_cols = _ranges(_cochain_dims(coarse, degree))
+
+    def entries():
+        for t, k in fine.items():
+            index, at = coarse[t].index_of_dim(degree), cols[t].start
+            for row, s in enumerate(k.simplices_of_dim(degree), rows[t].start):
+                image, sign = images[s]
+                if sign:
+                    yield row, at + index[image], sign
+
+    return entry_matrix((n_rows, n_cols), entries(), field)
+
+
+def _kept_pullback(r: RefinementMap, key: tuple, fine: Mapping[Hashable, SimplicialComplex],
+                  coarse: Mapping[Hashable, SimplicialComplex], degree: int) -> FMatrix:
+    """The pullback kept under key, read off the image table once and only past a valid verdict.
 
     That verdict stands in for `pullback_map`'s scan of the domain: each
     fine piece simplex maps into its coarse piece, so each fine union or
     N_T simplex into the coarse union or N_T.
     """
-    key = (fine_c, coarse_c, degree)
     if key not in r.pullbacks:
         if not r.verdict.valid:
             raise InvalidRefinement(r.verdict.violations[0])
-        r.pullbacks[key] = simplicial_pullback(r.labels, fine_c, coarse_c, degree, r.fine.field)
+        r.pullbacks[key] = _table_pullback(r.images, fine, coarse, degree, r.fine.field)
     return r.pullbacks[key]
+
+
+def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:
+    """The pullback matrix from a coarse complex to a fine one; the checks read only the union nerves'."""
+    return _kept_pullback(r, (fine_c, coarse_c, degree), {0: fine_c}, {0: coarse_c}, degree)
 
 
 def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
-    """Blockwise pullback between the level-p cochains of the two diagrams, built once.
+    """Blockwise pullback between the level-p cochains of the two diagrams, in one pass over the image table.
 
     A fine N_T is nonempty only where the coarse one is, since labels map
-    piece by piece; where it is empty, its block has no rows.
+    piece by piece; where it is empty, its block has no rows.  No pullback
+    of a single N_T is built for it.
     """
-    if (level, degree) not in r.pullbacks:
-        fine, coarse = r.fine.level(level), r.coarse.level(level)
-        maps = {t: _pullback(r, fine.get(t, EMPTY_COMPLEX), k, degree) for t, k in coarse.items()}
-        r.pullbacks[level, degree] = block_matrix({t: m.rows for t, m in maps.items()},
-                                                  _cochain_dims(coarse, degree),
-                                                  ((t, t, m) for t, m in maps.items()), r.fine.field)
-    return r.pullbacks[level, degree]
-
-
-def _induced(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:
-    """The pullback on H^degree, coarse_c -> fine_c, built once."""
-    key = ("H", fine_c, coarse_c, degree)
-    if key not in r.pullbacks:
-        field = r.fine.field
-        r.pullbacks[key] = induced_on_cohomology(_pullback(r, fine_c, coarse_c, degree),
-                                                 cohomology(coarse_c, degree, field), cohomology(fine_c, degree, field))
-    return r.pullbacks[key]
+    return _kept_pullback(r, (level, degree), r.fine.level(level), r.coarse.level(level), degree)
 
 
 @dataclass(frozen=True)
@@ -138,23 +180,30 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
     intersection nerve and the union nerve, with the concatenated
     restriction map, with the difference maps at every level, and (for
     binary diagrams) with the connecting homomorphism on cohomology.
+
+    The coboundary squares are read off the union nerves' square, row by
+    row: on a fine N_T, the coboundary and the pullback are the union's
+    restricted to N_T's simplices.  A face of a simplex of N_T lies in
+    N_T, and a valid map sends fine N_T into coarse N_T, so each row of
+    N_T's square is a union row with no entry dropped, and N_T's square
+    commutes exactly when the union rows at its (q+1)-simplices agree.
     """
     field = r.fine.field
     squares: list[NaturalitySquare] = []
 
     # An empty fine N_T makes both sides of its square 0 x dim C^q(coarse N_T),
-    # so the square commutes; it is recorded as such, with None complexes.
-    complexes = [("union", r.fine.nerve, r.coarse.nerve)] + [
-        (f"T={','.join(t)}", fine_nerve, None if fine_nerve is None else r.coarse.intersection_nerve(t))
-        for size in range(1, r.fine.n_pieces + 1) for t, fine_nerve in r.fine.index_set_nerves(size)]
+    # so the square commutes; it is recorded as such, with a None complex.
+    complexes = [(f"T={','.join(t)}", fine_nerve)
+                 for size in range(1, r.fine.n_pieces + 1) for t, fine_nerve in r.fine.index_set_nerves(size)]
     for q in range(q_max + 1):
-        for name, fine_c, coarse_c in complexes:
-            if fine_c is None:
-                squares.append(NaturalitySquare(f"delta[{name}] q={q}", True))
-                continue
-            left = _pullback(r, fine_c, coarse_c, q + 1) @ coboundary_matrix(coarse_c, q, field)
-            right = coboundary_matrix(fine_c, q, field) @ _pullback(r, fine_c, coarse_c, q)
-            squares.append(NaturalitySquare(f"delta[{name}] q={q}", left.equals(right)))
+        left = _pullback(r, r.fine.nerve, r.coarse.nerve, q + 1) @ coboundary_matrix(r.coarse.nerve, q, field)
+        right = coboundary_matrix(r.fine.nerve, q, field) @ _pullback(r, r.fine.nerve, r.coarse.nerve, q)
+        simplices = r.fine.nerve.simplices_of_dim(q + 1)
+        differ = {simplices[i] for i in left.differing_rows(right)}
+        squares.append(NaturalitySquare(f"delta[union] q={q}", not differ))
+        for name, fine_c in complexes:
+            commutes = fine_c is None or differ.isdisjoint(fine_c.simplices)
+            squares.append(NaturalitySquare(f"delta[{name}] q={q}", commutes))
 
         left = _tuple_pullback(r, 1, q) @ phi_star(r.coarse, q)
         right = phi_star(r.fine, q) @ _pullback(r, r.fine.nerve, r.coarse.nerve, q)
@@ -166,9 +215,12 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
             squares.append(NaturalitySquare(f"delta_tilde level={level} q={q}", left.equals(right)))
 
     if r.fine.n_pieces == 2:
+        # the level-2 tuple pullback of a binary pair is the pullback on N_12
         fine_12, coarse_12 = (d.intersection_nerve(r.fine.piece_ids) for d in (r.fine, r.coarse))
         for q in range(q_max + 1):
-            left = connecting_homomorphism(r.fine, q) @ _induced(r, fine_12, coarse_12, q)
+            on_12 = induced_on_cohomology(_tuple_pullback(r, 2, q), cohomology(coarse_12, q, field),
+                                          cohomology(fine_12, q, field))
+            left = connecting_homomorphism(r.fine, q) @ on_12
             right = induced_cohomology_map(r, q + 1) @ connecting_homomorphism(r.coarse, q)
             squares.append(NaturalitySquare(f"connecting q={q}", left.equals(right)))
 
@@ -176,8 +228,14 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
 
 
 def induced_cohomology_map(r: RefinementMap, degree: int) -> FMatrix:
-    """Pullback on H^degree of the union nerves, coarse -> fine."""
-    return _induced(r, r.fine.nerve, r.coarse.nerve, degree)
+    """Pullback on H^degree of the union nerves, coarse -> fine, built once."""
+    key = ("H", degree)
+    if key not in r.pullbacks:
+        field = r.fine.field
+        fine, coarse = r.fine.nerve, r.coarse.nerve
+        r.pullbacks[key] = induced_on_cohomology(_pullback(r, fine, coarse, degree), cohomology(coarse, degree, field),
+                                                 cohomology(fine, degree, field))
+    return r.pullbacks[key]
 
 
 def contiguous(r1: RefinementMap, r2: RefinementMap) -> bool:

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import os
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -135,6 +137,20 @@ def strip_nerves(width, height, k):
 @pytest.fixture(scope="session")
 def strip_document():
     return lambda width, height, k=3, field=2: shared_label_document(strip_nerves(width, height, k), field)
+
+
+@pytest.fixture(scope="session")
+def bench_docs():
+    """The benchmark's document builders, bench/docs.py, imported once without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("bench_docs", Path(__file__).resolve().parents[1] / "bench" / "docs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 # Every forward elimination goes through these entry points, and no other

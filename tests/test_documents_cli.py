@@ -214,7 +214,7 @@ def test_cli_invalid_system_is_input_error_elsewhere(tmp_path, capsys):
                                    "refinement": {"fine": {"pieces": doc["pieces"], "gluings": doc["gluings"]},
                                                   "map": [["a", "l"], ["b", "r"]]}})
     assert main(["refine-check", str(refined)]) == 2
-    assert capsys.readouterr().err == one_line
+    assert capsys.readouterr().err == one_line.replace("input error: ", "input error: $.refinement.fine: ")
     # a line break in a piece id is written escaped
     doc["pieces"][0]["id"] = doc["gluings"][0]["i"] = "p\n1"
     assert main(["cohomology", str(write_doc(tmp_path, doc))]) == 2
@@ -433,6 +433,31 @@ def test_cli_refinement_fine_errors_name_their_path(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("input error: $.refinement.fine.pieces[0].simplices[0]: "
                             "simplex must be a list of string labels\n")
+
+
+@pytest.mark.parametrize("fine, first", [
+    # l2 is glued onto l1 as well: p1->p2 is not injective, and its reverse p2->p1 has a repeated domain
+    ({"pairs": [["l1", "l1"], ["l2", "l1"], ["r1", "r1"], ["r2", "r2"]]},
+     "2 violations; first [STRUCTURE] gluing p1->p2 is not injective  witness=['l1']"),
+    # p2 holds l1 and l2 but not the edge between them
+    ({"simplices": [["l1"], ["l2"], ["l2", "o2"], ["o2", "r2"], ["r1", "r2"]]},
+     "2 violations; first [SIMPLICIAL] gluing p1->p2 is not a simplicial isomorphism between induced subcomplexes"
+     "  witness=[('l1', 'l2')]"),
+], ids=["not_injective", "not_simplicial"])
+def test_cli_refinement_fine_system_errors_name_their_path(fine, first, tmp_path, capsys):
+    doc = gallery_document("two_origin_line")
+    if "pairs" in fine:
+        doc["refinement"]["fine"]["gluings"][0]["pairs"] = fine["pairs"]
+    else:
+        doc["refinement"]["fine"]["pieces"][1]["simplices"] = fine["simplices"]
+    path = write_doc(tmp_path, doc)
+    assert main(["refine-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: $.refinement.fine: invalid adjunction system: {first}\n"
+    # the coarse system alone is valid, and names no path
+    del doc["refinement"]
+    assert main(["validate", str(write_doc(tmp_path, doc))]) == 0
 
 
 # sha256 of `cechkit gallery random_admissible --seed S` before --n reached the generator.

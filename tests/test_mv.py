@@ -1,8 +1,5 @@
-import importlib.util
 import itertools
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,14 +331,19 @@ def test_inductive_fibred_product_makes_one_update_product_per_adjoined_piece(ne
         calls.append((a.shape, b.shape))
         return real(a, b)
 
+    restrictions, real_restriction = [], cochains._restriction
     monkeypatch.setattr(FMatrix, "__matmul__", counted)
+    monkeypatch.setattr(cochains, "_restriction", lambda *args: restrictions.append(args) or real_restriction(*args))
     for q in (0, 1):
         calls.clear()
         dim, basis = inductive_fibred_dim(diagram, q)
-        # one restriction product per overlap (12 on a ring of 12) and one
-        # update of the stacked basis per adjoined piece (11); updating every
-        # absorbed block at each step took 1 + 2 + ... + 11 = 66 updates
-        assert len(calls) == 12 + 11, q
+        # one row gather from the stacked basis per adjoined piece that shares
+        # a q-simplex with the absorbed ones, and no restriction product: the
+        # circles of a ring of 12 share vertices, so 11 gathers at q = 0 and none
+        # at q = 1, where a restriction product per overlap and an update per
+        # step took 12 + 11 in each degree
+        assert len(calls) == (11, 0)[q], q
+        assert restrictions == [], q
         # the flat product's own check, delta_tilde . phi_star = 0, is not counted
         assert dim == fibred_product(diagram, q).dimension == basis.cols
 
@@ -699,52 +701,31 @@ def count_basis_work(monkeypatch) -> Counter:
     return work
 
 
-def bench_docs(monkeypatch):
-    """The benchmark's document builders, bench/docs.py, imported without writing bytecode next to it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_docs", Path(__file__).resolve().parents[1] / "bench" / "docs.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_class_paths_build_no_kernel_basis(tmp_path, monkeypatch):
+def test_class_paths_build_no_kernel_basis(tmp_path, monkeypatch, bench_docs):
     # The classes that refine-check's induced maps and mv's long exact
     # sequence read come from class readers, descended_rank (count, mv's H^1
-    # check) reads representatives, and the flat fibred product is checked
-    # by ranks and one product: refine-check on three arcs and mv and count
-    # on two build no kernel basis at all, and fibred only in the steps of
-    # the inductive form.
-    docs = bench_docs(monkeypatch)
-    kernels, inductive = [], []  # per kernel basis: whether the inductive form asked for it
-    real_kernel, real_inductive = FMatrix.kernel_basis, cli.inductive_fibred_dim
+    # check) reads representatives, the flat fibred product is checked by
+    # ranks and one product, and the inductive one gathers rows: no file
+    # command builds a kernel basis on the benchmark's strips.
+    kernels = []
+    real_kernel = FMatrix.kernel_basis
 
     def kernel(m):
-        kernels.append(bool(inductive))
+        kernels.append(m.shape)
         return real_kernel(m)
 
-    def stepwise(*args):
-        inductive.append(args)
-        try:
-            return real_inductive(*args)
-        finally:
-            inductive.pop()
-
     monkeypatch.setattr(FMatrix, "kernel_basis", kernel)
-    monkeypatch.setattr(cli, "inductive_fibred_dim", stepwise)
     path = tmp_path / "strip.json"
-    path.write_text(canonical_json(docs.strip(8, 3, 3).body), encoding="utf-8")
+    path.write_text(canonical_json(bench_docs.strip(8, 3, 3).body), encoding="utf-8")
     report, code = run_command("refine-check", {"path": path})
     assert code == 0 and report["induced_cohomology"]["H^1"]["rank"] == 1
     assert kernels == []
-    path.write_text(canonical_json(docs.strip(8, 3, 2).body), encoding="utf-8")
+    path.write_text(canonical_json(bench_docs.strip(8, 3, 2).body), encoding="utf-8")
     report, code = run_command("mv", {"path": path})
     assert code == 0 and report["verdicts"]["les_exact"]
-    assert run_command("count", {"path": path})[1] == 0
+    for command in ("cohomology", "fibred", "bundles", "count", "collapse-check"):
+        assert run_command(command, {"path": path})[1] == 0, command
     assert kernels == []
-    assert run_command("fibred", {"path": path})[1] == 0
-    assert kernels and all(kernels)
 
 
 @pytest.mark.parametrize("name, kwargs", COMMAND_DOCUMENTS)

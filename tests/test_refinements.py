@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from dense import dense, vector
 
-from cechkit import refinements
+from cechkit import cochains, refinements
 from cechkit.cli import main, run_command
 from cechkit.cochains import coboundary_matrix, cohomology, induced_on_cohomology, pullback_map
 from cechkit.diagrams import canonicalize
 from cechkit.documents import materialise_refinement, parse_document
-from cechkit.fplinalg import FMatrix
+from cechkit.fplinalg import FMatrix, block_matrix
 from cechkit.gallery import gallery_document
 from cechkit.refinements import (
     InvalidRefinement,
@@ -194,17 +194,22 @@ def test_refine_check_over_odd_primes_on_order_reversing_maps(tmp_path, name, p)
 
 
 def test_a_delta_square_with_a_broken_pullback_does_not_commute():
-    r = refinement_for("two_origin_line")
-    field = r.fine.field
-    for fine_c, coarse_c in ((r.fine.nerve, r.coarse.nerve), (r.fine.nerves["p1"], r.coarse.nerves["p1"])):
-        good = refinements._pullback(r, fine_c, coarse_c, 0)
-        # The pullback of 0-cochains with one entry flipped: still a map C^0(coarse) -> C^0(fine), not a chain map.
-        broken = dense(good)
-        broken[0, 0] = 1 - broken[0, 0]
-        r.pullbacks[fine_c, coarse_c, 0] = FMatrix(broken, field)
-    commutes = {s.name: s.commutes for s in naturality_check(r, 1).squares}
-    assert not commutes["delta[union] q=0"] and not commutes["delta[T=p1] q=0"]
-    assert commutes["delta[union] q=1"] and commutes["delta[T=p2] q=0"] and commutes["delta[T=p1,p2] q=0"]
+    # Every pullback is read off one image table, so a broken pullback is a
+    # broken table entry.  The fine edge l2-o1 lies in piece p1 only: over F_2
+    # its image moves to the other coarse edge of p1, over F_3 its sign flips.
+    # The pullbacks stay maps C^q(coarse) -> C^q(fine), not chain maps.
+    for p in (2, 3):
+        parsed = parse_document(gallery_document("two_origin_line"), field_override=p)
+        coarse = canonicalize(parsed.system)
+        r = materialise_refinement(coarse, parsed.refinement, coarse.field)
+        assert r.verdict.valid
+        image, sign = r.images["l2", "o1"]
+        assert (image, sign) == (("l", "o1"), 1)
+        r.images["l2", "o1"] = (("o1", "r"), sign) if p == 2 else (image, -sign)
+        squares = naturality_check(r, 1).squares
+        failing = {s.name for s in squares if not s.commutes}
+        assert failing == {"delta[union] q=0", "delta[T=p1] q=0", "connecting q=0"}, p
+        assert {"delta[T=p2] q=0", "delta[T=p1,p2] q=0", "delta[union] q=1", "phi_star q=1"} < {s.name for s in squares}
 
 
 def identity_refinement(name):
@@ -212,62 +217,114 @@ def identity_refinement(name):
     return RefinementMap(coarse, coarse, {v: v for v in coarse.nerve.vertices})
 
 
+def fresh_tuple_pullback(r, level, q):
+    """The level-p pullback as blocks of per-N_T pullbacks, each built by `pullback_map` with its scan."""
+    coarse = r.coarse.level(level)
+    fine = {t: r.fine.intersection_nerve(t) for t in coarse}
+    blocks = ((t, t, pullback_map(r.labels, fine[t], k, q, r.fine.field)) for t, k in coarse.items())
+    return block_matrix({t: len(k.simplices_of_dim(q)) for t, k in fine.items()},
+                        {t: len(k.simplices_of_dim(q)) for t, k in coarse.items()}, blocks, r.fine.field)
+
+
 @pytest.mark.parametrize("make", [lambda: refinement_for("bug_eyed_circle"), lambda: refinement_for("two_origin_line"),
                                   lambda: identity_refinement("three_circles")], ids=["bug_eyed", "two_origin", "circles"])
 def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeypatch):
     r = make()
-    validations, built, tuple_builds, alive = [], Counter(), [], []
-    real_validate, real_pullback, real_blocks = (refinements.validate_refinement, refinements.simplicial_pullback,
-                                                 refinements.block_matrix)
+    levels = range(1, r.fine.n_pieces + 1)
+    validations, tables, built, alive = [], [], Counter(), []
+    real_validate, real_table, real_pullback = (refinements.validate_refinement, refinements._image_table,
+                                                refinements._table_pullback)
 
     def validating(refinement):
         validations.append(1)
         return real_validate(refinement)
 
-    def counting(labels, domain, codomain, q, field):
-        built[(domain.simplices, codomain.simplices, q)] += 1
-        result = real_pullback(labels, domain, codomain, q, field)
-        alive.append(weakref.ref(result))
-        return result
+    def tabling(labels, nerve):
+        tables.append(nerve)
+        return real_table(labels, nerve)
 
-    def blocks(*args):
-        tuple_builds.append(args[1])
-        result = real_blocks(*args)
+    def counting(images, fine, coarse, q, field):
+        # level 0 is the union nerves; an N_T pullback would match no level
+        level = 0 if 0 in fine else next(n for n in levels if fine is r.fine.level(n))
+        built[level, q] += 1
+        result = real_pullback(images, fine, coarse, q, field)
         alive.append(weakref.ref(result))
         return result
 
     monkeypatch.setattr(refinements, "validate_refinement", validating)
-    monkeypatch.setattr(refinements, "simplicial_pullback", counting)
-    monkeypatch.setattr(refinements, "block_matrix", blocks)
+    monkeypatch.setattr(refinements, "_image_table", tabling)
+    monkeypatch.setattr(refinements, "_table_pullback", counting)
     verdict = naturality_check(r, 2)
-    keys = [(fine_c, coarse_c, q) for fine_c, coarse_c in union_and_intersection_nerves(r) for q in range(4)]
-    maps = [refinements._pullback(r, *key) for key in keys]
+    union = [refinements._pullback(r, r.fine.nerve, r.coarse.nerve, q) for q in range(4)]
+    tuples = {(level, q): refinements._tuple_pullback(r, level, q) for level in levels for q in range(3)}
     induced = [induced_cohomology_map(r, q) for q in (0, 1)]
     assert naturality_check(r, 2) == verdict
-    assert all(refinements._pullback(r, *key) is m for key, m in zip(keys, maps))
+    assert all(refinements._pullback(r, r.fine.nerve, r.coarse.nerve, q) is m for q, m in enumerate(union))
+    assert all(refinements._tuple_pullback(r, *key) is m for key, m in tuples.items())
     assert induced_cohomology_map(r, 1) is induced[1]
     assert validations == [1]
-    assert built and set(built.values()) == {1}
-    # one tuple pullback per level and degree
-    assert len(tuple_builds) == 3 * r.fine.n_pieces
+    assert tables == [r.fine.nerve]
+    # union pullbacks once per degree, tuple pullbacks once per level and degree, none of a single N_T
+    assert built == Counter({**{(0, q): 1 for q in range(4)}, **{key: 1 for key in tuples}})
+    union_keys = {(r.fine.nerve, r.coarse.nerve, q) for q in range(4)}
+    assert {key for key in r.pullbacks if key[0] != "H"} == union_keys | set(tuples)
     alive.extend(weakref.ref(m) for m in induced)
 
     # the squares and induced maps are those of a refinement whose every pullback is built afresh
     def afresh(other, fine_c, coarse_c, q):
-        built[(fine_c.simplices, coarse_c.simplices, q)] += 1
+        built[fine_c.simplices, coarse_c.simplices, q] += 1
         return pullback_map(other.labels, fine_c, coarse_c, q, other.fine.field)
+
+    def tuple_afresh(other, level, q):
+        built[level, q] += 1
+        return fresh_tuple_pullback(other, level, q)
 
     fresh = RefinementMap(r.fine, r.coarse, dict(r.labels))
     monkeypatch.setattr(refinements, "_pullback", afresh)
+    monkeypatch.setattr(refinements, "_tuple_pullback", tuple_afresh)
     built.clear()
     assert naturality_check(fresh, 2) == verdict
     assert all(induced_cohomology_map(fresh, q).equals(induced[q]) for q in (0, 1))
     assert max(built.values()) > 1
 
     # what the refinement derived goes with it
-    del r, fresh, keys, maps, induced
+    del r, fresh, union, tuples, induced
     gc.collect()
     assert all(ref() is None for ref in alive)
+
+
+def test_refine_check_builds_coboundaries_only_on_the_union_nerves(tmp_path, monkeypatch, bench_docs):
+    # On strip(8, 3, 3) the union nerves' squares stand for those of every
+    # N_T, and every pullback is read off one image table: d^0, d^1 and d^2
+    # on the two union nerves (6 builds, 42 when each of 7 fine and 7 coarse
+    # complexes had its own), and one sign per nondegenerate fine union
+    # simplex (168, 408 when each pullback sorted its own).
+    doc = bench_docs.strip(8, 3, 3).body
+    parsed = parse_document(doc)
+    coarse = canonicalize(parsed.system)
+    r = materialise_refinement(coarse, parsed.refinement, coarse.field)
+    nondegenerate = sum(len({r.labels[v] for v in s}) == len(s) for s in r.fine.nerve.simplices)
+    builds, signs = [], []
+    real_coboundary, real_sign = cochains._coboundary, cochains._permutation_sign
+
+    def coboundary(k, q, field):
+        builds.append((k.simplices, q))
+        return real_coboundary(k, q, field)
+
+    def sign(seq):
+        signs.append(seq)
+        return real_sign(seq)
+
+    monkeypatch.setattr(cochains, "_coboundary", coboundary)
+    monkeypatch.setattr(cochains, "_permutation_sign", sign)
+    monkeypatch.setattr(refinements, "_permutation_sign", sign)
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report, code = run_command("refine-check", {"path": path})
+    assert code == 0 and report["verdicts"]["naturality_squares_commute"]
+    assert sorted(builds, key=lambda b: (len(b[0]), b[1])) == [
+        (nerve.simplices, q) for nerve in (coarse.nerve, r.fine.nerve) for q in range(3)]
+    assert len(signs) == nondegenerate == 168
 
 
 def two_origin_with_map(change):
