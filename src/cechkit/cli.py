@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("name", type=str)
     g.add_argument("--n", type=int, default=None,
                    help="piece count (branching_line_n: default 2; random_admissible: default from the seed)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=None, help="random_admissible only (default 0)")
     return parser
 
 
@@ -382,7 +382,7 @@ def _cmd_gallery(args) -> tuple[dict | None, int]:
     doc = gallery_document(args.name, field=field.p, n=args.n, seed=args.seed)
     sys.stdout.write(canonical_json(doc))
     if args.name == "random_admissible":
-        sys.stderr.write(f"seed: {args.seed}\n")
+        sys.stderr.write(f"seed: {0 if args.seed is None else args.seed}\n")
     return doc, 0
 
 

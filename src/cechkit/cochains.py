@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import Simplex, SimplicialComplex
 from .errors import NotSimplicial
 from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix
 
@@ -239,28 +239,54 @@ def _permutation_sign(seq: tuple[str, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _image_table(labels: Mapping[str, str], k: SimplicialComplex) -> dict[Simplex, tuple[Simplex, int]]:
+    """Each simplex's (sorted image, permutation sign or 0 where the image is degenerate), one pass."""
+    table = {}
+    for s in k.simplices:
+        mapped = tuple(map(labels.__getitem__, s))
+        image = tuple(sorted(set(mapped)))
+        table[s] = image, _permutation_sign(mapped) if len(image) == len(s) else 0
+    return table
+
+
+def _table_pullback(images: Mapping[Simplex, tuple[Simplex, int]], fine: Mapping[Hashable, SimplicialComplex],
+                    coarse: Mapping[Hashable, SimplicialComplex], degree: int, field: PrimeField) -> FMatrix:
+    """The blockwise pullback from the coarse complexes' q-cochains to the fine ones', one pass over the table.
+
+    Fine keys are coarse keys in the same order; a coarse block with no
+    fine block has no rows.  Row s of block T holds s's sign at its
+    image's column, or nothing where the image is degenerate.
+    """
+    rows, n_rows = _ranges(_cochain_dims(fine, degree))
+    cols, n_cols = _ranges(_cochain_dims(coarse, degree))
+
+    def entries():
+        for t, k in fine.items():
+            index, at = coarse[t].index_of_dim(degree), cols[t].start
+            for row, s in enumerate(k.simplices_of_dim(degree), rows[t].start):
+                image, sign = images[s]
+                if sign:
+                    yield row, at + index[image], sign
+
+    return entry_matrix((n_rows, n_cols), entries(), field)
+
+
 def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
                  codomain: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
     """The matrix of the pullback C^q(codomain) -> C^q(domain) along a simplicial vertex map.
 
     Simplices with degenerate image (repeated vertices) pull the cochain
     value back to zero, matching the alternating-cochain model.  The
-    domain is scanned by dimension, then lexicographically, so an error
-    names the same simplex on every run.
+    domain's vertices are checked first, in order, then its simplices by
+    dimension and lexicographically, so an error names the same vertex
+    or simplex on every run.  The matrix is read off the domain's image
+    table, as a refinement's pullbacks are.
     """
+    for v in domain.vertices:
+        if v not in vertex_map:
+            raise NotSimplicial(f"vertex map undefined on {v!r}")
+    images = _image_table(vertex_map, domain)
     for s in sorted(domain.simplices, key=lambda s: (len(s), s)):
-        try:
-            image = tuple(sorted({vertex_map[v] for v in s}))
-        except KeyError as exc:
-            raise NotSimplicial(f"vertex map undefined on {exc.args[0]!r}") from exc
-        if image not in codomain:
+        if images[s][0] not in codomain:
             raise NotSimplicial(f"image of {s!r} is not a simplex of the codomain")
-    src, tgt = codomain.index_of_dim(q), domain.simplices_of_dim(q)
-
-    def entries():
-        for row, tau in enumerate(tgt):
-            images = tuple(vertex_map[v] for v in tau)
-            if len(set(images)) == len(images):
-                yield row, src[tuple(sorted(images))], _permutation_sign(images)
-
-    return entry_matrix((len(tgt), len(src)), entries(), field)
+    return _table_pullback(images, {0: domain}, {0: codomain}, q, field)

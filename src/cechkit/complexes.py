@@ -10,10 +10,10 @@ Complexes are immutable, so results that depend on one complex alone
 are memoised on the instance and live exactly as long as it does: its
 vertices, its simplices of each dimension, the index of each dimension's
 simplices (the coordinates of C^q), and in `cochain_matrices` the
-read-only matrices of `cochains`.  These are each coboundary d^q per
+read-only values of `cochains`.  These are each coboundary d^q per
 degree and field, with the one forward elimination that its rank, column
-space and kernel share; the cocycle, coboundary and representative bases
-of H^q per degree and field, once any of them is read; and each
+space and kernel share; one class reader of H^q per degree and field,
+built on first read and only where H^q is not 0; and each
 restriction matrix onto a subcomplex, keyed by the subcomplex's
 simplices.  The memo belongs to the object, so two equal complexes share
 it only when they are one object: a glued diagram interns its nerves by
@@ -83,7 +83,7 @@ def faces(simplex: Simplex) -> frozenset[Simplex]:
 class SimplicialComplex:
     simplices: frozenset[Simplex]
     _index: dict[int, dict[Simplex, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # `cochains` matrices on this complex: FMatrix values and frozenset keys only, so none points back here.
+    # `cochains` matrices and class readers on this complex, under int and frozenset keys: none points back here.
     cochain_matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property

@@ -170,12 +170,19 @@ def random_admissible(seed: int, field: int = 2, n_pieces: int | None = None) ->
     return {"field": field, "pieces": pieces, "gluings": gluings}
 
 
-def gallery_document(name: str, field: int = 2, n: int | None = None, seed: int = 0) -> Document:
-    """The named document; n is the piece count where the family takes one.
+def gallery_document(name: str, field: int = 2, n: int | None = None, seed: int | None = None) -> Document:
+    """The named document; n is the piece count and seed the generator's seed, where the family takes them.
 
     Without n, branching_line_n has 2 pieces and random_admissible draws
-    its piece count from the seed.
+    its piece count from the seed; without a seed, random_admissible uses
+    seed 0.  A family that takes no n or no seed refuses one.
     """
+    if name not in GALLERY_NAMES:
+        raise UnknownGallery(name)
+    if n is not None and name not in ("branching_line_n", "random_admissible"):
+        raise BadGalleryParameter(f"gallery {name} takes no n; only branching_line_n and random_admissible do")
+    if seed is not None and name != "random_admissible":
+        raise BadGalleryParameter(f"gallery {name} takes no seed; only random_admissible does")
     if name == "two_origin_line":
         return two_origin_line(field)
     if name == "branching_line_n":
@@ -184,6 +191,4 @@ def gallery_document(name: str, field: int = 2, n: int | None = None, seed: int 
         return bug_eyed_circle(field)
     if name == "three_circles":
         return three_circles(field)
-    if name == "random_admissible":
-        return random_admissible(seed, field, n_pieces=n)
-    raise UnknownGallery(name)
+    return random_admissible(0 if seed is None else seed, field, n_pieces=n)

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Mapping
 
-from .cochains import _cochain_dims, _permutation_sign, coboundary_matrix, cohomology, induced_on_cohomology
+from .cochains import _image_table, _table_pullback, coboundary_matrix, cohomology, induced_on_cohomology
 from .complexes import Simplex, SimplicialComplex
 from .diagrams import GluedDiagram, ValidationReport
-from .fplinalg import FMatrix, PrimeField, _ranges, entry_matrix
+from .fplinalg import FMatrix
 from .mv import connecting_homomorphism, delta_tilde, phi_star
 
 
@@ -69,16 +69,6 @@ class RefinementMap:
         return _image_table(self.labels, self.fine.nerve)
 
 
-def _image_table(labels: Mapping[str, str], nerve: SimplicialComplex) -> dict[Simplex, tuple[Simplex, int]]:
-    """Each simplex's (sorted image, permutation sign or 0 where the image is degenerate), one pass."""
-    table = {}
-    for s in nerve.simplices:
-        mapped = tuple(map(labels.__getitem__, s))
-        image = tuple(sorted(set(mapped)))
-        table[s] = image, _permutation_sign(mapped) if len(image) == len(s) else 0
-    return table
-
-
 def validate_refinement(r: RefinementMap) -> ValidationReport:
     """Every violation as a message; per piece its labels, then its other simplices by dimension and lexicographically."""
     bad: list[str] = []
@@ -107,28 +97,6 @@ def validate_refinement(r: RefinementMap) -> ValidationReport:
                 if images[s][0] not in coarse_nerve:
                     bad.append(f"piece {pid!r}: image of simplex {s!r} is not simplicial")
     return ValidationReport(not bad, tuple(bad))
-
-
-def _table_pullback(images: Mapping[Simplex, tuple[Simplex, int]], fine: Mapping[Hashable, SimplicialComplex],
-                    coarse: Mapping[Hashable, SimplicialComplex], degree: int, field: PrimeField) -> FMatrix:
-    """The blockwise pullback from the coarse complexes' q-cochains to the fine ones', one pass over the table.
-
-    Fine keys are coarse keys in the same order; a coarse block with no
-    fine block has no rows.  Row s of block T holds s's sign at its
-    image's column, or nothing where the image is degenerate.
-    """
-    rows, n_rows = _ranges(_cochain_dims(fine, degree))
-    cols, n_cols = _ranges(_cochain_dims(coarse, degree))
-
-    def entries():
-        for t, k in fine.items():
-            index, at = coarse[t].index_of_dim(degree), cols[t].start
-            for row, s in enumerate(k.simplices_of_dim(degree), rows[t].start):
-                image, sign = images[s]
-                if sign:
-                    yield row, at + index[image], sign
-
-    return entry_matrix((n_rows, n_cols), entries(), field)
 
 
 def _kept_pullback(r: RefinementMap, key: tuple, fine: Mapping[Hashable, SimplicialComplex],

@@ -1,4 +1,4 @@
-"""numpy arrays to and from `FMatrix` values, for tests that compare with dense references.
+"""numpy arrays to and from `FMatrix` values, for tests that compare with the dense reference.
 
 The package itself needs no numpy: an `FMatrix` is built from rows of
 ints and read back with `tolist`.  These helpers also cover the shapes
@@ -6,8 +6,9 @@ with no rows, which a sequence of rows cannot give.
 """
 
 import numpy as np
+import reference
 
-from cechkit.fplinalg import FMatrix, PrimeField
+from cechkit.fplinalg import Echelon, FMatrix, PrimeField
 
 
 def dense(m: FMatrix) -> np.ndarray:
@@ -24,3 +25,29 @@ def matrix(a, field: PrimeField) -> FMatrix:
 def vector(v, field: PrimeField) -> FMatrix:
     """A 1-d array of integers as a one-column matrix."""
     return matrix(np.asarray(v).reshape(-1, 1), field)
+
+
+def equal(m: FMatrix, a) -> bool:
+    """Whether m has the shape and the entries of an array with entries in [0, p)."""
+    a = np.asarray(a)
+    return m.shape == a.shape and m.tolist() == a.tolist()
+
+
+class DenseEchelon(Echelon):
+    """An echelon whose rows are the reference's reduced form, whose pivot rows `reduced` returns."""
+
+    def reduced(self) -> FMatrix:
+        return matrix(self.rows[:len(self.pivots)], self.field)
+
+    def remainder(self, a: FMatrix) -> FMatrix:
+        # a reduced row is 1 in its own pivot column and 0 in every other one
+        rows = dense(a)
+        for k, c in enumerate(self.pivots):
+            rows = (rows - np.outer(rows[:, c], self.rows[k])) % self.field.p
+        return matrix(rows, self.field)
+
+
+def dense_echelon(a: np.ndarray, p: int) -> Echelon:
+    """`echelon` on the reference's dense elimination, with the same pivots and reduced form."""
+    reduced, pivots = reference.rref(a, p)
+    return DenseEchelon(a.shape, PrimeField(p), pivots, reduced)

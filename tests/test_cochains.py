@@ -4,8 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+import reference
 from conftest import GALLERY_CASES, diagram_for
-from dense import dense, matrix, vector
+from dense import dense, equal, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from cechkit.cochains import (
 from cechkit.complexes import EMPTY_COMPLEX, build_complex, components
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
-from cechkit.fplinalg import F2, MAX_PRIME, FMatrix, PrimeField, block_matrix
+from cechkit.fplinalg import F2, MAX_PRIME, FMatrix, PrimeField
 from cechkit.gallery import random_admissible
 from cechkit.mv import delta_tilde, phi_star
 
@@ -277,37 +278,10 @@ def test_class_coordinates_brute_force_cross_check():
         assert (not dense(coords).any()) == trivial
 
 
-def greedy_extend_basis(b: FMatrix, z: FMatrix) -> FMatrix:
-    """Reference: the per-column greedy loop cohomology used to run.
-
-    Extending the empty span of a matrix's rows greedily by its columns
-    is what its pivot columns compute, so this one loop gives
-    both the old coboundary basis and the old representatives.
-    """
-    picked: list[list[int]] = []
-    current, columns = dense(b), dense(z)
-    rank = b.rank()
-    for j in range(z.cols):
-        candidate = np.column_stack([current, columns[:, j]]) if current.size else columns[:, [j]]
-        r = matrix(candidate, z.field).rank()
-        if r > rank:
-            picked.append(z.column(j))
-            current = candidate
-            rank = r
-    return matrix(np.column_stack(picked) if picked else np.zeros((z.rows, 0), dtype=np.int64), z.field)
-
-
 def assert_matches_greedy(k, field):
+    # R is the greedy extension of the coboundaries' span by the cocycle basis Z, column by column
     for q in (0, 1, 2):
-        coh = cohomology(k, q, field)
-        dim = len(k.simplices_of_dim(q))
-        if q == 0:
-            b = FMatrix.zeros(dim, 0, field)
-        else:
-            b = greedy_extend_basis(FMatrix.zeros(dim, 0, field), coboundary_matrix(k, q - 1, field))
-        reps = greedy_extend_basis(b, coboundary_matrix(k, q, field).kernel_basis())
-        assert dense(coh.representatives).shape == dense(reps).shape, (k.vertices, q)
-        assert np.array_equal(dense(coh.representatives), dense(reps)), (k.vertices, q)
+        assert equal(cohomology(k, q, field).representatives, reference.representatives(k, q, field.p)), (k.vertices, q)
 
 
 def nerves_of(diagram):
@@ -351,28 +325,6 @@ def test_dimension_from_ranks_counts_the_representatives_on_random_nerves(seed, 
         assert_dimension_from_ranks(nerve, PrimeField(p))
 
 
-def reference_cohomology_basis(k, q, field):
-    """Reference: cocycles Z, coboundaries B, representatives R and [B | R] from one elimination of [d^(q-1) | Z].
-
-    This is how the bases were computed before the class reader, and
-    `reference_class_coordinates` how classes were solved on them.
-    """
-    z = coboundary_matrix(k, q, field).kernel_basis()
-    d = coboundary_matrix(k, q - 1, field) if q else FMatrix.zeros(z.rows, 0, field)
-    joint = block_matrix({0: z.rows}, {"B": d.cols, "Z": z.cols}, [(0, "B", d), (0, "Z", z)], field)
-    adapted = joint[:, joint.pivots()]
-    n = sum(c < d.cols for c in joint.pivots())
-    return z, adapted[:, :n], adapted[:, n:], adapted
-
-
-def reference_class_coordinates(basis, values):
-    _, coboundaries, _, adapted = basis
-    solution = adapted.solve(values)
-    if solution is None:
-        raise ValueError("vector is not a cocycle of this space")
-    return solution[coboundaries.cols:]
-
-
 @st.composite
 def reader_cases(draw):
     """Complexes (a random one, the nerves of a gallery diagram, or the empty complex), a field and a generator."""
@@ -395,26 +347,27 @@ def reader_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(reader_cases())
 def test_class_reader_matches_the_adapted_basis_solve(case):
+    # R and class coordinates are fixed by the definition: equal to the reference's entry for entry
     complexes, field, rng = case
+    p = field.p
     for k in complexes:
         for q in range(max(k.dim, 0) + 2):
             coh = cohomology(k, q, field)
-            basis = reference_cohomology_basis(k, q, field)
-            z, reps = basis[0], basis[2]
-            assert coh.representatives.shape == reps.shape and coh.representatives.tolist() == reps.tolist(), q
+            assert equal(coh.representatives, reference.representatives(k, q, p)), q
             # a batch of random cocycles, coboundaries among them when Z is small
-            values = z @ matrix(rng.integers(0, field.p, size=(z.cols, int(rng.integers(0, 4)))), field)
-            got, want = class_coordinates(coh, values), reference_class_coordinates(basis, values)
-            assert got.shape == want.shape and got.tolist() == want.tolist(), q
+            z = reference.cocycles(k, q, p)
+            values = z @ rng.integers(0, p, size=(z.shape[1], int(rng.integers(0, 4)))) % p
+            assert equal(class_coordinates(coh, matrix(values, field)), reference.class_coordinates(k, q, p, values)), q
             # a batch with one cochain that is not a cocycle
             d = coboundary_matrix(k, q, field)
             for j in [j for j in range(d.cols) if any(d.column(j))][:2]:
                 unit = np.zeros((d.cols, 1), dtype=np.int64)
                 unit[j] = 1
-                bad = matrix(np.hstack([dense(values), unit]), field)
-                for read in (class_coordinates, lambda coh, v: reference_class_coordinates(basis, v)):
-                    with pytest.raises(ValueError):
-                        read(coh, bad)
+                bad = np.hstack([values, unit])
+                with pytest.raises(ValueError):
+                    class_coordinates(coh, matrix(bad, field))
+                with pytest.raises(ValueError):
+                    reference.class_coordinates(k, q, p, bad)
 
 
 def test_cohomology_runs_two_eliminations(count_eliminations, count_backsubstitutions):

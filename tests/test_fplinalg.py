@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense import dense, matrix, vector
+import reference
+from dense import dense, equal, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from cechkit.fplinalg import (
     F2,
     MAX_PRIME,
     DimensionMismatch,
-    Echelon,
     FMatrix,
     ModulusTooLarge,
     NotPrime,
@@ -245,20 +245,6 @@ def test_pivot_columns_deterministic():
     assert cb.column(0) == [1, 1]
 
 
-def greedy_column_space_basis(m: FMatrix) -> FMatrix:
-    """Reference: the per-column greedy loop the pivot columns replaced."""
-    p, a = m.field.p, dense(m)
-    picked: list[np.ndarray] = []
-    rank = 0
-    for j in range(m.cols):
-        candidate = picked + [a[:, j]]
-        r = len(rref(matrix(np.column_stack(candidate), m.field), p)[1])
-        if r > rank:
-            picked.append(a[:, j])
-            rank = r
-    return matrix(np.column_stack(picked) if picked else np.zeros((m.rows, 0), dtype=np.int64), m.field)
-
-
 @st.composite
 def matrices(draw) -> FMatrix:
     p = draw(st.sampled_from((2, 3, 5)))
@@ -271,11 +257,10 @@ def matrices(draw) -> FMatrix:
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_pivot_columns_match_greedy_loop(m):
-    got = m[:, m.pivots()]
-    want = greedy_column_space_basis(m)
-    assert dense(got).shape == dense(want).shape
-    assert dense(got).dtype == dense(want).dtype
-    assert np.array_equal(dense(got), dense(want))
+    # the pivot columns are the columns that raise the rank of the ones before them
+    a = dense(m)
+    want = [j for j in range(m.cols) if reference.rank(a[:, :j + 1], m.field.p) > reference.rank(a[:, :j], m.field.p)]
+    assert m.pivots() == want and equal(m[:, m.pivots()], a[:, want])
 
 
 def test_pivot_columns_run_one_elimination(count_eliminations):
@@ -451,81 +436,10 @@ def test_entries_are_read_only_and_rank_runs_one_elimination(count_eliminations,
     assert calls == [(6, 7)] and backsubs == [(6, 7)]
 
 
-def dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reference: the dense row loop the field-specialised kernel replaced."""
-    a = a.copy() % p
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, nrows):
-            if a[rr, c]:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        for rr in range(nrows):
-            if rr != r and a[rr, c]:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
-
-class DenseEchelon(Echelon):
-    """An echelon whose rows are dense_rref's reduced form, whose pivot rows reduced returns."""
-
-    def reduced(self) -> FMatrix:
-        return matrix(self.rows[:len(self.pivots)], self.field)
-
-    def remainder(self, a: FMatrix) -> FMatrix:
-        # a reduced row is 1 in its own pivot column and 0 in every other one
-        rows = dense(a)
-        for k, c in enumerate(self.pivots):
-            rows = (rows - np.outer(rows[:, c], self.rows[k])) % self.field.p
-        return matrix(rows, self.field)
-
-
-def dense_echelon(a: np.ndarray, p: int) -> Echelon:
-    """Reference: echelon on dense_rref, with the same pivots and reduced form."""
-    reduced, pivots = dense_rref(a, p)
-    return DenseEchelon(a.shape, PrimeField(p), pivots, reduced)
-
-
-def dense_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """Reference: the per-free-column kernel loop, on dense_rref."""
-    reduced, pivots = dense_rref(a, p)
-    cols = []
-    for f in [c for c in range(a.shape[1]) if c not in pivots]:
-        v = np.zeros(a.shape[1], dtype=np.int64)
-        v[f] = 1
-        for k, pc in enumerate(pivots):
-            v[pc] = (-reduced[k, f]) % p
-        cols.append(v)
-    return np.column_stack(cols) if cols else np.zeros((a.shape[1], 0), dtype=np.int64)
-
-
-def dense_solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """Reference: one solution with free variables 0, on dense_rref."""
-    reduced, pivots = dense_rref(np.column_stack([a, b]), p)
-    if a.shape[1] in pivots:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for k, pc in enumerate(pivots):
-        x[pc] = reduced[k, a.shape[1]]
-    return x
-
-
 def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator) -> None:
     field = PrimeField(p)
     rows, cols = a.shape
-    want, want_pivots = dense_rref(a, p)
+    want, want_pivots = reference.rref(a, p)
     m = matrix(a, field)
     got, got_pivots = rref(m, p)
     got = dense(got)
@@ -535,7 +449,7 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
 
     assert m.rank() == len(want_pivots)
     kernel = dense(m.kernel_basis())
-    assert kernel.dtype == np.int64 and np.array_equal(kernel, dense_kernel_basis(a, p))
+    assert kernel.dtype == np.int64 and np.array_equal(kernel, reference.kernel(a, p))
     assert np.array_equal(dense(m[:, m.pivots()]), (a % p)[:, want_pivots])
     # a selection picks columns in any order, repeats included
     js = [int(j) for j in rng.integers(0, cols, size=rng.integers(0, 2 * cols + 1))] if cols else []
@@ -548,13 +462,13 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     assert np.array_equal(dense(m.remainder(matrix(batch, field))), left)
 
     consistent = (a @ rng.integers(0, p, size=cols)) % p
-    left_kernel = dense_kernel_basis(a.T, p)
+    left_kernel = reference.kernel(a.T, p)
     # b = e_i with y_i != 0 for some y in the left kernel: y.b != 0, so no solution
     outside = np.zeros(rows, dtype=np.int64)
     if left_kernel.shape[1]:
         outside[np.flatnonzero(left_kernel[:, 0])[0]] = 1
     for b in (consistent, rng.integers(-p, 2 * p, size=rows), outside):
-        x, want_x = m.solve(vector(b, field)), dense_solve(a, b, p)
+        x, want_x = m.solve(vector(b, field)), reference.solve(a, b, p)
         assert (x is None) == (want_x is None)
         if x is not None:
             assert x.shape == (cols, 1) and np.array_equal(dense(x)[:, 0], want_x)
@@ -569,7 +483,7 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
     if left_kernel.shape[1]:
         batches.append(np.column_stack([consistent, outside, consistent]))
     for batch in batches:
-        x, want = m.solve(matrix(batch, field)), [dense_solve(a, b, p) for b in batch.T]
+        x, want = m.solve(matrix(batch, field)), [reference.solve(a, b, p) for b in batch.T]
         assert (x is None) == any(w is None for w in want)
         if x is not None:
             assert x.shape == (cols, batch.shape[1])
@@ -577,7 +491,7 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
                 assert x.column(j) == m.solve(vector(b, field)).column(0) and np.array_equal(x.column(j), want[j])
 
     if rows == cols:
-        reduced, pivots = dense_rref(np.column_stack([a, np.eye(rows, dtype=np.int64)]), p)
+        reduced, pivots = reference.rref(np.column_stack([a, np.eye(rows, dtype=np.int64)]), p)
         if pivots[:rows] == list(range(rows)):
             assert np.array_equal(dense(m.inverse()), reduced[:, rows:])
         else:

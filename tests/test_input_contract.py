@@ -20,6 +20,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from conftest import rank2_bundle_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,3 +231,25 @@ def test_a_refinement_map_naming_a_label_the_fine_diagram_lacks_is_one_input_err
         assert code == 2 and out == "", (label, err)
         assert err == f"input error: $.refinement.map: map names labels the fine diagram does not have " \
                       f"['{label}']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["two_origin_line", "--n", "3"], ["bug_eyed_circle", "--n", "2"], ["three_circles", "--n", "3"],
+    ["two_origin_line", "--seed", "0"], ["three_circles", "--seed", "7"],
+    ["branching_line_n", "--n", "3", "--seed", "4"],
+], ids=" ".join)
+def test_a_gallery_flag_the_family_does_not_take_is_one_input_error(argv):
+    # such a flag was ignored, and the family's one document written with exit 0
+    name, flag, value = argv[0], argv[-2], argv[-1]
+    message = (f"gallery {name} takes no seed; only random_admissible does" if flag == "--seed"
+               else f"gallery {name} takes no n; only branching_line_n and random_admissible do")
+    assert _run(["gallery", *argv]) == (2, "", f"input error: {message}\n")
+    with pytest.raises(BadGalleryParameter, match=message):
+        gallery_document(name, **{flag[2:]: int(value)})
+
+
+def test_the_gallery_seed_defaults_to_0():
+    assert gallery_document("random_admissible") == gallery_document("random_admissible", seed=0)
+    for argv in (["random_admissible"], ["random_admissible", "--seed", "0"]):
+        assert _run(["gallery", *argv])[::2] == (0, "seed: 0\n")
+    assert _run(["gallery", "random_admissible"]) == _run(["gallery", "random_admissible", "--seed", "0"])

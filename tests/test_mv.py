@@ -3,8 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import reference
 from conftest import GALLERY_CASES, diagram_for, patch_bindings
-from dense import dense, matrix, vector
+from dense import dense, equal, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,31 +172,23 @@ def descended_delta_tilde(diagram, level, q):
     return induced_on_cohomology(delta_tilde(diagram, level, q), src, tgt)
 
 
-def _alpha_by_hand(diagram, q):
-    """(a1 | -a2): each piece's restriction to N_12, descended to cohomology on its own."""
-    field = diagram.field
-    n12 = diagram.intersection_nerve(diagram.piece_ids)
-    blocks = [dense(induced_on_cohomology(restriction_matrix(diagram.nerves[i], n12, q, field),
-                                          cohomology(diagram.nerves[i], q, field),
-                                          cohomology(n12, q, field)))
-              for i in diagram.piece_ids]
-    return matrix(np.hstack([blocks[0], -blocks[1]]), field)
-
-
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_descended_difference_map_is_alpha_of_the_long_exact_sequence(p):
+    # alpha = (a1 | -a2), each piece's restriction to N_12 descended to cohomology
     docs = [gallery_document(name, field=p, **kwargs) for name, kwargs in
             (("two_origin_line", {}), ("branching_line_n", {"n": 2}), ("bug_eyed_circle", {}))]
     docs += [gallery_document("random_admissible", field=p, n=2, seed=seed) for seed in range(12)]
     for doc in docs:
         diagram = canonicalize(parse_document(doc).system)
+        pieces, n12 = list(diagram.level(1).values()), diagram.intersection_nerve(diagram.piece_ids)
         for q in range(diagram.nerve.dim + 2):
-            assert descended_delta_tilde(diagram, 1, q).equals(_alpha_by_hand(diagram, q))
+            alpha = reference.induced(reference.delta_tilde(diagram, 1, q, p), [(k, q) for k in pieces], [(n12, q)], p)
+            assert equal(descended_delta_tilde(diagram, 1, q), alpha)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_induced_on_cohomology_over_a_direct_sum_stacks_the_single_basis_maps(p):
-    # phi on cohomology: into the pieces' direct sum at once, against one piece at a time
+    # phi on cohomology: into the pieces' direct sum at once, and one piece at a time
     cases = [diagram_for(name, field=p, **kwargs) for name, kwargs in GALLERY_CASES]
     cases += [diagram_for("random_admissible", field=p, seed=seed) for seed in range(12)]
     nonzero = 0
@@ -204,10 +197,13 @@ def test_induced_on_cohomology_over_a_direct_sum_stacks_the_single_basis_maps(p)
         for q in range(diagram.nerve.dim + 2):
             union = cohomology(diagram.nerve, q, field)
             pieces = [cohomology(k, q, field) for k in diagram.level(1).values()]
-            one_by_one = [induced_on_cohomology(restriction_matrix(diagram.nerve, h.complex, q, field), union, h)
-                          for h in pieces]
+            for h in pieces:
+                one = induced_on_cohomology(restriction_matrix(diagram.nerve, h.complex, q, field), union, h)
+                assert equal(one, reference.induced(reference.restriction(diagram.nerve, h.complex, q, p),
+                                                    [(diagram.nerve, q)], [(h.complex, q)], p)), q
             phi = induced_on_cohomology(phi_star(diagram, q), union, pieces)
-            assert phi.equals(matrix(np.vstack([dense(m) for m in one_by_one]), field)), q
+            assert equal(phi, reference.induced(reference.phi_star(diagram, q, p), [(diagram.nerve, q)],
+                                                [(h.complex, q) for h in pieces], p)), q
             nonzero += not phi.is_zero()
     assert nonzero
 

@@ -10,14 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense import dense, vector
+import reference
+from dense import dense, matrix, vector
 
 from cechkit import cochains, refinements
 from cechkit.cli import main, run_command
 from cechkit.cochains import coboundary_matrix, cohomology, induced_on_cohomology, pullback_map
 from cechkit.diagrams import canonicalize
 from cechkit.documents import materialise_refinement, parse_document
-from cechkit.fplinalg import FMatrix, block_matrix
+from cechkit.fplinalg import FMatrix
 from cechkit.gallery import gallery_document
 from cechkit.refinements import (
     InvalidRefinement,
@@ -217,15 +218,6 @@ def identity_refinement(name):
     return RefinementMap(coarse, coarse, {v: v for v in coarse.nerve.vertices})
 
 
-def fresh_tuple_pullback(r, level, q):
-    """The level-p pullback as blocks of per-N_T pullbacks, each built by `pullback_map` with its scan."""
-    coarse = r.coarse.level(level)
-    fine = {t: r.fine.intersection_nerve(t) for t in coarse}
-    blocks = ((t, t, pullback_map(r.labels, fine[t], k, q, r.fine.field)) for t, k in coarse.items())
-    return block_matrix({t: len(k.simplices_of_dim(q)) for t, k in fine.items()},
-                        {t: len(k.simplices_of_dim(q)) for t, k in coarse.items()}, blocks, r.fine.field)
-
-
 @pytest.mark.parametrize("make", [lambda: refinement_for("bug_eyed_circle"), lambda: refinement_for("two_origin_line"),
                                   lambda: identity_refinement("three_circles")], ids=["bug_eyed", "two_origin", "circles"])
 def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeypatch):
@@ -270,14 +262,14 @@ def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeyp
     assert {key for key in r.pullbacks if key[0] != "H"} == union_keys | set(tuples)
     alive.extend(weakref.ref(m) for m in induced)
 
-    # the squares and induced maps are those of a refinement whose every pullback is built afresh
+    # the squares and induced maps are those of a refinement whose every pullback is built afresh, by the reference
     def afresh(other, fine_c, coarse_c, q):
         built[fine_c.simplices, coarse_c.simplices, q] += 1
-        return pullback_map(other.labels, fine_c, coarse_c, q, other.fine.field)
+        return matrix(reference.pullback(other.labels, fine_c, coarse_c, q, other.fine.field.p), other.fine.field)
 
     def tuple_afresh(other, level, q):
         built[level, q] += 1
-        return fresh_tuple_pullback(other, level, q)
+        return matrix(reference.tuple_pullback(other, level, q, other.fine.field.p), other.fine.field)
 
     fresh = RefinementMap(r.fine, r.coarse, dict(r.labels))
     monkeypatch.setattr(refinements, "_pullback", afresh)
@@ -317,7 +309,6 @@ def test_refine_check_builds_coboundaries_only_on_the_union_nerves(tmp_path, mon
 
     monkeypatch.setattr(cochains, "_coboundary", coboundary)
     monkeypatch.setattr(cochains, "_permutation_sign", sign)
-    monkeypatch.setattr(refinements, "_permutation_sign", sign)
     path = tmp_path / "strip.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     report, code = run_command("refine-check", {"path": path})

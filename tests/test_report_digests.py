@@ -106,8 +106,7 @@ def larger_odd_field_documents() -> dict[str, dict]:
 
 def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch):
     from conftest import patch_bindings
-    from dense import dense
-    from test_fplinalg import dense_echelon
+    from dense import dense, dense_echelon
     docs = larger_odd_field_documents()
     shipped = reports(tmp_path, docs, ODD_FIELD_COMMANDS)
     assert None not in shipped.values()
