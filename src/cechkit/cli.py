@@ -46,7 +46,7 @@ from .documents import (
 )
 from .errors import InputError, ResourceLimit, one_line
 from .fplinalg import PrimeField
-from .gallery import GALLERY_NAMES, gallery_document
+from .gallery import GALLERY_NAMES, check_parameters, gallery_document
 from .mv import (
     assemble_les,
     count_line_bundles,
@@ -69,10 +69,6 @@ class UnknownCommand(ValueError):
     pass
 
 
-def _key(t: tuple[str, ...]) -> str:
-    return ",".join(t)
-
-
 def _println(line: str = "") -> None:
     """One line of human output; a line break in the text it quotes, as in a piece id, is written escaped."""
     sys.stdout.write(one_line(line) + "\n")
@@ -81,20 +77,24 @@ def _println(line: str = "") -> None:
 def _table(rows: list[tuple]) -> None:
     """Print rows of equal length as columns, each cell left-aligned to its column's width.
 
-    Each cell is turned into text once.  Rows whose tails (the cells after
-    the first) read alike share one tail, padded once: index set rows
-    mostly end alike.  Only the distinct tails are kept, so a wide table
-    holds no second copy of its cells.  The first cells, which name
-    pieces and index sets, are written with line breaks escaped, so each
-    row stays one line; the other cells are numbers and flags.
+    Each cell is turned into text once, by C-level maps over the rows.
+    Rows whose tails (the cells after the first) read alike share one
+    tail, padded once: index set rows mostly end alike.  Only the distinct
+    tails are kept, so a wide table holds no second copy of its cells.
+    The first cells, which name pieces and index sets, are written with
+    line breaks escaped where their joined text holds one, so each row
+    stays one line; the other cells are numbers and flags.
     """
     if not rows:
         return
-    heads = list(map(one_line, map(str, map(itemgetter(0), rows))))
+    heads = list(map(str, map(itemgetter(0), rows)))
+    joined = "".join(heads)
+    if "\n" in joined or "\r" in joined:
+        heads = list(map(one_line, heads))
     columns = [map(str, map(itemgetter(c), rows)) for c in range(1, len(rows[0]))]
     tails: dict[tuple[str, ...], tuple[str, ...]] = {}
-    row_tails = [tails.setdefault(tail, tail)
-                 for tail in (zip(*columns) if columns else itertools.repeat((), len(rows)))]
+    row_tails = list(map(tails.setdefault, *itertools.tee(
+        zip(*columns) if columns else itertools.repeat((), len(rows)))))
     first = max(map(len, heads))
     widths = [max(map(len, column)) for column in zip(*tails)]
     padded = {tail: "".join("  " + v.ljust(w) for v, w in zip(tail, widths)) for tail in tails}
@@ -167,28 +167,32 @@ def _cmd_validate(args, parsed: ParsedDocument, system: AdjunctionSystem, report
 
 def _cmd_cohomology(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     q_max = args.qmax if args.qmax is not None else max(diagram.nerve.dim, 0)
-    union = [cohomology(diagram.nerve, q, diagram.field).dimension for q in range(q_max + 1)]
+
+    def dims(nerve) -> list[int]:
+        return [cohomology(nerve, q, diagram.field).dimension for q in range(q_max + 1)]
+
+    union = dims(diagram.nerve)
     report["global_labels"] = list(diagram.nerve.vertices)
     report["union_dims"] = union
-    report["piece_dims"] = {
-        pid: [cohomology(diagram.nerves[pid], q, diagram.field).dimension for q in range(q_max + 1)]
-        for pid in diagram.piece_ids}
-    rows = []
+    report["piece_dims"] = {pid: dims(diagram.nerves[pid]) for pid in diagram.piece_ids}
+    # Only the nonempty intersections have dimensions to compute; every
+    # empty one, having no cohomology in any degree, reads one zero row,
+    # and the report copies each row into a list of its own.
+    keys: list[str] = []
+    nonempty: dict[str, list[int]] = {}
     for size in range(2, diagram.n_pieces + 1):
         level = diagram.level(size)
-        for t in diagram.index_subsets(size):
-            nerve = level.get(t)
-            # An empty intersection has no cohomology in any degree.
-            rows.append((_key(t), [cohomology(nerve, q, diagram.field).dimension for q in range(q_max + 1)]
-                         if nerve is not None else [0] * (q_max + 1)))
-    rows.sort()
-    report["intersection_dims"] = dict(rows)
+        keys += map(",".join, diagram.index_subsets(size))
+        nonempty.update(zip(map(",".join, level), map(dims, level.values())))
+    keys.sort()
+    zero = itertools.repeat([0] * (q_max + 1))
+    rows = report["intersection_dims"] = dict(zip(keys, map(list, map(nonempty.get, keys, zero))))
     report["verdicts"]["h0_matches_components"] = union[0] == len(components(diagram.nerve))
     _println(f"global labels: {', '.join(diagram.nerve.vertices)}")
     _table([("space", *[f"H^{q}" for q in range(q_max + 1)]),
             ("union", *union)]
            + [(pid, *report["piece_dims"][pid]) for pid in diagram.piece_ids]
-           + [(k, *v) for k, v in rows])
+           + [(k, *row) for k, row in rows.items()])
 
 
 def _cmd_mv(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
@@ -210,7 +214,7 @@ def _cmd_mv(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -
     h1 = h1_fibred_check(diagram)
     report["h1_fibred"] = {
         "hypothesis_holds": h1.hypothesis_holds,
-        "disconnected": [_key(t) for t in h1.disconnected],
+        "disconnected": list(map(",".join, h1.disconnected)),
         "h1_union": h1.h1_union, "fibred_dim": h1.fibred_dim, "equal": h1.equal}
     report["verdicts"]["h1_theorem_instance"] = h1.theorem_instance_ok
 
@@ -268,7 +272,7 @@ def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: di
     # [B | R] has independent columns, so class c's coordinates are exactly those bits.
     classes = [{
         "class": [c >> i & 1 for i in range(h1_dim)],
-        "nonzero_edges": [list(e) for e, bits in zip(edges, reps.bits) if bits >> c & 1],
+        "nonzero_edges": list(map(list, itertools.compress(edges, map((1 << c).__and__, reps.bits)))),
         "parallel_dim": parallel,
         "round_trip_class_preserved": preserved,
         "glue_space_dim": glue,
@@ -304,11 +308,11 @@ def _cmd_bundles(args, parsed: ParsedDocument, diagram: GluedDiagram, report: di
 
 def _cmd_count(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dict) -> None:
     result = count_line_bundles(diagram)
-    keys = {t: _key(t) for t in result.h1_dims}
-    report["h1_dims"] = {keys[t]: d for t, d in result.h1_dims.items()}
+    keys = dict(zip(result.h1_dims, map(",".join, result.h1_dims)))
+    report["h1_dims"] = dict(zip(keys.values(), result.h1_dims.values()))
     report["hypotheses"] = {
         "all_intersections_connected": result.connected_hypothesis,
-        "disconnected": [keys[t] for t in result.disconnected],
+        "disconnected": list(map(keys.__getitem__, result.disconnected)),
         "descended_maps_surjective": result.surjective_hypothesis,
         "non_surjective_levels": list(result.non_surjective_levels)}
     report["exponent"] = result.exponent
@@ -376,6 +380,7 @@ def _cmd_refine_check(args, parsed: ParsedDocument, diagram: GluedDiagram, repor
 
 def _cmd_gallery(args) -> tuple[dict | None, int]:
     if args.name == "list":
+        check_parameters(args.name, args.n, args.seed)
         sys.stdout.write("\n".join(GALLERY_NAMES) + "\n")
         return None, 0
     field = PrimeField(args.field if args.field is not None else 2)

@@ -408,11 +408,6 @@ class GluedDiagram:
                                 f"{self.n_pieces} pieces give 2^{self.n_pieces} - 1 = {2 ** self.n_pieces - 1}")
         return tuple(itertools.combinations(self.piece_ids, size))
 
-    def index_set_nerves(self, size: int) -> list[tuple[tuple[str, ...], SimplicialComplex | None]]:
-        """Each of `index_subsets(size)` with its intersection nerve, or None where that is empty."""
-        level = self.level(size)
-        return [(t, level.get(t)) for t in self.index_subsets(size)]
-
     def level(self, size: int) -> dict[tuple[str, ...], SimplicialComplex]:
         """{index set: intersection nerve} over the index sets of this size with a nonempty intersection.
 

@@ -239,7 +239,9 @@ def _text(value: Any, newline: str, rows: dict) -> str:
     """value's text, for a line that starts with newline (a line break and the indent).
 
     A container's text is one join of its parts, so a child's text is
-    copied once, into its parent's.
+    copied once, into its parent's.  The parts list repeats one sibling's
+    pattern (separator, key, ": ", value, or separator, value), and the
+    keys and values are put in by slice, each a C-level pass.
     """
     text = _SCALARS.get(type(value))
     if text is not None:
@@ -249,36 +251,35 @@ def _text(value: Any, newline: str, rows: dict) -> str:
         if not value:
             return "{}"
         keys = sorted(value)
+        parts = ["," + inner, "", ": ", ""] * len(keys)
         # The escaper refuses a key that is not a str with TypeError.
-        parts = zip(_separators("{", inner, len(keys)), map(encode_basestring, keys), itertools.repeat(": "),
-                    _texts([value[k] for k in keys], inner, rows))
-        closing = newline + "}"
+        parts[1::4] = map(encode_basestring, keys)
+        parts[3::4] = _texts(list(map(value.__getitem__, keys)), inner, rows)
+        parts[0], closing = "{" + inner, newline + "}"
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        parts = zip(_separators("[", inner, len(value)), _texts(value, inner, rows))
-        closing = newline + "]"
+        parts = ["," + inner, ""] * len(value)
+        parts[1::2] = _texts(value, inner, rows)
+        parts[0], closing = "[" + inner, newline + "]"
     else:
         # A subclass of a scalar type is written as its base; bool and None have none.
         for base in (str, int, float):
             if isinstance(value, base):
                 return _SCALARS[base](value)
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return "".join(itertools.chain(itertools.chain.from_iterable(parts), (closing,)))
-
-
-def _separators(opening: str, inner: str, n: int) -> Iterable[str]:
-    """What goes before each of n siblings: the opening bracket and a line break, then a comma and one."""
-    return itertools.chain((opening + inner,), itertools.repeat("," + inner, n - 1))
+    parts.append(closing)
+    return "".join(parts)
 
 
 def _texts(values: list | tuple, newline: str, rows: dict) -> Iterable[str]:
     """The text of each of values, siblings in one container; each starts a line with newline.
 
-    Siblings of one scalar type are written by one map, and so are lists
-    whose items are all ints or all strs, such as index set rows and
-    edges.  Each distinct such list is written once per indent within a
-    `canonical_json` call, and memoised in rows: index set rows repeat.
+    Siblings of one scalar type are written by one map.  Lists whose
+    items are all ints or all strs, such as index set rows and edges, are
+    rows: each distinct one is written once per indent within a
+    `canonical_json` call and memoised in rows (index set rows repeat),
+    then looked up by one map.
     """
     kinds = set(map(type, values))
     if len(kinds) == 1:
@@ -290,15 +291,17 @@ def _texts(values: list | tuple, newline: str, rows: dict) -> Iterable[str]:
             items = set(map(type, itertools.chain.from_iterable(values)))
             if len(items) <= 1 and items <= _ROW_ITEMS:
                 memo = rows.setdefault(newline, {})
-                return [memo.get(row) or _row(row, newline, memo) for row in map(tuple, values)]
+                values = list(map(tuple, values))
+                new = set(values).difference(memo)
+                memo.update(zip(new, map(_row, new, itertools.repeat(newline))))
+                return map(memo.__getitem__, values)
     return [_text(v, newline, rows) for v in values]
 
 
-def _row(row: tuple, newline: str, memo: dict) -> str:
-    """The text of a list whose items are all ints or all strs, memoised."""
+def _row(row: tuple, newline: str) -> str:
+    """The text of a list whose items are all ints or all strs."""
     inner = newline + "  "
-    memo[row] = "[" + inner + ("," + inner).join(map(_SCALARS[type(row[0])], row)) + newline + "]" if row else "[]"
-    return memo[row]
+    return "[" + inner + ("," + inner).join(map(_SCALARS[type(row[0])], row)) + newline + "]" if row else "[]"
 
 
 # What a malformed value raises on its way to an int or a k x k FMatrix.

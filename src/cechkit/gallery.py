@@ -170,6 +170,14 @@ def random_admissible(seed: int, field: int = 2, n_pieces: int | None = None) ->
     return {"field": field, "pieces": pieces, "gluings": gluings}
 
 
+def check_parameters(name: str, n: int | None, seed: int | None) -> None:
+    """Refuse an n or a seed that name does not take, `gallery list` included, which takes neither."""
+    if n is not None and name not in ("branching_line_n", "random_admissible"):
+        raise BadGalleryParameter(f"gallery {name} takes no n; only branching_line_n and random_admissible do")
+    if seed is not None and name != "random_admissible":
+        raise BadGalleryParameter(f"gallery {name} takes no seed; only random_admissible does")
+
+
 def gallery_document(name: str, field: int = 2, n: int | None = None, seed: int | None = None) -> Document:
     """The named document; n is the piece count and seed the generator's seed, where the family takes them.
 
@@ -179,10 +187,7 @@ def gallery_document(name: str, field: int = 2, n: int | None = None, seed: int 
     """
     if name not in GALLERY_NAMES:
         raise UnknownGallery(name)
-    if n is not None and name not in ("branching_line_n", "random_admissible"):
-        raise BadGalleryParameter(f"gallery {name} takes no n; only branching_line_n and random_admissible do")
-    if seed is not None and name != "random_admissible":
-        raise BadGalleryParameter(f"gallery {name} takes no seed; only random_admissible does")
+    check_parameters(name, n, seed)
     if name == "two_origin_line":
         return two_origin_line(field)
     if name == "branching_line_n":

@@ -19,6 +19,7 @@ comparison.  For a binary diagram the level-one difference map is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -433,14 +434,16 @@ def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
 def _connectivity(diagram: GluedDiagram) -> tuple[dict[tuple[str, ...], int], tuple[tuple[str, ...], ...]]:
     """Each index set's number of intersection components, and the sorted sets where it is not 1.
 
-    An empty intersection has no components: every index set starts at 0,
-    and only the nonempty ones in `level` are counted.
+    One connectivity pass over the index sets, made of C-level calls: an
+    empty intersection has no components, so every index set starts at 0
+    in one `dict.fromkeys`, only the nonempty ones in `level` are
+    counted, and `itertools.compress` picks the sets whose count is not 1.
     """
-    connectivity: dict[tuple[str, ...], int] = {}
-    for size in range(1, diagram.n_pieces + 1):
-        connectivity.update(dict.fromkeys(diagram.index_subsets(size), 0))
-        connectivity.update((t, len(components(nerve))) for t, nerve in diagram.level(size).items())
-    return connectivity, tuple(sorted(t for t, c in connectivity.items() if c != 1))
+    sizes = range(1, diagram.n_pieces + 1)
+    connectivity = dict.fromkeys(itertools.chain.from_iterable(map(diagram.index_subsets, sizes)), 0)
+    for level in map(diagram.level, sizes):
+        connectivity.update(zip(level, map(len, map(components, level.values()))))
+    return connectivity, tuple(sorted(itertools.compress(connectivity, map((1).__ne__, connectivity.values()))))
 
 
 @dataclass(frozen=True)

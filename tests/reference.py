@@ -181,6 +181,30 @@ def _dims(nerves: dict, q: int) -> dict:
     return {t: len(cells(n, q)) for t, n in nerves.items()}
 
 
+def betti(k, q: int, p: int) -> int:
+    """dim H^q(k) = dim C^q - rank d^q - rank d^(q-1)."""
+    return len(cells(k, q)) - rank(coboundary(k, q, p), p) - rank(coboundary(k, q - 1, p), p)
+
+
+def index_set_rows(diagram, q_max: int, p: int) -> tuple[dict[str, list[int]], list[str]]:
+    """Every index set's report row, and the keys of the index sets whose intersection is not connected.
+
+    One row per `itertools.combinations` index set over `piece_ids`, of
+    every size, keyed by its ids joined with ",": dim H^q for q <= q_max
+    on a nonempty intersection, and zeros on an empty one.  The rows are
+    sorted by key string.  The disconnected keys, those whose dim H^0 is
+    not 1 (an empty intersection's is 0), are listed in tuple order; the
+    two orders differ where an id holds a character below ",".
+    """
+    rows = {}
+    for size in range(1, len(diagram.piece_ids) + 1):
+        meets = level(diagram, size)
+        for t in itertools.combinations(diagram.piece_ids, size):
+            rows[t] = [betti(meets[t], q, p) for q in range(q_max + 1)] if t in meets else [0] * (q_max + 1)
+    disconnected = [",".join(t) for t in sorted(rows) if rows[t][0] != 1]
+    return {",".join(t): rows[t] for t in sorted(rows, key=",".join)}, disconnected
+
+
 def phi_star(diagram, q: int, p: int) -> np.ndarray:
     """C^q(union) -> (+) C^q(N_i): each piece's restriction, stacked."""
     pieces = level(diagram, 1)

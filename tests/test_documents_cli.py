@@ -1,3 +1,5 @@
+import argparse
+import collections
 import contextlib
 import enum
 import hashlib
@@ -597,13 +599,43 @@ def standard_json(value):
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+# Keys of records (lists of dicts sharing one key set): braces, quotes and backslashes, non-ASCII text and "".
+record_keys = st.lists(st.sampled_from(["{", "}", "{}", '"', "\\", "é", "文", "a", "b"]), max_size=3).map("".join)
+
+
+def odd_one_out(records, index, key):
+    """records with one record given key, or stripped of it where it has it."""
+    if records:
+        odd = dict(records[index % len(records)])
+        if key in odd:
+            del odd[key]
+        else:
+            odd[key] = 0
+        records[index % len(records)] = odd
+    return records
+
+
+def record_lists(children):
+    """Lists of 0 to 20 dicts that share one key set, and such lists where one record's key set differs.
+
+    A column mixes scalars, bools beside ints, int and str rows, and
+    (through children) nested records.
+    """
+    cells = (children | st.booleans() | st.integers(0, 1) | st.lists(st.integers(-2, 2), max_size=3)
+             | st.lists(st.sampled_from(["a", "é"]), max_size=3))
+    shared = st.lists(record_keys, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, cells)), max_size=20))
+    return shared | st.builds(odd_one_out, shared, st.integers(0, 19), record_keys)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 63 - 2, max_value=2 ** 80)
     | st.floats() | st.text(),
     lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
                       | st.dictionaries(st.text(max_size=6), children, max_size=4)
                       | st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=6)
-                      | st.lists(st.lists(st.sampled_from(["a", "1", "é"]), max_size=3), max_size=6)),
+                      | st.lists(st.lists(st.sampled_from(["a", "1", "é"]), max_size=3), max_size=6)
+                      | record_lists(children)),
     max_leaves=40)
 
 
@@ -618,6 +650,11 @@ json_values = st.recursive(
 @example([[1, 1], [True, True], [1.0, 1.0], (1, 1), [1, 1]])
 @example({"ints": [[1, 1], [], [1, 1]], "strs": [["1", "1"], [], ["1", "1"]], "edges": [("a", "b"), ["a", "b"]]})
 @example({"a": [[1, 1]], "b": [[True, True]], "c": [[1.0, 1.0]], "d": [[0.0]], "e": [[-0.0]], "f": [[0]]})
+# Records: keys with braces, quotes, backslashes and non-ASCII text, bools beside ints, rows, nested records.
+@example([{"{": k, "}": [k, k], "{}": True, '"': "x", "\\": None, "é": [["a"]], "": [{"x": k}] * 5}
+          for k in range(6)])
+@example([{"a": True}, {"a": 1}, {"a": 0}, {"a": False}, {"a": 1.0}, {"a": [1, 1]}, {"a": [True, True]}])
+@example([{"a": 1, "b": 2}] * 4 + [{"a": 1}] + [{"a": 1, "b": 2, "c": 3}] + [{}] * 4)
 def test_canonical_json_matches_the_standard_encoder(value):
     assert canonical_json(value) == standard_json(value)
 
@@ -637,9 +674,11 @@ def test_canonical_json_writes_subclasses_of_scalars_as_their_base():
 
 
 @pytest.mark.parametrize("value", ({1: 2}, {"a": {(1, 2): 3}}, {1, 2}, [frozenset()], np.int64(3),
-                                   {"a": [np.int64(1)]}, [np.bool_(True)], b"bytes", object()),
+                                   {"a": [np.int64(1)]}, [np.bool_(True)], b"bytes", object(),
+                                   [{1: 2}, {1: 3}, {1: 4}, {1: 5}, {1: 6}], [{"a": 1, 2: 3}] * 5,
+                                   [{"a": np.int64(1)}] * 5),
                          ids=("int_key", "tuple_key", "set", "frozenset", "int64", "int64_in_list", "bool_",
-                              "bytes", "object"))
+                              "bytes", "object", "int_key_records", "mixed_key_records", "int64_in_records"))
 def test_canonical_json_refuses_non_str_keys_and_non_json_values(value):
     with pytest.raises(TypeError):
         canonical_json(value)
@@ -694,6 +733,47 @@ def test_table_of_repeated_tails_holds_no_text_per_cell(monkeypatch):
     assert sum(written) == len(row_by_row_table(rows))
     # A text object per cell would take about 4 MB; a reference per row and the two distinct tails far less.
     assert peak < 500_000
+
+
+def least_peak(call, runs=3):
+    """The least traced peak of runs calls, in bytes, so that one run's stray allocation does not decide it."""
+    peaks = []
+    for _ in range(runs):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_canonical_json_of_a_count_report_holds_no_copy_per_row(tmp_path, necklace_document):
+    # a ring of 12 circles: 4,095 h1_dims keys and 4,071 disconnected ones, all empty
+    path = write_doc(tmp_path, necklace_document(12, True))
+    with contextlib.redirect_stdout(io.StringIO()):
+        report, _ = cli.run_command("count", {"path": str(path)})
+    assert len(report["h1_dims"]) == 4095
+    # 851,802 bytes when each row's text was made in a Python loop; the bulk passes may hold no more.
+    assert least_peak(lambda: canonical_json(report)) < 870_000
+
+
+def test_cohomology_rows_of_a_ring_of_12_hold_no_copy_per_row(monkeypatch, necklace_document):
+    parsed = parse_document(necklace_document(12, True))
+    diagram = canonicalize(parsed.system)
+    args = argparse.Namespace(qmax=None)
+
+    class Sink:
+        def write(self, text):
+            pass
+
+        def writelines(self, lines):
+            collections.deque(lines, maxlen=0)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    cli._cmd_cohomology(args, parsed, diagram, {"verdicts": {}})  # the cohomology of each nerve, memoised
+    # 1,077,996 bytes when each row was a (key, dims) tuple, sorted, and each empty set had its own zero row.
+    assert least_peak(lambda: cli._cmd_cohomology(args, parsed, diagram, {"verdicts": {}})) < 1_100_000
 
 
 @pytest.mark.parametrize("error", (MemoryError(), MemoryError("Unable to allocate 2.1 GiB for an array")),

@@ -237,15 +237,18 @@ def test_a_refinement_map_naming_a_label_the_fine_diagram_lacks_is_one_input_err
     ["two_origin_line", "--n", "3"], ["bug_eyed_circle", "--n", "2"], ["three_circles", "--n", "3"],
     ["two_origin_line", "--seed", "0"], ["three_circles", "--seed", "7"],
     ["branching_line_n", "--n", "3", "--seed", "4"],
+    # list takes neither flag; with both, n is refused first
+    ["list", "--n", "3"], ["list", "--seed", "9"], ["list", "--seed", "9", "--n", "3"],
 ], ids=" ".join)
 def test_a_gallery_flag_the_family_does_not_take_is_one_input_error(argv):
-    # such a flag was ignored, and the family's one document written with exit 0
+    # such a flag was ignored, and the family's one document (or the list of names) written with exit 0
     name, flag, value = argv[0], argv[-2], argv[-1]
     message = (f"gallery {name} takes no seed; only random_admissible does" if flag == "--seed"
                else f"gallery {name} takes no n; only branching_line_n and random_admissible do")
     assert _run(["gallery", *argv]) == (2, "", f"input error: {message}\n")
-    with pytest.raises(BadGalleryParameter, match=message):
-        gallery_document(name, **{flag[2:]: int(value)})
+    if name != "list":
+        with pytest.raises(BadGalleryParameter, match=message):
+            gallery_document(name, **{flag[2:]: int(value)})
 
 
 def test_the_gallery_seed_defaults_to_0():

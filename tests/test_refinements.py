@@ -87,9 +87,8 @@ def union_and_intersection_nerves(r):
     """(fine, coarse) for the union nerve and every nonempty fine N_T."""
     yield r.fine.nerve, r.coarse.nerve
     for size in range(1, r.fine.n_pieces + 1):
-        for t, fine_nerve in r.fine.index_set_nerves(size):
-            if fine_nerve is not None:
-                yield fine_nerve, r.coarse.intersection_nerve(t)
+        for t, fine_nerve in r.fine.level(size).items():
+            yield fine_nerve, r.coarse.intersection_nerve(t)
 
 
 def test_pullbacks_are_chain_maps(two_origin_refinement):
