@@ -7,13 +7,17 @@ signs vanish, but the implementation carries them so odd primes work too.
 A q-cochain is a vector indexed by `SimplicialComplex.index_of_dim(q)`,
 and every map between cochain spaces (coboundary, restriction, pullback)
 is one `FMatrix`; extension by zero is the transpose of restriction.
+Every cochain map along a simplicial map, an inclusion of nerves or a
+label map, comes from one builder, `block_pullback`: restriction, the
+simplicial pullback, `mv`'s phi* and delta~ and every refinement
+pullback are each one call of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import NotSimplicial
@@ -211,27 +215,10 @@ def restriction_matrix(k: SimplicialComplex, l: SimplicialComplex, q: int, field
 
 
 def _restriction(k: SimplicialComplex, l: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
-    """The 0/1 matrix picking each q-simplex of l out of the q-simplices of k."""
+    """The 0/1 matrix picking each q-simplex of l out of the q-simplices of k: the pullback along l's inclusion."""
     if not l.is_subcomplex_of(k):
         raise NotSubcomplex("second complex is not a subcomplex of the first")
-    return entry_matrix((len(l.simplices_of_dim(q)), len(k.simplices_of_dim(q))), _restriction_entries(k, l, q),
-                        field)
-
-
-def _restriction_entries(k: SimplicialComplex, l: SimplicialComplex, q: int, row: int = 0, col: int = 0,
-                        value: int = 1) -> Iterator[tuple[int, int, int]]:
-    """The entries of restriction C^q(k) -> C^q(l), scaled by value and placed at (row, col).
-
-    One (row, column, value) triple per q-simplex of l, for `entry_matrix`,
-    so a map made of restriction blocks is built without a matrix per
-    block.  A q-simplex of l that k lacks raises NotSubcomplex.
-    """
-    index = k.index_of_dim(q)
-    try:
-        for r, s in enumerate(l.simplices_of_dim(q), row):
-            yield r, col + index[s], value
-    except KeyError as exc:
-        raise NotSubcomplex(f"simplex {exc.args[0]!r} of the second complex is not in the first") from None
+    return block_pullback({0: l}, {0: k}, [(0, 0, 1)], q, field)
 
 
 def _permutation_sign(seq: tuple[str, ...]) -> int:
@@ -249,24 +236,32 @@ def _image_table(labels: Mapping[str, str], k: SimplicialComplex) -> dict[Simple
     return table
 
 
-def _table_pullback(images: Mapping[Simplex, tuple[Simplex, int]], fine: Mapping[Hashable, SimplicialComplex],
-                    coarse: Mapping[Hashable, SimplicialComplex], degree: int, field: PrimeField) -> FMatrix:
-    """The blockwise pullback from the coarse complexes' q-cochains to the fine ones', one pass over the table.
+def block_pullback(fine: Mapping[Hashable, SimplicialComplex], coarse: Mapping[Hashable, SimplicialComplex],
+                   blocks: Iterable[tuple[Hashable, Hashable, int]], degree: int, field: PrimeField,
+                   images: Mapping[Simplex, tuple[Simplex, int]] | None = None) -> FMatrix:
+    """The pullback from the coarse complexes' q-cochains to the fine ones', laid out block by block.
 
-    Fine keys are coarse keys in the same order; a coarse block with no
-    fine block has no rows.  Row s of block T holds s's sign at its
-    image's column, or nothing where the image is degenerate.
+    Rows are the fine complexes' q-simplices and columns the coarse ones',
+    each keyed complex a range in key order.  Each (fine key, coarse key,
+    sign) block puts, in row s of its fine block, sign times s's
+    orientation at the column of s's image in its coarse block, and no
+    entry where that image is degenerate.  `images` is an image table
+    (see `_image_table`); with none, the map is the inclusion, each
+    simplex its own image with orientation 1, so each block is a signed
+    restriction.  Every cochain map along a simplicial map is one call:
+    a restriction, a simplicial pullback, phi*, delta~ and a refinement's
+    pullbacks.
     """
     rows, n_rows = _ranges(_cochain_dims(fine, degree))
     cols, n_cols = _ranges(_cochain_dims(coarse, degree))
 
     def entries():
-        for t, k in fine.items():
-            index, at = coarse[t].index_of_dim(degree), cols[t].start
-            for row, s in enumerate(k.simplices_of_dim(degree), rows[t].start):
-                image, sign = images[s]
-                if sign:
-                    yield row, at + index[image], sign
+        for t, u, sign in blocks:
+            index, at = coarse[u].index_of_dim(degree), cols[u].start
+            for row, s in enumerate(fine[t].simplices_of_dim(degree), rows[t].start):
+                image, orientation = (s, 1) if images is None else images[s]
+                if orientation:
+                    yield row, at + index[image], sign * orientation
 
     return entry_matrix((n_rows, n_cols), entries(), field)
 
@@ -280,7 +275,7 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
     domain's vertices are checked first, in order, then its simplices by
     dimension and lexicographically, so an error names the same vertex
     or simplex on every run.  The matrix is read off the domain's image
-    table, as a refinement's pullbacks are.
+    table by `block_pullback`, as a refinement's pullbacks are.
     """
     for v in domain.vertices:
         if v not in vertex_map:
@@ -289,4 +284,4 @@ def pullback_map(vertex_map: Mapping[str, str], domain: SimplicialComplex,
     for s in sorted(domain.simplices, key=lambda s: (len(s), s)):
         if images[s][0] not in codomain:
             raise NotSimplicial(f"image of {s!r} is not a simplex of the codomain")
-    return _table_pullback(images, {0: domain}, {0: codomain}, q, field)
+    return block_pullback({0: domain}, {0: codomain}, [(0, 0, 1)], q, field, images)

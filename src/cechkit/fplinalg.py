@@ -60,10 +60,11 @@ too, which `bundles` inverts, composes and compares with `inverse`, `@`
 and `equals`.  Two constructors own matrix
 layout: `block_matrix` places `FMatrix` blocks keyed by index set, and
 `entry_matrix` places (row, column, value) triples, read once as they
-come.  The cochain maps (d, restrictions, pullbacks, phi* and delta~)
-go from their triples straight into rows, with no array or block matrix
-between, and identities are built as rows directly; total differentials
-and joins are built from blocks, where an F_2 zero row costs nothing.
+come.  The coboundary d is one stream of triples into `entry_matrix`,
+and so is every cochain map along a simplicial map (restrictions,
+pullbacks, phi* and delta~), each one call of `cochains.block_pullback`;
+identities are built as rows directly, and total differentials and
+joins are built from blocks, where an F_2 zero row costs nothing.
 """
 
 from __future__ import annotations
@@ -279,14 +280,12 @@ def echelon(a: "FMatrix") -> Echelon:
     return Echelon(a.shape, a.field, sorted(a.cols - lead for lead in table), table)
 
 
-def rref(a: "FMatrix", p: int) -> tuple["FMatrix", list[int]]:
-    """Reduced row echelon form mod p, zero rows below the pivot rows, and the pivot columns.
+def rref(a: "FMatrix") -> tuple["FMatrix", list[int]]:
+    """Reduced row echelon form over a's field, zero rows below the pivot rows, and the pivot columns.
 
     It back-substitutes the echelon a keeps, so a is eliminated at most
     once however often its reduced form is read.
     """
-    if p != a.field.p:
-        raise DimensionMismatch(f"cannot reduce a matrix mod {a.field.p} mod {p}")
     e = a._echelon
     r, pad = e.reduced(), FMatrix.zeros(a.rows - len(e.pivots), a.cols, a.field)
     return FMatrix._of(r._rows + pad._rows, a.cols, a.field), e.pivots
@@ -448,7 +447,7 @@ class FMatrix:
         pivot, minus the reduced row's entry in free[k]: `kernel_basis`
         restricted to those free variables, from one back-substitution.
         """
-        reduced, pivots = rref(self, self.field.p)
+        reduced, pivots = rref(self)
         rows = dict.fromkeys(range(self.cols), 0 if self.field.p == 2 else {})
         rows.update(zip(free, FMatrix.identity(len(free), self.field)._rows))
         rows.update(zip(pivots, (-reduced[:len(pivots), free])._rows))
@@ -466,7 +465,7 @@ class FMatrix:
         x = FMatrix.zeros(self.cols, b.cols, self.field)
         if b.cols:
             joint = block_matrix({0: self.rows}, {0: self.cols, 1: b.cols}, [(0, 0, self), (0, 1, b)], self.field)
-            reduced, pivots = rref(joint, self.field.p)
+            reduced, pivots = rref(joint)
             if pivots and pivots[-1] >= self.cols:
                 return None
             solved = dict(zip(pivots, reduced[:len(pivots), self.cols:]._rows))
@@ -545,10 +544,10 @@ def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, i
                  blocks: Iterable[tuple[Hashable, Hashable, FMatrix]], field: PrimeField) -> FMatrix:
     """The matrix whose row and column ranges are the keyed sizes, in the order of the maps, not of the blocks.
 
-    Each (row key, col key, FMatrix) block is added at its position; any
-    size may be 0, and a block must have exactly its position's shape.
-    Blocks that share a position are summed mod p.  A row that one block
-    fills from column 0 is that block's row, shared, not copied.
+    Each (row key, col key, FMatrix) block is placed at its position; any
+    size may be 0, a block must have exactly its position's shape, and a
+    position holds at most one block.  A row that one block fills from
+    column 0 is that block's row, shared, not copied.
     """
     rows, n_rows = _ranges(row_dims)
     cols, n_cols = _ranges(col_dims)
@@ -556,12 +555,14 @@ def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, i
     # over F_2 each row is XOR-ed together at once; over odd p the pieces of
     # each row are collected as (column offset, row) and joined below
     out: list = [0] * n_rows if p == 2 else [[] for _ in range(n_rows)]
-    placed = []
+    placed = set()
     for r, c, block in blocks:
         shape = (rows[r].stop - rows[r].start, cols[c].stop - cols[c].start)
         if block.shape != shape or block.field.p != p:
             raise DimensionMismatch(f"block {r!r}, {c!r}: {block.shape} mod {block.field.p}, not {shape}")
-        placed.append((r, c))
+        if (r, c) in placed:
+            raise DimensionMismatch(f"block {r!r}, {c!r} is placed twice")
+        placed.add((r, c))
         for i, x in enumerate(block._rows, rows[r].start):
             if not x:
                 continue
@@ -570,22 +571,15 @@ def block_matrix(row_dims: Mapping[Hashable, int], col_dims: Mapping[Hashable, i
             else:
                 out[i].append((cols[c].start, x))
     if p != 2:
-        summed = len(set(placed)) < len(placed)
-        out = [_odd_join(pieces, p, summed) for pieces in out]
+        out = list(map(_odd_join, out))
     return FMatrix._of(out, n_cols, field)
 
 
-def _odd_join(pieces: list[tuple[int, dict[int, int]]], p: int, summed: bool) -> dict[int, int]:
-    """One row from (column offset, row) pieces; summed mod p where pieces may share a column."""
+def _odd_join(pieces: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """One row from (column offset, row) pieces, which share no column."""
     if len(pieces) == 1 and pieces[0][0] == 0:
         return pieces[0][1]
-    if not summed:
-        return {at + c: v for at, x in pieces for c, v in x.items()}
-    acc: dict[int, int] = {}
-    for at, x in pieces:
-        for c, v in x.items():
-            acc[at + c] = acc.get(at + c, 0) + v
-    return {c: r for c, s in acc.items() if (r := s % p)}
+    return {at + c: v for at, x in pieces for c, v in x.items()}
 
 
 def entry_matrix(shape: tuple[int, int], entries: Iterable[tuple[int, int, int]], field: PrimeField) -> FMatrix:

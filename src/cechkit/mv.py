@@ -9,7 +9,9 @@ total cohomology, and the line-bundle counting formulas over F_2.
 Level p is the direct sum of C^q(N_T) over the p-fold index sets T
 whose intersection is nonempty, block by block in the order of
 `GluedDiagram.level(p)`: an empty intersection would be a block of
-dimension 0, so leaving it out changes no matrix.
+dimension 0, so leaving it out changes no matrix.  phi* and delta~ are
+block pullbacks along the inclusions of nerves, each one call of
+`cochains.block_pullback`.
 
 Exactness is always decided by rank arithmetic; over a field this is a
 complete criterion and keeps every verdict a deterministic integer
@@ -26,7 +28,7 @@ from functools import cached_property
 
 from .cochains import (
     _cochain_dims,
-    _restriction_entries,
+    block_pullback,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -53,9 +55,7 @@ def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
 
 def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
     pieces = diagram.level(1)
-    rows, n_rows = _ranges(_cochain_dims(pieces, degree))
-    entries = (e for t, k in pieces.items() for e in _restriction_entries(diagram.nerve, k, degree, rows[t].start))
-    return entry_matrix((n_rows, len(diagram.nerve.simplices_of_dim(degree))), entries, diagram.field)
+    return block_pullback(pieces, {0: diagram.nerve}, ((t, 0, 1) for t in pieces), degree, diagram.field)
 
 
 def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
@@ -75,18 +75,10 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
 
 
 def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    src, tgt = diagram.level(level), diagram.level(level + 1)
-    rows, n_rows = _ranges(_cochain_dims(tgt, degree))
-    cols, n_cols = _ranges(_cochain_dims(src, degree))
-
-    def entries():
-        for t_prime, k in tgt.items():
-            for a in range(len(t_prime)):
-                t = t_prime[:a] + t_prime[a + 1:]
-                sign = (-1) ** (a + 1)
-                yield from _restriction_entries(src[t], k, degree, rows[t_prime].start, cols[t].start, sign)
-
-    return entry_matrix((n_rows, n_cols), entries(), diagram.field)
+    # a nonempty N_T' lies in N_T for each T that omits one index of T', so no source block is missing
+    tgt = diagram.level(level + 1)
+    blocks = ((t_prime, t_prime[:a] + t_prime[a + 1:], (-1) ** (a + 1)) for t_prime in tgt for a in range(len(t_prime)))
+    return block_pullback(tgt, diagram.level(level), blocks, degree, diagram.field)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ image is nondegenerate, its permutation sign (Munkres, "Elements of
 Algebraic Topology", §§14-15).  A `RefinementMap` builds that table once
 (`images`), validates once from it (`verdict`), and builds from it the
 union pullback of each degree and the tuple pullback of each level and
-degree, each in one pass, once and only past a valid verdict (else
+degree, each one call of `cochains.block_pullback`, the builder of every
+cochain map, once and only past a valid verdict (else
 `InvalidRefinement`).  It keeps them and its induced maps on cohomology
 in `pullbacks` for as long as it lives.  Its label map is never changed.
 """
@@ -29,10 +30,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Mapping
 
-from .cochains import _image_table, _table_pullback, coboundary_matrix, cohomology, induced_on_cohomology
-from .complexes import Simplex, SimplicialComplex
+from .cochains import _image_table, block_pullback, coboundary_matrix, cohomology, induced_on_cohomology
+from .complexes import Simplex
 from .diagrams import GluedDiagram, ValidationReport
 from .fplinalg import FMatrix
 from .mv import connecting_homomorphism, delta_tilde, phi_star
@@ -56,8 +56,8 @@ class RefinementMap:
     fine: GluedDiagram
     coarse: GluedDiagram
     labels: dict[str, str]
-    # Pullback matrices keyed by (fine complex, coarse complex, q), tuple pullbacks by (level, q)
-    # and induced maps on the union nerves' cohomology by ("H", q).
+    # Pullback matrices keyed by (level, q), each from one `block_pullback` call, level 0 being the
+    # union nerves, and induced maps on the union nerves' cohomology by ("H", q).
     pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -100,34 +100,23 @@ def validate_refinement(r: RefinementMap) -> ValidationReport:
     return ValidationReport(not bad, tuple(bad))
 
 
-def _kept_pullback(r: RefinementMap, key: tuple, fine: Mapping[Hashable, SimplicialComplex],
-                  coarse: Mapping[Hashable, SimplicialComplex], degree: int) -> FMatrix:
-    """The pullback kept under key, read off the image table once and only past a valid verdict.
+def _pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
+    """The pullback from the coarse diagram's level-p cochains to the fine one's, level 0 being the union nerves.
 
-    That verdict stands in for `pullback_map`'s scan of the domain: each
+    It is read off the image table once and kept, and only past a valid
+    verdict, which stands in for `pullback_map`'s scan of the domain: each
     fine piece simplex maps into its coarse piece, so each fine union or
-    N_T simplex into the coarse union or N_T.
+    N_T simplex into the coarse union or N_T.  A fine N_T is nonempty only
+    where the coarse one is, since labels map piece by piece; where it is
+    empty, its block has no rows.  No pullback of a single N_T is built.
     """
+    key = (level, degree)
     if key not in r.pullbacks:
         if not r.verdict.valid:
             raise InvalidRefinement(r.verdict.violations[0])
-        r.pullbacks[key] = _table_pullback(r.images, fine, coarse, degree, r.fine.field)
+        fine, coarse = ({0: d.nerve} if level == 0 else d.level(level) for d in (r.fine, r.coarse))
+        r.pullbacks[key] = block_pullback(fine, coarse, ((t, t, 1) for t in fine), degree, r.fine.field, r.images)
     return r.pullbacks[key]
-
-
-def _pullback(r: RefinementMap, fine_c: SimplicialComplex, coarse_c: SimplicialComplex, degree: int) -> FMatrix:
-    """The pullback matrix from a coarse complex to a fine one; the checks read only the union nerves'."""
-    return _kept_pullback(r, (fine_c, coarse_c, degree), {0: fine_c}, {0: coarse_c}, degree)
-
-
-def _tuple_pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
-    """Blockwise pullback between the level-p cochains of the two diagrams, in one pass over the image table.
-
-    A fine N_T is nonempty only where the coarse one is, since labels map
-    piece by piece; where it is empty, its block has no rows.  No pullback
-    of a single N_T is built for it.
-    """
-    return _kept_pullback(r, (level, degree), r.fine.level(level), r.coarse.level(level), degree)
 
 
 @dataclass(frozen=True)
@@ -167,8 +156,8 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
     index_sets = dict.fromkeys(itertools.chain.from_iterable(map(r.fine.index_subsets, sizes)), True)
     names = list(map(",".join, index_sets))
     for q in range(q_max + 1):
-        left = _pullback(r, r.fine.nerve, r.coarse.nerve, q + 1) @ coboundary_matrix(r.coarse.nerve, q, field)
-        right = coboundary_matrix(r.fine.nerve, q, field) @ _pullback(r, r.fine.nerve, r.coarse.nerve, q)
+        left = _pullback(r, 0, q + 1) @ coboundary_matrix(r.coarse.nerve, q, field)
+        right = coboundary_matrix(r.fine.nerve, q, field) @ _pullback(r, 0, q)
         simplices = r.fine.nerve.simplices_of_dim(q + 1)
         differ = {simplices[i] for i in left.differing_rows(right)}
         squares.append(NaturalitySquare(f"delta[union] q={q}", not differ))
@@ -177,20 +166,20 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
             commutes.update((t, differ.isdisjoint(fine_c.simplices)) for t, fine_c in level.items())
         squares += map(NaturalitySquare, map(f"delta[T={{}}] q={q}".format, names), commutes.values())
 
-        left = _tuple_pullback(r, 1, q) @ phi_star(r.coarse, q)
-        right = phi_star(r.fine, q) @ _pullback(r, r.fine.nerve, r.coarse.nerve, q)
+        left = _pullback(r, 1, q) @ phi_star(r.coarse, q)
+        right = phi_star(r.fine, q) @ _pullback(r, 0, q)
         squares.append(NaturalitySquare(f"phi_star q={q}", left.equals(right)))
 
         for level in range(1, r.fine.n_pieces):
-            left = _tuple_pullback(r, level + 1, q) @ delta_tilde(r.coarse, level, q)
-            right = delta_tilde(r.fine, level, q) @ _tuple_pullback(r, level, q)
+            left = _pullback(r, level + 1, q) @ delta_tilde(r.coarse, level, q)
+            right = delta_tilde(r.fine, level, q) @ _pullback(r, level, q)
             squares.append(NaturalitySquare(f"delta_tilde level={level} q={q}", left.equals(right)))
 
     if r.fine.n_pieces == 2:
         # the level-2 tuple pullback of a binary pair is the pullback on N_12
         fine_12, coarse_12 = (d.intersection_nerve(r.fine.piece_ids) for d in (r.fine, r.coarse))
         for q in range(q_max + 1):
-            on_12 = induced_on_cohomology(_tuple_pullback(r, 2, q), cohomology(coarse_12, q, field),
+            on_12 = induced_on_cohomology(_pullback(r, 2, q), cohomology(coarse_12, q, field),
                                           cohomology(fine_12, q, field))
             left = connecting_homomorphism(r.fine, q) @ on_12
             right = induced_cohomology_map(r, q + 1) @ connecting_homomorphism(r.coarse, q)
@@ -204,9 +193,8 @@ def induced_cohomology_map(r: RefinementMap, degree: int) -> FMatrix:
     key = ("H", degree)
     if key not in r.pullbacks:
         field = r.fine.field
-        fine, coarse = r.fine.nerve, r.coarse.nerve
-        r.pullbacks[key] = induced_on_cohomology(_pullback(r, fine, coarse, degree), cohomology(coarse, degree, field),
-                                                 cohomology(fine, degree, field))
+        r.pullbacks[key] = induced_on_cohomology(_pullback(r, 0, degree), cohomology(r.coarse.nerve, degree, field),
+                                                 cohomology(r.fine.nerve, degree, field))
     return r.pullbacks[key]
 
 

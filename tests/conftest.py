@@ -159,12 +159,12 @@ def bench_docs():
 ELIMINATIONS = ("echelon",)
 
 
-def patch_bindings(monkeypatch, name, replacement):
-    """Replace fplinalg's `name` wherever a cechkit module binds it."""
-    real = getattr(fplinalg, name)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("cechkit") and getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, replacement)
+def patch_bindings(monkeypatch, module, name, replacement):
+    """Replace `module`'s `name` wherever a cechkit module binds it, `module` itself included."""
+    real = getattr(module, name)
+    for bound in list(sys.modules.values()):
+        if getattr(bound, "__name__", "").startswith("cechkit") and getattr(bound, name, None) is real:
+            monkeypatch.setattr(bound, name, replacement)
 
 
 @pytest.fixture
@@ -181,7 +181,7 @@ def count_eliminations(monkeypatch):
                 calls.append(a.shape)
                 return real(a)
 
-            patch_bindings(monkeypatch, name, counted)
+            patch_bindings(monkeypatch, fplinalg, name, counted)
         return calls
     return start
 

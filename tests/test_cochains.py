@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import reference
-from conftest import GALLERY_CASES, diagram_for
+from conftest import GALLERY_CASES, diagram_for, necklace_nerves, shared_label_document
 from dense import dense, equal, matrix, vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +25,7 @@ from cechkit.complexes import EMPTY_COMPLEX, build_complex, components
 from cechkit.diagrams import canonicalize
 from cechkit.documents import parse_document
 from cechkit.fplinalg import F2, MAX_PRIME, FMatrix, PrimeField
-from cechkit.gallery import random_admissible
+from cechkit.gallery import gallery_document, random_admissible
 from cechkit.mv import delta_tilde, phi_star
 
 
@@ -153,10 +153,31 @@ def test_restrict_to_piece_path():
 def test_restrict_requires_subcomplex():
     with pytest.raises(NotSubcomplex):
         restriction_matrix(cycle4(), build_complex([["x", "y"]]), 1, F2)
-    # phi* and delta~ stream these entries without the whole-complex check:
-    # a q-simplex the source lacks is still NotSubcomplex, never a KeyError
-    with pytest.raises(NotSubcomplex, match=r"\('x', 'y'\)"):
-        list(cochains._restriction_entries(cycle4(), build_complex([["x", "y"]]), 1))
+
+
+def inclusions(diagram):
+    """(k, l) for each piece in the union and each N_T in each N_(T minus one index), an empty N_T included."""
+    for size in range(1, diagram.n_pieces + 1):
+        for t in diagram.index_subsets(size):
+            for a in range(size):
+                rest = t[:a] + t[a + 1:]
+                yield diagram.intersection_nerve(rest) if rest else diagram.nerve, diagram.intersection_nerve(t)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_restriction_is_the_pullback_along_the_inclusion(p):
+    docs = [gallery_document(name, field=p, **kwargs) for name, kwargs in GALLERY_CASES]
+    docs += [random_admissible(seed, field=p, n_pieces=n) for seed, n in ((1, 1), (7, 3), (42, 4), (2024, 5))]
+    # a chain and a ring of circles, where most intersections are empty
+    docs += [shared_label_document(necklace_nerves(n, ring, tri=ring), field=p) for n, ring in ((4, False), (5, True))]
+    field, empty = PrimeField(p), 0
+    for doc in docs:
+        for k, l in inclusions(canonicalize(parse_document(doc).system)):
+            empty += not l.simplices
+            for q in range(max(k.dim, 0) + 2):
+                assert restriction_matrix(k, l, q, field).equals(pullback_map({v: v for v in l.vertices}, l, k, q,
+                                                                              field)), (k.vertices, l.vertices, q)
+    assert empty
 
 
 def test_restriction_is_memoised_by_target_value_and_still_checks_each_new_pair(monkeypatch):

@@ -526,7 +526,7 @@ def test_count_and_mv_eliminate_once_per_complex_and_skip_empty_prefixes(necklac
         return intersect(k, l)
 
     monkeypatch.setattr(cochains, "_coboundary", building)
-    patch_bindings(monkeypatch, "echelon", eliminating)
+    patch_bindings(monkeypatch, fplinalg, "echelon", eliminating)
     monkeypatch.setattr(diagrams, "intersect", recording)
     work = count_basis_work(monkeypatch)
     path = tmp_path / "ring8.json"
@@ -625,7 +625,7 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
         if command in ("mv", "fibred"):
             assert any(key[0] == "phi_star" for key in built)
         if command == "count":
-            # the difference maps it reads go straight into rows, through no restriction matrix
+            # the difference maps it reads are block pullbacks, built through no restriction matrix
             assert {key[2:] for key in built if key[0] == "delta_tilde"} == descended
             assert not any(key[0] == "r" for key in built)
 
@@ -774,7 +774,7 @@ def test_every_command_eliminates_each_coboundary_at_most_once(name, kwargs, tmp
         return real_echelon(a)
 
     monkeypatch.setattr(cochains, "_coboundary", building)
-    patch_bindings(monkeypatch, "echelon", eliminating)
+    patch_bindings(monkeypatch, fplinalg, "echelon", eliminating)
     doc = gallery_document(name, **kwargs)
     path = tmp_path / "doc.json"
     path.write_text(canonical_json(doc), encoding="utf-8")

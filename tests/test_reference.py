@@ -106,9 +106,10 @@ def test_block_layouts_match_the_reference(necklace, data):
         assert equal(mv.phi_star(diagram, q), reference.phi_star(diagram, q, p))
         for level in range(1, n):
             assert equal(mv.delta_tilde(diagram, level, q), reference.delta_tilde(diagram, level, q, p))
+        assert equal(refinements._pullback(refinement, 0, q),
+                     reference.pullback(refinement.labels, refinement.fine.nerve, refinement.coarse.nerve, q, p))
         for level in range(1, refinement.fine.n_pieces + 1):
-            assert equal(refinements._tuple_pullback(refinement, level, q),
-                         reference.tuple_pullback(refinement, level, q, p))
+            assert equal(refinements._pullback(refinement, level, q), reference.tuple_pullback(refinement, level, q, p))
     total = mv._total_differentials(diagram)
     want = reference.total_differentials(diagram, p)
     assert len(total) == len(want)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference
+from conftest import patch_bindings
 from dense import dense, matrix, vector
 
 from cechkit import cochains, refinements
@@ -18,7 +19,7 @@ from cechkit.cli import main, run_command
 from cechkit.cochains import coboundary_matrix, cohomology, induced_on_cohomology, pullback_map
 from cechkit.diagrams import canonicalize
 from cechkit.documents import materialise_refinement, parse_document
-from cechkit.fplinalg import FMatrix
+from cechkit.fplinalg import FMatrix, block_matrix
 from cechkit.gallery import gallery_document
 from cechkit.refinements import (
     InvalidRefinement,
@@ -52,7 +53,7 @@ def test_identity_refinement_is_valid(two_origin_refinement):
     coarse = two_origin_refinement.coarse
     ident = RefinementMap(coarse, coarse, {v: v for v in coarse.nerve.vertices})
     assert validate_refinement(ident).valid
-    assert refinements._pullback(ident, coarse.nerve, coarse.nerve, 1).equals(FMatrix.identity(4, coarse.field))
+    assert refinements._pullback(ident, 0, 1).equals(FMatrix.identity(4, coarse.field))
     assert induced_cohomology_map(ident, 1).equals(FMatrix.identity(1, coarse.field))
     assert naturality_check(ident, 1).all_commute
 
@@ -83,25 +84,29 @@ def test_a_label_that_leaves_its_piece_is_named_once(two_origin_refinement):
                                   "piece 'p1': image of simplex ('o1', 'r2') is not simplicial")
 
 
-def union_and_intersection_nerves(r):
-    """(fine, coarse) for the union nerve and every nonempty fine N_T."""
-    yield r.fine.nerve, r.coarse.nerve
-    for size in range(1, r.fine.n_pieces + 1):
-        for t, fine_nerve in r.fine.level(size).items():
-            yield fine_nerve, r.coarse.intersection_nerve(t)
+def kept_levels(r):
+    """(level, fine nerves, coarse nerves): level 0 the union nerves, keyed 0, then each level's nonempty fine N_T."""
+    for level in range(r.fine.n_pieces + 1):
+        yield level, *({0: d.nerve} if level == 0 else d.level(level) for d in (r.fine, r.coarse))
 
 
 def test_pullbacks_are_chain_maps(two_origin_refinement):
     r = two_origin_refinement
     field = r.fine.field
     for q in (0, 1):
-        for fine_c, coarse_c in union_and_intersection_nerves(r):
-            lam_q = pullback_map(r.labels, fine_c, coarse_c, q, field)
-            lam_q1 = pullback_map(r.labels, fine_c, coarse_c, q + 1, field)
-            assert (lam_q.rows, lam_q.cols) == (len(fine_c.simplices_of_dim(q)), len(coarse_c.simplices_of_dim(q)))
-            left = lam_q1 @ coboundary_matrix(coarse_c, q, field)
-            assert left.equals(coboundary_matrix(fine_c, q, field) @ lam_q)
-            assert refinements._pullback(r, fine_c, coarse_c, q).equals(lam_q)
+        for level, fine, coarse in kept_levels(r):
+            blocks = []
+            for t, fine_c in fine.items():
+                coarse_c = coarse[t]
+                lam_q = pullback_map(r.labels, fine_c, coarse_c, q, field)
+                lam_q1 = pullback_map(r.labels, fine_c, coarse_c, q + 1, field)
+                assert lam_q.shape == (len(fine_c.simplices_of_dim(q)), len(coarse_c.simplices_of_dim(q)))
+                left = lam_q1 @ coboundary_matrix(coarse_c, q, field)
+                assert left.equals(coboundary_matrix(fine_c, q, field) @ lam_q)
+                blocks.append((t, t, lam_q))
+            # the kept pullback of a level is the block diagonal of pullback_map on its nerves
+            dims = [{t: len(k.simplices_of_dim(q)) for t, k in nerves.items()} for nerves in (fine, coarse)]
+            assert refinements._pullback(r, level, q).equals(block_matrix(*dims, blocks, field))
 
 
 def test_naturality_squares(two_origin_refinement, bug_eyed_refinement):
@@ -224,7 +229,7 @@ def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeyp
     levels = range(1, r.fine.n_pieces + 1)
     validations, tables, built, alive = [], [], Counter(), []
     real_validate, real_table, real_pullback = (refinements.validate_refinement, refinements._image_table,
-                                                refinements._table_pullback)
+                                                cochains.block_pullback)
 
     def validating(refinement):
         validations.append(1)
@@ -234,45 +239,43 @@ def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeyp
         tables.append(nerve)
         return real_table(labels, nerve)
 
-    def counting(images, fine, coarse, q, field):
-        # level 0 is the union nerves; an N_T pullback would match no level
-        level = 0 if 0 in fine else next(n for n in levels if fine is r.fine.level(n))
-        built[level, q] += 1
-        result = real_pullback(images, fine, coarse, q, field)
-        alive.append(weakref.ref(result))
+    def counting(fine, coarse, blocks, q, field, images=None):
+        result = real_pullback(fine, coarse, blocks, q, field, images)
+        if images is r.images:
+            # level 0 is the union nerves; an N_T pullback would match no level
+            level = 0 if fine.get(0) is r.fine.nerve else next(n for n in levels if fine is r.fine.level(n))
+            built[level, q] += 1
+            alive.append(weakref.ref(result))
         return result
 
     monkeypatch.setattr(refinements, "validate_refinement", validating)
     monkeypatch.setattr(refinements, "_image_table", tabling)
-    monkeypatch.setattr(refinements, "_table_pullback", counting)
+    patch_bindings(monkeypatch, cochains, "block_pullback", counting)
     verdict = naturality_check(r, 2)
-    union = [refinements._pullback(r, r.fine.nerve, r.coarse.nerve, q) for q in range(4)]
-    tuples = {(level, q): refinements._tuple_pullback(r, level, q) for level in levels for q in range(3)}
+    union = [refinements._pullback(r, 0, q) for q in range(4)]
+    tuples = {(level, q): refinements._pullback(r, level, q) for level in levels for q in range(3)}
     induced = [induced_cohomology_map(r, q) for q in (0, 1)]
     assert naturality_check(r, 2) == verdict
-    assert all(refinements._pullback(r, r.fine.nerve, r.coarse.nerve, q) is m for q, m in enumerate(union))
-    assert all(refinements._tuple_pullback(r, *key) is m for key, m in tuples.items())
+    assert all(refinements._pullback(r, 0, q) is m for q, m in enumerate(union))
+    assert all(refinements._pullback(r, *key) is m for key, m in tuples.items())
     assert induced_cohomology_map(r, 1) is induced[1]
     assert validations == [1]
     assert tables == [r.fine.nerve]
     # union pullbacks once per degree, tuple pullbacks once per level and degree, none of a single N_T
     assert built == Counter({**{(0, q): 1 for q in range(4)}, **{key: 1 for key in tuples}})
-    union_keys = {(r.fine.nerve, r.coarse.nerve, q) for q in range(4)}
-    assert {key for key in r.pullbacks if key[0] != "H"} == union_keys | set(tuples)
+    assert {key for key in r.pullbacks if key[0] != "H"} == {(0, q) for q in range(4)} | set(tuples)
     alive.extend(weakref.ref(m) for m in induced)
 
     # the squares and induced maps are those of a refinement whose every pullback is built afresh, by the reference
-    def afresh(other, fine_c, coarse_c, q):
-        built[fine_c.simplices, coarse_c.simplices, q] += 1
-        return matrix(reference.pullback(other.labels, fine_c, coarse_c, q, other.fine.field.p), other.fine.field)
-
-    def tuple_afresh(other, level, q):
+    def afresh(other, level, q):
         built[level, q] += 1
-        return matrix(reference.tuple_pullback(other, level, q, other.fine.field.p), other.fine.field)
+        if level:
+            return matrix(reference.tuple_pullback(other, level, q, other.fine.field.p), other.fine.field)
+        return matrix(reference.pullback(other.labels, other.fine.nerve, other.coarse.nerve, q, other.fine.field.p),
+                      other.fine.field)
 
     fresh = RefinementMap(r.fine, r.coarse, dict(r.labels))
     monkeypatch.setattr(refinements, "_pullback", afresh)
-    monkeypatch.setattr(refinements, "_tuple_pullback", tuple_afresh)
     built.clear()
     assert naturality_check(fresh, 2) == verdict
     assert all(induced_cohomology_map(fresh, q).equals(induced[q]) for q in (0, 1))

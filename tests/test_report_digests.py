@@ -19,6 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cechkit import fplinalg
 from cechkit.cli import main
 from cechkit.documents import canonical_json
 from cechkit.gallery import gallery_document
@@ -116,7 +117,7 @@ def test_odd_field_reports_match_those_of_the_dense_oracle(tmp_path, monkeypatch
         calls.append(a.shape)
         return dense_echelon(dense(a), a.field.p)
 
-    patch_bindings(monkeypatch, "echelon", oracle)
+    patch_bindings(monkeypatch, fplinalg, "echelon", oracle)
     assert reports(tmp_path, docs, ODD_FIELD_COMMANDS) == shipped
     assert calls
 

@@ -52,7 +52,7 @@ def test_no_operation_changes_a_row_it_shares(case):
     results = [
         (m[1:], a[1:]), (m[::-1], a[::-1]), (m[:, 1:], a[:, 1:]), (m[:, ::-1], a[:, ::-1]),
         (m[:, [0, 0]], a[:, [0, 0]]), (m.T, a.T), (-m, -a % p), (u @ m[:n], unit @ a[:n] % p),
-        (block_matrix({0: m.rows}, {0: m.cols}, [(0, 0, m), (0, 0, m)], field), 2 * a % p),
+        (block_matrix({0: m.rows, 1: m.rows}, {0: m.cols}, [(0, 0, m), (1, 0, m)], field), np.vstack([a, a])),
         (block_matrix({0: m.rows, 1: m.rows}, {0: m.cols, 1: 2}, [(0, 0, m), (1, 0, m), (1, 1, rhs)], field),
          np.block([[a, np.zeros_like(b)], [a, b]])),
     ]
