@@ -13,13 +13,17 @@ share one interface:
   gauge phases when sections are compared or glued.  Every rank-1 gauge
   question (untwisting, equivalence, gluing) is a system of difference
   constraints pot(b) - pot(a) = delta, solved by one union-find with
-  potentials.  Over odd p the values and potentials are F_p scalars.
-  Over F_2 they are class bitsets: bit c is the value for class c,
-  addition is XOR, and a single cocycle is the one-class case (values 0
-  and 1).  The union-find's shape depends only on the graph, so one pass
-  with bitset potentials answers a question for every class of
-  `enumerate_line_bundles` at once (`class_table`); a check that fails
-  reports the classes it fails as a class mask.
+  potentials.  `_gauge` is its one solver: untwisting a cocycle and
+  joining piece components are each a list of constraints fed to it,
+  and section counts read the sets it leaves untwisted (`_free_dims`);
+  gauge equivalence, which needs only the OR of the residuals, runs the
+  same `_union` in a loop of its own.  Over odd p the values and
+  potentials are F_p scalars.  Over F_2 they are class bitsets: bit c is
+  the value for class c, addition is XOR, and a single cocycle is the
+  one-class case (values 0 and 1).  The union-find's shape depends only
+  on the graph, so one pass with bitset potentials answers a question
+  for every class of `enumerate_line_bundles` at once (`class_table`); a
+  check that fails reports the classes it fails as a class mask.
 
 * rank k >= 2: transitions are invertible k x k `FMatrix` values over
   F_p, and a section's value at a vertex is a k x 1 `FMatrix`; sections,
@@ -43,7 +47,7 @@ from functools import cached_property
 from numbers import Integral
 
 from .cochains import CohomologyBasis, class_coordinates, cohomology
-from .complexes import SimplicialComplex, components
+from .complexes import SimplicialComplex
 from .diagrams import GluedDiagram, ValidationReport
 from .errors import InputError, ResourceLimit, WrongField
 from .fplinalg import FMatrix, PrimeField, block_matrix, entry_matrix
@@ -552,6 +556,31 @@ def _union(parent: dict, pot: dict, a, b, delta: int, p: int) -> int:
     return residual
 
 
+def _gauge(nodes, constraints, m: int, failures=None) -> tuple[dict, dict, list]:
+    """The one rank-1 gauge solve: a union-find over difference constraints mod m.
+
+    Each constraint (a, b, delta, at) imposes pot(b) - pot(a) = delta; one
+    that clashes with those before it fails at `at`, charged to a.
+    Returns each node's (root, phase) over its set, each root's twist
+    mask (the classes on which some failure of its set leaves no phases),
+    and the failures as (node, at, class mask) in walk order: the given
+    ones first, then each clash.
+    """
+    parent: dict = {}
+    pot: dict = {}
+    failures = list(failures or ())
+    for a, b, delta, at in constraints:
+        residual = _union(parent, pot, a, b, delta, m)
+        if residual:
+            failures.append((a, at, _mask(residual, m)))
+    gauge = {v: _find(parent, pot, v, m) for v in nodes}
+    twist: dict = {}
+    for node, _, mask in failures:
+        root = gauge[node][0]
+        twist[root] = twist.get(root, 0) | mask
+    return gauge, twist, failures
+
+
 def _untwisting_gauge(cocycle: ConstantCocycle) -> tuple[dict[str, tuple[str, int]], dict[str, int]]:
     """Each vertex's component root and phase over it, and the twist mask of each twisted root.
 
@@ -560,25 +589,12 @@ def _untwisting_gauge(cocycle: ConstantCocycle) -> tuple[dict[str, tuple[str, in
     class the mask holds, the component is twisted: no phases do, and
     the cocycle has no nonzero parallel section there.
     """
-    m = _modulus(cocycle.field.p)
-    parent: dict[str, str] = {}
-    pot: dict[str, int] = {}
-    clashes = []
-    for a, b in cocycle.base.simplices_of_dim(1):
-        residual = _union(parent, pot, a, b, int(cocycle.values[(a, b)]), m)
-        if residual:
-            clashes.append((a, _mask(residual, m)))
-    gauge = {v: _find(parent, pot, v, m) for v in cocycle.base.vertices}
-    twist: dict[str, int] = {}
-    for a, mask in clashes:
-        root = gauge[a][0]
-        twist[root] = twist.get(root, 0) | mask
-    return gauge, twist
+    constraints = [(e[0], e[1], int(cocycle.values[e]), e) for e in cocycle.base.simplices_of_dim(1)]
+    return _gauge(cocycle.base.vertices, constraints, _modulus(cocycle.field.p))[:2]
 
 
-def _parallel_dims(cocycle: ConstantCocycle, n: int) -> list[int]:
-    """For each of n classes, the number of components on which the cocycle untwists."""
-    gauge, twist = _untwisting_gauge(cocycle)
+def _free_dims(gauge: dict, twist: dict, n: int) -> list[int]:
+    """For each of n classes, the number of the gauge's sets that no twist mask holds it on."""
     roots = len({root for root, _ in gauge.values()})
     return [roots - twisted for twisted in _class_counts(twist.values(), n)]
 
@@ -593,13 +609,11 @@ def parallel_sections(cocycle: ConstantCocycle) -> SectionBasis:
     base = cocycle.base
     if cocycle.rank == 1:
         gauge, twist = _untwisting_gauge(cocycle)
-        sections = []
-        for comp in components(base):
-            root = gauge[comp[0]][0]
-            if not twist.get(root):
-                values = {v: int(gauge[v][0] == root) for v in base.vertices}
-                sections.append(TwistedSection(cocycle, values))
-        return SectionBasis(cocycle, tuple(sections))
+        # the vertices are sorted, so roots first met in vertex order list the components by smallest vertex
+        roots = dict.fromkeys(root for root, _ in gauge.values())
+        return SectionBasis(cocycle, tuple(
+            TwistedSection(cocycle, {v: int(r == root) for v, (r, _) in gauge.items()})
+            for root in roots if not twist.get(root)))
 
     # kernel row i * k + r is entry r of the section at vertex i, for rank k
     k = cocycle.rank
@@ -642,56 +656,31 @@ def is_parallel(section: TwistedSection) -> bool:
 
 
 def _join_piece_components(data: PieceBundleData) -> tuple[dict, dict, list]:
-    """Join the rank-1 piece components at the vertices their pieces share.
+    """Join the rank-1 piece components at the vertices their pieces share, in one `_gauge`.
 
     Every component of every piece nerve is a node (piece, root) with a
     free gauge constant rho.  A vertex v shared by pieces i < j links the
     components holding it by rho_j - rho_i = phase_i(v) + twist(v) -
-    phase_j(v).  Returns the union-find (parent, pot) over all nodes and
-    the failures as (node, vertex, class mask) in walk order: every
-    twisted component (at its root), then every link that clashes with
-    the links before it.
+    phase_j(v).  The failures are every twisted component (at its root),
+    then every link that clashes with the links before it (at its
+    vertex).  A compatible tuple takes one value on each set of joined
+    components, and that value may be nonzero exactly when the set has
+    no failure, so each set the twist masks leave clear adds one
+    dimension of glued sections.
     """
     diagram = data.diagram
     field = diagram.field
-    m = _modulus(field.p)
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-    pot: dict[tuple[str, str], int] = {}
-    failures: list[tuple[tuple[str, str], str, int]] = []
-    gauges = {}
-    for pid in diagram.piece_ids:
-        gauge, twist = _untwisting_gauge(data.cocycles[pid])
-        gauges[pid] = gauge
-        for root, _ in gauge.values():
-            _find(parent, pot, (pid, root), m)
-        failures += [((pid, root), root, twist[root]) for root in sorted(twist)]
+    gauges = {pid: _untwisting_gauge(data.cocycles[pid]) for pid in diagram.piece_ids}
+    nodes = dict.fromkeys((pid, root) for pid, (gauge, _) in gauges.items() for root, _ in gauge.values())
+    twisted = [((pid, root), root, twist[root]) for pid, (_, twist) in gauges.items() for root in sorted(twist)]
+    links = []
     for (i, j), nij in diagram.level(2).items():
         for v in nij.vertices:
-            (ri, phase_i), (rj, phase_j) = gauges[i][v], gauges[j][v]
+            (ri, phase_i), (rj, phase_j) = gauges[i][0][v], gauges[j][0][v]
             delta = _compose(_compose(phase_i, data.ident(i, j, v), 1, field.p), _invert(phase_j, 1, field),
                              1, field.p)
-            residual = _union(parent, pot, (i, ri), (j, rj), delta, m)
-            if residual:
-                failures.append(((i, ri), v, _mask(residual, m)))
-    return parent, pot, failures
-
-
-def _glue_space_dims(data: PieceBundleData, n: int) -> list[int]:
-    """For each of n classes, the rank-1 glue_section_space.
-
-    A compatible tuple takes one value on each set of joined piece
-    components, and that value may be nonzero exactly when no member is
-    twisted and no link in the set clashes; each such set adds one
-    dimension.
-    """
-    m = _modulus(data.diagram.field.p)
-    parent, pot, failures = _join_piece_components(data)
-    roots = {_find(parent, pot, node, m)[0] for node in list(parent)}
-    failing: dict = {}
-    for node, _, mask in failures:
-        root = _find(parent, pot, node, m)[0]
-        failing[root] = failing.get(root, 0) | mask
-    return [len(roots) - failed for failed in _class_counts(failing.values(), n)]
+            links.append(((i, ri), (j, rj), delta, v))
+    return _gauge(nodes, links, _modulus(field.p), twisted)
 
 
 def glue_sections(data: PieceBundleData,
@@ -723,8 +712,7 @@ def glue_sections(data: PieceBundleData,
 
     if rank == 1:
         # Joined components now carry one value; only nonzero ones constrain the phases.
-        _, _, failures = _join_piece_components(data)
-        for (pid, _), v, _ in failures:
+        for (pid, _), v, _ in _join_piece_components(data)[2]:
             if int(sections[pid].values[v]) % p:
                 raise IncompatibleSections(v, f"gauge phases are inconsistent at {v!r}")
     glued_values: dict[str, int | FMatrix] = {}
@@ -741,12 +729,12 @@ def glue_sections(data: PieceBundleData,
 def glue_section_space(data: PieceBundleData) -> int:
     """Dimension of the space of compatible per-piece parallel sections.
 
-    Rank 1: counted on the joined piece components (`_glue_space_dims`).
+    Rank 1: counted on the joined piece components (`_join_piece_components`).
     """
     diagram = data.diagram
     rank = data.rank
     if rank == 1:
-        return _glue_space_dims(data, 1)[0]
+        return _free_dims(*_join_piece_components(data)[:2], 1)[0]
 
     # rank >= 2: each piece's parallel sections, linked by s_j(v) = ident(i, j, v) s_i(v)
     links = [((j, v), (i, v), data.ident(i, j, v))
@@ -782,6 +770,6 @@ def class_table(bundles: LineBundles) -> ClassTable:
     values, obstructions = _colimit(diagram, data)
     back = ConstantCocycle(diagram.nerve, 1, diagram.field, values)
     lost = _inequivalent_classes(back, g) | _failing(obstructions)
-    return ClassTable(tuple(_parallel_dims(g, n)),
+    return ClassTable(tuple(_free_dims(*_untwisting_gauge(g), n)),
                       tuple(not x for x in _class_counts([lost], n)),
-                      tuple(_glue_space_dims(data, n)))
+                      tuple(_free_dims(*_join_piece_components(data)[:2], n)))

@@ -247,7 +247,8 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
     for q in degrees:
         fp = fibred_product(diagram, q)
         union_dim = len(diagram.nerve.simplices_of_dim(q))
-        rank_phi = phi_star(diagram, q).rank()
+        phi = phi_star(diagram, q)
+        rank_phi = phi.rank()
         two_step, basis = inductive_fibred_dim(diagram, q)
         # the inductive basis spans the product exactly when it lies in it and has its dimension
         same_span = two_step == fp.dimension and fp.contains(basis)
@@ -255,7 +256,7 @@ def _cmd_fibred(args, parsed: ParsedDocument, diagram: GluedDiagram, report: dic
             "q": q, "cochain_dim_union": union_dim, "fibred_dim": fp.dimension,
             "rank_phi_star": rank_phi, "inductive_dim": two_step,
             "matches_union": fp.dimension == union_dim,
-            "matches_phi": fp.dimension == rank_phi,
+            "matches_phi": fp.dimension == rank_phi and fp.contains(phi),
             "inductive_matches": same_span})
         _println(f"q={q}: dim C^q(union)={union_dim} fibred={fp.dimension} "
                  f"rank(phi*)={rank_phi} inductive={two_step}")

@@ -140,36 +140,30 @@ def _binary_pieces(diagram: GluedDiagram) -> tuple[str, str]:
     return diagram.piece_ids
 
 
-def connecting_homomorphism(diagram: GluedDiagram, degree: int,
-                            through: str | None = None) -> FMatrix:
+def connecting_homomorphism(diagram: GluedDiagram, degree: int) -> FMatrix:
     """Snake-lemma map H^q(N_12) -> H^(q+1)(union) for a binary diagram, on the representative bases.
 
     A cocycle class on the intersection is lifted by extension by zero
-    into one piece, hit with the coboundary, and the resulting compatible
-    pair is pulled back through the injective concatenated restriction.
-    The output class does not depend on the piece chosen for the lift.
-    A zero H^q(N_12) gives the zero map, with nothing lifted.
+    into the first piece, hit with the coboundary, and the resulting
+    compatible pair is pulled back through the injective concatenated
+    restriction.  A lift through the second piece gives the same map,
+    which is minus the map of the diagram with the two pieces' names
+    swapped.  A zero H^q(N_12) gives the zero map, with nothing lifted.
     """
     i1, i2 = _binary_pieces(diagram)
-    if through is None:
-        through = i1
-    if through not in (i1, i2):
-        raise NotBinary(f"unknown piece {through!r}")
     field = diagram.field
     n12 = diagram.intersection_nerve((i1, i2))
     coh_src = cohomology(n12, degree, field)
     coh_tgt = cohomology(diagram.nerve, degree + 1, field)
     if not coh_src.dimension:
         return FMatrix.zeros(coh_tgt.dimension, 0, field)
-    lift_nerve = diagram.nerves[through]
-    # Extension by zero is the transpose of restriction: into the lift piece,
-    # and from there into the union, where the pair (dg, 0) or (0, -dg) lives.
+    lift_nerve = diagram.nerves[i1]
+    # Extension by zero is the transpose of restriction: into the first piece,
+    # and from there into the union, where the pair (dg, 0) lives.
     into_lift = restriction_matrix(lift_nerve, n12, degree, field).T
     into_union = restriction_matrix(diagram.nerve, lift_nerve, degree + 1, field).T
     d_lift = coboundary_matrix(lift_nerve, degree, field)
     lifted = into_union @ (d_lift @ (into_lift @ coh_src.representatives))
-    if through != i1:
-        lifted = -lifted
     return class_coordinates(coh_tgt, lifted)
 
 
@@ -284,25 +278,19 @@ class FibredProduct:
 
 
 def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
-    """The cochain fibred product, checked to be the image of phi_star from ranks and one product.
+    """The cochain fibred product, with no basis built.
 
     Its dimension is the nullity of delta_tilde at level 1 (all tuples for
-    one piece).  phi_star lies in it exactly when delta_tilde · phi_star
-    = 0, and then fills it exactly when its rank is that dimension; no
-    basis is built.
+    one piece).  It is the image of phi_star exactly when
+    `contains(phi_star)` and rank phi_star is that dimension, which is
+    what the `fibred` command reports.
     """
-    phi = phi_star(diagram, degree)
-    dimension = phi.rows if diagram.n_pieces == 1 else delta_tilde(diagram, 1, degree).rank_nullity()[1]
-    product = FibredProduct(diagram, degree, dimension)
-    if phi.rank() != dimension:
-        raise AssertionError("fibred product dimension differs from rank of phi_star")
-    if not product.contains(phi):
-        raise AssertionError("image of phi_star escapes the fibred product")
-    return product
+    if diagram.n_pieces == 1:
+        return FibredProduct(diagram, degree, len(diagram.nerves[diagram.piece_ids[0]].simplices_of_dim(degree)))
+    return FibredProduct(diagram, degree, delta_tilde(diagram, 1, degree).rank_nullity()[1])
 
 
-def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
-                         order: tuple[str, ...] | None = None) -> tuple[int, FMatrix]:
+def inductive_fibred_dim(diagram: GluedDiagram, degree: int) -> tuple[int, FMatrix]:
     """Fibred product computed piece by piece (the inductive two-step form), with no elimination.
 
     Pieces are adjoined one at a time.  The columns absorbed so far agree
@@ -310,35 +298,26 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int,
     each of its q-simplices that an absorbed piece holds must take the
     value of that holder's row, and any holder gives the same row: its
     rows are gathered in one product.  Each of its other q-simplices is
-    unconstrained and adds one unit column.  Returns the dimension and a
-    basis stacked in sorted piece order, so the span can be compared with
-    the flat computation.
+    unconstrained and adds one unit column.  Pieces are adjoined in
+    `piece_ids` order, so the basis is stacked in that order too, and its
+    span can be compared with the flat computation.
     """
     field = diagram.field
-    ids = tuple(order) if order is not None else diagram.piece_ids
-    if sorted(ids) != list(diagram.piece_ids):
-        raise ValueError("order must be a permutation of the piece ids")
-
     dims = _cochain_dims(diagram.nerves, degree)
-    # the basis absorbed so far, stacked in the order of adjoining; rows[i] is
-    # piece i's row range in it, and holder[s] the row of q-simplex s's first holder
+    # the basis absorbed so far; holder[s] is the row of q-simplex s's first holder
     basis = FMatrix.zeros(0, 0, field)
-    rows: dict[str, slice] = {}
     holder: dict[tuple[str, ...], int] = {}
-    for nxt in ids:
+    for nxt in diagram.piece_ids:
         simplices, n = diagram.nerves[nxt].simplices_of_dim(degree), dims[nxt]
         fixed = [(i, holder[s]) for i, s in enumerate(simplices) if s in holder]
         free = [i for i, s in enumerate(simplices) if s not in holder]
         gathered = (entry_matrix((n, basis.rows), ((i, row, 1) for i, row in fixed), field) @ basis if fixed
                     else FMatrix.zeros(n, basis.cols, field))
         units = entry_matrix((n, len(free)), ((i, k, 1) for k, i in enumerate(free)), field)
-        rows[nxt] = slice(basis.rows, basis.rows + n)
         holder.update((simplices[i], basis.rows + i) for i in free)
         basis = block_matrix({0: basis.rows, 1: n}, {0: basis.cols, 1: len(free)},
                              [(0, 0, basis), (1, 0, gathered), (1, 1, units)], field)
-    # rows in piece_ids order, whatever the order of adjoining or of diagram.nerves
-    return basis.cols, block_matrix({i: dims[i] for i in diagram.piece_ids}, {0: basis.cols},
-                                    ((i, 0, basis[rows[i]]) for i in diagram.piece_ids), field)
+    return basis.cols, basis
 
 
 @dataclass(frozen=True)

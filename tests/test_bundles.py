@@ -722,6 +722,22 @@ def test_class_table_refuses_with_the_first_invalid_class():
         "piece data invalid: ('p2', ('b', 'c', 'd'), 'triangle identity fails')"
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_inequivalent_classes_masks_each_class_by_its_own_gauge_search(data):
+    # Two cocycles of class bitsets on a random base: bit c of the mask is class c's verdict alone.
+    base = build_complex(data.draw(st.lists(st.sampled_from(SIMPLICES), max_size=6)) + [[v] for v in LABELS])
+    edges = base.simplices_of_dim(1)
+    n = data.draw(st.integers(1, 6))
+    bitsets = st.lists(st.integers(0, 2 ** n - 1), min_size=len(edges), max_size=len(edges))
+    g, h = (ConstantCocycle(base, 1, F2, dict(zip(edges, data.draw(bitsets)))) for _ in range(2))
+    mask = bundles._inequivalent_classes(g, h)
+    assert mask >> n == 0
+    for c in range(n):
+        g_c, h_c = (ConstantCocycle(base, 1, F2, {e: x.values[e] >> c & 1 for e in edges}) for x in (g, h))
+        assert (mask >> c & 1) == (not brute_equivalent(g_c, h_c)), c
+
+
 def test_exhaustive_two_origin_oracle(two_origin):
     """Criterion-1 oracle: enumerate all 16 cochains and all 16 gauges."""
     base = two_origin.nerve

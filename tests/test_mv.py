@@ -141,13 +141,22 @@ def test_connecting_branching_zero(branching):
     assert delta.is_zero()
 
 
-def test_connecting_lift_independence(two_origin, branching, bug_eyed):
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_connecting_lift_independence(two_origin, branching, bug_eyed, p):
+    field = PrimeField(p)
+    hits = 0
     for d in (two_origin, branching, bug_eyed):
         i1, i2 = d.piece_ids
+        # With the names swapped the lift goes through the other piece: its pair
+        # (dg, 0) is (0, dg) in the original order, where that lift's pair is
+        # (0, -dg), so the two maps are negatives of each other.
+        first = glued_from_nerves(d.nerves, field)
+        second = glued_from_nerves({i1: d.nerves[i2], i2: d.nerves[i1]}, field)
         for q in (0, 1):
-            a = connecting_homomorphism(d, q, through=i1)
-            b = connecting_homomorphism(d, q, through=i2)
-            assert a.equals(b)
+            a = connecting_homomorphism(first, q)
+            assert a.equals(-connecting_homomorphism(second, q)), (d.piece_ids, q)
+            hits += not a.is_zero()
+    assert hits  # some map is nonzero, so the sign is seen over odd p
 
 
 def test_connecting_requires_binary(three_circles):
@@ -255,8 +264,8 @@ def test_assemble_les_bug_eyed(bug_eyed, necklace, monkeypatch):
     before = assemble_les(ring, 1)
     assert before.all_ok
 
-    def moved(diagram, degree, through=None):
-        m = real(diagram, degree, through)
+    def moved(diagram, degree):
+        m = real(diagram, degree)
         return FMatrix(np.outer(v, w), F2) if degree == 0 else m
 
     monkeypatch.setattr(mv, "connecting_homomorphism", moved)
@@ -313,8 +322,11 @@ def test_inductive_fibred_product_three_circles(three_circles):
         assert dim == fp.dimension
         joint = matrix(np.hstack([dense(fp.basis), dense(basis)]), three_circles.field)
         assert joint.rank() == fp.dimension
-        # a different adjoining order gives the same product
-        dim_rev, _ = inductive_fibred_dim(three_circles, q, order=("p3", "p1", "p2"))
+        # a different adjoining order gives the same product: renamed, p3 is adjoined first
+        order = ("p3", "p1", "p2")
+        renamed = glued_from_nerves({f"p{k:02d}": three_circles.nerves[i] for k, i in enumerate(order)},
+                                    three_circles.field)
+        dim_rev, _ = inductive_fibred_dim(renamed, q)
         assert dim_rev == fp.dimension
 
 

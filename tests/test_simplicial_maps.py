@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechkit.cochains import coboundary_matrix
-from cechkit.diagrams import canonicalize
+from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
 from cechkit.fplinalg import block_matrix, entry_matrix
 from cechkit.gallery import gallery_document, random_admissible
@@ -92,11 +92,12 @@ def test_index_reads_match_the_definitions(bench_docs, data):
     r = draw_refinement(data, bench_docs)
     diagram, field = r.coarse, r.coarse.field
 
-    # the inductive product, in a shuffled order, spans the flat one
+    # the inductive product, in a shuffled order (pieces renamed to be adjoined in it), spans the flat one
     for q in range(diagram.nerve.dim + 1):
         order = tuple(data.draw(st.permutations(diagram.piece_ids)))
-        dim, basis = inductive_fibred_dim(diagram, q, order)
-        flat = fibred_product(diagram, q)
+        shuffled = glued_from_nerves({f"p{k:02d}": diagram.nerves[i] for k, i in enumerate(order)}, field)
+        dim, basis = inductive_fibred_dim(shuffled, q)
+        flat = fibred_product(shuffled, q)
         assert dim == flat.dimension == basis.cols and flat.contains(basis), (order, q)
         joint = block_matrix({0: basis.rows}, {0: dim, 1: dim}, [(0, 0, flat.basis), (0, 1, basis)], field)
         assert basis.rank() == joint.rank() == dim, (order, q)
