@@ -1,7 +1,7 @@
 """Cech cohomology and Mayer-Vietoris machinery for glued nerve diagrams.
 
 `__all__` names what the command line and the demos reach, and the
-constructions of the paper: glued diagrams and their colimit maps, Cech
+constructions of the paper: glued diagrams and their collapses, Cech
 cohomology and its coboundary, restriction and pullback matrices, the
 Mayer-Vietoris sequences and fibred products, line-bundle classification
 and counting, and refinement naturality.  Everything else is reached
@@ -39,9 +39,7 @@ from .diagrams import (
     canonicalize,
     collapse,
     glued_from_nerves,
-    induced_map,
     shared_label_system,
-    subsystem_embedding,
     validate_system,
 )
 from .fplinalg import F2, FMatrix, PrimeField
@@ -71,7 +69,7 @@ __all__ = [
     "SimplicialComplex", "build_complex", "components",
     # diagrams
     "AdjunctionSystem", "GluedDiagram", "GluingBijection", "LocalPiece", "canonicalize", "collapse",
-    "glued_from_nerves", "induced_map", "shared_label_system", "subsystem_embedding", "validate_system",
+    "glued_from_nerves", "shared_label_system", "validate_system",
     # fplinalg
     "F2", "FMatrix", "PrimeField",
     # mv

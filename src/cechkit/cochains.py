@@ -20,12 +20,15 @@ from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
-from .errors import NotSimplicial
 from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix
 
 
 class NotSubcomplex(ValueError):
     pass
+
+
+class NotSimplicial(ValueError):
+    """A vertex map is undefined on a vertex, or sends a simplex outside its target."""
 
 
 def _cochain_dims(complexes: Mapping[Hashable, SimplicialComplex], q: int) -> dict[Hashable, int]:

@@ -40,7 +40,7 @@ from .complexes import (
     renamed_simplices,
     union_complexes,
 )
-from .errors import InputError, NotSimplicial, ResourceLimit, one_line
+from .errors import InputError, ResourceLimit, one_line
 from .fplinalg import F2, PrimeField
 
 _FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
@@ -72,10 +72,6 @@ class EmptyIndexSet(ValueError):
 
 
 class BadIndexSet(ValueError):
-    pass
-
-
-class IncompatibleFamily(ValueError):
     pass
 
 
@@ -511,51 +507,3 @@ def collapse(diagram: GluedDiagram, j: Iterable[str]) -> GluedDiagram:
     nerves = {i: n for i, n in diagram.nerves.items() if i not in js}
     nerves[merged_id] = union_complexes(diagram.nerves[i] for i in js)
     return glued_from_nerves(nerves, diagram.field)
-
-
-def subsystem_embedding(diagram: GluedDiagram, j: Iterable[str]) -> tuple[GluedDiagram, dict[str, str]]:
-    """Glued diagram of the subsystem on j, plus the label injection into the parent.
-
-    Global labels are inherited from the parent diagram, so the injection
-    is the identity on the labels the subsystem retains.
-    """
-    js = sorted(set(j))
-    if not js:
-        raise BadIndexSet("subsystem over an empty index set")
-    unknown = [i for i in js if i not in diagram.nerves]
-    if unknown:
-        raise BadIndexSet(f"unknown piece ids {unknown}")
-    sub = glued_from_nerves({i: diagram.nerves[i] for i in js}, diagram.field)
-    kappa = {v: v for v in sub.nerve.vertices}
-    return sub, kappa
-
-
-def induced_map(diagram: GluedDiagram, target: SimplicialComplex,
-                psi: Mapping[str, Mapping[str, str]]) -> dict[str, str]:
-    """The unique simplicial map on the union nerve restricting to each psi_i.
-
-    Each piece nerve is checked by dimension, then lexicographically, so an
-    error names the same simplex on every run.
-    """
-    for pid in diagram.piece_ids:
-        if pid not in psi:
-            raise IncompatibleFamily(f"no vertex map supplied for piece {pid!r}")
-    merged: dict[str, str] = {}
-    owner: dict[str, str] = {}
-    for pid in diagram.piece_ids:
-        nerve = diagram.nerves[pid]
-        vm = psi[pid]
-        for v in nerve.vertices:
-            if v not in vm:
-                raise NotSimplicial(f"map for piece {pid!r} undefined on label {v!r}")
-        for s in sorted(nerve.simplices, key=lambda s: (len(s), s)):
-            image = tuple(sorted({vm[v] for v in s}))
-            if image not in target:
-                raise NotSimplicial(f"piece {pid!r}: image of {s!r} is not a simplex of the target")
-        for v in nerve.vertices:
-            if v in merged and merged[v] != vm[v]:
-                raise IncompatibleFamily(
-                    f"maps for pieces {owner[v]!r} and {pid!r} disagree at label {v!r}")
-            merged[v] = vm[v]
-            owner[v] = pid
-    return merged

@@ -26,10 +26,6 @@ class WrongField(InputError):
     """The command needs another field, as line bundles need F_2."""
 
 
-class NotSimplicial(ValueError):
-    """A vertex map is undefined on a vertex, or sends a simplex outside its target."""
-
-
 _LINE_BREAKS = {ord("\n"): "\\n", ord("\r"): "\\r"}
 
 

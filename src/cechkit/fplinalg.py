@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields, on the rows that elimination reads.
 
-Every cohomology computation in this package reduces to rank, kernel and
-solve calls on matrices with entries in F_p, and nearly all of them are
+Every cohomology computation in this package reduces to rank and kernel
+calls on matrices with entries in F_p, and nearly all of them are
 cochain matrices: a coboundary row has q + 2 nonzeros, a restriction row
 one.  An `FMatrix` stores each row in the form its elimination reads,
 with one form for every size:
@@ -43,10 +43,10 @@ read a square row by row without reading rows.
 One function eliminates: `echelon` runs forward elimination on an
 `FMatrix`'s rows.  Its pivot columns give rank and column spaces, and
 `Echelon.reduced` continues from its rows to the reduced row echelon
-form, which is unique, so the reduced kernel basis and the solution with
-free variables 0 do not depend on the method.  `rref` reads that form
-off the echelon a matrix keeps, padded with zero rows; kernel columns
-and `solve`, on one echelon of [A | B], read it there.
+form, which is unique, so the reduced kernel basis and the inverse do
+not depend on the method.  `rref` reads that form off the echelon a
+matrix keeps, padded with zero rows; kernel columns read it there, and
+`inverse` reads it off one echelon of [A | I].
 `Echelon.remainder` reduces other rows against the echelon rows without
 keeping them, which tests membership in the row space and reads
 coordinates modulo it.  Each `FMatrix` keeps its own echelon, so its
@@ -453,25 +453,6 @@ class FMatrix:
         rows.update(zip(pivots, (-reduced[:len(pivots), free])._rows))
         return FMatrix._of(list(rows.values()), len(free), self.field)
 
-    def solve(self, b: "FMatrix") -> "FMatrix | None":
-        """One solution of A X = B with free variables set to 0, or None.
-
-        One elimination of [A | B] gives None if any column of B is
-        inconsistent; otherwise no pivot lands among B's columns, so each
-        column's solution is that of its own solve.
-        """
-        if b.rows != self.rows:
-            raise DimensionMismatch(f"rhs length {b.rows} != {self.rows} rows")
-        x = FMatrix.zeros(self.cols, b.cols, self.field)
-        if b.cols:
-            joint = block_matrix({0: self.rows}, {0: self.cols, 1: b.cols}, [(0, 0, self), (0, 1, b)], self.field)
-            reduced, pivots = rref(joint)
-            if pivots and pivots[-1] >= self.cols:
-                return None
-            solved = dict(zip(pivots, reduced[:len(pivots), self.cols:]._rows))
-            x = FMatrix._of([solved.get(j, z) for j, z in enumerate(x._rows)], b.cols, self.field)
-        return x
-
     def remainder(self, a: "FMatrix") -> "FMatrix":
         """Each row of a less the combination of this matrix's rows that clears it in every pivot column.
 
@@ -482,13 +463,19 @@ class FMatrix:
         return self._echelon.remainder(a)
 
     def inverse(self) -> "FMatrix":
-        """The solution of A X = I, from the one elimination of [A | I] that `solve` runs."""
-        if self.rows != self.cols:
+        """The solution of A X = I, read off the reduced form of [A | I], one elimination.
+
+        A is invertible exactly when the pivots of [A | I] are A's columns;
+        the reduced rows then hold A's inverse in their right block.
+        """
+        n = self.rows
+        if n != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        x = self.solve(FMatrix.identity(self.rows, self.field))
-        if x is None:
+        joint = block_matrix({0: n}, {0: n, 1: n}, [(0, 0, self), (0, 1, FMatrix.identity(n, self.field))], self.field)
+        reduced, pivots = rref(joint)
+        if pivots and pivots[-1] >= n:
             raise ZeroDivisionError("matrix is singular")
-        return x
+        return reduced[:, n:]
 
 
 def _select(rows: list, ncols: int, js: Sequence[int], p: int) -> list:

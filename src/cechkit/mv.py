@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cochains import (
     _cochain_dims,
@@ -36,7 +35,7 @@ from .cochains import (
     restriction_matrix,
 )
 from .complexes import components
-from .diagrams import GluedDiagram, IncompatibleFamily
+from .diagrams import GluedDiagram
 from .errors import WrongField
 from .fplinalg import FMatrix, _ranges, block_matrix, entry_matrix
 
@@ -230,51 +229,19 @@ def assemble_les(diagram: GluedDiagram, q_max: int) -> BinaryMVReport:
 class FibredProduct:
     """Tuples of piece cochains agreeing on every pairwise intersection: the kernel of delta_tilde at level 1.
 
-    `basis` is that kernel's reduced basis, built on first read, which no
-    command does.  `inductive_fibred_dim` builds another basis of the same
-    space piece by piece, from row gathers and unit columns alone, and
-    `contains` is how the `fibred` command checks it.
+    It holds the dimension and a membership test, no basis.
+    `inductive_fibred_dim` builds a basis of the same space piece by
+    piece, from row gathers and unit columns alone, and `contains` is how
+    the `fibred` command checks it.
     """
 
     diagram: GluedDiagram
     degree: int
     dimension: int
 
-    @cached_property
-    def basis(self) -> FMatrix:
-        """A basis of the product, one tuple per column, built on first read."""
-        if self.diagram.n_pieces == 1:
-            return FMatrix.identity(self.dimension, self.diagram.field)
-        return delta_tilde(self.diagram, 1, self.degree).kernel_basis()
-
     def contains(self, tuples: FMatrix) -> bool:
         """Whether every column, a tuple of piece cochains, agrees on every pairwise intersection."""
         return self.diagram.n_pieces == 1 or (delta_tilde(self.diagram, 1, self.degree) @ tuples).is_zero()
-
-    def mediate(self, rhos: dict[str, FMatrix]) -> FMatrix:
-        """Unique map into the product whose projections are the given maps.
-
-        Every rho_i must map a common source space into C^q(N_i), and the
-        family must commute with restrictions to pairwise intersections.
-        """
-        field = self.diagram.field
-        ids = self.diagram.piece_ids
-        missing = [i for i in ids if i not in rhos]
-        if missing:
-            raise IncompatibleFamily(f"no map supplied for pieces {missing}")
-        src_cols = {rhos[i].cols for i in ids}
-        if len(src_cols) != 1:
-            raise IncompatibleFamily("maps have different source dimensions")
-        for i in ids:
-            if rhos[i].rows != len(self.diagram.nerves[i].simplices_of_dim(self.degree)):
-                raise IncompatibleFamily(f"map for piece {i!r} has wrong target dimension")
-        for (i, j), nij in self.diagram.level(2).items():
-            ri = restriction_matrix(self.diagram.nerves[i], nij, self.degree, field)
-            rj = restriction_matrix(self.diagram.nerves[j], nij, self.degree, field)
-            if not (ri @ rhos[i]).equals(rj @ rhos[j]):
-                raise IncompatibleFamily(f"maps for pieces {i!r} and {j!r} do not agree on the overlap")
-        return block_matrix({i: rhos[i].rows for i in ids}, {0: rhos[ids[0]].cols}, ((i, 0, rhos[i]) for i in ids),
-                            field)
 
 
 def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
@@ -300,7 +267,7 @@ def inductive_fibred_dim(diagram: GluedDiagram, degree: int) -> tuple[int, FMatr
     rows are gathered in one product.  Each of its other q-simplices is
     unconstrained and adds one unit column.  Pieces are adjoined in
     `piece_ids` order, so the basis is stacked in that order too, and its
-    span can be compared with the flat computation.
+    span is the kernel of delta_tilde at level 1.
     """
     field = diagram.field
     dims = _cochain_dims(diagram.nerves, degree)

@@ -11,7 +11,9 @@ Two label maps realise the same refinement when they are contiguous:
 for every fine simplex the union of the two images spans a coarse
 simplex, piece by piece.  Contiguous maps induce identical pullbacks on
 cohomology; plain validity alone does not (a constant map to a shared
-vertex can be valid yet kill first cohomology).
+vertex can be valid yet kill first cohomology).  No command compares two
+label maps, so contiguity is defined only in the tests, beside their
+search over every valid label map.
 
 A simplicial map sends each simplex to one simplex, so every pullback is
 read off one table: each fine union simplex's coarse image and, where the
@@ -196,16 +198,3 @@ def induced_cohomology_map(r: RefinementMap, degree: int) -> FMatrix:
         r.pullbacks[key] = induced_on_cohomology(_pullback(r, 0, degree), cohomology(r.coarse.nerve, degree, field),
                                                  cohomology(r.fine.nerve, degree, field))
     return r.pullbacks[key]
-
-
-def contiguous(r1: RefinementMap, r2: RefinementMap) -> bool:
-    """Whether two label maps between the same two diagrams realise the same refinement (piecewise)."""
-    if any(a is not b and a != b for a, b in ((r1.fine, r2.fine), (r1.coarse, r2.coarse))):
-        return False
-    for pid in r1.fine.piece_ids:
-        coarse_nerve = r1.coarse.nerves[pid]
-        for s in r1.fine.nerves[pid].simplices:
-            joint = tuple(sorted({r1.labels[v] for v in s} | {r2.labels[v] for v in s}))
-            if joint not in coarse_nerve:
-                return False
-    return True

@@ -1,8 +1,8 @@
-"""Exponential searches kept as test oracles.
+"""Exponential searches kept as test oracles, and the contiguity they are read with.
 
-Both visit every candidate, so they serve only the small cases tests
-build: every label map between two diagrams, and every vertex gauge of
-rank-k transitions.
+Both searches visit every candidate, so they serve only the small cases
+tests build: every label map between two diagrams, and every vertex
+gauge of rank-k transitions.
 """
 
 import itertools
@@ -23,6 +23,18 @@ def valid_label_maps(fine, coarse):
         labels = dict(zip(fine_labels, image))
         if validate_refinement(RefinementMap(fine, coarse, labels)).valid:
             yield labels
+
+
+def contiguous(r1, r2):
+    """Whether two label maps between the same two diagrams realise the same refinement (piecewise).
+
+    They do when, for every fine simplex of a piece, the union of its two
+    images spans a simplex of the coarse piece.
+    """
+    if any(a is not b and a != b for a, b in ((r1.fine, r2.fine), (r1.coarse, r2.coarse))):
+        return False
+    return all(tuple(sorted({r1.labels[v] for v in s} | {r2.labels[v] for v in s})) in r1.coarse.nerves[pid]
+               for pid in r1.fine.piece_ids for s in r1.fine.nerves[pid].simplices)
 
 
 def gl_order(rank, p):

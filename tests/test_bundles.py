@@ -3,7 +3,8 @@ import json
 
 import numpy as np
 import pytest
-from dense import dense, matrix, vector
+import reference
+from dense import dense, matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -428,8 +429,8 @@ def solved_untwisting_phases(cocycle, comp):
         rows[r, order[b]] += 1
         rows[r, order[a]] -= 1
         rhs[r] = int(cocycle.values[(a, b)])
-    solution = matrix(rows, cocycle.field).solve(vector(rhs, cocycle.field))
-    return None if solution is None else {v: solution.column(0)[order[v]] for v in comp}
+    solution = reference.solve(rows, rhs, cocycle.field.p)
+    return None if solution is None else {v: int(solution[order[v]]) for v in comp}
 
 
 def enumerated_glue_section_space(data):

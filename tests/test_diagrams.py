@@ -14,16 +14,12 @@ from cechkit.diagrams import (
     BadIndexSet,
     EmptyIndexSet,
     GluingBijection,
-    IncompatibleFamily,
     InvalidSystem,
     LocalPiece,
-    NotSimplicial,
     canonicalize,
     collapse,
     glued_from_nerves,
-    induced_map,
     shared_label_system,
-    subsystem_embedding,
     ValidationReport,
     Violation,
     validate_system,
@@ -197,56 +193,20 @@ def test_collapse_errors(three_circles):
         collapse(three_circles, ("zzz",))
 
 
-def test_subsystem_embedding(three_circles, bug_eyed):
-    sub, kappa = subsystem_embedding(three_circles, ("p1", "p2"))
+def test_glued_from_nerves_on_a_subset_of_pieces(three_circles):
+    sub = glued_from_nerves({i: three_circles.nerves[i] for i in ("p1", "p2")}, three_circles.field)
     assert sub.n_pieces == 2
     # same shape as the bug-eyed theta graph: 4 vertices, 5 edges
     assert len(sub.nerve.vertices) == 4
     assert len(sub.nerve.simplices_of_dim(1)) == 5
-    assert all(k == v for k, v in kappa.items())
-    assert all((v,) in three_circles.nerve for v in kappa.values())
-    for s in sub.nerve.simplices:
-        assert tuple(sorted(kappa[v] for v in s)) in three_circles.nerve
+    # the labels are the parent's, so the inclusion is the identity on them
+    assert sub.nerve.is_subcomplex_of(three_circles.nerve)
 
-    full, kappa_full = subsystem_embedding(three_circles, three_circles.piece_ids)
+    full = glued_from_nerves(three_circles.nerves, three_circles.field)
     assert full.nerve.simplices == three_circles.nerve.simplices
 
-    single, _ = subsystem_embedding(three_circles, ("p1",))
+    single = glued_from_nerves({"p1": three_circles.nerves["p1"]}, three_circles.field)
     assert single.nerve == three_circles.nerves["p1"]
-
-
-def test_induced_map_constant_and_identity(two_origin):
-    point = build_complex([["z"]])
-    const = induced_map(two_origin, point,
-                        {pid: {v: "z" for v in two_origin.nerves[pid].vertices}
-                         for pid in two_origin.piece_ids})
-    assert set(const.values()) == {"z"}
-
-    ident = induced_map(two_origin, two_origin.nerve,
-                        {pid: {v: v for v in two_origin.nerves[pid].vertices}
-                         for pid in two_origin.piece_ids})
-    assert all(k == v for k, v in ident.items())
-
-
-def test_induced_map_quotient_to_three_cycle(two_origin):
-    k3 = build_complex([["l", "o"], ["o", "r"], ["l", "r"]])
-    psi = {"p1": {"l": "l", "o1": "o", "r": "r"},
-           "p2": {"l": "l", "o2": "o", "r": "r"}}
-    alpha = induced_map(two_origin, k3, psi)
-    assert alpha == {"l": "l", "o1": "o", "o2": "o", "r": "r"}
-
-
-def test_induced_map_errors(two_origin):
-    k3 = build_complex([["l", "o"], ["o", "r"], ["l", "r"]])
-    with pytest.raises(IncompatibleFamily):
-        induced_map(two_origin, k3,
-                    {"p1": {"l": "l", "o1": "o", "r": "r"},
-                     "p2": {"l": "o", "o2": "o", "r": "r"}})
-    two_points = build_complex([["x"], ["y"]])
-    with pytest.raises(NotSimplicial):
-        induced_map(two_origin, two_points,
-                    {"p1": {"l": "x", "o1": "y", "r": "x"},
-                     "p2": {"l": "x", "o2": "y", "r": "x"}})
 
 
 def test_shared_label_system_roundtrip(three_circles):

@@ -98,33 +98,6 @@ def test_kernel_vectors_annihilated_everywhere():
         assert not dense(a @ k).any()
 
 
-def test_solve_identity_and_unsolvable():
-    b = vector([1, 0, 1], F2)
-    assert FMatrix.identity(3, F2).solve(b).equals(b)
-    assert FMatrix.zeros(3, 3, F2).solve(vector([1, 0, 0], F2)) is None
-    assert FMatrix.zeros(2, 2, F2).solve(vector([0, 0], F2)) is not None
-
-
-def test_solve_cross_checked_by_rank():
-    rng = np.random.default_rng(11)
-    for p in (2, 3):
-        field = PrimeField(p)
-        for _ in range(30):
-            a = FMatrix(rng.integers(0, p, size=(4, 4)), field)
-            b = rng.integers(0, p, size=4)
-            x = a.solve(vector(b, field))
-            aug = FMatrix(np.column_stack([dense(a), b]), field)
-            consistent = aug.rank() == a.rank()
-            assert (x is not None) == consistent
-            if x is not None:
-                assert np.array_equal((dense(a) @ dense(x)[:, 0]) % p, b % p)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        FMatrix.identity(3, F2).solve(vector([1, 0], F2))
-
-
 def diagonal(blocks, field):
     """block_matrix with block i, an array wrapped in an FMatrix, at (i, i)."""
     return block_matrix({i: b.shape[0] for i, b in enumerate(blocks)}, {i: b.shape[1] for i, b in enumerate(blocks)},
@@ -181,7 +154,7 @@ def test_block_matrix_refuses_a_block_of_the_wrong_shape():
         block_matrix({0: 1}, {0: 1}, [(0, 0, FMatrix(np.array([[4]]), PrimeField(5)))], PrimeField(3))
 
 
-def test_views_pivots_negation_and_a_matrix_right_hand_side():
+def test_views_pivots_and_negation():
     f3 = PrimeField(3)
     a = FMatrix(np.array([[1, 2, 0], [2, 1, 1]]), f3)
     assert a[1:].tolist() == [[2, 1, 1]] and a[:, [2, 0]].tolist() == [[0, 1], [1, 2]]
@@ -190,9 +163,6 @@ def test_views_pivots_negation_and_a_matrix_right_hand_side():
             a[not_a_matrix]
     # column 1 is twice column 0
     assert a.pivots() == [0, 2]
-    b = FMatrix(np.array([[1], [0]]), f3)
-    x = a.solve(b)
-    assert isinstance(x, FMatrix) and x.column(0) == [1, 0, 1] and (a @ x).equals(b)
     assert (-a).tolist() == [[2, 1, 0], [1, 2, 2]]
     over_f2 = FMatrix(np.array([[1, 0]]), F2)
     assert -over_f2 is over_f2
@@ -463,35 +433,6 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
         left = (left - np.outer(left[:, c], want[k])) % p
     assert np.array_equal(dense(m.remainder(matrix(batch, field))), left)
 
-    consistent = (a @ rng.integers(0, p, size=cols)) % p
-    left_kernel = reference.kernel(a.T, p)
-    # b = e_i with y_i != 0 for some y in the left kernel: y.b != 0, so no solution
-    outside = np.zeros(rows, dtype=np.int64)
-    if left_kernel.shape[1]:
-        outside[np.flatnonzero(left_kernel[:, 0])[0]] = 1
-    for b in (consistent, rng.integers(-p, 2 * p, size=rows), outside):
-        x, want_x = m.solve(vector(b, field)), reference.solve(a, b, p)
-        assert (x is None) == (want_x is None)
-        if x is not None:
-            assert x.shape == (cols, 1) and np.array_equal(dense(x)[:, 0], want_x)
-    if left_kernel.shape[1]:
-        assert m.solve(vector(outside, field)) is None
-
-    # A 2-d right-hand side is one elimination of [A | B]; it must agree with
-    # column-by-column solves, and be None when any one column is inconsistent.
-    batches = [np.zeros((rows, 0), dtype=np.int64),
-               (a @ rng.integers(0, p, size=(cols, 3))) % p,
-               rng.integers(-p, 2 * p, size=(rows, 4))]
-    if left_kernel.shape[1]:
-        batches.append(np.column_stack([consistent, outside, consistent]))
-    for batch in batches:
-        x, want = m.solve(matrix(batch, field)), [reference.solve(a, b, p) for b in batch.T]
-        assert (x is None) == any(w is None for w in want)
-        if x is not None:
-            assert x.shape == (cols, batch.shape[1])
-            for j, b in enumerate(batch.T):
-                assert x.column(j) == m.solve(vector(b, field)).column(0) and np.array_equal(x.column(j), want[j])
-
     if rows == cols:
         reduced, pivots = reference.rref(np.column_stack([a, np.eye(rows, dtype=np.int64)]), p)
         if pivots[:rows] == list(range(rows)):
@@ -499,6 +440,50 @@ def assert_kernel_matches_dense(a: np.ndarray, p: int, rng: np.random.Generator)
         else:
             with pytest.raises(ZeroDivisionError):
                 m.inverse()
+
+
+INVERSE_PRIMES = (2, 3, 5, MAX_PRIME)
+
+
+@st.composite
+def square_cases(draw) -> tuple[np.ndarray, int]:
+    """A square matrix of size 0 to 6 over F_2, F_3, F_5 or F_65521, entries in [-p, 2p), and p.
+
+    Kinds: uniform entries (often singular over F_2, rarely over F_65521),
+    invertible (a unit lower triangle times a unit upper one, rows
+    permuted) and singular (one row a multiple of another, or zero).
+    """
+    p = draw(st.sampled_from(INVERSE_PRIMES))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("uniform", "invertible", "singular")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(-p, 2 * p, size=(n, n))
+    if kind == "invertible":
+        lower, upper = np.tril(a, -1) + np.eye(n, dtype=np.int64), np.triu(a, 1) + np.eye(n, dtype=np.int64)
+        a = (lower @ upper % p)[rng.permutation(n)] + p * rng.integers(-1, 2, size=(n, n))
+    elif kind == "singular" and n:
+        src, dst = rng.integers(0, n, size=2)
+        a[dst] = a[src] * rng.integers(0, p) if src != dst else 0
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_cases())
+def test_inverse_is_the_solution_of_a_x_equals_the_identity(case):
+    a, p = case
+    n, field = len(a), PrimeField(p)
+    m = matrix(a, field)
+    want = reference.solve(a, np.eye(n, dtype=np.int64), p)
+    assert (want is None) == (m.rank() < n)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        inverse = m.inverse()
+        assert equal(inverse, want) and (m @ inverse).equals(FMatrix.identity(n, field))
+    for not_square in (a[:, 1:], a[1:]) if n else ():
+        with pytest.raises(DimensionMismatch):
+            matrix(not_square, field).inverse()
 
 
 KERNEL_PRIMES = (2, 3, 5, 7, MAX_PRIME)

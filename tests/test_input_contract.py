@@ -29,7 +29,7 @@ from cechkit.bundles import IncompatibleData, IncompatibleSections, NonAbelianRa
 from cechkit.cli import main
 from cechkit.cochains import NotSimplicial, NotSubcomplex
 from cechkit.complexes import CLOSURE_CAP, MalformedSimplex
-from cechkit.diagrams import BadIndexSet, EmptyIndexSet, IncompatibleFamily, InvalidSystem
+from cechkit.diagrams import BadIndexSet, EmptyIndexSet, InvalidSystem
 from cechkit.documents import NonPrimeModulus, ParseError, canonical_json
 from cechkit.errors import InputError, ResourceLimit
 from cechkit.fplinalg import DimensionMismatch, ModulusTooLarge, NotPrime
@@ -50,7 +50,7 @@ def test_refusals_are_input_errors_and_api_misuse_is_not():
     refusals = (ParseError, NonPrimeModulus, NotPrime, ModulusTooLarge, BadGalleryParameter,
                 UnknownGallery, IncompatibleData, WrongField, InvalidSystem, ResourceLimit)
     misuse = (DimensionMismatch, NotSubcomplex, NotSimplicial, MalformedSimplex,
-              BadIndexSet, EmptyIndexSet, IncompatibleFamily, NotBinary, NonAbelianRank,
+              BadIndexSet, EmptyIndexSet, NotBinary, NonAbelianRank,
               IncompatibleSections, InvalidRefinement)
     assert all(issubclass(c, InputError) for c in refusals)
     assert not any(issubclass(c, InputError) for c in misuse)

@@ -24,13 +24,12 @@ from cechkit.gallery import gallery_document
 from cechkit.refinements import (
     InvalidRefinement,
     RefinementMap,
-    contiguous,
     induced_cohomology_map,
     naturality_check,
     validate_refinement,
 )
 
-from brute_force import valid_label_maps
+from brute_force import contiguous, valid_label_maps
 
 
 def refinement_for(name):
