@@ -268,6 +268,39 @@ def test_pullback_requires_simplicial():
         pullback_map({"a": "x", "b": "y"}, k, two_points, 0, F2)
 
 
+def test_a_compatible_family_of_vertex_maps_pulls_back_through_the_glued_nerve(two_origin):
+    # the pieces' maps to the 3-cycle agree on the shared labels l and r, so
+    # their union is a map on the glued nerve, and restricting its pullback
+    # to a piece gives that piece's own pullback
+    k3 = build_complex([["l", "o"], ["o", "r"], ["l", "r"]])
+    psi = {"p1": {"l": "l", "o1": "o", "r": "r"}, "p2": {"l": "l", "o2": "o", "r": "r"}}
+    alpha = psi["p1"] | psi["p2"]
+    assert alpha == {"l": "l", "o1": "o", "o2": "o", "r": "r"}
+    for q in (0, 1):
+        through = pullback_map(alpha, two_origin.nerve, k3, q, F2)
+        for pid, vertex_map in psi.items():
+            res = restriction_matrix(two_origin.nerve, two_origin.nerves[pid], q, F2)
+            assert (res @ through).equals(pullback_map(vertex_map, two_origin.nerves[pid], k3, q, F2)), (pid, q)
+
+
+def test_constant_and_identity_vertex_maps_on_the_glued_nerve(two_origin):
+    nerve, point = two_origin.nerve, build_complex([["z"]])
+    assert pullback_map({v: "z" for v in nerve.vertices}, nerve, point, 0, F2).tolist() == [[1]] * len(nerve.vertices)
+    # every edge collapses onto the point, where there is no 1-cochain to pull back
+    assert pullback_map({v: "z" for v in nerve.vertices}, nerve, point, 1, F2).cols == 0
+    for q in (0, 1):
+        n = len(nerve.simplices_of_dim(q))
+        assert pullback_map({v: v for v in nerve.vertices}, nerve, nerve, q, F2).equals(FMatrix.identity(n, F2))
+
+
+def test_pullback_refuses_the_first_vertex_or_simplex_it_cannot_map(two_origin):
+    nerve, two_points = two_origin.nerve, build_complex([["x"], ["y"]])
+    with pytest.raises(NotSimplicial, match="undefined on 'o2'"):
+        pullback_map({"l": "x", "o1": "y", "r": "x"}, nerve, two_points, 0, F2)
+    with pytest.raises(NotSimplicial, match=r"image of \('l', 'o1'\) is not a simplex"):
+        pullback_map({"l": "x", "o1": "y", "o2": "y", "r": "x"}, nerve, two_points, 0, F2)
+
+
 def test_quotient_map_on_h1_collapsing_both_origins_is_zero():
     # collapsing o1 and o2 to one vertex wraps the 4-cycle with degree zero
     k4 = cycle4()

@@ -210,6 +210,38 @@ def test_inverse():
         FMatrix(np.array([[1, 1], [1, 1]]), F2).inverse()
 
 
+def test_inverse_of_the_identity_a_zero_matrix_and_the_empty_matrix():
+    f3 = PrimeField(3)
+    assert FMatrix.identity(3, F2).inverse().equals(FMatrix.identity(3, F2))
+    # [[1, 2], [0, 1]] undoes to [[1, -2], [0, 1]]
+    assert FMatrix(np.array([[1, 2], [0, 1]]), f3).inverse().tolist() == [[1, 1], [0, 1]]
+    with pytest.raises(ZeroDivisionError):
+        FMatrix.zeros(3, 3, F2).inverse()
+    empty = FMatrix.zeros(0, 0, f3).inverse()
+    assert empty.shape == (0, 0) and empty.field == f3
+
+
+def test_inverse_cross_checked_by_rank():
+    rng = np.random.default_rng(11)
+    for p in (2, 3):
+        field = PrimeField(p)
+        identity = FMatrix.identity(4, field)
+        for _ in range(30):
+            a = FMatrix(rng.integers(0, p, size=(4, 4)), field)
+            if a.rank() < 4:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+            else:
+                inverse = a.inverse()
+                assert (a @ inverse).equals(identity) and (inverse @ a).equals(identity)
+
+
+def test_inverse_dimension_mismatch():
+    for shape in ((2, 3), (3, 2), (0, 1)):
+        with pytest.raises(DimensionMismatch):
+            FMatrix.zeros(*shape, F2).inverse()
+
+
 def test_pivot_columns_deterministic():
     a = FMatrix(np.array([[1, 1, 0], [1, 1, 1]]), F2)
     cb = a[:, a.pivots()]

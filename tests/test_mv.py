@@ -293,6 +293,31 @@ def test_fibred_product_two_origin_q0(two_origin):
     assert fibred_product(two_origin, 0).dimension == 4
 
 
+def piece_restrictions(diagram, q):
+    """Each piece's restriction from the glued nerve, as an array, by piece id."""
+    return {pid: dense(restriction_matrix(diagram.nerve, diagram.nerves[pid], q, diagram.field))
+            for pid in diagram.piece_ids}
+
+
+def test_phi_star_is_the_stacked_restrictions_and_lies_in_the_fibred_product(two_origin):
+    rhos = piece_restrictions(two_origin, 0)
+    stacked = FMatrix(np.vstack([rhos[pid] for pid in two_origin.piece_ids]), two_origin.field)
+    assert stacked.equals(phi_star(two_origin, 0))
+    assert fibred_product(two_origin, 0).contains(stacked)
+
+
+def test_fibred_product_rejects_a_tuple_that_disagrees_on_a_shared_label(two_origin):
+    fp = fibred_product(two_origin, 0)
+    p2_vertices = two_origin.nerves["p2"].simplices_of_dim(0)
+    for label, shared in (("l", True), ("r", True), ("o2", False)):
+        rhos = piece_restrictions(two_origin, 0)
+        row = p2_vertices.index((label,))
+        rhos["p2"][row, :] = (rhos["p2"][row, :] + 1) % 2
+        tuples = FMatrix(np.vstack([rhos[pid] for pid in two_origin.piece_ids]), two_origin.field)
+        # a value over a label only p2 has is unconstrained by the other piece
+        assert fp.contains(tuples) is not shared, label
+
+
 def test_inductive_fibred_product_three_circles(three_circles):
     for q in (0, 1):
         fp = fibred_product(three_circles, q)
