@@ -208,11 +208,6 @@ class ConstantCocycle:
             self._inverses[(b, a)] = _invert(self.values[(b, a)], self.rank, self.field)
         return self._inverses[(b, a)]
 
-    def same_values(self, other: "ConstantCocycle") -> bool:
-        return (self.base == other.base and self.rank == other.rank
-                and not any(_mismatch(self.values[e], other.values[e], self.rank, self.field.p)
-                            for e in self.base.simplices_of_dim(1)))
-
 
 def _cocycle_violations(cocycle: ConstantCocycle) -> list[tuple[tuple, int]]:
     """Non-invertible values and failed triangle identities, each with its class mask."""

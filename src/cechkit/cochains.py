@@ -15,12 +15,13 @@ pullback are each one call of it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
-from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix
+from .fplinalg import FMatrix, PrimeField, _ranges, block_matrix, entry_matrix, pattern_matrix
 
 
 class NotSubcomplex(ValueError):
@@ -45,13 +46,16 @@ def coboundary_matrix(k: SimplicialComplex, q: int, field: PrimeField) -> FMatri
 
 
 def _coboundary(k: SimplicialComplex, q: int, field: PrimeField) -> FMatrix:
-    """The matrix of d^q: alternating sum over vertex removals."""
+    """The matrix of d^q: alternating sum over vertex removals.
+
+    Row r holds the faces of (q+1)-simplex r, all distinct, each at its
+    column in C^q.  `itertools.combinations` gives the faces in
+    lexicographic order, so the face that omits vertex i comes at
+    position q + 1 - i, with sign (-1)^i.
+    """
     src, tgt = k.index_of_dim(q), k.simplices_of_dim(q + 1)
-    # row r holds face i of simplex r, the faces all distinct, with sign (-1)^i, which entry_matrix reduces mod p
-    signs = [(-1) ** i for i in range(q + 2)]
-    entries = ((r, src[sigma[:i] + sigma[i + 1:]], sign)
-               for r, sigma in enumerate(tgt) for i, sign in enumerate(signs))
-    return entry_matrix((len(tgt), len(src)), entries, field)
+    faces = map(map, itertools.repeat(src.__getitem__), map(itertools.combinations, tgt, itertools.repeat(q + 1)))
+    return pattern_matrix(len(src), faces, [(-1) ** (q + 1 - j) for j in range(q + 2)], field)
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,15 @@ class CohomologyBasis:
     """H^q of one complex: its dimension from ranks, its representatives and class coordinates on first read.
 
     The dimension is n_q - rank d^q - rank d^(q-1), from the ranks each
-    memoised coboundary keeps.  Where it is not 0, the representatives R
-    and the reading of class coordinates take one more elimination, of
-    the coboundaries in d^q's free coordinates (see `_class_reader`), run
-    on first read and kept on the complex under ("H", q, p), so every
-    later CohomologyBasis of that complex, degree and field shares them.
-    A zero H^q has the empty reader, with no elimination.
+    memoised coboundary keeps, worked out once and kept on the complex
+    under ("dim", q, p), so each interned nerve of a diagram is read once
+    however many index sets share it.  Where it is not 0, the
+    representatives R and the reading of class coordinates take one more
+    elimination, of the coboundaries in d^q's free coordinates (see
+    `_class_reader`), run on first read and kept on the complex under
+    ("H", q, p), so every later CohomologyBasis of that complex, degree
+    and field shares them.  A zero H^q has the empty reader, with no
+    elimination.
     """
 
     complex: SimplicialComplex
@@ -90,9 +97,12 @@ class CohomologyBasis:
 
 
 def _dimension(k: SimplicialComplex, q: int, field: PrimeField) -> int:
-    """dim H^q = n_q - rank d^q - rank d^(q-1), from the ranks the memoised coboundaries keep."""
-    rank_in = coboundary_matrix(k, q - 1, field).rank() if q else 0
-    return len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
+    """dim H^q = n_q - rank d^q - rank d^(q-1), from the memoised coboundaries' ranks; kept per degree and field."""
+    key = ("dim", q, field.p)
+    if key not in k.cochain_matrices:
+        rank_in = coboundary_matrix(k, q - 1, field).rank() if q else 0
+        k.cochain_matrices[key] = len(k.simplices_of_dim(q)) - coboundary_matrix(k, q, field).rank() - rank_in
+    return k.cochain_matrices[key]
 
 
 def cohomology(k: SimplicialComplex, q: int, field: PrimeField) -> CohomologyBasis:

@@ -9,16 +9,17 @@ legal everywhere and models an empty intersection.
 Complexes are immutable, so results that depend on one complex alone
 are memoised on the instance and live exactly as long as it does: its
 vertices, its simplices of each dimension, the index of each dimension's
-simplices (the coordinates of C^q), and in `cochain_matrices` the
-read-only values of `cochains`.  These are each coboundary d^q per
-degree and field, with the one forward elimination that its rank, column
-space and kernel share; one class reader of H^q per degree and field,
-built on first read and only where H^q is not 0; and each
-restriction matrix onto a subcomplex, keyed by the subcomplex's
-simplices.  The memo belongs to the object, so two equal complexes share
-it only when they are one object: a glued diagram interns its nerves by
-value for exactly that reason.  Its scope is that diagram; nothing is
-cached per process.
+simplices (the coordinates of C^q), its components, and in
+`cochain_matrices` the read-only values of `cochains`.  These are each
+coboundary d^q per degree and field, with the one forward elimination
+that its rank, column space and kernel share; dim H^q per degree and
+field; one class reader of H^q per degree and field, built on first read
+and only where H^q is not 0; and each restriction matrix onto a
+subcomplex, keyed by the subcomplex's simplices.  The memo belongs to
+the object, so two equal complexes share it only when they are one
+object: a glued diagram interns its nerves by value for exactly that
+reason, and so reads each distinct nerve once.  Its scope is that
+diagram; nothing is cached per process.
 
 A complex is built from its generators once: each generator is checked
 once, the closure's size is bounded before any face is made, and a
@@ -71,19 +72,12 @@ def make_simplices(generators: Iterable[Sequence[str]]) -> list[Simplex]:
     return simplices
 
 
-def faces(simplex: Simplex) -> frozenset[Simplex]:
-    """All nonempty subsimplices, the simplex itself included."""
-    out: list[Simplex] = []
-    for q in range(1, len(simplex) + 1):
-        out.extend(itertools.combinations(simplex, q))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     simplices: frozenset[Simplex]
     _index: dict[int, dict[Simplex, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # `cochains` matrices and class readers on this complex, under int and frozenset keys: none points back here.
+    # `cochains` matrices, dimensions and class readers on this complex, under int and frozenset keys: none points
+    # back here.
     cochain_matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -117,8 +111,13 @@ class SimplicialComplex:
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return self.simplices <= other.simplices
 
-    def is_closed(self) -> bool:
-        return all(f in self.simplices for s in self.simplices for f in faces(s))
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
+        """What `components` returns: each class of the vertices under the edges, by one union-find."""
+        groups: dict[str, list[str]] = {}
+        for v, root in _class_roots(self.vertices, self.simplices_of_dim(1)).items():
+            groups.setdefault(root, []).append(v)
+        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
 EMPTY_COMPLEX = SimplicialComplex(frozenset())
@@ -192,11 +191,8 @@ def _class_roots(nodes: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hash
 
 
 def components(k: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
-    """Edge-connected components of the vertex set, deterministically ordered."""
-    groups: dict[str, list[str]] = {}
-    for v, root in _class_roots(k.vertices, k.simplices_of_dim(1)).items():
-        groups.setdefault(root, []).append(v)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    """Edge-connected components of the vertex set, deterministically ordered; found once per complex and kept on it."""
+    return k._components
 
 
 def induced_simplices(simplices: frozenset[Simplex], labels: Iterable[str]) -> frozenset[Simplex]:

@@ -96,16 +96,6 @@ class GluingBijection:
         """The pairs as a dict, built once and shared: read it, do not change it."""
         return dict(self.pairs)
 
-    @cached_property
-    def domain(self) -> tuple[str, ...]:
-        """The source labels, sorted once, on the first read."""
-        return tuple(sorted(x for x, _ in self.pairs))
-
-    @cached_property
-    def image(self) -> tuple[str, ...]:
-        """The target labels, sorted once, on the first read."""
-        return tuple(sorted(y for _, y in self.pairs))
-
 
 @dataclass(frozen=True)
 class AdjunctionSystem:
@@ -113,19 +103,10 @@ class AdjunctionSystem:
     gluings: tuple[GluingBijection, ...]
     field: PrimeField = F2
 
-    def piece(self, piece_id: str) -> LocalPiece:
-        for p in self.pieces:
-            if p.piece_id == piece_id:
-                return p
-        raise KeyError(piece_id)
-
     @cached_property
     def _gluing_index(self) -> dict[tuple[str, str], GluingBijection]:
         """The gluing from each source to each target; validation refuses a pair given twice."""
         return {(g.source, g.target): g for g in self.gluings}
-
-    def gluing(self, i: str, j: str) -> GluingBijection | None:
-        return self._gluing_index.get((i, j))
 
     @cached_property
     def _glued_pairs(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
@@ -358,6 +339,8 @@ class GluedDiagram:
                                                                    compare=False)
     _levels: dict[int, dict[tuple[str, ...], SimplicialComplex]] = field(default_factory=dict, init=False,
                                                                          repr=False, compare=False)
+    _supports: dict[tuple[int, int], dict[tuple[str, ...], SimplicialComplex]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     # `mv` matrices of phi_star (level 0, the union) and of the difference maps,
     # keyed by (kind, level, q); none points back here.
     tuple_cochains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -408,8 +391,11 @@ class GluedDiagram:
         """{index set: intersection nerve} over the index sets of this size with a nonempty intersection.
 
         The index sets are the (size-1)-simplices of the nerve of the piece
-        cover, in `itertools.combinations` order, and all that computation
-        needs: an empty intersection contributes nothing.  Built once per
+        cover, in `itertools.combinations` order: an empty intersection
+        contributes nothing.  The level maps of degree q read the narrower
+        `_support(size, q)`, the entries whose nerve has q-simplices, and
+        each distinct nerve keeps its own cohomology dimensions and
+        components, so an interned nerve is read once.  Built once per
         size, level by level, Apriori-style: a candidate extends a nonempty
         (size-1)-set by a later piece, and is cut from that prefix's nerve
         only when every face is nonempty.  These dicts are the diagram's
@@ -430,6 +416,19 @@ class GluedDiagram:
                 nerves = ((t, intersect(faces[t[:-1]], self.nerves[t[-1]])) for t in candidates)
                 memo[size] = {t: self._intern(nerve) for t, nerve in nerves if nerve.simplices}
         return memo[size]
+
+    def _support(self, size: int, degree: int) -> dict[tuple[str, ...], SimplicialComplex]:
+        """The entries of `level(size)` whose nerve has simplices of the degree, in level order.
+
+        Built once per size and degree.  A nerve with no q-simplices is a
+        block of dimension 0 in every layout of q-cochains, so `mv` lays
+        its level maps out over this and no matrix changes.  The dict is
+        shared: read it, do not change it.
+        """
+        key = (size, degree)
+        if key not in self._supports:
+            self._supports[key] = {t: k for t, k in self.level(size).items() if k.simplices_of_dim(degree)}
+        return self._supports[key]
 
 
 def glued_from_nerves(piece_nerves: Mapping[str, SimplicialComplex],

@@ -57,14 +57,17 @@ rows or knows the F_2 bit order.  Its methods take and give `FMatrix`
 values and plain ints and lists, so the package needs nothing beyond
 the standard library.  A rank-k bundle transition is a k x k `FMatrix`
 too, which `bundles` inverts, composes and compares with `inverse`, `@`
-and `equals`.  Two constructors own matrix
-layout: `block_matrix` places `FMatrix` blocks keyed by index set, and
+and `equals`.  Three constructors own matrix
+layout: `block_matrix` places `FMatrix` blocks keyed by index set,
 `entry_matrix` places (row, column, value) triples, read once as they
-come.  The coboundary d is one stream of triples into `entry_matrix`,
-and so is every cochain map along a simplicial map (restrictions,
-pullbacks, phi* and delta~), each one call of `cochains.block_pullback`;
-identities are built as rows directly, and total differentials and
-joins are built from blocks, where an F_2 zero row costs nothing.
+come, and `pattern_matrix` puts one pattern of values on each row's own
+columns, row by row in C-level maps.  The coboundary d is one
+`pattern_matrix`, each row its simplex's faces under the alternating
+signs; every cochain map along a simplicial map (restrictions,
+pullbacks, phi* and delta~) is one stream of triples into
+`entry_matrix`, each one call of `cochains.block_pullback`; identities
+are built as rows directly, and total differentials and joins are built
+from blocks, where an F_2 zero row costs nothing.
 """
 
 from __future__ import annotations
@@ -589,3 +592,18 @@ def entry_matrix(shape: tuple[int, int], entries: Iterable[tuple[int, int, int]]
         if v := x % p:
             rows[i][j] = v
     return FMatrix._of(rows, ncols, field)
+
+
+def pattern_matrix(ncols: int, supports: Iterable[Sequence[int]], values: Sequence[int], field: PrimeField) -> FMatrix:
+    """The matrix with one row per support, values[j] at its j-th column: one pattern of values on each row's columns.
+
+    The columns of a support must be distinct and each value nonzero mod
+    p, so over F_2 every value is 1.  A row is made by C-level maps over
+    its columns, with no Python step per entry: a coboundary's row is its
+    simplex's faces' columns under the alternating signs.
+    """
+    if field.p == 2:
+        top = ncols - 1
+        return FMatrix._of([sum(map((1).__lshift__, map(top.__sub__, cols))) for cols in supports], ncols, field)
+    reduced = [v % field.p for v in values]
+    return FMatrix._of([dict(zip(cols, reduced)) for cols in supports], ncols, field)

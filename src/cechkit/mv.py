@@ -7,11 +7,14 @@ exact sequences, connecting homomorphisms, fibred products, the bicomplex
 total cohomology, and the line-bundle counting formulas over F_2.
 
 Level p is the direct sum of C^q(N_T) over the p-fold index sets T
-whose intersection is nonempty, block by block in the order of
-`GluedDiagram.level(p)`: an empty intersection would be a block of
-dimension 0, so leaving it out changes no matrix.  phi* and delta~ are
-block pullbacks along the inclusions of nerves, each one call of
-`cochains.block_pullback`.
+whose nerve has q-simplices, block by block in the order of
+`GluedDiagram.level(p)`: any other index set, an empty intersection
+among them, would be a block of dimension 0, which adds 0 to every
+offset, so leaving it out changes no matrix.  phi*, delta~, the total
+differentials and the descended ranks lay their blocks out over the
+diagram's memoised support of each level and degree, and so pay only
+for blocks that exist.  phi* and delta~ are block pullbacks along the
+inclusions of nerves, each one call of `cochains.block_pullback`.
 
 Exactness is always decided by rank arithmetic; over a field this is a
 complete criterion and keeps every verdict a deterministic integer
@@ -53,7 +56,7 @@ def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
 
 
 def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
-    pieces = diagram.level(1)
+    pieces = diagram._support(1, degree)
     return block_pullback(pieces, {0: diagram.nerve}, ((t, 0, 1) for t in pieces), degree, diagram.field)
 
 
@@ -74,10 +77,11 @@ def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
 
 
 def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    # a nonempty N_T' lies in N_T for each T that omits one index of T', so no source block is missing
-    tgt = diagram.level(level + 1)
+    # N_T' lies in N_T for each T that omits one index of T', so where N_T' has q-simplices each such N_T has
+    # them too, and no source block is missing
+    tgt = diagram._support(level + 1, degree)
     blocks = ((t_prime, t_prime[:a] + t_prime[a + 1:], (-1) ** (a + 1)) for t_prime in tgt for a in range(len(t_prime)))
-    return block_pullback(tgt, diagram.level(level), blocks, degree, diagram.field)
+    return block_pullback(tgt, diagram._support(level, degree), blocks, degree, diagram.field)
 
 
 @dataclass(frozen=True)
@@ -320,8 +324,8 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
     n_cols = diagram.n_pieces
     q_top = max(diagram.nerve.dim, 0)
     k_max = n_cols - 1 + q_top + 1
-    # total degree k: the cochains of bidegree (p, k - p), on the level-(p+1) index sets
-    dims = [{(p, k - p): sum(_cochain_dims(diagram.level(p + 1), k - p).values())
+    # total degree k: the cochains of bidegree (p, k - p), on the level-(p+1) index sets with (k - p)-simplices
+    dims = [{(p, k - p): sum(_cochain_dims(diagram._support(p + 1, k - p), k - p).values())
              for p in range(n_cols) if 0 <= k - p <= q_top + 1}
             for k in range(k_max + 2)]
 
@@ -330,10 +334,10 @@ def _total_differentials(diagram: GluedDiagram) -> list[FMatrix]:
             if p + 1 < n_cols:
                 yield (p + 1, q), (p, q), delta_tilde(diagram, p + 1, q)
             if q <= q_top:
-                # d^q on each block; degrees q and q+1 share the level's index sets
-                nerves = diagram.level(p + 1)
-                d = block_matrix(_cochain_dims(nerves, q + 1), _cochain_dims(nerves, q),
-                                 ((t, t, coboundary_matrix(n, q, field)) for t, n in nerves.items()), field)
+                # d^q on each block with (q+1)-simplices; every other block of the support in q has no rows
+                nerves, tops = diagram._support(p + 1, q), diagram._support(p + 1, q + 1)
+                d = block_matrix(_cochain_dims(tops, q + 1), _cochain_dims(nerves, q),
+                                 ((t, t, coboundary_matrix(n, q, field)) for t, n in tops.items()), field)
                 yield (p, q + 1), (p, q), -d if p % 2 else d
 
     return [block_matrix(dims[k + 1], dims[k], blocks(k), field) for k in range(k_max + 1)]
@@ -353,7 +357,7 @@ def descended_rank(diagram: GluedDiagram, level: int, degree: int) -> int:
     keeps, and no class is read.
     """
     field = diagram.field
-    src, tgt = diagram.level(level), diagram.level(level + 1)
+    src, tgt = diagram._support(level, degree), diagram._support(level + 1, degree)
     h_src = {t: cohomology(k, degree, field) for t, k in src.items()}
     rows, _ = _ranges(_cochain_dims(tgt, degree))
     tgt = {t: k for t, k in tgt.items() if cohomology(k, degree, field).dimension}

@@ -121,6 +121,15 @@ def test_cohomology_point_and_theta():
     assert brute_h1_dim_f2(theta()) == 2
 
 
+def test_each_field_keeps_its_own_dimensions_on_one_complex():
+    # the 6-vertex projective plane: H^1 and H^2 are F_2 but vanish over F_3
+    rp2 = build_complex([list(t) for t in ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")])
+    want = {2: [1, 1, 1], 3: [1, 0, 0]}
+    for p in (2, 3, 2, 3):
+        assert [cohomology(rp2, q, PrimeField(p)).dimension for q in range(3)] == want[p]
+        assert [reference.betti(rp2, q, p) for q in range(3)] == want[p]
+
+
 def test_h0_matches_components(gallery_diagram):
     d = gallery_diagram
     for t_size in range(1, d.n_pieces + 1):

@@ -303,6 +303,24 @@ def test_nonempty_subsets_cuts_only_candidates_with_nonempty_faces(necklace, mon
     assert len(cut) == 15
 
 
+def piece(system: AdjunctionSystem, piece_id: str) -> LocalPiece:
+    """Oracle: the piece of the given id, by a scan of the pieces."""
+    for p in system.pieces:
+        if p.piece_id == piece_id:
+            return p
+    raise KeyError(piece_id)
+
+
+def domain(g: GluingBijection) -> tuple[str, ...]:
+    """Oracle: the source labels of a gluing, sorted."""
+    return tuple(sorted(x for x, _ in g.pairs))
+
+
+def image(g: GluingBijection) -> tuple[str, ...]:
+    """Oracle: the target labels of a gluing, sorted."""
+    return tuple(sorted(y for _, y in g.pairs))
+
+
 def parent_gluing(system: AdjunctionSystem, i: str, j: str) -> GluingBijection | None:
     """Oracle: the gluing from i to j, by a scan of the gluings."""
     for g in system.gluings:
@@ -354,8 +372,8 @@ def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
     for g in system.gluings:
         if g.source == g.target:
             piece = by_id[g.source]
-            if set(g.domain) != set(piece.labels) or any(x != y for x, y in g.pairs):
-                bad = sorted(x for x, y in g.pairs if x != y) or sorted(set(piece.labels) - set(g.domain))
+            if set(domain(g)) != set(piece.labels) or any(x != y for x, y in g.pairs):
+                bad = sorted(x for x, y in g.pairs if x != y) or sorted(set(piece.labels) - set(domain(g)))
                 violations.append(Violation("A1", f"self-gluing of {g.source} is not the identity",
                                             tuple(bad)))
 
@@ -367,10 +385,10 @@ def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
         if back is None:
             violations.append(Violation("A2", f"gluing {g.target}->{g.source} is missing"))
             continue
-        if set(back.domain) != set(g.image):
+        if set(domain(back)) != set(image(g)):
             violations.append(Violation("A2",
                                         f"domain of {g.target}->{g.source} differs from image of {g.source}->{g.target}",
-                                        tuple(sorted(set(back.domain) ^ set(g.image)))))
+                                        tuple(sorted(set(domain(back)) ^ set(image(g))))))
             continue
         back_map = dict(back.pairs)
         for x, y in g.pairs:
@@ -406,8 +424,8 @@ def parent_validate_system(system: AdjunctionSystem) -> ValidationReport:
     for g in system.gluings:
         if g.source == g.target:
             continue
-        src_sub = full_subcomplex(by_id[g.source].nerve, g.domain)
-        tgt_sub = full_subcomplex(by_id[g.target].nerve, g.image)
+        src_sub = full_subcomplex(by_id[g.source].nerve, domain(g))
+        tgt_sub = full_subcomplex(by_id[g.target].nerve, image(g))
         mapping = dict(g.pairs)
         mapped = frozenset(tuple(sorted(mapping[v] for v in s)) for s in src_sub.simplices)
         if mapped != tgt_sub.simplices:
@@ -494,19 +512,19 @@ def test_validate_system_matches_the_scanning_oracle_on_corrupted_random_systems
             ys[0], ys[-1] = ys[-1], ys[0]
             gluings[at] = GluingBijection(g.source, g.target, tuple(zip([x for x, _ in g.pairs], ys)))
         elif kind == "extend":
-            extra = (data.draw(st.sampled_from(system.piece(g.source).labels)),
-                     data.draw(st.sampled_from(system.piece(g.target).labels)))
+            extra = (data.draw(st.sampled_from(piece(system, g.source).labels)),
+                     data.draw(st.sampled_from(piece(system, g.target).labels)))
             gluings[at] = GluingBijection(g.source, g.target, g.pairs + (extra,))
         elif kind == "reverse":
             gluings.append(GluingBijection(g.target, g.source, tuple((y, x) for x, y in g.pairs)))
-        elif kind == "edge" and len(set(g.domain)) > 1:
+        elif kind == "edge" and len(set(domain(g))) > 1:
             # an edge between two glued labels of the source alone: the induced subcomplexes differ
-            a, b = sorted(data.draw(st.permutations(sorted(set(g.domain))))[:2])
+            a, b = sorted(data.draw(st.permutations(sorted(set(domain(g)))))[:2])
             at_piece = next(n for n, p in enumerate(pieces) if p.piece_id == g.source)
             nerve = pieces[at_piece].nerve
             pieces[at_piece] = LocalPiece(g.source, SimplicialComplex(nerve.simplices | {(a, b)}))
         elif kind == "self":
-            labels = system.piece(g.source).labels
+            labels = piece(system, g.source).labels
             image = data.draw(st.permutations(labels))
             gluings.append(GluingBijection(g.source, g.source, tuple(zip(labels, image))))
     corrupted = AdjunctionSystem(tuple(pieces), tuple(gluings), system.field)
@@ -532,7 +550,7 @@ def test_validate_system_builds_each_mapping_once():
     assert validate_system(system).valid
     # each mapping was built during validation and kept on its gluing
     assert all("mapping" in vars(g) and vars(g)["mapping"] is g.mapping for g in system.gluings)
-    assert all(system.gluing(g.source, g.target) is g for g in system.gluings)
+    assert all(system._gluing_index.get((g.source, g.target)) is g for g in system.gluings)
 
 
 def parent_relabel(k: SimplicialComplex, mapping) -> SimplicialComplex:

@@ -24,6 +24,7 @@ from cechkit.fplinalg import (
     block_matrix,
     echelon,
     entry_matrix,
+    pattern_matrix,
     rref,
 )
 from cechkit.gallery import gallery_document
@@ -199,6 +200,23 @@ def test_entry_matrix_with_no_entries_is_zero_of_its_shape():
         for shape in ((0, 0), (0, 4), (3, 0), (2, 5)):
             m = entry_matrix(shape, (), PrimeField(p))
             assert dense(m).shape == shape and m.is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pattern_matrix_is_the_entry_matrix_of_its_pattern(data):
+    """Each row's distinct columns under one pattern of nonzero values mod p, values past p among them."""
+    p = data.draw(st.sampled_from((2, 3, 5, MAX_PRIME)))
+    ncols = data.draw(st.integers(0, 9))
+    width = data.draw(st.integers(0, ncols))
+    nonzero = (1, -1, p + 1, -2 * p - 1) + ((2,) if p > 2 else ())
+    values = data.draw(st.lists(st.sampled_from(nonzero), min_size=width, max_size=width))
+    columns = st.permutations(range(ncols)).map(lambda c: c[:width])
+    supports = data.draw(st.lists(columns, max_size=6))
+    m = pattern_matrix(ncols, iter(supports), values, PrimeField(p))
+    want = entry_matrix((len(supports), ncols),
+                        [(r, c, v) for r, cols in enumerate(supports) for c, v in zip(cols, values)], PrimeField(p))
+    assert m.shape == want.shape and m.equals(want) and m._rows == want._rows
 
 
 def test_inverse():

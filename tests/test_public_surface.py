@@ -111,7 +111,6 @@ README = "library API named by the README"
 # Each function and method of src/cechkit that the file commands on the gallery and the demos never
 # call, with why it stays.  A construction that only tests reach belongs under tests/, not here.
 UNREACHED = {
-    "bundles.ConstantCocycle.same_values": f"{ALL}: a method of ConstantCocycle",
     "bundles.LineBundles.__getitem__": f"{ALL}: class c of what enumerate_line_bundles returns",
     "bundles._violations": f"{README}: the messages of validate_cocycle and validate_piece_data",
     "bundles.cocycles_equivalent": ALL,
@@ -119,14 +118,8 @@ UNREACHED = {
     "bundles.validate_piece_data": README,
     "cli.run_command": README,
     "cochains.pullback_map": ALL,
-    "complexes.SimplicialComplex.is_closed": f"{ALL}: a method of SimplicialComplex",
-    "complexes.faces": f"{ALL}: SimplicialComplex.is_closed reads it",
     "complexes.full_subcomplex": README,
     "complexes.make_simplex": f"{REFUSED}: it names the first malformed generator",
-    "diagrams.AdjunctionSystem.gluing": f"{ALL}: a method of AdjunctionSystem",
-    "diagrams.AdjunctionSystem.piece": f"{ALL}: a method of AdjunctionSystem",
-    "diagrams.GluingBijection.domain": f"{ALL}: a property of GluingBijection",
-    "diagrams.GluingBijection.image": f"{ALL}: a property of GluingBijection",
     "diagrams.InvalidSystem.__init__": REFUSED,
     "diagrams._a3_violations": REFUSED,
     "diagrams._repeats": REFUSED,

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import reference
-from conftest import GALLERY_CASES
+from conftest import GALLERY_CASES, necklace_nerves
 from dense import dense, equal, matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from cechkit import bundles, cli, mv, refinements
 from cechkit.bundles import ConstantCocycle, PieceBundleData, glue_section_space, parallel_sections
 from cechkit.cochains import coboundary_matrix, cohomology, induced_on_cohomology, pullback_map, restriction_matrix
-from cechkit.complexes import EMPTY_COMPLEX, SimplicialComplex, build_complex, full_subcomplex
+from cechkit.complexes import EMPTY_COMPLEX, SimplicialComplex, build_complex, components, full_subcomplex
 from cechkit.diagrams import canonicalize, glued_from_nerves
 from cechkit.documents import materialise_refinement, parse_document
 from cechkit.fplinalg import MAX_PRIME, FMatrix, PrimeField
@@ -114,6 +114,45 @@ def test_block_layouts_match_the_reference(necklace, data):
     want = reference.total_differentials(diagram, p)
     assert len(total) == len(want)
     assert all(equal(a, b) for a, b in zip(total, want))
+
+
+def sparse_support_diagram(kind, p):
+    """A document with many nonempty index sets whose nerve has no edge: each intersection of two or more pieces of
+    branching_line_n (n = 8) is one vertex, as is each meeting pair of a ring of 8 circles, whose triples are empty."""
+    if kind == "branching_line_n":
+        return canonicalize(parse_document(gallery_document("branching_line_n", field=p, n=8)).system)
+    return glued_from_nerves(necklace_nerves(8, True), PrimeField(p))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("kind", ("branching_line_n", "ring"))
+def test_level_maps_over_sparse_supports_match_the_reference(kind, p):
+    diagram = sparse_support_diagram(kind, p)
+    n = diagram.n_pieces
+    assert diagram.level(2) and not any(k.simplices_of_dim(1) for k in diagram.level(2).values())
+    for q in range(diagram.nerve.dim + 2):
+        assert equal(mv.phi_star(diagram, q), reference.phi_star(diagram, q, p))
+        for level in range(1, n):
+            assert equal(mv.delta_tilde(diagram, level, q), reference.delta_tilde(diagram, level, q, p))
+    total = mv._total_differentials(diagram)
+    want = reference.total_differentials(diagram, p)
+    assert len(total) == len(want)
+    assert all(equal(a, b) for a, b in zip(total, want))
+    for level in range(1, n):
+        assert descended_rank(diagram, level, 1) == reference.descended_rank(diagram, level, 1, p)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("kind", ("branching_line_n", "ring"))
+def test_memoised_readings_of_each_nerve_equal_fresh_ones(kind, p):
+    """Each nerve of each level read twice, the second time from what the first kept on it."""
+    diagram = sparse_support_diagram(kind, p)
+    for _ in range(2):
+        for size in range(1, diagram.n_pieces + 1):
+            for k in diagram.level(size).values():
+                for q in range(k.dim + 2):
+                    assert cohomology(k, q, diagram.field).dimension == reference.betti(k, q, p)
+                assert components(k) == components(SimplicialComplex(k.simplices))
 
 
 LABELS = "abcde"
