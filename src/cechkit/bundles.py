@@ -13,14 +13,14 @@ share one interface:
   gauge phases when sections are compared or glued.  Every rank-1 gauge
   question (untwisting, equivalence, gluing) is a system of difference
   constraints pot(b) - pot(a) = delta, solved by one union-find with
-  potentials.  `_gauge` is its one solver: untwisting a cocycle and
-  joining piece components are each a list of constraints fed to it,
-  and section counts read the sets it leaves untwisted (`_free_dims`);
-  gauge equivalence, which needs only the OR of the residuals, runs the
-  same `_union` in a loop of its own.  Over odd p the values and
-  potentials are F_p scalars.  Over F_2 they are class bitsets: bit c is
-  the value for class c, addition is XOR, and a single cocycle is the
-  one-class case (values 0 and 1).  The union-find's shape depends only
+  potentials.  `_gauge` is its one solver: untwisting a cocycle,
+  deciding gauge equivalence and joining piece components are each a
+  list of constraints fed to it, section counts read the sets it leaves
+  untwisted (`_free_dims`), and equivalence reads the OR of its
+  failures' masks.  Over odd p the values and potentials are F_p
+  scalars.  Over F_2 they are class bitsets: bit c is the value for
+  class c, addition is XOR, and a single cocycle is the one-class case
+  (values 0 and 1).  The union-find's shape depends only
   on the graph, so one pass with bitset potentials answers a question
   for every class of `enumerate_line_bundles` at once (`class_table`); a
   check that fails reports the classes it fails as a class mask.
@@ -246,16 +246,12 @@ def cocycle_class(cocycle: ConstantCocycle):
 
 
 def _inequivalent_classes(g: ConstantCocycle, h: ConstantCocycle) -> int:
-    """The class mask of the classes on which two rank-1 cocycles are not gauge-equivalent."""
-    m = _modulus(g.field.p)
-    parent: dict[str, str] = {}
-    pot: dict[str, int] = {}
-    mask = 0
+    """The class mask of the classes on which two rank-1 cocycles are not gauge-equivalent, from one `_gauge`."""
     # h[a,b] = k_a + g[a,b] - k_b: a gauge with k_b - k_a = g[a,b] - h[a,b]
-    for a, b in g.base.simplices_of_dim(1):
-        delta = _compose(g.values[(a, b)], _invert(h.values[(a, b)], 1, h.field), 1, g.field.p)
-        mask |= _mask(_union(parent, pot, a, b, delta, m), m)
-    return mask
+    constraints = [(a, b, _compose(g.values[(a, b)], _invert(h.values[(a, b)], 1, h.field), 1, g.field.p), (a, b))
+                   for a, b in g.base.simplices_of_dim(1)]
+    failures = _gauge(g.base.vertices, constraints, _modulus(g.field.p))[2]
+    return _failing([(at, mask) for _, at, mask in failures])
 
 
 def cocycles_equivalent(g: ConstantCocycle, h: ConstantCocycle) -> bool:

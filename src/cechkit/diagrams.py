@@ -11,9 +11,13 @@ gluing conditions checked here are:
 
 Canonicalisation groups labels into equivalence classes, names each class
 deterministically, and produces the glued diagram: per-piece nerves on
-global labels, their intersections, and the union nerve.  Gluing maps act
-on cover labels, not points; a gluing must restrict to a simplicial
-isomorphism between the induced subcomplexes on its domain and image.
+global labels, their intersections, and the union nerve.  The diagram
+keeps its intersections level by level: level p holds the nonempty
+intersections of p pieces, and level 0 the union, the intersection over
+the empty index set, so the levels 0 to n are the terms of one augmented
+Cech complex.  Gluing maps act on cover labels, not points; a gluing
+must restrict to a simplicial isomorphism between the induced
+subcomplexes on its domain and image.
 
 Modelling obligation (documented, not checkable here): per-piece covers
 should be good covers, and a cover element should either be contained in
@@ -341,8 +345,8 @@ class GluedDiagram:
                                                                          repr=False, compare=False)
     _supports: dict[tuple[int, int], dict[tuple[str, ...], SimplicialComplex]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # `mv` matrices of phi_star (level 0, the union) and of the difference maps,
-    # keyed by (kind, level, q); none points back here.
+    # `mv` difference maps delta~ out of each level, phi* being level 0's out of the union,
+    # keyed by (level, q); none points back here.
     tuple_cochains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -390,23 +394,25 @@ class GluedDiagram:
     def level(self, size: int) -> dict[tuple[str, ...], SimplicialComplex]:
         """{index set: intersection nerve} over the index sets of this size with a nonempty intersection.
 
-        The index sets are the (size-1)-simplices of the nerve of the piece
-        cover, in `itertools.combinations` order: an empty intersection
-        contributes nothing.  The level maps of degree q read the narrower
-        `_support(size, q)`, the entries whose nerve has q-simplices, and
-        each distinct nerve keeps its own cohomology dimensions and
-        components, so an interned nerve is read once.  Built once per
-        size, level by level, Apriori-style: a candidate extends a nonempty
-        (size-1)-set by a later piece, and is cut from that prefix's nerve
-        only when every face is nonempty.  These dicts are the diagram's
-        one store of intersections, and each nerve is interned and is the
-        one `intersection_nerve` returns.  The dict is shared: read it, do
-        not change it.
+        Level 0 is the union, the intersection over the empty index set,
+        `{(): nerve}`, so the augmented Cech complex of the cover runs from
+        it.  Past it, the index sets are the (size-1)-simplices of the
+        nerve of the piece cover, in `itertools.combinations` order: an
+        empty intersection contributes nothing.  The level maps of degree q
+        read the narrower `_support(size, q)`, the entries whose nerve has
+        q-simplices, and each distinct nerve keeps its own cohomology
+        dimensions and components, so an interned nerve is read once.
+        Built once per size, level by level, Apriori-style: a candidate
+        extends a nonempty (size-1)-set by a later piece, and is cut from
+        that prefix's nerve only when every face is nonempty.  These dicts
+        are the diagram's one store of intersections, and each nerve is
+        interned and is the one `intersection_nerve` returns.  The dict is
+        shared: read it, do not change it.
         """
         memo = self._levels
         if size not in memo:
             if size < 1:
-                memo[size] = {}
+                memo[size] = {(): self.nerve} if size == 0 else {}
             elif size == 1:
                 memo[size] = {(i,): self.nerves[i] for i in self.piece_ids if self.nerves[i].simplices}
             else:

@@ -1,20 +1,26 @@
 """Mayer-Vietoris machinery for glued diagrams.
 
-The central objects are the concatenated restriction map from cochains on
-the union nerve to the pieces, the signed difference maps between levels
-of multiple intersections, and everything they generate: short and long
-exact sequences, connecting homomorphisms, fibred products, the bicomplex
-total cohomology, and the line-bundle counting formulas over F_2.
+The central object is the augmented Cech complex of the cover,
+
+    0 -> C^q(N) -> (+)C^q(N_i) -> (+)C^q(N_ij) -> ... -> C^q(N_1..n) -> 0,
+
+with one signed difference map delta~ out of each level, and everything
+it generates: short and long exact sequences, connecting homomorphisms,
+fibred products, the bicomplex total cohomology, and the line-bundle
+counting formulas over F_2.  The union is level 0, the intersection over
+the empty index set (Bott-Tu, "Differential Forms in Algebraic
+Topology", §8), so delta~ runs from phi*, the concatenated restriction
+map at level 0, to the zero map out of level n.
 
 Level p is the direct sum of C^q(N_T) over the p-fold index sets T
 whose nerve has q-simplices, block by block in the order of
 `GluedDiagram.level(p)`: any other index set, an empty intersection
 among them, would be a block of dimension 0, which adds 0 to every
-offset, so leaving it out changes no matrix.  phi*, delta~, the total
+offset, so leaving it out changes no matrix.  delta~, the total
 differentials and the descended ranks lay their blocks out over the
 diagram's memoised support of each level and degree, and so pay only
-for blocks that exist.  phi* and delta~ are block pullbacks along the
-inclusions of nerves, each one call of `cochains.block_pullback`.
+for blocks that exist.  Each delta~ is a block pullback along the
+inclusions of nerves, one call of `cochains.block_pullback`.
 
 Exactness is always decided by rank arithmetic; over a field this is a
 complete criterion and keeps every verdict a deterministic integer
@@ -48,39 +54,35 @@ class NotBinary(ValueError):
 
 
 def phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
-    """Concatenated restrictions C^q(union) -> (+)_i C^q(N_i), built once per diagram; always injective."""
-    key = ("phi_star", 0, degree)
-    if key not in diagram.tuple_cochains:
-        diagram.tuple_cochains[key] = _phi_star(diagram, degree)
-    return diagram.tuple_cochains[key]
-
-
-def _phi_star(diagram: GluedDiagram, degree: int) -> FMatrix:
-    pieces = diagram._support(1, degree)
-    return block_pullback(pieces, {0: diagram.nerve}, ((t, 0, 1) for t in pieces), degree, diagram.field)
+    """Concatenated restrictions C^q(union) -> (+)_i C^q(N_i), delta~ at level 0; always injective."""
+    return delta_tilde(diagram, 0, degree)
 
 
 def delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    """Signed difference map from level p to level p+1 intersections, built once per diagram.
+    """Signed difference map from level p to level p+1, for p from 0 to n, built once per diagram.
 
-    The entry feeding target block T' from the source block obtained by
-    omitting position a (0-based) carries sign (-1)^(a+1), which makes the
-    binary case equal restriction of the first piece minus the second.
+    Level 0 is the union, and delta~ out of it is phi*, every block with
+    sign +1.  Past it, the entry feeding target block T' from the source
+    block obtained by omitting position a (0-based) carries sign
+    (-1)^(a+1), which makes the binary case equal restriction of the first
+    piece minus the second.  Level n + 1 is empty, so delta~ out of level
+    n is the zero map with no rows.
     """
     n = diagram.n_pieces
-    if not 1 <= level < n:
-        raise ValueError(f"level must be in [1, {n - 1}], got {level}")
-    key = ("delta_tilde", level, degree)
+    if not 0 <= level <= n:
+        raise ValueError(f"level must be in [0, {n}], got {level}")
+    key = (level, degree)
     if key not in diagram.tuple_cochains:
         diagram.tuple_cochains[key] = _delta_tilde(diagram, level, degree)
     return diagram.tuple_cochains[key]
 
 
 def _delta_tilde(diagram: GluedDiagram, level: int, degree: int) -> FMatrix:
-    # N_T' lies in N_T for each T that omits one index of T', so where N_T' has q-simplices each such N_T has
-    # them too, and no source block is missing
+    # N_T' lies in N_T for each T that omits one index of T', the union included, so where N_T' has q-simplices
+    # each such N_T has them too, and no source block is missing
     tgt = diagram._support(level + 1, degree)
-    blocks = ((t_prime, t_prime[:a] + t_prime[a + 1:], (-1) ** (a + 1)) for t_prime in tgt for a in range(len(t_prime)))
+    blocks = ((t_prime, t_prime[:a] + t_prime[a + 1:], (-1) ** (a + 1) if level else 1)
+              for t_prime in tgt for a in range(len(t_prime)))
     return block_pullback(tgt, diagram._support(level, degree), blocks, degree, diagram.field)
 
 
@@ -102,16 +104,12 @@ class PositionRecord:
 def _positions(names: list[tuple[int, str]], maps: list[FMatrix]) -> tuple[PositionRecord, ...]:
     """Rank bookkeeping along V_0 -> V_1 -> ..., where maps[k] leaves position k.
 
-    The map into V_0 is zero, and so is the map out of any position past
-    the last map, whose outgoing nullity is then its whole dimension.
-    Extra maps past the last position are not read.
+    The map into V_0 is zero.  Every position has its map out, and extra
+    maps past the last position are not read.
     """
-    records = []
-    for k, (degree, position) in enumerate(names):
-        dim = maps[k].cols if k < len(maps) else maps[k - 1].rows
-        nullity_out = maps[k].rank_nullity()[1] if k < len(maps) else dim
-        records.append(PositionRecord(degree, position, dim, maps[k - 1].rank() if k else 0, nullity_out))
-    return tuple(records)
+    return tuple(PositionRecord(degree, position, maps[k].cols, maps[k - 1].rank() if k else 0,
+                                maps[k].rank_nullity()[1])
+                 for k, (degree, position) in enumerate(names))
 
 
 def _compose_to_zero(maps: list[FMatrix]) -> bool:
@@ -128,10 +126,9 @@ class ExactnessVerdict:
 
 
 def verify_exact_sequence(diagram: GluedDiagram, degree: int) -> ExactnessVerdict:
-    """Rank bookkeeping for 0 -> C^q(N) -> (+)C^q(N_i) -> ... -> C^q(N_1..n) -> 0."""
-    n = diagram.n_pieces
-    maps = [phi_star(diagram, degree)] + [delta_tilde(diagram, level, degree) for level in range(1, n)]
-    names = [(degree, "union")] + [(degree, f"level_{p}") for p in range(1, n + 1)]
+    """Rank bookkeeping for 0 -> C^q(N) -> (+)C^q(N_i) -> ... -> C^q(N_1..n) -> 0, delta~ at levels 0 to n."""
+    maps = [delta_tilde(diagram, level, degree) for level in range(diagram.n_pieces + 1)]
+    names = [(degree, f"level_{p}" if p else "union") for p in range(diagram.n_pieces + 1)]
     records = _positions(names, maps)
     comps_zero = _compose_to_zero(maps)
     return ExactnessVerdict(degree, records, comps_zero, comps_zero and all(r.exact for r in records))
@@ -245,19 +242,17 @@ class FibredProduct:
 
     def contains(self, tuples: FMatrix) -> bool:
         """Whether every column, a tuple of piece cochains, agrees on every pairwise intersection."""
-        return self.diagram.n_pieces == 1 or (delta_tilde(self.diagram, 1, self.degree) @ tuples).is_zero()
+        return (delta_tilde(self.diagram, 1, self.degree) @ tuples).is_zero()
 
 
 def fibred_product(diagram: GluedDiagram, degree: int) -> FibredProduct:
     """The cochain fibred product, with no basis built.
 
-    Its dimension is the nullity of delta_tilde at level 1 (all tuples for
-    one piece).  It is the image of phi_star exactly when
+    Its dimension is the nullity of delta_tilde at level 1, the zero map
+    for one piece.  It is the image of phi_star exactly when
     `contains(phi_star)` and rank phi_star is that dimension, which is
     what the `fibred` command reports.
     """
-    if diagram.n_pieces == 1:
-        return FibredProduct(diagram, degree, len(diagram.nerves[diagram.piece_ids[0]].simplices_of_dim(degree)))
     return FibredProduct(diagram, degree, delta_tilde(diagram, 1, degree).rank_nullity()[1])
 
 
@@ -411,11 +406,8 @@ def h1_fibred_check(diagram: GluedDiagram) -> H1FibredVerdict:
     hypothesis = not disconnected
 
     h1_union = cohomology(diagram.nerve, 1, field).dimension
-    if diagram.n_pieces == 1:
-        fibred_dim = h1_union
-    else:
-        pieces_h1 = sum(cohomology(k, 1, field).dimension for k in diagram.level(1).values())
-        fibred_dim = pieces_h1 - descended_rank(diagram, 1, 1)
+    pieces_h1 = sum(cohomology(k, 1, field).dimension for k in diagram.level(1).values())
+    fibred_dim = pieces_h1 - descended_rank(diagram, 1, 1)
     equal = fibred_dim == h1_union
     return H1FibredVerdict(connectivity, hypothesis, disconnected, h1_union,
                            fibred_dim, equal, equal if hypothesis else True)

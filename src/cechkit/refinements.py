@@ -4,8 +4,9 @@ A refinement map sends the labels of a fine diagram to labels of a
 coarse diagram so that every piece's nerve maps simplicially into the
 corresponding coarse nerve (degenerate images are allowed).  Its
 pullbacks are chain maps on the union nerve and on every intersection
-nerve, and they commute with the concatenated restriction map, the
-difference maps and, for binary diagrams, the connecting homomorphism.
+nerve, and they commute with the difference maps delta~ of every level,
+phi* (the concatenated restriction map out of the union, level 0) among
+them, and, for binary diagrams, with the connecting homomorphism.
 
 Two label maps realise the same refinement when they are contiguous:
 for every fine simplex the union of the two images spans a coarse
@@ -20,11 +21,12 @@ read off one table: each fine union simplex's coarse image and, where the
 image is nondegenerate, its permutation sign (Munkres, "Elements of
 Algebraic Topology", §§14-15).  A `RefinementMap` builds that table once
 (`images`), validates once from it (`verdict`), and builds from it the
-union pullback of each degree and the tuple pullback of each level and
-degree, each one call of `cochains.block_pullback`, the builder of every
-cochain map, once and only past a valid verdict (else
-`InvalidRefinement`).  It keeps them and its induced maps on cohomology
-in `pullbacks` for as long as it lives.  Its label map is never changed.
+pullback of each level and degree, level 0 being the union nerves as in
+`GluedDiagram.level`, each one call of `cochains.block_pullback`, the
+builder of every cochain map, laid out over both diagrams' supports,
+once and only past a valid verdict (else `InvalidRefinement`).  It
+keeps them and its induced maps on cohomology in `pullbacks` for as long
+as it lives.  Its label map is never changed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .cochains import _image_table, block_pullback, coboundary_matrix, cohomolog
 from .complexes import Simplex
 from .diagrams import GluedDiagram, ValidationReport
 from .fplinalg import FMatrix
-from .mv import connecting_homomorphism, delta_tilde, phi_star
+from .mv import connecting_homomorphism, delta_tilde
 
 
 class InvalidRefinement(ValueError):
@@ -108,16 +110,19 @@ def _pullback(r: RefinementMap, level: int, degree: int) -> FMatrix:
     It is read off the image table once and kept, and only past a valid
     verdict, which stands in for `pullback_map`'s scan of the domain: each
     fine piece simplex maps into its coarse piece, so each fine union or
-    N_T simplex into the coarse union or N_T.  A fine N_T is nonempty only
-    where the coarse one is, since labels map piece by piece; where it is
-    empty, its block has no rows.  No pullback of a single N_T is built.
+    N_T simplex into the coarse union or N_T.  Every level is laid out
+    over both diagrams' supports in the degree, as `mv` lays out its
+    level maps, with one block per index set in both.  A fine N_T with
+    q-simplices whose coarse N_T has none has only degenerate images, so
+    its rows stay zero.  No pullback of a single N_T is built.
     """
     key = (level, degree)
     if key not in r.pullbacks:
         if not r.verdict.valid:
             raise InvalidRefinement(r.verdict.violations[0])
-        fine, coarse = ({0: d.nerve} if level == 0 else d.level(level) for d in (r.fine, r.coarse))
-        r.pullbacks[key] = block_pullback(fine, coarse, ((t, t, 1) for t in fine), degree, r.fine.field, r.images)
+        fine, coarse = (d._support(level, degree) for d in (r.fine, r.coarse))
+        blocks = ((t, t, 1) for t in fine if t in coarse)
+        r.pullbacks[key] = block_pullback(fine, coarse, blocks, degree, r.fine.field, r.images)
     return r.pullbacks[key]
 
 
@@ -137,8 +142,8 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
     """Exact matrix identities for the squares of the refinement pullback.
 
     Checks that the pullback commutes with the coboundary on every
-    intersection nerve and the union nerve, with the concatenated
-    restriction map, with the difference maps at every level, and (for
+    intersection nerve and the union nerve, with the difference maps out
+    of every level but the last, phi* at level 0 among them, and (for
     binary diagrams) with the connecting homomorphism on cohomology.
 
     The coboundary squares are read off the union nerves' square, row by
@@ -168,14 +173,12 @@ def naturality_check(r: RefinementMap, q_max: int) -> NaturalityVerdict:
             commutes.update((t, differ.isdisjoint(fine_c.simplices)) for t, fine_c in level.items())
         squares += map(NaturalitySquare, map(f"delta[T={{}}] q={q}".format, names), commutes.values())
 
-        left = _pullback(r, 1, q) @ phi_star(r.coarse, q)
-        right = phi_star(r.fine, q) @ _pullback(r, 0, q)
-        squares.append(NaturalitySquare(f"phi_star q={q}", left.equals(right)))
-
-        for level in range(1, r.fine.n_pieces):
+        # phi* is delta~ at level 0; delta~ out of the last level is zero and has no square
+        for level in range(r.fine.n_pieces):
             left = _pullback(r, level + 1, q) @ delta_tilde(r.coarse, level, q)
             right = delta_tilde(r.fine, level, q) @ _pullback(r, level, q)
-            squares.append(NaturalitySquare(f"delta_tilde level={level} q={q}", left.equals(right)))
+            name = f"delta_tilde level={level} q={q}" if level else f"phi_star q={q}"
+            squares.append(NaturalitySquare(name, left.equals(right)))
 
     if r.fine.n_pieces == 2:
         # the level-2 tuple pullback of a binary pair is the pullback on N_12

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -557,6 +558,63 @@ def test_valid_piece_data_glue_to_a_cocycle_restricting_to_each_piece(data):
     restricted = restrict_bundle(colimit.cocycle, data.diagram)
     for pid in data.diagram.piece_ids:
         assert cocycles_equivalent(restricted.cocycles[pid], data.cocycles[pid]), pid
+
+
+def rank2_piece_data(rng):
+    """Valid rank-2 data over F_2 on 2 or 3 full subcomplexes, of at most 4 vertices each, of a random complex.
+
+    The union cocycle is a vertex gauge's coboundary w_a w_b^(-1) on every
+    edge of a 2-simplex and any invertible value on every other edge, so
+    it satisfies the triangle identity and may twist around a cycle.  Each
+    piece's cocycle is it moved by a gauge u^i of the piece's own, and the
+    identification from i to j at v is u^j_v u^i_v^(-1), or u^j_v t u^i_v^(-1)
+    on an overlap component whose twist t keeps the data valid.  Returns
+    the data and how many components keep a twist other than the identity.
+    """
+    gl2 = all_invertible(2, 2)
+    k = build_complex(rng.sample(SIMPLICES, rng.randint(2, 7)) + [[v] for v in LABELS])
+    subsets = [rng.sample(LABELS, rng.randint(2, 4)) for _ in range(rng.randint(2, 3))]
+    diagram = glued_from_nerves({f"p{n}": full_subcomplex(k, s) for n, s in enumerate(subsets)}, F2)
+    nerve = diagram.nerve
+    w = {v: rng.choice(gl2) for v in nerve.vertices}
+    in_triangle = {e for t in nerve.simplices_of_dim(2) for e in itertools.combinations(t, 2)}
+    union = {(a, b): w[a] @ w[b].inverse() if (a, b) in in_triangle else rng.choice(gl2)
+             for a, b in nerve.simplices_of_dim(1)}
+    assert validate_cocycle(ConstantCocycle.build(nerve, 2, F2, union)).valid
+    u = {pid: {v: rng.choice(gl2) for v in diagram.nerves[pid].vertices} for pid in diagram.piece_ids}
+    cocycles = {pid: ConstantCocycle.build(diagram.nerves[pid], 2, F2,
+                                           {(a, b): u[pid][a] @ union[(a, b)] @ u[pid][b].inverse()
+                                            for a, b in diagram.nerves[pid].simplices_of_dim(1)})
+                for pid in diagram.piece_ids}
+    identifications = {(i, j): {v: u[j][v] @ u[i][v].inverse() for v in nij.vertices}
+                       for (i, j), nij in diagram.level(2).items()}
+    kept = 0
+    for (i, j), nij in diagram.level(2).items():
+        for comp in components(nij):
+            t = rng.choice(gl2)
+            twisted = {**identifications, (i, j): {**identifications[(i, j)],
+                                                   **{v: u[j][v] @ t @ u[i][v].inverse() for v in comp}}}
+            if validate_piece_data(PieceBundleData(diagram, 2, cocycles, twisted)).valid:
+                identifications = twisted
+                kept += not t.equals(FMatrix.identity(2, F2))
+    data = PieceBundleData(diagram, 2, cocycles, identifications)
+    assert validate_piece_data(data).valid
+    return data, kept
+
+
+def test_valid_rank2_piece_data_glue_to_a_cocycle_gauge_equivalent_on_each_piece():
+    # The colimit theorem at rank 2, where a twist need not commute with the transitions it meets.
+    twisted = 0
+    for seed in range(40):
+        data, kept = rank2_piece_data(random.Random(seed))
+        twisted += kept
+        colimit = colimit_bundle(data.diagram, data)
+        assert colimit.ok, (seed, colimit.witness)
+        assert validate_cocycle(colimit.cocycle).valid
+        restricted = restrict_bundle(colimit.cocycle, data.diagram)
+        for pid in data.diagram.piece_ids:
+            assert gauge_equivalent(restricted.cocycles[pid], data.cocycles[pid]), (seed, pid)
+    assert twisted
 
 
 def test_glue_space_on_seven_disjoint_edges(tmp_path):

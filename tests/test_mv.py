@@ -51,6 +51,18 @@ def test_phi_star_single_piece_identity():
     assert m.equals(FMatrix.identity(3, d.field))
 
 
+def test_delta_tilde_runs_from_phi_star_at_level_0_to_the_zero_map_out_of_level_n(gallery_diagram):
+    for d in (gallery_diagram, single_circle_diagram(3)):
+        n = d.n_pieces
+        for q in range(d.nerve.dim + 2):
+            assert phi_star(d, q) is delta_tilde(d, 0, q)
+            last = delta_tilde(d, n, q)
+            assert last.shape == (0, sum(len(k.simplices_of_dim(q)) for k in d.level(n).values()))
+        for level in (-1, n + 1):
+            with pytest.raises(ValueError, match=f"level must be in \\[0, {n}\\], got {level}"):
+                delta_tilde(d, level, 0)
+
+
 def test_phi_star_two_origin_injective(two_origin):
     m = phi_star(two_origin, 0)
     level1_dim = sum(len(k.simplices_of_dim(0)) for k in two_origin.level(1).values())
@@ -103,13 +115,13 @@ def test_exact_sequence_gallery(gallery_diagram):
 def test_positions_tell_a_sequence_that_composes_to_zero_but_is_not_exact(p):
     # 0 -> F -0-> F -0-> F -> 0: every composite is zero, but the kernel at the middle is not the image.
     field = PrimeField(p)
-    zero = FMatrix.zeros(1, 1, field)
-    records = mv._positions([(0, "first"), (0, "middle"), (0, "last")], [zero, zero])
+    zero, out = FMatrix.zeros(1, 1, field), FMatrix.zeros(0, 1, field)
+    records = mv._positions([(0, "first"), (0, "middle"), (0, "last")], [zero, zero, out])
     assert mv._compose_to_zero([zero, zero])
     assert [(r.dim, r.incoming_rank, r.outgoing_nullity) for r in records] == [(1, 0, 1), (1, 0, 1), (1, 0, 1)]
     assert [r.exact for r in records] == [False, False, False]
     # F -1-> F -0-> F: exact at the middle only.
-    records = mv._positions([(0, "first"), (0, "middle"), (0, "last")], [FMatrix.identity(1, field), zero])
+    records = mv._positions([(0, "first"), (0, "middle"), (0, "last")], [FMatrix.identity(1, field), zero, out])
     assert [r.exact for r in records] == [True, True, False]
 
 
@@ -616,8 +628,6 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
         "H", cochains._class_reader, lambda k, q, field: (value(k), q, field.p)))
     monkeypatch.setattr(cochains, "_restriction", counting(
         "r", cochains._restriction, lambda k, l, q, field: (value(k), l.simplices, q, field.p)))
-    monkeypatch.setattr(mv, "_phi_star", counting(
-        "phi_star", mv._phi_star, lambda d, q: (value(d.nerve), q, d.field.p)))
     monkeypatch.setattr(mv, "_delta_tilde", counting(
         "delta_tilde", mv._delta_tilde, lambda d, level, q: (obj(d), level, q)))
     doc = gallery_document(name, **kwargs)
@@ -637,7 +647,8 @@ def test_every_command_builds_each_coboundary_and_difference_map_once(name, kwar
         if command in ("mv", "refine-check"):
             assert any(key[0] == "delta_tilde" for key in built)
         if command in ("mv", "fibred"):
-            assert any(key[0] == "phi_star" for key in built)
+            # phi* is delta~ at level 0
+            assert any(key[0] == "delta_tilde" and key[2] == 0 for key in built)
         if command == "count":
             # the difference maps it reads are block pullbacks, built through no restriction matrix
             assert {key[2:] for key in built if key[0] == "delta_tilde"} == descended

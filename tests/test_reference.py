@@ -140,6 +140,13 @@ def test_level_maps_over_sparse_supports_match_the_reference(kind, p):
     assert all(equal(a, b) for a, b in zip(total, want))
     for level in range(1, n):
         assert descended_rank(diagram, level, 1) == reference.descended_rank(diagram, level, 1, p)
+    # the refinement pullbacks are laid over the same supports, level 0 the union's
+    identity = RefinementMap(diagram, diagram, {v: v for v in diagram.nerve.vertices})
+    for q in range(diagram.nerve.dim + 2):
+        assert equal(refinements._pullback(identity, 0, q),
+                     reference.pullback(identity.labels, diagram.nerve, diagram.nerve, q, p))
+        for level in range(1, n + 1):
+            assert equal(refinements._pullback(identity, level, q), reference.tuple_pullback(identity, level, q, p))
 
 
 @pytest.mark.parametrize("p", (2, 3))

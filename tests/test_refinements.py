@@ -84,9 +84,9 @@ def test_a_label_that_leaves_its_piece_is_named_once(two_origin_refinement):
 
 
 def kept_levels(r):
-    """(level, fine nerves, coarse nerves): level 0 the union nerves, keyed 0, then each level's nonempty fine N_T."""
+    """(level, fine nerves, coarse nerves): level 0 the union nerves, then each level's nonempty fine N_T."""
     for level in range(r.fine.n_pieces + 1):
-        yield level, *({0: d.nerve} if level == 0 else d.level(level) for d in (r.fine, r.coarse))
+        yield level, r.fine.level(level), r.coarse.level(level)
 
 
 def test_pullbacks_are_chain_maps(two_origin_refinement):
@@ -241,8 +241,8 @@ def test_a_refinement_validates_once_and_builds_each_pullback_once(make, monkeyp
     def counting(fine, coarse, blocks, q, field, images=None):
         result = real_pullback(fine, coarse, blocks, q, field, images)
         if images is r.images:
-            # level 0 is the union nerves; an N_T pullback would match no level
-            level = 0 if fine.get(0) is r.fine.nerve else next(n for n in levels if fine is r.fine.level(n))
+            # each level is laid over the fine diagram's support, level 0 the union; an N_T pullback would match none
+            level = next(n for n in range(r.fine.n_pieces + 1) if fine is r.fine._support(n, q))
             built[level, q] += 1
             alive.append(weakref.ref(result))
         return result

@@ -3,11 +3,13 @@
 Optimisations must leave every structured report byte-identical.  This
 module runs each command on the gallery families over F_2, F_3 and F_5
 and on seeded ``random_admissible`` documents, and compares the sha256
-of the report file with the digest recorded below.  A pair that writes
-no report (an input error) is pinned as ``None``.
+of the report file with the digest recorded below.  A second table pins
+one-piece ``random_admissible`` documents, each with a refinement block,
+which no seed of the first draws.  A pair that writes no report (an
+input error) is pinned as ``None``.
 
-To print a fresh table, run ``PYTHONPATH=src python tests/test_report_digests.py``.
-Only regenerate the table for a change that is meant to alter reports.
+To print fresh tables, run ``PYTHONPATH=src python tests/test_report_digests.py``.
+Only regenerate a table for a change that is meant to alter reports.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ GALLERY_FAMILIES = (("two_origin_line", {}), ("branching_line_n", {"n": 2}),
                     ("three_circles", {}))
 
 RANDOM_SEEDS = range(30)
+
+ONE_PIECE_SEEDS = range(6)
 
 
 def documents() -> dict[str, dict]:
@@ -61,15 +65,32 @@ def reports(workdir: Path, docs: dict[str, dict], commands: tuple[str, ...]) -> 
     return out
 
 
-def report_digests(workdir: Path) -> dict[str, str | None]:
+def report_digests(workdir: Path, docs: dict[str, dict]) -> dict[str, str | None]:
     return {key: hashlib.sha256(data).hexdigest() if data is not None else None
-            for key, data in reports(workdir, documents(), COMMANDS).items()}
+            for key, data in reports(workdir, docs, COMMANDS).items()}
 
 
 def test_reports_match_pinned_digests(tmp_path):
-    got = report_digests(tmp_path)
+    got = report_digests(tmp_path, documents())
     assert got.keys() == PINNED.keys()
     changed = sorted(k for k in PINNED if got[k] != PINNED[k])
+    assert not changed, changed
+
+
+def one_piece_documents() -> dict[str, dict]:
+    """One-piece random documents, two seeds per field, each with a doubled refinement."""
+    docs = {}
+    for seed in ONE_PIECE_SEEDS:
+        field = (2, 3, 5)[seed % 3]
+        doc = gallery_document("random_admissible", field=field, n=1, seed=seed)
+        docs[f"random-n1-seed{seed}-F{field}"] = with_doubled_refinement(doc)
+    return docs
+
+
+def test_one_piece_reports_match_pinned_digests(tmp_path):
+    got = report_digests(tmp_path, one_piece_documents())
+    assert got.keys() == ONE_PIECE_PINNED.keys()
+    changed = sorted(k for k in ONE_PIECE_PINNED if got[k] != ONE_PIECE_PINNED[k])
     assert not changed, changed
 
 
@@ -486,10 +507,62 @@ PINNED: dict[str, str | None] = {
 }
 
 
+ONE_PIECE_PINNED: dict[str, str | None] = {
+    'random-n1-seed0-F2|validate': '23476ac58076de6a06d2af9fafc7dfbfbb578a9eaa2bf4f8f3e4735e922f205c',
+    'random-n1-seed0-F2|cohomology': '87cbddeedfe7583b1c97a7bc92b84d9da137095aae9b506a90a13d2df7143f59',
+    'random-n1-seed0-F2|mv': '8b27d624545f2e5622872188fbbf09f4d551ed9860076d1af3c920882ddebeb1',
+    'random-n1-seed0-F2|fibred': 'c78a40f42e6785975678944c53e2280e916af8fc713d27a1efeb88eec248a757',
+    'random-n1-seed0-F2|bundles': '095a940c35cadc211ee6250b1b00c977b7bc9e634e72c648ccef0f09b8765752',
+    'random-n1-seed0-F2|count': '17cd91b365e3bd13c29afbe23a24d65b8a5c7c9cac2b80c7a689ccdbb2fba694',
+    'random-n1-seed0-F2|collapse-check': '690a4fd91523b96117a1600d25dca53b628c4d6866ba3cf92ed2b7fbcc82f59d',
+    'random-n1-seed0-F2|refine-check': '6c15d8a604cbed86b539ad093a1c3303bdf56fa7b0750a5cf141e8da4dc1a735',
+    'random-n1-seed1-F3|validate': '9f10c64a5a5972ae40f636f3d8e2f461a2e78cf0b6e20bc81ebdf2cde7ede43d',
+    'random-n1-seed1-F3|cohomology': '760fb18e6503322e46fc10047284b677fc6d707757b01046e7f642b711161f0f',
+    'random-n1-seed1-F3|mv': 'a5c3de00c6e57772de3c3fe86b5379827ccb560b9099e1134a3cee204358bc60',
+    'random-n1-seed1-F3|fibred': 'e88d7fc43caca8baadc780b0adf4c261f3f881e6f4bd4d58e6861599a33403f7',
+    'random-n1-seed1-F3|bundles': None,
+    'random-n1-seed1-F3|count': None,
+    'random-n1-seed1-F3|collapse-check': '90d8da7bb835676913370054e592a41735c9999453c59e9f885b41c694b9bd1b',
+    'random-n1-seed1-F3|refine-check': '735526eb1590d2e3a8e36b55291dbabda2fc81b863e27966cae9c38b88f026f6',
+    'random-n1-seed2-F5|validate': 'f035cc29476471a5e0ca6f79621c7fe641a4c27a09559969cc543035ec8df439',
+    'random-n1-seed2-F5|cohomology': '267f2864c1cd56936a7028182d42af0b52f7b29db46841a7d99bb7804eb06a4b',
+    'random-n1-seed2-F5|mv': 'a743713623eeb5cee16af0548b4d831f86af96f443a8f9e3d0fe72c4e462ae20',
+    'random-n1-seed2-F5|fibred': '4d017c0418bf008226d512d0b87f74beba761578cc34edbecf3ef7aef3fef9ff',
+    'random-n1-seed2-F5|bundles': None,
+    'random-n1-seed2-F5|count': None,
+    'random-n1-seed2-F5|collapse-check': '37a23a94fc7571b0a74ac49708eea30e58a73e11b1a33ae349a268781c0e4393',
+    'random-n1-seed2-F5|refine-check': '9cdaa45916e21b532ac9c1d13ac26fe06ea8cf9e96c4872d2448ed305f5e2c30',
+    'random-n1-seed3-F2|validate': '390e5b7dc12a792f3fc8d082285975249f4954275f01aa927c52abc6147d3412',
+    'random-n1-seed3-F2|cohomology': 'f8eaf5184029bd21c75f2d80103b61810725308a2855edb18f697a8cd693d71e',
+    'random-n1-seed3-F2|mv': '9e82cd23bb593de2ee134a4fd99c7760964d07009f3687cce3b9b97f4c52a67b',
+    'random-n1-seed3-F2|fibred': 'a6b1fdf5e1233a022ca694a26e8692ff0dce9f75cce5f5a9773e8e7a9567ffed',
+    'random-n1-seed3-F2|bundles': 'e5b24b82e3734bf85ac08a34232f440e39d100d9b08e53b7b0d454f97ebf639e',
+    'random-n1-seed3-F2|count': 'ad526eb869a45481366104a3569142fcfcff1b7b2c2f21b2225a12896375fd4c',
+    'random-n1-seed3-F2|collapse-check': '2e8ef5d8ab6c3a2096e281644037ff8902f955a4e8d044ecf52917336919c0fe',
+    'random-n1-seed3-F2|refine-check': '6652d7795aec92d8785ac72edbacf83c5fcd8a71010a444374ed967ad0017bb8',
+    'random-n1-seed4-F3|validate': 'ad4e5ebc19b4c2fabc00796e30c4cabc3074bebcdc68d71c031a94cf13c06bb7',
+    'random-n1-seed4-F3|cohomology': '88fd47d371737ff7f78a154c7e8358a8c3902eda7eae6638dcfa53d259fef396',
+    'random-n1-seed4-F3|mv': '4725f5bbf539cb3ac52f5aca95b12e80e4d988033c730e2e890fd0ec55054c84',
+    'random-n1-seed4-F3|fibred': '1fa07b19b28864a8cee653289266157784100954fdca5e4790e4a3d8c5ffd892',
+    'random-n1-seed4-F3|bundles': None,
+    'random-n1-seed4-F3|count': None,
+    'random-n1-seed4-F3|collapse-check': '381385042489057cf62edb0255d78f4b307d6652ddd6ab26d37223203f584a50',
+    'random-n1-seed4-F3|refine-check': 'f6d05bcfc8d47f5fc97610e351125a9df7e87fcd018b941409b277752589baa0',
+    'random-n1-seed5-F5|validate': 'd67ed45169b911326fe571a01a47cee967088dc5318a64ed11e259b559d0b189',
+    'random-n1-seed5-F5|cohomology': '13bf0b49bf9d889d06ec92b6175b08525ecb08894952066984fa2262ab4850c1',
+    'random-n1-seed5-F5|mv': '546fa9189b25e5584538f972a185d1d02083b343e4cfc811d7b012658381d429',
+    'random-n1-seed5-F5|fibred': '7d5a82f66113e7330b0c7dc1d1d7c52dae6441b7884e72d72945acf38debc563',
+    'random-n1-seed5-F5|bundles': None,
+    'random-n1-seed5-F5|count': None,
+    'random-n1-seed5-F5|collapse-check': '0eadb89e59c09bc87686a301c6cc1479cba65203dc02cd99797b57dc12573408',
+    'random-n1-seed5-F5|refine-check': '52a271ffd847a108fbce61236d0ce5dbf25450b1b794d5918b059888a0b457e6',
+}
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        table = report_digests(Path(tmp))
-    sys.stdout.write("PINNED: dict[str, str | None] = {\n")
-    for key, value in table.items():
-        sys.stdout.write(f"    {key!r}: {value!r},\n")
-    sys.stdout.write("}\n")
+    for name, docs in (("PINNED", documents()), ("ONE_PIECE_PINNED", one_piece_documents())):
+        with tempfile.TemporaryDirectory() as tmp:
+            table = report_digests(Path(tmp), docs)
+        sys.stdout.write(f"{name}: dict[str, str | None] = {{\n")
+        for key, value in table.items():
+            sys.stdout.write(f"    {key!r}: {value!r},\n")
+        sys.stdout.write("}\n")
